@@ -2,7 +2,7 @@
 TPC-H Q6.
 
 Tracing is off by default and must stay near free: every
-instrumentation site costs one ``get_tracer()`` read plus one no-op
+instrumentation site costs one ``ctx.tracer`` read plus one no-op
 ``span()`` call when disabled.  This benchmark bounds that cost on the
 paper's Q6:
 
@@ -70,6 +70,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+from dataclasses import replace
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if _REPO_ROOT not in sys.path:
@@ -78,7 +79,7 @@ if _REPO_ROOT not in sys.path:
 from benchmarks.harness import make_tpch_systems, time_callable  # noqa: E402
 from repro.core.limits import NULL_LIMITS  # noqa: E402
 from repro.obs import (NULL_PROFILE, NULL_TRACER, AllocationProfile,  # noqa: E402
-                       SessionTelemetry, Tracer, use_profile, use_tracer)
+                       SessionTelemetry, Tracer)
 from repro.workloads.tpch_queries import PLAIN_QUERIES  # noqa: E402
 
 OVERHEAD_BAR = 0.02
@@ -218,25 +219,21 @@ def count_checkpoints_per_run(hp, sql: str) -> int:
     through — measured by granting a deadline far in the future and
     reading ``limits.checks`` back."""
     limits = hp.governor.grant(timeout=3600.0)
-    ctx = hp.session.context()
-    ctx.limits = limits
-    hp.run_sql(sql, ctx=ctx)
+    hp.run_sql(sql, ctx=replace(hp.session.context(), limits=limits))
     return limits.checks
 
 
 def count_spans_per_run(hp, sql: str) -> int:
     """Span sites one warm Q6 run passes through."""
     tracer = Tracer()
-    with use_tracer(tracer):
-        hp.run_sql(sql)
+    hp.run_sql(sql, ctx=replace(hp.session.context(), tracer=tracer))
     return len(tracer.all_spans())
 
 
 def count_charge_sites_per_run(hp, sql: str) -> int:
     """Profiler charge events one warm, profiled Q6 run records."""
     profile = AllocationProfile()
-    with use_profile(profile):
-        hp.run_sql(sql)
+    hp.run_sql(sql, ctx=replace(hp.session.context(), profile=profile))
     return profile.events
 
 
@@ -250,10 +247,9 @@ def main() -> int:
     site_cost = measure_null_span_cost()
     sites = count_spans_per_run(hp, sql)
 
-    tracer = Tracer()
-    with use_tracer(tracer):
-        enabled = time_callable(lambda: hp.run_sql(sql), warmup=2,
-                                rounds=7)
+    traced = replace(hp.session.context(), tracer=Tracer())
+    enabled = time_callable(lambda: hp.run_sql(sql, ctx=traced),
+                            warmup=2, rounds=7)
 
     prof_site_cost = measure_null_profile_cost()
     charge_sites = count_charge_sites_per_run(hp, sql)

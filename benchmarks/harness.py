@@ -23,16 +23,18 @@ import numpy as np
 
 from repro.data.blackscholes import load_blackscholes_table
 from repro.data.tpch import generate_tpch
+from repro.engine import EngineSession
 from repro.engine.storage import Database
 from repro.horsepower import HorsePowerSystem, MonetDBLike
+from repro.obs import Tracer, chrome_trace_json
 from repro.sql.udf import UDFRegistry
 from repro.workloads.bs_queries import register_bs_udfs
 from repro.workloads.tpch_queries import register_tpch_udfs
 
 __all__ = ["bench_scale", "thread_counts", "make_tpch_systems",
            "make_bs_systems", "time_callable", "Timed",
-           "time_cold_warm", "ColdWarm", "trace_dir",
-           "install_bench_tracer", "dump_bench_trace"]
+           "time_cold_warm", "ColdWarm", "trace_dir", "bench_session",
+           "compile_matlab", "dump_bench_trace"]
 
 
 def bench_scale() -> float:
@@ -45,29 +47,35 @@ def trace_dir() -> str | None:
     return os.environ.get("REPRO_BENCH_TRACE") or None
 
 
-def install_bench_tracer():
-    """Attach a tracer for the whole benchmark process when the
-    ``REPRO_BENCH_TRACE`` directory flag is set; returns it (or None)."""
-    directory = trace_dir()
-    if directory is None:
-        return None
-    from repro.obs import Tracer, set_tracer
-    os.makedirs(directory, exist_ok=True)
-    tracer = Tracer()
-    set_tracer(tracer)
-    return tracer
+def bench_session() -> EngineSession:
+    """The benchmark process's one instrumented session.  Its registry
+    — and its tracer, a real one when the ``REPRO_BENCH_TRACE``
+    directory flag is set — are handed to every system the harness
+    builds, so both facades' spans and counters land in the one trace /
+    ``--metrics-json`` file ``report.py`` writes per run."""
+    if "session" not in _CACHE:
+        _CACHE["session"] = EngineSession(
+            tracer=Tracer() if trace_dir() else None)
+    return _CACHE["session"]
+
+
+def compile_matlab(source: str, param_specs=None, opt_level: str = "opt",
+                   backend: str = "python"):
+    """:func:`repro.matlang.compile_matlab` on :func:`bench_session`,
+    so the standalone-MATLAB tables (1 and 3) show up in
+    ``--trace-dir`` / ``--metrics-json`` like the SQL ones."""
+    return bench_session().compile_matlab(
+        source, param_specs, opt_level=opt_level, backend=backend)
 
 
 def dump_bench_trace(name: str) -> str | None:
     """Write the spans recorded since the last dump to
     ``$REPRO_BENCH_TRACE/<name>.trace.json`` and clear the tracer."""
-    directory = trace_dir()
-    if directory is None:
-        return None
-    from repro.obs import chrome_trace_json, get_tracer
-    tracer = get_tracer()
+    tracer = bench_session().tracer
     if not tracer.enabled:
         return None
+    directory = trace_dir()
+    os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, f"{name}.trace.json")
     with open(path, "w") as handle:
         handle.write(chrome_trace_json(tracer.roots))
@@ -96,6 +104,16 @@ BLACKSCHOLES_ROWS = 400_000
 _CACHE: dict = {}
 
 
+def _make_systems(db, udfs) -> tuple[HorsePowerSystem, MonetDBLike]:
+    """Both facades over ``db``, reporting into the harness session's
+    tracer and registry."""
+    shared = bench_session()
+    return (HorsePowerSystem(db, udfs, tracer=shared.tracer,
+                             metrics=shared.metrics),
+            MonetDBLike(db, udfs, tracer=shared.tracer,
+                        metrics=shared.metrics))
+
+
 def make_tpch_systems() -> tuple[HorsePowerSystem, MonetDBLike]:
     """Module-cached TPC-H database + both systems with UDFs
     registered."""
@@ -104,8 +122,7 @@ def make_tpch_systems() -> tuple[HorsePowerSystem, MonetDBLike]:
         db = generate_tpch(
             scale_factor=TPCH_SCALE_FACTOR * bench_scale())
         udfs = UDFRegistry()
-        hp = HorsePowerSystem(db, udfs)
-        mdb = MonetDBLike(db, udfs)
+        hp, mdb = _make_systems(db, udfs)
         register_tpch_udfs(hp)
         _CACHE[key] = (hp, mdb)
     return _CACHE[key]
@@ -118,8 +135,7 @@ def make_bs_systems() -> tuple[HorsePowerSystem, MonetDBLike]:
         load_blackscholes_table(db, int(BLACKSCHOLES_ROWS
                                         * bench_scale()))
         udfs = UDFRegistry()
-        hp = HorsePowerSystem(db, udfs)
-        mdb = MonetDBLike(db, udfs)
+        hp, mdb = _make_systems(db, udfs)
         register_bs_udfs(hp)
         _CACHE[key] = (hp, mdb)
     return _CACHE[key]

@@ -38,10 +38,10 @@ def _parse_args(argv):
                              "'cache' is the prepared-query cold/warm "
                              "table)")
     parser.add_argument("--metrics-json", type=str, default=None,
-                        help="write the process-global metrics "
-                             "(kernels, rows, pool, plan cache, "
-                             "per-phase compile totals) as flat JSON "
-                             "after the run")
+                        help="write the metrics of every system the "
+                             "harness built (kernels, rows, pool, plan "
+                             "cache, per-phase compile totals) as flat "
+                             "JSON after the run")
     parser.add_argument("--trace-dir", type=str, default=None,
                         help="record spans for every benchmark run and "
                              "write one Chrome-trace JSON per table "
@@ -58,9 +58,8 @@ def main(argv=None) -> int:
 
     # Import after the env is set: the harness reads it at call time.
     from benchmarks import tables
-    from benchmarks.harness import dump_bench_trace, install_bench_tracer
+    from benchmarks.harness import bench_session, dump_bench_trace
 
-    install_bench_tracer()
     wanted = {part.strip() for part in args.tables.split(",")}
     buffer = io.StringIO()
 
@@ -86,10 +85,9 @@ def main(argv=None) -> int:
     if args.metrics_json:
         import json
 
-        from repro.obs import global_metrics
         with open(args.metrics_json, "w") as handle:
-            json.dump({"metrics": global_metrics().snapshot()}, handle,
-                      indent=2, default=str)
+            json.dump({"metrics": bench_session().metrics.snapshot()},
+                      handle, indent=2, default=str)
         emit(f"(metrics written to {args.metrics_json})")
 
     if args.out:

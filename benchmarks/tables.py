@@ -8,13 +8,12 @@ layout: execution times in milliseconds with speedup columns.
 from __future__ import annotations
 
 from benchmarks.harness import (TABLE1_SIZES, bench_scale,
-                                make_bs_systems, make_tpch_systems,
-                                thread_counts, time_callable,
-                                time_cold_warm)
+                                compile_matlab, make_bs_systems,
+                                make_tpch_systems, thread_counts,
+                                time_callable, time_cold_warm)
 from repro.data.blackscholes import calc_option_price, generate_blackscholes
 from repro.data.morgan import generate_morgan
 from repro.core.codegen.cgen import c_backend_available
-from repro.matlang import compile_matlab
 from repro.matlang.interp import MatlabInterpreter
 from repro.matlang.parser import parse_program
 from repro.workloads.bs_queries import (BS_VARIANT_NAMES,

@@ -116,6 +116,7 @@ def _print_table(result, limit: int) -> None:
 
 def _cmd_run_sql(args) -> int:
     from repro.horsepower import HorsePowerSystem, MonetDBLike
+    from repro.obs import AllocationProfile, Tracer
 
     backend = args.backend
     if backend is not None:
@@ -164,79 +165,63 @@ def _cmd_run_sql(args) -> int:
     if args.explain:
         return _explain_plan(args, db, sql)
 
-    tracing = bool(args.trace or args.explain_analyze)
-    tracer = None
-    if tracing:
-        from repro.obs import Tracer, set_tracer
-        tracer = Tracer()
-        set_tracer(tracer)
-    profile = None
-    if args.profile:
-        from repro.obs import AllocationProfile, set_profile
-        profile = AllocationProfile()
-        set_profile(profile)
+    tracer = Tracer() if args.trace or args.explain_analyze else None
+    profile = AllocationProfile() if args.profile else None
 
     hp = None
-    try:
-        if args.system == "monetdb":
-            mdb = MonetDBLike(db)
-            if args.analyze:
-                mdb.analyze()
+    if args.system == "monetdb":
+        system = MonetDBLike(db, tracer=tracer, profile=profile)
+        if args.analyze:
+            system.analyze()
+        for _ in range(repeat):
+            result = system.run_sql(sql, n_threads=args.threads)
+    else:
+        system = hp = HorsePowerSystem(db, tracer=tracer,
+                                       profile=profile)
+        if args.analyze:
+            hp.analyze()
+        if args.max_concurrent is not None:
+            hp.governor.configure(max_concurrent=args.max_concurrent)
+        if telemetry_requested:
+            telemetry = hp.configure_telemetry(
+                query_log=args.query_log,
+                slow_query_ms=args.slow_query_ms,
+                diagnostics_dir=args.diagnostics_dir,
+                serve_metrics=args.serve_metrics)
+            if telemetry.server is not None:
+                # Printed (and flushed) before the query runs so a
+                # scraper can attach mid-run.
+                print(f"-- serving Prometheus metrics at "
+                      f"{telemetry.server.url} (Ctrl-C to stop)",
+                      flush=True)
+        use_cache = not args.no_cache
+        try:
             for _ in range(repeat):
-                result = mdb.run_sql(sql, n_threads=args.threads)
-        else:
-            hp = HorsePowerSystem(db)
-            if args.analyze:
-                hp.analyze()
-            if args.max_concurrent is not None:
-                hp.governor.configure(max_concurrent=args.max_concurrent)
-            if telemetry_requested:
-                telemetry = hp.configure_telemetry(
-                    query_log=args.query_log,
-                    slow_query_ms=args.slow_query_ms,
-                    diagnostics_dir=args.diagnostics_dir,
-                    serve_metrics=args.serve_metrics)
-                if telemetry.server is not None:
-                    # Printed (and flushed) before the query runs so a
-                    # scraper can attach mid-run.
-                    print(f"-- serving Prometheus metrics at "
-                          f"{telemetry.server.url} (Ctrl-C to stop)",
-                          flush=True)
-            use_cache = not args.no_cache
-            try:
-                for _ in range(repeat):
-                    result = hp.run_sql(sql, n_threads=args.threads,
-                                        use_cache=use_cache,
-                                        backend=backend or "python",
-                                        timeout=args.timeout,
-                                        memory_budget=args.memory_budget,
-                                        pipeline=args.passes,
-                                        verify_ir=args.verify_ir,
-                                        dump_ir=args.dump_ir)
-            except PassVerificationError as exc:
-                print(f"error: {type(exc).__name__}: {exc}",
-                      file=sys.stderr)
-                return 2
-            except GovernorError as exc:
-                print(f"error: {type(exc).__name__}: {exc}",
-                      file=sys.stderr)
-                if args.query_log is not None:
-                    print(f"-- query-log record appended to "
-                          f"{args.query_log}", file=sys.stderr)
-                if args.diagnostics_dir is not None:
-                    print(f"-- diagnostics bundle written under "
-                          f"{args.diagnostics_dir}", file=sys.stderr)
-                return 2
-            if args.cache_stats:
-                print(f"-- plan cache: {hp.cache_stats.summary()} "
-                      f"entries={len(hp.plan_cache)}")
-    finally:
-        if tracing:
-            from repro.obs import set_tracer
-            set_tracer(None)
-        if profile is not None:
-            from repro.obs import set_profile
-            set_profile(None)
+                result = hp.run_sql(sql, n_threads=args.threads,
+                                    use_cache=use_cache,
+                                    backend=backend or "python",
+                                    timeout=args.timeout,
+                                    memory_budget=args.memory_budget,
+                                    pipeline=args.passes,
+                                    verify_ir=args.verify_ir,
+                                    dump_ir=args.dump_ir)
+        except PassVerificationError as exc:
+            print(f"error: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return 2
+        except GovernorError as exc:
+            print(f"error: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            if args.query_log is not None:
+                print(f"-- query-log record appended to "
+                      f"{args.query_log}", file=sys.stderr)
+            if args.diagnostics_dir is not None:
+                print(f"-- diagnostics bundle written under "
+                      f"{args.diagnostics_dir}", file=sys.stderr)
+            return 2
+        if args.cache_stats:
+            print(f"-- plan cache: {hp.cache_stats.summary()} "
+                  f"entries={len(hp.plan_cache)}")
 
     _print_table(result, args.limit)
     if hp is not None and args.dump_ir is not None:
@@ -246,7 +231,8 @@ def _cmd_run_sql(args) -> int:
     if profile is not None:
         _emit_profile_output(args, profile)
     if args.metrics_json:
-        _write_metrics_json(args.metrics_json, hp)
+        _write_metrics_json(args.metrics_json, system.session.metrics,
+                            hp)
     if hp is not None and args.query_log is not None:
         log = hp.telemetry.query_log
         print(f"-- query log: {log.emitted} record"
@@ -293,7 +279,7 @@ def _cmd_analyze(args) -> int:
     from repro.engine.session import EngineSession
 
     db = _load_tables(args)
-    session = EngineSession.ambient(db)
+    session = EngineSession(db)
     collected = session.analyze(args.table_name)
     for table_stats in collected:
         print(f"table {table_stats.name}: {table_stats.row_count} rows, "
@@ -338,12 +324,10 @@ def _emit_profile_output(args, profile) -> None:
           f"peak {format_bytes(profile.peak_bytes)})")
 
 
-def _write_metrics_json(path: str, hp=None) -> None:
-    """Dump the process-global metrics (plus per-entry plan-cache stats
-    when the HorsePower system ran) as flat JSON."""
-    from repro.obs import global_metrics
-
-    payload = {"metrics": global_metrics().snapshot()}
+def _write_metrics_json(path: str, metrics, hp=None) -> None:
+    """Dump the session's metrics (plus per-entry plan-cache stats when
+    the HorsePower system ran) as flat JSON."""
+    payload = {"metrics": metrics.snapshot()}
     if hp is not None:
         payload["plan_cache"] = hp.cache_stats.to_dict()
     with open(path, "w") as handle:

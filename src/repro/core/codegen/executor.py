@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core import types as ht
 from repro.core.codegen.pygen import CompiledKernel
-from repro.core.context import QueryContext, ensure_context
+from repro.core.context import QueryContext
 from repro.core.values import Vector
 from repro.errors import BuiltinError, HorseRuntimeError
 
@@ -32,13 +32,12 @@ DEFAULT_CHUNK_SIZE = 1 << 15
 def run_kernel(kernel: CompiledKernel, inputs: list[Vector],
                n_threads: int = 1,
                chunk_size: int = DEFAULT_CHUNK_SIZE,
-               pool: ThreadPoolExecutor | None = None,
-               ctx: QueryContext | None = None) -> list[Vector]:
+               pool: ThreadPoolExecutor | None = None, *,
+               ctx: QueryContext) -> list[Vector]:
     """Execute a fused kernel over its inputs; returns the output vectors
     in the order of ``kernel.outputs``.  Spans and kernel metrics report
-    into ``ctx`` (ambient process context when not given); parallel runs
-    borrow ``pool``, falling back to the context's pool."""
-    ctx = ensure_context(ctx)
+    into ``ctx``; parallel runs borrow ``pool``, falling back to the
+    context's pool."""
     start = time.perf_counter()
     outputs = _run_kernel(kernel, inputs, n_threads, chunk_size, pool,
                           ctx)

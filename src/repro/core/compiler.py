@@ -12,7 +12,7 @@ Two optimization levels, matching the paper's configurations:
 The compiled program's ``run`` takes ``n_threads``, the reproduction's
 OpenMP analog, and an optional :class:`~repro.core.context.QueryContext`
 naming the tracer/metrics/pool the run reports into; without one the
-ambient (process-global) context applies.
+run is untraced and unprofiled (a default ``QueryContext()``).
 
 Which kernel engine a fused segment compiles to is decided by a *kernel
 factory* — the hook the backend registry
@@ -25,6 +25,7 @@ emitted C + OpenMP with per-segment Python fallback).
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -34,7 +35,7 @@ from repro.core import types as ht
 from repro.core.codegen.cgen import CKernel, c_backend_available
 from repro.core.codegen.executor import DEFAULT_CHUNK_SIZE, run_kernel
 from repro.core.codegen.pygen import CompiledKernel, generate_kernel
-from repro.core.context import QueryContext, ensure_context
+from repro.core.context import QueryContext
 from repro.core.optimizer import OptimizeStats, optimize
 from repro.core.passes import resolve_pipeline
 from repro.core.optimizer.fusion import (
@@ -45,8 +46,9 @@ from repro.core.values import (TableValue, Value, Vector, coerce, scalar,
 from repro.core.verify import verify_module
 from repro.errors import HorseRuntimeError
 
-__all__ = ["compile_module", "CompiledProgram", "CompileReport",
-           "KernelFactory", "python_kernel_factory", "c_kernel_factory"]
+__all__ = ["compile_module", "compilation", "CompiledProgram",
+           "CompileReport", "KernelFactory", "python_kernel_factory",
+           "c_kernel_factory"]
 
 _MAX_LOOP_ITERATIONS = 100_000_000
 
@@ -174,11 +176,12 @@ class CompiledProgram:
         """Execute the entry method (or ``method``) and return its result.
 
         Parallel runs borrow the context's :class:`ExecutorPool` (the
-        process-shared pool in the ambient context) rather than building
-        a private pool per call — repeated executions of a prepared
-        query pay zero pool-construction cost.
+        process-shared pool when the context binds none) rather than
+        building a private pool per call — repeated executions of a
+        prepared query pay zero pool-construction cost.
         """
-        ctx = ensure_context(ctx)
+        if ctx is None:
+            ctx = QueryContext()
         eval_ctx = hb.EvalContext(tables)
         entry = method if method is not None else self.module.entry.name
         pool = ctx.executor(n_threads)
@@ -363,6 +366,58 @@ class _RunState:
 _coerce = coerce
 
 
+@contextmanager
+def compilation(module: ir.Module, opt_level: str, backend: str,
+                ctx: QueryContext, *, entry: str | None = None,
+                pipeline=None, verify_ir: bool = False,
+                dump_ir: str | None = None):
+    """The part of compiling that every HorseIR backend shares: the
+    ``compile`` span, verify → optimize → verify, the COMP timing split
+    and the ``compile.*`` counters.
+
+    Yields ``(module, report, compile_span)`` with the optimized module
+    and a :class:`CompileReport` the caller's code generation (the
+    ``with`` body; empty for the interpreter) may fill in.  On exit the
+    report's timings are final — the body's time lands in
+    ``codegen_seconds`` — and the counters are bumped."""
+    pipeline = resolve_pipeline(pipeline, opt_level=opt_level)
+    tracer = ctx.tracer
+    with tracer.span("compile", opt_level=opt_level,
+                     backend=backend) as compile_span:
+        start = time.perf_counter()
+        verify_module(module)
+
+        stats: OptimizeStats | None = None
+        optimize_seconds = 0.0
+        if pipeline.ir_passes or verify_ir or dump_ir is not None:
+            opt_start = time.perf_counter()
+            with tracer.span("optimize"):
+                module, stats = optimize(module, entry=entry, ctx=ctx,
+                                         pipeline=pipeline,
+                                         verify_ir=verify_ir,
+                                         dump_ir=dump_ir)
+                verify_module(module)
+            optimize_seconds = time.perf_counter() - opt_start
+
+        report = CompileReport(opt_level, 0.0, stats, backend=backend)
+        yield module, report, compile_span
+
+        total = time.perf_counter() - start
+        report.optimize_seconds = optimize_seconds
+        report.codegen_seconds = total - optimize_seconds
+        # Sum the parts so optimize + codegen == compile holds exactly
+        # (a float re-add, not the raw total, which could differ by an
+        # ulp).
+        report.compile_seconds = (report.optimize_seconds
+                                  + report.codegen_seconds)
+    metrics = ctx.metrics
+    metrics.counter("compile.count").inc()
+    metrics.counter("compile.optimize_seconds_total").inc(
+        report.optimize_seconds)
+    metrics.counter("compile.codegen_seconds_total").inc(
+        report.codegen_seconds)
+
+
 def compile_module(module: ir.Module, opt_level: str = "opt",
                    entry: str | None = None,
                    backend: str = "python",
@@ -377,13 +432,15 @@ def compile_module(module: ir.Module, opt_level: str = "opt",
     omitted, ``backend`` selects a built-in one: ``"python"`` (generated
     NumPy kernels, always available) or ``"c"`` (emitted C + OpenMP via
     gcc, per-segment with Python fallback).  Spans and compile metrics
-    go to ``ctx`` (the ambient process context when not given).
+    go to ``ctx`` (nowhere visible when not given: a default
+    ``QueryContext()`` is untraced and counts privately).
 
     ``pipeline`` overrides the optimization preset the level implies
     (``"opt"`` → ``O2``, ``"naive"`` → ``O0``, which has no IR passes);
     ``verify_ir=True`` re-verifies the IR after every pass and
     ``dump_ir`` names a directory for per-pass IR snapshots."""
-    ctx = ensure_context(ctx)
+    if ctx is None:
+        ctx = QueryContext()
     if opt_level not in ("naive", "opt"):
         raise ValueError(f"unknown opt level {opt_level!r}")
     if kernel_factory is None:
@@ -392,54 +449,18 @@ def compile_module(module: ir.Module, opt_level: str = "opt",
         if backend == "c" and not c_backend_available():
             raise ValueError("the C backend needs gcc on PATH")
         kernel_factory = _BUILTIN_FACTORIES[backend]
-    pipeline = resolve_pipeline(pipeline, opt_level=opt_level)
-    tracer = ctx.tracer
-    with tracer.span("compile", opt_level=opt_level,
-                     backend=backend) as compile_span:
-        start = time.perf_counter()
-        verify_module(module)
-
-        stats: OptimizeStats | None = None
-        optimize_seconds = 0.0
-        if pipeline.ir_passes or verify_ir or dump_ir is not None:
-            opt_start = time.perf_counter()
-            with tracer.span("optimize") as opt_span:
-                module, stats = optimize(module, entry=entry,
-                                         tracer=tracer,
-                                         limits=ctx.limits,
-                                         pipeline=pipeline,
-                                         metrics=ctx.metrics,
-                                         span=opt_span,
-                                         verify_ir=verify_ir,
-                                         dump_ir=dump_ir)
-                verify_module(module)
-            optimize_seconds = time.perf_counter() - opt_start
-
+    with compilation(module, opt_level, backend, ctx, entry=entry,
+                     pipeline=pipeline, verify_ir=verify_ir,
+                     dump_ir=dump_ir) as (module, report, compile_span):
         plans: dict[str, list] = {}
-        report = CompileReport(opt_level, 0.0, stats, backend=backend)
-        with tracer.span("codegen") as codegen_span:
+        with ctx.tracer.span("codegen") as codegen_span:
             for name, method in module.methods.items():
                 plan = segment_method(method,
                                       enabled=(opt_level == "opt"))
                 plans[name] = _compile_plan(plan, report, kernel_factory)
             codegen_span.set(fused_segments=report.fused_segments,
                              fused_statements=report.fused_statements)
-
-        total = time.perf_counter() - start
-        report.optimize_seconds = optimize_seconds
-        report.codegen_seconds = total - optimize_seconds
-        # Sum the parts so optimize + codegen == compile holds exactly
-        # (a float re-add, not the raw total, which could differ by an
-        # ulp).
-        report.compile_seconds = (report.optimize_seconds
-                                  + report.codegen_seconds)
         compile_span.set(fused_segments=report.fused_segments)
-    metrics = ctx.metrics
-    metrics.counter("compile.count").inc()
-    metrics.counter("compile.optimize_seconds_total").inc(
-        report.optimize_seconds)
-    metrics.counter("compile.codegen_seconds_total").inc(
-        report.codegen_seconds)
     return CompiledProgram(module, plans, report)
 
 

@@ -8,11 +8,13 @@ for process-global state; an isolated :class:`~repro.engine.EngineSession`
 builds contexts bound to its own tracer/metrics/pool, so N sessions can
 run concurrently in one process without sharing a single mutable object.
 
-For backward compatibility every ``ctx`` parameter is optional:
-:func:`ensure_context` falls back to the *ambient* context — the
-process-global tracer (:func:`repro.obs.get_tracer`), the process-global
-metrics registry (:func:`repro.obs.global_metrics`) and the shared
-executor pool — which is exactly the pre-session behavior.
+The defaults are the stateless null objects plus a private registry: a
+bare ``QueryContext()`` — which is what ``ctx=None`` means at the public
+entry points that accept it (``compile_module``, ``optimize``,
+``CompiledProgram.run``, the interpreter, ``PlanExecutor``,
+``MatlabProgram``) — is untraced, unprofiled, ungoverned, and counts
+into a registry nobody else holds.  There is no process-global
+fallback; instrumentation is reached through the context or not at all.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.limits import NULL_LIMITS, NullQueryLimits, QueryLimits
-from repro.obs import MetricsRegistry, get_tracer, global_metrics
-from repro.obs.prof import AllocationProfile, NullAllocationProfile, \
-    get_profile
+from repro.obs import NULL_PROFILE, NULL_TRACER, MetricsRegistry
+from repro.obs.prof import AllocationProfile, NullAllocationProfile
 from repro.obs.tracer import NullTracer, Tracer
 
-__all__ = ["QueryContext", "ambient_context", "ensure_context"]
+__all__ = ["QueryContext"]
 
 
 @dataclass
@@ -52,12 +53,11 @@ class QueryContext:
       limits for this query.
     """
 
-    tracer: "Tracer | NullTracer" = field(default_factory=get_tracer)
-    metrics: MetricsRegistry = field(default_factory=global_metrics)
+    tracer: "Tracer | NullTracer" = NULL_TRACER
+    metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     pool: object | None = None
     session: object | None = None
-    profile: "AllocationProfile | NullAllocationProfile" = \
-        field(default_factory=get_profile)
+    profile: "AllocationProfile | NullAllocationProfile" = NULL_PROFILE
     limits: "QueryLimits | NullQueryLimits" = NULL_LIMITS
 
     def executor(self, n_threads: int):
@@ -72,16 +72,3 @@ class QueryContext:
             pool = shared_pool()
         return pool.get(n_threads)
 
-
-def ambient_context() -> QueryContext:
-    """The backward-compatible context: process tracer, process metrics,
-    process-shared pool.  Built fresh per call so ``set_tracer`` /
-    ``use_tracer`` (and ``set_profile``/``use_profile``) swaps are
-    honored."""
-    return QueryContext(tracer=get_tracer(), metrics=global_metrics(),
-                        pool=None, profile=get_profile())
-
-
-def ensure_context(ctx: QueryContext | None) -> QueryContext:
-    """``ctx`` itself, or the ambient context when ``None``."""
-    return ctx if ctx is not None else ambient_context()

@@ -13,9 +13,10 @@ them safely).
 Pools are **instances**, not process state: every
 :class:`~repro.engine.EngineSession` owns one, sized and closed with the
 session, reporting into the session's own metrics registry.  The
-module-level :func:`shared_pool` / :func:`get_pool` pair remains as the
-ambient fallback for code that runs outside any session (it reports into
-the process-global registry and is joined at interpreter exit).
+module-level :func:`shared_pool` remains for code that runs outside any
+session — a :class:`~repro.core.context.QueryContext` with ``pool=None``
+borrows it; it counts into a registry of its own and is joined at
+interpreter exit.
 
 All users of chunked parallelism submit work synchronously (``pool.map``
 from the caller's thread; chunk functions never re-submit), so sharing a
@@ -33,10 +34,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from repro.obs import MetricsRegistry, global_metrics
+from repro.obs import MetricsRegistry
 
 __all__ = ["ExecutorPool", "PoolStats", "InstrumentedExecutor",
-           "shared_pool", "get_pool", "close_shared_pool"]
+           "shared_pool", "close_shared_pool"]
 
 _log = logging.getLogger("repro.obs.execpool")
 
@@ -150,10 +151,9 @@ class ExecutorPool:
     exit, or the interpreter-exit hook) is a no-op rather than an error.
     The context-manager form closes on exit.
 
-    ``metrics`` names the registry task telemetry reports into; it
-    defaults to the process-global registry, while session-owned pools
-    pass the session's registry so per-session pool metrics never bleed
-    across sessions.
+    ``metrics`` names the registry task telemetry reports into:
+    session-owned pools pass the session's registry, a pool built
+    without one counts into a private registry.
     """
 
     def __init__(self, max_workers: int | None = None,
@@ -165,7 +165,7 @@ class ExecutorPool:
         self._cap = max_workers
         self._closed = False
         self._telemetry = _PoolTelemetry(
-            metrics if metrics is not None else global_metrics())
+            metrics if metrics is not None else MetricsRegistry())
         self.stats = PoolStats()
 
     def get(self, n_threads: int) -> InstrumentedExecutor:
@@ -233,7 +233,7 @@ class ExecutorPool:
         self.close(wait=True)
 
 
-#: The ambient (process-shared) pool for code running outside a session.
+#: The process-shared pool for code running outside a session.
 #: Deliberate module state, allowlisted by the no-globals guard test; new
 #: module-level mutable state must not be added here.
 _shared: ExecutorPool | None = None
@@ -247,14 +247,6 @@ def shared_pool() -> ExecutorPool:
         if _shared is None or _shared.closed:
             _shared = ExecutorPool()
         return _shared
-
-
-def get_pool(n_threads: int) -> InstrumentedExecutor | None:
-    """Convenience: a shared executor for parallel runs, or ``None``
-    when ``n_threads`` does not ask for parallelism."""
-    if n_threads <= 1:
-        return None
-    return shared_pool().get(n_threads)
 
 
 def close_shared_pool(wait: bool = True) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.core import builtins as hb
 from repro.core import ir
 from repro.core import types as ht
-from repro.core.context import QueryContext, ensure_context
+from repro.core.context import QueryContext
 from repro.core.values import (TableValue, Value, Vector, coerce, scalar,
                                value_nbytes)
 from repro.errors import HorseRuntimeError
@@ -39,8 +39,8 @@ class Interpreter:
         self.module = module
         self.context = context if context is not None else hb.EvalContext()
         #: The query context naming the tracer/metrics this run reports
-        #: into (the ambient process context when not given).
-        self.qctx = ensure_context(qctx)
+        #: into (untraced, private counters when not given).
+        self.qctx = qctx if qctx is not None else QueryContext()
         #: Where materialized bytes are charged (NULL_PROFILE when the
         #: query is not being profiled; every charge site checks
         #: ``.enabled`` first so disabled profiling costs one attribute

@@ -9,51 +9,41 @@ execution plan rather than IR.
 Since the pass-manager refactor this module is a thin preset invocation:
 the pass order, fixed-point rounds, spans and statistics live in
 :mod:`repro.core.passes`, and ``optimize(...)`` is exactly
-``PassManager(preset("O2")).run_module(...)`` (``O1`` when
-``enable_patterns=False``).  Callers wanting custom pipelines,
-inter-pass verification or IR dumps pass ``pipeline=`` / ``verify_ir=``
-/ ``dump_ir=`` straight through.
+``PassManager(preset("O2")).run_module(...)``.  Callers wanting custom
+pipelines, inter-pass verification or IR dumps pass ``pipeline=`` /
+``verify_ir=`` / ``dump_ir=`` straight through.
 """
 
 from __future__ import annotations
 
 from repro.core import ir
-from repro.core.passes import (MAX_ROUNDS, OptimizeStats, PassManager,
-                               PassStat, resolve_pipeline)
+from repro.core.context import QueryContext
+from repro.core.passes import (OptimizeStats, PassManager, PassStat,
+                               resolve_pipeline)
 
 __all__ = ["optimize", "OptimizeStats", "PassStat"]
 
-#: Fixed-point round budget (re-exported for backward compatibility).
-_MAX_ROUNDS = MAX_ROUNDS
-
 
 def optimize(module: ir.Module, *, entry: str | None = None,
-             enable_patterns: bool = True,
-             tracer=None, limits=None, pipeline=None, metrics=None,
-             span=None, verify_ir: bool = False,
-             dump_ir: str | None = None) \
+             ctx: QueryContext | None = None, pipeline=None,
+             verify_ir: bool = False, dump_ir: str | None = None) \
         -> tuple[ir.Module, OptimizeStats]:
     """Optimize ``module``; returns a new module and pass statistics.
 
-    ``tracer`` names where per-pass spans go; ``None`` falls back to the
-    process-ambient tracer (callers inside a session pass
-    ``ctx.tracer``).  ``limits`` is the query's
-    :class:`~repro.core.limits.QueryLimits` checkpoint surface, checked
-    once per pass so a deadline can cancel a pathological optimization
-    (``None`` means ungoverned).
+    ``ctx`` names where per-pass spans go (``ctx.tracer``), the
+    checkpoint surface checked once per pass so a deadline can cancel a
+    pathological optimization (``ctx.limits``), and the registry that
+    receives the ``optimizer.fixed_point_exhausted`` counter
+    (``ctx.metrics``); without one the run is untraced and ungoverned.
 
-    ``pipeline`` overrides the preset (a name, a comma list of pass
-    names, or a :class:`~repro.core.passes.Pipeline`); when given,
-    ``enable_patterns`` is ignored.  ``metrics`` receives the
-    ``optimizer.fixed_point_exhausted`` counter and ``span`` (the
-    enclosing ``optimize`` span) its annotation when the fixed-point
-    round budget runs out.  ``verify_ir=True`` re-verifies the IR after
-    every pass (:class:`~repro.errors.PassVerificationError` on
-    failure); ``dump_ir`` names a directory for per-pass IR snapshots.
+    ``pipeline`` overrides the ``O2`` preset (a name, a comma list of
+    pass names, or a :class:`~repro.core.passes.Pipeline`).
+    ``verify_ir=True`` re-verifies the IR after every pass
+    (:class:`~repro.errors.PassVerificationError` on failure);
+    ``dump_ir`` names a directory for per-pass IR snapshots.
     """
-    if pipeline is None:
-        pipeline = "O2" if enable_patterns else "O1"
-    pipeline = resolve_pipeline(pipeline)
-    manager = PassManager(pipeline, verify=verify_ir, dump_dir=dump_ir)
-    return manager.run_module(module, entry=entry, tracer=tracer,
-                              limits=limits, metrics=metrics, span=span)
+    if ctx is None:
+        ctx = QueryContext()
+    manager = PassManager(resolve_pipeline(pipeline), verify=verify_ir,
+                          dump_dir=dump_ir)
+    return manager.run_module(module, ctx, entry=entry)

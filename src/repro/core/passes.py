@@ -27,7 +27,6 @@ preset    passes
 ``O0``    plan passes only (the ``"naive"`` profile: pushdown and
           pruning always ran, even for the baseline system)
 ``O1``    ``O0`` + inline + the fixed-point scalar group
-          (``optimize(enable_patterns=False)``)
 ``O2``    ``O1`` + pattern fusion rewrites + cleanup DCE (the full
           ``"opt"`` profile — the default)
 ========  ==========================================================
@@ -47,10 +46,8 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core import ir
-from repro.core.limits import NULL_LIMITS
 from repro.errors import HorseTypeError, HorseVerifyError, \
     OptimizerError, PassVerificationError
-from repro.obs import get_tracer
 
 __all__ = [
     "Pass", "MethodPass", "ModulePass", "PlanPass", "StatsPlanPass",
@@ -524,21 +521,17 @@ class PassManager:
 
     # -- IR side -------------------------------------------------------------
 
-    def run_module(self, module: ir.Module, *, entry: str | None = None,
-                   tracer=None, limits=None, metrics=None, span=None) \
+    def run_module(self, module: ir.Module, ctx, *,
+                   entry: str | None = None) \
             -> tuple[ir.Module, OptimizeStats]:
         """Apply the pipeline's IR passes; returns ``(module, stats)``.
 
-        ``tracer``/``limits`` default to the ambient tracer and the
-        ungoverned limits, matching the historical ``optimize``;
-        ``metrics`` (optional) receives the
-        ``optimizer.fixed_point_exhausted`` counter, and ``span``
-        (the enclosing ``optimize`` span, optional) is annotated when
-        the fixed point is exhausted."""
-        if tracer is None:
-            tracer = get_tracer()
-        if limits is None:
-            limits = NULL_LIMITS
+        ``ctx`` is the compilation's
+        :class:`~repro.core.context.QueryContext`: per-pass spans go to
+        its tracer, every checkpointing pass checks its limits, and its
+        metrics receive the ``optimizer.fixed_point_exhausted`` counter
+        (the tracer's enclosing span — ``optimize`` in a compile — is
+        annotated too when the fixed point is exhausted)."""
         stats = OptimizeStats(pipeline=self.pipeline.fingerprint())
         stats.pass_stats = []
         self._stats_index = {}
@@ -555,16 +548,16 @@ class PassManager:
                 while index < len(passes) and passes[index].fixed_point:
                     group.append(passes[index])
                     index += 1
-                module = self._run_fixed_point(
-                    module, group, stats, tracer, limits, metrics, span)
+                module = self._run_fixed_point(module, group, stats,
+                                               ctx)
             elif ps.level == "module":
-                module = self._run_module_pass(
-                    module, ps, stats, pctx, tracer, limits)
+                module = self._run_module_pass(module, ps, stats,
+                                               pctx, ctx)
                 index += 1
             else:
                 for method in module.methods.values():
                     self._apply_to_method(ps, method, module, stats,
-                                          tracer, limits, None)
+                                          ctx, None)
                 self._dump_module(module, ps.name)
                 index += 1
         stats.elapsed_seconds = time.perf_counter() - start
@@ -572,14 +565,14 @@ class PassManager:
 
     # -- internals -----------------------------------------------------------
 
-    def _run_module_pass(self, module, ps, stats, pctx, tracer, limits):
+    def _run_module_pass(self, module, ps, stats, pctx, ctx):
         methods_before = len(module.methods)
-        if ps.checkpoint and limits.enabled:
-            limits.check(f"pass:{ps.name}")
+        if ps.checkpoint and ctx.limits.enabled:
+            ctx.limits.check(f"pass:{ps.name}")
         start = time.perf_counter()
         if ps.traced:
-            with tracer.span(f"pass:{ps.name}",
-                             methods_before=methods_before):
+            with ctx.tracer.span(f"pass:{ps.name}",
+                                 methods_before=methods_before):
                 module = ps.run(module, pctx)
         else:
             module = ps.run(module, pctx)
@@ -598,16 +591,14 @@ class PassManager:
         self._dump_module(module, ps.name)
         return module
 
-    def _run_fixed_point(self, module, group, stats, tracer, limits,
-                         metrics, span):
+    def _run_fixed_point(self, module, group, stats, ctx):
         exhausted = False
         for round_index in range(self.max_rounds):
             changed = False
             for method in module.methods.values():
                 for ps in group:
                     if self._apply_to_method(ps, method, module, stats,
-                                             tracer, limits,
-                                             round_index):
+                                             ctx, round_index):
                         changed = True
             stats.rounds = round_index + 1
             self._dump_module(module, f"round{round_index}")
@@ -619,19 +610,20 @@ class PassManager:
             exhausted = True
         if exhausted:
             stats.fixed_point_exhausted = True
-            if metrics is not None:
-                metrics.counter(
-                    "optimizer.fixed_point_exhausted").inc()
+            ctx.metrics.counter(
+                "optimizer.fixed_point_exhausted").inc()
+            span = ctx.tracer.current()
             if span is not None:
                 span.set(fixed_point_exhausted=True,
                          rounds=stats.rounds)
         return module
 
-    def _apply_to_method(self, ps, method, module, stats, tracer,
-                         limits, round_index) -> bool:
-        if ps.checkpoint and limits.enabled:
-            limits.check(f"pass:{ps.name}")
+    def _apply_to_method(self, ps, method, module, stats, ctx,
+                         round_index) -> bool:
+        if ps.checkpoint and ctx.limits.enabled:
+            ctx.limits.check(f"pass:{ps.name}")
         start = time.perf_counter()
+        tracer = ctx.tracer
         if not ps.traced or not tracer.enabled:
             changed = ps.run(method)
         else:

@@ -44,7 +44,6 @@ prepared   compilation is worth caching in the session plan cache
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from repro.core import builtins as hb
@@ -52,15 +51,12 @@ from repro.core import ir
 from repro.core.codegen.cgen import c_backend_available
 from repro.core.codegen.executor import DEFAULT_CHUNK_SIZE
 from repro.core.compiler import (
-    CompiledProgram, CompileReport, c_kernel_factory, compile_module,
-    python_kernel_factory,
+    CompiledProgram, CompileReport, c_kernel_factory, compilation,
+    compile_module, python_kernel_factory,
 )
-from repro.core.context import QueryContext, ensure_context
+from repro.core.context import QueryContext
 from repro.core.interp import Interpreter
-from repro.core.optimizer import optimize
-from repro.core.passes import resolve_pipeline
 from repro.core.values import TableValue, Value
-from repro.core.verify import verify_module
 from repro.engine.executor import PlanExecutor
 from repro.errors import HorseRuntimeError
 
@@ -147,7 +143,8 @@ class InterpProgram:
             method: str | None = None, n_threads: int = 1,
             chunk_size: int = DEFAULT_CHUNK_SIZE,
             ctx: QueryContext | None = None) -> Value:
-        ctx = ensure_context(ctx)
+        if ctx is None:
+            ctx = QueryContext()
         interp = Interpreter(self.module, hb.EvalContext(tables),
                              qctx=ctx)
         tracer = ctx.tracer
@@ -165,7 +162,6 @@ class _HorseIRBackend(Backend):
     def execute(self, compiled, ctx: QueryContext, *, db=None,
                 tables=None, args=None, method=None, n_threads=1,
                 chunk_size=DEFAULT_CHUNK_SIZE, **kwargs):
-        ctx = ensure_context(ctx)
         if tables is None and db is not None:
             with ctx.tracer.span("bind-tables"):
                 tables = db.to_table_values()
@@ -189,35 +185,13 @@ class InterpBackend(_HorseIRBackend):
                 ctx: QueryContext) -> InterpProgram:
         if unit.module is None:
             raise BackendError("interp backend needs a HorseIR module")
-        ctx = ensure_context(ctx)
-        pipeline = resolve_pipeline(unit.pipeline,
-                                    opt_level=unit.opt_level)
-        with ctx.tracer.span("compile", opt_level=unit.opt_level,
-                             backend=self.name):
-            start = time.perf_counter()
-            module = unit.module
-            verify_module(module)
-            stats = None
-            optimize_seconds = 0.0
-            if pipeline.ir_passes or unit.verify_ir \
-                    or unit.dump_ir is not None:
-                opt_start = time.perf_counter()
-                with ctx.tracer.span("optimize") as opt_span:
-                    module, stats = optimize(module, tracer=ctx.tracer,
-                                             limits=ctx.limits,
-                                             pipeline=pipeline,
-                                             metrics=ctx.metrics,
-                                             span=opt_span,
-                                             verify_ir=unit.verify_ir,
-                                             dump_ir=unit.dump_ir)
-                    verify_module(module)
-                optimize_seconds = time.perf_counter() - opt_start
-            total = time.perf_counter() - start
-        report = CompileReport(unit.opt_level, total, stats,
-                               backend=self.name,
-                               optimize_seconds=optimize_seconds,
-                               codegen_seconds=total - optimize_seconds)
-        ctx.metrics.counter("compile.count").inc()
+        # The shared prologue is the whole compile: the interpreter
+        # has no code generation to put in the ``with`` body.
+        with compilation(unit.module, unit.opt_level, self.name, ctx,
+                         pipeline=unit.pipeline,
+                         verify_ir=unit.verify_ir,
+                         dump_ir=unit.dump_ir) as (module, report, _):
+            pass
         return InterpProgram(module, report)
 
 
@@ -300,7 +274,6 @@ class BaselineBackend(Backend):
     def execute(self, compiled: BaselinePlan, ctx: QueryContext, *,
                 db=None, tables=None, args=None, method=None,
                 n_threads=1, chunk_size=DEFAULT_CHUNK_SIZE, **kwargs):
-        ctx = ensure_context(ctx)
         session = ctx.session
         if session is not None and db in (None, session.db):
             executor = session.baseline_executor()

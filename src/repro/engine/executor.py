@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core import builtins as hb
 from repro.core import types as ht
-from repro.core.context import QueryContext, ensure_context
+from repro.core.context import QueryContext
 from repro.core.values import ListValue, Vector
 from repro.engine.storage import Database
 from repro.engine.table import ColumnTable
@@ -51,17 +51,15 @@ class PlanExecutor:
         self.udfs = udfs or UDFRegistry()
         self.bridge = UDFBridge()
         self._ctx = hb.EvalContext()
-        #: The default query context; ``None`` means "resolve the
-        #: ambient process context per execute" so tracer swaps
-        #: (``use_tracer``) made after construction are honored.
-        self._default_qctx = ctx
-        self._qctx = ensure_context(ctx)
+        #: The context of ``execute`` calls that pass none (untraced,
+        #: private counters unless the owner bound one).
+        self._default_qctx = ctx if ctx is not None else QueryContext()
+        self._qctx = self._default_qctx
 
     def execute(self, node: p.PlanNode, n_threads: int = 1,
                 ctx: QueryContext | None = None) -> ColumnTable:
         """Run the plan; returns the result as a column table."""
-        self._qctx = ensure_context(
-            ctx if ctx is not None else self._default_qctx)
+        self._qctx = ctx if ctx is not None else self._default_qctx
         with self._qctx.tracer.span("execute",
                                     n_threads=n_threads) as span:
             columns = self._exec(node, n_threads)

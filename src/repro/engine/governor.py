@@ -65,7 +65,7 @@ from contextlib import contextmanager
 from repro.core.limits import QueryLimits
 from repro.errors import (AdmissionRejected, MemoryBudgetExceeded,
                           QueryCancelled, QueryTimeout)
-from repro.obs import AllocationProfile, MetricsRegistry, global_metrics
+from repro.obs import AllocationProfile, MetricsRegistry
 from repro.obs.prof import format_bytes
 
 __all__ = ["QueryGovernor", "BudgetedAllocationProfile"]
@@ -134,7 +134,7 @@ class QueryGovernor:
                  default_memory_budget: int | None = None,
                  retry_fallback: bool = True):
         self.metrics = (metrics if metrics is not None
-                        else global_metrics())
+                        else MetricsRegistry())
         self.default_timeout = default_timeout
         self.default_memory_budget = default_memory_budget
         #: Whether ``run_sql`` retries runtime failures down the

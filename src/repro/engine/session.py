@@ -12,12 +12,11 @@ the session's :class:`~repro.core.context.QueryContext` explicitly, so
 
 * two sessions in one process never share caches, pools, counters, or
   trace buffers (the concurrent-session tests exercise exactly this);
-* the process-global behavior survives unchanged through
-  :meth:`EngineSession.ambient`, which wires a session to the global
-  metrics registry, the process-shared pool, and the dynamically
-  resolved ambient tracer — that is what the
-  :class:`~repro.horsepower.system.HorsePowerSystem` and
-  :class:`~repro.horsepower.baseline.MonetDBLike` facades build on.
+* sharing is explicit: two sessions report into the same tracer or
+  registry only when the caller hands both the same object — which is
+  how the :class:`~repro.horsepower.system.HorsePowerSystem` and
+  :class:`~repro.horsepower.baseline.MonetDBLike` facades, plain
+  session owners, can be made to count side by side.
 
 A session is a context manager; closing it shuts down the pool it owns
 (idempotently — closing twice, or after ``close_shared_pool`` at
@@ -45,7 +44,6 @@ from repro.matlang.frontend import MatlabProgram, matlab_to_module
 from repro.obs import (
     BYTE_BUCKETS, NULL_PROFILE, NULL_TRACER, QERROR_BUCKETS,
     AllocationProfile, MetricsRegistry, SessionTelemetry, Tracer,
-    get_profile, get_tracer, global_metrics,
 )
 from repro.stats import MISESTIMATE_THRESHOLD, StatsStore, q_error
 from repro.sql.parser import parse_sql
@@ -69,10 +67,6 @@ __all__ = ["EngineSession", "CompiledQuery"]
 #: every backend, so retrying them would only waste the fallback chain.
 _RETRYABLE_ERRORS = (HorseRuntimeError,)
 
-#: Sentinel for :meth:`EngineSession.ambient`: resolve the process-shared
-#: pool dynamically per query instead of owning one.
-_SHARED_POOL = object()
-
 
 @dataclass
 class CompiledQuery:
@@ -93,11 +87,10 @@ class CompiledQuery:
     def run(self, n_threads: int = 1,
             ctx: QueryContext | None = None, **kwargs) -> TableValue:
         session = self.session
-        if ctx is None:
-            ctx = session.context()
         engine = session.backends.get(self.backend)
-        return engine.execute(self.program, ctx, db=session.db,
-                              n_threads=n_threads, **kwargs)
+        return engine.execute(self.program, session._ctx(ctx),
+                              db=session.db, n_threads=n_threads,
+                              **kwargs)
 
     @property
     def report(self):
@@ -136,9 +129,8 @@ class EngineSession:
 
     A plain ``EngineSession()`` is fully isolated: its own
     :class:`MetricsRegistry`, its own :class:`ExecutorPool` (closed with
-    the session), a null tracer unless one is passed, and a fresh
-    backend registry.  :meth:`ambient` instead builds the
-    process-default session the facades use."""
+    the session), a null tracer and a null profile unless one is
+    passed, and a fresh backend registry."""
 
     def __init__(self, db: Database | None = None,
                  udfs: UDFRegistry | None = None, *,
@@ -157,25 +149,11 @@ class EngineSession:
         self.udfs = udfs if udfs is not None else UDFRegistry()
         self.metrics = (metrics if metrics is not None
                         else MetricsRegistry())
-        self._tracer = tracer
-        #: Ambient sessions resolve ``get_tracer()`` per query so
-        #: ``use_tracer``/``set_tracer`` swaps are honored, exactly as
-        #: the pre-session facades behaved.
-        self._ambient_tracer = False
-        #: The session's allocation profile (NULL_PROFILE unless one is
-        #: passed); ambient sessions instead resolve ``get_profile()``
-        #: per query, mirroring the tracer.
-        self._profile = profile
-        self._ambient_profile = False
-        if pool is _SHARED_POOL:
-            self._pool = None       # resolve shared_pool() per query
-            self._owns_pool = False
-        elif pool is None:
-            self._pool = ExecutorPool(max_workers, metrics=self.metrics)
-            self._owns_pool = True
-        else:
-            self._pool = pool
-            self._owns_pool = False
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.profile = profile if profile is not None else NULL_PROFILE
+        self._owns_pool = pool is None
+        self.pool = (pool if pool is not None
+                     else ExecutorPool(max_workers, metrics=self.metrics))
         self.backends = (backends if backends is not None
                          else default_registry())
         self.default_backend = default_backend
@@ -204,56 +182,14 @@ class EngineSession:
         self._metric_query_seconds = self.metrics.histogram(
             "query.seconds")
 
-    @classmethod
-    def ambient(cls, db: Database | None = None,
-                udfs: UDFRegistry | None = None, *,
-                plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
-                backends: BackendRegistry | None = None,
-                default_backend: str = DEFAULT_BACKEND,
-                governor: QueryGovernor | None = None) \
-            -> "EngineSession":
-        """The process-default wiring: global metrics, the shared
-        executor pool (resolved per query, so pool resets at interpreter
-        exit are harmless), and the dynamically resolved ambient tracer.
-        This is what :class:`HorsePowerSystem` and :class:`MonetDBLike`
-        sit on — existing entry points keep their exact observable
-        behavior."""
-        session = cls(db, udfs, plan_cache_size=plan_cache_size,
-                      metrics=global_metrics(), pool=_SHARED_POOL,
-                      backends=backends,
-                      default_backend=default_backend,
-                      governor=governor)
-        session._ambient_tracer = True
-        session._ambient_profile = True
-        return session
-
     # -- context --------------------------------------------------------------
-
-    @property
-    def tracer(self):
-        if self._ambient_tracer:
-            return get_tracer()
-        return self._tracer if self._tracer is not None else NULL_TRACER
-
-    @property
-    def profile(self):
-        if self._ambient_profile:
-            return get_profile()
-        return (self._profile if self._profile is not None
-                else NULL_PROFILE)
-
-    @property
-    def pool(self) -> ExecutorPool | None:
-        """The session's pool; ``None`` on ambient sessions, which
-        borrow the process-shared pool per query."""
-        return self._pool
 
     def context(self) -> QueryContext:
         """A fresh :class:`QueryContext` carrying this session's tracer,
         metrics, and pool — the object threaded explicitly through
         parse → plan → translate → compile → execute."""
         return QueryContext(tracer=self.tracer, metrics=self.metrics,
-                            pool=self._pool, session=self,
+                            pool=self.pool, session=self,
                             profile=self.profile)
 
     def _ctx(self, ctx: QueryContext | None) -> QueryContext:
@@ -273,8 +209,8 @@ class EngineSession:
             return
         self._closed = True
         self.telemetry.close()
-        if self._owns_pool and self._pool is not None:
-            self._pool.close()
+        if self._owns_pool:
+            self.pool.close()
 
     def __enter__(self) -> "EngineSession":
         return self
@@ -634,8 +570,7 @@ class EngineSession:
         conversion counters accumulate across queries."""
         if self._baseline_executor is None:
             self._baseline_executor = PlanExecutor(
-                self.db, self.udfs,
-                ctx=None if self._ambient_tracer else self.context())
+                self.db, self.udfs, ctx=self.context())
         return self._baseline_executor
 
     # -- standalone MATLAB ----------------------------------------------------
@@ -658,5 +593,4 @@ class EngineSession:
                                udfs=self.udfs, pipeline=pipeline,
                                verify_ir=verify_ir, dump_ir=dump_ir)
         compiled = engine.compile(unit, ctx)
-        return MatlabProgram(module, compiled,
-                             ctx=None if self._ambient_tracer else ctx)
+        return MatlabProgram(module, compiled, ctx=ctx)

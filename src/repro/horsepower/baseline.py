@@ -5,12 +5,13 @@ planner, same plans — but executed by the interpreting column-store
 engine with black-box Python UDFs (Section 2.3's architecture).  The pair
 of facades is what the Table 2 / Table 4 benchmarks drive.
 
-Like :class:`HorsePowerSystem`, this is a compatibility facade over an
-ambient :class:`~repro.engine.session.EngineSession`; the plan executor
-is the session's ``baseline_executor()`` (also reachable through the
-session's backend registry as the ``baseline`` backend), so its
-UDF-bridge conversion counters accumulate across queries exactly as
-before.
+Like :class:`HorsePowerSystem`, this is a facade over a plain
+:class:`~repro.engine.session.EngineSession` that receives the
+constructor's ``tracer=`` / ``profile=`` / ``metrics=`` (hand both
+facades the same registry to compare their counters side by side); the
+plan executor is the session's ``baseline_executor()`` (also reachable
+through the session's backend registry as the ``baseline`` backend), so
+its UDF-bridge conversion counters accumulate across queries.
 """
 
 from __future__ import annotations
@@ -31,9 +32,11 @@ __all__ = ["MonetDBLike"]
 class MonetDBLike:
     """Column-store DBS with embedded Python UDFs (the baseline)."""
 
-    def __init__(self, db: Database, udfs: UDFRegistry | None = None):
-        self.session = EngineSession.ambient(
-            db, udfs=udfs, default_backend="baseline")
+    def __init__(self, db: Database, udfs: UDFRegistry | None = None, *,
+                 tracer=None, profile=None, metrics=None):
+        self.session = EngineSession(
+            db, udfs=udfs, default_backend="baseline", tracer=tracer,
+            profile=profile, metrics=metrics)
         self.executor: PlanExecutor = self.session.baseline_executor()
         self._metric_queries = self.session.metrics.counter(
             "baseline.query.count")

@@ -26,7 +26,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.obs import MetricsRegistry, global_metrics
+from repro.obs import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.session import CompiledQuery
@@ -149,8 +149,8 @@ class PlanCache:
     """Thread-safe LRU cache of compiled queries.
 
     ``metrics`` names the registry the cache's counters report into —
-    the owning session's registry, or the process-global one for caches
-    created outside a session."""
+    the owning session's registry, or a private one for caches created
+    outside a session."""
 
     def __init__(self, capacity: int = DEFAULT_PLAN_CACHE_SIZE,
                  metrics: MetricsRegistry | None = None):
@@ -158,7 +158,7 @@ class PlanCache:
             raise ValueError(f"cache capacity must be >= 1, got "
                              f"{capacity}")
         if metrics is None:
-            metrics = global_metrics()
+            metrics = MetricsRegistry()
         self.capacity = capacity
         self._entries: OrderedDict[tuple, "CompiledQuery"] = OrderedDict()
         self._lock = threading.Lock()

@@ -1,20 +1,15 @@
 """The HorsePower system facade.
 
-A thin compatibility layer over
-:class:`~repro.engine.session.EngineSession`: the facade owns an
-*ambient* session (process-global metrics, shared executor pool, the
-dynamically resolved ambient tracer), so every historical entry point —
-``compile_sql`` / ``run_sql`` for SQL (optionally with registered MATLAB
-UDFs), ``compile_matlab_function`` for standalone analytics,
-``prepare`` and the plan cache for prepared-query economics — keeps its
-exact observable behavior while the actual pipeline (parse → plan →
-translate → compile → execute) runs in the session with an explicit
-:class:`~repro.core.context.QueryContext`.
-
-Isolated multi-session work (own caches, own pools, own counters)
-should construct :class:`~repro.engine.session.EngineSession` directly;
-this class remains the one-database, one-process convenience the
-benchmarks and the CLI drive.
+A thin layer over :class:`~repro.engine.session.EngineSession`: the
+facade owns one plain session (``pygen`` by default) and forwards every
+historical entry point to it — ``compile_sql`` / ``run_sql`` for SQL
+(optionally with registered MATLAB UDFs), ``compile_matlab_function``
+for standalone analytics, ``prepare`` and the plan cache for
+prepared-query economics.  Instrumentation is whatever the constructor
+was handed: ``tracer=`` / ``profile=`` / ``metrics=`` go straight to
+the session, and without them the system is untraced, unprofiled and
+counts into a registry of its own (``system.session.metrics``).
+``system.session.close()`` releases the session's worker threads.
 """
 
 from __future__ import annotations
@@ -35,10 +30,12 @@ class HorsePowerSystem:
     """SQL + MATLAB + SQL-with-MATLAB-UDF execution over HorseIR."""
 
     def __init__(self, db: Database, udfs: UDFRegistry | None = None,
-                 plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE):
-        self.session = EngineSession.ambient(
+                 plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE, *,
+                 tracer=None, profile=None, metrics=None):
+        self.session = EngineSession(
             db, udfs=udfs, plan_cache_size=plan_cache_size,
-            default_backend="pygen")
+            default_backend="pygen", tracer=tracer, profile=profile,
+            metrics=metrics)
 
     @property
     def db(self) -> Database:

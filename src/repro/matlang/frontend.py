@@ -12,6 +12,7 @@ import numpy as np
 from repro.core import types as ht
 from repro.core import ir
 from repro.core.compiler import CompiledProgram, compile_module
+from repro.core.context import QueryContext
 from repro.core.values import Value, Vector, from_numpy
 from repro.errors import MatlangTypeError
 from repro.matlang.parser import parse_program
@@ -59,14 +60,15 @@ class MatlabProgram:
 
     ``ctx`` pins the :class:`~repro.core.context.QueryContext` runs
     report into (a session's context when compiled through
-    :meth:`EngineSession.compile_matlab`); ``None`` keeps the ambient
-    process context, resolved per call."""
+    :meth:`EngineSession.compile_matlab`); with ``None`` runs are
+    untraced and unprofiled, counting into one registry the program
+    keeps to itself."""
 
     def __init__(self, module: ir.Module, compiled: CompiledProgram,
                  ctx=None):
         self.module = module
         self.compiled = compiled
-        self._ctx = ctx
+        self._ctx = ctx if ctx is not None else QueryContext()
 
     @property
     def report(self):
@@ -76,8 +78,7 @@ class MatlabProgram:
         """Run the entry function on NumPy arrays / Python scalars;
         returns a NumPy array (or scalar for 1-element results)."""
         values = [_to_value(a) for a in args]
-        if self._ctx is not None:
-            run_kwargs.setdefault("ctx", self._ctx)
+        run_kwargs.setdefault("ctx", self._ctx)
         result = self.compiled.run(args=values, n_threads=n_threads,
                                    **run_kwargs)
         if isinstance(result, Vector):

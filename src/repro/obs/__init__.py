@@ -7,9 +7,10 @@ metric names):
   (``query → parse/plan/translate/compile(optimize/codegen)/execute``,
   optimizer spans per pass, executor spans per kernel and per chunk);
   off by default via a near-free no-op tracer;
-* :mod:`repro.obs.metrics` — the process-global registry of counters,
-  gauges and histograms every subsystem reports into (plan cache,
-  executor pool, kernel executor, baseline operators);
+* :mod:`repro.obs.metrics` — the registry of counters, gauges and
+  histograms every subsystem reports into (plan cache, executor pool,
+  kernel executor, baseline operators); one per session, carried by
+  the :class:`~repro.core.context.QueryContext`;
 * :mod:`repro.obs.render` — ``EXPLAIN ANALYZE`` text, Chrome-trace JSON
   (Perfetto-loadable) and the flat metrics dump;
 * :mod:`repro.obs.prof` — the allocation/materialization profiler
@@ -25,31 +26,26 @@ metric names):
 """
 
 from repro.obs.metrics import (BYTE_BUCKETS, QERROR_BUCKETS, Counter,
-                               Gauge, Histogram, MetricsRegistry,
-                               global_metrics)
+                               Gauge, Histogram, MetricsRegistry)
 from repro.obs.prof import (NULL_PROFILE, AllocationProfile, FusionSavings,
                             NullAllocationProfile, format_fusion_savings,
-                            fusion_savings, get_profile, set_profile,
-                            use_profile)
+                            fusion_savings)
 from repro.obs.render import (chrome_trace, chrome_trace_json,
                               format_lint_findings, format_pass_stats,
                               phase_coverage, render_explain_analyze,
                               render_plan)
-from repro.obs.tracer import (NULL_TRACER, NullTracer, Span, Tracer,
-                              get_tracer, set_tracer, use_tracer)
+from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
 from repro.obs.telemetry import (FlightRecorder, MetricsServer, QueryLog,
                                  SessionTelemetry)
 
 __all__ = [
     "FlightRecorder", "MetricsServer", "QueryLog", "SessionTelemetry",
     "BYTE_BUCKETS", "QERROR_BUCKETS", "Counter", "Gauge", "Histogram",
-    "MetricsRegistry", "global_metrics",
+    "MetricsRegistry",
     "NULL_PROFILE", "AllocationProfile", "FusionSavings",
     "NullAllocationProfile", "format_fusion_savings", "fusion_savings",
-    "get_profile", "set_profile", "use_profile",
     "chrome_trace", "chrome_trace_json", "phase_coverage",
     "format_pass_stats", "format_lint_findings",
     "render_explain_analyze", "render_plan",
-    "NULL_TRACER", "NullTracer", "Span", "Tracer", "get_tracer",
-    "set_tracer", "use_tracer",
+    "NULL_TRACER", "NullTracer", "Span", "Tracer",
 ]

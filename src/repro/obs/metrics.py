@@ -1,4 +1,4 @@
-"""Process-global runtime metrics.
+"""Runtime metrics.
 
 A zero-dependency registry of named instruments, reported into by the
 plan cache (hits/misses/evictions), the executor pool (tasks, peak
@@ -14,10 +14,12 @@ time histogram) and the baseline operators (rows scanned/produced):
   ``prof.query_bytes``) pass :data:`BYTE_BUCKETS` (1KiB – 1GiB) so
   observations don't all land in one overflow bucket.
 
-All instruments are thread-safe.  ``global_metrics()`` returns the one
-process-wide registry; instruments are created on first use and keep
-their identity across :meth:`MetricsRegistry.reset` (values zero in
-place), so modules may cache instrument references at import time.
+All instruments are thread-safe.  A registry is a plain instance — each
+:class:`~repro.engine.session.EngineSession` owns one and hands it to
+every stage through the :class:`~repro.core.context.QueryContext`.
+Instruments are created on first use and keep their identity across
+:meth:`MetricsRegistry.reset` (values zero in place), so owners may
+cache instrument references.
 
 The flat JSON form (:meth:`MetricsRegistry.snapshot`) is what the CLI's
 ``--metrics-json`` writes and what ``benchmarks/report.py`` consumes to
@@ -34,8 +36,7 @@ import re
 import threading
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "global_metrics", "DEFAULT_BUCKETS", "BYTE_BUCKETS",
-           "QERROR_BUCKETS"]
+           "DEFAULT_BUCKETS", "BYTE_BUCKETS", "QERROR_BUCKETS"]
 
 #: Characters the Prometheus exposition format forbids in metric names;
 #: everything outside ``[a-zA-Z0-9_:]`` becomes ``_`` (``a.b`` → ``a_b``).
@@ -303,11 +304,3 @@ def _prometheus_value(value) -> str:
     if isinstance(value, int):
         return str(value)
     return repr(float(value))
-
-
-_global = MetricsRegistry()
-
-
-def global_metrics() -> MetricsRegistry:
-    """The process-wide registry every subsystem reports into."""
-    return _global

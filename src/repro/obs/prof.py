@@ -23,24 +23,17 @@ measured number instead of a narrative:
 * :func:`fusion_savings` — the paper-style "intermediates eliminated"
   report comparing a naive profile against an optimized one for the
   same query.
-
-Like the tracer, an *ambient* profile slot (:func:`get_profile` /
-:func:`set_profile` / :func:`use_profile`) serves code that does not
-thread an explicit context; isolated
-:class:`~repro.engine.session.EngineSession` instances own their
-profile instead and never read the slot.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from types import MappingProxyType
 
 __all__ = ["AllocationProfile", "NullAllocationProfile", "NULL_PROFILE",
            "FusionSavings", "fusion_savings", "format_fusion_savings",
-           "format_bytes", "get_profile", "set_profile", "use_profile"]
+           "format_bytes"]
 
 
 def format_bytes(n: float) -> str:
@@ -59,7 +52,7 @@ class AllocationProfile:
     """Byte-level accounting for one query (or one batch of queries).
 
     Thread-safe: chunk workers never charge (buffers are charged once on
-    the dispatching thread), but concurrent sessions sharing an ambient
+    the dispatching thread), but concurrent sessions handed the same
     profile must not lose updates.
 
     ``events`` counts every instrumentation call (record, builtin
@@ -191,34 +184,6 @@ class NullAllocationProfile:
 
 
 NULL_PROFILE = NullAllocationProfile()
-
-#: The ambient profile slot, mirroring ``repro.obs.tracer._tracer``:
-#: the process-wide default for code that threads no explicit context.
-_profile: "AllocationProfile | NullAllocationProfile" = NULL_PROFILE
-
-
-def get_profile() -> "AllocationProfile | NullAllocationProfile":
-    """The ambient profile (the no-op :data:`NULL_PROFILE` by default)."""
-    return _profile
-
-
-def set_profile(profile: "AllocationProfile | None") -> None:
-    """Install ``profile`` process-wide (``None`` restores the no-op)."""
-    global _profile
-    _profile = profile if profile is not None else NULL_PROFILE
-
-
-@contextmanager
-def use_profile(profile: "AllocationProfile | NullAllocationProfile"):
-    """Temporarily install ``profile`` (tests, benchmark harness)."""
-    global _profile
-    previous = _profile
-    _profile = profile
-    try:
-        yield profile
-    finally:
-        _profile = previous
-
 
 @dataclass(frozen=True)
 class FusionSavings:

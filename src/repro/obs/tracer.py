@@ -17,7 +17,7 @@ module provides the machinery to see that decomposition on every run:
   free: ``NullTracer.span`` returns one shared no-op context manager and
   every instrumentation site checks ``tracer.enabled`` before computing
   anything expensive (string formatting, row counting), so the disabled
-  cost is one global read plus one method call per site
+  cost is one attribute read plus one method call per site
   (``benchmarks/bench_obs_overhead.py`` bounds it at <2% on TPC-H Q6).
 
 Spans are exported as a human ``EXPLAIN ANALYZE`` tree or Chrome-trace
@@ -28,11 +28,9 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from contextvars import ContextVar
 
-__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER", "get_tracer",
-           "set_tracer", "use_tracer"]
+__all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
 
 #: The span enclosing the caller, per thread of execution (worker threads
 #: start empty: cross-thread children pass ``parent=`` explicitly).
@@ -206,28 +204,3 @@ class NullTracer:
 
 
 NULL_TRACER = NullTracer()
-
-_tracer: "Tracer | NullTracer" = NULL_TRACER
-
-
-def get_tracer() -> "Tracer | NullTracer":
-    """The active tracer (the no-op :data:`NULL_TRACER` by default)."""
-    return _tracer
-
-
-def set_tracer(tracer: "Tracer | NullTracer | None") -> None:
-    """Install ``tracer`` process-wide (``None`` restores the no-op)."""
-    global _tracer
-    _tracer = tracer if tracer is not None else NULL_TRACER
-
-
-@contextmanager
-def use_tracer(tracer: "Tracer | NullTracer"):
-    """Temporarily install ``tracer`` (tests, benchmark harness)."""
-    global _tracer
-    previous = _tracer
-    _tracer = tracer
-    try:
-        yield tracer
-    finally:
-        _tracer = previous

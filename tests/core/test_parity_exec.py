@@ -13,8 +13,9 @@ import pytest
 
 from repro.core import types as ht
 from repro.core.compiler import compile_module
+from repro.core.context import QueryContext
 from repro.core.execpool import (
-    ExecutorPool, close_shared_pool, get_pool, shared_pool,
+    ExecutorPool, close_shared_pool, shared_pool,
 )
 from repro.core.interp import run_module
 from repro.core.parser import parse_module
@@ -387,11 +388,15 @@ class TestNaNMinMaxParity:
 
 class TestExecutorPool:
     def test_shared_pool_is_reused_across_calls(self):
+        """A context that binds no pool borrows the shared one for
+        parallel runs, and asks for nothing on serial ones."""
         close_shared_pool()
-        first = get_pool(4)
-        second = get_pool(2)
+        ctx = QueryContext()
+        first = ctx.executor(4)
+        second = shared_pool().get(2)
         assert first is second
         assert shared_pool().stats.acquisitions >= 2
+        assert ctx.executor(1) is None
         close_shared_pool()
 
     def test_pool_grows_and_closes_cleanly(self):
@@ -407,11 +412,8 @@ class TestExecutorPool:
         with pytest.raises(RuntimeError):
             pool.get(2)
 
-    def test_get_pool_serial_is_none(self):
-        assert get_pool(1) is None
-
     def test_shared_pool_recreates_after_close(self):
-        """Ambient callers must never receive a closed pool: a close
+        """Pool-less callers must never receive a closed pool: a close
         (test teardown, the interpreter-exit hook) makes the next
         ``shared_pool()`` build a fresh one."""
         pool = shared_pool()

@@ -4,6 +4,7 @@ fixed-point driver, per-pass stats, IR dumping, and pass idempotence."""
 import pytest
 
 from repro.core import ir
+from repro.core.context import QueryContext
 from repro.core.parser import parse_module
 from repro.core.passes import (DEFAULT_DUMP_DIR, MAX_ROUNDS, PRESET_NAMES,
                                MethodPass, OptimizeStats, PassManager,
@@ -116,7 +117,8 @@ class TestPassManagerRun:
     def test_o2_inlines_and_collects_stats(self):
         module = parse_module(Q6_LIKE)
         manager = PassManager(preset("O2"))
-        optimized, stats = manager.run_module(module, entry="main")
+        optimized, stats = manager.run_module(module, QueryContext(),
+                                              entry="main")
         assert list(optimized.methods) == ["main"]
         assert stats.pipeline == "O2"
         assert stats.inlined_methods_removed == 1
@@ -130,7 +132,8 @@ class TestPassManagerRun:
     def test_custom_pipeline_runs_only_named_passes(self):
         module = parse_module(Q6_LIKE)
         manager = PassManager(custom_pipeline(["inline", "dce"]))
-        optimized, stats = manager.run_module(module, entry="main")
+        optimized, stats = manager.run_module(module, QueryContext(),
+                                              entry="main")
         assert {ps.name for ps in stats.pass_stats} == {"inline", "dce"}
         assert list(optimized.methods) == ["main"]
 
@@ -139,7 +142,8 @@ class TestPassManagerRun:
         tracer = Tracer()
         manager = PassManager(preset("O2"))
         with tracer.span("optimize"):
-            manager.run_module(module, entry="main", tracer=tracer)
+            manager.run_module(module, QueryContext(tracer=tracer),
+                               entry="main")
         root = tracer.roots[0]
         names = {span.name for span in root.walk()}
         assert "pass:inline" in names
@@ -157,9 +161,10 @@ class TestPassManagerRun:
         metrics = MetricsRegistry()
         tracer = Tracer()
         manager = PassManager(pipe, max_rounds=3)
-        with tracer.span("optimize") as span:
+        with tracer.span("optimize"):
             _, stats = manager.run_module(
-                module, entry="main", metrics=metrics, span=span)
+                module, QueryContext(tracer=tracer, metrics=metrics),
+                entry="main")
         assert stats.fixed_point_exhausted
         assert stats.rounds == 3
         counter = metrics.counter("optimizer.fixed_point_exhausted")
@@ -172,16 +177,16 @@ class TestPassManagerRun:
         module = parse_module(Q6_LIKE)
         metrics = MetricsRegistry()
         manager = PassManager(preset("O2"), max_rounds=MAX_ROUNDS)
-        _, stats = manager.run_module(module, entry="main",
-                                      metrics=metrics)
+        _, stats = manager.run_module(
+            module, QueryContext(metrics=metrics), entry="main")
         assert not stats.fixed_point_exhausted
         assert metrics.counter(
             "optimizer.fixed_point_exhausted").value == 0
 
     def test_pass_stat_dict_round_trip(self):
         module = parse_module(Q6_LIKE)
-        _, stats = PassManager(preset("O2")).run_module(module,
-                                                        entry="main")
+        _, stats = PassManager(preset("O2")).run_module(
+            module, QueryContext(), entry="main")
         rows = [ps.to_dict() for ps in stats.pass_stats]
         assert {row["name"] for row in rows} \
             >= {"inline", "dce", "patterns"}
@@ -196,7 +201,7 @@ class TestDumpIR:
         dump = tmp_path / "snapshots"
         manager = PassManager(custom_pipeline(["inline", "dce"]),
                               dump_dir=str(dump))
-        manager.run_module(module, entry="main")
+        manager.run_module(module, QueryContext(), entry="main")
         names = sorted(p.name for p in dump.iterdir())
         assert names[0] == "000-input.hir"
         assert names[1] == "001-inline.hir"
@@ -247,15 +252,15 @@ class TestIdempotence:
         once = parse_module(source)
         twice = parse_module(source)
         once, _ = PassManager(custom_pipeline([name])) \
-            .run_module(once, entry="main")
+            .run_module(once, QueryContext(), entry="main")
         twice, _ = PassManager(custom_pipeline([name, name])) \
-            .run_module(twice, entry="main")
+            .run_module(twice, QueryContext(), entry="main")
         assert print_module(once) == print_module(twice)
 
     def test_whole_o2_pipeline_is_idempotent(self):
         module = parse_module(Q6_LIKE)
-        once, _ = PassManager(preset("O2")).run_module(module,
-                                                       entry="main")
-        again, _ = PassManager(preset("O2")).run_module(once,
-                                                        entry="main")
+        once, _ = PassManager(preset("O2")).run_module(
+            module, QueryContext(), entry="main")
+        again, _ = PassManager(preset("O2")).run_module(
+            once, QueryContext(), entry="main")
         assert print_module(once) == print_module(again)

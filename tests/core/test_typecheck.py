@@ -12,6 +12,7 @@ from repro.core import types as ht
 from repro.core.analysis import (SCALAR, broadcast_shapes, check_method,
                                  check_module, infer_method)
 from repro.core.analysis.typeshape import vector_shape
+from repro.core.context import QueryContext
 from repro.core.parser import parse_module
 from repro.core.passes import MethodPass, PassManager, Pipeline, preset
 from repro.core.printer import print_module
@@ -181,7 +182,8 @@ class TestPassManagerIntegration:
     def test_ill_typed_input_fails_before_any_pass(self):
         manager = PassManager(preset("O2"), verify=True)
         with pytest.raises(PassVerificationError) as exc:
-            manager.run_module(self._ill_typed_module(), entry="main")
+            manager.run_module(self._ill_typed_module(), QueryContext(),
+                               entry="main")
         assert exc.value.pass_name == "input"
 
     def test_typecheck_is_a_registered_pass(self):
@@ -198,13 +200,15 @@ class TestPassManagerIntegration:
         }
         """)
         manager = PassManager(pipeline)
-        manager.run_module(module, entry="main")  # clean: no raise
+        # clean: no raise
+        manager.run_module(module, QueryContext(), entry="main")
 
     def test_typecheck_pass_raises_on_bad_module(self):
         from repro.core.passes import resolve_pipeline
         manager = PassManager(resolve_pipeline(["typecheck"]))
         with pytest.raises(HorseTypeError):
-            manager.run_module(self._ill_typed_module(), entry="main")
+            manager.run_module(self._ill_typed_module(), QueryContext(),
+                               entry="main")
 
     def test_verdict_is_cached_across_passes(self):
         module = parse_module("""
@@ -216,7 +220,7 @@ class TestPassManagerIntegration:
         }
         """)
         manager = PassManager(preset("O2"), verify=True)
-        manager.run_module(module, entry="main")
+        manager.run_module(module, QueryContext(), entry="main")
         cache = manager.analyses
         # One miss to compute main's verdict; every later pass hits.
         typecheck_misses = cache.misses
@@ -245,7 +249,7 @@ class TestPassManagerIntegration:
                          invalidates=("typecheck",))
         manager = PassManager(Pipeline("custom", [bad]), verify=True)
         with pytest.raises(PassVerificationError) as exc:
-            manager.run_module(module, entry="main")
+            manager.run_module(module, QueryContext(), entry="main")
         assert exc.value.pass_name == "buggy"
 
     def test_preserving_pass_keeps_verdict(self):
@@ -259,7 +263,7 @@ class TestPassManagerIntegration:
         """)
         noop = MethodPass("noop", lambda method: True, invalidates=())
         manager = PassManager(Pipeline("custom", [noop]), verify=True)
-        manager.run_module(module, entry="main")
+        manager.run_module(module, QueryContext(), entry="main")
         # input check missed once; the post-pass check hit the cache
         # because the pass declared it invalidates nothing.
         assert manager.analyses.hits >= 1

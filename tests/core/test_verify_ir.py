@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import ir
 from repro.core import types as ht
+from repro.core.context import QueryContext
 from repro.core.parser import parse_module
 from repro.core.passes import (MethodPass, PassManager, Pipeline,
                                custom_pipeline, preset)
@@ -138,7 +139,8 @@ class TestPassManagerVerification:
         pipe = Pipeline("bad", [MethodPass("breaker", breaks_ir)])
         manager = PassManager(pipe, verify=True)
         with pytest.raises(PassVerificationError) as excinfo:
-            manager.run_module(_module(), entry="main")
+            manager.run_module(_module(), QueryContext(),
+                               entry="main")
         assert excinfo.value.pass_name == "breaker"
         assert excinfo.value.method == "main"
         assert "ghost" in excinfo.value.detail
@@ -148,12 +150,13 @@ class TestPassManagerVerification:
         del module.methods["helper"]
         manager = PassManager(custom_pipeline(["dce"]), verify=True)
         with pytest.raises(PassVerificationError) as excinfo:
-            manager.run_module(module, entry="main")
+            manager.run_module(module, QueryContext(), entry="main")
         assert excinfo.value.pass_name == "input"
 
     def test_clean_pipeline_verifies_silently(self):
         manager = PassManager(preset("O2"), verify=True)
-        optimized, stats = manager.run_module(_module(), entry="main")
+        optimized, stats = manager.run_module(
+            _module(), QueryContext(), entry="main")
         assert list(optimized.methods) == ["main"]
         assert stats.pipeline == "O2"
 

@@ -8,6 +8,7 @@ registry, tracer, UDF registry) is owned by its ``EngineSession``, so
 K sessions over distinct catalogs can interleave freely on threads.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -121,9 +122,9 @@ class TestConcurrentSessions:
     def test_allocation_profiles_stay_isolated_across_sessions(self):
         """Each session's AllocationProfile charges exactly that
         session's queries: the threaded byte totals match a serial
-        reference bit for bit, and the ambient NULL_PROFILE stays
+        reference bit for bit, and the shared NULL_PROFILE stays
         untouched."""
-        from repro.obs import get_profile
+        from repro.obs import NULL_PROFILE
 
         def profile_of(seed: int, serial: bool) -> AllocationProfile:
             profile = AllocationProfile()
@@ -171,9 +172,9 @@ class TestConcurrentSessions:
             assert (counts["prof.bytes_allocated"]
                     == threaded.bytes_allocated)
 
-        # The ambient slot never saw any of it.
-        assert get_profile().bytes_allocated == 0
-        assert not get_profile().enabled
+        # The null object every unprofiled context carries never saw
+        # any of it.
+        assert NULL_PROFILE.bytes_allocated == 0
 
         for session in sessions.values():
             session.close()
@@ -200,3 +201,81 @@ class TestConcurrentSessions:
                 thread.join()
         assert len(set(values)) == 1
         assert session.metrics.counter("query.count").value == 4
+
+
+class TestConcurrentFacades:
+    def test_two_facades_trace_concurrently_without_bleed(self):
+        """A HorsePowerSystem and a MonetDBLike over the same database,
+        each handed its own tracer and registry, run at the same time;
+        each tracer and registry sees its own system's queries only —
+        which a tracer installed process-wide could not promise."""
+        from repro.horsepower import HorsePowerSystem, MonetDBLike
+        from repro.obs import MetricsRegistry
+
+        db = make_catalog(0)
+        rounds = 6
+        hp_tracer, mdb_tracer = Tracer(), Tracer()
+        hp_metrics, mdb_metrics = MetricsRegistry(), MetricsRegistry()
+        hp = HorsePowerSystem(db, tracer=hp_tracer, metrics=hp_metrics)
+        mdb = MonetDBLike(db, tracer=mdb_tracer, metrics=mdb_metrics)
+        errors = []
+        barrier = threading.Barrier(2)
+
+        def work(system):
+            try:
+                barrier.wait(timeout=30)
+                for _ in range(rounds):
+                    for sql in queries(0):
+                        system.run_sql(sql)
+            except Exception as exc:  # pragma: no cover - fail loudly
+                errors.append((type(system).__name__, exc))
+
+        threads = [threading.Thread(target=work, args=(system,))
+                   for system in (hp, mdb)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two aggressively
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+
+        expected = rounds * N_QUERIES
+        for tracer, system in ((hp_tracer, "horsepower"),
+                               (mdb_tracer, "monetdb")):
+            assert len(tracer.roots) == expected
+            assert {root.attrs["system"]
+                    for root in tracer.roots} == {system}
+        hp_counts = hp_metrics.snapshot()
+        mdb_counts = mdb_metrics.snapshot()
+        assert hp_counts["query.count"] == expected
+        assert "baseline.query.count" not in hp_counts
+        assert mdb_counts["baseline.query.count"] == expected
+        assert mdb_counts.get("query.count", 0) == 0
+        assert "compile.count" not in mdb_counts
+
+    def test_facades_share_counters_only_through_a_shared_registry(self):
+        """Side-by-side counters are opt-in: two facades handed the same
+        registry count into it; a third, handed none, keeps its own."""
+        from repro.horsepower import HorsePowerSystem, MonetDBLike
+        from repro.obs import MetricsRegistry
+
+        db = make_catalog(0)
+        shared = MetricsRegistry()
+        hp = HorsePowerSystem(db, metrics=shared)
+        mdb = MonetDBLike(db, metrics=shared)
+        alone = HorsePowerSystem(db)
+        sql = queries(0)[0]
+        for system in (hp, mdb, alone):
+            system.run_sql(sql)
+
+        assert hp.session.metrics is mdb.session.metrics is shared
+        counts = shared.snapshot()
+        assert counts["query.count"] == 1
+        assert counts["baseline.query.count"] == 1
+        assert alone.session.metrics is not shared
+        assert alone.session.metrics.snapshot()["query.count"] == 1

@@ -5,8 +5,10 @@ The refactor moved every piece of per-query runtime state (metric
 instruments, pool telemetry, cache counters, tracer lookups) into
 instances owned by an ``EngineSession``.  A module-level counter or
 flag silently reintroduces cross-session bleed, so the allowlist below
-is the *complete* set of deliberate ambient state — anything else at
-module scope that is mutable fails the build.
+is the *complete* set of deliberate module-level state — anything else
+at module scope that is mutable fails the build.  What remains is the
+span contextvar, the stateless null objects, and the process-shared
+thread pool (a resource with a lifetime, not a reporting path).
 """
 
 import __future__
@@ -23,33 +25,24 @@ from repro.obs.tracer import NullTracer
 #: Modules whose globals are audited: the facade package, the
 #: observability package, the statistics and static-analysis packages,
 #: and the executor-pool module — the places process-global state
-#: used to live or where caches could quietly become ambient.
+#: used to live or where caches could quietly become process-wide.
 AUDITED_ROOTS = ["repro.horsepower", "repro.obs", "repro.stats",
                  "repro.core.analysis"]
 AUDITED_MODULES = ["repro.core.execpool", "repro.core.context",
                    "repro.core.limits", "repro.engine.session",
                    "repro.engine.backends", "repro.engine.governor"]
 
-#: Deliberate ambient state, documented at each definition site.  New
-#: entries need the same justification: state that *defines* the
-#: process-wide default, never state a query writes to.
+#: Deliberate module-level state, documented at each definition site.
+#: New entries need the same justification: never state a query
+#: writes its spans, charges or counters to.
 ALLOWLIST = {
-    # The process-global metrics registry (the ambient default
-    # sessions opt into via EngineSession.ambient).
-    ("repro.obs.metrics", "_global"),
-    # The ambient tracer slot and the contextvar threading spans
-    # through nested calls.
-    ("repro.obs.tracer", "_tracer"),
+    # The contextvar threading spans through nested calls.
     ("repro.obs.tracer", "_current_span"),
     ("repro.obs.tracer", "_NULL_SPAN"),
     ("repro.obs.tracer", "NULL_TRACER"),
     # The process-shared executor pool for code outside any session.
     ("repro.core.execpool", "_shared"),
     ("repro.core.execpool", "_shared_lock"),
-    # The ambient allocation-profile slot (mirrors the tracer slot):
-    # NULL_PROFILE until the CLI's --profile or use_profile installs a
-    # real profile process-wide; isolated sessions never read it.
-    ("repro.obs.prof", "_profile"),
     # The constant-propagation lattice's "not a constant" sentinel: a
     # stateless singleton (attribute-less instance) compared by
     # identity, never written to.
@@ -148,3 +141,57 @@ def test_allowlist_matches_reality():
     for module_name, attr in ALLOWLIST:
         module = importlib.import_module(module_name)
         assert hasattr(module, attr), (module_name, attr)
+
+
+def test_default_context_is_null_and_private():
+    """``QueryContext()`` carries the stateless null objects and a
+    registry no other object holds."""
+    from repro.core.context import QueryContext
+    from repro.core.limits import NULL_LIMITS
+    from repro.obs import NULL_PROFILE, NULL_TRACER
+
+    one, two = QueryContext(), QueryContext()
+    for ctx in (one, two):
+        assert ctx.tracer is NULL_TRACER
+        assert ctx.profile is NULL_PROFILE
+        assert ctx.limits is NULL_LIMITS
+        assert ctx.pool is None and ctx.session is None
+    assert one.metrics is not two.metrics
+    one.metrics.counter("x").inc()
+    assert "x" not in two.metrics.snapshot()
+
+
+def test_ctxless_compile_and_run_record_nothing_anywhere():
+    """``ctx=None`` at the public entry points means untraced,
+    unprofiled, private counters: a live session's tracer, profile
+    and registry are exactly as they were after a ctx-less
+    ``compile_module(m).run(...)`` next to it."""
+    import numpy as np
+
+    from repro.core.compiler import compile_module
+    from repro.core.parser import parse_module
+    from repro.core.values import from_numpy
+    from repro.engine import EngineSession
+    from repro.obs import (NULL_PROFILE, NULL_TRACER, AllocationProfile,
+                           Tracer)
+
+    module = parse_module("""
+    module M {
+        def main(x:f64): f64 {
+            a:f64 = @mul(x, 2.0:f64);
+            b:f64 = @add(a, 1.0:f64);
+            return b;
+        }
+    }
+    """)
+    tracer, profile = Tracer(), AllocationProfile()
+    with EngineSession(tracer=tracer, profile=profile) as session:
+        before = session.metrics.snapshot()
+        result = compile_module(module).run(
+            args=[from_numpy(np.arange(4, dtype=np.float64))])
+        np.testing.assert_array_equal(result.data, [1.0, 3.0, 5.0, 7.0])
+        assert session.metrics.snapshot() == before
+    assert tracer.roots == []
+    assert profile.bytes_allocated == 0
+    assert NULL_TRACER.all_spans() == []
+    assert NULL_PROFILE.bytes_allocated == 0

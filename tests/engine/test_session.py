@@ -100,6 +100,23 @@ class TestSessionBasics:
                 == pytest.approx(14.0)
         assert session.metrics.counter("compile.count").value == 1
 
+    @pytest.mark.parametrize("backend", ["interp", "pygen"])
+    def test_compile_metrics_are_the_same_on_every_backend(self,
+                                                           backend):
+        """The interpreter shares the compiler's prologue, so its
+        compiles report the COMP split like the kernel backends'."""
+        with EngineSession(make_db(),
+                           default_backend=backend) as session:
+            query = session.compile_sql(SQL)
+            snapshot = session.metrics.snapshot()
+        assert snapshot["compile.count"] == 1
+        assert snapshot["compile.optimize_seconds_total"] \
+            == query.optimize_seconds > 0.0
+        assert snapshot["compile.codegen_seconds_total"] \
+            == query.codegen_seconds
+        assert query.compile_seconds \
+            == query.optimize_seconds + query.codegen_seconds
+
 
 class TestBackendRegistry:
     def test_default_registry_contents_and_aliases(self):

@@ -14,8 +14,7 @@ from repro.engine import EngineSession
 from repro.engine.storage import Database
 from repro.obs import (NULL_PROFILE, AllocationProfile, Tracer,
                        chrome_trace, format_fusion_savings,
-                       fusion_savings, get_profile, render_explain_analyze,
-                       set_profile, use_profile, use_tracer)
+                       fusion_savings, render_explain_analyze)
 from repro.obs.prof import format_bytes
 from repro.workloads.bs_queries import SCALAR_QUERIES, register_bs_udfs
 from repro.workloads.tpch_queries import (PLAIN_QUERIES, UDF_QUERIES,
@@ -113,19 +112,6 @@ class TestAllocationProfile:
         assert NULL_PROFILE.counters() == (0, 0)
         assert not NULL_PROFILE.enabled
         assert NULL_PROFILE.to_dict()["bytes_allocated"] == 0
-
-    def test_ambient_slot_installs_and_restores(self):
-        assert get_profile() is NULL_PROFILE
-        profile = AllocationProfile()
-        with use_profile(profile):
-            assert get_profile() is profile
-        assert get_profile() is NULL_PROFILE
-        set_profile(profile)
-        try:
-            assert get_profile() is profile
-        finally:
-            set_profile(None)
-        assert get_profile() is NULL_PROFILE
 
     def test_format_bytes(self):
         assert format_bytes(512) == "512B"
@@ -281,15 +267,14 @@ class TestSessionMetrics:
             snapshot = session.metrics.snapshot()
         assert not any(name.startswith("prof.") for name in snapshot)
 
-    def test_ambient_use_profile_reaches_facade_queries(self, tpch_db):
+    def test_facade_profile_argument_reaches_queries(self, tpch_db):
         from repro.horsepower import HorsePowerSystem
         from repro.sql.udf import UDFRegistry
 
-        hp = HorsePowerSystem(tpch_db, UDFRegistry())
-        register_tpch_udfs(hp)
         profile = AllocationProfile()
-        with use_profile(profile):
-            hp.run_sql(UDF_QUERIES["q6"], use_cache=False)
+        hp = HorsePowerSystem(tpch_db, UDFRegistry(), profile=profile)
+        register_tpch_udfs(hp)
+        hp.run_sql(UDF_QUERIES["q6"], use_cache=False)
         assert profile.bytes_allocated > 0
 
 
@@ -307,10 +292,10 @@ class TestDisabledOverhead:
         assert per_site < 10e-6
 
     def test_disabled_by_default_everywhere(self, tpch_db):
-        """With no profile installed, a full query leaves the ambient
-        NULL_PROFILE untouched (nothing charged anywhere)."""
+        """With no profile passed, a session carries NULL_PROFILE and a
+        full query charges nothing anywhere."""
         with EngineSession(tpch_db) as session:
             register_tpch_udfs(session)
             session.run_sql(UDF_QUERIES["q6"])
-        assert get_profile() is NULL_PROFILE
+            assert session.profile is NULL_PROFILE
         assert NULL_PROFILE.bytes_allocated == 0

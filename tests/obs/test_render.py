@@ -4,6 +4,7 @@ instrumentation of both systems on TPC-H."""
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -11,7 +12,7 @@ from repro.data.tpch import generate_tpch
 from repro.horsepower import HorsePowerSystem, MonetDBLike
 from repro.obs import (Tracer, chrome_trace, chrome_trace_json,
                        phase_coverage, render_explain_analyze,
-                       render_plan, use_tracer)
+                       render_plan)
 from repro.sql.parser import parse_sql
 from repro.sql.planner import plan_query
 from repro.sql.udf import UDFRegistry
@@ -35,8 +36,8 @@ def hp_system():
 
 def _trace_query(hp, sql, **kwargs):
     tracer = Tracer()
-    with use_tracer(tracer):
-        hp.run_sql(sql, **kwargs)
+    hp.run_sql(sql, ctx=replace(hp.session.context(), tracer=tracer),
+               **kwargs)
     root = tracer.last_root()
     assert root is not None and root.name == "query"
     return tracer, root
@@ -138,10 +139,9 @@ class TestSpanTaxonomy:
         assert prepare.attrs["cached"] is True
 
     def test_monetdb_baseline_traces_are_comparable(self, hp_system):
-        mdb = MonetDBLike(hp_system.db, hp_system.udfs)
         tracer = Tracer()
-        with use_tracer(tracer):
-            mdb.run_sql(UDF_QUERIES["q6"])
+        mdb = MonetDBLike(hp_system.db, hp_system.udfs, tracer=tracer)
+        mdb.run_sql(UDF_QUERIES["q6"])
         root = tracer.last_root()
         assert root.name == "query"
         assert root.attrs["system"] == "monetdb"

@@ -14,7 +14,7 @@ from repro.engine import EngineSession, default_registry
 from repro.engine.storage import Database
 from repro.errors import HorseRuntimeError, QueryTimeout
 from repro.obs import (FlightRecorder, MetricsRegistry, QueryLog,
-                       SessionTelemetry, Tracer, use_tracer)
+                       SessionTelemetry, Tracer)
 from repro.obs.render import render_explain_analyze
 from repro.obs.telemetry import (QUERY_LOG_FIELDS, phase_seconds,
                                  sql_fingerprint)
@@ -378,8 +378,7 @@ class TestRowsAttribute:
         tracer = Tracer()
         with EngineSession(make_db(), tracer=tracer) as session:
             session.configure_telemetry(flight_recorder=4)
-            with use_tracer(tracer):
-                session.run_sql(SQL)
+            session.run_sql(SQL)
         text = render_explain_analyze(tracer.last_root(),
                                       timings=False)
         assert "rows=1" in text
@@ -387,8 +386,7 @@ class TestRowsAttribute:
     def test_rows_absent_when_telemetry_off(self):
         tracer = Tracer()
         with EngineSession(make_db(), tracer=tracer) as session:
-            with use_tracer(tracer):
-                session.run_sql(SQL)
+            session.run_sql(SQL)
         text = render_explain_analyze(tracer.last_root(),
                                       timings=False)
         assert "rows=" not in text

@@ -5,8 +5,7 @@ import time
 
 import pytest
 
-from repro.obs import (NULL_TRACER, NullTracer, Tracer, get_tracer,
-                       set_tracer, use_tracer)
+from repro.obs import NULL_TRACER, Tracer
 
 
 class TestSpanTree:
@@ -98,32 +97,6 @@ class TestSpanTree:
         tracer.reset()
         assert tracer.roots == []
         assert tracer.last_root() is None
-
-
-class TestGlobalTracer:
-    def test_default_is_null(self):
-        assert isinstance(get_tracer(), NullTracer)
-        assert not get_tracer().enabled
-
-    def test_use_tracer_restores_previous(self):
-        tracer = Tracer()
-        with use_tracer(tracer):
-            assert get_tracer() is tracer
-        assert get_tracer() is NULL_TRACER
-
-    def test_use_tracer_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with use_tracer(Tracer()):
-                raise RuntimeError
-        assert get_tracer() is NULL_TRACER
-
-    def test_set_tracer_none_restores_null(self):
-        set_tracer(Tracer())
-        try:
-            assert get_tracer().enabled
-        finally:
-            set_tracer(None)
-        assert get_tracer() is NULL_TRACER
 
 
 class TestNullTracer:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.data.tpch import generate_tpch
 from repro.horsepower import MonetDBLike
-from repro.obs import Tracer, use_tracer
+from repro.obs import Tracer
 from repro.sql.parser import parse_sql
 from repro.sql.plan import plan_to_json
 from repro.sql.planner import plan_query
@@ -18,15 +18,23 @@ TPCH_SCALE = 0.01
 
 @pytest.fixture(scope="module")
 def analyzed_mdb():
-    mdb = MonetDBLike(generate_tpch(scale_factor=TPCH_SCALE))
+    mdb = MonetDBLike(generate_tpch(scale_factor=TPCH_SCALE),
+                      tracer=Tracer())
     mdb.analyze()
     return mdb
 
 
+def _traced_run(mdb, sql):
+    """Run ``sql`` and return the facade's tracer holding only that
+    query's spans."""
+    tracer = mdb.session.tracer
+    tracer.reset()
+    mdb.run_sql(sql)
+    return tracer
+
+
 def _filter_spans(mdb, sql):
-    tracer = Tracer()
-    with use_tracer(tracer):
-        mdb.run_sql(sql)
+    tracer = _traced_run(mdb, sql)
     return tracer, [s for s in tracer.all_spans()
                     if s.name == "op:Filter"]
 
@@ -52,9 +60,7 @@ class TestPerOperatorSpans:
         """EXPLAIN ANALYZE on every TPC-H workload query shows both
         sides on every operator span."""
         for name, sql in PLAIN_QUERIES.items():
-            tracer = Tracer()
-            with use_tracer(tracer):
-                analyzed_mdb.run_sql(sql)
+            tracer = _traced_run(analyzed_mdb, sql)
             operators = [s for s in tracer.all_spans()
                          if s.name.startswith("op:")]
             assert operators, name
@@ -71,10 +77,10 @@ class TestPerOperatorSpans:
         assert scan.attrs["est_rows"] == scan.attrs["rows_out"]
 
     def test_spans_without_stats_carry_actuals_only(self):
-        mdb = MonetDBLike(generate_tpch(scale_factor=0.002))
         tracer = Tracer()
-        with use_tracer(tracer):
-            mdb.run_sql(PLAIN_QUERIES["q6"])
+        mdb = MonetDBLike(generate_tpch(scale_factor=0.002),
+                          tracer=tracer)
+        mdb.run_sql(PLAIN_QUERIES["q6"])
         operators = [s for s in tracer.all_spans()
                      if s.name.startswith("op:")]
         assert operators

@@ -36,13 +36,12 @@ private tracer, the record dict, the query log write) is behind that
 branch, so the disabled cost is one attribute read + truth test,
 bounded by the same **<2%** bar.
 
-The inter-pass IR verifier (PR 8) rounds out the set: every pass
-application ends in a ``_verify_method``/``_verify_module`` call whose
-first action is ``if not self.verify: return`` when ``--verify-ir`` is
-off.  The site count is the number of those calls one cold Q6 compile
-makes, the per-site cost is the measured disabled call, and the
-overhead (against the same warm-Q6 denominator as the others, although
-warm runs compile nothing at all) must stay **<2%**.
+IR verification (``--verify-ir``) has one disabled site,
+``PassManager._verify``: its first action is ``if not self.verify:
+return``, one cold Q6 compile calls it once for the input module and
+once per pass application, and that count times the measured disabled
+call (against the same warm-Q6 denominator as the others, although warm
+runs compile nothing at all) must stay **<2%**.
 
 Table statistics (PR 9) follow the telemetry pattern: with no
 ``ANALYZE`` run, the :class:`~repro.stats.StatsStore` is empty and a
@@ -50,13 +49,6 @@ warm query pays exactly two sites — the ``stats.fingerprint()`` call in
 the plan-cache key and the ``if self.stats.enabled:`` branch after
 execution (``plan_sql`` pays a third on the cold path only).  Both are
 measured on an empty store and bounded by the same **<2%** bar.
-
-Static analysis (PR 10) adds **zero** new disabled sites: the semantic
-type/shape checker runs inside ``_verify_method``/``_verify_module``,
-entirely behind the verifier's existing ``if not self.verify: return``
-early exit measured above — so the PR-8 verifier gate is also the
-disabled-analysis gate, with the same site count and the same **<2%**
-bar.
 
 Usage::
 
@@ -180,7 +172,7 @@ def measure_disabled_verify_cost(loops: int = _NULL_SPAN_LOOPS) -> float:
 
     manager = PassManager(preset("O2"))
     assert not manager.verify
-    check = manager._verify_method
+    check = manager._verify
     start = time.perf_counter()
     for _ in range(loops):
         check("x", None, None)
@@ -189,28 +181,21 @@ def measure_disabled_verify_cost(loops: int = _NULL_SPAN_LOOPS) -> float:
 
 def count_verify_sites_per_compile(hp, sql: str) -> int:
     """Verification call sites one cold Q6 compile passes through
-    (counted by wrapping the manager's verify hooks)."""
+    (counted by wrapping the manager's verify hook)."""
     from repro.core import passes as passes_mod
 
     counts = [0]
-    orig_method = passes_mod.PassManager._verify_method
-    orig_module = passes_mod.PassManager._verify_module
+    orig = passes_mod.PassManager._verify
 
-    def counting_method(self, *args, **kwargs):
+    def counting(self, *args, **kwargs):
         counts[0] += 1
-        return orig_method(self, *args, **kwargs)
+        return orig(self, *args, **kwargs)
 
-    def counting_module(self, *args, **kwargs):
-        counts[0] += 1
-        return orig_module(self, *args, **kwargs)
-
-    passes_mod.PassManager._verify_method = counting_method
-    passes_mod.PassManager._verify_module = counting_module
+    passes_mod.PassManager._verify = counting
     try:
         hp.compile_sql(sql)
     finally:
-        passes_mod.PassManager._verify_method = orig_method
-        passes_mod.PassManager._verify_module = orig_module
+        passes_mod.PassManager._verify = orig
     return counts[0]
 
 

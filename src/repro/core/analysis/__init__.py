@@ -10,18 +10,16 @@ The package splits into layers, each built on the one below:
 * :mod:`~repro.core.analysis.typeshape` — type-and-shape inference
   assigning every statement a ``(HorseType, Shape)`` lattice value,
   driven by the per-builtin signature table in
-  :mod:`repro.core.builtins`;
-* :mod:`~repro.core.analysis.checker` — the compile-time semantic
-  checker (``--verify-ir``'s semantic half): rejects ill-typed or
-  shape-incompatible modules with a :class:`~repro.errors.HorseTypeError`
-  naming the offending statement;
+  :mod:`repro.core.builtins`, and the one rule for what a declared
+  slot may hold; in strict mode (how :mod:`repro.core.verify` runs it
+  at ``full=True``) the first ill-typed or shape-incompatible statement
+  raises a :class:`~repro.errors.HorseTypeError` naming it;
 * :mod:`~repro.core.analysis.lint` — the rule registry and drivers
   behind the ``lint`` CLI subcommand, spanning HorseIR, SQL plans, and
   MATLAB sources.
 """
 
 from repro.core.analysis.cfg import CFG, BasicBlock, build_cfg
-from repro.core.analysis.checker import check_method, check_module
 from repro.core.analysis.dataflow import (constant_facts, def_use_chains,
                                           interval_facts, liveness,
                                           reaching_definitions, solve,
@@ -40,7 +38,6 @@ __all__ = [
     "def_use_chains", "constant_facts", "interval_facts",
     "Shape", "TypeShape", "SCALAR", "UNKNOWN", "broadcast_shapes",
     "infer_method",
-    "check_method", "check_module",
     "Rule", "Finding", "RULES", "LINT_JSON_VERSION", "default_rule_ids",
     "lint_module", "lint_plan", "lint_matlab", "findings_to_json",
 ]

@@ -198,38 +198,27 @@ def _redundant_casts(module: ir.Module, rule: Rule):
     # inferred by the type checker, not merely declared.  Declared
     # types on opaque results (``@column_value``, method calls) are
     # assumptions the cast exists to enforce, so those never fire.
-    from repro.core.analysis.typeshape import infer_method
+    from repro.core.analysis.typeshape import (consistent_types,
+                                               infer_method,
+                                               redundant_casts)
 
     for method in module.methods.values():
-        facts = infer_method(method, module)
-        proven = {p.name: p.type for p in method.params}
-        for stmt in method.walk_stmts():
-            if not isinstance(stmt, ir.Assign):
-                continue
-            fact = facts.stmt_facts.get(id(stmt))
-            inferred = None
-            if fact is not None and not fact.type.is_wildcard:
-                inferred = fact.type
-            if stmt.target in proven \
-                    and proven[stmt.target] != inferred:
-                proven[stmt.target] = None  # conflicting redefinition
-            else:
-                proven.setdefault(stmt.target, inferred)
-        for stmt in method.walk_stmts():
-            expr = getattr(stmt, "expr", None)
-            if not isinstance(stmt, ir.Assign) \
-                    or not isinstance(expr, ir.Cast):
-                continue
-            if not isinstance(expr.expr, ir.Var):
-                continue
-            source = proven.get(expr.expr.name)
-            if source is not None and not source.is_wildcard \
-                    and source == expr.type:
-                yield _finding(
-                    rule, f"method {method.name!r}",
-                    f"check_cast({expr.expr.name}, {expr.type}) is "
-                    f"redundant: the operand already has type "
-                    f"{source} ({stmt.target} = ...)")
+        facts = infer_method(method, module).stmt_facts
+
+        def inferred(stmt):
+            fact = facts.get(id(stmt))
+            if fact is None or fact.type.is_wildcard:
+                return None
+            return fact.type
+
+        for stmt in redundant_casts(
+                method, consistent_types(method, inferred)):
+            cast = stmt.expr
+            yield _finding(
+                rule, f"method {method.name!r}",
+                f"check_cast({cast.expr.name}, {cast.type}) is "
+                f"redundant: the operand already has type "
+                f"{cast.type} ({stmt.target} = ...)")
 
 
 def _fusion_blockers(module: ir.Module, rule: Rule):

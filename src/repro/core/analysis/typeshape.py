@@ -34,7 +34,8 @@ from repro.errors import HorseTypeError
 
 __all__ = ["Shape", "TypeShape", "SCALAR", "TABLE_SHAPE", "LIST_SHAPE",
            "UNKNOWN", "vector_shape", "broadcast_shapes",
-           "infer_method", "MethodTypeShapes"]
+           "infer_method", "MethodTypeShapes", "consistent_types",
+           "redundant_casts"]
 
 
 class Shape(NamedTuple):
@@ -46,15 +47,6 @@ class Shape(NamedTuple):
     kind: str
     length: int | None = None
     token: object = None
-
-    def describe(self) -> str:
-        if self.kind == "vector":
-            if self.length is not None:
-                return f"vector[{self.length}]"
-            if self.token is not None:
-                return "vector[~]"
-            return "vector[?]"
-        return self.kind
 
 
 SCALAR = Shape("scalar", 1)
@@ -136,10 +128,6 @@ class MethodTypeShapes(NamedTuple):
     stmt_facts: dict
     #: final variable environment (``var -> TypeShape``).
     var_facts: dict
-    #: inferred type/shape of each ``return`` expression.
-    return_facts: tuple
-    #: human-readable problems, in program order (empty = clean).
-    diagnostics: tuple
 
 
 def infer_method(method: ir.Method, module: ir.Module | None = None, *,
@@ -147,14 +135,12 @@ def infer_method(method: ir.Method, module: ir.Module | None = None, *,
     """Infer ``(type, shape)`` for every statement of ``method``.
 
     With ``strict=True`` the first problem raises
-    :class:`HorseTypeError` naming the statement; otherwise problems
-    accumulate as diagnostics and inference recovers with ⊤.
+    :class:`HorseTypeError` naming the statement; otherwise inference
+    steps over problems and recovers with ⊤.
     """
     engine = _Inference(method, module, strict)
     engine.run()
-    return MethodTypeShapes(engine.stmt_facts, engine.env,
-                            tuple(engine.return_facts),
-                            tuple(engine.diagnostics))
+    return MethodTypeShapes(engine.stmt_facts, engine.env)
 
 
 class _Inference:
@@ -164,8 +150,6 @@ class _Inference:
         self.module = module
         self.strict = strict
         self.stmt_facts: dict = {}
-        self.return_facts: list = []
-        self.diagnostics: list = []
         self.env: dict[str, TypeShape] = {}
         #: variables currently known to hold a concrete scalar int.
         self.consts: dict[str, int] = {}
@@ -177,11 +161,10 @@ class _Inference:
     # -- error plumbing ----------------------------------------------------
 
     def _problem(self, stmt: ir.Stmt, message: str) -> None:
-        text = (f"{message} [method {self.method.name!r}: "
-                f"{print_stmt(stmt)}]")
         if self.strict:
-            raise HorseTypeError(text)
-        self.diagnostics.append(text)
+            raise HorseTypeError(
+                f"{message} [method {self.method.name!r}: "
+                f"{print_stmt(stmt)}]")
 
     # -- driver ------------------------------------------------------------
 
@@ -193,9 +176,7 @@ class _Inference:
             if isinstance(stmt, ir.Assign):
                 self._run_assign(stmt)
             elif isinstance(stmt, ir.Return):
-                fact = self._expr(stmt.expr, stmt)
-                self.return_facts.append(fact)
-                self._check_return(stmt, fact)
+                self._check_return(stmt, self._expr(stmt.expr, stmt))
             elif isinstance(stmt, ir.If):
                 self._check_cond(stmt, stmt.cond)
                 snapshot = (dict(self.env), dict(self.consts))
@@ -253,21 +234,29 @@ class _Inference:
             self.consts.pop(stmt.target, None)
 
     def _check_declared(self, stmt: ir.Assign, fact: TypeShape) -> None:
-        declared = stmt.type
-        if declared is None:
-            return
-        if not _assignable(declared, fact.type):
+        if not _assignable(stmt.type, fact.type,
+                           exact=_states_type(stmt.expr)):
             self._problem(
                 stmt,
-                f"declared type {declared} cannot hold a value of "
-                f"inferred type {fact.type}")
+                f"type mismatch: {stmt.target!r} declares {stmt.type} "
+                f"but its expression produces {fact.type}")
 
     def _check_return(self, stmt: ir.Return, fact: TypeShape) -> None:
-        if not _assignable(self.method.ret_type, fact.type):
+        declared = self.method.ret_type
+        produced, exact = fact.type, _states_type(stmt.expr)
+        if isinstance(stmt.expr, ir.Var):
+            stated = consistent_types(self.method).get(stmt.expr.name)
+            if stated is not None:
+                produced, exact = stated, True
+        # A wildcard on either side of a return holds anything.
+        if declared is None or declared.is_wildcard \
+                or produced.is_wildcard:
+            return
+        if not _assignable(declared, produced, exact=exact):
             self._problem(
                 stmt,
-                f"return type {self.method.ret_type} cannot hold a "
-                f"value of inferred type {fact.type}")
+                f"return type mismatch: declares {declared} but "
+                f"returns a value of type {produced}")
 
     def _check_cond(self, stmt: ir.Stmt, cond: ir.Expr) -> None:
         fact = self._expr(cond, stmt)
@@ -322,7 +311,7 @@ class _Inference:
         callee = self.module.methods[expr.name]
         for position, (param, fact) in enumerate(
                 zip(callee.params, facts)):
-            if not _assignable(param.type, fact.type):
+            if not _assignable(param.type, fact.type, exact=False):
                 self._problem(
                     stmt,
                     f"@{expr.name} parameter {param.name!r} has type "
@@ -501,15 +490,57 @@ def _container_kind(t: ht.HorseType) -> str:
     return "vector"
 
 
-def _assignable(declared: ht.HorseType,
-                inferred: ht.HorseType) -> bool:
-    """Can a value of ``inferred`` type land in a slot declared
-    ``declared``?  Mirrors :func:`repro.core.values.coerce`: vector
-    element types re-coerce freely; only container-kind mismatches
-    (table/list vs anything else) fail at runtime."""
-    if declared is None or declared.is_wildcard or inferred.is_wildcard:
+def _assignable(declared: ht.HorseType | None, produced: ht.HorseType,
+                *, exact: bool) -> bool:
+    """Can a value of ``produced`` type land in a slot declared
+    ``declared``?  The one type rule: a type the program states
+    (``exact`` — a typed literal, a cast, a consistently declared
+    variable) must equal the declaration; an inferred one follows
+    :func:`repro.core.values.coerce`, where a wildcard on either side
+    fits, vector element types re-coerce freely and only
+    container-kind mismatches (table/list vs anything else) fail at
+    runtime."""
+    if declared is None:
         return True
-    return _container_kind(declared) == _container_kind(inferred)
+    if exact:
+        return declared == produced
+    if declared.is_wildcard or produced.is_wildcard:
+        return True
+    return _container_kind(declared) == _container_kind(produced)
+
+
+def _states_type(expr: ir.Expr) -> bool:
+    """Does ``expr`` spell its own type out (typed literal, cast)?"""
+    return isinstance(expr, (ir.Literal, ir.Cast)) \
+        and expr.type is not None
+
+
+def consistent_types(method: ir.Method, type_of=lambda stmt: stmt.type) \
+        -> dict[str, ht.HorseType | None]:
+    """``variable -> its one type`` over ``method``'s parameters and
+    assignments, ``None`` where two definitions disagree.  ``type_of``
+    picks what an assignment contributes (its declaration by
+    default)."""
+    types = {p.name: p.type for p in method.params}
+    for stmt in method.walk_stmts():
+        if isinstance(stmt, ir.Assign):
+            found = type_of(stmt)
+            if types.setdefault(stmt.target, found) != found:
+                types[stmt.target] = None
+    return types
+
+
+def redundant_casts(method: ir.Method, types: dict):
+    """The assignments ``x = check_cast(v, T)`` of ``method`` whose
+    operand ``types`` (a :func:`consistent_types` map) gives exactly
+    ``T``."""
+    for stmt in method.walk_stmts():
+        if isinstance(stmt, ir.Assign) and isinstance(stmt.expr, ir.Cast) \
+                and isinstance(stmt.expr.expr, ir.Var):
+            source = types.get(stmt.expr.expr.name)
+            if source is not None and not source.is_wildcard \
+                    and source == stmt.expr.type:
+                yield stmt
 
 
 def _join_fact(a: TypeShape, b: TypeShape) -> TypeShape:

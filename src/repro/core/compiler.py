@@ -385,7 +385,10 @@ def compilation(module: ir.Module, opt_level: str, backend: str,
     with tracer.span("compile", opt_level=opt_level,
                      backend=backend) as compile_span:
         start = time.perf_counter()
-        verify_module(module)
+        # Under verify_ir the pass manager verifies its input and every
+        # later module state at full depth, the final one included.
+        if not verify_ir:
+            verify_module(module)
 
         stats: OptimizeStats | None = None
         optimize_seconds = 0.0
@@ -396,7 +399,8 @@ def compilation(module: ir.Module, opt_level: str, backend: str,
                                          pipeline=pipeline,
                                          verify_ir=verify_ir,
                                          dump_ir=dump_ir)
-                verify_module(module)
+                if not verify_ir:
+                    verify_module(module)
             optimize_seconds = time.perf_counter() - opt_start
 
         report = CompileReport(opt_level, 0.0, stats, backend=backend)

@@ -21,7 +21,7 @@ from repro.core import ir
 from repro.core.optimizer import analysis
 from repro.errors import OptimizerError
 
-__all__ = ["inline_methods", "can_inline"]
+__all__ = ["inline_methods", "inline_pass", "can_inline"]
 
 _MAX_ROUNDS = 32
 
@@ -42,10 +42,17 @@ def inline_methods(module: ir.Module, entry: str | None = None) -> ir.Module:
     Returns a new module; the input is not mutated.  The entry method (by
     default the module's ``entry``) is always retained.
     """
+    return inline_pass(module, entry)[0]
+
+
+def inline_pass(module: ir.Module, entry: str | None = None) \
+        -> tuple[ir.Module, bool]:
+    """:func:`inline_methods` as a module pass: the new module, and
+    whether a call site was expanded or a method dropped."""
     entry_name = entry if entry is not None else module.entry.name
     methods = {name: _copy_method(m) for name, m in module.methods.items()}
 
-    for _ in range(_MAX_ROUNDS):
+    for rounds in range(_MAX_ROUNDS):
         changed = False
         for method in methods.values():
             if _inline_in_method(method, methods):
@@ -61,7 +68,8 @@ def inline_methods(module: ir.Module, entry: str | None = None) -> ir.Module:
     for name, method in methods.items():
         if name in survivors:
             result.add(method)
-    return result
+    # Every round but the last expanded a call site.
+    return result, rounds > 0 or len(survivors) < len(methods)
 
 
 # ---------------------------------------------------------------------------

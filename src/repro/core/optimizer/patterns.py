@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from repro.core import ir
 from repro.core import types as ht
+from repro.core.analysis.typeshape import (consistent_types,
+                                           redundant_casts)
 from repro.core.depgraph import block_uses, build_depgraph
 from repro.core.optimizer import analysis
 
@@ -46,29 +48,10 @@ def _drop_redundant_casts(method: ir.Method) -> bool:
     """Replace ``check_cast(v, T)`` with ``v`` when ``v``'s declared
     type is consistently ``T`` (conflicting redeclarations disable the
     rewrite for that variable)."""
-    declared: dict[str, ht.HorseType | None] = \
-        {p.name: p.type for p in method.params}
-    for stmt in method.walk_stmts():
-        if isinstance(stmt, ir.Assign):
-            if stmt.target in declared \
-                    and declared[stmt.target] != stmt.type:
-                declared[stmt.target] = None
-            else:
-                declared.setdefault(stmt.target, stmt.type)
-    changed = False
-    for stmt in method.walk_stmts():
-        if not isinstance(stmt, ir.Assign) \
-                or not isinstance(stmt.expr, ir.Cast):
-            continue
-        operand = stmt.expr.expr
-        if not isinstance(operand, ir.Var):
-            continue
-        source = declared.get(operand.name)
-        if source is not None and not source.is_wildcard \
-                and source == stmt.expr.type:
-            stmt.expr = operand
-            changed = True
-    return changed
+    casts = list(redundant_casts(method, consistent_types(method)))
+    for stmt in casts:
+        stmt.expr = stmt.expr.expr
+    return bool(casts)
 
 
 def _rewrite_body(body: list[ir.Stmt], fresh) -> bool:

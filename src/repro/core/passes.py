@@ -46,8 +46,9 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core import ir
-from repro.errors import HorseTypeError, HorseVerifyError, \
-    OptimizerError, PassVerificationError
+from repro.core.verify import verify_method, verify_module
+from repro.errors import (HorseTypeError, HorseVerifyError,
+                          OptimizerError, PassVerificationError)
 
 __all__ = [
     "Pass", "MethodPass", "ModulePass", "PlanPass", "StatsPlanPass",
@@ -119,12 +120,7 @@ class Pass:
     plan tree — returns the rewritten tree), ``"module"`` (a whole
     :class:`~repro.core.ir.Module` — returns the rewritten module) or
     ``"method"`` (one method, mutated in place — returns whether
-    anything changed).  ``invalidates`` names the cached analyses a
-    *changing* application of this pass makes stale: the manager drops
-    exactly those entries from its :class:`AnalysisCache` for the
-    rewritten method and keeps the rest.  Facts a pass preserves by
-    construction (the scalar group is type-preserving, so it leaves
-    ``"typecheck"`` alone) survive fixed-point rounds untouched.
+    anything changed).
     """
 
     level: str = "method"
@@ -138,7 +134,6 @@ class Pass:
     records: bool = True
     #: Cooperative-cancellation checkpoint before each application.
     checkpoint: bool = True
-    invalidates: tuple = ()
 
     def __init__(self, name: str):
         self.name = name
@@ -151,7 +146,12 @@ class Pass:
 
 
 class MethodPass(Pass):
-    """A per-method rewrite: ``fn(method) -> bool`` (mutating)."""
+    """A per-method rewrite: ``fn(method) -> bool`` (mutating).
+
+    ``invalidates`` names the cached analyses a *changing* application
+    makes stale: the manager drops exactly those entries (and, always,
+    the verifier's verdict) from its :class:`AnalysisCache` for the
+    rewritten method and keeps the rest."""
 
     level = "method"
 
@@ -171,16 +171,17 @@ class MethodPass(Pass):
 
 
 class ModulePass(Pass):
-    """A whole-module rewrite: ``fn(module, entry) -> module``."""
+    """A whole-module rewrite: ``fn(module, entry) -> (module,
+    changed)``."""
 
     level = "module"
 
-    def __init__(self, name: str, fn, *, invalidates: tuple = ()):
+    def __init__(self, name: str, fn):
         super().__init__(name)
         self.fn = fn
-        self.invalidates = tuple(invalidates)
 
-    def run(self, module: ir.Module, ctx=None) -> ir.Module:
+    def run(self, module: ir.Module, ctx=None) \
+            -> tuple[ir.Module, bool]:
         entry = getattr(ctx, "entry", None) if ctx is not None else None
         return self.fn(module, entry)
 
@@ -197,10 +198,9 @@ class PlanPass(Pass):
     traced = False
     checkpoint = False
 
-    def __init__(self, name: str, fn, *, invalidates: tuple = ()):
+    def __init__(self, name: str, fn):
         super().__init__(name)
         self.fn = fn
-        self.invalidates = tuple(invalidates)
 
     def run(self, plan, ctx=None):
         udfs = getattr(ctx, "udfs", None) if ctx is not None else None
@@ -229,21 +229,17 @@ class StatsPlanPass(PlanPass):
 # ---------------------------------------------------------------------------
 
 #: Every dataflow fact the analysis framework caches.  Any rewrite
-#: that touches a method body makes all of them stale; only the
-#: semantic ``"typecheck"`` verdict can survive a rewrite (the scalar
-#: group substitutes same-typed values and deletes dead code, so a
-#: well-typed method stays well-typed).
+#: that touches a method body makes all of them stale.
 _DATAFLOW_FACTS = ("liveness", "reaching-defs", "use-chains",
                    "constants", "intervals", "copies")
 
 
 def _typecheck_pass_fn(method: ir.Method) -> bool:
-    # ``--passes typecheck``: an analysis run as a pass.  Method-level
-    # passes see no module, so cross-method calls check as wildcards;
-    # the manager's verify hook passes the module and checks them too.
-    from repro.core.analysis.checker import check_method
-
-    check_method(method, None)
+    # ``--passes typecheck``: full-depth verification run as a pass.
+    # Method-level passes see no module, so cross-method calls check as
+    # wildcards; the manager's verify hook passes the module and checks
+    # them too.
+    verify_method(method, None, full=True)
     return False
 
 
@@ -254,14 +250,12 @@ def _make_ir_pass(name: str, *, fixed_point: bool) -> Pass:
     from repro.core.optimizer.copyprop import propagate_copies
     from repro.core.optimizer.cse import eliminate_common_subexpressions
     from repro.core.optimizer.dce import eliminate_dead_code
-    from repro.core.optimizer.inline import inline_methods
+    from repro.core.optimizer.inline import inline_pass
     from repro.core.optimizer.patterns import (apply_patterns,
                                                forward_list_items)
 
     if name == "inline":
-        return ModulePass(
-            "inline", inline_methods,
-            invalidates=_DATAFLOW_FACTS + ("typecheck", "callgraph"))
+        return ModulePass("inline", inline_pass)
     if name == "typecheck":
         return MethodPass("typecheck", _typecheck_pass_fn,
                           fixed_point=fixed_point)
@@ -271,11 +265,8 @@ def _make_ir_pass(name: str, *, fixed_point: bool) -> Pass:
         "copyprop": propagate_copies,
         "cse": eliminate_common_subexpressions,
         "dce": eliminate_dead_code,
+        "patterns": apply_patterns,
     }
-    if name == "patterns":
-        return MethodPass(
-            "patterns", apply_patterns, fixed_point=fixed_point,
-            invalidates=_DATAFLOW_FACTS + ("typecheck",))
     return MethodPass(name, fns[name], fixed_point=fixed_point,
                       invalidates=_DATAFLOW_FACTS)
 
@@ -286,15 +277,13 @@ def _make_plan_pass(name: str) -> Pass:
     from repro.sql.plan_passes import (prune_columns, push_predicates,
                                        reorder_by_selectivity)
 
-    fns = {
-        "predicate-pushdown": (push_predicates, ("cardinality",)),
-        "column-pruning": (prune_columns, ("schema",)),
-    }
     if name == "selectivity-reorder":
-        return StatsPlanPass(name, reorder_by_selectivity,
-                             invalidates=("cardinality",))
-    fn, invalidates = fns[name]
-    return PlanPass(name, fn, invalidates=invalidates)
+        return StatsPlanPass(name, reorder_by_selectivity)
+    fns = {
+        "predicate-pushdown": push_predicates,
+        "column-pruning": prune_columns,
+    }
+    return PlanPass(name, fns[name])
 
 
 #: Plan-level pass names, in the order every pipeline applies them.
@@ -470,22 +459,18 @@ class AnalysisCache:
         methods, so per-method dropping is not enough)."""
         self._facts.clear()
 
-    def __len__(self) -> int:
-        return len(self._facts)
-
 
 class PassManager:
     """Runs one :class:`Pipeline` over a plan and/or a module.
 
     One instance serves one compilation: ``run_plan`` during planning,
-    ``run_module`` during optimization.  ``verify=True`` re-verifies
-    the IR after every pass application — structurally
-    (:mod:`repro.core.verify_ir`) *and* semantically
-    (:mod:`repro.core.analysis.checker`, the type/shape checker) —
-    with :exc:`~repro.errors.PassVerificationError` naming the
-    offending pass and statement.  The semantic verdict is cached per
-    method on :attr:`analyses` and survives passes whose
-    ``invalidates`` declaration preserves it; ``dump_dir`` writes
+    ``run_module`` during optimization.  ``verify=True`` verifies the
+    input module and re-verifies after every pass application at
+    :mod:`repro.core.verify`'s full depth, with
+    :exc:`~repro.errors.PassVerificationError` naming the offending
+    pass and statement.  A method's verdict is cached on
+    :attr:`analyses` until an application reports a change to it, so
+    every state is verified once; ``dump_dir`` writes
     numbered IR snapshots before the first pass and after every pass
     (per round inside the fixed-point group) via the existing
     printer."""
@@ -537,7 +522,7 @@ class PassManager:
         self._stats_index = {}
         start = time.perf_counter()
         pctx = _PassContext(entry=entry)
-        self._verify_module("input", module)
+        self._verify("input", module)
         self._dump_module(module, "input")
         passes = self.pipeline.ir_passes
         index = 0
@@ -573,21 +558,20 @@ class PassManager:
         if ps.traced:
             with ctx.tracer.span(f"pass:{ps.name}",
                                  methods_before=methods_before):
-                module = ps.run(module, pctx)
+                module, changed = ps.run(module, pctx)
         else:
-            module = ps.run(module, pctx)
+            module, changed = ps.run(module, pctx)
         elapsed = time.perf_counter() - start
         removed = methods_before - len(module.methods)
         if ps.name == "inline":
             stats.inlined_methods_removed = removed
-        changed = removed > 0
         if changed:
             self.analyses.invalidate_all()
         if changed and ps.records:
             _note(stats, ps.name)
         if ps.records:
             self._record(stats, ps, changed, elapsed)
-        self._verify_module(ps.name, module)
+        self._verify(ps.name, module)
         self._dump_module(module, ps.name)
         return module
 
@@ -638,12 +622,13 @@ class PassManager:
                          changed=changed)
         elapsed = time.perf_counter() - start
         if changed:
-            self.analyses.invalidate(method.name, ps.invalidates)
+            self.analyses.invalidate(method.name,
+                                     ps.invalidates + ("typecheck",))
         if changed and ps.records:
             _note(stats, ps.name)
         if ps.records:
             self._record(stats, ps, changed, elapsed)
-        self._verify_method(ps.name, method, module)
+        self._verify(ps.name, module, method)
         return changed
 
     def _record(self, stats, ps, changed, elapsed) -> None:
@@ -661,40 +646,24 @@ class PassManager:
 
     # -- verification --------------------------------------------------------
 
-    def _verify_module(self, pass_name, module) -> None:
+    def _verify(self, pass_name, module, method=None) -> None:
+        """``verify=True``: check ``method`` (every method of
+        ``module`` when None) at full depth, once per state: the cached
+        verdict stands until an application reports a change."""
         if not self.verify:
             return
-        from repro.core.verify_ir import verify_ir_module
+        methods = module.methods.values() if method is None else (method,)
         try:
-            verify_ir_module(module)
-        except HorseVerifyError as exc:
-            raise PassVerificationError(pass_name, str(exc)) from exc
-        for method in module.methods.values():
-            self._typecheck(pass_name, method, module)
-
-    def _verify_method(self, pass_name, method, module) -> None:
-        if not self.verify:
-            return
-        from repro.core.verify_ir import verify_ir_method
-        try:
-            verify_ir_method(method, module)
-        except HorseVerifyError as exc:
-            raise PassVerificationError(pass_name, str(exc),
-                                        method=method.name) from exc
-        self._typecheck(pass_name, method, module)
-
-    def _typecheck(self, pass_name, method, module) -> None:
-        # The semantic half of --verify-ir.  The cached verdict (True)
-        # survives type-preserving passes; a pass whose ``invalidates``
-        # names "typecheck" forces a re-check after any change.
-        from repro.core.analysis.checker import check_method
-        try:
-            self.analyses.get(
-                method, "typecheck",
-                lambda m: (check_method(m, module), True)[1])
-        except HorseTypeError as exc:
-            raise PassVerificationError(pass_name, str(exc),
-                                        method=method.name) from exc
+            if not module.methods:
+                verify_module(module, full=True)  # raises: no methods
+            for each in methods:
+                self.analyses.get(
+                    each, "typecheck",
+                    lambda m: verify_method(m, module, full=True))
+        except (HorseVerifyError, HorseTypeError) as exc:
+            raise PassVerificationError(
+                pass_name, str(exc),
+                method=method.name if method else None) from exc
 
     # -- dumps ---------------------------------------------------------------
 

@@ -1,8 +1,12 @@
-"""Structural verification of HorseIR modules.
+"""Verification of HorseIR modules — the one verifier, at two depths.
 
-The verifier enforces the invariants the optimizer and the backends rely on:
+The default depth is the structural walk every compile runs, before and
+after optimization; it enforces the invariants the optimizer and the
+backends rely on:
 
-* every variable is assigned before use (parameters count as assigned);
+* every variable is assigned before use on every path (parameters
+  count; ``if`` branches contribute only names assigned on both arms,
+  ``while`` bodies contribute nothing);
 * builtin names exist and arities match;
 * method calls resolve to methods in the same module, with matching arity;
 * every path through a method body ends in ``return`` (checked shallowly:
@@ -10,25 +14,64 @@ The verifier enforces the invariants the optimizer and the backends rely on:
   both terminate);
 * ``if``/``while`` conditions are expressions (scalarity is a runtime
   property, checked by the interpreter).
+
+``full=True`` is the ``--verify-ir`` depth the
+:class:`~repro.core.passes.PassManager` runs on its input and after
+every pass application.  It adds:
+
+* an unknown builtin is a :class:`~repro.errors.HorseVerifyError` (the
+  default depth lets :class:`~repro.errors.BuiltinError` through);
+* no orphaned statements: code after a ``return`` (or after an ``if``
+  whose branches both return) can never execute;
+* strict type/shape inference
+  (:func:`repro.core.analysis.typeshape.infer_method`): every builtin
+  receives element types its contract admits, every broadcast has
+  compatible lengths, every cast can coerce at runtime, and every
+  assignment and return lands in a slot that can hold it — a
+  :class:`~repro.errors.HorseTypeError` naming the statement otherwise.
 """
 
 from __future__ import annotations
 
 from repro.core import builtins as hb
 from repro.core import ir
-from repro.errors import HorseVerifyError
+from repro.core.analysis.typeshape import infer_method
+from repro.core.printer import print_stmt
+from repro.errors import BuiltinError, HorseVerifyError
 
 __all__ = ["verify_module", "verify_method"]
 
 
-def verify_module(module: ir.Module) -> None:
+def verify_module(module: ir.Module, *, full: bool = False) -> None:
     if not module.methods:
         raise HorseVerifyError(f"module {module.name!r} has no methods")
     for method in module.methods.values():
-        verify_method(method, module)
+        verify_method(method, module, full=full)
 
 
-def verify_method(method: ir.Method, module: ir.Module | None = None) -> None:
+def verify_method(method: ir.Method, module: ir.Module | None = None, *,
+                  full: bool = False) -> None:
+    """Check one method (``module`` enables method-call resolution)."""
+    if not full:
+        _verify_structure(method, module)
+        return
+    try:
+        _verify_structure(method, module)
+    except BuiltinError as exc:
+        raise HorseVerifyError(
+            f"unknown builtin in method {method.name!r}: "
+            f"{exc}") from exc
+    for body in _bodies(method.body):
+        for stmt, following in zip(body, body[1:]):
+            if _terminates([stmt]):
+                raise HorseVerifyError(
+                    f"orphaned statement after a return in method "
+                    f"{method.name!r}: {print_stmt(following)}")
+    infer_method(method, module, strict=True)
+
+
+def _verify_structure(method: ir.Method,
+                      module: ir.Module | None) -> None:
     defined = set(method.param_names())
     if len(defined) != len(method.params):
         raise HorseVerifyError(
@@ -37,6 +80,17 @@ def verify_method(method: ir.Method, module: ir.Module | None = None) -> None:
     if not _terminates(method.body):
         raise HorseVerifyError(
             f"method {method.name!r} does not end in a return")
+
+
+def _bodies(body: list[ir.Stmt]):
+    """``body`` and every statement list nested inside it."""
+    yield body
+    for stmt in body:
+        if isinstance(stmt, ir.If):
+            yield from _bodies(stmt.then_body)
+            yield from _bodies(stmt.else_body)
+        elif isinstance(stmt, ir.While):
+            yield from _bodies(stmt.body)
 
 
 def _verify_body(body: list[ir.Stmt], defined: set[str],

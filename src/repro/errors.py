@@ -16,7 +16,9 @@ class HorseIRError(ReproError):
 
 
 class HorseTypeError(HorseIRError):
-    """A HorseIR value or expression has an unexpected type."""
+    """A HorseIR value or expression has an unexpected type — at
+    runtime, or found by :func:`repro.core.verify.verify_module` at
+    ``full=True`` (strict type/shape inference)."""
 
 
 class HorseSyntaxError(HorseIRError):
@@ -35,7 +37,8 @@ class HorseSyntaxError(HorseIRError):
 
 
 class HorseVerifyError(HorseIRError):
-    """A HorseIR module violates a structural invariant."""
+    """A HorseIR module violates a structural invariant
+    (:mod:`repro.core.verify`, either depth)."""
 
 
 class HorseRuntimeError(HorseIRError):
@@ -53,9 +56,10 @@ class OptimizerError(HorseIRError):
 class PassVerificationError(OptimizerError):
     """Inter-pass IR verification failed (``--verify-ir`` mode).
 
-    Raised by the :class:`~repro.core.passes.PassManager` when the
-    structural verifier (:mod:`repro.core.verify_ir`) rejects the module
-    a pass just produced.  ``pass_name`` is the offending pass
+    Raised by the :class:`~repro.core.passes.PassManager` when
+    :mod:`repro.core.verify` at full depth rejects the module a pass
+    just produced, for its structure or its types.  ``pass_name`` is
+    the offending pass
     (``"input"`` when the module was malformed before the first pass
     ran), ``method`` the method it broke (None for module-level
     failures), and ``detail`` the verifier's own message, which names

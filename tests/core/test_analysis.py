@@ -1,16 +1,22 @@
 """The dataflow-analysis framework: CFG construction, the worklist
 solver, and the five standard analyses (liveness, reaching
-definitions, use-def/def-use chains, constants, intervals)."""
+definitions, use-def/def-use chains, constants, intervals) — plus the
+shape lattice of type/shape inference."""
 
 import math
 
+import pytest
+
 from repro.core import ir
 from repro.core import types as ht
-from repro.core.analysis import (build_cfg, constant_facts,
-                                 def_use_chains, interval_facts,
-                                 liveness, reaching_definitions,
-                                 use_def_chains)
+from repro.core.analysis import (SCALAR, broadcast_shapes, build_cfg,
+                                 constant_facts, def_use_chains,
+                                 infer_method, interval_facts, liveness,
+                                 reaching_definitions, use_def_chains)
 from repro.core.analysis.dataflow import NONCONST
+from repro.core.analysis.typeshape import vector_shape
+from repro.core.parser import parse_module
+from repro.errors import HorseTypeError
 
 
 def _straight_line():
@@ -214,3 +220,46 @@ class TestIntervals:
         iv = interval_facts(method)
         _, fact_out = iv[id(method.body[2])]
         assert fact_out["cond"] == (0.0, 1.0)
+
+
+class TestShapeLattice:
+    def test_scalar_broadcasts_with_anything(self):
+        shape = broadcast_shapes([SCALAR, vector_shape(length=7)])
+        assert shape.length == 7
+
+    def test_equal_lengths_merge(self):
+        shape = broadcast_shapes([vector_shape(length=7),
+                                  vector_shape(length=7)])
+        assert shape.length == 7
+
+    def test_unequal_lengths_raise(self):
+        with pytest.raises(HorseTypeError, match="3 vs 7"):
+            broadcast_shapes([vector_shape(length=3),
+                              vector_shape(length=7)],
+                             context="@add")
+
+    def test_matching_tokens_flow_through(self):
+        a = vector_shape(token=("rows", "t"))
+        b = vector_shape(token=("rows", "t"))
+        assert broadcast_shapes([a, b]).token == ("rows", "t")
+
+    def test_compressed_vectors_share_mask_token(self):
+        # The Q6 fact: two compressions by the same mask agree.
+        module = parse_module("""
+        module M {
+            def main(x:f64, y:f64): f64 {
+                m:bool = @gt(x, 1.0:f64);
+                a:f64 = @compress(m, x);
+                b:f64 = @compress(m, y);
+                p:f64 = @mul(a, b);
+                s:f64 = @sum(p);
+                return s;
+            }
+        }
+        """)
+        facts = infer_method(module.methods["main"], module,
+                             strict=True)  # must not report a mismatch
+        body = module.methods["main"].body
+        shape_a = facts.stmt_facts[id(body[1])].shape
+        shape_b = facts.stmt_facts[id(body[2])].shape
+        assert shape_a.token == shape_b.token

@@ -1,4 +1,5 @@
-"""Verifier and printer behaviours not covered elsewhere."""
+"""Printer and parser behaviours not covered elsewhere (the verifier's
+own table is ``test_verify.py``)."""
 
 import pytest
 
@@ -6,129 +7,7 @@ from repro.core import ir
 from repro.core import types as ht
 from repro.core.parser import parse_method, parse_module
 from repro.core.printer import print_method, print_module, print_stmt
-from repro.core.verify import verify_method, verify_module
-from repro.errors import HorseSyntaxError, HorseVerifyError
-
-
-class TestVerifier:
-    def test_empty_module_rejected(self):
-        with pytest.raises(HorseVerifyError, match="no methods"):
-            verify_module(ir.Module("Empty"))
-
-    def test_missing_return_rejected(self):
-        method = ir.Method("m", [], ht.F64, [
-            ir.Assign("a", ht.F64, ir.Literal(1.0, ht.F64)),
-        ])
-        with pytest.raises(HorseVerifyError, match="return"):
-            verify_method(method)
-
-    def test_both_branches_returning_is_terminal(self):
-        method = parse_method("""
-        def m(c:bool): i64 {
-            if (c) {
-                return 1:i64;
-            } else {
-                return 0:i64;
-            }
-        }
-        """)
-        verify_method(method)
-
-    def test_one_armed_if_is_not_terminal(self):
-        source = """
-        module M {
-            def m(c:bool): i64 {
-                if (c) {
-                    return 1:i64;
-                }
-            }
-        }
-        """
-        with pytest.raises(HorseVerifyError, match="return"):
-            verify_module(parse_module(source))
-
-    def test_branch_local_definition_not_visible_after(self):
-        source = """
-        module M {
-            def m(c:bool): i64 {
-                if (c) {
-                    x:i64 = 1:i64;
-                } else {
-                    y:i64 = 2:i64;
-                }
-                return x;
-            }
-        }
-        """
-        with pytest.raises(HorseVerifyError, match="before assignment"):
-            verify_module(parse_module(source))
-
-    def test_definition_on_both_branches_is_visible(self):
-        source = """
-        module M {
-            def m(c:bool): i64 {
-                if (c) {
-                    x:i64 = 1:i64;
-                } else {
-                    x:i64 = 2:i64;
-                }
-                return x;
-            }
-        }
-        """
-        verify_module(parse_module(source))
-
-    def test_loop_body_definitions_do_not_escape(self):
-        source = """
-        module M {
-            def m(c:bool): i64 {
-                while (c) {
-                    x:i64 = 1:i64;
-                }
-                return x;
-            }
-        }
-        """
-        with pytest.raises(HorseVerifyError, match="before assignment"):
-            verify_module(parse_module(source))
-
-    def test_builtin_arity_checked(self):
-        method = ir.Method("m", [ir.Param("x", ht.F64)], ht.F64, [
-            ir.Return(ir.BuiltinCall("add", [ir.Var("x")])),
-        ])
-        with pytest.raises(HorseVerifyError, match="expects 2"):
-            verify_method(method)
-
-    def test_call_to_unknown_method_rejected(self):
-        source_module = ir.Module("M")
-        source_module.add(ir.Method("main", [], ht.F64, [
-            ir.Return(ir.MethodCall("ghost", [])),
-        ]))
-        with pytest.raises(HorseVerifyError, match="unknown method"):
-            verify_module(source_module)
-
-    def test_method_call_arity_checked(self):
-        source = """
-        module M {
-            def helper(x:f64): f64 {
-                return x;
-            }
-            def main(a:f64): f64 {
-                b:f64 = @helper(a, a);
-                return b;
-            }
-        }
-        """
-        with pytest.raises(HorseVerifyError, match="expects 1"):
-            verify_module(parse_module(source))
-
-    def test_duplicate_parameter_names_rejected(self):
-        method = ir.Method("m", [ir.Param("x", ht.F64),
-                                 ir.Param("x", ht.F64)], ht.F64, [
-            ir.Return(ir.Var("x")),
-        ])
-        with pytest.raises(HorseVerifyError, match="duplicate"):
-            verify_method(method)
+from repro.errors import HorseSyntaxError
 
 
 ROUND_TRIP_SOURCES = [

@@ -123,8 +123,8 @@ end
 def test_ablation_udf_inlining(benchmark, inlining):
     """Cost of keeping the UDF as an opaque method call vs inlining it."""
     from repro.core import types as ht
+    from repro.engine import EngineSession
     from repro.engine.storage import Database
-    from repro.horsepower import HorsePowerSystem
     from repro.horsepower.translate import build_query_module
     from repro.core.optimizer.inline import inline_methods
 
@@ -135,11 +135,11 @@ def test_ablation_udf_inlining(benchmark, inlining):
         "l_extendedprice": rng.uniform(100, 10_000, n),
         "l_discount": np.round(rng.uniform(0, 0.1, n), 2),
     })
-    hp = HorsePowerSystem(db)
-    hp.register_scalar_udf("calcRevenue", _UDF_MATLAB, [ht.F64, ht.F64],
-                           ht.F64)
-    plan_json = hp.plan_sql(_UDF_QUERY)
-    module = build_query_module(plan_json, hp.udfs)
+    session = EngineSession(db)
+    session.register_scalar_udf("calcRevenue", _UDF_MATLAB,
+                                [ht.F64, ht.F64], ht.F64)
+    _, plan_json = session.plan_sql(_UDF_QUERY)
+    module = build_query_module(plan_json, session.udfs)
     if inlining == "enabled":
         program = compile_module(module, "opt")
     else:

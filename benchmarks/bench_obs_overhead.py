@@ -1,54 +1,29 @@
-"""Micro-benchmark: the cost of *disabled* tracing and profiling on
+"""Micro-benchmark: the cost of every *disabled* instrument on warm
 TPC-H Q6.
 
-Tracing is off by default and must stay near free: every
-instrumentation site costs one ``ctx.tracer`` read plus one no-op
-``span()`` call when disabled.  This benchmark bounds that cost on the
-paper's Q6:
+Each instrument is off by default and must stay near free.  For each
+one this script measures the per-site cost of its disabled form in a
+tight loop, counts the sites one Q6 run passes through (by running once
+with the instrument on), and bounds ``sites x per-site cost / warm Q6
+runtime`` at **<2%**:
 
-1. median warm Q6 runtime with the default :data:`NULL_TRACER`;
-2. the number of span sites one Q6 run passes through (counted by
-   running once under a real tracer);
-3. the measured per-site cost of a disabled span (tight loop).
+* tracer — ``NULL_TRACER.span()`` enter + exit, one per span site;
+* allocation profiler — the ``if profile.enabled:`` branch at every
+  charge point;
+* governor — the ``if limits.enabled:`` branch at every cancellation
+  checkpoint (chunk / statement / plan item / optimizer pass / baseline
+  plan operator);
+* session telemetry — the one ``if telemetry.enabled:`` branch at the
+  top of ``run_sql``;
+* table statistics — ``stats.fingerprint()`` in the plan-cache key plus
+  the ``if self.stats.enabled:`` branch after execution, on an empty
+  store;
+* IR verification — ``PassManager._verify``'s ``if not self.verify:
+  return``, once for the input module and once per pass application of
+  one cold compile (against the same warm-Q6 denominator).
 
-``overhead = sites x per-site cost / runtime`` — the acceptance bar is
-**<2%**.  For reference it also reports the *enabled* tracing runtime,
-which is allowed to be slower (it allocates and timestamps real spans).
-
-The allocation profiler (PR 4) gets the same treatment: its disabled
-form is a single ``if profile.enabled:`` branch on the
-:data:`NULL_PROFILE` singleton, its site count is the number of charge
-events a profiled Q6 run records, and its disabled overhead must also
-stay **<2%** of the warm runtime.
-
-The query governor (PR 6) follows the same pattern a third time: every
-cancellation checkpoint (chunk / statement / plan item / optimizer
-pass) is one ``if limits.enabled:`` branch on the ``NULL_LIMITS``
-singleton when no timeout or budget is set, the site count is
-``limits.checks`` after one governed run with an unreachable deadline,
-and the disabled overhead must stay **<2%** of warm Q6.
-
-Session telemetry (PR 7) is the cheapest of the four: exactly **one**
-site per query — the ``if telemetry.enabled:`` branch at the top of
-``run_sql`` on an unconfigured :class:`~repro.obs.SessionTelemetry`
-(``enabled`` is a plain ``False`` attribute).  Everything else (the
-private tracer, the record dict, the query log write) is behind that
-branch, so the disabled cost is one attribute read + truth test,
-bounded by the same **<2%** bar.
-
-IR verification (``--verify-ir``) has one disabled site,
-``PassManager._verify``: its first action is ``if not self.verify:
-return``, one cold Q6 compile calls it once for the input module and
-once per pass application, and that count times the measured disabled
-call (against the same warm-Q6 denominator as the others, although warm
-runs compile nothing at all) must stay **<2%**.
-
-Table statistics (PR 9) follow the telemetry pattern: with no
-``ANALYZE`` run, the :class:`~repro.stats.StatsStore` is empty and a
-warm query pays exactly two sites — the ``stats.fingerprint()`` call in
-the plan-cache key and the ``if self.stats.enabled:`` branch after
-execution (``plan_sql`` pays a third on the cold path only).  Both are
-measured on an empty store and bounded by the same **<2%** bar.
+For reference it also reports the *enabled* tracing runtime, which is
+allowed to be slower (it allocates and timestamps real spans).
 
 Usage::
 
@@ -68,7 +43,7 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if _REPO_ROOT not in sys.path:
     sys.path.insert(0, _REPO_ROOT)
 
-from benchmarks.harness import make_tpch_systems, time_callable  # noqa: E402
+from benchmarks.harness import make_tpch_session, time_callable  # noqa: E402
 from repro.core.limits import NULL_LIMITS  # noqa: E402
 from repro.obs import (NULL_PROFILE, NULL_TRACER, AllocationProfile,  # noqa: E402
                        SessionTelemetry, Tracer)
@@ -179,7 +154,7 @@ def measure_disabled_verify_cost(loops: int = _NULL_SPAN_LOOPS) -> float:
     return (time.perf_counter() - start) / loops
 
 
-def count_verify_sites_per_compile(hp, sql: str) -> int:
+def count_verify_sites_per_compile(session, sql: str) -> int:
     """Verification call sites one cold Q6 compile passes through
     (counted by wrapping the manager's verify hook)."""
     from repro.core import passes as passes_mod
@@ -193,61 +168,61 @@ def count_verify_sites_per_compile(hp, sql: str) -> int:
 
     passes_mod.PassManager._verify = counting
     try:
-        hp.compile_sql(sql)
+        session.compile_sql(sql)
     finally:
         passes_mod.PassManager._verify = orig
     return counts[0]
 
 
-def count_checkpoints_per_run(hp, sql: str) -> int:
+def count_checkpoints_per_run(session, sql: str) -> int:
     """Cancellation checkpoints one warm, governed Q6 run passes
     through — measured by granting a deadline far in the future and
     reading ``limits.checks`` back."""
-    limits = hp.governor.grant(timeout=3600.0)
-    hp.run_sql(sql, ctx=replace(hp.session.context(), limits=limits))
+    limits = session.governor.grant(timeout=3600.0)
+    session.run_sql(sql, ctx=replace(session.context(), limits=limits))
     return limits.checks
 
 
-def count_spans_per_run(hp, sql: str) -> int:
+def count_spans_per_run(session, sql: str) -> int:
     """Span sites one warm Q6 run passes through."""
     tracer = Tracer()
-    hp.run_sql(sql, ctx=replace(hp.session.context(), tracer=tracer))
+    session.run_sql(sql, ctx=replace(session.context(), tracer=tracer))
     return len(tracer.all_spans())
 
 
-def count_charge_sites_per_run(hp, sql: str) -> int:
+def count_charge_sites_per_run(session, sql: str) -> int:
     """Profiler charge events one warm, profiled Q6 run records."""
     profile = AllocationProfile()
-    hp.run_sql(sql, ctx=replace(hp.session.context(), profile=profile))
+    session.run_sql(sql, ctx=replace(session.context(), profile=profile))
     return profile.events
 
 
 def main() -> int:
-    hp, _ = make_tpch_systems()
+    session = make_tpch_session()
     sql = PLAIN_QUERIES["q6"]
-    hp.run_sql(sql)  # compile + cache: measurements below are warm
+    session.run_sql(sql)  # compile + cache: measurements below are warm
 
-    disabled = time_callable(lambda: hp.run_sql(sql), warmup=2,
+    disabled = time_callable(lambda: session.run_sql(sql), warmup=2,
                              rounds=7)
     site_cost = measure_null_span_cost()
-    sites = count_spans_per_run(hp, sql)
+    sites = count_spans_per_run(session, sql)
 
-    traced = replace(hp.session.context(), tracer=Tracer())
-    enabled = time_callable(lambda: hp.run_sql(sql, ctx=traced),
+    traced = replace(session.context(), tracer=Tracer())
+    enabled = time_callable(lambda: session.run_sql(sql, ctx=traced),
                             warmup=2, rounds=7)
 
     prof_site_cost = measure_null_profile_cost()
-    charge_sites = count_charge_sites_per_run(hp, sql)
+    charge_sites = count_charge_sites_per_run(session, sql)
 
     gov_site_cost = measure_null_limits_cost()
-    checkpoints = count_checkpoints_per_run(hp, sql)
+    checkpoints = count_checkpoints_per_run(session, sql)
 
     tel_site_cost = measure_disabled_telemetry_cost()
 
     stats_site_cost = measure_disabled_stats_cost()
 
     verify_site_cost = measure_disabled_verify_cost()
-    verify_sites = count_verify_sites_per_compile(hp, sql)
+    verify_sites = count_verify_sites_per_compile(session, sql)
 
     overhead = sites * site_cost / disabled.seconds
     prof_overhead = charge_sites * prof_site_cost / disabled.seconds

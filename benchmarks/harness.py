@@ -9,9 +9,8 @@ laptop/CI-friendly scale and honour two environment variables:
 * ``REPRO_BENCH_THREADS`` — comma-separated thread counts for the sweep
   columns (default ``1,2,4``; the paper uses up to 64).
 
-Every benchmark records ``extra_info`` (system, workload, threads) so the
-pytest-benchmark JSON can be post-processed into paper-style tables;
-``benchmarks/report.py`` prints those tables directly.
+``benchmarks/report.py`` prints the paper-style tables
+(``benchmarks/tables.py``) built on these helpers.
 """
 
 from __future__ import annotations
@@ -25,14 +24,12 @@ from repro.data.blackscholes import load_blackscholes_table
 from repro.data.tpch import generate_tpch
 from repro.engine import EngineSession
 from repro.engine.storage import Database
-from repro.horsepower import HorsePowerSystem, MonetDBLike
 from repro.obs import Tracer, chrome_trace_json
-from repro.sql.udf import UDFRegistry
 from repro.workloads.bs_queries import register_bs_udfs
 from repro.workloads.tpch_queries import register_tpch_udfs
 
-__all__ = ["bench_scale", "thread_counts", "make_tpch_systems",
-           "make_bs_systems", "time_callable", "Timed",
+__all__ = ["bench_scale", "thread_counts", "make_tpch_session",
+           "make_bs_session", "time_callable", "Timed",
            "time_cold_warm", "ColdWarm", "trace_dir", "bench_session",
            "compile_matlab", "dump_bench_trace"]
 
@@ -50,8 +47,8 @@ def trace_dir() -> str | None:
 def bench_session() -> EngineSession:
     """The benchmark process's one instrumented session.  Its registry
     — and its tracer, a real one when the ``REPRO_BENCH_TRACE``
-    directory flag is set — are handed to every system the harness
-    builds, so both facades' spans and counters land in the one trace /
+    directory flag is set — are handed to every session the harness
+    builds, so all spans and counters land in the one trace /
     ``--metrics-json`` file ``report.py`` writes per run."""
     if "session" not in _CACHE:
         _CACHE["session"] = EngineSession(
@@ -104,40 +101,35 @@ BLACKSCHOLES_ROWS = 400_000
 _CACHE: dict = {}
 
 
-def _make_systems(db, udfs) -> tuple[HorsePowerSystem, MonetDBLike]:
-    """Both facades over ``db``, reporting into the harness session's
-    tracer and registry."""
+def _make_session(db) -> EngineSession:
+    """A session over ``db`` reporting into the harness session's
+    tracer and registry; the tables reach the MonetDB-like engine
+    through it as ``backend="baseline"``."""
     shared = bench_session()
-    return (HorsePowerSystem(db, udfs, tracer=shared.tracer,
-                             metrics=shared.metrics),
-            MonetDBLike(db, udfs, tracer=shared.tracer,
-                        metrics=shared.metrics))
+    return EngineSession(db, tracer=shared.tracer,
+                         metrics=shared.metrics)
 
 
-def make_tpch_systems() -> tuple[HorsePowerSystem, MonetDBLike]:
-    """Module-cached TPC-H database + both systems with UDFs
-    registered."""
+def make_tpch_session() -> EngineSession:
+    """Module-cached TPC-H database + session with UDFs registered."""
     key = ("tpch", bench_scale())
     if key not in _CACHE:
-        db = generate_tpch(
-            scale_factor=TPCH_SCALE_FACTOR * bench_scale())
-        udfs = UDFRegistry()
-        hp, mdb = _make_systems(db, udfs)
-        register_tpch_udfs(hp)
-        _CACHE[key] = (hp, mdb)
+        session = _make_session(generate_tpch(
+            scale_factor=TPCH_SCALE_FACTOR * bench_scale()))
+        register_tpch_udfs(session)
+        _CACHE[key] = session
     return _CACHE[key]
 
 
-def make_bs_systems() -> tuple[HorsePowerSystem, MonetDBLike]:
+def make_bs_session() -> EngineSession:
     key = ("bs", bench_scale())
     if key not in _CACHE:
         db = Database()
         load_blackscholes_table(db, int(BLACKSCHOLES_ROWS
                                         * bench_scale()))
-        udfs = UDFRegistry()
-        hp, mdb = _make_systems(db, udfs)
-        register_bs_udfs(hp)
-        _CACHE[key] = (hp, mdb)
+        session = _make_session(db)
+        register_bs_udfs(session)
+        _CACHE[key] = session
     return _CACHE[key]
 
 
@@ -193,13 +185,13 @@ class ColdWarm:
                 if self.warm_seconds > 0 else float("inf"))
 
 
-def time_cold_warm(system: HorsePowerSystem, sql: str, *,
+def time_cold_warm(session: EngineSession, sql: str, *,
                    n_threads: int = 1, warm_rounds: int = 3) -> ColdWarm:
     """Measure one cold ``run_sql`` (fresh cache entry: full
     parse→plan→optimize→codegen) and the median warm repeat (plan-cache
     hit: execution only)."""
     start = time.perf_counter()
-    prepared = system.prepare(sql)
+    prepared = session.prepare(sql)
     prepared.run(n_threads=n_threads)
     cold = time.perf_counter() - start
     if prepared.cached:
@@ -208,7 +200,7 @@ def time_cold_warm(system: HorsePowerSystem, sql: str, *,
         raise RuntimeError(f"query already cached; cold timing is "
                            f"meaningless: {sql!r}")
     warm = time_callable(
-        lambda: system.run_sql(sql, n_threads=n_threads),
+        lambda: session.run_sql(sql, n_threads=n_threads),
         warmup=1, rounds=warm_rounds)
     report = prepared.program.report
     return ColdWarm(cold, warm.seconds, prepared.compile_seconds,

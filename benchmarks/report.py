@@ -38,7 +38,7 @@ def _parse_args(argv):
                              "'cache' is the prepared-query cold/warm "
                              "table)")
     parser.add_argument("--metrics-json", type=str, default=None,
-                        help="write the metrics of every system the "
+                        help="write the metrics of every session the "
                              "harness built (kernels, rows, pool, plan "
                              "cache, per-phase compile totals) as flat "
                              "JSON after the run")

@@ -1,15 +1,17 @@
 """Paper-style table rendering for the four evaluation tables.
 
-Each ``report_tableN(emit)`` runs the measurements (through the same
-harness the pytest benchmarks use) and prints rows matching the paper's
-layout: execution times in milliseconds with speedup columns.
+Each ``report_tableN(emit)`` runs the measurements and prints rows
+matching the paper's layout: execution times in milliseconds with
+speedup columns.  Both sides of Tables 2 and 4 are one session's
+``compile_sql`` — ``backend="baseline"`` for the MonetDB-like engine —
+timed through ``CompiledQuery.run``.
 """
 
 from __future__ import annotations
 
 from benchmarks.harness import (TABLE1_SIZES, bench_scale,
-                                compile_matlab, make_bs_systems,
-                                make_tpch_systems, thread_counts,
+                                compile_matlab, make_bs_session,
+                                make_tpch_session, thread_counts,
                                 time_callable, time_cold_warm)
 from repro.data.blackscholes import calc_option_price, generate_blackscholes
 from repro.data.morgan import generate_morgan
@@ -115,18 +117,19 @@ def report_table2(emit) -> None:
         header += f" | {query + ' MDB':>9} {query + ' HP':>9} {'SP':>7}"
     emit(header)
 
-    hp, mdb = make_tpch_systems()
-    compiled = {query: hp.compile_sql(UDF_QUERIES[query])
+    session = make_tpch_session()
+    compiled = {query: session.compile_sql(UDF_QUERIES[query])
                 for query in TPCH_UDF_QUERY_NAMES}
-    plans = {query: mdb.plan_sql(UDF_QUERIES[query])
-             for query in TPCH_UDF_QUERY_NAMES}
+    baseline = {query: session.compile_sql(UDF_QUERIES[query],
+                                           backend="baseline")
+                for query in TPCH_UDF_QUERY_NAMES}
 
     for threads in thread_counts():
         row = f"T{threads:<7}"
         for query in TPCH_UDF_QUERY_NAMES:
             t_mdb = time_callable(
-                lambda q=query: mdb.executor.execute(
-                    plans[q], n_threads=threads)).seconds
+                lambda q=query: baseline[q].run(
+                    n_threads=threads)).seconds
             t_hp = time_callable(
                 lambda q=query: compiled[q].run(
                     n_threads=threads)).seconds
@@ -190,7 +193,7 @@ def report_table4(emit) -> None:
          "HorsePower (HP), times in ms")
     emit()
     threads = sorted({min(thread_counts()), max(thread_counts())})
-    hp, mdb = make_bs_systems()
+    session = make_bs_session()
 
     for style, queries in (("Table UDF", TABLE_QUERIES),
                            ("Scalar UDF", SCALAR_QUERIES)):
@@ -202,14 +205,13 @@ def report_table4(emit) -> None:
         emit(header)
         for variant in BS_VARIANT_NAMES:
             sql = queries[variant]
-            compiled = hp.compile_sql(sql)
-            plan = mdb.plan_sql(sql)
+            compiled = session.compile_sql(sql)
+            baseline = session.compile_sql(sql, backend="baseline")
             row = (f"{variant:>10} "
                    f"{PAPER_SELECTIVITY[variant] * 100:6.1f}%")
             for t in threads:
                 t_mdb = time_callable(
-                    lambda: mdb.executor.execute(
-                        plan, n_threads=t)).seconds
+                    lambda: baseline.run(n_threads=t)).seconds
                 t_hp = time_callable(
                     lambda: compiled.run(n_threads=t)).seconds
                 row += (f" | {_fmt_ms(t_mdb)} {_fmt_ms(t_hp)} "
@@ -230,18 +232,18 @@ def report_plan_cache(emit) -> None:
     emit("## Prepared-query cache -- cold vs warm run_sql "
          "(TPC-H UDF queries)")
     emit()
-    hp, _ = make_tpch_systems()
+    session = make_tpch_session()
     emit(f"{'query':>8} | {'COLD ms':>9} {'WARM ms':>9} "
          f"{'COMP ms':>9} {'OPT ms':>9} {'GEN ms':>9} {'SPEEDUP':>8}")
     for query in TPCH_UDF_QUERY_NAMES:
-        hp.plan_cache.invalidate()
-        cw = time_cold_warm(hp, UDF_QUERIES[query])
+        session.plan_cache.invalidate()
+        cw = time_cold_warm(session, UDF_QUERIES[query])
         emit(f"{query:>8} | {_fmt_ms(cw.cold_seconds)} "
              f"{_fmt_ms(cw.warm_seconds)} "
              f"{_fmt_ms(cw.compile_seconds)} "
              f"{_fmt_ms(cw.optimize_seconds)} "
              f"{_fmt_ms(cw.codegen_seconds)} "
              f"{_fmt_speedup(cw.speedup)}")
-    stats = hp.cache_stats
+    stats = session.cache_stats
     emit(f"plan cache: {stats.summary()}")
     emit()

@@ -12,7 +12,7 @@ import json
 
 import numpy as np
 
-from repro import Database, HorsePowerSystem, MonetDBLike
+from repro import Database, EngineSession
 from repro.core.printer import print_module
 
 
@@ -26,7 +26,7 @@ def main() -> None:
         "l_discount": np.round(rng.uniform(0.0, 0.1, n), 2),
     })
 
-    hp = HorsePowerSystem(db)
+    session = EngineSession(db)
     sql = """
         SELECT SUM(l_extendedprice * l_discount) AS RevenueChange
         FROM lineitem
@@ -36,13 +36,13 @@ def main() -> None:
     print(sql)
 
     # 2. The logical plan, as the JSON the translator consumes.
-    plan_json = hp.plan_sql(sql)
+    _, plan_json = session.plan_sql(sql)
     print("Logical plan (JSON):")
     print(json.dumps(plan_json, indent=2)[:800])
     print()
 
     # 3. The HorseIR program (compare the paper's Figure 2b).
-    compiled = hp.compile_sql(sql)
+    compiled = session.compile_sql(sql)
     print("Generated HorseIR (before optimization):")
     print(print_module(compiled.module_before_opt))
 
@@ -58,12 +58,12 @@ def main() -> None:
               "the whole pipeline\ninto a single @dot_masked call "
               "(predicate + compress + multiply + sum in one pass).\n")
 
-    # 5. Execute, and cross-check against the MonetDB-like baseline.
+    # 5. Execute, and cross-check against the MonetDB-like baseline —
+    #    the same session, a different backend.
     result = compiled.run()
     print("HorsePower result:", result.to_pylist())
 
-    baseline = MonetDBLike(db, hp.udfs)
-    mdb_result = baseline.run_sql(sql)
+    mdb_result = session.run_sql(sql, backend="baseline")
     print("Baseline result:  ",
           float(mdb_result.column("RevenueChange")[0]))
     print(f"(compile time: {compiled.compile_seconds * 1000:.1f} ms)")

@@ -1,4 +1,4 @@
-"""Advanced analytics over TPC-H: SQL + MATLAB UDFs on both systems.
+"""Advanced analytics over TPC-H: SQL + MATLAB UDFs on both engines.
 
 Generates TPC-H data, registers the Froid-style UDFs, and runs the
 modified q6 and q12 on the MonetDB-like baseline and on HorsePower,
@@ -14,8 +14,7 @@ import sys
 import time
 
 from repro.data.tpch import generate_tpch
-from repro.horsepower import HorsePowerSystem, MonetDBLike
-from repro.sql.udf import UDFRegistry
+from repro.engine import EngineSession
 from repro.workloads.tpch_queries import UDF_QUERIES, register_tpch_udfs
 
 
@@ -35,10 +34,9 @@ def main() -> None:
     db = generate_tpch(scale_factor=scale)
     print(f"  lineitem: {db.table('lineitem').num_rows} rows")
 
-    udfs = UDFRegistry()
-    hp = HorsePowerSystem(db, udfs)
-    mdb = MonetDBLike(db, udfs)
-    register_tpch_udfs(hp)
+    session = EngineSession(db)
+    register_tpch_udfs(session)
+    bridge = session.baseline_executor().bridge
 
     for name in ("q6", "q12"):
         sql = UDF_QUERIES[name]
@@ -46,17 +44,17 @@ def main() -> None:
               f"(UDF in the WHERE clause) ===")
         print(sql)
 
-        compiled = hp.compile_sql(sql)
-        plan = mdb.plan_sql(sql)
+        compiled = session.compile_sql(sql)
+        baseline = session.compile_sql(sql, backend="baseline")
 
-        mdb.bridge.calls = 0
-        mdb.bridge.values_converted_in = 0
-        t_mdb = best_of(lambda: mdb.executor.execute(plan))
+        bridge.calls = 0
+        bridge.values_converted_in = 0
+        t_mdb = best_of(lambda: baseline.run())
         t_hp = best_of(lambda: compiled.run())
 
         print(f"MonetDB-like : {t_mdb:9.1f} ms   "
-              f"(bridge calls: {mdb.bridge.calls}, values converted "
-              f"per run: {mdb.bridge.values_converted_in // 4})")
+              f"(bridge calls: {bridge.calls}, values converted "
+              f"per run: {bridge.values_converted_in // 4})")
         print(f"HorsePower   : {t_hp:9.1f} ms   "
               f"(UDF inlined; {compiled.program.report.fused_segments} "
               f"fused kernels; compile "
@@ -64,7 +62,7 @@ def main() -> None:
         print(f"speedup      : {t_mdb / t_hp:9.2f}x")
 
         hp_result = compiled.run()
-        mdb_result = mdb.run_sql(sql)
+        mdb_result = baseline.run()
         print("results match:",
               hp_result.num_rows == mdb_result.num_rows)
 

@@ -17,11 +17,10 @@ import time
 
 import numpy as np
 
-from repro import Database, HorsePowerSystem, MonetDBLike
+from repro import Database, EngineSession
 from repro.core import types as ht
 from repro.core.depgraph import build_depgraph
 from repro.core.printer import print_module
-from repro.sql.udf import UDFRegistry
 
 MATLAB_UDF = """
 function r = calcRevenueChangeScalar(price, discount)
@@ -50,13 +49,12 @@ def main() -> None:
         "l_extendedprice": rng.uniform(100.0, 10_000.0, n),
         "l_discount": np.round(rng.uniform(0.0, 0.1, n), 2),
     })
-    udfs = UDFRegistry()
-    hp = HorsePowerSystem(db, udfs)
-    hp.register_scalar_udf("calcRevenueChangeScalar", MATLAB_UDF,
-                           [ht.F64, ht.F64], ht.F64,
-                           python_impl=python_udf)
+    session = EngineSession(db)
+    session.register_scalar_udf("calcRevenueChangeScalar", MATLAB_UDF,
+                                [ht.F64, ht.F64], ht.F64,
+                                python_impl=python_udf)
 
-    compiled = hp.compile_sql(SQL)
+    compiled = session.compile_sql(SQL)
 
     print("Merged HorseIR before optimization (compare Figure 6):")
     print(print_module(compiled.module_before_opt))
@@ -78,8 +76,7 @@ def main() -> None:
         print(source)
 
     # Timings: black-box UDF vs holistic compilation.
-    baseline = MonetDBLike(db, udfs)
-    plan = baseline.plan_sql(SQL)
+    baseline = session.compile_sql(SQL, backend="baseline")
 
     def best_of(fn, rounds=3):
         fn()
@@ -90,7 +87,7 @@ def main() -> None:
         fn()
         return time.perf_counter() - start
 
-    t_mdb = best_of(lambda: baseline.executor.execute(plan))
+    t_mdb = best_of(lambda: baseline.run())
     t_hp = best_of(lambda: compiled.run())
     print(f"MonetDB-like (black-box UDF): {t_mdb * 1000:8.1f} ms")
     print(f"HorsePower (inlined + fused): {t_hp * 1000:8.1f} ms "

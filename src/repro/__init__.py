@@ -6,39 +6,38 @@ for Advanced Data Analytics: A New Approach* (HorsePower), EDBT 2021.
 
 Quick tour of the public API::
 
-    from repro import Database, HorsePowerSystem, MonetDBLike
+    from repro import Database, EngineSession
 
     db = Database()
     db.create_table("t", {"x": some_numpy_array})
 
-    hp = HorsePowerSystem(db)            # the paper's system
-    result = hp.run_sql("SELECT SUM(x) AS s FROM t")
+    session = EngineSession(db)          # the system: one front door
+    result = session.run_sql("SELECT SUM(x) AS s FROM t")
 
-    mdb = MonetDBLike(db, hp.udfs)       # the baseline it is compared to
-    baseline = mdb.run_sql("SELECT SUM(x) AS s FROM t")
+    # the MonetDB-like engine it is compared to is a backend choice
+    baseline = session.run_sql("SELECT SUM(x) AS s FROM t",
+                               backend="baseline")
 
-    program = hp.compile_matlab_function(matlab_source)   # MATLAB path
+    program = session.compile_matlab(matlab_source)       # MATLAB path
     answer = program(numpy_inputs)
 
 Subpackages: :mod:`repro.core` (HorseIR + compiler), :mod:`repro.sql`
 (frontend/planner), :mod:`repro.matlang` (MATLAB-subset frontend),
-:mod:`repro.engine` (column-store baseline), :mod:`repro.horsepower`
-(system facades), :mod:`repro.data` / :mod:`repro.workloads` (benchmark
-inputs).
+:mod:`repro.engine` (the session, its backends and the column-store
+baseline), :mod:`repro.horsepower` (plan cache + SQL/UDF merger),
+:mod:`repro.data` / :mod:`repro.workloads` (benchmark inputs).
 """
 
+from repro.engine.session import CompiledQuery, EngineSession  # noqa: F401
 from repro.engine.storage import Database  # noqa: F401
 from repro.engine.table import ColumnTable  # noqa: F401
-from repro.horsepower import (  # noqa: F401
-    CompiledQuery, HorsePowerSystem, MonetDBLike,
-)
 from repro.matlang import compile_matlab, matlab_to_module  # noqa: F401
 from repro.sql.udf import ScalarUDF, TableUDFDef, UDFRegistry  # noqa: F401
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "Database", "ColumnTable", "HorsePowerSystem", "MonetDBLike",
-    "CompiledQuery", "compile_matlab", "matlab_to_module",
+    "Database", "ColumnTable", "EngineSession", "CompiledQuery",
+    "compile_matlab", "matlab_to_module",
     "ScalarUDF", "TableUDFDef", "UDFRegistry", "__version__",
 ]

@@ -2,9 +2,9 @@
 
 Commands:
 
-* ``run-sql``        — execute a SQL query against CSV/TPC-H tables on
-  either system (``--system horsepower|monetdb``), optionally picking
-  the execution engine (``--backend``), print the result;
+* ``run-sql``        — execute a SQL query against CSV/TPC-H tables,
+  optionally picking the execution engine (``--backend``; ``baseline``
+  is the MonetDB-like comparison engine), print the result;
 * ``compile-sql``    — show the full provenance chain for a query: plan
   JSON, generated HorseIR (before/after optimization) and fused kernels;
 * ``compile-matlab`` — translate a MATLAB file to HorseIR (and optionally
@@ -115,47 +115,22 @@ def _print_table(result, limit: int) -> None:
 
 
 def _cmd_run_sql(args) -> int:
-    from repro.horsepower import HorsePowerSystem, MonetDBLike
+    from repro.engine.session import EngineSession
     from repro.obs import AllocationProfile, Tracer
 
     backend = args.backend
     if backend is not None:
         from repro.engine.backends import default_registry
-        if args.system == "monetdb":
-            raise SystemExit(
-                "--backend picks the HorsePower execution engine; with "
-                "--system monetdb the baseline engine always runs "
-                "(`--system horsepower --backend baseline` reaches it "
-                "through the registry)")
         if backend not in default_registry():
             known = ", ".join(sorted(default_registry().names()))
             raise SystemExit(
                 f"unknown backend {backend!r}; registered backends: "
                 f"{known} (see `python -m repro list-backends`)")
 
-    governed = (args.timeout is not None
-                or args.memory_budget is not None
-                or args.max_concurrent is not None)
-    if governed and args.system == "monetdb":
-        raise SystemExit(
-            "--timeout/--memory-budget/--max-concurrent govern the "
-            "HorsePower engine; the monetdb baseline runs ungoverned")
     telemetry_requested = (args.query_log is not None
-                          or args.slow_query_ms is not None
-                          or args.diagnostics_dir is not None
-                          or args.serve_metrics is not None)
-    if telemetry_requested and args.system == "monetdb":
-        raise SystemExit(
-            "--query-log/--slow-query-ms/--diagnostics-dir/"
-            "--serve-metrics attach to the HorsePower session; the "
-            "monetdb baseline runs without telemetry")
-    pipeline_requested = (args.passes is not None or args.verify_ir
-                          or args.dump_ir is not None)
-    if pipeline_requested and args.system == "monetdb":
-        raise SystemExit(
-            "--passes/--verify-ir/--dump-ir drive the HorsePower "
-            "compiler's pass pipeline; the monetdb baseline has no "
-            "pass pipeline")
+                           or args.slow_query_ms is not None
+                           or args.diagnostics_dir is not None
+                           or args.serve_metrics is not None)
     _validate_passes(args)
 
     db = _load_tables(args)
@@ -168,79 +143,67 @@ def _cmd_run_sql(args) -> int:
     tracer = Tracer() if args.trace or args.explain_analyze else None
     profile = AllocationProfile() if args.profile else None
 
-    hp = None
-    if args.system == "monetdb":
-        system = MonetDBLike(db, tracer=tracer, profile=profile)
-        if args.analyze:
-            system.analyze()
+    session = EngineSession(db, tracer=tracer, profile=profile)
+    if args.analyze:
+        session.analyze()
+    if args.max_concurrent is not None:
+        session.governor.configure(max_concurrent=args.max_concurrent)
+    if telemetry_requested:
+        telemetry = session.configure_telemetry(
+            query_log=args.query_log,
+            slow_query_ms=args.slow_query_ms,
+            diagnostics_dir=args.diagnostics_dir,
+            serve_metrics=args.serve_metrics)
+        if telemetry.server is not None:
+            # Printed (and flushed) before the query runs so a
+            # scraper can attach mid-run.
+            print(f"-- serving Prometheus metrics at "
+                  f"{telemetry.server.url} (Ctrl-C to stop)",
+                  flush=True)
+    use_cache = not args.no_cache
+    try:
         for _ in range(repeat):
-            result = system.run_sql(sql, n_threads=args.threads)
-    else:
-        system = hp = HorsePowerSystem(db, tracer=tracer,
-                                       profile=profile)
-        if args.analyze:
-            hp.analyze()
-        if args.max_concurrent is not None:
-            hp.governor.configure(max_concurrent=args.max_concurrent)
-        if telemetry_requested:
-            telemetry = hp.configure_telemetry(
-                query_log=args.query_log,
-                slow_query_ms=args.slow_query_ms,
-                diagnostics_dir=args.diagnostics_dir,
-                serve_metrics=args.serve_metrics)
-            if telemetry.server is not None:
-                # Printed (and flushed) before the query runs so a
-                # scraper can attach mid-run.
-                print(f"-- serving Prometheus metrics at "
-                      f"{telemetry.server.url} (Ctrl-C to stop)",
-                      flush=True)
-        use_cache = not args.no_cache
-        try:
-            for _ in range(repeat):
-                result = hp.run_sql(sql, n_threads=args.threads,
-                                    use_cache=use_cache,
-                                    backend=backend or "python",
-                                    timeout=args.timeout,
-                                    memory_budget=args.memory_budget,
-                                    pipeline=args.passes,
-                                    verify_ir=args.verify_ir,
-                                    dump_ir=args.dump_ir)
-        except PassVerificationError as exc:
-            print(f"error: {type(exc).__name__}: {exc}",
-                  file=sys.stderr)
-            return 2
-        except GovernorError as exc:
-            print(f"error: {type(exc).__name__}: {exc}",
-                  file=sys.stderr)
-            if args.query_log is not None:
-                print(f"-- query-log record appended to "
-                      f"{args.query_log}", file=sys.stderr)
-            if args.diagnostics_dir is not None:
-                print(f"-- diagnostics bundle written under "
-                      f"{args.diagnostics_dir}", file=sys.stderr)
-            return 2
-        if args.cache_stats:
-            print(f"-- plan cache: {hp.cache_stats.summary()} "
-                  f"entries={len(hp.plan_cache)}")
+            result = session.run_sql(sql, n_threads=args.threads,
+                                     use_cache=use_cache,
+                                     backend=backend or "python",
+                                     timeout=args.timeout,
+                                     memory_budget=args.memory_budget,
+                                     pipeline=args.passes,
+                                     verify_ir=args.verify_ir,
+                                     dump_ir=args.dump_ir)
+    except PassVerificationError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except GovernorError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        if args.query_log is not None:
+            print(f"-- query-log record appended to "
+                  f"{args.query_log}", file=sys.stderr)
+        if args.diagnostics_dir is not None:
+            print(f"-- diagnostics bundle written under "
+                  f"{args.diagnostics_dir}", file=sys.stderr)
+        return 2
+    if args.cache_stats:
+        print(f"-- plan cache: {session.cache_stats.summary()} "
+              f"entries={len(session.plan_cache)}")
 
     _print_table(result, args.limit)
-    if hp is not None and args.dump_ir is not None:
+    if args.dump_ir is not None:
         print(f"-- per-pass IR snapshots written under {args.dump_ir}")
     if tracer is not None:
         _emit_trace_outputs(args, tracer)
     if profile is not None:
         _emit_profile_output(args, profile)
     if args.metrics_json:
-        _write_metrics_json(args.metrics_json, system.session.metrics,
-                            hp)
-    if hp is not None and args.query_log is not None:
-        log = hp.telemetry.query_log
+        _write_metrics_json(args.metrics_json, session)
+    if args.query_log is not None:
+        log = session.telemetry.query_log
         print(f"-- query log: {log.emitted} record"
               f"{'' if log.emitted == 1 else 's'} appended to "
               f"{args.query_log}"
               + (f" ({log.sampled_out} sampled out)"
                  if log.sampled_out else ""))
-    if hp is not None and hp.telemetry.server is not None:
+    if session.telemetry.server is not None:
         # Keep the scrape endpoint alive until the user interrupts —
         # this is what lets `curl .../metrics` observe a bench run.
         import threading
@@ -248,28 +211,22 @@ def _cmd_run_sql(args) -> int:
             threading.Event().wait()
         except KeyboardInterrupt:
             pass
-        hp.telemetry.server.close()
+        session.telemetry.server.close()
     return 0
 
 
 def _explain_plan(args, db, sql) -> int:
     """Classic EXPLAIN: print the (estimated) plan, don't execute."""
-    from repro.horsepower import HorsePowerSystem, MonetDBLike
+    from repro.engine.session import EngineSession
     from repro.obs import render_plan
-    from repro.sql.parser import parse_sql
-    from repro.sql.planner import plan_query
 
-    system = (MonetDBLike(db) if args.system == "monetdb"
-              else HorsePowerSystem(db))
+    session = EngineSession(db)
     if args.analyze:
-        system.analyze()
-    stats = system.stats
-    plan = plan_query(parse_sql(sql), db.catalog(), system.udfs,
-                      pipeline=args.passes,
-                      table_stats=stats if stats.enabled else None)
+        session.analyze()
+    plan, _ = session.plan_sql(sql, pipeline=args.passes)
     print("-- EXPLAIN " + "-" * 52)
     print(render_plan(plan))
-    if not stats.enabled:
+    if not session.stats.enabled:
         print("-- no statistics collected; add --analyze for est_rows")
     return 0
 
@@ -324,12 +281,11 @@ def _emit_profile_output(args, profile) -> None:
           f"peak {format_bytes(profile.peak_bytes)})")
 
 
-def _write_metrics_json(path: str, metrics, hp=None) -> None:
-    """Dump the session's metrics (plus per-entry plan-cache stats when
-    the HorsePower system ran) as flat JSON."""
-    payload = {"metrics": metrics.snapshot()}
-    if hp is not None:
-        payload["plan_cache"] = hp.cache_stats.to_dict()
+def _write_metrics_json(path: str, session) -> None:
+    """Dump the session's metrics plus per-entry plan-cache stats as
+    flat JSON."""
+    payload = {"metrics": session.metrics.snapshot(),
+               "plan_cache": session.cache_stats.to_dict()}
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, default=str)
     print(f"-- metrics written to {path}")
@@ -368,18 +324,12 @@ def _lint_sql(args, sql: str, rules) -> list:
     """Lint one query at both layers: the planned tree and the
     optimized HorseIR module."""
     from repro.core.analysis import lint_module, lint_plan
-    from repro.horsepower import HorsePowerSystem
-    from repro.sql.parser import parse_sql
-    from repro.sql.planner import plan_query
+    from repro.engine.session import EngineSession
 
-    db = _load_tables(args)
-    hp = HorsePowerSystem(db)
-    stats = hp.stats
-    plan = plan_query(parse_sql(sql), db.catalog(), hp.udfs,
-                      pipeline=args.passes,
-                      table_stats=stats if stats.enabled else None)
+    session = EngineSession(_load_tables(args))
+    plan, _ = session.plan_sql(sql, pipeline=args.passes)
     findings = lint_plan(plan, rules)
-    compiled = hp.compile_sql(sql, pipeline=args.passes)
+    compiled = session.compile_sql(sql, pipeline=args.passes)
     findings.extend(lint_module(compiled.program.module, rules))
     return findings
 
@@ -391,41 +341,37 @@ def _lint_workloads(args, rules) -> list:
     from repro.core.analysis import lint_matlab, lint_module, lint_plan
     from repro.data.blackscholes import load_blackscholes_table
     from repro.data.tpch import generate_tpch
+    from repro.engine.session import EngineSession
     from repro.engine.storage import Database
-    from repro.horsepower import HorsePowerSystem
     from repro.matlang.parser import parse_program
-    from repro.sql.parser import parse_sql
-    from repro.sql.planner import plan_query
     from repro.workloads import bs_queries, matlab_sources
     from repro.workloads.tpch_queries import (EXTENDED_PLAIN_QUERIES,
                                               PLAIN_QUERIES,
                                               UDF_QUERIES,
                                               register_tpch_udfs)
 
-    tpch_db = generate_tpch(scale_factor=args.tpch or 0.002)
-    tpch = HorsePowerSystem(tpch_db)
+    tpch = EngineSession(generate_tpch(scale_factor=args.tpch or 0.002))
     register_tpch_udfs(tpch)
     bs_db = Database()
     load_blackscholes_table(bs_db, 500)
-    bs = HorsePowerSystem(bs_db)
+    bs = EngineSession(bs_db)
     bs_queries.register_bs_udfs(bs)
 
-    work = [(tpch, tpch_db, f"tpch/{name}", sql) for name, sql in
+    work = [(tpch, f"tpch/{name}", sql) for name, sql in
             {**PLAIN_QUERIES, **EXTENDED_PLAIN_QUERIES,
              **UDF_QUERIES}.items()]
-    work += [(bs, bs_db, f"bs-scalar/{name}", sql)
+    work += [(bs, f"bs-scalar/{name}", sql)
              for name, sql in bs_queries.SCALAR_QUERIES.items()]
-    work += [(bs, bs_db, f"bs-table/{name}", sql)
+    work += [(bs, f"bs-table/{name}", sql)
              for name, sql in bs_queries.TABLE_QUERIES.items()]
 
     findings = []
-    for system, db, tag, sql in work:
-        plan = plan_query(parse_sql(sql), db.catalog(), system.udfs,
-                          pipeline=args.passes)
+    for session, tag, sql in work:
+        plan, _ = session.plan_sql(sql, pipeline=args.passes)
         for finding in lint_plan(plan, rules):
             findings.append(finding._replace(
                 location=f"{tag}: {finding.location}"))
-        compiled = system.compile_sql(sql, pipeline=args.passes)
+        compiled = session.compile_sql(sql, pipeline=args.passes)
         for finding in lint_module(compiled.program.module, rules):
             findings.append(finding._replace(
                 location=f"{tag}: {finding.location}"))
@@ -473,16 +419,16 @@ def _cmd_lint(args) -> int:
 
 def _cmd_compile_sql(args) -> int:
     from repro.core.printer import print_module
-    from repro.horsepower import HorsePowerSystem
+    from repro.engine.session import EngineSession
 
     _validate_passes(args)
     db = _load_tables(args)
     sql = args.query if args.query else sys.stdin.read()
-    hp = HorsePowerSystem(db)
+    session = EngineSession(db)
     try:
-        compiled = hp.compile_sql(sql, pipeline=args.passes,
-                                  verify_ir=args.verify_ir,
-                                  dump_ir=args.dump_ir)
+        compiled = session.compile_sql(sql, pipeline=args.passes,
+                                       verify_ir=args.verify_ir,
+                                       dump_ir=args.dump_ir)
     except PassVerificationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -598,12 +544,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_pipeline_args(run_sql)
     run_sql.add_argument("query", nargs="?",
                          help="SQL text (reads stdin when omitted)")
-    run_sql.add_argument("--system", choices=("horsepower", "monetdb"),
-                         default="horsepower")
     run_sql.add_argument("--backend", metavar="NAME",
-                         help="HorsePower execution engine (a name or "
-                              "alias from `list-backends`, e.g. pygen, "
-                              "c, interp, baseline); default pygen")
+                         help="execution engine (a name or alias from "
+                              "`list-backends`, e.g. pygen, c, interp, "
+                              "or baseline / monetdb for the "
+                              "MonetDB-like engine); default pygen")
     run_sql.add_argument("--threads", type=int, default=1)
     run_sql.add_argument("--limit", type=int, default=20,
                          help="max rows to print")
@@ -615,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "run)")
     run_sql.add_argument("--cache-stats", action="store_true",
                          help="print plan-cache hit/miss/eviction "
-                              "counters (horsepower system only)")
+                              "counters")
     run_sql.add_argument("--trace", nargs="?", const="trace.json",
                          metavar="PATH",
                          help="record spans and write a Chrome-trace "

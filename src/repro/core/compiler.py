@@ -14,12 +14,9 @@ OpenMP analog, and an optional :class:`~repro.core.context.QueryContext`
 naming the tracer/metrics/pool the run reports into; without one the
 run is untraced and unprofiled (a default ``QueryContext()``).
 
-Which kernel engine a fused segment compiles to is decided by a *kernel
-factory* — the hook the backend registry
-(:mod:`repro.engine.backends`) plugs its engines into.  The ``backend``
-string parameter remains as a convenience that picks one of the two
-built-in factories (``"python"`` → generated NumPy kernels, ``"c"`` →
-emitted C + OpenMP with per-segment Python fallback).
+Which kernel engine a fused segment compiles to is the ``backend``
+string: ``"python"`` → generated NumPy kernels, ``"c"`` → emitted C +
+OpenMP with per-segment Python fallback.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.core import builtins as hb
 from repro.core import ir
@@ -47,8 +43,7 @@ from repro.core.verify import verify_module
 from repro.errors import HorseRuntimeError
 
 __all__ = ["compile_module", "compilation", "CompiledProgram",
-           "CompileReport", "KernelFactory", "python_kernel_factory",
-           "c_kernel_factory"]
+           "CompileReport"]
 
 _MAX_LOOP_ITERATIONS = 100_000_000
 
@@ -121,24 +116,19 @@ class _KernelItem:
         return outputs
 
 
-#: A kernel factory turns one fused segment into an executable plan
-#: item.  ``(segment, name, report) -> _KernelItem``.
-KernelFactory = Callable[[object, str, CompileReport], _KernelItem]
-
-
-def python_kernel_factory(segment, name: str,
-                          report: CompileReport) -> _KernelItem:
+def _python_kernel_item(segment, name: str,
+                        report: CompileReport) -> _KernelItem:
     """Generated NumPy kernels — always available, handles every dtype."""
     kernel = generate_kernel(segment, name=name)
     report.kernel_sources.append(kernel.source)
     return _KernelItem(kernel)
 
 
-def c_kernel_factory(segment, name: str,
-                     report: CompileReport) -> _KernelItem:
+def _c_kernel_item(segment, name: str,
+                   report: CompileReport) -> _KernelItem:
     """Emitted C + OpenMP per segment, with the Python kernel kept as
     the per-segment (and per-dtype-signature) fallback."""
-    item = python_kernel_factory(segment, name, report)
+    item = _python_kernel_item(segment, name, report)
     c_kernel = CKernel(segment)
     if c_kernel.eligible:
         report.c_eligible_segments += 1
@@ -146,10 +136,11 @@ def c_kernel_factory(segment, name: str,
     return item
 
 
-#: The built-in engines the string ``backend`` parameter selects.
-_BUILTIN_FACTORIES: dict[str, KernelFactory] = {
-    "python": python_kernel_factory,
-    "c": c_kernel_factory,
+#: The fused-kernel engine ``backend`` selects: one fused segment in,
+#: one executable plan item out — ``(segment, name, report)``.
+_BUILTIN_FACTORIES = {
+    "python": _python_kernel_item,
+    "c": _c_kernel_item,
 }
 
 
@@ -425,15 +416,13 @@ def compilation(module: ir.Module, opt_level: str, backend: str,
 def compile_module(module: ir.Module, opt_level: str = "opt",
                    entry: str | None = None,
                    backend: str = "python",
-                   ctx: QueryContext | None = None,
-                   kernel_factory: KernelFactory | None = None, *,
+                   ctx: QueryContext | None = None, *,
                    pipeline=None, verify_ir: bool = False,
                    dump_ir: str | None = None) -> CompiledProgram:
     """Compile a HorseIR module at ``opt_level`` (``"naive"`` or
     ``"opt"``).
 
-    ``kernel_factory`` decides the fused-kernel engine per segment; when
-    omitted, ``backend`` selects a built-in one: ``"python"`` (generated
+    ``backend`` selects the fused-kernel engine: ``"python"`` (generated
     NumPy kernels, always available) or ``"c"`` (emitted C + OpenMP via
     gcc, per-segment with Python fallback).  Spans and compile metrics
     go to ``ctx`` (nowhere visible when not given: a default
@@ -447,12 +436,11 @@ def compile_module(module: ir.Module, opt_level: str = "opt",
         ctx = QueryContext()
     if opt_level not in ("naive", "opt"):
         raise ValueError(f"unknown opt level {opt_level!r}")
-    if kernel_factory is None:
-        if backend not in _BUILTIN_FACTORIES:
-            raise ValueError(f"unknown backend {backend!r}")
-        if backend == "c" and not c_backend_available():
-            raise ValueError("the C backend needs gcc on PATH")
-        kernel_factory = _BUILTIN_FACTORIES[backend]
+    if backend not in _BUILTIN_FACTORIES:
+        raise ValueError(f"unknown backend {backend!r}")
+    if backend == "c" and not c_backend_available():
+        raise ValueError("the C backend needs gcc on PATH")
+    make_kernel = _BUILTIN_FACTORIES[backend]
     with compilation(module, opt_level, backend, ctx, entry=entry,
                      pipeline=pipeline, verify_ir=verify_ir,
                      dump_ir=dump_ir) as (module, report, compile_span):
@@ -461,7 +449,7 @@ def compile_module(module: ir.Module, opt_level: str = "opt",
             for name, method in module.methods.items():
                 plan = segment_method(method,
                                       enabled=(opt_level == "opt"))
-                plans[name] = _compile_plan(plan, report, kernel_factory)
+                plans[name] = _compile_plan(plan, report, make_kernel)
             codegen_span.set(fused_segments=report.fused_segments,
                              fused_statements=report.fused_statements)
         compile_span.set(fused_segments=report.fused_segments)
@@ -469,23 +457,23 @@ def compile_module(module: ir.Module, opt_level: str = "opt",
 
 
 def _compile_plan(plan: list, report: CompileReport,
-                  kernel_factory: KernelFactory) -> list:
+                  make_kernel) -> list:
     compiled: list = []
     for item in plan:
         if isinstance(item, FusedItem):
             name = f"_kernel_{report.fused_segments}"
             report.fused_segments += 1
             report.fused_statements += len(item.segment.stmts)
-            compiled.append(kernel_factory(item.segment, name, report))
+            compiled.append(make_kernel(item.segment, name, report))
         elif isinstance(item, IfItem):
             compiled.append(IfItem(
                 item.cond,
-                _compile_plan(item.then_plan, report, kernel_factory),
-                _compile_plan(item.else_plan, report, kernel_factory)))
+                _compile_plan(item.then_plan, report, make_kernel),
+                _compile_plan(item.else_plan, report, make_kernel)))
         elif isinstance(item, WhileItem):
             compiled.append(WhileItem(
                 item.cond,
-                _compile_plan(item.body_plan, report, kernel_factory)))
+                _compile_plan(item.body_plan, report, make_kernel)))
         else:
             compiled.append(item)
     return compiled

@@ -12,7 +12,9 @@ thread: a :class:`QueryLimits` object rides on the
 * the compiled plan executor, once per plan item
   (:class:`repro.core.compiler._RunState`);
 * the optimizer pipeline, once per pass
-  (:func:`repro.core.optimizer.optimize`).
+  (:func:`repro.core.optimizer.optimize`);
+* the baseline plan executor, once per plan operator
+  (:class:`repro.engine.executor.PlanExecutor`).
 
 ``check`` raises :class:`~repro.errors.QueryTimeout` past the deadline
 and :class:`~repro.errors.QueryCancelled` after an explicit

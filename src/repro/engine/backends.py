@@ -51,8 +51,7 @@ from repro.core import ir
 from repro.core.codegen.cgen import c_backend_available
 from repro.core.codegen.executor import DEFAULT_CHUNK_SIZE
 from repro.core.compiler import (
-    CompiledProgram, CompileReport, c_kernel_factory, compilation,
-    compile_module, python_kernel_factory,
+    CompiledProgram, CompileReport, compilation, compile_module,
 )
 from repro.core.context import QueryContext
 from repro.core.interp import Interpreter
@@ -211,7 +210,6 @@ class PygenBackend(_HorseIRBackend):
             raise BackendError("pygen backend needs a HorseIR module")
         return compile_module(unit.module, unit.opt_level, ctx=ctx,
                               backend="python",
-                              kernel_factory=python_kernel_factory,
                               pipeline=unit.pipeline,
                               verify_ir=unit.verify_ir,
                               dump_ir=unit.dump_ir)
@@ -241,7 +239,6 @@ class CgenBackend(_HorseIRBackend):
             raise BackendError("the C backend needs gcc on PATH")
         return compile_module(unit.module, unit.opt_level, ctx=ctx,
                               backend="c",
-                              kernel_factory=c_kernel_factory,
                               pipeline=unit.pipeline,
                               verify_ir=unit.verify_ir,
                               dump_ir=unit.dump_ir)

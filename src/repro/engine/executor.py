@@ -21,7 +21,7 @@ import numpy as np
 from repro.core import builtins as hb
 from repro.core import types as ht
 from repro.core.context import QueryContext
-from repro.core.values import ListValue, Vector
+from repro.core.values import ListValue, Vector, value_nbytes
 from repro.engine.storage import Database
 from repro.engine.table import ColumnTable
 from repro.engine.udf_bridge import UDFBridge
@@ -83,30 +83,51 @@ class PlanExecutor:
         renderer folds it into ``rows est=… actual=…``) and the
         operator's q-error feeds ``stats.q_error`` /
         ``stats.misestimates`` — with or without tracing, so metrics
-        see misestimates even on untraced production runs."""
+        see misestimates even on untraced production runs.
+
+        Every finished operator is one governor checkpoint and one
+        profiler charge site, the baseline's counterpart of the
+        interpreter's per-statement pair."""
         tracer = self._qctx.tracer
-        est = node.est_rows
         if not tracer.enabled:
             columns = self._exec_node(node, n_threads)
-            if est is not None:
-                self._note_operator_estimate(est, _num_rows(columns))
+            self._account(node, columns)
             return columns
         with tracer.span("op:" + type(node).__name__) as span:
             columns = self._exec_node(node, n_threads)
-            rows = _num_rows(columns)
-            span.set(rows_out=rows)
-            if est is not None:
-                span.set(est_rows=est)
-                self._note_operator_estimate(est, rows)
+            span.set(rows_out=_num_rows(columns))
+            if node.est_rows is not None:
+                span.set(est_rows=node.est_rows)
+            self._account(node, columns)
             return columns
 
-    def _note_operator_estimate(self, est: int, actual: int) -> None:
-        q = q_error(est, actual)
-        metrics = self._qctx.metrics
-        metrics.histogram("stats.q_error",
-                          bounds=QERROR_BUCKETS).observe(q)
-        if q > MISESTIMATE_THRESHOLD:
-            metrics.counter("stats.misestimates").inc()
+    def _account(self, node: p.PlanNode,
+                 columns: dict[str, np.ndarray]) -> None:
+        """What one finished operator owes the query's context."""
+        qctx = self._qctx
+        if node.est_rows is not None:
+            q = q_error(node.est_rows, _num_rows(columns))
+            qctx.metrics.histogram("stats.q_error",
+                                   bounds=QERROR_BUCKETS).observe(q)
+            if q > MISESTIMATE_THRESHOLD:
+                qctx.metrics.counter("stats.misestimates").inc()
+        profile = qctx.profile
+        if profile.enabled and not isinstance(node, p.Scan):
+            # Full materialization: every operator output is a fresh
+            # set of columns.  A scan hands out the stored arrays by
+            # reference, as ``@load_table`` does in the HorseIR
+            # engines, and is not charged.  The peak is the largest
+            # single output (inputs still live are not counted).
+            nbytes = sum(value_nbytes(a) for a in columns.values())
+            profile.record(nbytes, site="op:" + type(node).__name__,
+                           count=len(columns))
+            profile.update_peak(nbytes)
+        limits = qctx.limits
+        if limits.enabled:
+            # After the operator, not before it: plan recursion enters
+            # every node on the way down before any work is done, so an
+            # entry check would see the clock only once.
+            limits.check("operator")
 
     def _exec_node(self, node: p.PlanNode,
                    n_threads: int) -> dict[str, np.ndarray]:

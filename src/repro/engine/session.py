@@ -13,10 +13,14 @@ the session's :class:`~repro.core.context.QueryContext` explicitly, so
 * two sessions in one process never share caches, pools, counters, or
   trace buffers (the concurrent-session tests exercise exactly this);
 * sharing is explicit: two sessions report into the same tracer or
-  registry only when the caller hands both the same object — which is
-  how the :class:`~repro.horsepower.system.HorsePowerSystem` and
-  :class:`~repro.horsepower.baseline.MonetDBLike` facades, plain
-  session owners, can be made to count side by side.
+  registry only when the caller hands both the same object.
+
+The session is the system's one front door: the paper's comparison
+(one SQL frontend, one plan, two execution engines) is a ``backend=``
+choice on :meth:`EngineSession.run_sql` — ``"pygen"`` / ``"cgen"`` /
+``"interp"`` for HorsePower, ``"baseline"`` for the MonetDB-like
+engine — so every engine is admitted, governed, logged and counted by
+the same code.
 
 A session is a context manager; closing it shuts down the pool it owns
 (idempotently — closing twice, or after ``close_shared_pool`` at
@@ -50,13 +54,10 @@ from repro.sql.parser import parse_sql
 from repro.sql.plan import plan_to_json
 from repro.sql.planner import plan_query
 from repro.sql.udf import ScalarUDF, TableUDFDef, UDFRegistry
-
-# The plan cache lives under repro.horsepower for historical import
-# compatibility; its package __init__ is lazy (PEP 562), so this import
-# does not pull in the facades and no cycle forms.
 from repro.horsepower.cache import (
     DEFAULT_PLAN_CACHE_SIZE, CacheStats, PlanCache, PreparedQuery,
 )
+from repro.horsepower.translate import build_query_module
 
 __all__ = ["EngineSession", "CompiledQuery"]
 
@@ -325,7 +326,6 @@ class EngineSession:
         plan, plan_json = self.plan_sql(sql, ctx=ctx, pipeline=pipeline)
         module = None
         if "horseir" in engine.capabilities:
-            from repro.horsepower.translate import build_query_module
             with ctx.tracer.span("translate"):
                 module = build_query_module(plan_json, self.udfs)
         unit = CompilationUnit(opt_level=opt_level, module=module,
@@ -520,8 +520,14 @@ class EngineSession:
                 result = prepared.query.run(n_threads=n_threads,
                                             ctx=ctx, **kwargs)
                 if self.stats.enabled:
-                    self._note_estimate(prepared.query.plan_json,
-                                        result, span)
+                    # The baseline observes every plan operator's
+                    # estimate as it executes, the root included; a
+                    # HorseIR engine has no operators left, so the
+                    # root is the one estimate it can be held to.
+                    self._note_estimate(
+                        prepared.query.plan_json, result, span,
+                        observe="horseir" in self.backends.get(
+                            name).capabilities)
                 return result
             except _RETRYABLE_ERRORS as exc:
                 fallback = self.backends.get(name).fallback
@@ -538,12 +544,12 @@ class EngineSession:
                 span.set(backend=name)
 
     def _note_estimate(self, plan_json: dict, result: TableValue,
-                       span) -> None:
+                       span, *, observe: bool) -> None:
         """Record est-vs-actual for a finished query: ``est_rows`` /
         ``rows_out`` / ``q_error`` on the query span (rendered as
         ``rows est=… actual=…`` by EXPLAIN ANALYZE and copied into the
-        telemetry record), the ``stats.q_error`` histogram, and the
-        ``stats.misestimates`` counter past
+        telemetry record) and, with ``observe``, the ``stats.q_error``
+        histogram and the ``stats.misestimates`` counter past
         :data:`~repro.stats.MISESTIMATE_THRESHOLD`."""
         est = plan_json.get("est_rows")
         if est is None:
@@ -551,6 +557,8 @@ class EngineSession:
         actual = result.num_rows
         q = q_error(est, actual)
         span.set(est_rows=est, rows_out=actual, q_error=round(q, 3))
+        if not observe:
+            return
         self.metrics.histogram("stats.q_error",
                                bounds=QERROR_BUCKETS).observe(q)
         if q > MISESTIMATE_THRESHOLD:

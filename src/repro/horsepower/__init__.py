@@ -1,44 +1,15 @@
-"""HorsePower: the top-level system facades.
+"""HorsePower's SQL-side glue around the engine session: the
+prepared-query cache (:mod:`repro.horsepower.cache`) and the SQL+UDF
+merger that turns plan JSON plus MATLAB UDF methods into one HorseIR
+module (:mod:`repro.horsepower.translate`, the paper's §3.3).
 
-* :class:`~repro.horsepower.system.HorsePowerSystem` — the paper's system:
-  SQL, MATLAB, and SQL+MATLAB-UDF inputs, one HorseIR module, holistic
-  optimization, compiled execution;
-* :class:`~repro.horsepower.baseline.MonetDBLike` — the comparison system:
-  the same SQL planner, interpreted plan execution, black-box Python UDFs.
-
-Both are thin compatibility facades over
-:class:`~repro.engine.session.EngineSession`.  Exports resolve lazily
-(PEP 562): :mod:`repro.engine.session` imports the cache submodule here,
-and the facades import the session back — eager facade imports in this
-``__init__`` would turn that into a circular-import failure.
+The system itself — the object that runs a query on any backend,
+including the MonetDB-like baseline — is
+:class:`repro.engine.session.EngineSession`.
 """
 
-import importlib
+from repro.horsepower.cache import (  # noqa: F401
+    CacheStats, PlanCache, PreparedQuery,
+)
 
-__all__ = ["HorsePowerSystem", "MonetDBLike", "CompiledQuery",
-           "PreparedQuery", "PlanCache", "CacheStats"]
-
-_EXPORTS = {
-    "HorsePowerSystem": "system",
-    "CompiledQuery": "system",
-    "MonetDBLike": "baseline",
-    "PreparedQuery": "cache",
-    "PlanCache": "cache",
-    "CacheStats": "cache",
-}
-
-
-def __getattr__(name):
-    try:
-        submodule = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}") from None
-    module = importlib.import_module(f"{__name__}.{submodule}")
-    value = getattr(module, name)
-    globals()[name] = value  # cache for subsequent lookups
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__all__ = ["PlanCache", "PreparedQuery", "CacheStats"]

@@ -1,10 +1,11 @@
 """Prepared-query support: the plan/compilation cache.
 
 The paper's headline economics are "pay COMP once, run the optimized
-kernels many times" — but ``HorsePowerSystem.run_sql`` used to re-parse,
-re-plan, re-optimize and re-generate kernels on every call.  This module
-amortizes that cost across calls, the way HADAD-style systems reuse
-previously computed work across hybrid analytics pipelines:
+kernels many times".  This module is what lets
+``EngineSession.run_sql`` pay parse → plan → optimize → codegen once
+per distinct query and amortize it across calls, the way HADAD-style
+systems reuse previously computed work across hybrid analytics
+pipelines:
 
 * :class:`PlanCache` — a thread-safe LRU of compiled queries keyed on
   ``(normalized SQL, opt level, backend, catalog fingerprint,
@@ -240,7 +241,7 @@ class PlanCache:
 
 @dataclass
 class PreparedQuery:
-    """The result of ``HorsePowerSystem.prepare``: a compiled query plus
+    """The result of ``EngineSession.prepare``: a compiled query plus
     cache provenance.  ``cached`` is True when this prepare skipped
     parse→plan→optimize→codegen entirely (a warm hit)."""
 

@@ -128,13 +128,14 @@ def _bscholes_table_py(spot, strike, rate, volatility, otime, otype):
     return [spot, otype, price]
 
 
-def register_bs_udfs(system) -> None:
-    """Register the scalar and table Black-Scholes UDFs on a
-    HorsePowerSystem (the registry is shared with the baseline)."""
-    system.register_scalar_udf(
+def register_bs_udfs(session) -> None:
+    """Register the scalar and table Black-Scholes UDFs on an
+    :class:`~repro.engine.session.EngineSession` (every backend, the
+    baseline included, reads the session's one registry)."""
+    session.register_scalar_udf(
         "bScholesUDF", BLACKSCHOLES_MATLAB, list(_F64x6), ht.F64,
         python_impl=calc_option_price)
-    system.register_table_udf(
+    session.register_table_udf(
         "bScholesTblUDF", BLACKSCHOLES_TABLE_MATLAB, list(_F64x6),
         [("spotPrice", ht.F64), ("optionType", ht.F64),
          ("optionPrice", ht.F64)],

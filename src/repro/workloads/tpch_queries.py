@@ -325,35 +325,36 @@ def q19_match_py(brand, container, qty, size, shipmode, shipinstruct):
     return mask.astype(np.float64)
 
 
-def register_tpch_udfs(system) -> None:
-    """Register every TPC-H UDF on a :class:`HorsePowerSystem` (sharing
-    its registry with a baseline makes them visible there too)."""
-    system.register_scalar_udf(
+def register_tpch_udfs(session) -> None:
+    """Register every TPC-H UDF on an
+    :class:`~repro.engine.session.EngineSession` (every backend, the
+    baseline included, reads the session's one registry)."""
+    session.register_scalar_udf(
         "q1DiscPriceUDF", Q1_DISC_PRICE_MATLAB, [ht.F64, ht.F64],
         ht.F64, python_impl=q1_disc_price_py)
-    system.register_scalar_udf(
+    session.register_scalar_udf(
         "q1ChargeUDF", Q1_CHARGE_MATLAB, [ht.F64, ht.F64, ht.F64],
         ht.F64, python_impl=q1_charge_py)
-    system.register_scalar_udf(
+    session.register_scalar_udf(
         "q6RevenueUDF", Q6_REVENUE_MATLAB, [ht.F64, ht.F64],
         ht.F64, python_impl=q6_revenue_py)
-    system.register_scalar_udf(
+    session.register_scalar_udf(
         "q6PredUDF", Q6_PRED_MATLAB, [ht.DATE, ht.F64, ht.F64],
         ht.F64, python_impl=q6_pred_py)
-    system.register_scalar_udf(
+    session.register_scalar_udf(
         "q12PredUDF", Q12_PRED_MATLAB,
         [ht.STR, ht.DATE, ht.DATE, ht.DATE], ht.F64,
         python_impl=q12_pred_py)
-    system.register_scalar_udf(
+    session.register_scalar_udf(
         "q12HighUDF", Q12_HIGH_MATLAB, [ht.STR], ht.F64,
         python_impl=q12_high_py)
-    system.register_scalar_udf(
+    session.register_scalar_udf(
         "q12LowUDF", Q12_LOW_MATLAB, [ht.STR], ht.F64,
         python_impl=q12_low_py)
-    system.register_scalar_udf(
+    session.register_scalar_udf(
         "q14PromoRevUDF", Q14_PROMO_REV_MATLAB, [ht.STR, ht.F64, ht.F64],
         ht.F64, python_impl=q14_promo_rev_py)
-    system.register_scalar_udf(
+    session.register_scalar_udf(
         "q19MatchUDF", Q19_MATCH_MATLAB,
         [ht.STR, ht.STR, ht.F64, ht.I64, ht.STR, ht.STR],
         ht.F64, python_impl=q19_match_py)

@@ -242,7 +242,7 @@ class TestMatlabAndSQLThroughC:
 
     def test_sql_udf_query_through_c(self):
         from repro.engine.storage import Database
-        from repro.horsepower import HorsePowerSystem
+        from repro.engine import EngineSession
 
         rng = np.random.default_rng(4)
         db = Database()
@@ -250,7 +250,7 @@ class TestMatlabAndSQLThroughC:
             "l_extendedprice": rng.uniform(100, 1000, 20_000),
             "l_discount": np.round(rng.uniform(0, 0.1, 20_000), 2),
         })
-        hp = HorsePowerSystem(db)
+        hp = EngineSession(db)
         hp.register_scalar_udf(
             "revUDF", "function r = f(p, d)\n    r = p .* d;\nend",
             [ht.F64, ht.F64], ht.F64)

@@ -20,8 +20,7 @@ from repro.data.blackscholes import load_blackscholes_table
 from repro.engine.storage import Database
 from repro.errors import (BuiltinError, HorseTypeError, HorseVerifyError,
                           PassVerificationError)
-from repro.horsepower import HorsePowerSystem
-from repro.sql.udf import UDFRegistry
+from repro.engine import EngineSession
 from repro.workloads.bs_queries import (SCALAR_QUERIES, TABLE_QUERIES,
                                         register_bs_udfs)
 from repro.workloads.tpch_queries import (PLAIN_QUERIES, UDF_QUERIES,
@@ -358,7 +357,7 @@ class TestManagerVerification:
 @pytest.fixture(scope="module")
 def tpch_hp():
     db = generate_tpch(scale_factor=0.002)
-    hp = HorsePowerSystem(db, UDFRegistry())
+    hp = EngineSession(db)
     register_tpch_udfs(hp)
     return hp
 
@@ -367,7 +366,7 @@ def tpch_hp():
 def bs_hp():
     db = Database()
     load_blackscholes_table(db, 400)
-    hp = HorsePowerSystem(db, UDFRegistry())
+    hp = EngineSession(db)
     register_bs_udfs(hp)
     return hp
 

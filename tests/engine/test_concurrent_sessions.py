@@ -16,7 +16,7 @@ import pytest
 
 from repro.engine import EngineSession
 from repro.engine.storage import Database
-from repro.obs import AllocationProfile, Tracer
+from repro.obs import AllocationProfile, MetricsRegistry, Tracer
 
 N_SESSIONS = 4
 N_QUERIES = 8
@@ -203,21 +203,20 @@ class TestConcurrentSessions:
         assert session.metrics.counter("query.count").value == 4
 
 
-class TestConcurrentFacades:
-    def test_two_facades_trace_concurrently_without_bleed(self):
-        """A HorsePowerSystem and a MonetDBLike over the same database,
-        each handed its own tracer and registry, run at the same time;
-        each tracer and registry sees its own system's queries only —
-        which a tracer installed process-wide could not promise."""
-        from repro.horsepower import HorsePowerSystem, MonetDBLike
-        from repro.obs import MetricsRegistry
-
+class TestConcurrentEngines:
+    def test_two_engines_trace_concurrently_without_bleed(self):
+        """A default (pygen) session and a ``default_backend="baseline"``
+        session over the same database, each handed its own tracer and
+        registry, run at the same time; each tracer and registry sees
+        its own session's queries only — which a tracer installed
+        process-wide could not promise."""
         db = make_catalog(0)
         rounds = 6
         hp_tracer, mdb_tracer = Tracer(), Tracer()
         hp_metrics, mdb_metrics = MetricsRegistry(), MetricsRegistry()
-        hp = HorsePowerSystem(db, tracer=hp_tracer, metrics=hp_metrics)
-        mdb = MonetDBLike(db, tracer=mdb_tracer, metrics=mdb_metrics)
+        hp = EngineSession(db, tracer=hp_tracer, metrics=hp_metrics)
+        mdb = EngineSession(db, tracer=mdb_tracer, metrics=mdb_metrics,
+                            default_backend="baseline")
         errors = []
         barrier = threading.Barrier(2)
 
@@ -245,37 +244,34 @@ class TestConcurrentFacades:
         assert not errors, errors
 
         expected = rounds * N_QUERIES
-        for tracer, system in ((hp_tracer, "horsepower"),
-                               (mdb_tracer, "monetdb")):
+        for tracer, backend in ((hp_tracer, "pygen"),
+                                (mdb_tracer, "baseline")):
             assert len(tracer.roots) == expected
-            assert {root.attrs["system"]
-                    for root in tracer.roots} == {system}
+            assert {root.attrs["backend"]
+                    for root in tracer.roots} == {backend}
         hp_counts = hp_metrics.snapshot()
         mdb_counts = mdb_metrics.snapshot()
         assert hp_counts["query.count"] == expected
-        assert "baseline.query.count" not in hp_counts
-        assert mdb_counts["baseline.query.count"] == expected
-        assert mdb_counts.get("query.count", 0) == 0
+        assert mdb_counts["query.count"] == expected
+        assert "exec.operators" not in hp_counts
         assert "compile.count" not in mdb_counts
 
-    def test_facades_share_counters_only_through_a_shared_registry(self):
-        """Side-by-side counters are opt-in: two facades handed the same
-        registry count into it; a third, handed none, keeps its own."""
-        from repro.horsepower import HorsePowerSystem, MonetDBLike
-        from repro.obs import MetricsRegistry
-
+    def test_sessions_share_counters_only_through_a_shared_registry(self):
+        """Side-by-side counters are opt-in: two sessions handed the
+        same registry count into it; a third, handed none, keeps its
+        own."""
         db = make_catalog(0)
         shared = MetricsRegistry()
-        hp = HorsePowerSystem(db, metrics=shared)
-        mdb = MonetDBLike(db, metrics=shared)
-        alone = HorsePowerSystem(db)
+        hp = EngineSession(db, metrics=shared)
+        mdb = EngineSession(db, metrics=shared, default_backend="baseline")
+        alone = EngineSession(db)
         sql = queries(0)[0]
         for system in (hp, mdb, alone):
             system.run_sql(sql)
 
-        assert hp.session.metrics is mdb.session.metrics is shared
+        assert hp.metrics is mdb.metrics is shared
         counts = shared.snapshot()
-        assert counts["query.count"] == 1
-        assert counts["baseline.query.count"] == 1
-        assert alone.session.metrics is not shared
-        assert alone.session.metrics.snapshot()["query.count"] == 1
+        assert counts["query.count"] == 2
+        assert counts["exec.operators"] > 0 and counts["compile.count"] == 1
+        assert alone.metrics is not shared
+        assert alone.metrics.snapshot()["query.count"] == 1

@@ -355,6 +355,30 @@ class TestGracefulDegradation:
             assert session.metrics.counter("query.retries").value == 0
 
 
+class TestBaselineGoverned:
+    def test_timeout_raises_and_session_stays_usable(self):
+        with EngineSession(make_db(rows=200_000)) as session:
+            with pytest.raises(QueryTimeout):
+                session.run_sql(SQL, backend="baseline", timeout=0.0005)
+            assert session.run_sql(SQL, backend="baseline").num_rows == 1
+            counts = session.metrics.snapshot()
+            assert counts["governor.timed_out"] == 1
+            assert counts["query.count"] == 1
+
+    def test_memory_budget_raises_at_the_operator(self):
+        with EngineSession(make_db(rows=50_000)) as session, \
+                pytest.raises(MemoryBudgetExceeded, match="op:Filter"):
+            session.run_sql(SQL, backend="baseline", memory_budget=64)
+
+    def test_one_checkpoint_per_plan_operator(self):
+        with EngineSession(make_db()) as session:
+            ctx = session.context()
+            ctx.limits = QueryLimits(timeout=3600.0)
+            session.run_sql(SQL, backend="baseline", ctx=ctx)
+            operators = session.metrics.counter("exec.operators").value
+            assert ctx.limits.checks == operators > 1
+
+
 class TestUngovernedPathUnchanged:
     def test_no_limits_means_null_limits_and_no_governor_metrics(self):
         with EngineSession(make_db()) as session:

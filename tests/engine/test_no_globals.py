@@ -22,7 +22,7 @@ from repro.core.limits import NullQueryLimits
 from repro.obs.prof import NullAllocationProfile
 from repro.obs.tracer import NullTracer
 
-#: Modules whose globals are audited: the facade package, the
+#: Modules whose globals are audited: the plan-cache package, the
 #: observability package, the statistics and static-analysis packages,
 #: and the executor-pool module — the places process-global state
 #: used to live or where caches could quietly become process-wide.

@@ -6,8 +6,7 @@ import pytest
 
 from repro.core import types as ht
 from repro.engine.storage import Database
-from repro.horsepower import HorsePowerSystem, MonetDBLike
-from repro.sql.udf import UDFRegistry
+from repro.engine import EngineSession
 
 
 @pytest.fixture
@@ -44,9 +43,8 @@ def db():
 
 @pytest.fixture
 def systems(db):
-    udfs = UDFRegistry()
-    hp = HorsePowerSystem(db, udfs)
-    mdb = MonetDBLike(db, udfs)
+    hp = EngineSession(db)
+    mdb = EngineSession(db, hp.udfs, default_backend="baseline")
     return hp, mdb
 
 
@@ -220,9 +218,10 @@ class TestScalarUDF:
         mdb.run_sql(sql)
         # Two decimal (float) input columns convert; that is the only
         # boundary cost for this numeric UDF.
-        assert mdb.bridge.calls == 1
+        bridge = mdb.baseline_executor().bridge
+        assert bridge.calls == 1
         n = 2000  # rows in the fixture's lineitem table
-        assert mdb.bridge.values_converted_in == 2 * n
+        assert bridge.values_converted_in == 2 * n
 
 
 MATLAB_TABLE_UDF = """
@@ -350,8 +349,8 @@ class TestMultiJoin:
             "ck": np.arange(30, dtype=np.int64),
             "cv": rng.uniform(0, 1, 30),
         })
-        udfs = UDFRegistry()
-        return HorsePowerSystem(db, udfs), MonetDBLike(db, udfs), db
+        return (EngineSession(db),
+                EngineSession(db, default_backend="baseline"), db)
 
     def test_three_way_join_agrees_with_bruteforce(self, three_tables):
         hp, mdb, db = three_tables

@@ -1,11 +1,15 @@
 """Prepared-query cache: hits, misses, invalidation, LRU eviction."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from repro.core import types as ht
 from repro.engine.storage import Database
-from repro.horsepower import HorsePowerSystem
+from repro.engine import EngineSession
 from repro.horsepower.cache import PlanCache, normalize_sql
 
 
@@ -21,7 +25,20 @@ def db():
 
 @pytest.fixture
 def hp(db):
-    return HorsePowerSystem(db)
+    return EngineSession(db)
+
+
+def test_package_imports_eagerly_and_without_a_cycle():
+    """From a fresh interpreter ``repro.horsepower`` is a plain package
+    (its cache exports are module attributes, no lazy ``__getattr__``)
+    and the translator can be the first thing imported."""
+    import repro
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    for code in ("import repro.horsepower as p; vars(p)['PlanCache']",
+                 "from repro.horsepower.translate import "
+                 "build_query_module"):
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
 
 class TestHitMiss:
@@ -110,7 +127,7 @@ class TestEntryStats:
         assert entry["hits"] == 1 and entry["last_hit"] == 1
 
     def test_eviction_drops_entry_stats(self, db):
-        hp = HorsePowerSystem(db, plan_cache_size=1)
+        hp = EngineSession(db, plan_cache_size=1)
         q1 = "SELECT SUM(x) AS s FROM t"
         q2 = "SELECT SUM(y) AS s FROM t"
         hp.run_sql(q1)
@@ -176,7 +193,7 @@ class TestInvalidation:
 
 class TestLRUEviction:
     def test_capacity_evicts_least_recently_used(self, db):
-        hp = HorsePowerSystem(db, plan_cache_size=2)
+        hp = EngineSession(db, plan_cache_size=2)
         q1 = "SELECT SUM(x) AS s FROM t"
         q2 = "SELECT SUM(y) AS s FROM t"
         q3 = "SELECT COUNT(*) AS n FROM t"

@@ -8,7 +8,7 @@ from repro.core.printer import print_module
 from repro.core.verify import verify_module
 from repro.engine.storage import Database
 from repro.errors import UDFError
-from repro.horsepower import HorsePowerSystem
+from repro.engine import EngineSession
 from repro.horsepower.translate import build_query_module, referenced_udfs
 from repro.sql.udf import ScalarUDF, UDFRegistry
 
@@ -21,7 +21,7 @@ def system():
         "x": rng.uniform(0, 1, 100),
         "y": rng.uniform(0, 1, 100),
     })
-    return HorsePowerSystem(db)
+    return EngineSession(db)
 
 
 MATLAB_WITH_HELPER = """
@@ -39,19 +39,19 @@ class TestReferencedUDFs:
         system.register_scalar_udf("myUDF", "function r = f(a)\n"
                                             "    r = a;\nend",
                                    [ht.F64], ht.F64)
-        plan = system.plan_sql("SELECT SUM(myUDF(x)) AS s FROM t")
+        _, plan = system.plan_sql("SELECT SUM(myUDF(x)) AS s FROM t")
         assert referenced_udfs(plan, system.udfs) == ["myUDF"]
 
     def test_udf_found_in_where(self, system):
         system.register_scalar_udf("predUDF", "function r = f(a)\n"
                                               "    r = a;\nend",
                                    [ht.F64], ht.F64)
-        plan = system.plan_sql(
+        _, plan = system.plan_sql(
             "SELECT COUNT(*) AS n FROM t WHERE predUDF(x) > 0.5")
         assert referenced_udfs(plan, system.udfs) == ["predUDF"]
 
     def test_no_udfs(self, system):
-        plan = system.plan_sql("SELECT SUM(x) AS s FROM t")
+        _, plan = system.plan_sql("SELECT SUM(x) AS s FROM t")
         assert referenced_udfs(plan, system.udfs) == []
 
 
@@ -59,7 +59,7 @@ class TestMerging:
     def test_helper_functions_carried_over(self, system):
         system.register_scalar_udf("outerUDF", MATLAB_WITH_HELPER,
                                    [ht.F64, ht.F64], ht.F64)
-        plan = system.plan_sql("SELECT SUM(outerUDF(x, y)) AS s FROM t")
+        _, plan = system.plan_sql("SELECT SUM(outerUDF(x, y)) AS s FROM t")
         module = build_query_module(plan, system.udfs)
         verify_module(module)
         names = list(module.methods)
@@ -71,7 +71,7 @@ class TestMerging:
         # The MATLAB function is called `outer`; the UDF is `outerUDF`.
         system.register_scalar_udf("outerUDF", MATLAB_WITH_HELPER,
                                    [ht.F64, ht.F64], ht.F64)
-        plan = system.plan_sql("SELECT SUM(outerUDF(x, y)) AS s FROM t")
+        _, plan = system.plan_sql("SELECT SUM(outerUDF(x, y)) AS s FROM t")
         module = build_query_module(plan, system.udfs)
         text = print_module(module)
         assert "@outerUDF(" in text
@@ -80,8 +80,8 @@ class TestMerging:
         registry = UDFRegistry()
         registry.register(ScalarUDF("noSrc", [ht.F64], ht.F64,
                                     python_impl=lambda x: x))
-        hp = HorsePowerSystem(system.db, registry)
-        plan = hp.plan_sql("SELECT SUM(noSrc(x)) AS s FROM t")
+        hp = EngineSession(system.db, registry)
+        _, plan = hp.plan_sql("SELECT SUM(noSrc(x)) AS s FROM t")
         with pytest.raises(UDFError, match="no MATLAB source"):
             build_query_module(plan, registry)
 
@@ -89,7 +89,7 @@ class TestMerging:
         system.register_scalar_udf("twiceUDF", "function r = f(a)\n"
                                                "    r = a .* 2;\nend",
                                    [ht.F64], ht.F64)
-        plan = system.plan_sql(
+        _, plan = system.plan_sql(
             "SELECT SUM(twiceUDF(x)) AS a, SUM(twiceUDF(y)) AS b FROM t")
         module = build_query_module(plan, system.udfs)
         assert list(module.methods).count("twiceUDF") == 1

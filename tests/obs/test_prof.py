@@ -267,16 +267,6 @@ class TestSessionMetrics:
             snapshot = session.metrics.snapshot()
         assert not any(name.startswith("prof.") for name in snapshot)
 
-    def test_facade_profile_argument_reaches_queries(self, tpch_db):
-        from repro.horsepower import HorsePowerSystem
-        from repro.sql.udf import UDFRegistry
-
-        profile = AllocationProfile()
-        hp = HorsePowerSystem(tpch_db, UDFRegistry(), profile=profile)
-        register_tpch_udfs(hp)
-        hp.run_sql(UDF_QUERIES["q6"], use_cache=False)
-        assert profile.bytes_allocated > 0
-
 
 class TestDisabledOverhead:
     def test_noop_profile_site_cost(self):

@@ -9,13 +9,12 @@ from dataclasses import replace
 import pytest
 
 from repro.data.tpch import generate_tpch
-from repro.horsepower import HorsePowerSystem, MonetDBLike
+from repro.engine import EngineSession
 from repro.obs import (Tracer, chrome_trace, chrome_trace_json,
                        phase_coverage, render_explain_analyze,
                        render_plan)
 from repro.sql.parser import parse_sql
 from repro.sql.planner import plan_query
-from repro.sql.udf import UDFRegistry
 from repro.workloads.tpch_queries import (PLAIN_QUERIES, UDF_QUERIES,
                                           register_tpch_udfs)
 
@@ -29,15 +28,15 @@ TPCH_SCALE = 0.002
 @pytest.fixture(scope="module")
 def hp_system():
     db = generate_tpch(scale_factor=TPCH_SCALE)
-    hp = HorsePowerSystem(db, UDFRegistry())
+    hp = EngineSession(db)
     register_tpch_udfs(hp)
     return hp
 
 
 def _trace_query(hp, sql, **kwargs):
     tracer = Tracer()
-    hp.run_sql(sql, ctx=replace(hp.session.context(), tracer=tracer),
-               **kwargs)
+    hp.run_sql(sql, backend="python",
+               ctx=replace(hp.context(), tracer=tracer), **kwargs)
     root = tracer.last_root()
     assert root is not None and root.name == "query"
     return tracer, root
@@ -138,20 +137,6 @@ class TestSpanTaxonomy:
         prepare = next(s for s in root.children if s.name == "prepare")
         assert prepare.attrs["cached"] is True
 
-    def test_monetdb_baseline_traces_are_comparable(self, hp_system):
-        tracer = Tracer()
-        mdb = MonetDBLike(hp_system.db, hp_system.udfs, tracer=tracer)
-        mdb.run_sql(UDF_QUERIES["q6"])
-        root = tracer.last_root()
-        assert root.name == "query"
-        assert root.attrs["system"] == "monetdb"
-        names = {span.name for span in tracer.all_spans()}
-        assert {"parse", "plan", "execute"} <= names
-        assert any(name.startswith("op:") for name in names)
-        scan = next(s for s in tracer.all_spans()
-                    if s.name == "op:Scan")
-        assert scan.attrs["rows_out"] > 0
-
 
 class TestChromeTrace:
     def test_round_trip_is_valid_json_with_required_keys(self, hp_system):
@@ -185,7 +170,7 @@ class TestChromeTrace:
 
 def _regenerate_golden() -> None:
     db = generate_tpch(scale_factor=TPCH_SCALE)
-    hp = HorsePowerSystem(db, UDFRegistry())
+    hp = EngineSession(db)
     register_tpch_udfs(hp)
     _, root = _trace_query(hp, UDF_QUERIES["q6"])
     os.makedirs(GOLDEN_DIR, exist_ok=True)

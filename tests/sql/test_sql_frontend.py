@@ -317,8 +317,7 @@ class TestDistinctAndHaving:
     @pytest.fixture
     def db_systems(self):
         from repro.engine.storage import Database
-        from repro.horsepower import HorsePowerSystem, MonetDBLike
-        from repro.sql.udf import UDFRegistry
+        from repro.engine import EngineSession
 
         db = Database()
         db.create_table("s", {
@@ -326,8 +325,8 @@ class TestDistinctAndHaving:
                             dtype=object),
             "val": np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
         })
-        udfs = UDFRegistry()
-        return HorsePowerSystem(db, udfs), MonetDBLike(db, udfs)
+        return (EngineSession(db),
+                EngineSession(db, default_backend="baseline"))
 
     def test_select_distinct(self, db_systems):
         hp, mdb = db_systems

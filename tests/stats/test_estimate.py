@@ -5,7 +5,7 @@ q-error ≤ 2.0 on the Q1/Q6 filters after ANALYZE."""
 import pytest
 
 from repro.data.tpch import generate_tpch
-from repro.horsepower import MonetDBLike
+from repro.engine import EngineSession
 from repro.obs import Tracer
 from repro.sql.parser import parse_sql
 from repro.sql.plan import plan_to_json
@@ -18,16 +18,16 @@ TPCH_SCALE = 0.01
 
 @pytest.fixture(scope="module")
 def analyzed_mdb():
-    mdb = MonetDBLike(generate_tpch(scale_factor=TPCH_SCALE),
-                      tracer=Tracer())
+    mdb = EngineSession(generate_tpch(scale_factor=TPCH_SCALE),
+                        tracer=Tracer(), default_backend="baseline")
     mdb.analyze()
     return mdb
 
 
 def _traced_run(mdb, sql):
-    """Run ``sql`` and return the facade's tracer holding only that
+    """Run ``sql`` and return the session's tracer holding only that
     query's spans."""
-    tracer = mdb.session.tracer
+    tracer = mdb.tracer
     tracer.reset()
     mdb.run_sql(sql)
     return tracer
@@ -78,9 +78,11 @@ class TestPerOperatorSpans:
 
     def test_spans_without_stats_carry_actuals_only(self):
         tracer = Tracer()
-        mdb = MonetDBLike(generate_tpch(scale_factor=0.002),
-                          tracer=tracer)
+        mdb = EngineSession(generate_tpch(scale_factor=0.002),
+                            tracer=tracer, default_backend="baseline")
         mdb.run_sql(PLAIN_QUERIES["q6"])
+        names = {s.name for s in tracer.all_spans()}
+        assert {"query", "parse", "plan", "execute"} <= names
         operators = [s for s in tracer.all_spans()
                      if s.name.startswith("op:")]
         assert operators

@@ -97,6 +97,19 @@ class TestStaleStatsMisestimates:
             assert session.metrics.histogram(
                 "stats.q_error").count >= 1
 
+    def test_each_estimate_is_observed_exactly_once(self):
+        """One ``stats.q_error`` observation per query on a HorseIR
+        engine (only the root survives lowering), one per plan operator
+        on the baseline — the root included, once."""
+        with EngineSession(make_db(rows=1000)) as session:
+            session.analyze()
+            session.run_sql(SQL)
+            hist = session.metrics.histogram("stats.q_error")
+            assert hist.count == 1
+            session.run_sql(SQL, backend="baseline")
+            operators = session.metrics.counter("exec.operators").value
+            assert hist.count == 1 + operators > 2
+
     def test_baseline_executor_records_operator_misestimates(self):
         """The interpreting path keeps est-vs-actual metrics flowing
         even with tracing off."""

@@ -8,7 +8,6 @@ import pytest
 from repro.core.passes import preset, registered_pass_names
 from repro.data.tpch import generate_tpch
 from repro.engine import EngineSession
-from repro.horsepower import HorsePowerSystem
 from repro.sql.parser import parse_sql
 from repro.sql.plan_passes import reorder_by_selectivity
 from repro.sql.planner import plan_query

@@ -28,14 +28,6 @@ def test_run_sql_on_csv(csv_table, capsys):
     assert "6.0" in out
 
 
-def test_run_sql_monetdb_system(csv_table, capsys):
-    code = main(["run-sql", "--system", "monetdb",
-                 "--table", f"t={csv_table}@x:f64,label:str",
-                 "SELECT COUNT(*) AS n FROM t WHERE label = 'a'"])
-    assert code == 0
-    assert "2" in capsys.readouterr().out
-
-
 def test_run_sql_with_generated_tpch(capsys):
     code = main(["run-sql", "--tpch", "0.001",
                  "SELECT COUNT(*) AS n FROM lineitem"])
@@ -100,7 +92,7 @@ def test_bad_schema_type_message(csv_table):
 
 
 @pytest.mark.parametrize("backend", ["interp", "pygen", "python",
-                                     "baseline"])
+                                     "baseline", "monetdb"])
 def test_run_sql_backend_selection(csv_table, capsys, backend):
     code = main(["run-sql", "--backend", backend,
                  "--table", f"t={csv_table}@x:f64,label:str",
@@ -116,11 +108,22 @@ def test_run_sql_unknown_backend_is_rejected(csv_table):
               "SELECT SUM(x) AS s FROM t"])
 
 
-def test_run_sql_backend_conflicts_with_monetdb_system(csv_table):
-    with pytest.raises(SystemExit, match="--backend picks"):
-        main(["run-sql", "--system", "monetdb", "--backend", "pygen",
+def test_run_sql_has_no_system_flag(csv_table, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run-sql", "--system", "monetdb",
               "--table", f"t={csv_table}@x:f64,label:str",
               "SELECT SUM(x) AS s FROM t"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --system" in capsys.readouterr().err
+
+
+def test_run_sql_baseline_honours_timeout(capsys):
+    code = main(["run-sql", "--tpch", "0.1", "--backend", "baseline",
+                 "--timeout", "0.001",
+                 "SELECT SUM(l_extendedprice * l_discount) AS revenue "
+                 "FROM lineitem WHERE l_discount >= 0.05"])
+    assert code == 2
+    assert "QueryTimeout" in capsys.readouterr().err
 
 
 def test_list_backends(capsys):
@@ -175,13 +178,6 @@ def test_run_sql_timeout_writes_diagnostics_bundle(
     assert "diagnostics bundle written" in err
 
 
-def test_run_sql_telemetry_conflicts_with_monetdb_system(csv_table):
-    with pytest.raises(SystemExit, match="telemetry"):
-        main(["run-sql", "--system", "monetdb", "--query-log",
-              "--table", f"t={csv_table}@x:f64,label:str",
-              "SELECT SUM(x) AS s FROM t"])
-
-
 def test_run_sql_with_custom_passes(csv_table, capsys):
     code = main(["run-sql",
                  "--table", f"t={csv_table}@x:f64,label:str",
@@ -206,13 +202,6 @@ def test_run_sql_unknown_pass_is_rejected(csv_table):
               "--table", f"t={csv_table}@x:f64,label:str",
               "SELECT SUM(x) AS s FROM t",
               "--passes", "turbofuse"])
-
-
-def test_run_sql_passes_conflict_with_monetdb_system(csv_table):
-    with pytest.raises(SystemExit, match="pipeline"):
-        main(["run-sql", "--system", "monetdb", "--verify-ir",
-              "--table", f"t={csv_table}@x:f64,label:str",
-              "SELECT SUM(x) AS s FROM t"])
 
 
 def test_run_sql_dump_ir_writes_snapshots(csv_table, tmp_path, capsys):

@@ -8,8 +8,7 @@ from repro.data import generate_blackscholes, generate_tpch
 from repro.data.blackscholes import calc_option_price, load_blackscholes_table
 from repro.data.morgan import generate_morgan, morgan_reference, msum_reference
 from repro.engine.storage import Database
-from repro.horsepower import HorsePowerSystem, MonetDBLike
-from repro.sql.udf import UDFRegistry
+from repro.engine import EngineSession
 from repro.workloads.bs_queries import (BS_VARIANT_NAMES, SCALAR_QUERIES,
                                         TABLE_QUERIES, register_bs_udfs)
 from repro.workloads.tpch_queries import (PLAIN_QUERIES, UDF_QUERIES,
@@ -23,9 +22,8 @@ def tpch_db():
 
 @pytest.fixture(scope="module")
 def tpch_systems(tpch_db):
-    udfs = UDFRegistry()
-    hp = HorsePowerSystem(tpch_db, udfs)
-    mdb = MonetDBLike(tpch_db, udfs)
+    hp = EngineSession(tpch_db)
+    mdb = EngineSession(tpch_db, hp.udfs, default_backend="baseline")
     register_tpch_udfs(hp)
     return hp, mdb
 
@@ -122,9 +120,8 @@ class TestTPCHQueries:
 def bs_systems():
     db = Database()
     load_blackscholes_table(db, 5000)
-    udfs = UDFRegistry()
-    hp = HorsePowerSystem(db, udfs)
-    mdb = MonetDBLike(db, udfs)
+    hp = EngineSession(db)
+    mdb = EngineSession(db, hp.udfs, default_backend="baseline")
     register_bs_udfs(hp)
     return hp, mdb
 
@@ -162,10 +159,10 @@ class TestBlackScholesQueries:
 
     def test_bs2_table_udf_not_sliced_by_baseline(self, bs_systems):
         _, mdb = bs_systems
-        before = mdb.bridge.calls
+        before = mdb.baseline_executor().bridge.calls
         mdb.run_sql(TABLE_QUERIES["bs2_med"])
         # The baseline still pays the full black-box UDF call.
-        assert mdb.bridge.calls == before + 1
+        assert mdb.baseline_executor().bridge.calls == before + 1
 
     def test_selectivities_are_near_paper(self, bs_systems):
         hp, _ = bs_systems

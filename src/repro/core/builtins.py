@@ -34,26 +34,43 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from repro.core import ir
+from repro.core import strings
 from repro.core import types as ht
 from repro.core.values import (ListValue, TableValue, Value, Vector, scalar,
                                value_nbytes)
 from repro.errors import BuiltinError
 
 __all__ = ["Builtin", "EvalContext", "BUILTINS", "get", "exists",
-           "run_profiled", "materializes_output", "BuiltinSig",
+           "run_profiled", "charges_output", "BuiltinSig",
            "SIGNATURES", "signature"]
 
 #: Builtins whose result is a reference to existing storage (the base
-#: table, one of its columns) rather than a newly materialized vector.
-#: The allocation profiler skips statement-level charges for these in
-#: *both* execution modes, so naive-vs-opt byte totals compare
-#: materialization, not how often base data is referenced.
-_REFERENCE_BUILTINS = frozenset({"load_table", "column_value"})
+#: table, one of its columns, a string vector's codes or dictionary)
+#: rather than a newly materialized vector.  The allocation profiler
+#: charges nothing for these in *both* execution modes, so naive-vs-opt
+#: byte totals compare materialization, not how often base data is
+#: referenced.
+_REFERENCE_BUILTINS = frozenset({"load_table", "column_value",
+                                 "str_codes", "str_dict", "str_decode"})
 
 
-def materializes_output(name: str) -> bool:
-    """Does ``@name`` allocate its result (vs hand out a reference)?"""
-    return name not in _REFERENCE_BUILTINS
+def charges_output(expr: ir.Expr, value: Value, evaluate) -> bool:
+    """Does assigning ``value``, computed by ``expr``, materialize it?
+
+    The profiler's one rule for a statement-level charge, shared by the
+    interpreter and the compiled executor: a value that *is* a reference
+    builtin's output charges nothing — a bare ``@column_value(...)``, or
+    one under a ``check_cast`` that returned it unchanged (the SQL
+    translator wraps every column reference that way).  A cast that
+    converted charges its copy.  ``evaluate`` re-evaluates the reference
+    call (a lookup) to compare identities; it runs only on this
+    profiled path."""
+    inner = expr.expr if isinstance(expr, ir.Cast) else expr
+    if not isinstance(inner, ir.BuiltinCall) \
+            or inner.name not in _REFERENCE_BUILTINS:
+        return True
+    return inner is not expr and evaluate(inner) is not value
 
 
 class EvalContext:
@@ -154,6 +171,14 @@ def _as_vector(name: str, value: Value) -> Vector:
     return value
 
 
+def _select(vec: Vector, index) -> Vector:
+    """``vec[index]`` — a mask, an index array or a slice.  A ``str``
+    vector selects its codes and keeps its dictionary."""
+    if vec.type is ht.STR:
+        return vec.with_codes(vec.encoding()[0][index])
+    return Vector(vec.type, vec.data[index])
+
+
 # ---------------------------------------------------------------------------
 # Type-inference helpers
 # ---------------------------------------------------------------------------
@@ -221,14 +246,12 @@ def _make_elementwise(name: str, arity: int, fn, infer, template: str,
                       c_template: str | None = None) -> None:
     def run(args: list[Value], _: EvalContext) -> Value:
         _expect_arity(name, args, arity)
-        # Length-one vectors broadcast as true scalars: NumPy's scalar
-        # fast paths make this measurably cheaper than 1-element arrays.
-        arrays = [
-            vec.data if len(vec.data) != 1 else vec.data[0]
-            for vec in (_as_vector(name, a) for a in args)
-        ]
+        vectors = [_as_vector(name, a) for a in args]
         try:
-            result = fn(*arrays)
+            if any(vec.type is ht.STR for vec in vectors):
+                result = _run_on_strings(name, fn, vectors, broadcast_args)
+            else:
+                result = fn(*_operands(vectors, broadcast_args))
         except (TypeError, ValueError) as exc:
             raise BuiltinError(f"@{name} failed: {exc}") from exc
         result = np.asarray(result)
@@ -246,11 +269,51 @@ def _make_elementwise(name: str, arity: int, fn, infer, template: str,
                       ufunc=ufunc, c_template=c_template))
 
 
-def _object_aware(op):
-    """Wrap a NumPy ufunc so comparisons on object (string) arrays work."""
-    def apply(a, b):
-        return op(a, b)
-    return apply
+def _operands(vectors: list[Vector], broadcast_args: tuple) -> list:
+    """NumPy operands: whole arrays at whole-value positions (a
+    ``@member`` pool, a ``@like`` pattern, a ``@gather`` table), and
+    length-one vectors as true scalars elsewhere — NumPy's scalar fast
+    paths make that measurably cheaper than 1-element arrays."""
+    return [vec.data if position in broadcast_args or len(vec) != 1
+            else vec.data[0]
+            for position, vec in enumerate(vectors)]
+
+
+_COMPARISONS = frozenset({"eq", "neq", "lt", "gt", "leq", "geq"})
+
+
+def _run_on_strings(name: str, fn, vectors: list[Vector],
+                    broadcast_args: tuple) -> np.ndarray:
+    """An elementwise op with ``str`` operands, on dictionary codes.
+
+    With one string operand at a row position and scalars elsewhere, the
+    op runs once per dictionary entry and is gathered by code; two
+    string operands of a comparison compare codes over a reconciled
+    dictionary (sorted, so code order is string order).  Anything else —
+    a string operand beside another row-level vector — runs on the
+    decoded view."""
+    positions = [position for position in range(len(vectors))
+                 if position not in broadcast_args]
+    rows = [position for position in positions
+            if len(vectors[position]) != 1] \
+        or [position for position in positions
+            if vectors[position].type is ht.STR][:1]
+    if not all(vectors[position].type is ht.STR for position in rows):
+        return fn(*_operands(vectors, broadcast_args))
+    if len(rows) == 1:
+        [position] = rows
+        codes, dictionary = vectors[position].encoding()
+        operands = _operands(vectors, broadcast_args)
+
+        def on_dictionary(entries):
+            operands[position] = entries
+            return fn(*operands)
+
+        return strings.per_entry(on_dictionary, codes, dictionary)
+    if len(rows) == 2 and name in _COMPARISONS:
+        codes, _ = strings.reconcile(*(vectors[p].encoding() for p in rows))
+        return fn(*codes)
+    return fn(*_operands(vectors, broadcast_args))
 
 
 _make_elementwise("add", 2, np.add, _infer_promote, "({0} + {1})", ufunc="np.add",
@@ -283,22 +346,22 @@ _make_elementwise("round", 1, np.round, _infer_first, "np.round({0})")
 _make_elementwise("sign", 1, np.sign, _infer_first, "np.sign({0})", ufunc="np.sign",
                   c_template='(({0} > 0) - ({0} < 0))')
 
-_make_elementwise("lt", 2, _object_aware(np.less), _infer_bool,
+_make_elementwise("lt", 2, np.less, _infer_bool,
                   "({0} < {1})", ufunc="np.less",
                   c_template='({0} < {1})')
-_make_elementwise("gt", 2, _object_aware(np.greater), _infer_bool,
+_make_elementwise("gt", 2, np.greater, _infer_bool,
                   "({0} > {1})", ufunc="np.greater",
                   c_template='({0} > {1})')
-_make_elementwise("leq", 2, _object_aware(np.less_equal), _infer_bool,
+_make_elementwise("leq", 2, np.less_equal, _infer_bool,
                   "({0} <= {1})", ufunc="np.less_equal",
                   c_template='({0} <= {1})')
-_make_elementwise("geq", 2, _object_aware(np.greater_equal), _infer_bool,
+_make_elementwise("geq", 2, np.greater_equal, _infer_bool,
                   "({0} >= {1})", ufunc="np.greater_equal",
                   c_template='({0} >= {1})')
-_make_elementwise("eq", 2, _object_aware(np.equal), _infer_bool,
+_make_elementwise("eq", 2, np.equal, _infer_bool,
                   "({0} == {1})", ufunc="np.equal",
                   c_template='({0} == {1})')
-_make_elementwise("neq", 2, _object_aware(np.not_equal), _infer_bool,
+_make_elementwise("neq", 2, np.not_equal, _infer_bool,
                   "({0} != {1})", ufunc="np.not_equal",
                   c_template='({0} != {1})')
 
@@ -354,18 +417,15 @@ _make_elementwise("date_to_i64", 1, _date_to_i64, _infer_i64,
                   "({0}).astype('datetime64[D]').astype(np.int64)")
 
 
-# String builtins.  These operate on object arrays; they are elementwise in
-# the fusion sense, but their templates use helper functions bound into the
-# kernel namespace by the code generator.
+# String predicates.  On a string vector they run once per dictionary
+# entry (see _run_on_strings), so ``values`` here is a dictionary, not a
+# column; the fused-kernel form of the same predicate is a ``@gather`` of
+# that per-entry table by code (repro.core.codegen.lower).
 
 def _scalar_operand(value):
-    """Unwrap a scalar operand that may arrive as a str or 1-array."""
-    if isinstance(value, str):
-        return value
+    """The one element of a whole-value operand, or None."""
     array = np.asarray(value).reshape(-1)
-    if len(array) != 1:
-        return None
-    return array[0]
+    return array[0] if len(array) == 1 else None
 
 
 def _np_like(values: np.ndarray, patterns) -> np.ndarray:
@@ -373,11 +433,13 @@ def _np_like(values: np.ndarray, patterns) -> np.ndarray:
     if pattern is None:
         raise BuiltinError("@like expects a scalar pattern")
     regex = _like_regex(pattern)
-    return np.fromiter((bool(regex.match(v)) for v in values),
-                       dtype=np.bool_, count=len(values))
+    return np.array([regex.match(v) is not None for v in values],
+                    dtype=np.bool_)
 
 
 def _like_regex(pattern: str) -> "re.Pattern[str]":
+    """The one SQL ``LIKE`` translator: ``%`` and ``_`` become ``.*`` and
+    ``.``, every other character matches itself."""
     out = []
     for ch in pattern:
         if ch == "%":
@@ -389,36 +451,35 @@ def _like_regex(pattern: str) -> "re.Pattern[str]":
     return re.compile("".join(out) + r"\Z", re.DOTALL)
 
 
-_make_elementwise("like", 2, _np_like, _infer_bool,
-                  "_like({0}, {1})", broadcast_args=(1,))
+_make_elementwise("like", 2, _np_like, _infer_bool, None,
+                  broadcast_args=(1,))
 
 
 def _np_startswith(values: np.ndarray, prefixes) -> np.ndarray:
     prefix = _scalar_operand(prefixes)
     if prefix is None:
         raise BuiltinError("@startswith expects a scalar prefix")
-    return np.fromiter((v.startswith(prefix) for v in values),
-                       dtype=np.bool_, count=len(values))
+    return np.array([v.startswith(prefix) for v in values],
+                    dtype=np.bool_)
 
 
-_make_elementwise("startswith", 2, _np_startswith, _infer_bool,
-                  "_startswith({0}, {1})", broadcast_args=(1,))
+_make_elementwise("startswith", 2, _np_startswith, _infer_bool, None,
+                  broadcast_args=(1,))
 
 
-def _np_member(values: np.ndarray, candidates) -> np.ndarray:
-    if isinstance(candidates, str):
-        pool = {candidates}
-        candidates = np.array([candidates], dtype=object)
-    else:
-        pool = set(np.asarray(candidates).tolist())
-    if values.dtype == object:
-        return np.fromiter((v in pool for v in values),
-                           dtype=np.bool_, count=len(values))
-    return np.isin(values, candidates)
+_make_elementwise("member", 2, np.isin, _infer_bool,
+                  "np.isin({0}, {1})", broadcast_args=(1,))
 
 
-_make_elementwise("member", 2, _np_member, _infer_bool,
-                  "_member({0}, {1})", broadcast_args=(1,))
+def _gather(table: np.ndarray, codes) -> np.ndarray:
+    return table[codes]
+
+
+#: ``@gather(table, codes)`` is ``table[codes]``: the row-level half of a
+#: string predicate lowered to codes, fusable like any elementwise op
+#: (the table is a whole value, looked up once per row).
+_make_elementwise("gather", 2, _gather, _infer_first, "({0})[{1}]",
+                  broadcast_args=(0,), c_template="{0}[{1}]")
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +490,16 @@ def _make_reduction(name: str, fn, infer, template: str,
                     combine: str) -> None:
     def run(args: list[Value], _: EvalContext) -> Value:
         _expect_arity(name, args, 1)
-        data = _as_vector(name, args[0]).data
-        out_type = infer([args[0].type])
-        if len(data) == 0:
+        vec = _as_vector(name, args[0])
+        out_type = infer([vec.type])
+        if len(vec) == 0:
             value = _reduction_identity(name, out_type)
+        elif vec.type is ht.STR and name in ("min", "max"):
+            # Sorted dictionary: the extreme string has the extreme code.
+            codes = vec.encoding()[0]
+            return vec.with_codes(np.atleast_1d(fn(codes)))
         else:
-            value = fn(data)
+            value = fn(vec.data)
         result = np.empty(1, dtype=ht.numpy_dtype(out_type))
         result[0] = value
         return Vector(out_type, result)
@@ -483,7 +548,7 @@ def _run_compress(args: list[Value], _: EvalContext) -> Value:
     if len(mask) != len(data):
         raise BuiltinError(
             f"@compress length mismatch: mask {len(mask)}, data {len(data)}")
-    return Vector(data.type, data.data[mask.data])
+    return _select(data, mask.data)
 
 
 _register(Builtin("compress", "compress", 2, _infer_second, _run_compress))
@@ -495,7 +560,7 @@ def _run_index(args: list[Value], _: EvalContext) -> Value:
     idx = _as_vector("index", args[1])
     if not ht.is_integer(idx.type):
         raise BuiltinError("@index indices must be integers")
-    return Vector(data.type, data.data[idx.data])
+    return _select(data, idx.data)
 
 
 _register(Builtin("index", "opaque", 2, _infer_first, _run_index))
@@ -578,7 +643,7 @@ _register(Builtin("len", "opaque", 1, _infer_i64, _run_len))
 def _run_reverse(args: list[Value], _: EvalContext) -> Value:
     _expect_arity("reverse", args, 1)
     data = _as_vector("reverse", args[0])
-    return Vector(data.type, data.data[::-1].copy())
+    return _select(data, slice(None, None, -1))
 
 
 _register(Builtin("reverse", "opaque", 1, _infer_first, _run_reverse))
@@ -587,16 +652,9 @@ _register(Builtin("reverse", "opaque", 1, _infer_first, _run_reverse))
 def _run_unique(args: list[Value], _: EvalContext) -> Value:
     _expect_arity("unique", args, 1)
     data = _as_vector("unique", args[0])
-    if data.data.dtype == object:
-        seen: dict = {}
-        for item in data.data:
-            seen.setdefault(item, None)
-        out = np.empty(len(seen), dtype=object)
-        for i, item in enumerate(seen):
-            out[i] = item
-        return Vector(data.type, out)
-    _, first = np.unique(data.data, return_index=True)
-    return Vector(data.type, data.data[np.sort(first)])
+    values = data.encoding()[0] if data.type is ht.STR else data.data
+    _, first = np.unique(values, return_index=True)
+    return _select(data, np.sort(first))
 
 
 _register(Builtin("unique", "opaque", 1, _infer_first, _run_unique))
@@ -672,37 +730,35 @@ _register(Builtin("list_item", "opaque", 2, _infer_wild, _run_list_item))
 
 
 def _factorize(data: np.ndarray) -> tuple[np.ndarray, int]:
-    """Dense codes for one column.
-
-    Object (string) columns use a hash-based pass — ``np.unique`` would
-    sort with per-element Python comparisons, which dominates group-by on
-    TPC-H's categorical strings.  Numeric columns use ``np.unique``.
-    """
-    if data.dtype == object:
-        try:
-            # Fixed-width unicode re-encoding lets np.unique run its
-            # C-level sort instead of per-element Python comparisons —
-            # the dictionary-encoded grouping a real column store gets
-            # for free.
-            fixed = np.asarray(data, dtype=np.str_)
-        except (TypeError, ValueError):
-            fixed = None
-        if fixed is not None:
-            _, inverse = np.unique(fixed, return_inverse=True)
-            cardinality = int(inverse.max()) + 1 if len(inverse) else 0
-            return inverse.astype(np.int64), cardinality
-        seen: dict = {}
-        codes = np.empty(len(data), dtype=np.int64)
-        for index, value in enumerate(data):
-            code = seen.get(value)
-            if code is None:
-                code = len(seen)
-                seen[value] = code
-            codes[index] = code
-        return codes, len(seen)
+    """Dense codes for one numeric column, in value order."""
     _, inverse = np.unique(data, return_inverse=True)
     cardinality = int(inverse.max()) + 1 if len(inverse) else 0
     return inverse.astype(np.int64), cardinality
+
+
+def _key_codes(key: Vector) -> tuple[np.ndarray, int]:
+    """Codes in ``[0, cardinality)`` for a key column: a string
+    column's dictionary codes as they are, a numeric column
+    factorized."""
+    if key.type is ht.STR:
+        codes, dictionary = key.encoding()
+        return codes, len(dictionary)
+    return _factorize(key.data)
+
+
+def _composite(columns: list[tuple[np.ndarray, int]]
+               ) -> tuple[np.ndarray, int]:
+    """Fold per-column dense codes into one dense int64 key."""
+    combined, cardinality = columns[0]
+    combined = combined.astype(np.int64)
+    for codes, width in columns[1:]:
+        combined = combined * max(width, 1) + codes
+        cardinality *= max(width, 1)
+        if cardinality > 2 * len(combined):
+            # Keep the key space no larger than the rows: refactorize
+            # (which also rules out int64 overflow).
+            combined, cardinality = _factorize(combined)
+    return combined, cardinality
 
 
 def _group_codes(keys: list[Vector]) -> tuple[np.ndarray, np.ndarray]:
@@ -715,26 +771,15 @@ def _group_codes(keys: list[Vector]) -> tuple[np.ndarray, np.ndarray]:
     n = len(keys[0])
     if n == 0:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
-    if len(keys) == 1 and keys[0].data.dtype != object:
-        combined = keys[0].data
-    else:
-        # Combine per-column dense codes into one composite integer key.
-        combined = np.zeros(n, dtype=np.int64)
-        for key in keys:
-            codes, cardinality = _factorize(key.data)
-            combined = combined * max(cardinality, 1) + codes
-            if cardinality and len(combined) and \
-                    combined.max() > (1 << 55):
-                # Keep composite keys dense to avoid int64 overflow.
-                combined, _ = _factorize(combined)
-    _, first, inverse = np.unique(combined, return_index=True,
-                                  return_inverse=True)
-    # Re-number groups by first appearance (np.unique sorts by value).
-    order = np.argsort(first, kind="stable")
-    remap = np.empty(len(order), dtype=np.int64)
-    remap[order] = np.arange(len(order))
-    return (remap[inverse].astype(np.int64),
-            first[order].astype(np.int64))
+    combined, cardinality = _composite([_key_codes(key) for key in keys])
+    first = np.full(cardinality, n, dtype=np.int64)
+    np.minimum.at(first, combined, np.arange(n, dtype=np.int64))
+    present = np.flatnonzero(first < n)
+    # Re-number the present keys by first appearance.
+    order = present[np.argsort(first[present], kind="stable")]
+    remap = np.empty(cardinality, dtype=np.int64)
+    remap[order] = np.arange(len(order), dtype=np.int64)
+    return remap[combined], first[order]
 
 
 def _group_keys(args: list[Value]) -> list[Vector]:
@@ -802,12 +847,19 @@ def _group_avg_impl(values: Vector, codes: np.ndarray,
 
 def _group_extreme(ufunc):
     def impl(values: Vector, codes: np.ndarray, ngroups: int) -> Vector:
-        data = values.data
+        if values.type is ht.STR:
+            # Sorted dictionary: the extreme string has the extreme code.
+            data = values.encoding()[0]
+        else:
+            data = values.data
         if data.dtype == object:
-            raise BuiltinError("group min/max of string columns unsupported")
+            raise BuiltinError("group min/max of symbol columns "
+                               "unsupported")
         init = _dtype_extreme(data.dtype, high=(ufunc is np.minimum))
         out = np.full(ngroups, init, dtype=data.dtype)
         ufunc.at(out, codes, data)
+        if values.type is ht.STR:
+            return values.with_codes(out)
         return Vector(values.type, out)
     return impl
 
@@ -843,8 +895,10 @@ def _join_keys(value: Value) -> list[Vector]:
 def _run_join_index(args: list[Value], _: EvalContext) -> Value:
     """``@join_index(left_keys, right_keys, kind) -> list(lidx, ridx)``.
 
-    ``kind`` is a symbol: ``inner`` or ``left``.  A hash join: build on the
-    right input, probe with the left.  Left-outer probes that miss emit a
+    ``kind`` is a symbol: ``inner`` or ``left``.  Every key pair folds
+    into one integer key per row (string keys as codes over a reconciled
+    dictionary); pairs come out by left index ascending, a left row's
+    matches in right-input order.  Left-outer probes that miss emit a
     right index of ``-1`` (callers pad with null surrogates).
     """
     _expect_arity("join_index", args, 3)
@@ -855,12 +909,33 @@ def _run_join_index(args: list[Value], _: EvalContext) -> Value:
         raise BuiltinError(f"@join_index: unsupported kind {kind!r}")
     if len(left) != len(right):
         raise BuiltinError("@join_index: key column count mismatch")
-
-    if len(left) == 1 and left[0].data.dtype != object:
-        lidx, ridx = _join_single_numeric(left[0].data, right[0].data, kind)
-    else:
-        lidx, ridx = _join_generic(left, right, kind)
+    lkeys, rkeys = _join_key_codes(left, right)
+    lidx, ridx = _join_single_numeric(lkeys, rkeys, kind)
     return ListValue([Vector(ht.I64, lidx), Vector(ht.I64, ridx)])
+
+
+def _join_key_codes(left: list[Vector], right: list[Vector]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """One integer (or single numeric) key per row on each side."""
+    if len(left) == 1 and left[0].type is not ht.STR \
+            and right[0].type is not ht.STR:
+        return left[0].data, right[0].data
+    nleft = len(left[0])
+    columns = []
+    for lkey, rkey in zip(left, right):
+        if (lkey.type is ht.STR) != (rkey.type is ht.STR):
+            raise BuiltinError(
+                f"@join_index: cannot join {lkey.type} with {rkey.type}")
+        if lkey.type is ht.STR:
+            (lcodes, rcodes), dictionary = strings.reconcile(
+                lkey.encoding(), rkey.encoding())
+            codes, width = np.concatenate([lcodes, rcodes]), len(dictionary)
+        else:
+            codes, width = _factorize(
+                np.concatenate([lkey.data, rkey.data]))
+        columns.append((codes, width))
+    combined, _ = _composite(columns)
+    return combined[:nleft], combined[nleft:]
 
 
 def _join_single_numeric(left: np.ndarray, right: np.ndarray,
@@ -884,29 +959,6 @@ def _join_single_numeric(left: np.ndarray, right: np.ndarray,
     return lidx.astype(np.int64), ridx.astype(np.int64)
 
 
-def _join_generic(left: list[Vector], right: list[Vector],
-                  kind: str) -> tuple[np.ndarray, np.ndarray]:
-    build: dict = {}
-    right_cols = [v.data for v in right]
-    for i in range(len(right_cols[0])):
-        key = tuple(col[i] for col in right_cols)
-        build.setdefault(key, []).append(i)
-    lidx: list[int] = []
-    ridx: list[int] = []
-    left_cols = [v.data for v in left]
-    for i in range(len(left_cols[0])):
-        key = tuple(col[i] for col in left_cols)
-        matches = build.get(key)
-        if matches:
-            lidx.extend([i] * len(matches))
-            ridx.extend(matches)
-        elif kind == "left":
-            lidx.append(i)
-            ridx.append(-1)
-    return (np.asarray(lidx, dtype=np.int64),
-            np.asarray(ridx, dtype=np.int64))
-
-
 _register(Builtin("join_index", "opaque", 3,
                   lambda _: ht.list_of(ht.I64), _run_join_index))
 
@@ -925,23 +977,18 @@ def _run_order(args: list[Value], _: EvalContext) -> Value:
     columns = []
     # np.lexsort sorts by the *last* key first, so feed minor-to-major.
     for key, asc in zip(reversed(keys), reversed(ascending.tolist())):
+        if key.type is ht.STR:
+            # Sorted dictionary: code order is string order.
+            codes = key.encoding()[0]
+            columns.append(codes if asc else -codes)
+            continue
         data = key.data
-        if data.dtype == object:
-            ranks = _string_ranks(data)
-            columns.append(ranks if asc else -ranks)
-        elif data.dtype.kind == "M":
+        if data.dtype.kind == "M":
             as_int = data.astype(np.int64)
             columns.append(as_int if asc else -as_int)
         else:
             columns.append(data if asc else -data.astype(np.float64))
     return Vector(ht.I64, np.lexsort(columns).astype(np.int64))
-
-
-def _string_ranks(data: np.ndarray) -> np.ndarray:
-    unique_sorted = sorted(set(data.tolist()))
-    rank = {value: i for i, value in enumerate(unique_sorted)}
-    return np.fromiter((rank[v] for v in data), dtype=np.int64,
-                       count=len(data))
 
 
 _register(Builtin("order", "opaque", 2, _infer_i64, _run_order))
@@ -951,10 +998,72 @@ def _run_take(args: list[Value], _: EvalContext) -> Value:
     _expect_arity("take", args, 2)
     data = _as_vector("take", args[0])
     n = int(_as_vector("take", args[1]).item())
-    return Vector(data.type, data.data[:n].copy())
+    return _select(data, slice(None, n))
 
 
 _register(Builtin("take", "opaque", 2, _infer_first, _run_take))
+
+
+# ---------------------------------------------------------------------------
+# String lowering (emitted by repro.core.codegen.lower after optimization;
+# never written by a frontend)
+# ---------------------------------------------------------------------------
+
+def _string_arg(name: str, value: Value) -> Vector:
+    vec = _as_vector(name, value)
+    if vec.type is not ht.STR:
+        raise BuiltinError(f"@{name} expects a str vector, got {vec.type}")
+    return vec
+
+
+def _run_str_codes(args: list[Value], _: EvalContext) -> Value:
+    """``@str_codes(x)`` — the int32 codes of string vector ``x``."""
+    _expect_arity("str_codes", args, 1)
+    return Vector(ht.I32, _string_arg("str_codes", args[0]).encoding()[0])
+
+
+def _run_str_dict(args: list[Value], _: EvalContext) -> Value:
+    """``@str_dict(x)`` — ``x``'s dictionary as a string vector, one row
+    per entry: what a predicate runs over once per entry."""
+    _expect_arity("str_dict", args, 1)
+    dictionary = _string_arg("str_dict", args[0]).encoding()[1]
+    return Vector.from_codes(
+        np.arange(len(dictionary), dtype=strings.CODE_DTYPE), dictionary)
+
+
+def _run_str_find(args: list[Value], _: EvalContext) -> Value:
+    """``@str_find(x, s)`` — the code of string ``s`` in ``x``'s
+    dictionary, or -1 when no row of ``x`` holds it (so ``@eq`` on codes
+    is false everywhere and ``@neq`` true)."""
+    _expect_arity("str_find", args, 2)
+    dictionary = _string_arg("str_find", args[0]).encoding()[1]
+    target = _as_vector("str_find", args[1]).item()
+    try:
+        code = int(np.searchsorted(dictionary, target))
+    except TypeError:  # not a string: equal to no entry
+        code = len(dictionary)
+    if code == len(dictionary) or dictionary[code] != target:
+        code = -1
+    return scalar(code, ht.I32)
+
+
+def _run_str_decode(args: list[Value], _: EvalContext) -> Value:
+    """``@str_decode(codes, x)`` — the string vector ``codes`` spell in
+    ``x``'s dictionary (codes computed from ``x``'s, e.g. compressed
+    inside a fused kernel)."""
+    _expect_arity("str_decode", args, 2)
+    codes = _as_vector("str_decode", args[0])
+    return _string_arg("str_decode", args[1]).with_codes(codes.data)
+
+
+_register(Builtin("str_codes", "opaque", 1, lambda _: ht.I32,
+                  _run_str_codes))
+_register(Builtin("str_dict", "opaque", 1, lambda _: ht.STR,
+                  _run_str_dict))
+_register(Builtin("str_find", "opaque", 2, lambda _: ht.I32,
+                  _run_str_find))
+_register(Builtin("str_decode", "opaque", 2, lambda _: ht.STR,
+                  _run_str_decode))
 
 
 # ---------------------------------------------------------------------------
@@ -1035,7 +1144,7 @@ def _run_subseq(args: list[Value], _: EvalContext) -> Value:
         raise BuiltinError(
             f"@subseq bounds {start}:{stop} out of range for "
             f"length {len(data)}")
-    return Vector(data.type, data.data[start - 1:stop])
+    return _select(data, slice(start - 1, stop))
 
 
 _register(Builtin("subseq", "opaque", 3, _infer_first, _run_subseq))

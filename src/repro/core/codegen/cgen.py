@@ -14,7 +14,8 @@ backend):
 * vector outputs live in the base domain (compressed values may only feed
   reductions — compression becomes the loop's ``if`` guard, exactly as in
   Figure 3);
-* runtime dtypes are numeric/bool/datetime (object columns fall back).
+* runtime dtypes are numeric/bool/datetime (strings reach kernels as
+  int32 dictionary codes — see :mod:`repro.core.codegen.lower`).
 
 Kernels are specialized per (dtype, broadcast) signature at first call
 and cached; gcc runs once per specialization.
@@ -33,7 +34,7 @@ import numpy as np
 from repro.core import builtins as hb
 from repro.core import ir
 from repro.core import types as ht
-from repro.core.optimizer.fusion import BASE, Segment
+from repro.core.optimizer.fusion import ANY, BASE, Segment
 from repro.core.values import Vector
 from repro.errors import BuiltinError, CodegenError, HorseRuntimeError
 
@@ -278,7 +279,11 @@ class _SourceBuilder:
                 continue
             builtin = hb.get(expr.name)
             if builtin.kind == "elementwise":
-                args = [self._value_of(a) for a in expr.args]
+                # A whole-value operand (the table of a @gather) is
+                # indexed by the template, not read per row.
+                args = [f"{a.name}_p" if position in builtin.broadcast_args
+                        else self._value_of(a)
+                        for position, a in enumerate(expr.args)]
                 guards = [self._guard_of(a.name) for a in expr.args
                           if isinstance(a, ir.Var)]
                 guards = [g for g in guards if g is not None]
@@ -416,8 +421,9 @@ class CKernel:
     def _invoke(self, fn, arrays, signature, n_threads) -> list[Vector]:
         segment = self.segment
         n = None
-        for arr, (_, scalar) in zip(arrays, signature):
-            if not scalar:
+        for name, arr, (_, scalar) in zip(segment.inputs, arrays,
+                                          signature):
+            if not scalar and segment.domains.get(name) != ANY:
                 if n is not None and len(arr) != n:
                     raise HorseRuntimeError(
                         "native kernel input length mismatch")

@@ -18,7 +18,6 @@ per-chunk partials combined by the executor.
 
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass, field
 
@@ -56,45 +55,6 @@ class CompiledKernel:
 
 # -- kernel helper functions (bound into every kernel's globals) ------------
 
-@functools.lru_cache(maxsize=256)
-def _like_regex(pattern: str):
-    out = []
-    for ch in pattern:
-        if ch == "%":
-            out.append(".*")
-        elif ch == "_":
-            out.append(".")
-        else:
-            out.append(re.escape(ch))
-    return re.compile("".join(out) + r"\Z", re.DOTALL)
-
-
-def _scalar_of(value):
-    if isinstance(value, np.ndarray):
-        return value[0]
-    return value
-
-
-def _like(values, pattern):
-    regex = _like_regex(_scalar_of(pattern))
-    return np.fromiter((bool(regex.match(v)) for v in values),
-                       dtype=np.bool_, count=len(values))
-
-
-def _startswith(values, prefix):
-    prefix = _scalar_of(prefix)
-    return np.fromiter((v.startswith(prefix) for v in values),
-                       dtype=np.bool_, count=len(values))
-
-
-def _member(values, candidates):
-    pool = set(np.asarray(candidates).tolist())
-    if values.dtype == object:
-        return np.fromiter((v in pool for v in values),
-                           dtype=np.bool_, count=len(values))
-    return np.isin(values, np.asarray(candidates))
-
-
 def _chunk_min(values):
     """Per-chunk @min partial; None marks an empty selection (the
     executor drops None partials and errors only when every chunk's
@@ -108,9 +68,6 @@ def _chunk_max(values):
 
 _KERNEL_GLOBALS = {
     "np": np,
-    "_like": _like,
-    "_startswith": _startswith,
-    "_member": _member,
     "_chunk_min": _chunk_min,
     "_chunk_max": _chunk_max,
 }
@@ -142,7 +99,7 @@ _BUFFER_ITEMSIZE_DTYPES = {
 }
 
 #: logical ufuncs only take buffers when their operands are provably
-#: boolean (object operands cannot cast into a bool out-buffer).
+#: boolean.
 _LOGICAL_UFUNCS = ("np.logical_and", "np.logical_or", "np.logical_not")
 
 

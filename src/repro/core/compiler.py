@@ -30,6 +30,7 @@ from repro.core import ir
 from repro.core import types as ht
 from repro.core.codegen.cgen import CKernel, c_backend_available
 from repro.core.codegen.executor import DEFAULT_CHUNK_SIZE, run_kernel
+from repro.core.codegen.lower import lower_strings
 from repro.core.codegen.pygen import CompiledKernel, generate_kernel
 from repro.core.context import QueryContext
 from repro.core.optimizer import OptimizeStats, optimize
@@ -253,16 +254,17 @@ class _RunState:
                         sum(value_nbytes(v) for v in env.values()))
             elif isinstance(item, OpaqueItem):
                 stmt = item.stmt
-                env[stmt.target] = _coerce(self._eval(stmt.expr, env),
-                                           stmt.type)
+                value = env[stmt.target] = _coerce(
+                    self._eval(stmt.expr, env), stmt.type)
                 if profile.enabled:
                     # Opaque statements materialize like the reference
-                    # interpreter; reference hand-outs
-                    # (@load_table/@column_value) charge nothing, same
-                    # as the naive path.
-                    if not isinstance(stmt.expr, ir.BuiltinCall) \
-                            or hb.materializes_output(stmt.expr.name):
-                        profile.record(value_nbytes(env[stmt.target]),
+                    # interpreter; reference hand-outs (a table, a
+                    # column) charge nothing, by the same rule as the
+                    # naive path.
+                    if hb.charges_output(
+                            stmt.expr, value,
+                            lambda call: self._eval(call, env)):
+                        profile.record(value_nbytes(value),
                                        site=f"stmt:{stmt.target}")
                     profile.update_peak(
                         sum(value_nbytes(v) for v in env.values()))
@@ -446,9 +448,12 @@ def compile_module(module: ir.Module, opt_level: str = "opt",
                      dump_ir=dump_ir) as (module, report, compile_span):
         plans: dict[str, list] = {}
         with ctx.tracer.span("codegen") as codegen_span:
+            fuse = opt_level == "opt"
             for name, method in module.methods.items():
-                plan = segment_method(method,
-                                      enabled=(opt_level == "opt"))
+                opaque = frozenset()
+                if fuse:
+                    method, opaque = lower_strings(method, module)
+                plan = segment_method(method, enabled=fuse, opaque=opaque)
                 plans[name] = _compile_plan(plan, report, make_kernel)
             codegen_span.set(fused_segments=report.fused_segments,
                              fused_statements=report.fused_statements)

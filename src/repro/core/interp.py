@@ -116,17 +116,18 @@ class Interpreter:
             if limits.enabled:
                 limits.check("statement")
             if isinstance(stmt, ir.Assign):
-                env[stmt.target] = self._coerce(
+                value = env[stmt.target] = self._coerce(
                     self._eval(stmt.expr, env), stmt.type)
                 self.materialized += 1
                 if profile.enabled:
                     # Naive-mode accounting: every assignment fully
                     # materializes its result vector — except reference
-                    # hand-outs (@load_table/@column_value), which are
-                    # skipped identically in the compiled path.
-                    if not isinstance(stmt.expr, ir.BuiltinCall) \
-                            or hb.materializes_output(stmt.expr.name):
-                        profile.record(value_nbytes(env[stmt.target]),
+                    # hand-outs (a table, a column), which are skipped
+                    # by the same rule in the compiled path.
+                    if hb.charges_output(
+                            stmt.expr, value,
+                            lambda call: self._eval(call, env)):
+                        profile.record(value_nbytes(value),
                                        site=f"interp:{stmt.target}")
                     profile.update_peak(
                         sum(value_nbytes(v) for v in env.values()))

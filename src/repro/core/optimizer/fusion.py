@@ -93,19 +93,22 @@ class WhileItem:
     body_plan: list
 
 
-def segment_method(method: ir.Method, *, enabled: bool = True) -> list:
+def segment_method(method: ir.Method, *, enabled: bool = True,
+                   opaque: frozenset = frozenset()) -> list:
     """Build the execution plan for a method.
 
     With ``enabled=False`` every assignment becomes an opaque item — the
-    HorsePower-Naive configuration.
+    HorsePower-Naive configuration.  Assignments to a name in
+    ``opaque`` never fuse (the string lowering's uncovered statements).
     """
     used_later = _use_sets(method)
-    return _segment_body(method.body, used_later, enabled)
+    return _segment_body(method.body, used_later, enabled, opaque)
 
 
 def segment_block(body: list[ir.Stmt], live_after: set[str]) -> list:
     """Segment a straight-line block given the variables needed after it."""
-    return _segment_body(body, _block_use_sets(body, live_after), True)
+    return _segment_body(body, _block_use_sets(body, live_after), True,
+                         frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +168,7 @@ def _all_uses(body: list[ir.Stmt]) -> set[str]:
 #: builtins whose result is always a scalar (length-one) vector.
 _SCALAR_RESULT_BUILTINS = ("sum", "prod", "avg", "min", "max", "count",
                            "any", "all", "len", "sum_masked",
-                           "dot_masked")
+                           "dot_masked", "str_find")
 
 
 def _produces_scalar(stmt: ir.Stmt) -> bool:
@@ -179,7 +182,7 @@ def _produces_scalar(stmt: ir.Stmt) -> bool:
 
 
 def _segment_body(body: list[ir.Stmt], used_later: dict[int, set[str]],
-                  enabled: bool) -> list:
+                  enabled: bool, opaque: frozenset) -> list:
     plan: list = []
     # Variables known to hold scalars at the current program point: a
     # later segment must treat them as broadcast (ANY) inputs, not as
@@ -200,26 +203,27 @@ def _segment_body(body: list[ir.Stmt], used_later: dict[int, set[str]],
             flush()
             plan.append(IfItem(stmt.cond,
                                _segment_body(stmt.then_body, used_later,
-                                             enabled),
+                                             enabled, opaque),
                                _segment_body(stmt.else_body, used_later,
-                                             enabled)))
+                                             enabled, opaque)))
         elif isinstance(stmt, ir.While):
             flush()
             plan.append(WhileItem(stmt.cond,
                                   _segment_body(stmt.body, used_later,
-                                                enabled)))
+                                                enabled, opaque)))
         elif isinstance(stmt, ir.Assign):
             if _produces_scalar(stmt):
                 scalar_vars.add(stmt.target)
             elif stmt.target in scalar_vars:
                 scalar_vars.discard(stmt.target)
-            if enabled and builder.try_add(stmt, used_later):
+            fuses = enabled and stmt.target not in opaque
+            if fuses and builder.try_add(stmt, used_later):
                 # Scalar-ness propagates through broadcast-only chains
                 # (e.g. arithmetic over two reduction results).
                 if builder.domain_of_target(stmt.target) == ANY:
                     scalar_vars.add(stmt.target)
                 continue
-            if enabled and _fusable(stmt):
+            if fuses and _fusable(stmt):
                 # Fusable but incompatible with the open segment: flush and
                 # start a new one.
                 flush()

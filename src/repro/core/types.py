@@ -181,9 +181,10 @@ _NUMPY_DTYPES = {
     "f32": np.dtype(np.float32),
     "f64": np.dtype(np.float64),
     "date": np.dtype("datetime64[D]"),
-    # Symbols and strings are stored as object arrays: TPC-H strings are
-    # variable length and an object array matches what a DBS hands to a
-    # Python UDF (and what the conversion-cost model in the engine assumes).
+    # Symbols are object arrays.  A string vector is physically int32
+    # codes into a sorted dictionary (repro.core.strings); object is the
+    # dtype of its decoded view, ``Vector.data`` — what result tables,
+    # Python UDFs and the storage layer see.
     "sym": np.dtype(object),
     "str": np.dtype(object),
 }

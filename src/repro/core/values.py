@@ -9,15 +9,23 @@ length-one vectors.
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.core import strings
 from repro.core import types as ht
 from repro.errors import HorseRuntimeError, HorseTypeError
 
 __all__ = ["Value", "Vector", "ListValue", "TableValue", "scalar",
            "vector", "from_numpy", "coerce", "value_nbytes"]
+
+
+#: Serializes first-use encodings, so a string column shared by several
+#: sessions is encoded once.  (Encoding is pure Python and holds the
+#: interpreter lock throughout, so this costs no parallelism.)
+_ENCODING = threading.Lock()
 
 
 class Value:
@@ -34,9 +42,17 @@ class Vector(Value):
     :func:`repro.core.types.numpy_dtype` for ``type``.  Mutating ``data`` in
     place is not supported by the library (copy-on-write is handled at the
     compiler level, per the paper's pass-by-value semantics).
+
+    A ``str`` vector is physically dictionary-encoded
+    (:mod:`repro.core.strings`): :meth:`encoding` gives its ``(codes,
+    dictionary)`` pair, encoding a vector built from Python strings on
+    first use, and ``data`` is the decoded object array, built on first
+    read for a vector made by :meth:`from_codes`.  Both are kept on the
+    vector once computed; the encoding is computed once even when
+    sessions race on a shared table column.
     """
 
-    __slots__ = ("type", "data")
+    __slots__ = ("type", "_data", "_encoding")
 
     def __init__(self, type_: ht.HorseType, data: np.ndarray):
         if data.ndim != 1:
@@ -46,38 +62,78 @@ class Vector(Value):
         if data.dtype != expected:
             data = data.astype(expected)
         self.type = type_
-        self.data = data
+        self._data = data
+        self._encoding = None
+
+    @classmethod
+    def from_codes(cls, codes: np.ndarray,
+                   dictionary: np.ndarray) -> "Vector":
+        """A ``str`` vector over ``dictionary`` (sorted, distinct)."""
+        vec = cls.__new__(cls)
+        vec.type = ht.STR
+        vec._data = None
+        vec._encoding = (codes.astype(strings.CODE_DTYPE, copy=False),
+                         dictionary)
+        return vec
+
+    @property
+    def data(self) -> np.ndarray:
+        data = self._data
+        if data is None:
+            data = strings.decode(*self._encoding)
+            self._data = data
+        return data
+
+    def encoding(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(codes, dictionary)`` of a ``str`` vector."""
+        encoding = self._encoding
+        if encoding is None:
+            if self.type is not ht.STR:
+                raise HorseTypeError(
+                    f"only str vectors are dictionary-encoded, not "
+                    f"{self.type}")
+            with _ENCODING:
+                encoding = self._encoding
+                if encoding is None:
+                    self._encoding = encoding = strings.encode(self._data)
+        return encoding
+
+    def with_codes(self, codes: np.ndarray) -> "Vector":
+        """A ``str`` vector over this one's dictionary — what a
+        selection, gather or reordering of it returns."""
+        return Vector.from_codes(codes, self.encoding()[1])
 
     def __len__(self) -> int:
-        return len(self.data)
+        data = self._data
+        return len(data) if data is not None else len(self._encoding[0])
 
     def __iter__(self) -> Iterator:
         return iter(self.data)
 
     def __repr__(self) -> str:
         preview = ", ".join(repr(x) for x in self.data[:6])
-        if len(self.data) > 6:
+        if len(self) > 6:
             preview += ", ..."
-        return f"Vector<{self.type}>[{len(self.data)}]({preview})"
+        return f"Vector<{self.type}>[{len(self)}]({preview})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Vector):
             return NotImplemented
         return (self.type == other.type
-                and len(self.data) == len(other.data)
+                and len(self) == len(other)
                 and bool(np.all(self.data == other.data)))
 
     __hash__ = None  # mutable payload; not hashable
 
     @property
     def is_scalar(self) -> bool:
-        return len(self.data) == 1
+        return len(self) == 1
 
     def item(self):
         """The single element of a length-one vector, as a Python object."""
-        if len(self.data) != 1:
+        if len(self) != 1:
             raise HorseRuntimeError(
-                f"expected a scalar vector, got length {len(self.data)}")
+                f"expected a scalar vector, got length {len(self)}")
         value = self.data[0]
         if isinstance(value, np.generic):
             return value.item()
@@ -90,13 +146,12 @@ class Vector(Value):
         return Vector(type_, self.data.astype(ht.numpy_dtype(type_)))
 
     def nbytes(self) -> int:
-        """Payload size of the backing array, in bytes.
-
-        Object-dtype columns (strings, symbols) count only the pointer
-        array — a stable lower bound that is identical between the
-        naive and optimized paths, which is what the allocation
-        profiler's parity invariant needs.
-        """
+        """Payload size in bytes: the backing array's, except that a
+        ``str`` vector costs its 4-byte code per row (the dictionary is
+        shared by every vector derived from one column and not
+        charged).  Symbols count their pointer array."""
+        if self.type is ht.STR:
+            return strings.CODE_DTYPE.itemsize * len(self)
         return int(self.data.nbytes)
 
 

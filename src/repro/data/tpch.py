@@ -6,8 +6,11 @@ holds ≈6 M rows.  Distributions follow the spec closely enough that the
 evaluation queries keep their standard selectivities (e.g. q6 selects
 ≈2 % of lineitem; q14's one-month shipdate window selects ≈1.3 %).
 
-Strings are object arrays, dates are ``datetime64[D]``, money columns are
-plain f64 (the paper's HorseIR also treats decimals as doubles).
+Strings are generated as object arrays of Python strings (queries see
+them dictionary-encoded, built per column on first use — see
+:class:`~repro.engine.table.ColumnTable`), dates are ``datetime64[D]``,
+money columns are plain f64 (the paper's HorseIR also treats decimals as
+doubles).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ import numpy as np
 from repro.core import builtins as hb
 from repro.core import types as ht
 from repro.core.context import QueryContext
-from repro.core.values import ListValue, Vector, value_nbytes
+from repro.core.values import ListValue, Vector, scalar, value_nbytes
 from repro.engine.storage import Database
 from repro.engine.table import ColumnTable
 from repro.engine.udf_bridge import UDFBridge
@@ -380,10 +380,11 @@ class PlanExecutor:
     def _eval_binop(self, expr: ast.BinOp,
                     columns: dict[str, np.ndarray]):
         if expr.op == "like":
-            values = np.asarray(self._eval_serial(expr.left, columns))
+            values = np.atleast_1d(self._eval_serial(expr.left, columns))
             pattern = self._eval_serial(expr.right, columns)
-            from repro.core.codegen.pygen import _like
-            return _like(values, pattern)
+            return hb.get("like").run(
+                [Vector(ht.STR, values), scalar(pattern, ht.STR)],
+                self._ctx).data
         left = self._eval_serial(expr.left, columns)
         right = self._eval_serial(expr.right, columns)
         table = {

@@ -15,8 +15,13 @@ class ColumnTable:
     """An in-memory column-oriented table.
 
     Columns are NumPy 1-D arrays of equal length; each carries a HorseIR
-    type so both executors agree on semantics (strings are object arrays,
-    dates are ``datetime64[D]``).
+    type so both executors agree on semantics (dates are
+    ``datetime64[D]``).  String columns are stored as object arrays of
+    Python strings — what the baseline engine, CSV I/O and ``ANALYZE``
+    read — and handed to HorseIR queries as one cached vector per
+    column, dictionary-encoded on the first query that needs its codes
+    (not at load: most string columns are never grouped or filtered)
+    and shared by every session over this table from then on.
     """
 
     def __init__(self, name: str,
@@ -25,6 +30,9 @@ class ColumnTable:
         self.name = name
         self._columns: dict[str, np.ndarray] = {}
         self._types: dict[str, ht.HorseType] = {}
+        #: The vector each query sees per column: one object, so a
+        #: string column's encoding is computed once (Vector.encoding).
+        self._vectors: dict[str, Vector] = {}
         for column, array in (columns or {}).items():
             declared = (types or {}).get(column)
             self.add_column(column, array, declared)
@@ -49,6 +57,7 @@ class ColumnTable:
             raise StorageError(f"duplicate column {name!r}")
         self._columns[name] = array
         self._types[name] = type_
+        self._vectors[name] = Vector(type_, array)
 
     @property
     def num_rows(self) -> int:
@@ -79,10 +88,7 @@ class ColumnTable:
 
     def to_table_value(self) -> TableValue:
         """A zero-copy view as a HorseIR table value."""
-        return TableValue([
-            (name, Vector(self._types[name], array))
-            for name, array in self._columns.items()
-        ])
+        return TableValue(self._vectors)
 
     @classmethod
     def from_table_value(cls, name: str, value: TableValue) -> "ColumnTable":

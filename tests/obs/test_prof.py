@@ -6,8 +6,13 @@ session metrics, and the disabled-profile overhead smoke."""
 import json
 import time
 
+import numpy as np
 import pytest
 
+from repro.core.compiler import compile_module
+from repro.core.context import QueryContext
+from repro.core.interp import run_module
+from repro.core.parser import parse_module
 from repro.data.blackscholes import load_blackscholes_table
 from repro.data.tpch import generate_tpch
 from repro.engine import EngineSession
@@ -155,6 +160,49 @@ class TestParityInvariant:
         assert threaded.bytes_allocated == serial.bytes_allocated
         assert (threaded.intermediates_materialized
                 == serial.intermediates_materialized)
+
+
+class TestReferenceCharges:
+    """A column reference hands out stored data; only a conversion
+    copies.  The SQL translator wraps every column reference in a
+    ``check_cast`` to the column's own type, which returns the column
+    itself — that used to be charged as a full copy."""
+
+    @pytest.mark.parametrize("backend,opt_level",
+                             [("interp", "naive"), ("pygen", "opt")])
+    def test_sql_column_reference_charges_nothing(self, tpch_db, backend,
+                                                  opt_level):
+        profile, _ = profile_query(
+            tpch_db, "SELECT SUM(l_quantity) AS s FROM lineitem",
+            backend=backend, opt_level=opt_level)
+        # What is left is the one-row sum (and the result table).
+        assert profile.bytes_allocated < 64
+
+    @pytest.mark.parametrize("backend", ["interp", "pygen"])
+    @pytest.mark.parametrize("cast,charged", [("i64", 0), ("f64", 8 * 5)])
+    def test_check_cast_charges_only_a_conversion(self, backend, cast,
+                                                  charged):
+        module = parse_module(f"""
+        module M {{
+            def main(): {cast} {{
+                t:table = @load_table(`t:sym);
+                c:{cast} = check_cast(@column_value(t, `k:sym), {cast});
+                s:{cast} = @sum(c);
+                return s;
+            }}
+        }}""")
+        db = Database()
+        db.create_table("t", {"k": np.arange(5, dtype=np.int64)})
+        profile = AllocationProfile()
+        ctx = QueryContext(profile=profile)
+        if backend == "interp":
+            run_module(module, db.to_table_values(), ctx=ctx)
+            site = "interp:c"
+        else:
+            compile_module(module, "opt").run(db.to_table_values(),
+                                              ctx=ctx)
+            site = "stmt:c"
+        assert profile.sites.get(site, [0, 0])[1] == charged
 
 
 class TestFusionSavings:

@@ -208,17 +208,19 @@ class Method:
 
     def walk_stmts(self) -> Iterator[Stmt]:
         """All statements, recursing into if/while bodies (pre-order)."""
-        yield from _walk(self.body)
+        yield from walk_body(self.body)
 
 
-def _walk(body: list[Stmt]) -> Iterator[Stmt]:
+def walk_body(body: list[Stmt]) -> Iterator[Stmt]:
+    """The statements of ``body``, recursing into if/while bodies
+    (pre-order)."""
     for stmt in body:
         yield stmt
         if isinstance(stmt, If):
-            yield from _walk(stmt.then_body)
-            yield from _walk(stmt.else_body)
+            yield from walk_body(stmt.then_body)
+            yield from walk_body(stmt.else_body)
         elif isinstance(stmt, While):
-            yield from _walk(stmt.body)
+            yield from walk_body(stmt.body)
 
 
 @dataclass

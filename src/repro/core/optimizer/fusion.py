@@ -19,6 +19,13 @@ under a compress mask lives in that mask's compressed domain, and an
 elementwise operation only fuses when all its vector operands share a
 domain (scalars and literals broadcast into any domain).  This is the
 shape-analysis side of the paper's dependence-graph-driven fusion.
+
+A segment's external vector inputs all share the base domain, so they
+must have one length.  Two inputs whose lengths come from different
+sources — columns of two tables, compressions under two masks — are not
+known to agree and never share a segment, even when their statements
+are independent and adjacent (join predicate motion emits the filters
+of both join sides back to back).
 """
 
 from __future__ import annotations
@@ -102,13 +109,84 @@ def segment_method(method: ir.Method, *, enabled: bool = True,
     ``opaque`` never fuse (the string lowering's uncovered statements).
     """
     used_later = _use_sets(method)
-    return _segment_body(method.body, used_later, enabled, opaque)
+    return _segment_body(method.body, used_later, enabled, opaque,
+                         _length_classes(method.body))
 
 
 def segment_block(body: list[ir.Stmt], live_after: set[str]) -> list:
     """Segment a straight-line block given the variables needed after it."""
     return _segment_body(body, _block_use_sets(body, live_after), True,
-                         frozenset())
+                         frozenset(), _length_classes(body))
+
+
+# ---------------------------------------------------------------------------
+# length classes: where a vector's length comes from
+# ---------------------------------------------------------------------------
+
+def _length_classes(body: list[ir.Stmt]) -> dict[str, tuple]:
+    """``variable -> length class`` for the top-level, single-assignment
+    vectors of ``body`` whose class is known: a table's rows, a
+    compression under one mask variable or one join's pairs, carried
+    through elementwise ops, casts and string codes.  Two base inputs of
+    different classes are not known to have one length, so they do not
+    share a segment; a vector without a class constrains nothing."""
+    counts: dict[str, int] = {}
+    for stmt in ir.walk_body(body):
+        if isinstance(stmt, ir.Assign):
+            counts[stmt.target] = counts.get(stmt.target, 0) + 1
+    classes: dict[str, tuple] = {}
+    for stmt in body:
+        if not (isinstance(stmt, ir.Assign) and counts[stmt.target] == 1):
+            continue
+        if isinstance(stmt.expr, ir.BuiltinCall) \
+                and stmt.expr.name == "join_index":
+            # Both index vectors of one join have its pair count.
+            found = ("join", stmt.target)
+        else:
+            found = _class_of(stmt.expr, classes, counts)
+        if found is not None:
+            classes[stmt.target] = found
+    return classes
+
+
+def _class_of(expr: ir.Expr, classes: dict, counts: dict) -> tuple | None:
+    while isinstance(expr, ir.Cast):
+        expr = expr.expr
+    if isinstance(expr, ir.Var):
+        return classes.get(expr.name)
+    if not (isinstance(expr, ir.BuiltinCall) and expr.args):
+        return None
+    name, first = expr.name, expr.args[0]
+    if name == "load_table":
+        return ("table", first.name) \
+            if isinstance(first, ir.SymbolLit) else None
+    first = first.name if isinstance(first, ir.Var) else None
+    if name == "column_value":
+        table = classes.get(first)
+        return None if table is None else ("rows", table)
+    if name == "str_codes":
+        return classes.get(first)
+    if name == "compress":
+        return ("compress", first) if counts.get(first) == 1 else None
+    if name == "index" and len(expr.args) == 2 \
+            and isinstance(expr.args[1], ir.Var):
+        return classes.get(expr.args[1].name)
+    if name == "list_item":
+        join = ("join", first)
+        return join if classes.get(first) == join else None
+    builtin = hb.BUILTINS.get(name)
+    if builtin is None or builtin.kind != "elementwise":
+        return None
+    found = None
+    for position, arg in enumerate(expr.args):
+        if isinstance(arg, ir.Var) \
+                and position not in builtin.broadcast_args:
+            operand = classes.get(arg.name)
+            if found is None:
+                found = operand
+            elif operand is not None and operand != found:
+                return None  # operands of provably different lengths
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +260,14 @@ def _produces_scalar(stmt: ir.Stmt) -> bool:
 
 
 def _segment_body(body: list[ir.Stmt], used_later: dict[int, set[str]],
-                  enabled: bool, opaque: frozenset) -> list:
+                  enabled: bool, opaque: frozenset, classes: dict) -> list:
     plan: list = []
     # Variables known to hold scalars at the current program point: a
     # later segment must treat them as broadcast (ANY) inputs, not as
     # base-length streams, or buffer-backed kernels would blow them up
     # to full length.
     scalar_vars: set[str] = set()
-    builder = _SegmentBuilder(scalar_vars)
+    builder = _SegmentBuilder(scalar_vars, classes)
 
     def flush() -> None:
         for item in builder.finish(used_later):
@@ -203,14 +281,14 @@ def _segment_body(body: list[ir.Stmt], used_later: dict[int, set[str]],
             flush()
             plan.append(IfItem(stmt.cond,
                                _segment_body(stmt.then_body, used_later,
-                                             enabled, opaque),
+                                             enabled, opaque, classes),
                                _segment_body(stmt.else_body, used_later,
-                                             enabled, opaque)))
+                                             enabled, opaque, classes)))
         elif isinstance(stmt, ir.While):
             flush()
             plan.append(WhileItem(stmt.cond,
                                   _segment_body(stmt.body, used_later,
-                                                enabled, opaque)))
+                                                enabled, opaque, classes)))
         elif isinstance(stmt, ir.Assign):
             if _produces_scalar(stmt):
                 scalar_vars.add(stmt.target)
@@ -278,15 +356,20 @@ def _classify(stmt: ir.Assign) -> str | None:
 class _SegmentBuilder:
     """Grows one segment statement by statement, tracking domains."""
 
-    def __init__(self, scalar_vars: set[str] | None = None):
+    def __init__(self, scalar_vars: set[str] | None = None,
+                 classes: dict | None = None):
         self._stmts: list[ir.Assign] = []
         self._domains: dict[str, tuple] = {}
         self._inputs: list[str] = []
         self._reduced: set[str] = set()
+        #: the length class of the segment's base-domain inputs, once
+        #: one of them has a known class.
+        self._base_class: tuple | None = None
         #: block-level set of variables known to be scalars (shared with
         #: the segmenter; consulted when labelling external inputs).
         self._scalar_vars = scalar_vars if scalar_vars is not None \
             else set()
+        self._classes = classes if classes is not None else {}
 
     def try_add(self, stmt: ir.Assign,
                 used_later: dict[int, set[str]]) -> bool:
@@ -324,12 +407,22 @@ class _SegmentBuilder:
 
         domains = [ANY if name in broadcast_vars else self._domain_of(name)
                    for name in arg_vars]
+        base_class = self._base_class
+        for name in arg_vars:
+            found = self._classes.get(name)
+            if found is None or name in self._domains \
+                    or name in broadcast_vars or name in self._scalar_vars:
+                continue
+            if base_class is None:
+                base_class = found
+            elif found != base_class:
+                return False  # a base input of another length
 
         if kind in ("elementwise", "cast", "alias"):
             merged = _merge_domains(domains)
             if merged is None:
                 return False
-            self._admit(stmt, arg_vars, broadcast_vars)
+            self._admit(stmt, arg_vars, broadcast_vars, base_class)
             self._domains[stmt.target] = merged
             return True
 
@@ -340,7 +433,7 @@ class _SegmentBuilder:
             merged = _merge_domains([mask_domain, data_domain])
             if merged is None or merged == ANY:
                 return False
-            self._admit(stmt, arg_vars, broadcast_vars)
+            self._admit(stmt, arg_vars, broadcast_vars, base_class)
             self._domains[stmt.target] = merged + (f"m:{mask}",)
             return True
 
@@ -348,7 +441,7 @@ class _SegmentBuilder:
             if domains[0] == ANY and self._domain_of(arg_vars[0]) == ANY:
                 # Reducing a constant is legal but pointless to fuse.
                 return False
-            self._admit(stmt, arg_vars, broadcast_vars)
+            self._admit(stmt, arg_vars, broadcast_vars, base_class)
             self._domains[stmt.target] = ANY
             self._reduced.add(stmt.target)
             return True
@@ -365,7 +458,9 @@ class _SegmentBuilder:
         return ANY if name in self._scalar_vars else BASE
 
     def _admit(self, stmt: ir.Assign, arg_vars: list[str],
-               broadcast_vars: set[str] = frozenset()) -> None:
+               broadcast_vars: set[str] = frozenset(),
+               base_class: tuple | None = None) -> None:
+        self._base_class = base_class
         for name in arg_vars:
             if name not in self._domains and name not in self._inputs:
                 self._inputs.append(name)
@@ -412,6 +507,7 @@ class _SegmentBuilder:
         self._domains = {}
         self._inputs = []
         self._reduced = set()
+        self._base_class = None
 
 
 def _expr_var_args(expr: ir.Expr) -> list[ir.Var]:

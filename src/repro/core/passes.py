@@ -11,7 +11,8 @@ verification (``--verify-ir``), and optional IR dumps
 
 * the HorseIR rewrites — ``inline``, then the fixed-point group
   ``list-forwarding``/``constprop``/``copyprop``/``cse``/``dce``, then
-  ``patterns`` (plus a silent post-pattern DCE sweep) — via
+  ``join-predicate-motion`` and ``patterns`` (plus a silent
+  post-pattern DCE sweep) — via
   :meth:`PassManager.run_module`, which
   :func:`repro.core.optimizer.pipeline.optimize` delegates to;
 * the SQL plan rewrites — ``predicate-pushdown`` and
@@ -27,8 +28,8 @@ preset    passes
 ``O0``    plan passes only (the ``"naive"`` profile: pushdown and
           pruning always ran, even for the baseline system)
 ``O1``    ``O0`` + inline + the fixed-point scalar group
-``O2``    ``O1`` + pattern fusion rewrites + cleanup DCE (the full
-          ``"opt"`` profile — the default)
+``O2``    ``O1`` + join predicate motion + pattern fusion rewrites +
+          cleanup DCE (the full ``"opt"`` profile — the default)
 ========  ==========================================================
 
 A custom ``--passes a,b,c`` list runs each named pass **once, in the
@@ -251,6 +252,7 @@ def _make_ir_pass(name: str, *, fixed_point: bool) -> Pass:
     from repro.core.optimizer.cse import eliminate_common_subexpressions
     from repro.core.optimizer.dce import eliminate_dead_code
     from repro.core.optimizer.inline import inline_pass
+    from repro.core.optimizer.join_motion import move_join_predicates
     from repro.core.optimizer.patterns import (apply_patterns,
                                                forward_list_items)
 
@@ -265,6 +267,7 @@ def _make_ir_pass(name: str, *, fixed_point: bool) -> Pass:
         "copyprop": propagate_copies,
         "cse": eliminate_common_subexpressions,
         "dce": eliminate_dead_code,
+        "join-predicate-motion": move_join_predicates,
         "patterns": apply_patterns,
     }
     return MethodPass(name, fns[name], fixed_point=fixed_point,
@@ -297,8 +300,8 @@ _PLAN_PASS_NAMES = ("predicate-pushdown", "column-pruning",
 _ROUND_PASS_NAMES = ("list-forwarding", "constprop", "copyprop", "cse",
                      "dce")
 
-_IR_PASS_NAMES = ("inline",) + _ROUND_PASS_NAMES + ("patterns",
-                                                    "typecheck")
+_IR_PASS_NAMES = ("inline",) + _ROUND_PASS_NAMES + (
+    "join-predicate-motion", "patterns", "typecheck")
 
 
 def registered_pass_names() -> tuple[str, ...]:
@@ -374,6 +377,8 @@ def preset(name: str) -> Pipeline:
         passes.extend(_make_ir_pass(n, fixed_point=True)
                       for n in _ROUND_PASS_NAMES)
     if name == "O2":
+        passes.append(_make_ir_pass("join-predicate-motion",
+                                    fixed_point=False))
         passes.append(_make_ir_pass("patterns", fixed_point=False))
         passes.append(_cleanup_dce_pass())
     return Pipeline(name, passes, is_preset=True)

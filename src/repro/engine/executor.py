@@ -358,13 +358,15 @@ class PlanExecutor:
                                   result)
             return result
         if isinstance(expr, ast.InList):
-            value = self._eval_serial(expr.expr, columns)
+            value = np.asarray(self._eval_serial(expr.expr, columns))
             pool = [self._eval_serial(i, columns) for i in expr.items]
-            value = np.asarray(value)
             if value.dtype == object:
-                pool_set = set(pool)
-                result = np.fromiter((v in pool_set for v in value),
-                                     dtype=np.bool_, count=len(value))
+                # Strings: the @member builtin, once per dictionary entry.
+                items = np.empty(len(pool), dtype=object)
+                items[:] = pool
+                result = hb.get("member").run(
+                    [Vector(ht.STR, np.atleast_1d(value)),
+                     Vector(ht.STR, items)], self._ctx).data
             else:
                 result = np.isin(value, np.asarray(pool))
             return np.logical_not(result) if expr.negated else result

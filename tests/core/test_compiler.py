@@ -123,6 +123,32 @@ class TestSegmentation:
                 # join a segment containing both.
                 assert not ({"a", "b", "c"} <= targets)
 
+    def test_inputs_of_two_tables_never_share_a_segment(self):
+        # Adjacent, independent filters of both join sides, as join
+        # predicate motion emits them: one kernel per table.
+        method = parse_method("""
+        def main(): i64 {
+            tl:table = @load_table(`l:sym);
+            lx:f64 = check_cast(@column_value(tl, `x:sym), f64);
+            lk:i64 = check_cast(@column_value(tl, `k:sym), i64);
+            tr:table = @load_table(`r:sym);
+            ry:f64 = check_cast(@column_value(tr, `y:sym), f64);
+            rk:i64 = check_cast(@column_value(tr, `k:sym), i64);
+            pl:bool = @gt(lx, 0.5:f64);
+            kl:i64 = @compress(pl, lk);
+            pr:bool = @lt(ry, 0.5:f64);
+            kr:i64 = @compress(pr, rk);
+            ji:list<i64> = @join_index(kl, kr, `inner:sym);
+            li:i64 = @list_item(ji, 0:i64);
+            n:i64 = @len(li);
+            return n;
+        }
+        """)
+        plan = segment_method(method)
+        segments = [{s.target for s in item.segment.stmts}
+                    for item in plan if isinstance(item, FusedItem)]
+        assert segments == [{"pl", "kl"}, {"pr", "kr"}]
+
     def test_single_statement_stays_opaque(self):
         method = parse_method("""
         def main(x:f64): f64 {

@@ -336,3 +336,259 @@ class TestPipeline:
         # After inlining + patterns, the whole WHERE/SELECT pipeline is a
         # single masked dot product.
         assert "@dot_masked" in text
+
+
+class TestMaskPeephole:
+    """``x = @gt(@mul(c, m), 0)`` → ``x = m`` for a positive literal
+    ``c`` and a ``bool`` ``m`` (the inlined ``1.0 .* mask > 0`` shape)."""
+
+    SHAPE = """
+    def main(a:f64): bool {{
+        m:{mtype} = @gt(a, 1.0:f64);
+        t:f64 = @mul({scale}, m);
+        x:bool = @{test}(t, 0:i64);
+        return x;
+    }}
+    """
+
+    def _fold(self, mtype="bool", scale="1.0:f64", test="gt"):
+        method = parse_method(self.SHAPE.format(mtype=mtype, scale=scale,
+                                                test=test))
+        propagate_constants(method)
+        return method.body[2].expr
+
+    def test_positive_scale_of_a_bool_mask_folds_to_the_mask(self):
+        assert str(self._fold()) == "m"
+        assert str(self._fold(scale="3:i64")) == "m"
+
+    def test_reversed_operands_and_an_alias_still_fold(self):
+        method = parse_method("""
+        def main(a:f64): bool {
+            m:bool = @gt(a, 1.0:f64);
+            t:f64 = @mul(m, 2.5:f64);
+            u:f64 = t;
+            x:bool = @gt(u, 0.0:f64);
+            return x;
+        }
+        """)
+        assert propagate_constants(method)
+        assert str(method.body[3].expr) == "m"
+
+    @pytest.mark.parametrize("scale", ["0.0:f64", "-1.0:f64", "0:i64"])
+    def test_non_positive_scale_does_not_fire(self, scale):
+        assert str(self._fold(scale=scale)).startswith("@gt(")
+
+    def test_integer_mask_does_not_fire(self):
+        # @mul(1.0, m) > 0 is not m when m may be 2 or -1.
+        assert str(self._fold(mtype="i64")).startswith("@gt(")
+
+    def test_geq_does_not_fire(self):
+        # c .* m >= 0 holds for every row: it is not m.
+        assert str(self._fold(test="geq")).startswith("@geq(")
+
+    def test_o2_folds_the_inlined_udf_mask(self):
+        from repro.data.tpch import generate_tpch
+        from repro.engine import EngineSession
+        from repro.workloads.tpch_queries import (UDF_QUERIES,
+                                                  register_tpch_udfs)
+
+        with EngineSession(generate_tpch(0.002, seed=1)) as session:
+            register_tpch_udfs(session)
+            compiled = session.compile_sql(UDF_QUERIES["q6"])
+        text = print_module(compiled.program.module)
+        assert "@mul(1.0:f64" not in text and "@gt(" not in text
+
+
+# ---------------------------------------------------------------------------
+# join predicate motion
+# ---------------------------------------------------------------------------
+
+JOIN = """
+module Q {{
+    def main(): list<unknown> {{
+        tl:table = @load_table(`l:sym);
+        lk:i64 = check_cast(@column_value(tl, `k:sym), i64);
+        lk2:i64 = check_cast(@column_value(tl, `k2:sym), i64);
+        lx:f64 = check_cast(@column_value(tl, `x:sym), f64);
+        ls:str = check_cast(@column_value(tl, `s:sym), str);
+        tr:table = @load_table(`r:sym);
+        rk:i64 = check_cast(@column_value(tr, `k:sym), i64);
+        rk2:i64 = check_cast(@column_value(tr, `k2:sym), i64);
+        ry:f64 = check_cast(@column_value(tr, `y:sym), f64);
+        rs:str = check_cast(@column_value(tr, `s:sym), str);
+        ji:list<i64> = @join_index({lkeys}, {rkeys}, `inner:sym);
+        li:i64 = @list_item(ji, 0:i64);
+        ri:i64 = @list_item(ji, 1:i64);
+        jx:f64 = @index(lx, li);
+        jls:str = @index(ls, li);
+        jy:f64 = @index(ry, ri);
+        jrs:str = @index(rs, ri);
+        {predicate}
+        fx:f64 = @compress(m, jx);
+        fy:f64 = @compress(m, jy);
+        fs:str = @compress(m, jls);
+        {extra}
+        out:list<unknown> = @list(fx, fy, fs{extra_col});
+        return out;
+    }}
+}}
+"""
+
+#: Predicates by the sides their atoms read: ``aL`` / ``bL`` left only,
+#: ``aR`` / ``bR`` right only, ``both`` reads both sides.
+ATOMS = """
+        aL:bool = @gt(jx, 20.0:f64);
+        bL:bool = @eq(jls, "b":str);
+        aR:bool = @lt(jy, 60.0:f64);
+        bR:bool = @neq(jrs, "c":str);
+        both:bool = @lt(jx, jy);
+"""
+
+
+def _join_module(predicate, *, lkeys="lk", rkeys="rk", extra="",
+                 extra_col=""):
+    return parse_module(JOIN.format(
+        lkeys=lkeys, rkeys=rkeys, predicate=ATOMS + predicate,
+        extra=extra, extra_col=extra_col))
+
+
+def _join_tables(seed=3, left_rows=40, right_rows=15):
+    """Duplicate keys on both sides and keys without a partner."""
+    import numpy as np
+
+    from repro.core import TableValue, from_numpy, vector
+
+    rng = np.random.default_rng(seed)
+    words = ["a", "b", "c", "d"]
+
+    def table(n, x_name):
+        return TableValue([
+            ("k", from_numpy(rng.integers(0, 12, n).astype(np.int64))),
+            ("k2", from_numpy(rng.integers(0, 2, n).astype(np.int64))),
+            (x_name, from_numpy(rng.uniform(0, 100, n))),
+            ("s", vector([words[i] for i in rng.integers(0, 4, n)],
+                         ht.STR)),
+        ])
+
+    return {"l": table(left_rows, "x"), "r": table(right_rows, "y")}
+
+
+def _columns(result):
+    return [vec.data.tolist() for vec in result]
+
+
+def _moved(module, tables=None):
+    """Apply the pass to a copy; returns ``(changed, printed main)``
+    after checking the result is bit-identical to the original's."""
+    from repro.core.interp import run_module
+    from repro.core.optimizer.join_motion import move_join_predicates
+
+    tables = tables or _join_tables()
+    before = _columns(run_module(module, tables))
+    moved = parse_module(print_module(module))
+    changed = move_join_predicates(moved.methods["main"])
+    verify_module(moved)
+    assert _columns(run_module(moved, tables)) == before
+    again = parse_module(print_module(moved))
+    assert not move_join_predicates(again.methods["main"])  # idempotent
+    return changed, print_method(moved.methods["main"])
+
+
+def _join_call(text):
+    return next(line.strip() for line in text.splitlines()
+                if "@join_index" in line)
+
+
+class TestJoinPredicateMotion:
+    def test_left_conjunct_filters_the_left_side_only(self):
+        changed, text = _moved(_join_module("m:bool = @and(aL, both);"))
+        assert changed
+        assert "@join_index(lk_0, rk, `inner:sym)" in _join_call(text)
+        assert "pm_0:bool = @gt(lx, 20.0:f64);" in text
+        assert "lx_0:f64 = @compress(pm_0, lx);" in text
+        assert "jx:f64 = @index(lx_0, li);" in text
+        # The joined mask stays and re-checks the surviving pairs.
+        assert "m:bool = @and(aL, both);" in text
+
+    def test_right_conjunct_filters_the_right_side_only(self):
+        # The q12_udf shape: the whole predicate reads one side.
+        changed, text = _moved(_join_module("""
+        t:bool = @and(aR, bR);
+        m:bool = @and(both, t);"""))
+        assert changed
+        assert "@join_index(lk, rk_0, `inner:sym)" in _join_call(text)
+        assert "@and(pm_0, pm_1)" in text
+
+    def test_or_of_ands_projects_onto_both_sides(self):
+        # The q19 shape: each side keeps the OR of its own factors.
+        changed, text = _moved(_join_module("""
+        c1:bool = @and(aL, aR);
+        c2:bool = @and(bL, bR);
+        m:bool = @or(c1, c2);"""))
+        assert changed
+        assert "@join_index(lk_0, rk_0, `inner:sym)" in _join_call(text)
+        assert text.count("@or(") == 3  # m, plus one projection per side
+
+    def test_two_key_join_compresses_every_key(self):
+        changed, text = _moved(
+            _join_module("m:bool = @and(aL, aR);",
+                         lkeys="@list(lk, lk2)", rkeys="@list(rk, rk2)"))
+        assert changed
+        assert ("@join_index(@list(lk_0, lk2_0), @list(rk_0, rk2_0), "
+                "`inner:sym)") in _join_call(text)
+
+    def test_string_key_and_a_pool_defined_after_the_join(self):
+        # The plain q19 shape: the IN list's pool is built after the
+        # join, so it moves above it with the projection.
+        changed, text = _moved(_join_module(
+            """pool:str = @concat("a":str, "b":str);
+        inl:bool = @member(jrs, pool);
+        m:bool = @and(inl, both);""", lkeys="ls", rkeys="rs"))
+        assert changed
+        assert "@join_index(ls, rs_0, `inner:sym)" in _join_call(text)
+        lines = [line.strip() for line in text.splitlines()]
+        pool = lines.index('pool:str = @concat("a":str, "b":str);')
+        assert pool < lines.index(_join_call(text))
+
+    def test_empty_side_after_the_filter(self):
+        changed, _ = _moved(_join_module(
+            'none:bool = @eq(jrs, "zz":str);\n'
+            '        m:bool = @and(none, aL);'))
+        assert changed
+
+    def test_gather_used_outside_the_mask_does_not_fire(self):
+        # q14: an aggregate over every joined row.
+        changed, _ = _moved(_join_module(
+            "m:bool = @and(aL, aR);", extra="total:f64 = @sum(jx);",
+            extra_col=", total"))
+        assert not changed
+
+    def test_not_of_a_two_sided_conjunction_does_not_fire(self):
+        changed, _ = _moved(_join_module("""
+        t:bool = @and(aL, aR);
+        m:bool = @not(t);"""))
+        assert not changed
+
+    def test_reduction_in_the_mask_inputs_does_not_fire(self):
+        changed, _ = _moved(_join_module("""
+        mx:f64 = @max(jx);
+        big:bool = @lt(jx, mx);
+        m:bool = @and(big, aR);"""))
+        assert not changed
+
+    def test_a_second_mask_does_not_fire(self):
+        changed, _ = _moved(_join_module(
+            "m:bool = @and(aL, aR);", extra="gx:f64 = @compress(aL, jx);",
+            extra_col=", gx"))
+        assert not changed
+
+    def test_o2_runs_it_after_the_fixed_point_group(self):
+        module = _join_module("m:bool = @and(aL, aR);")
+        optimized, stats = optimize(module)
+        by_name = {ps.name: ps for ps in stats.pass_stats}
+        assert by_name["join-predicate-motion"].rewrites == 1
+        assert "lk_0" in print_module(optimized)
+        _, o1 = optimize(_join_module("m:bool = @and(aL, aR);"),
+                         pipeline="O1")
+        assert "join-predicate-motion" not in {ps.name
+                                               for ps in o1.pass_stats}

@@ -63,7 +63,9 @@ class TestPresets:
         pipe = preset("O2")
         names = [p.name for p in pipe.ir_passes]
         assert names == ["inline", "list-forwarding", "constprop",
-                         "copyprop", "cse", "dce", "patterns", "dce"]
+                         "copyprop", "cse", "dce", "join-predicate-motion",
+                         "patterns", "dce"]
+        assert not pipe.ir_passes[6].fixed_point
         cleanup = pipe.ir_passes[-1]
         # The trailing dce is the silent cleanup variant: it neither
         # traces, records stats, nor snapshots into --dump-ir.
@@ -245,8 +247,40 @@ class TestIdempotence:
     }
     """
 
-    @pytest.mark.parametrize("source", [Q6_LIKE, BS_LIKE],
-                             ids=["tpch-q6", "black-scholes"])
+    # q19_udf's shape: a predicate UDF (``1.0 .* mask``, tested ``> 0``)
+    # over the columns of both join sides.
+    JOIN_LIKE = """
+    module J {
+        def match(q:f64, b:str): f64 {
+            x0:bool = @lt(q, 11.0:f64);
+            x1:bool = @eq(b, "Brand#12":str);
+            x2:bool = @and(x0, x1);
+            x3:f64 = @mul(1.0:f64, x2);
+            return x3;
+        }
+        def main(): f64 {
+            t0:table = @load_table(`lineitem:sym);
+            t1:i64 = check_cast(@column_value(t0, `l_partkey:sym), i64);
+            t2:f64 = check_cast(@column_value(t0, `l_quantity:sym), f64);
+            t3:table = @load_table(`part:sym);
+            t4:i64 = check_cast(@column_value(t3, `p_partkey:sym), i64);
+            t5:str = check_cast(@column_value(t3, `p_brand:sym), str);
+            ji:list<i64> = @join_index(t1, t4, `inner:sym);
+            li:i64 = @list_item(ji, 0:i64);
+            ri:i64 = @list_item(ji, 1:i64);
+            j6:f64 = @index(t2, li);
+            j7:str = @index(t5, ri);
+            j8:f64 = @match(j6, j7);
+            m:bool = @gt(j8, 0:i64);
+            f9:f64 = @compress(m, j6);
+            s:f64 = @sum(f9);
+            return s;
+        }
+    }
+    """
+
+    @pytest.mark.parametrize("source", [Q6_LIKE, BS_LIKE, JOIN_LIKE],
+                             ids=["tpch-q6", "black-scholes", "join-udf"])
     @pytest.mark.parametrize("name", _ir_pass_names())
     def test_pass_twice_equals_once(self, source, name):
         once = parse_module(source)
@@ -261,6 +295,18 @@ class TestIdempotence:
         module = parse_module(Q6_LIKE)
         once, _ = PassManager(preset("O2")).run_module(
             module, QueryContext(), entry="main")
+        again, _ = PassManager(preset("O2")).run_module(
+            once, QueryContext(), entry="main")
+        assert print_module(once) == print_module(again)
+
+    def test_o2_moves_the_join_predicate_once(self):
+        # The sweep above is only meaningful for join-predicate-motion
+        # if the join source gives it something to move.
+        once, stats = PassManager(preset("O2")).run_module(
+            parse_module(self.JOIN_LIKE), QueryContext(), entry="main")
+        by_name = {ps.name: ps for ps in stats.pass_stats}
+        assert by_name["join-predicate-motion"].rewrites == 1
+        assert "@join_index(t1_0, t4_0, `inner:sym)" in print_module(once)
         again, _ = PassManager(preset("O2")).run_module(
             once, QueryContext(), entry="main")
         assert print_module(once) == print_module(again)

@@ -20,6 +20,7 @@ from repro.core.codegen.cgen import c_backend_available
 from repro.core.values import ListValue, Vector, scalar, vector
 from repro.data.tpch import generate_tpch
 from repro.engine import EngineSession
+from repro.engine import executor
 from repro.engine.storage import Database
 from repro.workloads.tpch_queries import (PLAIN_QUERIES, UDF_QUERIES,
                                           register_tpch_udfs)
@@ -258,7 +259,7 @@ def tpch_session():
 
 class TestLowering:
     def test_no_per_row_string_path_remains(self):
-        for module in (hb, pygen):
+        for module in (hb, pygen, executor):
             assert "np.fromiter" not in inspect.getsource(module)
         for name in ("_like", "_member", "_startswith"):
             assert not hasattr(pygen, name)

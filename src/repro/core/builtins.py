@@ -414,7 +414,8 @@ def _date_to_i64(a):
 
 
 _make_elementwise("date_to_i64", 1, _date_to_i64, _infer_i64,
-                  "({0}).astype('datetime64[D]').astype(np.int64)")
+                  "({0}).astype('datetime64[D]').astype(np.int64)",
+                  c_template="({0})")  # a C date is its day count
 
 
 # String predicates.  On a string vector they run once per dictionary

@@ -6,19 +6,34 @@ arithmetic and reductions all inside it — compiled with
 ``gcc -O3 -march=native -fopenmp`` and invoked through ctypes (which
 releases the GIL, so OpenMP threads scale on multi-core hosts).
 
+Every segment has the same loop shape.  Each OpenMP thread takes a
+contiguous range ``[lo, hi)`` of the base iteration space; a
+``@compress`` becomes an ``if`` around the statements of its compressed
+domain.  Base-domain vector outputs are written at ``i``; a compressed
+one is written compacted at ``lo + k`` with a per-thread count ``k``,
+and after the loop each thread's block moves down, in thread order, to
+its prefix-sum offset — so the rows and their order are exactly those
+of ``x[mask]`` over the whole input.  Reductions keep per-thread
+accumulators merged by OpenMP.
+
 Eligibility (segments that don't qualify run on the Python-kernel
-backend):
+backend, and the kernel span says why in ``c_declined``):
 
 * every statement is an elementwise builtin with a ``c_template``, a
   ``@compress``, or a reduction (`sum prod min max count any all`);
-* vector outputs live in the base domain (compressed values may only feed
-  reductions — compression becomes the loop's ``if`` guard, exactly as in
-  Figure 3);
+  vector outputs may live in the base domain or any compressed domain,
+  nested masks and guarded reductions included (a broadcast output
+  only where every input is a scalar, so the loop runs once);
+* a statement declared ``?`` (the SQL frontend's flattened temporaries)
+  takes the type :mod:`repro.core.analysis.typeshape` infers for it —
+  the IR itself keeps its ``?``;
 * runtime dtypes are numeric/bool/datetime (strings reach kernels as
   int32 dictionary codes — see :mod:`repro.core.codegen.lower`).
 
-Kernels are specialized per (dtype, broadcast) signature at first call
-and cached; gcc runs once per specialization.
+Kernels are specialized per (dtype, broadcast) signature at first call.
+The shared objects are cached on disk in one directory per user, keyed
+by a hash of the C source, the gcc version and the flags, so gcc runs
+once per kernel per machine rather than once per process.
 """
 
 from __future__ import annotations
@@ -26,6 +41,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import stat
 import subprocess
 import tempfile
 
@@ -34,11 +50,12 @@ import numpy as np
 from repro.core import builtins as hb
 from repro.core import ir
 from repro.core import types as ht
-from repro.core.optimizer.fusion import ANY, BASE, Segment
+from repro.core.optimizer.fusion import ANY, Segment
 from repro.core.values import Vector
 from repro.errors import BuiltinError, CodegenError, HorseRuntimeError
 
-__all__ = ["CKernel", "c_backend_available", "gcc_version"]
+__all__ = ["CKernel", "c_backend_available", "gcc_version",
+           "decline_reason"]
 
 _REDUCTIONS = {
     "sum": ("+", "0"),
@@ -54,24 +71,32 @@ _C_TYPES = {
     "f64": "double", "f32": "float",
     "i64": "long long", "i32": "int", "i16": "short", "i8": "signed char",
     "bool": "int",
+    # A date is an int64 day count (datetime64[D]).
+    "date": "long long",
 }
 
 #: C storage types for output buffers: these must match NumPy's in-memory
 #: layout exactly (bool is ONE byte in NumPy; loop locals may stay int).
 _C_STORE_TYPES = dict(_C_TYPES, bool="unsigned char")
 
-# Runtime dtype → (C pointer element type, ctypes type)
+# Runtime dtype → C pointer element type
 _DTYPE_C = {
-    "float64": ("double", ctypes.c_double),
-    "float32": ("float", ctypes.c_float),
-    "int64": ("long long", ctypes.c_longlong),
-    "int32": ("int", ctypes.c_int),
-    "int16": ("short", ctypes.c_short),
-    "int8": ("signed char", ctypes.c_byte),
-    "bool": ("unsigned char", ctypes.c_ubyte),
+    "float64": "double",
+    "float32": "float",
+    "int64": "long long",
+    "int32": "int",
+    "int16": "short",
+    "int8": "signed char",
+    "bool": "unsigned char",
     # datetime64[D] is an int64 day count under the hood.
-    "datetime64[D]": ("long long", ctypes.c_longlong),
+    "datetime64[D]": "long long",
 }
+
+_CFLAGS = ("-O3", "-march=native", "-fopenmp", "-shared", "-fPIC")
+
+#: Every emitted kernel defines one function of this name; each shared
+#: object is loaded on its own handle, so the names never meet.
+_ENTRY = "kernel"
 
 _gcc_state: dict = {}
 
@@ -94,8 +119,27 @@ def c_backend_available() -> bool:
 
 
 def _build_dir() -> str:
+    """The kernel cache: ``<tempdir>/repro-ckernels-<euid>``, mode 0700.
+
+    A directory of that name that another user owns, or that group or
+    others may access, is never read: the process compiles into a
+    private fresh directory instead."""
     if "dir" not in _gcc_state:
-        _gcc_state["dir"] = tempfile.mkdtemp(prefix="repro-ckernels-")
+        euid = os.geteuid()
+        path = os.path.join(tempfile.gettempdir(), f"repro-ckernels-{euid}")
+        try:
+            os.mkdir(path, 0o700)
+        except FileExistsError:
+            pass
+        except OSError:
+            path = None
+        if path is not None:
+            info = os.lstat(path)
+            if not (stat.S_ISDIR(info.st_mode) and info.st_uid == euid
+                    and info.st_mode & 0o077 == 0):
+                path = None
+        _gcc_state["dir"] = path or tempfile.mkdtemp(
+            prefix="repro-ckernels-")
     return _gcc_state["dir"]
 
 
@@ -103,44 +147,53 @@ def _build_dir() -> str:
 # eligibility
 # ---------------------------------------------------------------------------
 
-def segment_is_c_eligible(segment: Segment) -> bool:
-    """Static half of eligibility (dtypes are checked per call)."""
-    base_vector_outputs = []
+def _is_string(expr: ir.Expr) -> bool:
+    return isinstance(expr, ir.SymbolLit) or (
+        isinstance(expr, ir.Literal) and expr.type in (ht.STR, ht.SYM))
+
+
+def decline_reason(segment: Segment,
+                   types: dict[str, ht.HorseType]) -> str | None:
+    """Why ``segment`` cannot run as emitted C, or ``None`` when it can.
+
+    The static half: dtypes are checked per call.  ``types`` gives each
+    statement target its type, ``?`` declarations already resolved."""
+    # A broadcast output is one value: fine when the loop runs once
+    # (every input is a scalar), not beside a row loop.
+    looped = any(segment.domains.get(name) != ANY for name in segment.inputs)
+    typed = set()  # targets whose values the C code declares or stores
     for name, role in segment.outputs:
-        if role == "vector":
-            if segment.domains.get(name) != BASE:
-                return False
-            base_vector_outputs.append(name)
+        if role == "vector" and looped \
+                and segment.domains.get(name) == ANY:
+            return "broadcast vector output"
+        typed.add(name)
     for stmt in segment.stmts:
         expr = stmt.expr
-        if isinstance(expr, (ir.Literal, ir.Var)):
-            continue
-        if not isinstance(expr, ir.BuiltinCall):
-            return False
-        builtin = hb.BUILTINS.get(expr.name)
-        if builtin is None:
-            return False
-        if builtin.kind == "elementwise":
-            if builtin.c_template is None:
-                return False
-            if not all(isinstance(a, (ir.Var, ir.Literal))
-                       for a in expr.args):
-                return False
-            if any(isinstance(a, ir.Literal)
-                   and a.type in (ht.STR, ht.SYM) for a in expr.args):
-                return False
-        elif builtin.kind == "compress":
-            continue
-        elif builtin.kind == "reduction":
-            if expr.name not in _REDUCTIONS:
-                return False
-        else:
-            return False
-        if stmt.type.kind not in _C_TYPES and stmt.type != ht.WILDCARD:
-            return False
-        if stmt.type == ht.WILDCARD:
-            return False
-    return True
+        if _is_string(expr):
+            return "string operand"
+        if isinstance(expr, ir.Cast):
+            return f"cast to {expr.type}"
+        if isinstance(expr, ir.BuiltinCall):
+            builtin = hb.BUILTINS.get(expr.name)
+            if builtin is None or builtin.kind not in (
+                    "elementwise", "compress", "reduction"):
+                return f"opaque builtin @{expr.name}"
+            if builtin.kind == "elementwise":
+                if builtin.c_template is None:
+                    return f"no C template for @{expr.name}"
+                if any(_is_string(a) for a in expr.args):
+                    return "string operand"
+                typed.add(stmt.target)
+            elif builtin.kind == "reduction" \
+                    and expr.name not in _REDUCTIONS:
+                return f"no C reduction for @{expr.name}"
+        if stmt.target in typed:
+            type_ = types[stmt.target]
+            if type_.is_wildcard:
+                return "wildcard type"
+            if type_.kind not in _C_TYPES:
+                return f"no C type for {type_}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -158,45 +211,83 @@ def _c_literal(literal: ir.Literal) -> str:
     return repr(float(literal.value))
 
 
+def _masks(domain: tuple) -> tuple[str, ...]:
+    """The mask variables of a domain, outermost first (none for the
+    base and broadcast domains)."""
+    return tuple(part[2:] for part in domain[1:])
+
+
+def _compacted_domains(segment: Segment) -> list[tuple]:
+    """The compressed domains the segment's vector outputs live in, in
+    order: each gets its own per-thread count ``k<j>`` and length
+    ``lens[j]``."""
+    return list(dict.fromkeys(
+        segment.domains[name] for name, role in segment.outputs
+        if role == "vector" and _masks(segment.domains[name])))
+
+
+def _meet(a: tuple, b: tuple | None) -> tuple:
+    """The longest common prefix of two mask chains."""
+    if b is None:
+        return a
+    common = 0
+    while common < min(len(a), len(b)) and a[common] == b[common]:
+        common += 1
+    return a[:common]
+
+
 class _SourceBuilder:
     """Generates the C function for one (segment, signature) pair."""
 
-    def __init__(self, segment: Segment, scalar_flags: list[bool],
-                 input_ctypes: list[str], name: str):
+    def __init__(self, segment: Segment, types: dict[str, ht.HorseType],
+                 scalar_flags: list[bool], input_ctypes: list[str]):
         self.segment = segment
+        self.types = types
         self.scalar_flags = scalar_flags
         self.input_ctypes = input_ctypes
-        self.name = name
-        #: compress chains: var -> C guard expression (or None for base)
+        self._defs = {stmt.target: stmt for stmt in segment.stmts}
+        self._vectors = [name for name, role in segment.outputs
+                         if role == "vector"]
+        self._reductions = [(name, role.split(":", 1)[1])
+                            for name, role in segment.outputs
+                            if role != "vector"]
+        self._compacted = _compacted_domains(segment)
+        #: variable -> C expression of its value in the current row
         self._values: dict[str, str] = {}
-        self._guards: dict[str, str] = {}
+        #: locals assigned inside an ``if`` block -> their C types (they
+        #: are declared at the top of the loop body)
+        self._hoisted: dict[str, str] = {}
+        self._body: list[str] = []
+        #: masks of the open ``if`` blocks, outermost first
+        self._open: tuple[str, ...] = ()
 
     def build(self) -> str:
         segment = self.segment
         params = ["long long n", "int nt"]
-        for input_name, ctype, _ in zip(segment.inputs,
-                                        self.input_ctypes,
-                                        self.scalar_flags):
+        for input_name, ctype in zip(segment.inputs, self.input_ctypes):
             params.append(f"const {ctype}* restrict {input_name}_p")
-
-        vector_outputs = [name for name, role in segment.outputs
-                          if role == "vector"]
-        reductions = [(name, role.split(":", 1)[1])
-                      for name, role in segment.outputs
-                      if role != "vector"]
-        out_types = {stmt.target: stmt.type for stmt in segment.stmts}
-        for name in vector_outputs:
-            params.append(
-                f"{_C_STORE_TYPES[out_types[name].kind]}"
-                f"* restrict {name}_o")
-        for name, _ in reductions:
+        for name in self._vectors:
+            params.append(f"{self._store_type(name)}* restrict {name}_o")
+        for name, _ in self._reductions:
             params.append(f"double* restrict {name}_r")
+        if self._compacted:
+            params.append("long long* restrict lens")
 
-        lines = ["#include <math.h>", ""]
+        for stmt, where in self._schedule():
+            self._statement(stmt, where)
+        for j, domain in enumerate(self._compacted):
+            self._compacted_stores(j, domain)
+        self._enter(())
+        for name in self._vectors:
+            if not _masks(segment.domains[name]):
+                self._store(name, "i")
+
+        lines = ["#include <math.h>", "#include <omp.h>",
+                 "#include <string.h>", ""]
         # NaN-propagating min/max combiners: np.min/np.max return NaN
         # when any element is NaN, but OpenMP's built-in min/max (and
         # fmin/fmax) silently drop it.
-        if any(combine in ("min", "max") for _, combine in reductions):
+        if any(combine in ("min", "max") for _, combine in self._reductions):
             for red, fn, init in (("nanmin", "fmin", "INFINITY"),
                                   ("nanmax", "fmax", "-INFINITY")):
                 lines.append(
@@ -205,26 +296,222 @@ class _SourceBuilder:
                     f"(omp_in != omp_in)) ? NAN : {fn}(omp_out, omp_in)) "
                     f"initializer(omp_priv = {init})")
             lines.append("")
-        lines.append(f"void {self.name}({', '.join(params)}) {{")
-
-        acc_decls, omp_reductions, finals = self._accumulators(reductions,
-                                                               out_types)
+        lines.append(f"void {_ENTRY}({', '.join(params)}) {{")
+        acc_decls, omp_reductions, finals = self._accumulators()
         lines.extend(acc_decls)
-        omp = "#pragma omp parallel for schedule(static) num_threads(nt)"
-        if omp_reductions:
-            omp += " " + " ".join(omp_reductions)
-        lines.append(f"    {omp}")
-        lines.append("    for (long long i = 0; i < n; i++) {")
-        lines.extend(self._loop_body(vector_outputs, reductions,
-                                     out_types))
+        counts = range(len(self._compacted))
+        if self._compacted:
+            lines.append(f"    long long cnt[nt][{len(counts)}];")
+            lines.append("    int used = 1;")
+        lines.append(" ".join(["    #pragma omp parallel num_threads(nt)",
+                               *omp_reductions]))
+        lines.append("    {")
+        lines.append("        int t = omp_get_thread_num(), "
+                     "T = omp_get_num_threads();")
+        lines.append("        long long lo = n * t / T, "
+                     "hi = n * (t + 1) / T;")
+        if self._compacted:
+            lines.append("        if (t == 0) used = T;")
+            lines.append("        long long "
+                         + ", ".join(f"k{j} = 0" for j in counts) + ";")
+        lines.append("        for (long long i = lo; i < hi; i++) {")
+        lines.extend(f"            {ctype} {local};"
+                     for local, ctype in self._hoisted.items())
+        lines.extend(self._body)
+        lines.append("        }")
+        lines.extend(f"        cnt[t][{j}] = k{j};" for j in counts)
         lines.append("    }")
+        for j, domain in enumerate(self._compacted):
+            lines.extend(self._compaction(j, domain))
         lines.extend(finals)
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def _accumulators(self, reductions, out_types):
+    # -- where each statement goes -------------------------------------------
+
+    def _computed(self, name: str) -> bool:
+        """Is ``name``'s row value a C local (rather than an input read
+        or a literal)?"""
+        stmt = self._defs.get(name)
+        while stmt is not None:
+            expr = stmt.expr
+            if isinstance(expr, ir.Var):
+                stmt = self._defs.get(expr.name)
+            elif isinstance(expr, ir.BuiltinCall) \
+                    and hb.get(expr.name).kind == "compress":
+                stmt = self._defs.get(expr.args[1].name)
+            else:
+                return not isinstance(expr, ir.Literal)
+        return False
+
+    def _branch_free(self, domain: tuple) -> bool:
+        """Compacted stores of plain row reads are written for every row
+        and the count advances by the mask: a later row overwrites a
+        slot that was not selected, and no branch is mispredicted.
+        Computed values are stored inside the domain's ``if``, so the
+        computation itself can run there."""
+        return not any(self._computed(name) for name in self._vectors
+                       if self.segment.domains[name] == domain)
+
+    def _schedule(self) -> list[tuple[ir.Assign, tuple]]:
+        """The statements that emit C, each with the masks of the ``if``
+        blocks around it, in an order that defines every value and mask
+        before its use.
+
+        A statement goes in the deepest block holding every read of its
+        value: its own domain, or deeper when it is read only under a
+        mask — the option price of ``bs1`` over a table UDF is computed
+        for the selected rows alone."""
+        domains = self.segment.domains
+        need: dict[str, tuple] = {}
+
+        def require(name: str, where: tuple) -> None:
+            need[name] = _meet(where, need.get(name))
+
+        for name in self._vectors:
+            domain = domains[name]
+            require(name, () if self._branch_free(domain)
+                    else _masks(domain))
+        placed: dict[int, tuple] = {}
+        stmts = self.segment.stmts
+        for index in reversed(range(len(stmts))):
+            stmt = stmts[index]
+            expr, target = stmt.expr, stmt.target
+            if isinstance(expr, ir.Literal):
+                continue
+            if isinstance(expr, ir.Var):
+                if target in need:
+                    require(expr.name, need[target])
+                continue
+            builtin = hb.get(expr.name)
+            if builtin.kind == "compress":
+                mask, data = expr.args
+                require(mask.name, _masks(domains[target])[:-1])
+                if target in need:
+                    require(data.name, need[target])
+            elif builtin.kind == "reduction":
+                arg = expr.args[0].name
+                if target in dict(self._reductions):
+                    placed[index] = _masks(domains[arg])
+                    require(arg, placed[index])
+            elif target in need:
+                placed[index] = need[target]
+                for position, arg in enumerate(expr.args):
+                    if isinstance(arg, ir.Var) \
+                            and position not in builtin.broadcast_args:
+                        require(arg.name, placed[index])
+        # Shallower blocks first: a value's block, and every mask's, is
+        # a prefix of the blocks that read it.
+        first: dict[tuple, int] = {}
+        for index, where in sorted(placed.items()):
+            first.setdefault(where, index)
+        order = sorted(placed, key=lambda index: (
+            len(placed[index]), first[placed[index]], index))
+        return [(stmts[index], placed[index]) for index in order]
+
+    # -- the loop body -------------------------------------------------------
+
+    def _line(self, text: str) -> None:
+        self._body.append("    " * (3 + len(self._open)) + text)
+
+    def _enter(self, masks: tuple) -> None:
+        """Make ``masks`` the open ``if`` blocks: close the blocks they
+        do not share, open the ones they add."""
+        keep = len(_meet(masks, self._open))
+        while len(self._open) > keep:
+            self._open = self._open[:-1]
+            self._line("}")
+        for mask in masks[keep:]:
+            self._line(f"if ({self._value(mask)}) {{")
+            self._open += (mask,)
+
+    def _value(self, name: str) -> str:
+        stmt = self._defs.get(name)
+        if stmt is None:
+            index = self.segment.inputs.index(name)
+            return f"{name}_p[0]" if self.scalar_flags[index] \
+                else f"{name}_p[i]"
+        if name not in self._values:
+            # An alias, a compress (selection is the block a statement
+            # runs in, not a value) or a literal: no code of its own.
+            expr = stmt.expr
+            if isinstance(expr, ir.BuiltinCall):
+                if expr.name != "compress":
+                    raise CodegenError(f"{name} is read before it is set")
+                expr = expr.args[1]
+            self._values[name] = _c_literal(expr) \
+                if isinstance(expr, ir.Literal) else self._value(expr.name)
+        return self._values[name]
+
+    def _operand(self, expr: ir.Expr) -> str:
+        if isinstance(expr, ir.Literal):
+            return _c_literal(expr)
+        return self._value(expr.name)
+
+    def _statement(self, stmt: ir.Assign, where: tuple) -> None:
+        expr, target = stmt.expr, stmt.target
+        builtin = hb.get(expr.name)
+        self._enter(where)
+        if builtin.kind == "reduction":
+            self._line(self._reduction_update(
+                target, expr.name, self._value(expr.args[0].name)))
+            return
+        # A whole-value operand (the table of a @gather) is indexed by
+        # the template, not read per row.
+        args = [f"{a.name}_p" if position in builtin.broadcast_args
+                else self._operand(a)
+                for position, a in enumerate(expr.args)]
+        ctype = _C_TYPES[self.types[target].kind]
+        value = f"({ctype})({builtin.c_template.format(*args)})"
+        if self._open:
+            self._hoisted[f"{target}_v"] = ctype
+            self._line(f"{target}_v = {value};")
+        else:
+            self._line(f"{ctype} {target}_v = {value};")
+        self._values[target] = f"{target}_v"
+
+    # -- outputs -------------------------------------------------------------
+
+    def _store_type(self, name: str) -> str:
+        return _C_STORE_TYPES[self.types[name].kind]
+
+    def _store(self, name: str, at: str) -> None:
+        self._line(f"{name}_o[{at}] = ({self._store_type(name)})"
+                   f"({self._value(name)});")
+
+    def _compacted_stores(self, j: int, domain: tuple) -> None:
+        """Write compressed ``domain``'s outputs at ``lo + k<j>``."""
+        masks = _masks(domain)
+        if self._branch_free(domain):
+            self._enter(())
+            step = " += " + " && ".join(
+                f"({self._value(mask)} != 0)" for mask in masks)
+        else:
+            self._enter(masks)
+            step = "++"
+        for name in self._vectors:
+            if self.segment.domains[name] == domain:
+                self._store(name, f"lo + k{j}")
+        self._line(f"k{j}{step};")
+
+    def _compaction(self, j: int, domain: tuple) -> list[str]:
+        """Move each thread's compacted block down to its prefix-sum
+        offset, in thread order (thread 0's block is in place)."""
+        lines = [f"    long long off{j} = cnt[0][{j}];",
+                 "    for (int t = 1; t < used; t++) {",
+                 f"        long long lo = n * t / used, k = cnt[t][{j}];"]
+        for name in self._vectors:
+            if self.segment.domains[name] == domain:
+                lines.append(f"        memmove({name}_o + off{j}, "
+                             f"{name}_o + lo, k * sizeof *{name}_o);")
+        lines.append(f"        off{j} += k;")
+        lines.append("    }")
+        lines.append(f"    lens[{j}] = off{j};")
+        return lines
+
+    def _accumulators(self):
         decls, omp, finals = [], [], []
-        for name, combine in reductions:
+        for name, combine in self._reductions:
             op, identity = _REDUCTIONS[combine]
             if combine in ("min", "max"):
                 init = "INFINITY" if combine == "min" else "-INFINITY"
@@ -241,83 +528,6 @@ class _SourceBuilder:
                 omp.append(f"reduction({op}:{name}_acc)")
             finals.append(f"    {name}_r[0] = {name}_acc;")
         return decls, omp, finals
-
-    def _input_ref(self, name: str) -> str:
-        index = self.segment.inputs.index(name)
-        if self.scalar_flags[index]:
-            return f"{name}_p[0]"
-        return f"{name}_p[i]"
-
-    def _value_of(self, expr: ir.Expr) -> str:
-        if isinstance(expr, ir.Literal):
-            return _c_literal(expr)
-        assert isinstance(expr, ir.Var)
-        if expr.name in self._values:
-            return self._values[expr.name]
-        return self._input_ref(expr.name)
-
-    def _guard_of(self, name: str) -> str | None:
-        if name in self._guards:
-            return self._guards[name]
-        return None  # inputs live in the base domain (unguarded)
-
-    def _loop_body(self, vector_outputs, reductions, out_types):
-        lines = []
-        red_combines = dict(reductions)
-        for stmt in self.segment.stmts:
-            expr = stmt.expr
-            target = stmt.target
-            ctype = _C_TYPES[stmt.type.kind]
-            if isinstance(expr, (ir.Literal, ir.Var)):
-                self._values[target] = self._value_of(expr) \
-                    if not isinstance(expr, ir.Literal) \
-                    else _c_literal(expr)
-                if isinstance(expr, ir.Var):
-                    guard = self._guard_of(expr.name)
-                    if guard is not None:
-                        self._guards[target] = guard
-                continue
-            builtin = hb.get(expr.name)
-            if builtin.kind == "elementwise":
-                # A whole-value operand (the table of a @gather) is
-                # indexed by the template, not read per row.
-                args = [f"{a.name}_p" if position in builtin.broadcast_args
-                        else self._value_of(a)
-                        for position, a in enumerate(expr.args)]
-                guards = [self._guard_of(a.name) for a in expr.args
-                          if isinstance(a, ir.Var)]
-                guards = [g for g in guards if g is not None]
-                body = builtin.c_template.format(*args)
-                lines.append(
-                    f"        {ctype} {target}_v = ({ctype})({body});")
-                self._values[target] = f"{target}_v"
-                if guards:
-                    self._guards[target] = guards[0]
-            elif builtin.kind == "compress":
-                mask, data = expr.args
-                mask_value = self._value_of(mask)
-                parent = self._guard_of(mask.name)
-                guard = mask_value if parent is None \
-                    else f"({parent} && {mask_value})"
-                self._values[target] = self._value_of(data)
-                self._guards[target] = guard
-            elif builtin.kind == "reduction":
-                arg = expr.args[0]
-                value = self._value_of(arg)
-                guard = self._guard_of(arg.name) \
-                    if isinstance(arg, ir.Var) else None
-                update = self._reduction_update(
-                    target, expr.name, value)
-                if guard is not None:
-                    lines.append(f"        if ({guard}) {{ {update} }}")
-                else:
-                    lines.append(f"        {update}")
-        for name in vector_outputs:
-            lines.append(
-                f"        {name}_o[i] = "
-                f"({_C_STORE_TYPES[out_types[name].kind]})"
-                f"({self._values[name]});")
-        return lines
 
     @staticmethod
     def _reduction_update(target: str, reducer: str, value: str) -> str:
@@ -346,94 +556,129 @@ class _SourceBuilder:
 # compile + invoke
 # ---------------------------------------------------------------------------
 
-class CKernel:
-    """Per-segment native kernel with per-signature specialization."""
+def _load(source: str, pointers: int):
+    """The kernel function of ``source`` — ``(n, nt, *pointers)`` — from
+    the on-disk cache or freshly compiled into it; a string says why
+    there is none."""
+    key = hashlib.sha256("\0".join(
+        (source, gcc_version() or "", *_CFLAGS)).encode()).hexdigest()
+    path = os.path.join(_build_dir(), key[:32] + ".so")
+    try:
+        if not os.path.exists(path):
+            failure = _gcc(source, path)
+            if failure is not None:
+                return failure
+        fn = getattr(ctypes.CDLL(path), _ENTRY)
+    except OSError as exc:
+        return f"kernel cache: {exc}"
+    fn.argtypes = [ctypes.c_longlong, ctypes.c_int] \
+        + [ctypes.c_void_p] * pointers
+    fn.restype = None
+    return fn
 
-    def __init__(self, segment: Segment):
+
+def _gcc(source: str, path: str) -> str | None:
+    """Compile ``source`` into ``path``; a string says why gcc failed.
+
+    gcc writes a unique name that is then renamed into place, so two
+    processes compiling the same kernel at once each publish a complete
+    file."""
+    fd, partial = tempfile.mkstemp(suffix=".tmp",
+                                   dir=os.path.dirname(path))
+    os.close(fd)
+    try:
+        result = subprocess.run(
+            ["gcc", *_CFLAGS, "-o", partial, "-x", "c", "-", "-lm"],
+            input=source, capture_output=True, text=True)
+        if result.returncode != 0:
+            lines = result.stderr.strip().splitlines()
+            return "gcc failed: " + (lines[0] if lines else
+                                     f"exit {result.returncode}")
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
+    return None
+
+
+class CKernel:
+    """Per-segment native kernel with per-signature specialization.
+
+    ``types`` maps ``id(stmt)`` of the segment's ``?``-declared
+    statements to their inferred types."""
+
+    def __init__(self, segment: Segment,
+                 types: dict[int, ht.HorseType] | None = None):
         self.segment = segment
-        self.eligible = segment_is_c_eligible(segment) \
-            and c_backend_available()
+        resolved = types or {}
+        self.types = {stmt.target: resolved.get(id(stmt), stmt.type)
+                      for stmt in segment.stmts}
+        self.declined = decline_reason(segment, self.types) \
+            if c_backend_available() else "gcc not available"
+        #: signature -> kernel function, or why it could not be built
         self._variants: dict[tuple, object] = {}
-        self.sources: list[str] = []
+
+    @property
+    def eligible(self) -> bool:
+        return self.declined is None
 
     # -- public ----------------------------------------------------------------
 
-    def try_run(self, inputs: list[Vector],
-                n_threads: int) -> list[Vector] | None:
-        """Execute natively; None means the caller should fall back."""
-        if not self.eligible:
-            return None
+    def try_run(self, inputs: list[Vector], n_threads: int
+                ) -> tuple[list[Vector] | None, str | None]:
+        """Execute natively: ``(outputs, None)``, or ``(None, reason)``
+        when the caller should fall back."""
+        if self.declined is not None:
+            return None, self.declined
         arrays = [value.data for value in inputs]
         signature = self._signature(arrays)
-        if signature is None:
-            return None
+        if isinstance(signature, str):
+            return None, signature
+        n = self._base_length(arrays, signature)
+        if n == 0:
+            return None, "empty input"  # the Python path synthesizes it
         fn = self._variants.get(signature)
         if fn is None:
-            fn = self._compile(signature)
-            self._variants[signature] = fn
-        if fn is False:
-            return None
-        return self._invoke(fn, arrays, signature, n_threads)
+            fn = self._variants[signature] = self._compile(signature)
+        if isinstance(fn, str):
+            return None, fn
+        return self._invoke(fn, arrays, n, n_threads), None
 
     # -- internals ----------------------------------------------------------------
 
-    def _signature(self, arrays) -> tuple | None:
+    def _signature(self, arrays) -> tuple | str:
         parts = []
-        n = 1
-        for arr in arrays:
+        for name, arr in zip(self.segment.inputs, arrays):
             key = str(arr.dtype)
             if key not in _DTYPE_C:
-                return None
-            scalar = len(arr) == 1
-            parts.append((key, scalar))
-            if not scalar:
-                n = max(n, len(arr))
-        # Re-evaluate scalarness against the true base length: an input of
-        # length n==1 everywhere means a degenerate base.
+                return f"input {name} has dtype {key}"
+            parts.append((key, len(arr) == 1))
         return tuple(parts)
 
-    def _compile(self, signature: tuple):
-        scalar_flags = [scalar for _, scalar in signature]
-        input_ctypes = [_DTYPE_C[dtype][0] for dtype, _ in signature]
-        digest = hashlib.sha1(
-            (repr(signature) + self.segment.describe()).encode()
-        ).hexdigest()[:16]
-        name = f"k{digest}"
-        try:
-            source = _SourceBuilder(self.segment, scalar_flags,
-                                    input_ctypes, name).build()
-        except (CodegenError, KeyError, ValueError):
-            return False
-        self.sources.append(source)
-        path = os.path.join(_build_dir(), name)
-        with open(path + ".c", "w") as handle:
-            handle.write(source)
-        cmd = ["gcc", "-O3", "-march=native", "-fopenmp", "-shared",
-               "-fPIC", "-o", path + ".so", path + ".c", "-lm"]
-        result = subprocess.run(cmd, capture_output=True, text=True)
-        if result.returncode != 0:
-            return False
-        lib = ctypes.CDLL(path + ".so")
-        fn = getattr(lib, name)
-        fn.restype = None
-        return fn
-
-    def _invoke(self, fn, arrays, signature, n_threads) -> list[Vector]:
-        segment = self.segment
+    def _base_length(self, arrays, signature) -> int:
         n = None
-        for name, arr, (_, scalar) in zip(segment.inputs, arrays,
+        for name, arr, (_, scalar) in zip(self.segment.inputs, arrays,
                                           signature):
-            if not scalar and segment.domains.get(name) != ANY:
+            if not scalar and self.segment.domains.get(name) != ANY:
                 if n is not None and len(arr) != n:
                     raise HorseRuntimeError(
                         "native kernel input length mismatch")
                 n = len(arr)
-        if n is None:
-            n = 1  # all-scalar segment: a single loop iteration
-        if n == 0:
-            return None  # delegate empty inputs to the Python path
+        return 1 if n is None else n  # all-scalar: a single iteration
 
-        out_types = {stmt.target: stmt.type for stmt in segment.stmts}
+    def _compile(self, signature: tuple):
+        scalar_flags = [scalar for _, scalar in signature]
+        input_ctypes = [_DTYPE_C[dtype] for dtype, _ in signature]
+        try:
+            source = _SourceBuilder(self.segment, self.types, scalar_flags,
+                                    input_ctypes).build()
+        except (CodegenError, KeyError, ValueError) as exc:
+            return f"codegen failed: {exc}"
+        segment = self.segment
+        return _load(source, len(segment.inputs) + len(segment.outputs)
+                     + bool(_compacted_domains(segment)))
+
+    def _invoke(self, fn, arrays, n, n_threads) -> list[Vector]:
         args = [ctypes.c_longlong(n), ctypes.c_int(max(1, n_threads))]
         keepalive = []
         for arr in arrays:
@@ -441,40 +686,44 @@ class CKernel:
             keepalive.append(contiguous)
             args.append(contiguous.ctypes.data_as(ctypes.c_void_p))
 
-        vector_buffers = []
-        reduction_buffers = []
-        for name, role in segment.outputs:
+        # Parameter order: vector outputs, then reductions, then lens.
+        buffers = {}
+        for name, role in self.segment.outputs:
             if role == "vector":
-                buffer = np.empty(
-                    n, dtype=ht.numpy_dtype(out_types[name]))
-                vector_buffers.append((name, buffer))
-                args.append(buffer.ctypes.data_as(ctypes.c_void_p))
-            else:
+                buffers[name] = np.empty(
+                    n, dtype=ht.numpy_dtype(self.types[name]))
+        for name, role in self.segment.outputs:
+            if role != "vector":
                 # min/max kernels write the selected-element count into
                 # slot [1] so an empty selection can raise like the
                 # interpreter instead of returning +/-INFINITY.
                 combine = role.split(":", 1)[1]
                 slots = 2 if combine in ("min", "max") else 1
-                buffer = np.empty(slots, dtype=np.float64)
-                reduction_buffers.append((name, buffer))
-                args.append(buffer.ctypes.data_as(ctypes.c_void_p))
+                buffers[name] = np.empty(slots, dtype=np.float64)
+        args.extend(buffer.ctypes.data_as(ctypes.c_void_p)
+                    for buffer in buffers.values())
+        compacted = _compacted_domains(self.segment)
+        lens = np.zeros(len(compacted), dtype=np.int64)
+        if compacted:
+            args.append(lens.ctypes.data_as(ctypes.c_void_p))
 
         fn(*args)
 
         outputs: list[Vector] = []
-        vector_iter = iter(vector_buffers)
-        reduction_iter = iter(reduction_buffers)
-        for name, role in segment.outputs:
-            type_ = out_types[name]
+        for name, role in self.segment.outputs:
+            type_, buffer = self.types[name], buffers[name]
             if role == "vector":
-                _, buffer = next(vector_iter)
+                domain = self.segment.domains[name]
+                if domain in compacted:
+                    # Shrink to the selected rows in place (no copy).
+                    buffer.resize(int(lens[compacted.index(domain)]),
+                                  refcheck=False)
                 outputs.append(Vector(type_, buffer))
-            else:
-                _, buffer = next(reduction_iter)
-                combine = role.split(":", 1)[1]
-                if combine in ("min", "max") and buffer[1] == 0:
-                    raise BuiltinError(f"@{combine} of an empty vector")
-                value = np.empty(1, dtype=ht.numpy_dtype(type_))
-                value[0] = buffer[0]
-                outputs.append(Vector(type_, value))
+                continue
+            combine = role.split(":", 1)[1]
+            if combine in ("min", "max") and buffer[1] == 0:
+                raise BuiltinError(f"@{combine} of an empty vector")
+            value = np.empty(1, dtype=ht.numpy_dtype(type_))
+            value[0] = buffer[0]
+            outputs.append(Vector(type_, value))
         return outputs

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from repro.core import builtins as hb
 from repro.core import ir
 from repro.core import types as ht
+from repro.core.analysis.typeshape import infer_method
 from repro.core.codegen.cgen import CKernel, c_backend_available
 from repro.core.codegen.executor import DEFAULT_CHUNK_SIZE, run_kernel
 from repro.core.codegen.lower import lower_strings
@@ -76,9 +77,10 @@ class _KernelItem:
 
     ``c_kernel`` is the native (emitted C + OpenMP) variant; when
     present it is tried first and ``run`` falls back to the Python
-    kernel for segments or runtime dtype signatures the native engine
-    cannot handle (strings, compressed selections) — the capability
-    fallback the backend registry documents as cgen → pygen.
+    kernel for segments or runtime inputs the native engine declines
+    (object-dtype inputs, empty inputs, builtins without a C template)
+    — the capability fallback the backend registry documents as cgen →
+    pygen.  The kernel span then names the reason in ``c_declined``.
     """
 
     __slots__ = ("kernel", "c_kernel")
@@ -90,9 +92,12 @@ class _KernelItem:
 
     def run(self, inputs: list[Vector], state: "_RunState",
             span=None) -> list[Vector]:
-        outputs = None
-        if self.c_kernel is not None:
-            outputs = self.c_kernel.try_run(inputs, state.n_threads)
+        if self.c_kernel is None:
+            if span is not None:
+                span.set(backend="python")
+        else:
+            outputs, declined = self.c_kernel.try_run(inputs,
+                                                      state.n_threads)
             if outputs is not None:
                 if span is not None:
                     span.set(backend="c")
@@ -107,30 +112,28 @@ class _KernelItem:
                         count=len(outputs))
                     if span is not None:
                         span.add("alloc_bytes", total)
-        if outputs is None:
+                return outputs
             if span is not None:
-                span.set(backend="python")
-            outputs = run_kernel(self.kernel, inputs,
-                                 n_threads=state.n_threads,
-                                 chunk_size=state.chunk_size,
-                                 pool=state.pool, ctx=state.ctx)
-        return outputs
+                span.set(backend="python", c_declined=declined)
+        return run_kernel(self.kernel, inputs, n_threads=state.n_threads,
+                          chunk_size=state.chunk_size, pool=state.pool,
+                          ctx=state.ctx)
 
 
-def _python_kernel_item(segment, name: str,
-                        report: CompileReport) -> _KernelItem:
+def _python_kernel_item(segment, name: str, report: CompileReport,
+                        types: dict) -> _KernelItem:
     """Generated NumPy kernels — always available, handles every dtype."""
     kernel = generate_kernel(segment, name=name)
     report.kernel_sources.append(kernel.source)
     return _KernelItem(kernel)
 
 
-def _c_kernel_item(segment, name: str,
-                   report: CompileReport) -> _KernelItem:
+def _c_kernel_item(segment, name: str, report: CompileReport,
+                   types: dict) -> _KernelItem:
     """Emitted C + OpenMP per segment, with the Python kernel kept as
     the per-segment (and per-dtype-signature) fallback."""
-    item = _python_kernel_item(segment, name, report)
-    c_kernel = CKernel(segment)
+    item = _python_kernel_item(segment, name, report, types)
+    c_kernel = CKernel(segment, types)
     if c_kernel.eligible:
         report.c_eligible_segments += 1
     item.c_kernel = c_kernel
@@ -138,11 +141,38 @@ def _c_kernel_item(segment, name: str,
 
 
 #: The fused-kernel engine ``backend`` selects: one fused segment in,
-#: one executable plan item out — ``(segment, name, report)``.
+#: one executable plan item out — ``(segment, name, report, types)``,
+#: where ``types`` maps ``id(stmt)`` of ``?``-declared statements to the
+#: types inference gives them (filled for the C backend only).
 _BUILTIN_FACTORIES = {
     "python": _python_kernel_item,
     "c": _c_kernel_item,
 }
+
+
+def _segments(plan: list):
+    for item in plan:
+        if isinstance(item, FusedItem):
+            yield item.segment
+        elif isinstance(item, IfItem):
+            yield from _segments(item.then_plan)
+            yield from _segments(item.else_plan)
+        elif isinstance(item, WhileItem):
+            yield from _segments(item.body_plan)
+
+
+def _wildcard_types(plan: list, method: ir.Method,
+                    module: ir.Module) -> dict[int, ht.HorseType]:
+    """The inferred types of the ``?``-declared statements in the plan's
+    fused segments, by ``id(stmt)``.  The IR keeps its ``?``: emitted C
+    needs a type for each local, NumPy does not."""
+    wild = [stmt for segment in _segments(plan) for stmt in segment.stmts
+            if stmt.type.is_wildcard]
+    if not wild:
+        return {}
+    facts = infer_method(method, module).stmt_facts
+    return {id(stmt): facts[id(stmt)].type for stmt in wild
+            if id(stmt) in facts}
 
 
 class _ReturnSignal(Exception):
@@ -454,31 +484,34 @@ def compile_module(module: ir.Module, opt_level: str = "opt",
                 if fuse:
                     method, opaque = lower_strings(method, module)
                 plan = segment_method(method, enabled=fuse, opaque=opaque)
-                plans[name] = _compile_plan(plan, report, make_kernel)
+                types = _wildcard_types(plan, method, module) \
+                    if backend == "c" else {}
+                plans[name] = _compile_plan(plan, report, make_kernel,
+                                            types)
             codegen_span.set(fused_segments=report.fused_segments,
                              fused_statements=report.fused_statements)
         compile_span.set(fused_segments=report.fused_segments)
     return CompiledProgram(module, plans, report)
 
 
-def _compile_plan(plan: list, report: CompileReport,
-                  make_kernel) -> list:
+def _compile_plan(plan: list, report: CompileReport, make_kernel,
+                  types: dict) -> list:
     compiled: list = []
     for item in plan:
         if isinstance(item, FusedItem):
             name = f"_kernel_{report.fused_segments}"
             report.fused_segments += 1
             report.fused_statements += len(item.segment.stmts)
-            compiled.append(make_kernel(item.segment, name, report))
+            compiled.append(make_kernel(item.segment, name, report, types))
         elif isinstance(item, IfItem):
             compiled.append(IfItem(
                 item.cond,
-                _compile_plan(item.then_plan, report, make_kernel),
-                _compile_plan(item.else_plan, report, make_kernel)))
+                _compile_plan(item.then_plan, report, make_kernel, types),
+                _compile_plan(item.else_plan, report, make_kernel, types)))
         elif isinstance(item, WhileItem):
             compiled.append(WhileItem(
                 item.cond,
-                _compile_plan(item.body_plan, report, make_kernel)))
+                _compile_plan(item.body_plan, report, make_kernel, types)))
         else:
             compiled.append(item)
     return compiled

@@ -1,13 +1,25 @@
 """Tests for the native (emitted C + OpenMP) backend."""
 
+import os
+import stat
+import subprocess
+import sys
+import tempfile
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core import from_numpy, types as ht
+from repro.core.codegen import cgen
 from repro.core.codegen.cgen import CKernel, c_backend_available
 from repro.core.compiler import compile_module
+from repro.core.context import QueryContext
+from repro.core.interp import run_module
 from repro.core.optimizer.fusion import FusedItem, segment_method
 from repro.core.parser import parse_method, parse_module
+from repro.core.values import ListValue
+from repro.obs import Tracer
 
 pytestmark = pytest.mark.skipif(not c_backend_available(),
                                 reason="gcc not available")
@@ -194,20 +206,34 @@ class TestFallbacks:
                                                         100.0]))])
         assert result.item() == pytest.approx(202.0)
 
-    def test_compressed_vector_output_falls_back(self):
-        method = parse_method("""
-        def main(x:f64): f64 {
-            m:bool = @gt(x, 0.5:f64);
-            y:f64 = @compress(m, x);
-            z:f64 = @mul(y, 2.0:f64);
-            return z;
+    def test_builtin_without_c_template_names_the_reason(self):
+        source = """
+        module M {
+            def main(x:i64, pool:i64): i64 {
+                m:bool = @member(x, pool);
+                y:i64 = @compress(m, x);
+                z:i64 = @mul(y, 2:i64);
+                return z;
+            }
         }
-        """)
-        plan = segment_method(method)
-        for item in plan:
-            if isinstance(item, FusedItem):
-                kernel = CKernel(item.segment)
-                assert not kernel.eligible  # compressed vector output
+        """
+        args = [from_numpy(np.arange(10, dtype=np.int64)),
+                from_numpy(np.array([2, 3, 5], dtype=np.int64))]
+        result, kernels = _traced(source, args, "c", 1)
+        assert result.data.tolist() == [4, 6, 10]
+        [span] = kernels
+        assert span.attrs["backend"] == "python"
+        assert span.attrs["c_declined"] == "no C template for @member"
+
+    def test_gcc_failure_names_the_reason(self, monkeypatch):
+        monkeypatch.setattr(cgen, "_CFLAGS",
+                            cgen._CFLAGS + ("-fno-such-option",))
+        args = [from_numpy(_uniform(100)), from_numpy(np.array([0.5]))]
+        result, [span] = _traced(SELECT, args, "c", 1)
+        np.testing.assert_array_equal(result.data, args[0].data[
+            args[0].data > 0.5] * 2)
+        assert span.attrs["backend"] == "python"
+        assert span.attrs["c_declined"].startswith("gcc failed:")
 
     def test_empty_input_falls_back(self):
         source = """
@@ -219,9 +245,296 @@ class TestFallbacks:
             }
         }
         """
-        program = _compile(source)
-        result = program.run(args=[from_numpy(np.empty(0))])
+        result, [span] = _traced(source, [from_numpy(np.empty(0))], "c", 1)
         assert result.item() == 0
+        assert span.attrs["c_declined"] == "empty input"
+
+
+class TestEligibility:
+    def test_compressed_vector_output_is_eligible(self):
+        method = parse_method("""
+        def main(x:f64): f64 {
+            m:bool = @gt(x, 0.5:f64);
+            y:f64 = @compress(m, x);
+            z:f64 = @mul(y, 2.0:f64);
+            return z;
+        }
+        """)
+        segments = [item.segment for item in segment_method(method)
+                    if isinstance(item, FusedItem)]
+        assert segments
+        for segment in segments:
+            kernel = CKernel(segment)
+            assert kernel.eligible, kernel.declined
+
+    def test_wildcard_typed_sql_predicate_is_typed_by_inference(self):
+        """``_flatten`` declares ``e = @lt(c, 2.5)`` as ``?``; the kernel
+        types it from inference while the IR keeps its ``?``."""
+        from repro.core.ir import Assign
+        from repro.engine import EngineSession
+        from repro.engine.storage import Database
+
+        rng = np.random.default_rng(7)
+        db = Database()
+        db.create_table("t", {"a": rng.uniform(0, 10, 5000),
+                              "b": rng.integers(0, 100, 5000)})
+        session = EngineSession(db)
+        sql = "SELECT a, b FROM t WHERE a < 2.5 OR a > 7.5"
+        compiled = session.compile_sql(sql, backend="c")
+        wildcards = [stmt for stmt in compiled.program.module.entry.body
+                     if isinstance(stmt, Assign) and stmt.type.is_wildcard]
+        assert wildcards  # the IR is untouched
+        assert compiled.program.report.c_eligible_segments == \
+            compiled.program.report.fused_segments >= 1
+
+        tracer = Tracer()
+        got = session.run_sql(sql, backend="c",
+                              ctx=replace(session.context(), tracer=tracer))
+        want = session.run_sql(sql, backend="python")
+        assert session.metrics.counter("query.retries").value == 0
+        assert [s.attrs["backend"] for s in _kernel_spans(tracer)] == ["c"]
+        for (name, column), (_, expected) in zip(got.columns(),
+                                                 want.columns()):
+            np.testing.assert_array_equal(column.data, expected.data,
+                                          err_msg=name)
+
+
+# ---------------------------------------------------------------------------
+# compaction: compressed vector outputs written by the C loop
+# ---------------------------------------------------------------------------
+
+SELECT = """
+module M {
+    def main(x:f64, k:f64): f64 {
+        m:bool = @gt(x, k);
+        y:f64 = @compress(m, x);
+        z:f64 = @mul(y, 2.0:f64);
+        return z;
+    }
+}
+"""
+
+NESTED = """
+module M {
+    def main(x:f64, y:f64): f64 {
+        m1:bool = @gt(x, 0.3:f64);
+        a:f64 = @compress(m1, x);
+        b:f64 = @compress(m1, y);
+        m2:bool = @lt(b, 0.7:f64);
+        c:f64 = @compress(m2, a);
+        d:f64 = @add(c, 1.0:f64);
+        return d;
+    }
+}
+"""
+
+BASE_AND_COMPRESSED = """
+module M {
+    def main(x:f64): list<unknown> {
+        s:f64 = @mul(x, 2.0:f64);
+        m:bool = @gt(x, 0.5:f64);
+        y:f64 = @compress(m, s);
+        out:list<unknown> = @list(s, y);
+        return out;
+    }
+}
+"""
+
+WITH_REDUCTIONS = """
+module M {
+    def main(x:f64): list<unknown> {
+        m:bool = @gt(x, 0.5:f64);
+        y:f64 = @compress(m, x);
+        z:f64 = @mul(y, 3.0:f64);
+        s:f64 = @sum(z);
+        lo:f64 = @min(y);
+        out:list<unknown> = @list(z, s, lo);
+        return out;
+    }
+}
+"""
+
+#: Column reads only: stored for every row, the count advances by mask.
+TYPED_PLAIN = """
+module M {
+    def main(x:f64, a:i64, b:i32, c:bool, d:date, e:f64): list<unknown> {
+        m:bool = @gt(x, 0.5:f64);
+        a1:i64 = @compress(m, a);
+        b1:i32 = @compress(m, b);
+        c1:bool = @compress(m, c);
+        d1:date = @compress(m, d);
+        e1:f64 = @compress(m, e);
+        out:list<unknown> = @list(a1, b1, c1, d1, e1);
+        return out;
+    }
+}
+"""
+
+#: Computed values: stored inside the mask's ``if``.
+TYPED_COMPUTED = """
+module M {
+    def main(x:f64, a:i64, b:i32, c:bool, d:date, e:f64): list<unknown> {
+        m:bool = @gt(x, 0.5:f64);
+        a1:i64 = @compress(m, a);
+        b1:i32 = @compress(m, b);
+        c1:bool = @compress(m, c);
+        d1:date = @compress(m, d);
+        e1:f64 = @compress(m, e);
+        a2:i64 = @mul(a1, 3:i64);
+        b2:i32 = @add(b1, b1);
+        c2:bool = @not(c1);
+        d2:bool = @geq(d1, 1995-01-01:date);
+        e2:f64 = @sqrt(e1);
+        out:list<unknown> = @list(a2, b2, c2, d1, d2, e2);
+        return out;
+    }
+}
+"""
+
+
+def _uniform(n: int, seed: int = 11):
+    return np.random.default_rng(seed).uniform(0, 1, n)
+
+
+def _typed_args(n: int):
+    rng = np.random.default_rng(12)
+    days = rng.integers(8000, 10000, n).astype("datetime64[D]")
+    return [from_numpy(_uniform(n)),
+            from_numpy(rng.integers(-1000, 1000, n)),
+            from_numpy(rng.integers(-1000, 1000, n).astype(np.int32)),
+            from_numpy(rng.uniform(0, 1, n) < 0.5),
+            from_numpy(days),
+            from_numpy(rng.uniform(0, 100, n))]
+
+
+COMPACTION_CASES = {
+    "none_selected": (SELECT, lambda: [from_numpy(_uniform(5000)),
+                                       from_numpy(np.array([2.0]))]),
+    "all_selected": (SELECT, lambda: [from_numpy(_uniform(5000)),
+                                      from_numpy(np.array([-1.0]))]),
+    "half_selected": (SELECT, lambda: [from_numpy(_uniform(50_001)),
+                                       from_numpy(np.array([0.5]))]),
+    "fewer_rows_than_threads": (SELECT, lambda: [
+        from_numpy(np.array([0.9, 0.1, 0.8])),
+        from_numpy(np.array([0.5]))]),
+    "one_row": (SELECT, lambda: [from_numpy(np.array([0.9])),
+                                 from_numpy(np.array([0.5]))]),
+    "nested_compress": (NESTED, lambda: [from_numpy(_uniform(20_000)),
+                                         from_numpy(_uniform(20_000, 13))]),
+    "base_and_compressed": (BASE_AND_COMPRESSED,
+                            lambda: [from_numpy(_uniform(20_000))]),
+    "guarded_reductions": (WITH_REDUCTIONS,
+                           lambda: [from_numpy(_uniform(20_000))]),
+    "typed_plain": (TYPED_PLAIN, lambda: _typed_args(20_000)),
+    "typed_computed": (TYPED_COMPUTED, lambda: _typed_args(20_000)),
+}
+
+
+def _kernel_spans(tracer: Tracer) -> list:
+    return [span for span in tracer.all_spans()
+            if span.name.startswith("kernel:")]
+
+
+def _traced(source: str, args, backend: str, n_threads: int):
+    tracer = Tracer()
+    result = _compile(source, backend).run(
+        args=args, n_threads=n_threads, ctx=QueryContext(tracer=tracer))
+    return result, _kernel_spans(tracer)
+
+
+def _vectors(result) -> list[np.ndarray]:
+    items = result.items if isinstance(result, ListValue) else [result]
+    return [item.data for item in items]
+
+
+def _assert_same(got: list, want: list) -> None:
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        if a.dtype.kind == "f":
+            np.testing.assert_allclose(a, b, rtol=1e-12)
+        else:
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("n_threads", [1, 2, 4])
+@pytest.mark.parametrize("case", sorted(COMPACTION_CASES))
+def test_compaction_matches_interp_and_pygen(case, n_threads):
+    source, make_args = COMPACTION_CASES[case]
+    args = make_args()
+    c, c_kernels = _traced(source, args, "c", n_threads)
+    py, _ = _traced(source, args, "python", n_threads)
+    interp = run_module(parse_module(source), args=args)
+
+    assert c_kernels, "no fused kernel ran"
+    assert all(span.attrs["backend"] == "c" for span in c_kernels), \
+        [span.attrs for span in c_kernels]
+    _assert_same(_vectors(c), _vectors(py))
+    _assert_same(_vectors(py), _vectors(interp))
+
+
+def test_compaction_keeps_row_order_across_threads():
+    x = np.arange(100_003, dtype=np.float64)
+    args = [from_numpy(x), from_numpy(np.array([-1.0]))]
+    for n_threads in (1, 2, 3, 4):
+        result, _ = _traced(SELECT, args, "c", n_threads)
+        np.testing.assert_array_equal(result.data, x * 2)
+
+
+# ---------------------------------------------------------------------------
+# the on-disk kernel cache
+# ---------------------------------------------------------------------------
+
+_CACHE_SCRIPT = """
+import numpy as np
+from repro.core import from_numpy
+from repro.core.codegen import cgen
+from repro.core.compiler import compile_module
+from repro.core.parser import parse_module
+
+program = compile_module(parse_module({source!r}), "opt", backend="c")
+x = np.random.default_rng(0).uniform(0, 1, 1000)
+program.run(args=[from_numpy(x), from_numpy(np.array([0.5]))])
+print(cgen._build_dir())
+"""
+
+
+class TestKernelCache:
+    def _run_fresh_process(self, tmp_path) -> str:
+        env = dict(os.environ, TMPDIR=str(tmp_path),
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", _CACHE_SCRIPT.format(source=SELECT)],
+            env=env, capture_output=True, text=True, check=True)
+        return done.stdout.strip()
+
+    def test_second_process_compiles_nothing(self, tmp_path):
+        first = self._run_fresh_process(tmp_path)
+        assert first == str(tmp_path / f"repro-ckernels-{os.geteuid()}")
+        assert stat.S_IMODE(os.stat(first).st_mode) == 0o700
+        before = {name: os.stat(os.path.join(first, name)).st_mtime_ns
+                  for name in os.listdir(first)}
+        assert any(name.endswith(".so") for name in before)
+
+        assert self._run_fresh_process(tmp_path) == first
+        after = {name: os.stat(os.path.join(first, name)).st_mtime_ns
+                 for name in os.listdir(first)}
+        assert after == before
+
+    def test_group_writable_directory_is_refused(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        shared = tmp_path / f"repro-ckernels-{os.geteuid()}"
+
+        monkeypatch.setattr(cgen, "_gcc_state", dict(cgen._gcc_state))
+        cgen._gcc_state.pop("dir", None)
+        assert cgen._build_dir() == str(shared)  # created, mode 0700
+
+        shared.chmod(0o777)
+        cgen._gcc_state.pop("dir")
+        private = cgen._build_dir()
+        assert private != str(shared)
+        assert stat.S_IMODE(os.stat(private).st_mode) == 0o700
 
 
 class TestMatlabAndSQLThroughC:

@@ -43,7 +43,7 @@ from repro.errors import BuiltinError
 
 __all__ = ["Builtin", "EvalContext", "BUILTINS", "get", "exists",
            "run_profiled", "charges_output", "BuiltinSig",
-           "SIGNATURES", "signature"]
+           "SIGNATURES", "signature", "selection", "compress_mismatch"]
 
 #: Builtins whose result is a reference to existing storage (the base
 #: table, one of its columns, a string vector's codes or dictionary)
@@ -540,6 +540,19 @@ _make_reduction("all", np.all, _infer_bool, "np.all({0})", "all")
 # Compress / index / scan
 # ---------------------------------------------------------------------------
 
+def selection(mask: np.ndarray) -> np.ndarray:
+    """The row ids (int64) where ``mask`` is true — the candidate list a
+    column store filters through: every column compressed by one mask is
+    then one gather through these ids, rather than a boolean index of its
+    own."""
+    return np.flatnonzero(mask)
+
+
+def compress_mismatch(mask_len: int, data_len: int) -> BuiltinError:
+    return BuiltinError(
+        f"@compress length mismatch: mask {mask_len}, data {data_len}")
+
+
 def _run_compress(args: list[Value], _: EvalContext) -> Value:
     _expect_arity("compress", args, 2)
     mask = _as_vector("compress", args[0])
@@ -547,9 +560,8 @@ def _run_compress(args: list[Value], _: EvalContext) -> Value:
     if mask.type != ht.BOOL:
         raise BuiltinError("@compress mask must be bool")
     if len(mask) != len(data):
-        raise BuiltinError(
-            f"@compress length mismatch: mask {len(mask)}, data {len(data)}")
-    return _select(data, mask.data)
+        raise compress_mismatch(len(mask), len(data))
+    return _select(data, selection(mask.data))
 
 
 _register(Builtin("compress", "compress", 2, _infer_second, _run_compress))
@@ -570,7 +582,7 @@ _register(Builtin("index", "opaque", 2, _infer_first, _run_index))
 def _run_where(args: list[Value], _: EvalContext) -> Value:
     _expect_arity("where", args, 1)
     mask = _as_vector("where", args[0])
-    return Vector(ht.I64, np.nonzero(mask.data)[0].astype(np.int64))
+    return Vector(ht.I64, selection(mask.data))
 
 
 _register(Builtin("where", "opaque", 1, _infer_i64, _run_where))

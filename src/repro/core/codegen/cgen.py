@@ -50,6 +50,7 @@ import numpy as np
 from repro.core import builtins as hb
 from repro.core import ir
 from repro.core import types as ht
+from repro.core.codegen.pygen import compress_guards, compress_length_error
 from repro.core.optimizer.fusion import ANY, Segment
 from repro.core.values import Vector
 from repro.errors import BuiltinError, CodegenError, HorseRuntimeError
@@ -615,6 +616,9 @@ class CKernel:
                       for stmt in segment.stmts}
         self.declined = decline_reason(segment, self.types) \
             if c_backend_available() else "gcc not available"
+        self.guards, dynamic = compress_guards(segment)
+        if dynamic and self.declined is None:
+            self.declined = "compress of a broadcast in a compressed domain"
         #: signature -> kernel function, or why it could not be built
         self._variants: dict[tuple, object] = {}
 
@@ -635,6 +639,11 @@ class CKernel:
         if isinstance(signature, str):
             return None, signature
         n = self._base_length(arrays, signature)
+        if self.guards and compress_length_error(self.guards, arrays,
+                                                 n) is not None:
+            # The loop would compress through a broadcast operand; the
+            # Python kernel raises the interpreter's error.
+            return None, "@compress operand lengths"
         if n == 0:
             return None, "empty input"  # the Python path synthesizes it
         fn = self._variants.get(signature)

@@ -3,9 +3,15 @@
 The reproduction's stand-in for the paper's OpenMP parallel loops: the base
 iteration space is split into chunks, the fused kernel runs per chunk (its
 temporaries are chunk-sized, so the chain stays cache-resident), chunks are
-dispatched to a thread pool (NumPy array ops release the GIL), and vector
-outputs are concatenated in chunk order while reduction partials merge with
-the builtin's ``combine`` rule.
+dispatched to a thread pool (NumPy array ops release the GIL), and
+reduction partials merge with the builtin's ``combine`` rule.
+
+Vector outputs are never assembled from pieces: each is allocated once at
+the base length and every chunk writes its rows into its own slice.  A
+compressed output is written compacted — at the running offset on one
+thread; at the chunk's ``lo`` on several, after which each block moves
+down, in chunk order, to its prefix-sum offset (the shape of the C
+backend's native compaction) — and then shrinks to the rows selected.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.core import types as ht
-from repro.core.codegen.pygen import CompiledKernel
+from repro.core.codegen.pygen import CompiledKernel, compress_length_error
 from repro.core.context import QueryContext
 from repro.core.values import Vector
 from repro.errors import BuiltinError, HorseRuntimeError
@@ -61,7 +67,8 @@ def charge_kernel_alloc(kernel: CompiledKernel, inputs: list[Vector],
     """Charge one fused-kernel invocation to the context's profile.
 
     The fusion story in numbers: the kernel materializes only its
-    *outputs* plus its reused per-chunk ``out=`` buffers — each buffer
+    *outputs* (written in place; they take no buffer) plus its reused
+    per-chunk ``out=`` buffers — each buffer
     is ``min(base_len, chunk_size)`` elements and charged **once** no
     matter how many chunks streamed through it, whereas the naive path
     charges a full-length vector per statement.  The total also lands
@@ -89,25 +96,38 @@ def _run_kernel(kernel: CompiledKernel, inputs: list[Vector],
                 ctx: QueryContext) -> list[Vector]:
     arrays = [value.data for value in inputs]
     n = _base_length(kernel, arrays)
+    if kernel.compress_guards:
+        error = compress_length_error(kernel.compress_guards, arrays, n)
+        if error is not None:
+            raise error
 
     if n == 0:
         return _empty_outputs(kernel, arrays)
 
     limits = ctx.limits
+    #: One destination per in-place output, allocated once at the base
+    #: length: ``(output slot, array, compacted)``.
+    targets = [(slot, np.empty(n, dtype=ht.numpy_dtype(type_)),
+                where == "sel")
+               for slot, (where, type_)
+               in enumerate(zip(kernel.placements, kernel.output_types))
+               if where in ("base", "sel")]
 
-    if n <= chunk_size:
+    if n <= chunk_size or kernel.whole:
         # The single-chunk fast path is still one chunk of work: count
         # it (kernel.chunks == chunks actually executed, fast path or
         # not) and give it the same cancellation checkpoint.
         ctx.metrics.counter("kernel.chunks").inc()
         if limits.enabled:
             limits.check("chunk")
-        results = list(kernel.fn(*arrays))
-        for index, (name, role) in enumerate(kernel.outputs):
-            if role != "vector" and results[index] is None:
+        result = kernel.fn(*arrays, *(dst for _, dst, _ in targets))
+        for slot, (name, role) in enumerate(kernel.outputs):
+            if role != "vector" and result[slot] is None:
                 combine = role.split(":", 1)[1]
                 raise BuiltinError(f"@{combine} of an empty vector")
-        return _wrap_outputs(kernel, results)
+        return _assemble(kernel, arrays, targets,
+                         [result[slot] for slot, _, _ in targets],
+                         list(result))
 
     bounds = [(lo, min(lo + chunk_size, n))
               for lo in range(0, n, chunk_size)]
@@ -118,36 +138,74 @@ def _run_kernel(kernel: CompiledKernel, inputs: list[Vector],
     #: to the kernel span captured here rather than via the contextvar.
     parent = tracer.current() if tracer.enabled else None
 
-    def run_chunk(bound: tuple[int, int]):
+    def run_chunk(lo: int, hi: int, starts: list[int]):
+        """Run rows ``[lo, hi)``; a compacted output's rows go to its
+        destination at ``starts[i]``, a base output's at ``lo``."""
         if limits.enabled:
             limits.check("chunk")
-        lo, hi = bound
         sliced = [arr[lo:hi] if stream and len(arr) == n else arr
                   for arr, stream in zip(arrays, kernel.streamed)]
+        views = [dst[start:start + hi - lo] if compacted else dst[lo:hi]
+                 for (_, dst, compacted), start in zip(targets, starts)]
         if not tracer.enabled:
-            return kernel.fn(*sliced)
+            return kernel.fn(*sliced, *views)
         with tracer.span("chunk", parent=parent, lo=lo, hi=hi,
                          rows=hi - lo):
-            return kernel.fn(*sliced)
+            return kernel.fn(*sliced, *views)
 
-    if n_threads > 1 and len(bounds) > 1:
+    ends = [0] * len(targets)
+    parallel = n_threads > 1 and len(bounds) > 1
+    if parallel:
+        # Each chunk writes its selected rows at its own ``lo``.  As the
+        # results arrive, in chunk order, each block moves down to its
+        # prefix-sum offset — below the rows of every later chunk, so
+        # the moves overlap the chunks still running.
         if pool is None:
             pool = ctx.executor(n_threads)
-        chunk_results = list(pool.map(run_chunk, bounds))
+        results = pool.map(
+            lambda bound: run_chunk(*bound, [bound[0]] * len(targets)),
+            bounds)
     else:
-        chunk_results = [run_chunk(bound) for bound in bounds]
+        # One thread: each chunk writes at the running offset, so
+        # nothing moves.
+        results = (run_chunk(lo, hi, ends) for lo, hi in bounds)
+    chunk_results = []
+    for (lo, _), result in zip(bounds, results):
+        for i, (slot, dst, compacted) in enumerate(targets):
+            if compacted:
+                rows, end = result[slot], ends[i]
+                if parallel and end != lo:
+                    dst[end:end + rows] = dst[lo:lo + rows]
+                ends[i] = end + rows
+        chunk_results.append(result)
 
-    combined = []
-    for index, (name, role) in enumerate(kernel.outputs):
-        parts = [chunk[index] for chunk in chunk_results]
+    values = []
+    for slot, (name, role) in enumerate(kernel.outputs):
         if role == "vector":
-            combined.append(np.concatenate(
-                [np.atleast_1d(np.asarray(p)) for p in parts]))
+            # A broadcast value is the same in every chunk.
+            values.append(chunk_results[0][slot])
         else:
-            combine = role.split(":", 1)[1]
-            combined.append(_combine(combine, parts,
-                                     kernel.output_types[index]))
-    return _wrap_outputs(kernel, combined)
+            values.append(_combine(
+                role.split(":", 1)[1],
+                [result[slot] for result in chunk_results],
+                kernel.output_types[slot]))
+    return _assemble(kernel, arrays, targets, ends, values)
+
+
+def _assemble(kernel: CompiledKernel, arrays: list[np.ndarray],
+              targets: list, ends: list[int], values: list) -> list[Vector]:
+    """The output vectors: destinations written in place (a compacted one
+    shrunk, without a copy, to its ``ends`` rows), inputs passed
+    through, and ``values`` (what the kernel returned, reductions
+    combined) for the rest."""
+    for (slot, dst, compacted), end in zip(targets, ends):
+        if compacted:
+            dst.resize(end, refcheck=False)
+        values[slot] = dst
+    for slot, where in enumerate(kernel.placements):
+        if isinstance(where, int):
+            values[slot] = arrays[where]
+    return _wrap_outputs(kernel, values)
 
 
 def _base_length(kernel: CompiledKernel, arrays: list[np.ndarray]) -> int:

@@ -123,7 +123,7 @@ class _KernelItem:
 def _python_kernel_item(segment, name: str, report: CompileReport,
                         types: dict) -> _KernelItem:
     """Generated NumPy kernels — always available, handles every dtype."""
-    kernel = generate_kernel(segment, name=name)
+    kernel = generate_kernel(segment, name=name, types=types)
     report.kernel_sources.append(kernel.source)
     return _KernelItem(kernel)
 
@@ -143,7 +143,9 @@ def _c_kernel_item(segment, name: str, report: CompileReport,
 #: The fused-kernel engine ``backend`` selects: one fused segment in,
 #: one executable plan item out — ``(segment, name, report, types)``,
 #: where ``types`` maps ``id(stmt)`` of ``?``-declared statements to the
-#: types inference gives them (filled for the C backend only).
+#: types inference gives them: every such statement for the C backend
+#: (emitted C declares each local), the kernel outputs for the Python
+#: one (they size the outputs' destinations).
 _BUILTIN_FACTORIES = {
     "python": _python_kernel_item,
     "c": _c_kernel_item,
@@ -161,13 +163,16 @@ def _segments(plan: list):
             yield from _segments(item.body_plan)
 
 
-def _wildcard_types(plan: list, method: ir.Method,
-                    module: ir.Module) -> dict[int, ht.HorseType]:
+def _wildcard_types(plan: list, method: ir.Method, module: ir.Module, *,
+                    outputs_only: bool) -> dict[int, ht.HorseType]:
     """The inferred types of the ``?``-declared statements in the plan's
-    fused segments, by ``id(stmt)``.  The IR keeps its ``?``: emitted C
-    needs a type for each local, NumPy does not."""
+    fused segments (or of those defining a segment output), by
+    ``id(stmt)``.  The IR keeps its ``?``.  Inference runs only when
+    there is such a statement."""
     wild = [stmt for segment in _segments(plan) for stmt in segment.stmts
-            if stmt.type.is_wildcard]
+            if stmt.type.is_wildcard
+            and (not outputs_only or any(stmt.target == name
+                                         for name, _ in segment.outputs))]
     if not wild:
         return {}
     facts = infer_method(method, module).stmt_facts
@@ -484,8 +489,8 @@ def compile_module(module: ir.Module, opt_level: str = "opt",
                 if fuse:
                     method, opaque = lower_strings(method, module)
                 plan = segment_method(method, enabled=fuse, opaque=opaque)
-                types = _wildcard_types(plan, method, module) \
-                    if backend == "c" else {}
+                types = _wildcard_types(plan, method, module,
+                                        outputs_only=backend != "c")
                 plans[name] = _compile_plan(plan, report, make_kernel,
                                             types)
             codegen_span.set(fused_segments=report.fused_segments,

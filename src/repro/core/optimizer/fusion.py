@@ -55,7 +55,7 @@ class Segment:
     #: external vector/scalar inputs, in first-use order.
     inputs: list[str] = field(default_factory=list)
     #: variables the rest of the program needs, with their roles:
-    #: ``"vector"`` (chunk results concatenate) or ``"reduce:<combine>"``.
+    #: ``"vector"`` (each chunk writes its rows) or ``"reduce:<combine>"``.
     outputs: list[tuple[str, str]] = field(default_factory=list)
     #: domain of each defined variable (for codegen validation).
     domains: dict[str, tuple] = field(default_factory=dict)

@@ -163,7 +163,9 @@ class PlanExecutor:
         mask = np.asarray(mask, dtype=np.bool_)
         if mask.ndim == 0:
             raise ExecutorError("filter predicate produced a scalar")
-        return {name: columns[name][mask]
+        # One candidate list of row ids, every column fetched through it.
+        rows = hb.selection(mask)
+        return {name: columns[name].take(rows)
                 for name, _ in node.output}
 
     def _exec_project(self, node: p.Project,

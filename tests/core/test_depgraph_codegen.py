@@ -88,7 +88,11 @@ class TestKernelCodegen:
         }
         """)
         kernel = generate_kernel(segment)
-        assert "t4 = (t1)[t3]" in kernel.source
+        # One selection vector for the mask, every column taken through it.
+        assert kernel.source.count("selection(") == 1
+        assert "_sel0 = selection(t3)" in kernel.source
+        assert "t4 = np.take(t1, _sel0)" in kernel.source
+        assert "t5 = np.take(t2, _sel0)" in kernel.source
         assert "np.sum(t6)" in kernel.source
         assert kernel.outputs == [("t7", "reduce:sum")]
 

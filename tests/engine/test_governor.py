@@ -108,15 +108,16 @@ class TestDeadline:
         chunk = 64
         executed = []
 
-        def slow_fn(x):
+        def slow_fn(x, out):
             executed.append(len(x))
             time.sleep(chunk_sleep)
-            return [x]
+            out[...] = x
+            return [None]
 
         kernel = CompiledKernel(
             segment=None, source="", fn=slow_fn, inputs=["x"],
             streamed=[True], outputs=[("y", "vector")],
-            output_types=[ht.F64])
+            output_types=[ht.F64], placements=["base"])
         data = Vector(ht.F64, np.ones(chunk * n_chunks))
 
         with EngineSession(make_db()) as session:

@@ -41,6 +41,7 @@ from typing import NamedTuple
 
 from repro.core import builtins as hb
 from repro.core import ir
+from repro.core.depgraph import block_uses
 
 __all__ = ["Rule", "Finding", "RULES", "LINT_JSON_VERSION",
            "default_rule_ids", "lint_module", "lint_plan",
@@ -139,21 +140,9 @@ def lint_module(module: ir.Module, rules=None) -> list[Finding]:
     return findings
 
 
-def _method_uses(method: ir.Method) -> set[str]:
-    used: set[str] = set()
-    for stmt in method.walk_stmts():
-        if isinstance(stmt, (ir.Assign, ir.Return)):
-            used.update(ir.expr_vars(stmt.expr))
-        elif isinstance(stmt, ir.If):
-            used.update(ir.expr_vars(stmt.cond))
-        elif isinstance(stmt, ir.While):
-            used.update(ir.expr_vars(stmt.cond))
-    return used
-
-
 def _unused_parameters(module: ir.Module, rule: Rule):
     for method in module.methods.values():
-        used = _method_uses(method)
+        used = block_uses(method.body)
         for param in method.params:
             if param.name not in used:
                 yield _finding(

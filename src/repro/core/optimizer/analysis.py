@@ -1,13 +1,15 @@
-"""Shared dataflow helpers for the optimizer passes."""
+"""Variable-name facts shared by the optimizer passes: assignment
+counts, the single-assignment set, every name a method mentions, and a
+collision-free name generator."""
 
 from __future__ import annotations
 
 from collections import Counter
 
 from repro.core import ir
-from repro.core.depgraph import block_uses
+from repro.core.depgraph import block_defs, block_uses
 
-__all__ = ["assign_counts", "single_assignment_vars", "use_counts",
+__all__ = ["assign_counts", "single_assignment_vars", "method_names",
            "fresh_namer"]
 
 
@@ -43,29 +45,6 @@ def single_assignment_vars(method: ir.Method) -> set[str]:
     return {name for name, count in counts.items() if count == 1}
 
 
-def use_counts(method: ir.Method) -> Counter:
-    """How many statement-level references each variable has."""
-    counts: Counter = Counter()
-    _count_uses(method.body, counts)
-    return counts
-
-
-def _count_uses(body: list[ir.Stmt], counts: Counter) -> None:
-    for stmt in body:
-        if isinstance(stmt, (ir.Assign, ir.Return)):
-            for name in ir.expr_vars(stmt.expr):
-                counts[name] += 1
-        elif isinstance(stmt, ir.If):
-            for name in ir.expr_vars(stmt.cond):
-                counts[name] += 1
-            _count_uses(stmt.then_body, counts)
-            _count_uses(stmt.else_body, counts)
-        elif isinstance(stmt, ir.While):
-            for name in ir.expr_vars(stmt.cond):
-                counts[name] += 1
-            _count_uses(stmt.body, counts)
-
-
 def fresh_namer(taken: set[str], prefix: str = "v"):
     """A generator of variable names guaranteed not to collide.
 
@@ -91,18 +70,5 @@ def method_names(method: ir.Method) -> set[str]:
     """Every variable name appearing in the method (defs, uses, params)."""
     names = set(method.param_names())
     names |= block_uses(method.body)
-    names |= _all_defs(method.body)
+    names |= block_defs(method.body)
     return names
-
-
-def _all_defs(body: list[ir.Stmt]) -> set[str]:
-    defs: set[str] = set()
-    for stmt in body:
-        if isinstance(stmt, ir.Assign):
-            defs.add(stmt.target)
-        elif isinstance(stmt, ir.If):
-            defs |= _all_defs(stmt.then_body)
-            defs |= _all_defs(stmt.else_body)
-        elif isinstance(stmt, ir.While):
-            defs |= _all_defs(stmt.body)
-    return defs

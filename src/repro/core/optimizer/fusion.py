@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from repro.core import builtins as hb
 from repro.core import ir
 from repro.core import types as ht
+from repro.core.depgraph import block_uses
 
 __all__ = ["Segment", "FusedItem", "OpaqueItem", "ReturnItem", "IfItem",
            "WhileItem", "segment_method", "segment_block"]
@@ -214,29 +215,14 @@ def _block_use_sets(body: list[ir.Stmt],
             live.update(ir.expr_vars(stmt.cond))
             result.update(_block_use_sets(stmt.then_body, live))
             result.update(_block_use_sets(stmt.else_body, live))
-            inner = _all_uses(stmt.then_body) | _all_uses(stmt.else_body)
+            inner = block_uses(stmt.then_body) | block_uses(stmt.else_body)
             live.update(inner)
         elif isinstance(stmt, ir.While):
             live.update(ir.expr_vars(stmt.cond))
-            inner = _all_uses(stmt.body)
+            inner = block_uses(stmt.body)
             result.update(_block_use_sets(stmt.body, live | inner))
             live.update(inner)
     return result
-
-
-def _all_uses(body: list[ir.Stmt]) -> set[str]:
-    uses: set[str] = set()
-    for stmt in body:
-        if isinstance(stmt, (ir.Assign, ir.Return)):
-            uses.update(ir.expr_vars(stmt.expr))
-        elif isinstance(stmt, ir.If):
-            uses.update(ir.expr_vars(stmt.cond))
-            uses |= _all_uses(stmt.then_body)
-            uses |= _all_uses(stmt.else_body)
-        elif isinstance(stmt, ir.While):
-            uses.update(ir.expr_vars(stmt.cond))
-            uses |= _all_uses(stmt.body)
-    return uses
 
 
 # ---------------------------------------------------------------------------

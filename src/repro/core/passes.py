@@ -53,7 +53,7 @@ from repro.errors import (HorseTypeError, HorseVerifyError,
 
 __all__ = [
     "Pass", "MethodPass", "ModulePass", "PlanPass", "StatsPlanPass",
-    "Pipeline", "AnalysisCache",
+    "Pipeline",
     "PassManager", "PassStat", "OptimizeStats", "resolve_pipeline",
     "preset", "custom_pipeline", "registered_pass_names",
     "PRESET_NAMES", "MAX_ROUNDS", "DEFAULT_DUMP_DIR",
@@ -147,25 +147,19 @@ class Pass:
 
 
 class MethodPass(Pass):
-    """A per-method rewrite: ``fn(method) -> bool`` (mutating).
-
-    ``invalidates`` names the cached analyses a *changing* application
-    makes stale: the manager drops exactly those entries (and, always,
-    the verifier's verdict) from its :class:`AnalysisCache` for the
-    rewritten method and keeps the rest."""
+    """A per-method rewrite: ``fn(method) -> bool`` (mutating)."""
 
     level = "method"
 
     def __init__(self, name: str, fn, *, fixed_point: bool = False,
                  traced: bool = True, records: bool = True,
-                 checkpoint: bool = True, invalidates: tuple = ()):
+                 checkpoint: bool = True):
         super().__init__(name)
         self.fn = fn
         self.fixed_point = fixed_point
         self.traced = traced
         self.records = records
         self.checkpoint = checkpoint
-        self.invalidates = tuple(invalidates)
 
     def run(self, method: ir.Method, ctx=None) -> bool:
         return self.fn(method)
@@ -229,12 +223,6 @@ class StatsPlanPass(PlanPass):
 # the registry
 # ---------------------------------------------------------------------------
 
-#: Every dataflow fact the analysis framework caches.  Any rewrite
-#: that touches a method body makes all of them stale.
-_DATAFLOW_FACTS = ("liveness", "reaching-defs", "use-chains",
-                   "constants", "intervals", "copies")
-
-
 def _typecheck_pass_fn(method: ir.Method) -> bool:
     # ``--passes typecheck``: full-depth verification run as a pass.
     # Method-level passes see no module, so cross-method calls check as
@@ -270,8 +258,7 @@ def _make_ir_pass(name: str, *, fixed_point: bool) -> Pass:
         "join-predicate-motion": move_join_predicates,
         "patterns": apply_patterns,
     }
-    return MethodPass(name, fns[name], fixed_point=fixed_point,
-                      invalidates=_DATAFLOW_FACTS)
+    return MethodPass(name, fns[name], fixed_point=fixed_point)
 
 
 def _make_plan_pass(name: str) -> Pass:
@@ -428,43 +415,6 @@ class _PassContext:
         self.table_stats = table_stats
 
 
-class AnalysisCache:
-    """Per-method analysis facts, memoized across pass applications.
-
-    Keyed ``(method name, analysis name)``.  :meth:`get` computes on
-    miss; passes that report a change drop the entries their
-    ``invalidates`` tuple names, so a fixed-point round that rewrites
-    nothing re-derives nothing.  ``hits``/``misses`` are observable
-    counters (tests and ``EXPLAIN ANALYZE`` read them)."""
-
-    def __init__(self):
-        self._facts: dict[tuple[str, str], object] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, method: ir.Method, name: str, compute):
-        """The cached ``name`` fact for ``method``, computing (and
-        storing) ``compute(method)`` on first request."""
-        key = (method.name, name)
-        if key in self._facts:
-            self.hits += 1
-            return self._facts[key]
-        self.misses += 1
-        value = compute(method)
-        self._facts[key] = value
-        return value
-
-    def invalidate(self, method_name: str, names) -> None:
-        """Drop the named facts for one method."""
-        for name in names:
-            self._facts.pop((method_name, name), None)
-
-    def invalidate_all(self) -> None:
-        """Drop everything (module-level rewrites splice across
-        methods, so per-method dropping is not enough)."""
-        self._facts.clear()
-
-
 class PassManager:
     """Runs one :class:`Pipeline` over a plan and/or a module.
 
@@ -473,9 +423,9 @@ class PassManager:
     input module and re-verifies after every pass application at
     :mod:`repro.core.verify`'s full depth, with
     :exc:`~repro.errors.PassVerificationError` naming the offending
-    pass and statement.  A method's verdict is cached on
-    :attr:`analyses` until an application reports a change to it, so
-    every state is verified once; ``dump_dir`` writes
+    pass and statement.  A method stays in :attr:`verified` until an
+    application reports a change to it, so every state is verified
+    once; ``dump_dir`` writes
     numbered IR snapshots before the first pass and after every pass
     (per round inside the fixed-point group) via the existing
     printer."""
@@ -488,8 +438,9 @@ class PassManager:
         self.dump_dir = dump_dir
         self.max_rounds = max_rounds
         self._dump_seq = 0
-        #: Memoized per-method analysis facts for this compilation.
-        self.analyses = AnalysisCache()
+        #: Names of the methods that passed full-depth verification in
+        #: their current state.
+        self.verified: set[str] = set()
         #: Per-pass stats rows, keyed by pass name (insertion-ordered).
         self._stats_index: dict[str, PassStat] = {}
 
@@ -571,7 +522,8 @@ class PassManager:
         if ps.name == "inline":
             stats.inlined_methods_removed = removed
         if changed:
-            self.analyses.invalidate_all()
+            # Module rewrites splice across methods: forget every verdict.
+            self.verified.clear()
         if changed and ps.records:
             _note(stats, ps.name)
         if ps.records:
@@ -627,8 +579,7 @@ class PassManager:
                          changed=changed)
         elapsed = time.perf_counter() - start
         if changed:
-            self.analyses.invalidate(method.name,
-                                     ps.invalidates + ("typecheck",))
+            self.verified.discard(method.name)
         if changed and ps.records:
             _note(stats, ps.name)
         if ps.records:
@@ -653,8 +604,9 @@ class PassManager:
 
     def _verify(self, pass_name, module, method=None) -> None:
         """``verify=True``: check ``method`` (every method of
-        ``module`` when None) at full depth, once per state: the cached
-        verdict stands until an application reports a change."""
+        ``module`` when None) at full depth, once per state: a method
+        in :attr:`verified` stays there until an application reports a
+        change."""
         if not self.verify:
             return
         methods = module.methods.values() if method is None else (method,)
@@ -662,9 +614,9 @@ class PassManager:
             if not module.methods:
                 verify_module(module, full=True)  # raises: no methods
             for each in methods:
-                self.analyses.get(
-                    each, "typecheck",
-                    lambda m: verify_method(m, module, full=True))
+                if each.name not in self.verified:
+                    verify_method(each, module, full=True)
+                    self.verified.add(each.name)
         except (HorseVerifyError, HorseTypeError) as exc:
             raise PassVerificationError(
                 pass_name, str(exc),
@@ -688,15 +640,7 @@ class PassManager:
 
 def _count_statements(body: list[ir.Stmt]) -> int:
     """Statements in a method body, descending into control flow."""
-    count = 0
-    for stmt in body:
-        count += 1
-        if isinstance(stmt, ir.If):
-            count += _count_statements(stmt.then_body)
-            count += _count_statements(stmt.else_body)
-        elif isinstance(stmt, ir.While):
-            count += _count_statements(stmt.body)
-    return count
+    return sum(1 for _ in ir.walk_body(body))
 
 
 def _note(stats: OptimizeStats, name: str) -> None:

@@ -1,19 +1,20 @@
 """The one verifier (:mod:`repro.core.verify`) at both depths: a table
 of seeded mutations, each rejected with the right error class and
 message; the same rejections through the pass manager (``--verify-ir``);
-the manager's verdict cache; and one sweep over every workload query."""
+the manager's once-per-state verification; and one sweep over every
+workload query."""
 
 import numpy as np
 import pytest
 
-from repro.core import ir
+from repro.core import ir, passes
 from repro.core import types as ht
 from repro.core.context import QueryContext
 from repro.core.parser import parse_method, parse_module
 from repro.core.passes import (MethodPass, PassManager, Pipeline,
                                custom_pipeline, preset,
                                registered_pass_names, resolve_pipeline)
-from repro.core.printer import print_module
+from repro.core.printer import print_method, print_module
 from repro.core.verify import verify_method, verify_module
 from repro.data import generate_tpch
 from repro.data.blackscholes import load_blackscholes_table
@@ -43,6 +44,20 @@ module M {
 
 def _module():
     return parse_module(CLEAN)
+
+
+def _record_verify_calls(monkeypatch) -> list:
+    """Every ``verify_method`` call the pass manager makes, as
+    ``(method name, full, printed method)``."""
+    calls = []
+    real = passes.verify_method
+
+    def recording(method, module=None, *, full=False):
+        calls.append((method.name, full, print_method(method)))
+        return real(method, module, full=full)
+
+    monkeypatch.setattr(passes, "verify_method", recording)
+    return calls
 
 
 def _mutated(mutate):
@@ -246,7 +261,8 @@ class TestMutationTable:
 class TestManagerVerification:
     """``verify=True``: the manager verifies its input and re-verifies
     after every pass, wrapping violations in a PassVerificationError
-    naming the pass; the full-depth verdict is cached per method."""
+    naming the pass; each method state is verified at full depth
+    once."""
 
     def test_broken_pass_is_caught_and_named(self):
         def breaks_ir(method):
@@ -263,14 +279,21 @@ class TestManagerVerification:
         assert excinfo.value.method == "main"
         assert "ghost" in excinfo.value.detail
 
-    def test_clean_pipeline_verifies_silently(self):
+    def test_clean_pipeline_verifies_silently(self, monkeypatch):
+        calls = _record_verify_calls(monkeypatch)
         manager = PassManager(preset("O2"), verify=True)
         optimized, stats = manager.run_module(
             _module(), QueryContext(), entry="main")
         assert list(optimized.methods) == ["main"]
         assert stats.pipeline == "O2"
-        # One miss per verified state; every other application hits.
-        assert manager.analyses.hits > manager.analyses.misses >= 1
+        # The input is checked once, then main once after each
+        # application that rewrote it; the applications that changed
+        # nothing re-check nothing.
+        rewrites = sum(stat.rewrites for stat in stats.pass_stats)
+        assert [name for name, _, _ in calls] \
+            == ["helper", "main"] + ["main"] * rewrites
+        assert all(full for _, full, _ in calls)
+        assert len(set(calls)) == len(calls)
 
     def test_error_message_names_pass_and_method(self):
         text = str(PassVerificationError("cse", "boom", method="main"))
@@ -305,8 +328,7 @@ class TestManagerVerification:
         # Whatever the buggy pass says it preserves: a reported change
         # drops the method's verdict, so the new state is checked at
         # full depth.
-        bad = MethodPass("buggy", lambda m: mutate(m) is None,
-                         invalidates=("liveness",))
+        bad = MethodPass("buggy", lambda m: mutate(m) is None)
         manager = PassManager(Pipeline("custom", [bad]), verify=True)
         with pytest.raises(PassVerificationError) as exc:
             manager.run_module(self._one_method(), QueryContext(),
@@ -315,16 +337,18 @@ class TestManagerVerification:
         assert exc.value.method == "main"
         assert needle in exc.value.detail
 
-    def test_unchanged_method_keeps_its_verdict(self):
+    def test_unchanged_method_keeps_its_verdict(self, monkeypatch):
+        calls = _record_verify_calls(monkeypatch)
         noop = MethodPass("noop", lambda method: False)
         manager = PassManager(Pipeline("custom", [noop]), verify=True)
         manager.run_module(self._one_method(), QueryContext(),
                            entry="main")
-        # The input check missed once; the post-pass check hit because
-        # the pass reported no change.
-        assert (manager.analyses.misses, manager.analyses.hits) == (1, 1)
+        # The input is checked; the pass reported no change, so the
+        # post-pass check calls nothing.
+        assert [(name, full) for name, full, _ in calls] \
+            == [("main", True)]
 
-    def test_inline_rewrite_is_reported_and_rechecked(self):
+    def test_inline_rewrite_is_reported_and_rechecked(self, monkeypatch):
         # @helper is called in statement position (expanded) and in
         # expression position (kept), so no method is removed — the
         # rewrite of main must still count, and its cached verdict
@@ -342,6 +366,7 @@ class TestManagerVerification:
             }
         }
         """)
+        calls = _record_verify_calls(monkeypatch)
         manager = PassManager(custom_pipeline(["inline"]), verify=True)
         inlined, stats = manager.run_module(module, QueryContext(),
                                             entry="main")
@@ -350,8 +375,9 @@ class TestManagerVerification:
         assert stats.pass_stats[0].rewrites == 1
         assert "inline" in stats.passes_applied
         # helper + main as input, both again after the rewrite.
-        assert manager.analyses.misses == 4
-        assert manager.analyses.hits == 0
+        assert [(name, full) for name, full, _ in calls] == [
+            ("helper", True), ("main", True),
+            ("helper", True), ("main", True)]
 
 
 @pytest.fixture(scope="module")
@@ -410,29 +436,29 @@ class TestWorkloadsVerifyClean:
 
     def test_each_state_is_verified_once(self, tpch_hp, monkeypatch):
         # A verify_ir compile runs the full depth once per (method,
-        # state) — the manager's cache misses — and nothing else
+        # state), from the manager's verify hook, and nothing else
         # verifies alongside it.
-        from repro.core import passes
-        from repro.core.printer import print_method
-
-        states, managers = [], []
+        states, active = [], []
         real = passes.verify_method
-        real_init = PassManager.__init__
+        real_verify = PassManager._verify
 
         def recording(method, module=None, *, full=False):
-            states.append((full, print_method(method)))
+            states.append((bool(active), full, print_method(method)))
             return real(method, module, full=full)
 
-        def recording_init(self, *args, **kwargs):
-            real_init(self, *args, **kwargs)
-            managers.append(self)
+        def recording_verify(self, *args, **kwargs):
+            active.append(True)
+            try:
+                return real_verify(self, *args, **kwargs)
+            finally:
+                active.pop()
 
         monkeypatch.setattr(passes, "verify_method", recording)
         monkeypatch.setattr("repro.core.verify.verify_method", recording)
-        monkeypatch.setattr(PassManager, "__init__", recording_init)
+        monkeypatch.setattr(PassManager, "_verify", recording_verify)
         tpch_hp.compile_sql(PLAIN_QUERIES["q6"], verify_ir=True)
-        # q6 is one method: every verification was at full depth, of a
-        # state not seen before, and the optimizer produced several.
-        assert all(full for full, _ in states)
+        # q6 is one method: every verification came from the manager,
+        # was at full depth, of a state not seen before, and the
+        # optimizer produced several.
+        assert all(hooked and full for hooked, full, _ in states)
         assert len(set(states)) == len(states) > 1
-        assert managers[-1].analyses.misses == len(states)

@@ -43,10 +43,6 @@ ALLOWLIST = {
     # The process-shared executor pool for code outside any session.
     ("repro.core.execpool", "_shared"),
     ("repro.core.execpool", "_shared_lock"),
-    # The constant-propagation lattice's "not a constant" sentinel: a
-    # stateless singleton (attribute-less instance) compared by
-    # identity, never written to.
-    ("repro.core.analysis.dataflow", "NONCONST"),
 }
 
 #: Types that cannot hold cross-query mutable state.  ``NullTracer``,

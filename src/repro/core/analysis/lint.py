@@ -214,8 +214,8 @@ def _fusion_blockers(module: ir.Module, rule: Rule):
     from repro.core.optimizer import fusion
 
     for method in module.methods.values():
-        plan = fusion.segment_method(method)
-        for item in _walk_plan_items(plan):
+        plan = fusion.segment_method(method, module)
+        for item in fusion.walk_plan(plan):
             if not isinstance(item, fusion.OpaqueItem):
                 continue
             stmt = item.stmt
@@ -227,18 +227,6 @@ def _fusion_blockers(module: ir.Module, rule: Rule):
             yield _finding(
                 rule, f"method {method.name!r}",
                 f"{stmt.target} = {stmt.expr} did not fuse: {reason}")
-
-
-def _walk_plan_items(plan):
-    from repro.core.optimizer import fusion
-
-    for item in plan:
-        yield item
-        if isinstance(item, fusion.IfItem):
-            yield from _walk_plan_items(item.then_plan)
-            yield from _walk_plan_items(item.else_plan)
-        elif isinstance(item, fusion.WhileItem):
-            yield from _walk_plan_items(item.body_plan)
 
 
 def _blocker_reason(stmt: ir.Assign) -> str | None:

@@ -10,16 +10,23 @@ propagate through broadcast rules:
 * ``n × n → n`` — equal concrete lengths (or equal symbolic tokens)
   pass through;
 * ``n × m`` with ``n ≠ m`` concrete and neither 1 is a **shape
-  error** — the only case the checker rejects;
-* ``@compress``/``@index``/``@where`` derive new symbolic length
-  classes keyed by their mask/index source, so two compressions under
-  the same mask provably agree (the fact fusion relies on).
+  error** — the only case the checker rejects.
 
-Symbolic tokens are deliberately coarse: columns of one table share the
-table's row token, distinct tokens mean "unknown relation" (never an
-error).  The checker therefore only reports *provable* conflicts and
-stays silent on everything it cannot decide — all existing TPC-H and
-Black-Scholes modules infer clean.
+Symbolic length tokens name where a length comes from:
+
+* ``("rows", ("table", name))`` — a column of ``@load_table(`name)``;
+* ``("compress", ("var", m))`` / ``("where", ("var", m))`` — a
+  compression by (the true positions of) mask ``m``, assigned once, so
+  two compressions agree only under the same mask;
+* ``("join", ("var", j))`` — an index vector of the join ``j =
+  @join_index(...)``, assigned once, carried through ``@index``;
+* ``("param", name)`` — a parameter's length.
+
+Tokens are deliberately coarse: distinct tokens mean "unknown
+relation" (never an error).  The checker therefore only reports
+*provable* conflicts and stays silent on everything it cannot decide —
+all existing TPC-H and Black-Scholes modules infer clean.  Loop fusion
+reads the same tokens (:mod:`repro.core.optimizer.fusion`).
 """
 
 from __future__ import annotations
@@ -128,6 +135,9 @@ class MethodTypeShapes(NamedTuple):
     stmt_facts: dict
     #: final variable environment (``var -> TypeShape``).
     var_facts: dict
+    #: ``id(stmt) -> {var: TypeShape}`` of the variables each Assign
+    #: reads, as it reads them.
+    operand_facts: dict
 
 
 def infer_method(method: ir.Method, module: ir.Module | None = None, *,
@@ -140,7 +150,11 @@ def infer_method(method: ir.Method, module: ir.Module | None = None, *,
     """
     engine = _Inference(method, module, strict)
     engine.run()
-    return MethodTypeShapes(engine.stmt_facts, engine.env)
+    return MethodTypeShapes(engine.stmt_facts, engine.env,
+                            engine.operand_facts)
+
+
+_UNKNOWN_FACT = TypeShape(ht.WILDCARD, UNKNOWN)
 
 
 class _Inference:
@@ -150,9 +164,16 @@ class _Inference:
         self.module = module
         self.strict = strict
         self.stmt_facts: dict = {}
+        self.operand_facts: dict = {}
+        #: where the variables the current statement reads are recorded
+        self._reads: dict[str, TypeShape] = {}
         self.env: dict[str, TypeShape] = {}
         #: variables currently known to hold a concrete scalar int.
         self.consts: dict[str, int] = {}
+        #: definitions per variable: a variable defined once holds one
+        #: value, its identity.
+        self.definitions = {param.name: 1 for param in method.params}
+        _count_definitions(method.body, 1, self.definitions)
         for param in method.params:
             self.env[param.name] = TypeShape(
                 param.type, _shape_of_type(param.type,
@@ -161,6 +182,9 @@ class _Inference:
     # -- error plumbing ----------------------------------------------------
 
     def _problem(self, stmt: ir.Stmt, message: str) -> None:
+        # Outside strict mode a problem is dropped, so the checks that
+        # do nothing but report (declarations, returns, conditions,
+        # argument constraints) are not run at all.
         if self.strict:
             raise HorseTypeError(
                 f"{message} [method {self.method.name!r}: "
@@ -176,9 +200,11 @@ class _Inference:
             if isinstance(stmt, ir.Assign):
                 self._run_assign(stmt)
             elif isinstance(stmt, ir.Return):
-                self._check_return(stmt, self._expr(stmt.expr, stmt))
+                if self.strict:
+                    self._check_return(stmt, self._expr(stmt.expr, stmt))
             elif isinstance(stmt, ir.If):
-                self._check_cond(stmt, stmt.cond)
+                if self.strict:
+                    self._check_cond(stmt, stmt.cond)
                 snapshot = (dict(self.env), dict(self.consts))
                 self._run_body(stmt.then_body)
                 then_state = (self.env, self.consts)
@@ -187,7 +213,8 @@ class _Inference:
                 self._run_body(stmt.else_body)
                 self._merge_state(then_state)
             elif isinstance(stmt, ir.While):
-                self._check_cond(stmt, stmt.cond)
+                if self.strict:
+                    self._check_cond(stmt, stmt.cond)
                 snapshot = (dict(self.env), dict(self.consts))
                 # Two rounds: the first discovers loop-carried facts,
                 # the merge weakens anything the body changes, the
@@ -215,14 +242,17 @@ class _Inference:
     # -- statements --------------------------------------------------------
 
     def _run_assign(self, stmt: ir.Assign) -> None:
+        self._reads = self.operand_facts[id(stmt)] = {}
         try:
             fact = self._expr(stmt.expr, stmt)
         except HorseTypeError:
             if self.strict:
                 raise
-            fact = TypeShape(ht.WILDCARD, UNKNOWN)
+            fact = _UNKNOWN_FACT
+        self._reads = {}  # what a return or condition reads goes nowhere
         self.stmt_facts[id(stmt)] = fact
-        self._check_declared(stmt, fact)
+        if self.strict:
+            self._check_declared(stmt, fact)
         final_type = fact.type
         if final_type.is_wildcard and stmt.type is not None:
             final_type = stmt.type
@@ -268,9 +298,8 @@ class _Inference:
 
     def _expr(self, expr: ir.Expr, stmt: ir.Stmt) -> TypeShape:
         if isinstance(expr, ir.Var):
-            fact = self.env.get(expr.name)
-            if fact is None:
-                return TypeShape(ht.WILDCARD, UNKNOWN)
+            fact = self._reads[expr.name] = self.env.get(expr.name,
+                                                         _UNKNOWN_FACT)
             return fact
         if isinstance(expr, ir.Literal):
             lit_type = expr.type if expr.type is not None else ht.WILDCARD
@@ -333,7 +362,7 @@ class _Inference:
         facts = [self._expr(a, stmt) for a in expr.args]
         arg_types = [f.type for f in facts]
         sig = hb.signature(expr.name)
-        if sig is not None:
+        if sig is not None and self.strict:
             self._check_constraints(expr, sig, arg_types, stmt)
         builtin = hb.BUILTINS.get(expr.name)
         if builtin is None:
@@ -400,13 +429,11 @@ class _Inference:
                                         f"@{name}")
                 except HorseTypeError as exc:
                     self._problem(stmt, str(exc))
-            token = _source_token(expr.args[0], shapes[0])
-            return vector_shape(token=("compress", token))
+            return self._identity_shape("compress", expr.args[0])
         if rule == "index":
             return shapes[1] if len(shapes) > 1 else vector_shape()
         if rule == "where":
-            token = _source_token(expr.args[0], shapes[0])
-            return vector_shape(token=("where", token))
+            return self._identity_shape("where", expr.args[0])
         if rule.startswith("same:"):
             position = int(rule.split(":", 1)[1])
             return shapes[position] if position < len(shapes) \
@@ -430,9 +457,24 @@ class _Inference:
                 return vector_shape(length=n)
             return vector_shape()
         if rule == "table":
+            if name == "load_table" and isinstance(expr.args[0],
+                                                   ir.SymbolLit):
+                return Shape("table", None, ("table", expr.args[0].name))
             return TABLE_SHAPE
         if rule == "list":
             return LIST_SHAPE
+        if rule == "join":
+            # Both index vectors of one join have its pair count.
+            if isinstance(stmt, ir.Assign) and stmt.expr is expr:
+                token = self._identity(stmt.target)
+                if token is not None:
+                    return Shape("list", None, ("join", token))
+            return LIST_SHAPE
+        if rule == "list_item":
+            token = shapes[0].token if shapes else None
+            if token is not None and token[0] == "join":
+                return vector_shape(token=token)
+            return UNKNOWN
         if rule == "column":
             table_token = shapes[0].token if shapes else None
             if table_token is None:
@@ -442,6 +484,17 @@ class _Inference:
         if rule == "vector":
             return vector_shape()
         return UNKNOWN
+
+    def _identity(self, name: str) -> tuple | None:
+        """The token of the one value a variable defined once holds."""
+        return ("var", name) if self.definitions.get(name) == 1 else None
+
+    def _identity_shape(self, kind: str, mask: ir.Expr) -> Shape:
+        """A selection by ``mask``: its length is ``mask``'s own count,
+        known only for a mask variable defined once."""
+        token = self._identity(mask.name) \
+            if isinstance(mask, ir.Var) else None
+        return vector_shape(token=None if token is None else (kind, token))
 
     def _const_arg(self, arg: ir.Expr) -> int | None:
         value = _literal_int(arg)
@@ -464,6 +517,20 @@ def _shape_of_type(t: ht.HorseType, token: object) -> Shape:
     if t.is_wildcard:
         return UNKNOWN
     return vector_shape(token=token)
+
+
+def _count_definitions(body: list[ir.Stmt], weight: int,
+                       counts: dict[str, int]) -> None:
+    """Add ``weight`` per assignment in ``body``; an assignment inside a
+    loop counts twice, since it holds one value per iteration."""
+    for stmt in body:
+        if isinstance(stmt, ir.Assign):
+            counts[stmt.target] = counts.get(stmt.target, 0) + weight
+        elif isinstance(stmt, ir.If):
+            _count_definitions(stmt.then_body, weight, counts)
+            _count_definitions(stmt.else_body, weight, counts)
+        elif isinstance(stmt, ir.While):
+            _count_definitions(stmt.body, 2, counts)
 
 
 def _literal_int(expr: ir.Expr) -> int | None:
@@ -565,7 +632,7 @@ def _join_shape(a: Shape, b: Shape) -> Shape:
     if a.kind in ("scalar", "vector") and b.kind in ("scalar", "vector"):
         return vector_shape()
     if a.kind == b.kind:
-        return a
+        return Shape(a.kind)  # two tables (or lists) of unknown relation
     return UNKNOWN
 
 

@@ -1265,7 +1265,7 @@ SIGNATURES: dict[str, BuiltinSig] = {
     "column_value": BuiltinSig(("table", "sym"), "column"),
     "table": BuiltinSig(("vector", "list"), "table"),
     "list": BuiltinSig(("any",), "list", variadic=True),
-    "list_item": BuiltinSig(("list", "numeric"), "unknown"),
+    "list_item": BuiltinSig(("list", "numeric"), "list_item"),
     "group": BuiltinSig(("any",), "list", variadic=True),
     "group_sum": BuiltinSig(("numeric", "integer", "integer"),
                             "group_agg"),
@@ -1277,12 +1277,18 @@ SIGNATURES: dict[str, BuiltinSig] = {
                             "group_agg"),
     "group_max": BuiltinSig(("vector", "integer", "integer"),
                             "group_agg"),
-    "join_index": BuiltinSig(("any", "any", "sym"), "list"),
+    "join_index": BuiltinSig(("any", "any", "sym"), "join"),
     "order": BuiltinSig(("any", "bool"), "vector"),
     # pattern-fusion targets
     "sum_masked": BuiltinSig(("bool", "numeric"), "masked_reduction"),
     "dot_masked": BuiltinSig(("bool", "numeric", "numeric"),
                              "masked_reduction"),
+    # string lowering (repro.core.codegen.lower)
+    "str_codes": BuiltinSig(("strlike",), "same:0"),
+    "str_dict": BuiltinSig(("strlike",), "vector"),
+    "str_find": BuiltinSig(("strlike", "strlike"), "scalar"),
+    "str_decode": BuiltinSig(("integer", "strlike"), "same:0"),
+    "gather": BuiltinSig(("any", "integer"), "elementwise"),
 }
 
 

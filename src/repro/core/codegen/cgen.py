@@ -603,17 +603,12 @@ def _gcc(source: str, path: str) -> str | None:
 
 
 class CKernel:
-    """Per-segment native kernel with per-signature specialization.
+    """Per-segment native kernel with per-signature specialization."""
 
-    ``types`` maps ``id(stmt)`` of the segment's ``?``-declared
-    statements to their inferred types."""
-
-    def __init__(self, segment: Segment,
-                 types: dict[int, ht.HorseType] | None = None):
+    def __init__(self, segment: Segment):
         self.segment = segment
-        resolved = types or {}
-        self.types = {stmt.target: resolved.get(id(stmt), stmt.type)
-                      for stmt in segment.stmts}
+        self.types = {stmt.target: type_ for stmt, type_
+                      in zip(segment.stmts, segment.types)}
         self.declined = decline_reason(segment, self.types) \
             if c_backend_available() else "gcc not available"
         self.guards, dynamic = compress_guards(segment)

@@ -273,17 +273,15 @@ class _Placement:
     whole: bool = False
 
 
-def _place_outputs(segment: Segment,
-                   types: dict[int, ht.HorseType]) -> _Placement:
+def _place_outputs(segment: Segment) -> _Placement:
     """Decide how each output leaves the kernel.
 
     A vector output's value comes from a statement or an input, through
     any chain of aliases.  An input leaves as it came in; a statement
     that can write its result into a given array (a compress, or a ufunc
     of a buffer dtype) writes into the output's destination, once; any
-    other value is copied into it.  ``types`` resolves ``?``
-    declarations (by ``id(stmt)``); an output whose type stays unknown
-    is returned whole."""
+    other value is copied into it.  An output whose type stays unknown
+    after inference is returned whole."""
     stmts = segment.stmts
     position = {name: index for index, name in enumerate(segment.inputs)}
     roots: list = []
@@ -301,8 +299,7 @@ def _place_outputs(segment: Segment,
     placed = _Placement()
     for slot, (name, role) in enumerate(segment.outputs):
         index = current[name]
-        stmt = stmts[index]
-        type_ = types.get(id(stmt), stmt.type)
+        type_ = segment.types[index]
         placed.types.append(type_)
         domain = segment.domains.get(name)
         if role != "vector":
@@ -321,8 +318,7 @@ def _place_outputs(segment: Segment,
             continue
         placed.placements.append("base" if domain == BASE else "sel")
         writer = stmts[root]
-        if root not in placed.writers \
-                and types.get(id(writer), writer.type) == type_ \
+        if root not in placed.writers and segment.types[root] == type_ \
                 and (_is_compress(writer.expr)
                      or _ufunc_spec(segment, writer, type_) is not None):
             placed.writers[root] = slot
@@ -430,12 +426,9 @@ def _operand_length(inputs: tuple, arrays: list) -> int:
 # the emitter
 # ---------------------------------------------------------------------------
 
-def generate_kernel(segment: Segment, name: str = "_kernel",
-                    types: dict[int, ht.HorseType] | None = None
-                    ) -> CompiledKernel:
-    """Compile a fused segment into a Python function.  ``types`` maps
-    ``id(stmt)`` of ``?``-declared statements to their inferred types;
-    only the outputs' are read (they size the outputs' destinations)."""
+def generate_kernel(segment: Segment,
+                    name: str = "_kernel") -> CompiledKernel:
+    """Compile a fused segment into a Python function."""
     for var in segment.inputs + [s.target for s in segment.stmts]:
         if not _IDENT_RE.match(var):
             raise CodegenError(f"variable name {var!r} is not an identifier")
@@ -445,7 +438,7 @@ def generate_kernel(segment: Segment, name: str = "_kernel",
     base_input = next((input_name for input_name, stream
                        in zip(segment.inputs, streamed) if stream), None)
 
-    placed = _place_outputs(segment, types or {})
+    placed = _place_outputs(segment)
     planner = _BufferPlanner(segment, set(placed.writers)) \
         if base_input is not None else None
     guards, dynamic = compress_guards(segment)

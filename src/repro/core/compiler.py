@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from repro.core import builtins as hb
 from repro.core import ir
 from repro.core import types as ht
-from repro.core.analysis.typeshape import infer_method
 from repro.core.codegen.cgen import CKernel, c_backend_available
 from repro.core.codegen.executor import DEFAULT_CHUNK_SIZE, run_kernel
 from repro.core.codegen.lower import lower_strings
@@ -120,20 +119,19 @@ class _KernelItem:
                           ctx=state.ctx)
 
 
-def _python_kernel_item(segment, name: str, report: CompileReport,
-                        types: dict) -> _KernelItem:
+def _python_kernel_item(segment, name: str,
+                        report: CompileReport) -> _KernelItem:
     """Generated NumPy kernels — always available, handles every dtype."""
-    kernel = generate_kernel(segment, name=name, types=types)
+    kernel = generate_kernel(segment, name=name)
     report.kernel_sources.append(kernel.source)
     return _KernelItem(kernel)
 
 
-def _c_kernel_item(segment, name: str, report: CompileReport,
-                   types: dict) -> _KernelItem:
+def _c_kernel_item(segment, name: str, report: CompileReport) -> _KernelItem:
     """Emitted C + OpenMP per segment, with the Python kernel kept as
     the per-segment (and per-dtype-signature) fallback."""
-    item = _python_kernel_item(segment, name, report, types)
-    c_kernel = CKernel(segment, types)
+    item = _python_kernel_item(segment, name, report)
+    c_kernel = CKernel(segment)
     if c_kernel.eligible:
         report.c_eligible_segments += 1
     item.c_kernel = c_kernel
@@ -141,43 +139,11 @@ def _c_kernel_item(segment, name: str, report: CompileReport,
 
 
 #: The fused-kernel engine ``backend`` selects: one fused segment in,
-#: one executable plan item out — ``(segment, name, report, types)``,
-#: where ``types`` maps ``id(stmt)`` of ``?``-declared statements to the
-#: types inference gives them: every such statement for the C backend
-#: (emitted C declares each local), the kernel outputs for the Python
-#: one (they size the outputs' destinations).
+#: one executable plan item out — ``(segment, name, report)``.
 _BUILTIN_FACTORIES = {
     "python": _python_kernel_item,
     "c": _c_kernel_item,
 }
-
-
-def _segments(plan: list):
-    for item in plan:
-        if isinstance(item, FusedItem):
-            yield item.segment
-        elif isinstance(item, IfItem):
-            yield from _segments(item.then_plan)
-            yield from _segments(item.else_plan)
-        elif isinstance(item, WhileItem):
-            yield from _segments(item.body_plan)
-
-
-def _wildcard_types(plan: list, method: ir.Method, module: ir.Module, *,
-                    outputs_only: bool) -> dict[int, ht.HorseType]:
-    """The inferred types of the ``?``-declared statements in the plan's
-    fused segments (or of those defining a segment output), by
-    ``id(stmt)``.  The IR keeps its ``?``.  Inference runs only when
-    there is such a statement."""
-    wild = [stmt for segment in _segments(plan) for stmt in segment.stmts
-            if stmt.type.is_wildcard
-            and (not outputs_only or any(stmt.target == name
-                                         for name, _ in segment.outputs))]
-    if not wild:
-        return {}
-    facts = infer_method(method, module).stmt_facts
-    return {id(stmt): facts[id(stmt)].type for stmt in wild
-            if id(stmt) in facts}
 
 
 class _ReturnSignal(Exception):
@@ -488,35 +454,31 @@ def compile_module(module: ir.Module, opt_level: str = "opt",
                 opaque = frozenset()
                 if fuse:
                     method, opaque = lower_strings(method, module)
-                plan = segment_method(method, enabled=fuse, opaque=opaque)
-                types = _wildcard_types(plan, method, module,
-                                        outputs_only=backend != "c")
-                plans[name] = _compile_plan(plan, report, make_kernel,
-                                            types)
+                plan = segment_method(method, module, enabled=fuse,
+                                      opaque=opaque)
+                plans[name] = _compile_plan(plan, report, make_kernel)
             codegen_span.set(fused_segments=report.fused_segments,
                              fused_statements=report.fused_statements)
         compile_span.set(fused_segments=report.fused_segments)
     return CompiledProgram(module, plans, report)
 
 
-def _compile_plan(plan: list, report: CompileReport, make_kernel,
-                  types: dict) -> list:
+def _compile_plan(plan: list, report: CompileReport, make_kernel) -> list:
     compiled: list = []
     for item in plan:
         if isinstance(item, FusedItem):
             name = f"_kernel_{report.fused_segments}"
             report.fused_segments += 1
             report.fused_statements += len(item.segment.stmts)
-            compiled.append(make_kernel(item.segment, name, report, types))
+            compiled.append(make_kernel(item.segment, name, report))
         elif isinstance(item, IfItem):
             compiled.append(IfItem(
                 item.cond,
-                _compile_plan(item.then_plan, report, make_kernel, types),
-                _compile_plan(item.else_plan, report, make_kernel, types)))
+                _compile_plan(item.then_plan, report, make_kernel),
+                _compile_plan(item.else_plan, report, make_kernel)))
         elif isinstance(item, WhileItem):
             compiled.append(WhileItem(
-                item.cond,
-                _compile_plan(item.body_plan, report, make_kernel, types)))
+                item.cond, _compile_plan(item.body_plan, report, make_kernel)))
         else:
             compiled.append(item)
     return compiled

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from repro.core import F64, I64, TableValue, from_numpy, vector
+from repro.core.codegen.cgen import c_backend_available
 from repro.core.compiler import compile_module
 from repro.core.interp import run_module
-from repro.core.optimizer.fusion import FusedItem, OpaqueItem, segment_method
+from repro.core.optimizer.fusion import (ANY, BASE, FusedItem, OpaqueItem,
+                                         segment_method, walk_plan)
 from repro.core.parser import parse_method, parse_module
 
 FIGURE_2B = """
@@ -123,32 +125,6 @@ class TestSegmentation:
                 # join a segment containing both.
                 assert not ({"a", "b", "c"} <= targets)
 
-    def test_inputs_of_two_tables_never_share_a_segment(self):
-        # Adjacent, independent filters of both join sides, as join
-        # predicate motion emits them: one kernel per table.
-        method = parse_method("""
-        def main(): i64 {
-            tl:table = @load_table(`l:sym);
-            lx:f64 = check_cast(@column_value(tl, `x:sym), f64);
-            lk:i64 = check_cast(@column_value(tl, `k:sym), i64);
-            tr:table = @load_table(`r:sym);
-            ry:f64 = check_cast(@column_value(tr, `y:sym), f64);
-            rk:i64 = check_cast(@column_value(tr, `k:sym), i64);
-            pl:bool = @gt(lx, 0.5:f64);
-            kl:i64 = @compress(pl, lk);
-            pr:bool = @lt(ry, 0.5:f64);
-            kr:i64 = @compress(pr, rk);
-            ji:list<i64> = @join_index(kl, kr, `inner:sym);
-            li:i64 = @list_item(ji, 0:i64);
-            n:i64 = @len(li);
-            return n;
-        }
-        """)
-        plan = segment_method(method)
-        segments = [{s.target for s in item.segment.stmts}
-                    for item in plan if isinstance(item, FusedItem)]
-        assert segments == [{"pl", "kl"}, {"pr", "kr"}]
-
     def test_single_statement_stays_opaque(self):
         method = parse_method("""
         def main(x:f64): f64 {
@@ -159,6 +135,170 @@ class TestSegmentation:
         plan = segment_method(method)
         assert all(isinstance(item, OpaqueItem) or
                    not isinstance(item, FusedItem) for item in plan)
+
+
+_TWO_TABLES = """
+    tl:table = @load_table(`l:sym);
+    lx:f64 = check_cast(@column_value(tl, `x:sym), f64);
+    lk:i64 = check_cast(@column_value(tl, `k:sym), i64);
+    tr:table = @load_table(`r:sym);
+    ry:f64 = check_cast(@column_value(tr, `y:sym), f64);
+    rk:i64 = check_cast(@column_value(tr, `k:sym), i64);
+"""
+
+#: ``(body of main, the statement sets of its fused segments)``: which
+#: vectors one loop may iterate together, decided from typeshape's
+#: length tokens.
+FUSION_CASES = {
+    # Adjacent, independent filters of both join sides, as join
+    # predicate motion emits them: one kernel per table.
+    "two_tables": ("""
+        def main(): i64 {""" + _TWO_TABLES + """
+            pl:bool = @gt(lx, 0.5:f64);
+            kl:i64 = @compress(pl, lk);
+            pr:bool = @lt(ry, 0.5:f64);
+            kr:i64 = @compress(pr, rk);
+            ji:list<i64> = @join_index(kl, kr, `inner:sym);
+            li:i64 = @list_item(ji, 0:i64);
+            n:i64 = @len(li);
+            return n;
+        }""", [{"pl", "kl"}, {"pr", "kr"}]),
+    # a and b live in the domains of two masks over one table: c joins
+    # neither, and a later loop cannot take both as inputs.
+    "two_masks_over_one_table": ("""
+        def main(): f64 {""" + _TWO_TABLES + """
+            m1:bool = @gt(lx, 0.5:f64);
+            m2:bool = @lt(lx, 0.7:f64);
+            a:f64 = @compress(m1, lx);
+            b:i64 = @compress(m2, lk);
+            c:f64 = @mul(a, b);
+            d:f64 = @sum(c);
+            e:i64 = @cumsum(b);
+            f:f64 = @mul(a, b);
+            g:f64 = @add(f, 1.0:f64);
+            return g;
+        }""", [{"m1", "m2", "a", "b"}]),
+    # Values gathered through a join have its pair count, neither
+    # side's row count, and the pairs of two joins differ: each chain
+    # is its own loop, and each reduction, reading a vector of another
+    # length than its neighbour's, stands alone.
+    "two_join_sides": ("""
+        def main(): f64 {""" + _TWO_TABLES + """
+            ji:list<i64> = @join_index(lk, rk, `inner:sym);
+            jj:list<i64> = @join_index(rk, lk, `inner:sym);
+            li:i64 = @list_item(ji, 0:i64);
+            ri:i64 = @list_item(ji, 1:i64);
+            si:i64 = @list_item(jj, 0:i64);
+            gl:f64 = @index(lx, li);
+            gr:f64 = @index(ry, ri);
+            gs:f64 = @index(ry, si);
+            a:f64 = @mul(gl, gr);
+            b:f64 = @add(a, 1.0:f64);
+            c:f64 = @mul(lx, 2.0:f64);
+            d:f64 = @add(c, 1.0:f64);
+            e:f64 = @mul(gs, 2.0:f64);
+            f:f64 = @add(e, 1.0:f64);
+            r:f64 = @max(b);
+            s:f64 = @max(d);
+            t:f64 = @max(f);
+            return t;
+        }""", [{"a", "b"}, {"c", "d"}, {"e", "f"}]),
+    # Parameters are of unknown relation: they constrain nothing.
+    "parameters": ("""
+        def main(x:f64, y:f64, z:f64): f64 {
+            a:f64 = @mul(x, y);
+            b:f64 = @add(a, z);
+            return b;
+        }""", [{"a", "b"}]),
+    # A reduction's scalar result is a broadcast input of a later loop.
+    "reduction_scalar": ("""
+        def main(x:f64): f64 {
+            a:f64 = @mul(x, 2.0:f64);
+            s:f64 = @sum(a);
+            b:f64 = @sub(x, s);
+            c:f64 = @mul(b, b);
+            t:f64 = @sum(c);
+            return t;
+        }""", [{"a", "s"}, {"b", "c", "t"}]),
+}
+
+
+class TestFusionCases:
+    @pytest.mark.parametrize("name", sorted(FUSION_CASES))
+    def test_segments(self, name):
+        source, expected = FUSION_CASES[name]
+        plan = segment_method(parse_method(source))
+        segments = [{s.target for s in item.segment.stmts}
+                    for item in walk_plan(plan)
+                    if isinstance(item, FusedItem)]
+        assert segments == expected
+
+    def test_reduction_scalar_is_not_streamed(self):
+        source, _ = FUSION_CASES["reduction_scalar"]
+        plan = segment_method(parse_method(source))
+        later = [item.segment for item in plan
+                 if isinstance(item, FusedItem)][1]
+        assert later.inputs == ["x", "s"]
+        assert later.domains["s"] == ANY
+        assert later.domains["x"] == BASE
+        program = compile_module(parse_module(
+            "module M {" + source + "}"), "opt")
+        data = np.arange(1.0, 1001.0)
+        result = program.run(args=[from_numpy(data)], chunk_size=64)
+        assert result.item() == pytest.approx(
+            np.sum((data - np.sum(data * 2)) ** 2))
+
+
+TWO_METHODS = """
+module M {
+    def helper(x:f64): f64 {
+        a:f64 = @mul(x, 2.0:f64);
+        b:f64 = @add(a, 1.0:f64);
+        return b;
+    }
+    def main(x:f64): f64 {
+        y:f64 = @helper(x);
+        m:bool = @gt(y, 3.0:f64);
+        z:f64 = @compress(m, y);
+        s:f64 = @sum(z);
+        return s;
+    }
+}
+"""
+
+
+class TestOneInference:
+    """Loop fusion infers types and shapes once per method, and only
+    when it fuses."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from repro.core.analysis import typeshape
+        from repro.core.optimizer import fusion
+
+        seen = []
+        original = typeshape.infer_method
+
+        def counting(method, *args, **kwargs):
+            seen.append(method.name)
+            return original(method, *args, **kwargs)
+
+        monkeypatch.setattr(typeshape, "infer_method", counting)
+        monkeypatch.setattr(fusion, "infer_method", counting)
+        return seen
+
+    @pytest.mark.parametrize("backend", ["python", "c"])
+    def test_opt_compile_infers_each_method_once(self, calls, backend):
+        if backend == "c" and not c_backend_available():
+            pytest.skip("gcc not available")
+        program = compile_module(parse_module(TWO_METHODS), "opt",
+                                 backend=backend, pipeline="O0")
+        assert sorted(calls) == ["helper", "main"]
+        assert program.report.fused_segments == 2
+
+    def test_naive_compile_infers_nothing(self, calls):
+        compile_module(parse_module(TWO_METHODS), "naive")
+        assert calls == []
 
 
 class TestCompiledExecution:

@@ -49,14 +49,10 @@ def main() -> None:
     # 4. The optimized module and its fused kernel (Figure 3 analog).
     print("After optimization:")
     print(print_module(compiled.program.module))
-    if compiled.kernel_sources:
-        print("Fused kernel source:")
-        for source in compiled.kernel_sources:
-            print(source)
-    else:
-        print("No loop kernel was needed: pattern-based fusion collapsed "
-              "the whole pipeline\ninto a single @dot_masked call "
-              "(predicate + compress + multiply + sum in one pass).\n")
+    print("Fused kernel source (predicate + compress + multiply + sum in "
+          "one loop):")
+    for source in compiled.kernel_sources:
+        print(source)
 
     # 5. Execute, and cross-check against the MonetDB-like baseline —
     #    the same session, a different backend.

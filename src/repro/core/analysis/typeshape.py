@@ -413,14 +413,7 @@ class _Inference:
             except HorseTypeError as exc:
                 self._problem(stmt, str(exc))
                 return vector_shape()
-        if rule in ("reduction", "scalar", "masked_reduction"):
-            if rule == "masked_reduction" and len(shapes) >= 2:
-                try:
-                    for other in shapes[1:]:
-                        _check_equal_length(shapes[0], other,
-                                            f"@{name}")
-                except HorseTypeError as exc:
-                    self._problem(stmt, str(exc))
+        if rule in ("reduction", "scalar"):
             return SCALAR
         if rule == "compress":
             if len(shapes) == 2:

@@ -487,8 +487,8 @@ _make_elementwise("gather", 2, _gather, _infer_first, "({0})[{1}]",
 # Reductions
 # ---------------------------------------------------------------------------
 
-def _make_reduction(name: str, fn, infer, template: str,
-                    combine: str) -> None:
+def _make_reduction(name: str, fn, infer, template: str | None = None,
+                    combine: str | None = None) -> None:
     def run(args: list[Value], _: EvalContext) -> Value:
         _expect_arity(name, args, 1)
         vec = _as_vector(name, args[0])
@@ -525,7 +525,9 @@ def _reduction_identity(name: str, out_type: ht.HorseType):
 
 _make_reduction("sum", np.sum, _infer_sum, "np.sum({0})", "sum")
 _make_reduction("prod", np.prod, _infer_sum, "np.prod({0})", "prod")
-_make_reduction("avg", np.mean, _infer_f64, "np.sum({0})", "avg")
+# No kernel form: a fused avg needs a two-part accumulator, so the
+# optimizer's avg-split rewrites it to sum/count instead.
+_make_reduction("avg", np.mean, _infer_f64)
 # min/max chunk partials use a guarded helper: a chunk whose compressed
 # selection is empty yields a None partial (dropped by the combiner)
 # instead of np.min's raw ValueError on a zero-size array.
@@ -1080,67 +1082,8 @@ _register(Builtin("str_decode", "opaque", 2, lambda _: ht.STR,
 
 
 # ---------------------------------------------------------------------------
-# Pattern-fusion targets (installed by the optimizer's pattern pass)
+# Slicing (emitted by the MATLAB frontend)
 # ---------------------------------------------------------------------------
-
-def _run_sum_masked(args: list[Value], _: EvalContext) -> Value:
-    """``@sum_masked(mask, x)`` == ``@sum(@compress(mask, x))``.
-
-    Evaluated as one multiply-add pass (a dot product against the mask) for
-    float data — the template the paper's pattern-based fusion would emit.
-    """
-    _expect_arity("sum_masked", args, 2)
-    mask = _as_vector("sum_masked", args[0])
-    data = _as_vector("sum_masked", args[1])
-    if mask.type != ht.BOOL:
-        raise BuiltinError("@sum_masked mask must be bool")
-    if len(mask) != len(data):
-        raise BuiltinError("@sum_masked length mismatch")
-    out_type = _infer_sum([data.type])
-    if data.data.dtype.kind == "f":
-        # Zero masked-out lanes *before* the multiply-add: 0 * NaN would
-        # otherwise leak NaN/inf from deselected rows into the total.
-        value = np.dot(mask.data.astype(data.data.dtype),
-                       np.where(mask.data, data.data, 0.0))
-    else:
-        value = data.data[mask.data].sum()
-    result = np.empty(1, dtype=ht.numpy_dtype(out_type))
-    result[0] = value
-    return Vector(out_type, result)
-
-
-_register(Builtin("sum_masked", "opaque", 2,
-                  lambda ts: _infer_sum([ts[1]]), _run_sum_masked))
-
-
-def _run_dot_masked(args: list[Value], _: EvalContext) -> Value:
-    """``@dot_masked(mask, x, y)`` ==
-    ``@sum(@mul(@compress(mask, x), @compress(mask, y)))``.
-
-    One fused pass: no compressed operands are materialized (Figure 3).
-    """
-    _expect_arity("dot_masked", args, 3)
-    mask = _as_vector("dot_masked", args[0])
-    x = _as_vector("dot_masked", args[1])
-    y = _as_vector("dot_masked", args[2])
-    if mask.type != ht.BOOL:
-        raise BuiltinError("@dot_masked mask must be bool")
-    if not (len(mask) == len(x) == len(y)):
-        raise BuiltinError("@dot_masked length mismatch")
-    out_type = _infer_sum([ht.promote(x.type, y.type)])
-    # Zero both operands in masked-out lanes: either side may hold
-    # NaN/inf there, and 0 * NaN is NaN.
-    value = np.dot(np.where(mask.data, x.data, 0),
-                   np.where(mask.data, y.data, 0))
-    result = np.empty(1, dtype=ht.numpy_dtype(out_type))
-    result[0] = value
-    return Vector(out_type, result)
-
-
-_register(Builtin("dot_masked", "opaque", 3,
-                  lambda ts: _infer_sum([_infer_promote(ts[1:])]),
-                  _run_dot_masked))
-
 
 def _run_subseq(args: list[Value], _: EvalContext) -> Value:
     """``@subseq(x, a, b)`` — the 1-based inclusive slice ``x(a:b)``.
@@ -1279,10 +1222,6 @@ SIGNATURES: dict[str, BuiltinSig] = {
                             "group_agg"),
     "join_index": BuiltinSig(("any", "any", "sym"), "join"),
     "order": BuiltinSig(("any", "bool"), "vector"),
-    # pattern-fusion targets
-    "sum_masked": BuiltinSig(("bool", "numeric"), "masked_reduction"),
-    "dot_masked": BuiltinSig(("bool", "numeric", "numeric"),
-                             "masked_reduction"),
     # string lowering (repro.core.codegen.lower)
     "str_codes": BuiltinSig(("strlike",), "same:0"),
     "str_dict": BuiltinSig(("strlike",), "vector"),

@@ -251,8 +251,6 @@ def _empty_outputs(kernel: CompiledKernel,
             identity = 0
         elif combine == "prod":
             identity = 1
-        elif combine == "avg":
-            identity = float("nan")
         elif combine == "any":
             identity = False
         elif combine == "all":

@@ -226,7 +226,7 @@ def _classify(stmt: ir.Assign) -> str | None:
             return "compress"
         return None
     if builtin.kind == "reduction" and builtin.template is not None \
-            and builtin.combine is not None and builtin.name != "avg":
+            and builtin.combine is not None:
         if isinstance(expr.args[0], ir.Var):
             return "reduction"
         return None

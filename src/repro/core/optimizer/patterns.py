@@ -1,26 +1,18 @@
 """Pattern-based fusion (paper Section 3.4.1).
 
 A pattern is an operator sequence the compiler recognizes and rewrites into
-a form with a cheaper template.  The repertoire implemented here covers the
-SQL shapes the evaluation exercises:
+a form that loop fusion handles.  Everything else fuses under the general
+rule (compress, elementwise ops and a reduction tail share one loop — the
+Figure 2/3 masked sum is such a segment), so the repertoire is small:
 
 * ``avg-split`` — ``@avg(x)`` becomes ``@div(@sum(x), @count(x))`` so the
   average participates in loop fusion (plain reductions fuse; avg needs a
   two-part accumulator otherwise).
-* ``masked-dot`` — the Figure 2/3 sequence ``m = pred; a = @compress(m, x);
-  b = @compress(m, y); p = @mul(a, b); s = @sum(p)`` collapses to
-  ``s = @dot_masked(m, x, y)``: one multiply-add pass without gathering the
-  compressed operands.
-* ``masked-sum`` — ``a = @compress(m, x); s = @sum(a)`` collapses to
-  ``s = @sum_masked(m, x)``.
 * ``redundant-cast`` — ``x = check_cast(v, T)`` becomes the alias
   ``x = v`` when every definition of ``v`` declares exactly ``T``:
   assignment coerces to the declared type, so the cast is an identity.
   List-forwarding creates these when it substitutes an already-cast
   column into a table UDF's output cast.
-
-Patterns only fire when every interior value has a single consumer (the
-rewrite removes those values), which the block dependence graph provides.
 """
 
 from __future__ import annotations
@@ -29,7 +21,6 @@ from repro.core import ir
 from repro.core import types as ht
 from repro.core.analysis.typeshape import (consistent_types,
                                            redundant_casts)
-from repro.core.depgraph import block_uses, build_depgraph
 from repro.core.optimizer import analysis
 
 __all__ = ["apply_patterns"]
@@ -63,7 +54,6 @@ def _rewrite_body(body: list[ir.Stmt], fresh) -> bool:
         elif isinstance(stmt, ir.While):
             changed |= _rewrite_body(stmt.body, fresh)
     changed |= _split_avg(body, fresh)
-    changed |= _masked_reductions(body)
     return changed
 
 
@@ -92,90 +82,6 @@ def _split_avg(body: list[ir.Stmt], fresh) -> bool:
         else:
             i += 1
     return changed
-
-
-def _masked_reductions(body: list[ir.Stmt]) -> bool:
-    """Collapse compress(+mul)+sum chains into masked reductions."""
-    changed = False
-    while _masked_reduction_once(body):
-        changed = True
-    return changed
-
-
-def _masked_reduction_once(body: list[ir.Stmt]) -> bool:
-    graph = build_depgraph(body)
-    # Variables consumed inside nested if/while bodies are invisible to the
-    # block dependence graph; treat them as extra consumers so the rewrite
-    # never deletes a statement they need.
-    nested_uses: set[str] = set()
-    for stmt in body:
-        if isinstance(stmt, ir.If):
-            nested_uses |= block_uses(stmt.then_body)
-            nested_uses |= block_uses(stmt.else_body)
-        elif isinstance(stmt, ir.While):
-            nested_uses |= block_uses(stmt.body)
-    producers: dict[str, int] = {}
-    for i, stmt in enumerate(body):
-        if isinstance(stmt, ir.Assign):
-            producers[stmt.target] = i
-
-    for i, stmt in enumerate(body):
-        if not (isinstance(stmt, ir.Assign)
-                and isinstance(stmt.expr, ir.BuiltinCall)
-                and stmt.expr.name == "sum"
-                and isinstance(stmt.expr.args[0], ir.Var)):
-            continue
-        operand = stmt.expr.args[0].name
-        src = producers.get(operand)
-        if src is None or not graph.single_consumer(src) \
-                or operand in nested_uses:
-            continue
-        src_stmt = body[src]
-        assert isinstance(src_stmt, ir.Assign)
-        expr = src_stmt.expr
-        if not isinstance(expr, ir.BuiltinCall):
-            continue
-
-        if expr.name == "compress":
-            mask, data = expr.args
-            stmt.expr = ir.BuiltinCall("sum_masked", [mask, data])
-            del body[src]
-            return True
-
-        if expr.name == "mul" \
-                and all(isinstance(a, ir.Var) for a in expr.args):
-            left = producers.get(expr.args[0].name)
-            right = producers.get(expr.args[1].name)
-            if left is None or right is None:
-                continue
-            if not (graph.single_consumer(left)
-                    and graph.single_consumer(right)):
-                continue
-            if expr.args[0].name in nested_uses \
-                    or expr.args[1].name in nested_uses:
-                continue
-            left_stmt, right_stmt = body[left], body[right]
-            if not (_is_compress(left_stmt) and _is_compress(right_stmt)):
-                continue
-            left_mask = left_stmt.expr.args[0]
-            right_mask = right_stmt.expr.args[0]
-            if str(left_mask) != str(right_mask):
-                continue
-            stmt.expr = ir.BuiltinCall(
-                "dot_masked",
-                [left_mask, left_stmt.expr.args[1],
-                 right_stmt.expr.args[1]])
-            # left and right may be the same statement (sum of a square).
-            for index in sorted({src, left, right}, reverse=True):
-                del body[index]
-            return True
-    return False
-
-
-def _is_compress(stmt: ir.Stmt) -> bool:
-    return (isinstance(stmt, ir.Assign)
-            and isinstance(stmt.expr, ir.BuiltinCall)
-            and stmt.expr.name == "compress")
 
 
 def forward_list_items(method: ir.Method) -> bool:

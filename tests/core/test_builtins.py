@@ -302,24 +302,6 @@ class TestJoinAndOrder:
         assert run("order", keys, asc).data.tolist() == [0, 1, 2]
 
 
-class TestMaskedReductions:
-    def test_sum_masked_equals_sum_of_compress(self):
-        mask = vec([True, False, True], ht.BOOL)
-        x = vec([1.5, 100.0, 2.5])
-        direct = run("sum_masked", mask, x)
-        composed = run("sum", run("compress", mask, x))
-        assert direct.item() == pytest.approx(composed.item())
-
-    def test_dot_masked_equals_composition(self):
-        mask = vec([True, True, False], ht.BOOL)
-        x = vec([1.0, 2.0, 3.0])
-        y = vec([4.0, 5.0, 6.0])
-        direct = run("dot_masked", mask, x, y)
-        composed = run("sum", run("mul", run("compress", mask, x),
-                                  run("compress", mask, y)))
-        assert direct.item() == pytest.approx(composed.item())
-
-
 class TestTablesAndLists:
     def test_table_construction(self):
         names = vec(["a", "b"], ht.SYM)

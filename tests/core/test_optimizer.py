@@ -10,6 +10,7 @@ from repro.core.optimizer.constprop import propagate_constants
 from repro.core.optimizer.copyprop import propagate_copies
 from repro.core.optimizer.cse import eliminate_common_subexpressions
 from repro.core.optimizer.dce import backward_slice, eliminate_dead_code
+from repro.core.optimizer.fusion import FusedItem, segment_method
 from repro.core.optimizer.inline import can_inline, inline_methods
 from repro.core.optimizer.patterns import apply_patterns
 from repro.core.parser import parse_method, parse_module
@@ -283,35 +284,9 @@ class TestPatterns:
         assert "@sum" in text and "@count" in text and "@div" in text
         assert "@avg" not in text
 
-    def test_masked_dot_pattern_fires_on_figure2_shape(self):
-        method = parse_method("""
-        def main(t1:f64, t2:f64): f64 {
-            t3:bool = @geq(t2, 0.05:f64);
-            t4:f64 = @compress(t3, t1);
-            t5:f64 = @compress(t3, t2);
-            t6:f64 = @mul(t4, t5);
-            t7:f64 = @sum(t6);
-            return t7;
-        }
-        """)
-        assert apply_patterns(method)
-        text = print_method(method)
-        assert "@dot_masked" in text
-        assert "@compress" not in text
-
-    def test_masked_sum_pattern(self):
-        method = parse_method("""
-        def main(m:bool, x:f64): f64 {
-            a:f64 = @compress(m, x);
-            s:f64 = @sum(a);
-            return s;
-        }
-        """)
-        assert apply_patterns(method)
-        assert "@sum_masked" in print_method(method)
-
     def test_pattern_respects_multiple_consumers(self):
-        # t4 is used twice: the compress must NOT be folded away.
+        # No pattern rewrites a compress, however many reductions read it:
+        # the general fusion rule takes both sums into one loop.
         method = parse_method("""
         def main(m:bool, x:f64): f64 {
             a:f64 = @compress(m, x);
@@ -321,8 +296,13 @@ class TestPatterns:
             return r;
         }
         """)
-        apply_patterns(method)
-        assert "@compress" in print_method(method)
+        before = print_method(method)
+        assert not apply_patterns(method)
+        assert print_method(method) == before
+        fused = [item.segment for item in segment_method(method)
+                 if isinstance(item, FusedItem)]
+        assert [segment.outputs for segment in fused] == \
+            [[("s", "reduce:sum"), ("c", "reduce:sum")]]
 
 
 class TestPipeline:
@@ -332,10 +312,19 @@ class TestPipeline:
         verify_module(optimized)
         assert list(optimized.methods) == ["main"]
         assert stats.inlined_methods_removed == 1
-        text = print_module(optimized)
-        # After inlining + patterns, the whole WHERE/SELECT pipeline is a
-        # single masked dot product.
-        assert "@dot_masked" in text
+        # After inlining, the whole WHERE/SELECT pipeline — predicate,
+        # both compresses, the multiply and the sum — is one loop whose
+        # only output is the accumulated sum (the paper's Figure 3): the
+        # mask never leaves the kernel.
+        fused = [item.segment
+                 for item in segment_method(optimized.methods["main"],
+                                            optimized)
+                 if isinstance(item, FusedItem)]
+        assert len(fused) == 1
+        ops = [stmt.expr.name for stmt in fused[0].stmts
+               if isinstance(stmt.expr, ir.BuiltinCall)]
+        assert ops == ["geq", "compress", "compress", "mul", "sum"]
+        assert [role for _, role in fused[0].outputs] == ["reduce:sum"]
 
 
 class TestMaskPeephole:

@@ -61,27 +61,6 @@ class TestBuiltinInvariants:
         assert len(result) == int(mask.sum())
         assert np.array_equal(result.data, values[mask])
 
-    @given(masked_pairs())
-    def test_sum_masked_is_sum_of_compress(self, pair):
-        mask, values = pair
-        direct = run("sum_masked", from_numpy(mask), from_numpy(values))
-        composed = run("sum", run("compress", from_numpy(mask),
-                                  from_numpy(values)))
-        assert np.isclose(direct.item(), composed.item())
-
-    @given(array_pairs(), st.lists(st.booleans(), max_size=150))
-    def test_dot_masked_is_composition(self, pair, bools):
-        x, y = pair
-        mask = np.zeros(len(x), dtype=np.bool_)
-        mask[:len(bools)] = bools[:len(x)]
-        direct = run("dot_masked", from_numpy(mask), from_numpy(x),
-                     from_numpy(y))
-        compressed = run("mul",
-                         run("compress", from_numpy(mask), from_numpy(x)),
-                         run("compress", from_numpy(mask), from_numpy(y)))
-        composed = run("sum", compressed)
-        assert np.isclose(direct.item(), composed.item())
-
     @given(nonempty_float_arrays)
     def test_avg_split_identity(self, values):
         """The pattern rewrite avg == sum / count."""

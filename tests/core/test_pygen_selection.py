@@ -121,6 +121,32 @@ module M {
 }
 """
 
+#: ``@sum(@compress)``: the masked sum accumulates inside the loop.
+MASKED_SUM = """
+module M {
+    def main(x:f64, y:f64, k:f64): f64 {
+        m:bool = @lt(x, k);
+        a:f64 = @compress(m, y);
+        s:f64 = @sum(a);
+        return s;
+    }
+}
+"""
+
+#: The paper's Figure 2/3 shape, ``@sum(@mul(@compress, @compress))``.
+MASKED_DOT = """
+module M {
+    def main(x:f64, y:f64, k:f64): f64 {
+        m:bool = @lt(x, k);
+        a:f64 = @compress(m, x);
+        b:f64 = @compress(m, y);
+        p:f64 = @mul(a, b);
+        s:f64 = @sum(p);
+        return s;
+    }
+}
+"""
+
 #: ``?`` declarations, as the SQL frontend emits them.
 WILDCARD = """
 module M {
@@ -180,6 +206,19 @@ def _pair(n: int):
     return lambda: [from_numpy(_values(n, 1)), from_numpy(_values(n, 2))]
 
 
+def _masked(n: int, k: float, poisoned: bool = False):
+    """``(x, y, k)`` for a mask ``x < k``; ``poisoned`` puts NaN and inf
+    in both columns on rows the mask deselects (``NaN < k`` and
+    ``inf < k`` are false), where a reduction must never see them."""
+    def make():
+        x, y = _values(n, 1), _values(n, 2)
+        if poisoned:
+            x[0::7], y[0::7] = np.nan, np.inf
+            x[3::7], y[3::7] = np.inf, np.nan
+        return [from_numpy(x), from_numpy(y), from_numpy(np.array([k]))]
+    return make
+
+
 N = 3001
 
 CASES = {
@@ -198,6 +237,10 @@ CASES = {
                             lambda: [from_numpy(_values(N, 1))]),
     "guarded_reductions": (WITH_REDUCTIONS,
                            lambda: [from_numpy(_values(N, 1))]),
+    "masked_sum": (MASKED_SUM, _masked(N, 510.0, poisoned=True)),
+    "masked_dot": (MASKED_DOT, _masked(N, 510.0, poisoned=True)),
+    "masked_dot_none_selected": (MASKED_DOT, _masked(N, 0.0)),
+    "masked_dot_empty": (MASKED_DOT, _masked(0, 510.0)),
     "wildcard_outputs": (WILDCARD, _select(N, 510.0)),
     "aliases": (ALIASES, _pair(N)),
 }

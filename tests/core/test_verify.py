@@ -456,9 +456,9 @@ class TestWorkloadsVerifyClean:
         monkeypatch.setattr(passes, "verify_method", recording)
         monkeypatch.setattr("repro.core.verify.verify_method", recording)
         monkeypatch.setattr(PassManager, "_verify", recording_verify)
-        tpch_hp.compile_sql(PLAIN_QUERIES["q6"], verify_ir=True)
-        # q6 is one method: every verification came from the manager,
-        # was at full depth, of a state not seen before, and the
-        # optimizer produced several.
+        tpch_hp.compile_sql(UDF_QUERIES["q6"], verify_ir=True)
+        # Inlining rewrites q6_udf's main: every verification came from
+        # the manager, was at full depth, of a state not seen before,
+        # and the optimizer produced several.
         assert all(hooked and full for hooked, full, _ in states)
         assert len(set(states)) == len(states) > 1

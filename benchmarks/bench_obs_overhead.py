@@ -13,8 +13,8 @@ runtime`` at **<2%**:
 * governor — the ``if limits.enabled:`` branch at every cancellation
   checkpoint (chunk / statement / plan item / optimizer pass / baseline
   plan operator);
-* session telemetry — the one ``if telemetry.enabled:`` branch at the
-  top of ``run_sql``;
+* query log — the one ``if query_log is not None:`` branch at the top
+  of ``run_sql`` (``query_log = self.query_log``);
 * table statistics — ``stats.fingerprint()`` in the plan-cache key plus
   the ``if self.stats.enabled:`` branch after execution, on an empty
   store;
@@ -46,7 +46,7 @@ if _REPO_ROOT not in sys.path:
 from benchmarks.harness import make_tpch_session, time_callable  # noqa: E402
 from repro.core.limits import NULL_LIMITS  # noqa: E402
 from repro.obs import (NULL_PROFILE, NULL_TRACER, AllocationProfile,  # noqa: E402
-                       SessionTelemetry, Tracer)
+                       Tracer)
 from repro.workloads.tpch_queries import PLAIN_QUERIES  # noqa: E402
 
 OVERHEAD_BAR = 0.02
@@ -92,25 +92,25 @@ def measure_null_limits_cost(loops: int = _NULL_SPAN_LOOPS) -> float:
     return elapsed / loops
 
 
-def measure_disabled_telemetry_cost(loops: int = _NULL_SPAN_LOOPS) -> float:
-    """Seconds per disabled telemetry site (the ``if
-    telemetry.enabled:`` branch ``run_sql`` pays once per query when
-    telemetry is unconfigured)."""
-    telemetry = SessionTelemetry()
-    assert not telemetry.enabled
+def measure_disabled_query_log_cost(session,
+                                   loops: int = _NULL_SPAN_LOOPS) -> float:
+    """Seconds per disabled query-log site (reading
+    ``session.query_log`` and the ``is not None`` branch ``run_sql``
+    pays once per query when no log is configured)."""
+    assert session.query_log is None
     sink = 0
     start = time.perf_counter()
     for _ in range(loops):
-        if telemetry.enabled:
-            sink += 1  # pragma: no cover - unconfigured telemetry
+        if session.query_log is not None:
+            sink += 1  # pragma: no cover - no log configured
     elapsed = time.perf_counter() - start
     assert sink == 0
     return elapsed / loops
 
 
-# ``run_sql`` consults ``telemetry.enabled`` exactly once per query;
-# there are no other disabled-telemetry sites in the pipeline.
-TELEMETRY_SITES_PER_QUERY = 1
+# ``run_sql`` reads ``self.query_log`` exactly once per query; the later
+# checks of the same local are not separate sites.
+QUERY_LOG_SITES_PER_QUERY = 1
 
 
 def measure_disabled_stats_cost(loops: int = _NULL_SPAN_LOOPS) -> float:
@@ -217,7 +217,7 @@ def main() -> int:
     gov_site_cost = measure_null_limits_cost()
     checkpoints = count_checkpoints_per_run(session, sql)
 
-    tel_site_cost = measure_disabled_telemetry_cost()
+    log_site_cost = measure_disabled_query_log_cost(session)
 
     stats_site_cost = measure_disabled_stats_cost()
 
@@ -227,7 +227,7 @@ def main() -> int:
     overhead = sites * site_cost / disabled.seconds
     prof_overhead = charge_sites * prof_site_cost / disabled.seconds
     gov_overhead = checkpoints * gov_site_cost / disabled.seconds
-    tel_overhead = (TELEMETRY_SITES_PER_QUERY * tel_site_cost
+    log_overhead = (QUERY_LOG_SITES_PER_QUERY * log_site_cost
                     / disabled.seconds)
     stats_overhead = (STATS_SITES_PER_QUERY * stats_site_cost
                       / disabled.seconds)
@@ -255,12 +255,12 @@ def main() -> int:
     print(f"disabled overhead             : {gov_overhead:9.4%} "
           f"(bar: <{OVERHEAD_BAR:.0%})")
     print()
-    print("# Disabled-telemetry overhead on TPC-H Q6 (warm, cached plan)")
-    print(f"telemetry sites per query     : "
-          f"{TELEMETRY_SITES_PER_QUERY:9d}")
-    print(f"cost per disabled check       : {tel_site_cost * 1e9:9.1f}"
+    print("# Disabled-query-log overhead on TPC-H Q6 (warm, cached plan)")
+    print(f"query-log sites per query     : "
+          f"{QUERY_LOG_SITES_PER_QUERY:9d}")
+    print(f"cost per disabled check       : {log_site_cost * 1e9:9.1f}"
           f" ns")
-    print(f"disabled overhead             : {tel_overhead:9.4%} "
+    print(f"disabled overhead             : {log_overhead:9.4%} "
           f"(bar: <{OVERHEAD_BAR:.0%})")
     print()
     print("# Disabled-statistics overhead on TPC-H Q6 (warm, cached "
@@ -288,8 +288,8 @@ def main() -> int:
     if gov_overhead >= OVERHEAD_BAR:
         print("FAIL: disabled governor checkpoints are not near-free")
         failed = True
-    if tel_overhead >= OVERHEAD_BAR:
-        print("FAIL: disabled telemetry is not near-free")
+    if log_overhead >= OVERHEAD_BAR:
+        print("FAIL: disabled query log is not near-free")
         failed = True
     if stats_overhead >= OVERHEAD_BAR:
         print("FAIL: disabled statistics are not near-free")

@@ -127,10 +127,6 @@ def _cmd_run_sql(args) -> int:
                 f"unknown backend {backend!r}; registered backends: "
                 f"{known} (see `python -m repro list-backends`)")
 
-    telemetry_requested = (args.query_log is not None
-                           or args.slow_query_ms is not None
-                           or args.diagnostics_dir is not None
-                           or args.serve_metrics is not None)
     _validate_passes(args)
 
     db = _load_tables(args)
@@ -143,23 +139,12 @@ def _cmd_run_sql(args) -> int:
     tracer = Tracer() if args.trace or args.explain_analyze else None
     profile = AllocationProfile() if args.profile else None
 
-    session = EngineSession(db, tracer=tracer, profile=profile)
+    session = EngineSession(db, tracer=tracer, profile=profile,
+                            query_log=args.query_log)
     if args.analyze:
         session.analyze()
     if args.max_concurrent is not None:
         session.governor.configure(max_concurrent=args.max_concurrent)
-    if telemetry_requested:
-        telemetry = session.configure_telemetry(
-            query_log=args.query_log,
-            slow_query_ms=args.slow_query_ms,
-            diagnostics_dir=args.diagnostics_dir,
-            serve_metrics=args.serve_metrics)
-        if telemetry.server is not None:
-            # Printed (and flushed) before the query runs so a
-            # scraper can attach mid-run.
-            print(f"-- serving Prometheus metrics at "
-                  f"{telemetry.server.url} (Ctrl-C to stop)",
-                  flush=True)
     use_cache = not args.no_cache
     try:
         for _ in range(repeat):
@@ -179,9 +164,6 @@ def _cmd_run_sql(args) -> int:
         if args.query_log is not None:
             print(f"-- query-log record appended to "
                   f"{args.query_log}", file=sys.stderr)
-        if args.diagnostics_dir is not None:
-            print(f"-- diagnostics bundle written under "
-                  f"{args.diagnostics_dir}", file=sys.stderr)
         return 2
     if args.cache_stats:
         print(f"-- plan cache: {session.cache_stats.summary()} "
@@ -197,21 +179,10 @@ def _cmd_run_sql(args) -> int:
     if args.metrics_json:
         _write_metrics_json(args.metrics_json, session)
     if args.query_log is not None:
-        log = session.telemetry.query_log
-        print(f"-- query log: {log.emitted} record"
-              f"{'' if log.emitted == 1 else 's'} appended to "
-              f"{args.query_log}"
-              + (f" ({log.sampled_out} sampled out)"
-                 if log.sampled_out else ""))
-    if session.telemetry.server is not None:
-        # Keep the scrape endpoint alive until the user interrupts —
-        # this is what lets `curl .../metrics` observe a bench run.
-        import threading
-        try:
-            threading.Event().wait()
-        except KeyboardInterrupt:
-            pass
-        session.telemetry.server.close()
+        emitted = session.query_log.emitted
+        print(f"-- query log: {emitted} record"
+              f"{'' if emitted == 1 else 's'} appended to "
+              f"{args.query_log}")
     return 0
 
 
@@ -608,21 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "backend, cache hit, per-phase times, "
                               "rows, governor outcome); default "
                               "query_log.jsonl")
-    run_sql.add_argument("--slow-query-ms", type=float, metavar="MS",
-                         help="mark (and always log) queries slower "
-                              "than this wall-time threshold")
-    run_sql.add_argument("--diagnostics-dir", metavar="DIR",
-                         help="dump an automatic diagnostics bundle "
-                              "(span tree, metrics, profile, backends, "
-                              "flight records) on any governor or "
-                              "runtime failure")
-    run_sql.add_argument("--serve-metrics", nargs="?", const=9464,
-                         type=int, metavar="PORT",
-                         help="serve Prometheus-format metrics at "
-                              "http://127.0.0.1:PORT/metrics (default "
-                              "9464, 0 picks a free port) and keep "
-                              "serving after the query until "
-                              "interrupted")
     run_sql.set_defaults(fn=_cmd_run_sql)
 
     compile_sql = commands.add_parser(

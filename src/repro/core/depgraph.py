@@ -35,9 +35,6 @@ class DepGraph:
     def producers(self, index: int) -> set[int]:
         return self.deps.get(index, set())
 
-    def single_consumer(self, index: int) -> bool:
-        return len(self.consumers(index)) == 1
-
     def to_dot(self, labels: bool = True) -> str:
         """Graphviz rendering (used by the inlining demo example)."""
         lines = ["digraph depgraph {", "  node [shape=box];"]

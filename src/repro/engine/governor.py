@@ -50,10 +50,9 @@ Governor metrics (created lazily, only when the policy fires):
 ``query.retries``                         graceful-degradation retries
 ========================================  ==============================
 
-When session telemetry is configured (``docs/telemetry.md``), every
-governed refusal additionally leaves a durable query-log record whose
-``outcome`` is the error's ``refusal`` class, and — with a diagnostics
-directory set — an automatic postmortem bundle.
+With a session query log (``docs/telemetry.md``), every governed
+refusal additionally leaves a durable record whose ``outcome`` is the
+error's ``refusal`` class.
 """
 
 from __future__ import annotations
@@ -250,7 +249,7 @@ class QueryGovernor:
         """Count a governor-enforced stop (called by ``run_sql`` on the
         way out; rejections are counted inside :meth:`admit`) and
         return the refusal class — the stable ``outcome`` string the
-        telemetry query log records (``"timeout"``, ``"memory_budget"``,
+        query log records (``"timeout"``, ``"memory_budget"``,
         ``"admission_rejected"``, ``"cancelled"``)."""
         if isinstance(exc, QueryTimeout):
             self.metrics.counter("governor.timed_out").inc()

@@ -29,6 +29,7 @@ interpreter exit, is safe by design).
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, replace
 
@@ -47,8 +48,9 @@ from repro.engine.storage import Database
 from repro.matlang.frontend import MatlabProgram, matlab_to_module
 from repro.obs import (
     BYTE_BUCKETS, NULL_PROFILE, NULL_TRACER, QERROR_BUCKETS,
-    AllocationProfile, MetricsRegistry, SessionTelemetry, Tracer,
+    AllocationProfile, MetricsRegistry, QueryLog, Tracer,
 )
+from repro.obs.telemetry import query_record
 from repro.stats import MISESTIMATE_THRESHOLD, StatsStore, q_error
 from repro.sql.parser import parse_sql
 from repro.sql.plan import plan_to_json
@@ -144,8 +146,7 @@ class EngineSession:
                  max_workers: int | None = None,
                  profile: AllocationProfile | None = None,
                  governor: QueryGovernor | None = None,
-                 query_log=None,
-                 telemetry: SessionTelemetry | None = None):
+                 query_log=None):
         self.db = db if db is not None else Database()
         self.udfs = udfs if udfs is not None else UDFRegistry()
         self.metrics = (metrics if metrics is not None
@@ -163,15 +164,15 @@ class EngineSession:
         #: ``run_sql`` or set on the governor.
         self.governor = (governor if governor is not None
                          else QueryGovernor(metrics=self.metrics))
-        #: Production telemetry (query log / flight recorder /
-        #: Prometheus endpoint, see :mod:`repro.obs.telemetry`).
-        #: Unconfigured — and one attribute read per query — unless
-        #: ``query_log=`` / ``telemetry=`` is passed or
-        #: :meth:`configure_telemetry` is called.
-        self.telemetry = (telemetry if telemetry is not None
-                          else SessionTelemetry(metrics=self.metrics))
-        if query_log is not None:
-            self.telemetry.configure(query_log=query_log)
+        #: The query log (:mod:`repro.obs.telemetry`): ``query_log=``
+        #: takes a path or writable stream (the session owns the log it
+        #: builds) or a shared :class:`~repro.obs.QueryLog`.  ``None``,
+        #: the default, costs ``run_sql`` one ``is None`` check.
+        self._owns_query_log = not (query_log is None
+                                    or isinstance(query_log, QueryLog))
+        self.query_log = (QueryLog(query_log) if self._owns_query_log
+                          else query_log)
+        self._query_ids = itertools.count(1)
         self.plan_cache = PlanCache(plan_cache_size,
                                     metrics=self.metrics)
         #: Table/column statistics (:mod:`repro.stats`).  Empty — and
@@ -209,7 +210,8 @@ class EngineSession:
         if self._closed:
             return
         self._closed = True
-        self.telemetry.close()
+        if self._owns_query_log:
+            self.query_log.close()
         if self._owns_pool:
             self.pool.close()
 
@@ -219,28 +221,6 @@ class EngineSession:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
-
-    # -- telemetry ------------------------------------------------------------
-
-    def configure_telemetry(self, **kwargs) -> SessionTelemetry:
-        """Turn on any subset of the session's production telemetry —
-        ``query_log=`` (path/stream/:class:`~repro.obs.QueryLog`),
-        ``slow_query_ms=``, ``sample_rate=``, ``flight_recorder=``
-        (capacity), ``diagnostics_dir=`` (automatic postmortem bundles
-        on engine/governor failures), and ``serve_metrics=`` (a port;
-        starts the Prometheus ``/metrics`` endpoint over this
-        session's registry).  See ``docs/telemetry.md``."""
-        return self.telemetry.configure(**kwargs)
-
-    def dump_diagnostics(self, directory) -> str:
-        """Write a postmortem diagnostics bundle (final span tree,
-        metrics snapshot, profile, backend registry, environment
-        summary, flight-recorder contents) under ``directory`` and
-        return the bundle path.  Called automatically on
-        :class:`GovernorError`/:class:`HorseRuntimeError` when the
-        telemetry has a ``diagnostics_dir``; callable manually any
-        time."""
-        return self.telemetry.dump_diagnostics(self, directory)
 
     # -- UDF registration -----------------------------------------------------
 
@@ -403,26 +383,20 @@ class EngineSession:
         runtime failure degrades down the backend fallback chain when
         :attr:`QueryGovernor.retry_fallback` allows it.
 
-        With session telemetry enabled (:meth:`configure_telemetry`),
-        every call — successful, refused, or failed — additionally
-        leaves one structured query-log record and a flight-recorder
-        entry; engine/governor failures auto-dump a diagnostics bundle
-        when a diagnostics directory is configured.
+        With a :attr:`query_log`, every call — successful, refused, or
+        failed — additionally appends one record built from its root
+        span (``docs/telemetry.md``).
         """
         ctx = self._ctx(ctx)
         backend_label = backend or self.default_backend
-        telemetry = self.telemetry
-        record = None
-        if telemetry.enabled:
-            # Telemetry needs the span tree for per-phase times; when
-            # the session isn't tracing, give this query a private
-            # tracer so the record (and any diagnostics bundle) still
-            # carries provenance.
+        query_log = self.query_log
+        if query_log is not None:
+            # The record is read from the span tree; when the session
+            # isn't tracing, give this query a private tracer so the
+            # record still carries per-phase times and provenance.
             if not ctx.tracer.enabled:
                 ctx = replace(ctx, tracer=Tracer())
-            record = telemetry.begin_query(
-                sql, backend=backend_label, opt_level=opt_level,
-                n_threads=n_threads)
+            query_id = next(self._query_ids)
         governor = self.governor
         limits = governor.grant(timeout=timeout,
                                 memory_budget=memory_budget)
@@ -456,7 +430,7 @@ class EngineSession:
                         sql, opt_level, backend, use_cache, ctx,
                         n_threads, span, kwargs, pipeline=pipeline,
                         verify_ir=verify_ir, dump_ir=dump_ir)
-                    if record is not None:
+                    if query_log is not None:
                         span.set(rows_returned=result.num_rows)
                     if profile.enabled:
                         bytes_after, inter_after = profile.counters()
@@ -482,11 +456,14 @@ class EngineSession:
             failure = exc
             raise
         finally:
-            if record is not None:
-                telemetry.finish_query(
-                    record, self, root_span,
+            if query_log is not None:
+                query_log.emit(query_record(
+                    root_span, query_id=query_id, sql=sql,
+                    backend_requested=backend_label,
+                    opt_level=opt_level, n_threads=n_threads,
                     wall_seconds=time.perf_counter() - start,
-                    error=failure)
+                    error=failure))
+                self.metrics.counter("telemetry.records").inc()
         self._metric_queries.inc()
         self._metric_query_seconds.observe(time.perf_counter() - start)
         return result
@@ -540,7 +517,7 @@ class EngineSession:
                 name = self.backends.resolve(
                     fallback, require=("sql",)).name
                 # The span's backend now names the engine that actually
-                # ran the query — telemetry records it as provenance.
+                # ran the query — the query log records it as provenance.
                 span.set(backend=name)
 
     def _note_estimate(self, plan_json: dict, result: TableValue,
@@ -548,7 +525,7 @@ class EngineSession:
         """Record est-vs-actual for a finished query: ``est_rows`` /
         ``rows_out`` / ``q_error`` on the query span (rendered as
         ``rows est=… actual=…`` by EXPLAIN ANALYZE and copied into the
-        telemetry record) and, with ``observe``, the ``stats.q_error``
+        query-log record) and, with ``observe``, the ``stats.q_error``
         histogram and the ``stats.misestimates`` counter past
         :data:`~repro.stats.MISESTIMATE_THRESHOLD`."""
         est = plan_json.get("est_rows")

@@ -144,7 +144,7 @@ class GovernorError(ReproError):
     must never retry them on a fallback backend.
 
     ``refusal`` is the machine-readable refusal class each subclass
-    declares — the ``outcome`` field of a telemetry query-log record
+    declares — the ``outcome`` field of a query-log record
     (``"timeout"``, ``"memory_budget"``, ...), stable across message
     wording changes.
     """

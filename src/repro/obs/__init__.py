@@ -17,12 +17,9 @@ metric names):
   (bytes charged per statement/builtin/kernel, peak footprint, and the
   paper-style ``fusion_savings`` naive-vs-opt report); off by default
   via a near-free no-op profile;
-* :mod:`repro.obs.telemetry` — production telemetry (see
-  ``docs/telemetry.md``): the structured JSONL query log, the
-  flight-recorder ring buffer with diagnostics bundles, and the
-  Prometheus ``/metrics`` endpoint over
-  :meth:`MetricsRegistry.to_prometheus`; off by default at one
-  attribute read per query.
+* :mod:`repro.obs.telemetry` — the query log (see
+  ``docs/telemetry.md``): one JSONL record per query, built from its
+  root span; off by default at one ``is None`` check per query.
 """
 
 from repro.obs.metrics import (BYTE_BUCKETS, QERROR_BUCKETS, Counter,
@@ -35,11 +32,10 @@ from repro.obs.render import (chrome_trace, chrome_trace_json,
                               phase_coverage, render_explain_analyze,
                               render_plan)
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
-from repro.obs.telemetry import (FlightRecorder, MetricsServer, QueryLog,
-                                 SessionTelemetry)
+from repro.obs.telemetry import QueryLog
 
 __all__ = [
-    "FlightRecorder", "MetricsServer", "QueryLog", "SessionTelemetry",
+    "QueryLog",
     "BYTE_BUCKETS", "QERROR_BUCKETS", "Counter", "Gauge", "Histogram",
     "MetricsRegistry",
     "NULL_PROFILE", "AllocationProfile", "FusionSavings",

@@ -24,30 +24,21 @@ cache instrument references.
 The flat JSON form (:meth:`MetricsRegistry.snapshot`) is what the CLI's
 ``--metrics-json`` writes and what ``benchmarks/report.py`` consumes to
 split the paper's COMP column into per-phase figures.
-:meth:`MetricsRegistry.to_prometheus` renders the same instruments in
-the Prometheus text exposition format (dotted names sanitized,
-histogram buckets cumulative and ending in ``+Inf``) — the payload the
-:class:`~repro.obs.telemetry.MetricsServer` serves on ``/metrics``.
 """
 
 from __future__ import annotations
 
-import re
 import threading
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "DEFAULT_BUCKETS", "BYTE_BUCKETS", "QERROR_BUCKETS"]
-
-#: Characters the Prometheus exposition format forbids in metric names;
-#: everything outside ``[a-zA-Z0-9_:]`` becomes ``_`` (``a.b`` → ``a_b``).
-_PROM_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 
 #: Default histogram bucket upper bounds, in seconds.
 DEFAULT_BUCKETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
 
 #: Bucket upper bounds for byte-valued histograms: 1KiB … 1GiB in
 #: powers of 8, plus the KiB/MiB/GiB decades in between.  Values above
-#: the last bound land in the implicit overflow (``+Inf``) bucket
+#: the last bound land in the implicit overflow (``le_inf``) bucket
 #: (same convention as DEFAULT_BUCKETS); count/sum/min/max record them
 #: too.
 BYTE_BUCKETS = (1 << 10, 1 << 13, 1 << 16, 1 << 20, 1 << 23,
@@ -126,8 +117,7 @@ class Histogram:
     """Count/sum/min/max plus log-scale bucket counts.
 
     Values above the last configured bound land in an implicit
-    overflow (``+Inf``) bucket, so per-bucket counts always sum to
-    ``count`` and the Prometheus cumulative mapping is exact.  The
+    overflow bucket, so per-bucket counts always sum to ``count``.  The
     overflow bucket appears in snapshots (as ``le_inf``) only when it
     is non-empty, keeping historical snapshots byte-identical for
     distributions that never overflowed."""
@@ -165,13 +155,6 @@ class Histogram:
     def mean(self) -> float:
         with self._lock:
             return self.sum / self.count if self.count else 0.0
-
-    def bucket_state(self):
-        """``(bounds, per-bucket counts, overflow, count, sum)`` under
-        one lock acquisition — the exporter's consistent view."""
-        with self._lock:
-            return (self._bounds, tuple(self._buckets), self._overflow,
-                    self.count, self.sum)
 
     def _reset(self) -> None:
         with self._lock:
@@ -238,47 +221,6 @@ class MetricsRegistry:
         return {name: instrument._snapshot()
                 for name, instrument in instruments}
 
-    def to_prometheus(self) -> str:
-        """Every instrument in the Prometheus text exposition format
-        (version 0.0.4) — what the telemetry ``/metrics`` endpoint
-        serves and any standard Prometheus scraper parses.
-
-        Dotted names sanitize mechanically (``a.b`` → ``a_b``; no
-        ``_total`` suffixing, so a scrape greps exactly like a
-        snapshot).  Histogram buckets are emitted cumulatively with a
-        final ``le="+Inf"`` bucket equal to ``_count``, which the
-        implicit overflow bucket makes exact rather than approximate.
-        """
-        with self._lock:
-            instruments = sorted(self._instruments.items())
-        lines: list[str] = []
-        for name, instrument in instruments:
-            pname = _prometheus_name(name)
-            if isinstance(instrument, Counter):
-                lines.append(f"# HELP {pname} counter {name}")
-                lines.append(f"# TYPE {pname} counter")
-                lines.append(f"{pname} {_prometheus_value(instrument.value)}")
-            elif isinstance(instrument, Gauge):
-                lines.append(f"# HELP {pname} gauge {name}")
-                lines.append(f"# TYPE {pname} gauge")
-                lines.append(f"{pname} {_prometheus_value(instrument.value)}")
-            elif isinstance(instrument, Histogram):
-                bounds, buckets, _overflow, count, total = \
-                    instrument.bucket_state()
-                lines.append(f"# HELP {pname} histogram {name}")
-                lines.append(f"# TYPE {pname} histogram")
-                cumulative = 0
-                for bound, bucket_count in zip(bounds, buckets):
-                    cumulative += bucket_count
-                    lines.append(f'{pname}_bucket{{le="{bound:g}"}} '
-                                 f"{cumulative}")
-                # +Inf == count exactly: overflow observations are
-                # accounted, so cumulative + overflow == count.
-                lines.append(f'{pname}_bucket{{le="+Inf"}} {count}')
-                lines.append(f"{pname}_sum {_prometheus_value(total)}")
-                lines.append(f"{pname}_count {count}")
-        return "\n".join(lines) + "\n"
-
     def reset(self) -> None:
         """Zero every instrument in place (identities survive, so
         modules caching instrument references stay wired up)."""
@@ -287,20 +229,3 @@ class MetricsRegistry:
         for instrument in instruments:
             instrument._reset()
 
-
-def _prometheus_name(name: str) -> str:
-    """``a.b-c`` → ``a_b_c``; a leading digit gains a ``_`` prefix."""
-    sanitized = _PROM_NAME_RE.sub("_", name)
-    if sanitized and sanitized[0].isdigit():
-        sanitized = "_" + sanitized
-    return sanitized
-
-
-def _prometheus_value(value) -> str:
-    """Integers render as integers, floats via ``repr`` (full
-    precision; Prometheus accepts any Go-parseable float)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))

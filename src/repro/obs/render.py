@@ -41,9 +41,9 @@ _MAX_ATTR_LEN = 48
 _BYTE_ATTRS = {"alloc_bytes": "alloc", "peak_bytes": "peak"}
 
 #: Attributes renamed for display.  ``rows_returned`` is set on the
-#: query span only when session telemetry is enabled, so — exactly like
-#: the profiler's byte attrs — default output and the PR 2 golden files
-#: are byte-identical with telemetry off.
+#: query span only when the session has a query log, so — exactly like
+#: the profiler's byte attrs — default output and the golden files are
+#: byte-identical with the log off.
 _RENAMED_ATTRS = {"rows_returned": "rows"}
 
 

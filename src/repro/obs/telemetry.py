@@ -1,40 +1,17 @@
-"""Production telemetry: query log, flight recorder, metrics export.
+"""The query log: one JSON line per query, built from its root span.
 
-PR 2's tracer, PR 4's profiler, and PR 6's governor counters are all
-*pull-at-the-end* observability: you get a span tree or a snapshot only
-if you asked up front, and when a query is refused or a backend falls
-over there is no durable record of what happened.  This module is the
-push side — per-query provenance recorded as it happens, the substrate
-serving-oriented systems assume for optimization decisions:
+The tracer already times every phase of a query and annotates its
+``query`` span with the backend that ran it, retries, rows, allocation
+and estimates.  :func:`query_record` reads that span into one
+fixed-schema record (:data:`QUERY_LOG_FIELDS`) and :class:`QueryLog`
+appends it as a JSONL line, so every ``EngineSession.run_sql`` call —
+successful, refused, or failed — leaves a durable trace of what
+happened.
 
-* :class:`QueryLog` — one JSONL record per ``EngineSession.run_sql``
-  (monotonic ``query_id``, SQL fingerprint, backend actually used,
-  cache hit/miss, per-phase wall times, rows returned, profiler bytes
-  when enabled, governor outcome including retries and refusal class),
-  with a deterministic sampling rate; slow and failed queries are
-  always logged regardless of sampling;
-* :class:`FlightRecorder` — a bounded ring buffer of the last N query
-  records, kept in memory for postmortems and included in diagnostics
-  bundles;
-* :class:`SessionTelemetry` — the per-session owner of both (plus the
-  optional :class:`MetricsServer`), wired by
-  ``EngineSession(query_log=...)`` or
-  ``EngineSession.configure_telemetry(...)``.  On any
-  :class:`~repro.errors.GovernorError` or
-  :class:`~repro.errors.HorseRuntimeError` with a configured
-  ``diagnostics_dir``, it dumps an automatic diagnostics bundle (span
-  tree, metrics snapshot, profile, backend registry, environment
-  summary, flight-recorder contents);
-* :class:`MetricsServer` — a stdlib ``http.server`` background thread
-  serving :meth:`~repro.obs.metrics.MetricsRegistry.to_prometheus` on
-  ``/metrics``.
-
-Everything here is *instance-owned* (the no-globals guard audits this
-module): two sessions never share a ring buffer, a query-id sequence,
-or an HTTP server.  Everything is off by default — an unconfigured
-``SessionTelemetry`` costs one attribute read per query
-(``benchmarks/bench_obs_overhead.py`` bounds the disabled cost at <2%
-on warm TPC-H Q6, the same bar as the tracer/profiler/governor).
+Wired by ``EngineSession(query_log=...)`` or ``run-sql --query-log``;
+off by default, when ``run_sql`` pays one ``is None`` check per query
+(``benchmarks/bench_obs_overhead.py`` bounds it at <2% on warm TPC-H
+Q6, the same bar as the tracer/profiler/governor).
 """
 
 from __future__ import annotations
@@ -43,27 +20,16 @@ import hashlib
 import json
 import logging
 import os
-import platform
-import sys
 import threading
 import time
-from collections import deque
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.errors import GovernorError, HorseRuntimeError
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.render import render_explain_analyze
+from repro.errors import GovernorError
 from repro.obs.tracer import Span
 
-__all__ = ["QueryLog", "FlightRecorder", "SessionTelemetry",
-           "MetricsServer", "DEFAULT_FLIGHT_RECORDER_CAPACITY",
-           "QUERY_LOG_FIELDS"]
+__all__ = ["QueryLog", "QUERY_LOG_FIELDS", "query_record",
+           "sql_fingerprint", "phase_seconds"]
 
 _log = logging.getLogger("repro.obs.telemetry")
-
-#: Ring-buffer size when telemetry is enabled without an explicit
-#: ``flight_recorder=`` capacity.
-DEFAULT_FLIGHT_RECORDER_CAPACITY = 64
 
 #: SQL text longer than this is truncated in records (the fingerprint
 #: identifies the full statement).
@@ -80,8 +46,7 @@ QUERY_LOG_FIELDS = (
     "query_id", "ts", "fingerprint", "sql", "backend_requested",
     "backend", "opt_level", "n_threads", "cache_hit", "outcome",
     "error", "retries", "retried_from", "rows", "wall_seconds",
-    "phases", "slow", "alloc_bytes", "peak_bytes", "est_rows",
-    "q_error",
+    "phases", "alloc_bytes", "peak_bytes", "est_rows", "q_error",
 )
 
 
@@ -105,52 +70,97 @@ def phase_seconds(root: Span | None) -> dict:
     return totals
 
 
+def query_record(root: Span | None, *, query_id: int, sql: str,
+                 backend_requested: str, opt_level: str, n_threads: int,
+                 wall_seconds: float,
+                 error: BaseException | None) -> dict:
+    """One query-log record from the query's root span (``None`` when
+    the query was refused before its span opened).
+
+    ``outcome`` is ``"ok"``, the :class:`~repro.errors.GovernorError`'s
+    ``refusal`` class, or ``"error"``.  Never raises: a record that
+    cannot be completed from the span keeps the fields filled so far,
+    because logging must not mask (or fail) the query itself."""
+    record = {
+        "query_id": query_id,
+        "ts": time.time() - wall_seconds,
+        "fingerprint": sql_fingerprint(sql),
+        "sql": (sql if len(sql) <= _MAX_SQL_CHARS
+                else sql[:_MAX_SQL_CHARS] + "…"),
+        "backend_requested": backend_requested,
+        "backend": backend_requested,
+        "opt_level": opt_level,
+        "n_threads": n_threads,
+        "cache_hit": None,
+        "outcome": "ok",
+        "error": None,
+        "retries": 0,
+        "retried_from": None,
+        "rows": None,
+        "wall_seconds": wall_seconds,
+        "phases": {},
+        "alloc_bytes": None,
+        "peak_bytes": None,
+        "est_rows": None,
+        "q_error": None,
+    }
+    try:
+        if error is not None:
+            record["outcome"] = getattr(error, "refusal", "error") \
+                if isinstance(error, GovernorError) else "error"
+            record["error"] = f"{type(error).__name__}: {error}"
+        if root is not None:
+            attrs = root.attrs
+            record["backend"] = attrs.get("backend", backend_requested)
+            record["retries"] = attrs.get("retries", 0)
+            record["retried_from"] = attrs.get("retried_from")
+            record["rows"] = attrs.get("rows_returned")
+            if "alloc_bytes" in attrs:
+                record["alloc_bytes"] = attrs["alloc_bytes"]
+                record["peak_bytes"] = attrs.get("peak_bytes")
+            if "est_rows" in attrs:
+                record["est_rows"] = attrs["est_rows"]
+                record["q_error"] = attrs.get("q_error")
+            record["phases"] = {
+                name: round(seconds, 9) for name, seconds
+                in phase_seconds(root).items()}
+            for span in root.walk():
+                if span.name == "prepare":
+                    record["cache_hit"] = bool(
+                        span.attrs.get("cached", False))
+    except Exception:  # pragma: no cover - defensive
+        _log.exception("query-log record incomplete")
+    return record
+
+
 class QueryLog:
     """A JSONL sink for query records.
 
     ``sink`` is a path (opened in append mode, owned and closed by the
     log) or any writable text stream (borrowed, never closed).
-    ``sample_rate`` in ``(0, 1]`` drops a deterministic fraction of
-    *successful, fast* records — a credit accumulator, not a PRNG, so
-    N records at rate r always log exactly ``floor`` / ``ceil`` of
-    ``N*r``; slow and non-``ok`` records bypass sampling entirely.
     Thread-safe: concurrent sessions may share one log.
     """
 
-    def __init__(self, sink, *, sample_rate: float = 1.0):
-        if not 0.0 < sample_rate <= 1.0:
-            raise ValueError(
-                f"sample_rate must be in (0, 1], got {sample_rate}")
+    def __init__(self, sink):
         self._lock = threading.Lock()
-        self.sample_rate = sample_rate
-        self._sample_credit = 0.0
         self.emitted = 0
-        self.sampled_out = 0
         if isinstance(sink, (str, os.PathLike)):
-            self.path = os.fspath(sink)
-            self._stream = open(self.path, "a", encoding="utf-8")
+            self._stream = open(sink, "a", encoding="utf-8")
             self._owns_stream = True
         else:
-            self.path = None
             self._stream = sink
             self._owns_stream = False
 
-    def emit(self, record: dict) -> bool:
-        """Write one record (subject to sampling); returns whether the
-        record was written."""
-        must_log = record.get("outcome") != "ok" or record.get("slow")
+    def emit(self, record: dict) -> None:
+        """Append one record; an I/O failure is logged, never raised."""
         line = json.dumps(record, default=str)
-        with self._lock:
-            if not must_log and self.sample_rate < 1.0:
-                self._sample_credit += self.sample_rate
-                if self._sample_credit < 1.0:
-                    self.sampled_out += 1
-                    return False
-                self._sample_credit -= 1.0
-            self._stream.write(line + "\n")
-            self._stream.flush()
-            self.emitted += 1
-            return True
+        try:
+            with self._lock:
+                self._stream.write(line + "\n")
+                self._stream.flush()
+                self.emitted += 1
+        except Exception:
+            _log.exception("query-log write failed")
 
     def close(self) -> None:
         with self._lock:
@@ -158,352 +168,3 @@ class QueryLog:
                 self._stream.close()
                 self._stream = None
                 self._owns_stream = False
-
-
-class FlightRecorder:
-    """The last N query records, oldest first — an in-memory black box
-    that costs one deque append per query and pays for itself the first
-    time a production query dies with no reproducer."""
-
-    def __init__(self, capacity: int = DEFAULT_FLIGHT_RECORDER_CAPACITY):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._records: deque = deque(maxlen=capacity)
-
-    def record(self, record: dict) -> None:
-        with self._lock:
-            self._records.append(record)
-
-    def records(self) -> list[dict]:
-        with self._lock:
-            return list(self._records)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
-
-
-class _MetricsRequestHandler(BaseHTTPRequestHandler):
-    """Serves ``/metrics`` from the owning server's registry; the class
-    itself is stateless (registry reached via ``self.server``)."""
-
-    server_version = "repro-metrics/1.0"
-
-    def do_GET(self):  # noqa: N802 - http.server API
-        if self.path.split("?", 1)[0] in ("/metrics", "/"):
-            body = self.server.metrics_registry.to_prometheus() \
-                .encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type",
-                             "text/plain; version=0.0.4; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-        else:
-            self.send_error(404, "only /metrics is served")
-
-    def log_message(self, format, *args):  # noqa: A002 - API name
-        _log.debug("metrics scrape: " + format, *args)
-
-
-class _MetricsHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
-    metrics_registry: MetricsRegistry  # set by MetricsServer
-
-
-class MetricsServer:
-    """A background Prometheus scrape endpoint for one registry.
-
-    Binds immediately (``port=0`` picks a free port, read back via
-    :attr:`port`); ``serve_forever`` runs on a daemon thread so the
-    server never blocks interpreter exit.  Instance-owned by a
-    :class:`SessionTelemetry` — never a module global."""
-
-    def __init__(self, registry: MetricsRegistry, port: int = 0,
-                 host: str = "127.0.0.1"):
-        self.registry = registry
-        self._server = _MetricsHTTPServer((host, port),
-                                          _MetricsRequestHandler)
-        self._server.metrics_registry = registry
-        self.host, self.port = self._server.server_address[:2]
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True,
-            name=f"repro-metrics-:{self.port}")
-        self._thread.start()
-        self._closed = False
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}/metrics"
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5.0)
-
-
-class SessionTelemetry:
-    """Per-session telemetry state and policy.
-
-    Owned by every :class:`~repro.engine.session.EngineSession`
-    (constructed unconfigured — ``enabled`` is a plain ``False``
-    attribute, so the per-query cost of disabled telemetry is a single
-    attribute read).  :meth:`configure` turns on any subset of the
-    query log, the flight recorder, automatic diagnostics bundles, and
-    the Prometheus endpoint.
-    """
-
-    def __init__(self, metrics: MetricsRegistry | None = None):
-        self.metrics = metrics
-        self.query_log: QueryLog | None = None
-        self.recorder: FlightRecorder | None = None
-        self.diagnostics_dir: str | None = None
-        self.server: MetricsServer | None = None
-        self.slow_query_ms: float | None = None
-        #: Recomputed on configure; read once per run_sql.
-        self.enabled = False
-        self._lock = threading.Lock()
-        self._next_query_id = 0
-        self._owns_query_log = False
-        #: The most recent query's root span and record — what a manual
-        #: ``dump_diagnostics`` bundles when no failure is in hand.
-        self.last_root: Span | None = None
-        self.last_record: dict | None = None
-
-    def configure(self, *, query_log=..., slow_query_ms=...,
-                  sample_rate: float = 1.0, flight_recorder=...,
-                  diagnostics_dir=..., serve_metrics=...) \
-            -> "SessionTelemetry":
-        """Re-point any subset of the telemetry knobs.
-
-        ``query_log`` — a path, a writable stream, or a
-        :class:`QueryLog` (``None`` turns the log off); ``sample_rate``
-        applies when the log is built here from a path/stream.
-        ``slow_query_ms`` — wall-time threshold marking records
-        ``slow`` (always logged).  ``flight_recorder`` — a capacity or
-        a :class:`FlightRecorder` (``None`` disables).
-        ``diagnostics_dir`` — enables automatic bundles on
-        ``GovernorError``/``HorseRuntimeError``.  ``serve_metrics`` — a
-        port (0 = ephemeral) starting a :class:`MetricsServer` over the
-        session registry (``None`` stops a running one).
-        """
-        if query_log is not ...:
-            if self._owns_query_log and self.query_log is not None:
-                self.query_log.close()
-            self._owns_query_log = False
-            if query_log is None or isinstance(query_log, QueryLog):
-                self.query_log = query_log
-            else:
-                # QueryLog.close only closes streams it opened itself,
-                # so owning a stream-backed log here is harmless.
-                self.query_log = QueryLog(query_log,
-                                          sample_rate=sample_rate)
-                self._owns_query_log = True
-        if slow_query_ms is not ...:
-            self.slow_query_ms = slow_query_ms
-        if flight_recorder is not ...:
-            if flight_recorder is None or isinstance(flight_recorder,
-                                                     FlightRecorder):
-                self.recorder = flight_recorder
-            else:
-                self.recorder = FlightRecorder(int(flight_recorder))
-        if diagnostics_dir is not ...:
-            self.diagnostics_dir = (
-                None if diagnostics_dir is None
-                else os.fspath(diagnostics_dir))
-        if serve_metrics is not ...:
-            if self.server is not None:
-                self.server.close()
-                self.server = None
-            if serve_metrics is not None:
-                registry = (self.metrics if self.metrics is not None
-                            else MetricsRegistry())
-                self.metrics = registry
-                self.server = MetricsServer(registry,
-                                            port=int(serve_metrics))
-        active = (self.query_log is not None
-                  or self.diagnostics_dir is not None
-                  or self.slow_query_ms is not None)
-        if active and self.recorder is None:
-            self.recorder = FlightRecorder()
-        self.enabled = active or self.recorder is not None
-        return self
-
-    def close(self) -> None:
-        """Release owned resources (log file handle, HTTP server)."""
-        if self._owns_query_log and self.query_log is not None:
-            self.query_log.close()
-            self._owns_query_log = False
-        if self.server is not None:
-            self.server.close()
-            self.server = None
-
-    # -- per-query recording ---------------------------------------------------
-
-    def begin_query(self, sql: str, *, backend: str, opt_level: str,
-                    n_threads: int) -> dict:
-        """Allocate the next monotonic ``query_id`` and the skeleton
-        record for one ``run_sql`` call."""
-        with self._lock:
-            self._next_query_id += 1
-            query_id = self._next_query_id
-        return {
-            "query_id": query_id,
-            "ts": time.time(),
-            "fingerprint": sql_fingerprint(sql),
-            "sql": (sql if len(sql) <= _MAX_SQL_CHARS
-                    else sql[:_MAX_SQL_CHARS] + "…"),
-            "backend_requested": backend,
-            "backend": backend,
-            "opt_level": opt_level,
-            "n_threads": n_threads,
-            "cache_hit": None,
-            "outcome": "ok",
-            "error": None,
-            "retries": 0,
-            "retried_from": None,
-            "rows": None,
-            "wall_seconds": 0.0,
-            "phases": {},
-            "slow": False,
-            "alloc_bytes": None,
-            "peak_bytes": None,
-            "est_rows": None,
-            "q_error": None,
-        }
-
-    def finish_query(self, record: dict, session, root: Span | None,
-                     *, wall_seconds: float,
-                     error: BaseException | None) -> dict:
-        """Complete ``record`` from the query's span tree and outcome,
-        feed the flight recorder and query log, and auto-dump a
-        diagnostics bundle on engine/governor failures.  Never raises:
-        telemetry failures must not mask (or fail) the query itself."""
-        try:
-            record["wall_seconds"] = wall_seconds
-            if error is not None:
-                record["outcome"] = getattr(error, "refusal", "error") \
-                    if isinstance(error, GovernorError) else "error"
-                record["error"] = f"{type(error).__name__}: {error}"
-            if root is not None:
-                attrs = root.attrs
-                record["backend"] = attrs.get("backend",
-                                              record["backend"])
-                record["retries"] = attrs.get("retries", 0)
-                record["retried_from"] = attrs.get("retried_from")
-                record["rows"] = attrs.get("rows_returned")
-                if "alloc_bytes" in attrs:
-                    record["alloc_bytes"] = attrs["alloc_bytes"]
-                    record["peak_bytes"] = attrs.get("peak_bytes")
-                if "est_rows" in attrs:
-                    record["est_rows"] = attrs["est_rows"]
-                    record["q_error"] = attrs.get("q_error")
-                record["phases"] = {
-                    name: round(seconds, 9) for name, seconds
-                    in phase_seconds(root).items()}
-                for span in root.walk():
-                    if span.name == "prepare":
-                        record["cache_hit"] = bool(
-                            span.attrs.get("cached", False))
-            if self.slow_query_ms is not None:
-                record["slow"] = (wall_seconds * 1000.0
-                                  >= self.slow_query_ms)
-            self.last_root = root
-            self.last_record = record
-            if self.recorder is not None:
-                self.recorder.record(record)
-            metrics = session.metrics
-            metrics.counter("telemetry.records").inc()
-            if record["slow"]:
-                metrics.counter("telemetry.slow_queries").inc()
-            if self.query_log is not None:
-                self.query_log.emit(record)
-            if (self.diagnostics_dir is not None and error is not None
-                    and isinstance(error,
-                                   (GovernorError, HorseRuntimeError))):
-                self.dump_diagnostics(session, self.diagnostics_dir,
-                                      record=record, root=root)
-        except Exception:  # pragma: no cover - defensive
-            _log.exception("telemetry recording failed")
-        return record
-
-    # -- diagnostics bundles ---------------------------------------------------
-
-    def dump_diagnostics(self, session, directory, *,
-                         record: dict | None = None,
-                         root: Span | None = None) -> str:
-        """Write a postmortem bundle for ``record`` (defaulting to the
-        last observed query) under ``directory`` and return the bundle
-        path.
-
-        Layout (one directory per bundle)::
-
-            diag-q000007-timeout/
-              record.json           the query-log record
-              span_tree.txt         EXPLAIN ANALYZE of the final span tree
-              metrics.json          session metrics snapshot
-              profile.json          allocation profile (zeros when off)
-              backends.json         registry, default backend, governor
-              env.json              python/platform/pid summary
-              flight_records.jsonl  ring-buffer contents, oldest first
-        """
-        if record is None:
-            record = self.last_record or {}
-        if root is None:
-            root = self.last_root
-        name = (f"diag-q{record.get('query_id', 0):06d}"
-                f"-{record.get('outcome', 'manual')}")
-        bundle = os.path.join(os.fspath(directory), name)
-        os.makedirs(bundle, exist_ok=True)
-
-        def write_json(filename: str, payload) -> None:
-            with open(os.path.join(bundle, filename), "w",
-                      encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, default=str)
-                handle.write("\n")
-
-        write_json("record.json", record)
-        tree = ("no span tree recorded (tracing was off and the query "
-                "never opened its span)" if root is None
-                else render_explain_analyze(root))
-        with open(os.path.join(bundle, "span_tree.txt"), "w",
-                  encoding="utf-8") as handle:
-            handle.write(tree + "\n")
-        write_json("metrics.json", session.metrics.snapshot())
-        write_json("profile.json", session.profile.to_dict())
-        registry = session.backends
-        write_json("backends.json", {
-            "default_backend": session.default_backend,
-            "governor": repr(session.governor),
-            "backends": {
-                backend_name: {
-                    "available": registry.get(backend_name).available(),
-                    "capabilities": sorted(
-                        registry.get(backend_name).capabilities),
-                    "fallback": registry.get(backend_name).fallback,
-                    "aliases": registry.aliases(backend_name),
-                } for backend_name in registry.names()},
-        })
-        write_json("env.json", {
-            "python": sys.version,
-            "platform": platform.platform(),
-            "pid": os.getpid(),
-            "argv": sys.argv,
-            "wrote_at": time.time(),
-        })
-        with open(os.path.join(bundle, "flight_records.jsonl"), "w",
-                  encoding="utf-8") as handle:
-            for past in (self.recorder.records()
-                         if self.recorder is not None else []):
-                handle.write(json.dumps(past, default=str) + "\n")
-        session.metrics.counter("telemetry.diagnostics_bundles").inc()
-        return bundle

@@ -20,7 +20,7 @@ column by column and records, per column:
 
 Everything lives in a per-session :class:`StatsStore`.  The store is
 *off until the first analyze*: ``enabled`` is a plain ``False``
-attribute (the telemetry pattern), so the per-query cost with no
+attribute, so the per-query cost with no
 statistics collected is one attribute read, and
 :meth:`StatsStore.fingerprint` returns ``None`` so plan-cache keys are
 unchanged from the stats-free era.  Every analyze bumps an internal

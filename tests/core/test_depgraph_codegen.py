@@ -40,12 +40,6 @@ class TestDepGraph:
         assert graph.external_inputs[0] == {"t2"}
         assert graph.external_inputs[1] == {"t1"}
 
-    def test_single_consumer(self):
-        method = _figure2_method()
-        graph = build_depgraph(method.body)
-        assert graph.single_consumer(3)
-        assert not graph.single_consumer(0)
-
     def test_redefinition_rebinds_producer(self):
         method = parse_method("""
         def main(x:f64): f64 {

@@ -104,31 +104,34 @@ def test_no_module_level_mutable_state():
 
 
 def test_telemetry_module_is_audited():
-    """The telemetry module (ring buffer, query-id sequence, HTTP
-    server) rides under the ``repro.obs`` package root, so the audit
-    above covers it automatically — this guard fails if it is ever
-    moved out from under an audited root."""
+    """The query-log module rides under the ``repro.obs`` package root,
+    so the audit above covers it automatically — this guard fails if it
+    is ever moved out from under an audited root."""
     assert "repro.obs.telemetry" in audited_modules()
 
 
 def test_telemetry_state_is_session_owned():
-    """Two sessions never share a flight recorder, a query-id
-    sequence, or a metrics server."""
+    """Two sessions never share a query log they built or a query-id
+    sequence: each hands out ids 1, 2, ... through ``run_sql``."""
     import io
+    import json
+
+    import numpy as np
 
     from repro.engine import EngineSession
+    from repro.engine.storage import Database
 
-    with EngineSession() as one, EngineSession() as two:
-        one.configure_telemetry(query_log=io.StringIO())
-        two.configure_telemetry(query_log=io.StringIO())
-        assert one.telemetry is not two.telemetry
-        assert one.telemetry.recorder is not two.telemetry.recorder
-        first = one.telemetry.begin_query(
-            "SELECT 1", backend="pygen", opt_level="opt", n_threads=1)
-        second = two.telemetry.begin_query(
-            "SELECT 1", backend="pygen", opt_level="opt", n_threads=1)
-        # Independent sequences: both sessions hand out id 1.
-        assert first["query_id"] == second["query_id"] == 1
+    db = Database()
+    db.create_table("t", {"x": np.arange(4, dtype=np.float64)})
+    sinks = io.StringIO(), io.StringIO()
+    with EngineSession(db, query_log=sinks[0]) as one, \
+            EngineSession(db, query_log=sinks[1]) as two:
+        assert one.query_log is not two.query_log
+        for session in (one, two, one, two, two):
+            session.run_sql("SELECT SUM(x) AS s FROM t")
+    ids = [[json.loads(line)["query_id"]
+            for line in sink.getvalue().splitlines()] for sink in sinks]
+    assert ids == [[1, 2], [1, 2, 3]]
 
 
 def test_allowlist_matches_reality():

@@ -42,17 +42,14 @@ class TestInstruments:
         assert snap["buckets"]["le_10"] == 1
 
     def test_histogram_overflow_accounting(self):
-        hist = Histogram("h", bounds=(1.0, 10.0))
+        registry = MetricsRegistry()
+        hist = registry.histogram("h", bounds=(1.0, 10.0))
         for value in (0.5, 5.0, 50.0, 500.0):
             hist.observe(value)
-        bounds, buckets, overflow, count, total = hist.bucket_state()
-        assert bounds == (1.0, 10.0)
-        assert buckets == (1, 1)
-        assert overflow == 2
-        assert sum(buckets) + overflow == count == 4
-        assert total == pytest.approx(555.5)
-        snap = hist._snapshot()
-        assert snap["buckets"]["le_inf"] == 2
+        snap = registry.snapshot()["h"]
+        assert snap["buckets"] == {"le_1": 1, "le_10": 1, "le_inf": 2}
+        assert sum(snap["buckets"].values()) == snap["count"] == 4
+        assert snap["sum"] == pytest.approx(555.5)
 
     def test_histogram_snapshot_omits_empty_overflow(self):
         """Snapshots without overflow stay byte-identical to the
@@ -62,11 +59,13 @@ class TestInstruments:
         assert "le_inf" not in hist._snapshot()["buckets"]
 
     def test_histogram_reset_clears_overflow(self):
-        hist = Histogram("h", bounds=(1.0,))
-        hist.observe(99.0)
-        assert hist.bucket_state()[2] == 1
-        hist._reset()
-        assert hist.bucket_state() == ((1.0,), (0,), 0, 0, 0.0)
+        registry = MetricsRegistry()
+        registry.histogram("h", bounds=(1.0,)).observe(99.0)
+        assert registry.snapshot()["h"]["buckets"]["le_inf"] == 1
+        registry.reset()
+        snap = registry.snapshot()["h"]
+        assert snap["buckets"] == {"le_1": 0}
+        assert (snap["count"], snap["sum"]) == (0, 0.0)
 
     def test_registry_get_or_create_and_kind_conflict(self):
         registry = MetricsRegistry()

@@ -117,6 +117,16 @@ def test_run_sql_has_no_system_flag(csv_table, capsys):
     assert "unrecognized arguments: --system" in capsys.readouterr().err
 
 
+def test_run_sql_has_no_serve_metrics_flag(csv_table, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run-sql", "--serve-metrics", "0",
+              "--table", f"t={csv_table}@x:f64,label:str",
+              "SELECT SUM(x) AS s FROM t"])
+    assert exc.value.code == 2
+    assert ("unrecognized arguments: --serve-metrics"
+            in capsys.readouterr().err)
+
+
 def test_run_sql_baseline_honours_timeout(capsys):
     code = main(["run-sql", "--tpch", "0.1", "--backend", "baseline",
                  "--timeout", "0.001",
@@ -156,26 +166,22 @@ def test_run_sql_query_log_writes_jsonl(csv_table, tmp_path, capsys):
     assert "query log: 2 records appended" in out
 
 
-def test_run_sql_timeout_writes_diagnostics_bundle(
+def test_run_sql_timeout_appends_timeout_record(
         csv_table, tmp_path, capsys):
     import json
 
     log_path = tmp_path / "queries.jsonl"
-    diag_dir = tmp_path / "diag"
     code = main(["run-sql", "--backend", "interp",
                  "--timeout", "1e-9",
                  "--query-log", str(log_path),
-                 "--diagnostics-dir", str(diag_dir),
                  "--table", f"t={csv_table}@x:f64,label:str",
                  "SELECT SUM(x) AS s FROM t"])
     assert code == 2
-    record = json.loads(log_path.read_text().splitlines()[0])
-    assert record["outcome"] == "timeout"
-    bundles = list(diag_dir.iterdir())
-    assert len(bundles) == 1
-    assert (bundles[0] / "record.json").stat().st_size > 0
+    (line,) = log_path.read_text().splitlines()
+    assert json.loads(line)["outcome"] == "timeout"
     err = capsys.readouterr().err
-    assert "diagnostics bundle written" in err
+    assert "QueryTimeout" in err
+    assert f"query-log record appended to {log_path}" in err
 
 
 def test_run_sql_with_custom_passes(csv_table, capsys):

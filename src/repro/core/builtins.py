@@ -824,44 +824,52 @@ _register(Builtin("group", "opaque", None,
                   lambda _: ht.list_of(ht.I64), _run_group))
 
 
-def _segmented(name: str, fn_dense, fn_sparse=None):
+def _segmented(name: str, impl):
+    """``@name(values, gid, ng)``: one result row per group id in
+    ``[0, ng)``.
+
+    Bad arguments are refused here, cheaply: the lengths compare in
+    O(1), ``impl`` raises ``ValueError`` on an id it cannot place (what
+    ``np.bincount`` does for a negative one), and an id ``>= ng`` shows
+    as a result longer than ``ng`` rows (``np.bincount`` grows to fit)."""
     def run(args: list[Value], _: EvalContext) -> Value:
         _expect_arity(name, args, 3)
         values = _as_vector(name, args[0])
         codes = _as_vector(name, args[1]).data
         ngroups = int(_as_vector(name, args[2]).item())
-        return fn_dense(values, codes, ngroups)
+        if len(values) != len(codes):
+            raise BuiltinError(f"@{name}: {len(values)} values for "
+                               f"{len(codes)} group ids")
+        bad_ids = f"@{name}: group ids outside [0, {ngroups})"
+        try:
+            result = impl(values, codes, ngroups)
+        except ValueError as exc:
+            raise BuiltinError(bad_ids) from exc
+        if len(result) != ngroups:
+            raise BuiltinError(bad_ids)
+        return result
     return run
 
 
 def _group_sum_impl(values: Vector, codes: np.ndarray,
                     ngroups: int) -> Vector:
-    out_type = _infer_sum([values.type])
-    data = values.data
-    if data.dtype == np.bool_ or data.dtype.kind in ("i", "u"):
-        data = data.astype(np.int64)
-    result = np.bincount(codes, weights=data.astype(np.float64),
+    # bincount sums float64 weights: an f64 column is read in place.
+    result = np.bincount(codes,
+                         weights=values.data.astype(np.float64, copy=False),
                          minlength=ngroups)
-    return Vector(out_type, result.astype(ht.numpy_dtype(out_type)))
+    return Vector(_infer_sum([values.type]), result)
 
 
 def _group_count_impl(values: Vector, codes: np.ndarray,
                       ngroups: int) -> Vector:
-    result = np.bincount(codes, minlength=ngroups)
-    return Vector(ht.I64, result.astype(np.int64))
-
-
-def _group_avg_impl(values: Vector, codes: np.ndarray,
-                    ngroups: int) -> Vector:
-    sums = np.bincount(codes, weights=values.data.astype(np.float64),
-                       minlength=ngroups)
-    counts = np.bincount(codes, minlength=ngroups)
-    with np.errstate(invalid="ignore"):
-        return Vector(ht.F64, sums / counts)
+    return Vector(ht.I64, np.bincount(codes, minlength=ngroups))
 
 
 def _group_extreme(ufunc):
     def impl(values: Vector, codes: np.ndarray, ngroups: int) -> Vector:
+        # ufunc.at wraps a negative id and indexes past ngroups.
+        if codes.size and (codes.min() < 0 or codes.max() >= ngroups):
+            raise ValueError("group id out of range")
         if values.type is ht.STR:
             # Sorted dictionary: the extreme string has the extreme code.
             data = values.encoding()[0]
@@ -893,8 +901,6 @@ _register(Builtin("group_sum", "opaque", 3, _infer_sum,
                   _segmented("group_sum", _group_sum_impl)))
 _register(Builtin("group_count", "opaque", 3, _infer_i64,
                   _segmented("group_count", _group_count_impl)))
-_register(Builtin("group_avg", "opaque", 3, _infer_f64,
-                  _segmented("group_avg", _group_avg_impl)))
 _register(Builtin("group_min", "opaque", 3, _infer_first,
                   _segmented("group_min", _group_extreme(np.minimum))))
 _register(Builtin("group_max", "opaque", 3, _infer_first,
@@ -1214,8 +1220,6 @@ SIGNATURES: dict[str, BuiltinSig] = {
                             "group_agg"),
     "group_count": BuiltinSig(("vector", "integer", "integer"),
                               "group_agg"),
-    "group_avg": BuiltinSig(("numeric", "integer", "integer"),
-                            "group_agg"),
     "group_min": BuiltinSig(("vector", "integer", "integer"),
                             "group_agg"),
     "group_max": BuiltinSig(("vector", "integer", "integer"),

@@ -234,18 +234,21 @@ class PlanExecutor:
                                           dtype=np.int64))
         for key in node.keys:
             out[key] = columns[key][key_index]
+
+        def aggregate(fn, values):
+            return hb.get(f"group_{fn}").run([values, codes, ngroups],
+                                             self._ctx).data
+
         for name, fn, column in node.aggregates:
-            builtin = {"sum": "group_sum", "avg": "group_avg",
-                       "min": "group_min", "max": "group_max",
-                       "count": "group_count"}[fn]
             if fn == "count":
-                values = codes
+                out[name] = aggregate("count", codes)
+                continue
+            values = Vector(node.child.output_type(column), columns[column])
+            if fn == "avg":
+                out[name] = np.true_divide(aggregate("sum", values),
+                                           aggregate("count", codes))
             else:
-                values = Vector(node.child.output_type(column),
-                                columns[column])
-            result = hb.get(builtin).run([values, codes, ngroups],
-                                         self._ctx)
-            out[name] = result.data
+                out[name] = aggregate(fn, values)
         return out
 
     def _exec_sort(self, node: p.Sort,

@@ -205,18 +205,28 @@ class _Translator:
                 "k", child_types.get(key, ht.WILDCARD),
                 ir.BuiltinCall("index", [ir.Var(columns[key]),
                                          ir.Var(key_index)]))
-        for name, fn, column in node["aggregates"]:
-            if fn == "count":
-                values = codes
-            else:
-                values = columns[column]
-            builtin = {"sum": "group_sum", "avg": "group_avg",
-                       "min": "group_min", "max": "group_max",
-                       "count": "group_count"}[fn]
-            out[name] = self.emit(
-                "a", types.get(name, ht.WILDCARD),
+
+        def aggregate(type_, builtin, values):
+            return self.emit(
+                "a", type_,
                 ir.BuiltinCall(builtin, [ir.Var(values), ir.Var(codes),
                                          ir.Var(ngroups)]))
+
+        for name, fn, column in node["aggregates"]:
+            if fn == "avg":
+                # SUM ÷ COUNT(*), each spelled as those aggregates are,
+                # so CSE shares them with the query's own SUM and COUNT.
+                total = aggregate(ht.F64, "group_sum", columns[column])
+                count = aggregate(ht.I64, "group_count", codes)
+                out[name] = self.emit(
+                    "a", types.get(name, ht.WILDCARD),
+                    ir.BuiltinCall("div", [ir.Var(total), ir.Var(count)]))
+            elif fn == "count":
+                out[name] = aggregate(types.get(name, ht.WILDCARD),
+                                      "group_count", codes)
+            else:
+                out[name] = aggregate(types.get(name, ht.WILDCARD),
+                                      f"group_{fn}", columns[column])
         return out
 
     def _global_aggregates(self, node: dict, columns: dict[str, str],

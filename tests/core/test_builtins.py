@@ -1,5 +1,7 @@
 """Unit tests for the HorseIR builtin library."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -249,12 +251,39 @@ class TestGrouping:
                    ngroups).data.tolist() == [3.0, 30.0]
         assert run("group_count", values, codes,
                    ngroups).data.tolist() == [2, 2]
-        assert np.allclose(run("group_avg", values, codes,
-                               ngroups).data, [1.5, 15.0])
+        # A grouped average is a grouped sum over a grouped count.
+        assert run("div", run("group_sum", values, codes, ngroups),
+                   run("group_count", codes, codes,
+                       ngroups)).data.tolist() == [1.5, 15.0]
+        assert sorted(name for name in hb.BUILTINS
+                      if name.startswith("group_")) == [
+            "group_count", "group_max", "group_min", "group_sum"]
         assert run("group_min", values, codes,
                    ngroups).data.tolist() == [1.0, 10.0]
         assert run("group_max", values, codes,
                    ngroups).data.tolist() == [2.0, 20.0]
+
+    def test_group_sum_of_integers_is_i64(self):
+        ints = run("group_sum", vec([1, 2, 3], ht.I64),
+                   vec([0, 0, 1], ht.I64), scalar(2, ht.I64))
+        assert ints.type == ht.I64 and ints.data.tolist() == [3, 3]
+
+    @pytest.mark.parametrize("name", ["group_sum", "group_count",
+                                      "group_min", "group_max"])
+    @pytest.mark.parametrize("values, codes, ngroups, message", [
+        ([1.0, 2.0, 3.0], [0, 1], 2, "3 values for 2 group ids"),
+        ([1.0], [0, 0, 1], 2, "1 values for 3 group ids"),
+        ([1.0, 2.0], [0, 2], 2, "group ids outside [0, 2)"),
+        ([1.0, 2.0], [0, 5], 1, "group ids outside [0, 1)"),
+        ([1.0, 2.0], [0, -1], 2, "group ids outside [0, 2)"),
+    ], ids=["long-values", "short-values", "id-eq-ng", "id-gt-ng",
+            "negative-id"])
+    def test_grouped_refuses_bad_arguments(self, name, values, codes,
+                                           ngroups, message):
+        with pytest.raises(BuiltinError,
+                           match=re.escape(f"@{name}: {message}")):
+            run(name, vec(values), vec(codes, ht.I64),
+                scalar(ngroups, ht.I64))
 
 
 class TestJoinAndOrder:

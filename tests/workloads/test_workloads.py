@@ -1,9 +1,14 @@
 """Workload-level tests: TPC-H data properties, query agreement between
 plain and UDF forms, and agreement between HorsePower and the baseline."""
 
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from benchmarks.layered.check import columns_of
+from repro.core.printer import print_module
 from repro.data import generate_blackscholes, generate_tpch
 from repro.data.blackscholes import calc_option_price, load_blackscholes_table
 from repro.data.morgan import generate_morgan, morgan_reference, msum_reference
@@ -152,7 +157,6 @@ class TestBlackScholesQueries:
     def test_bs2_table_udf_sliced_by_horsepower(self, bs_systems):
         hp, _ = bs_systems
         compiled = hp.compile_sql(TABLE_QUERIES["bs2_med"])
-        from repro.core.printer import print_module
         text = print_module(compiled.program.module)
         # The pricing math (cndf's exp) must be gone entirely.
         assert "@exp" not in text
@@ -232,3 +236,55 @@ class TestExtendedTPCHQueries:
         revenue = result.column("revenue").data
         assert len(revenue) <= 10
         assert np.all(np.diff(revenue) <= 1e-9)  # descending
+
+
+class TestQ1GroupedAggregates:
+    """q1's three ``AVG`` lower to ``@group_sum`` ÷ ``@group_count``, and
+    CSE shares them with the query's four ``SUM`` and its ``COUNT(*)``:
+    five grouped sums and one grouped count remain, and every engine
+    returns the same bits."""
+
+    QUERIES = {"q1": PLAIN_QUERIES["q1"], "q1_udf": UDF_QUERIES["q1"]}
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        session = EngineSession(generate_tpch(0.01, seed=1))
+        register_tpch_udfs(session)
+        yield session
+        assert session.metrics.counter("query.retries").value == 0
+        session.close()
+
+    @staticmethod
+    def _grouped_calls(session, sql, opt_level) -> Counter:
+        """How often each ``@group_*`` aggregate is called."""
+        text = print_module(
+            session.compile_sql(sql, opt_level=opt_level).program.module)
+        return Counter(re.findall(r"@(group_\w+)\(", text))
+
+    @pytest.mark.parametrize("name", list(QUERIES))
+    def test_optimized_ir_shares_sums_and_one_count(self, session, name):
+        assert self._grouped_calls(session, self.QUERIES[name], "opt") \
+            == {"group_sum": 5, "group_count": 1}
+
+    def test_naive_ir_has_only_sums_and_counts(self, session):
+        # Unshared: four SUM, three AVG sums, three AVG counts, COUNT(*).
+        assert self._grouped_calls(session, self.QUERIES["q1"], "naive") \
+            == {"group_sum": 7, "group_count": 4}
+
+    @pytest.mark.parametrize("name", list(QUERIES))
+    def test_every_engine_returns_the_same_bits(self, session, name):
+        def table(result):
+            return [(column, array.dtype.str, array.tolist())
+                    for column, array in columns_of(result).items()]
+
+        sql = self.QUERIES[name]
+        want = table(session.run_sql(sql, backend="interp",
+                                     opt_level="naive"))
+        for opt_level in ("naive", "opt"):
+            for backend, n_threads in (("interp", 1), ("pygen", 1),
+                                       ("pygen", 2), ("cgen", 1),
+                                       ("baseline", 1)):
+                got = table(session.run_sql(sql, backend=backend,
+                                            opt_level=opt_level,
+                                            n_threads=n_threads))
+                assert got == want, (backend, n_threads, opt_level)

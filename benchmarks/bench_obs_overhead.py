@@ -10,9 +10,9 @@ runtime`` at **<2%**:
 * tracer — ``NULL_TRACER.span()`` enter + exit, one per span site;
 * allocation profiler — the ``if profile.enabled:`` branch at every
   charge point;
-* governor — the ``if limits.enabled:`` branch at every cancellation
-  checkpoint (chunk / statement / plan item / optimizer pass / baseline
-  plan operator);
+* query limits — the ``if limits is not None:`` branch at every
+  cancellation checkpoint (chunk / statement / plan item / optimizer
+  pass / baseline plan operator) of a query that set no limits;
 * query log — the one ``if query_log is not None:`` branch at the top
   of ``run_sql`` (``query_log = self.query_log``);
 * table statistics — ``stats.fingerprint()`` in the plan-cache key plus
@@ -44,7 +44,7 @@ if _REPO_ROOT not in sys.path:
     sys.path.insert(0, _REPO_ROOT)
 
 from benchmarks.harness import make_tpch_session, time_callable  # noqa: E402
-from repro.core.limits import NULL_LIMITS  # noqa: E402
+from repro.core.limits import QueryLimits  # noqa: E402
 from repro.obs import (NULL_PROFILE, NULL_TRACER, AllocationProfile,  # noqa: E402
                        Tracer)
 from repro.workloads.tpch_queries import PLAIN_QUERIES  # noqa: E402
@@ -77,16 +77,16 @@ def measure_null_profile_cost(loops: int = _NULL_SPAN_LOOPS) -> float:
     return elapsed / loops
 
 
-def measure_null_limits_cost(loops: int = _NULL_SPAN_LOOPS) -> float:
-    """Seconds per disabled governor checkpoint (the ``if
-    limits.enabled:`` branch every checkpoint site pays when the query
-    is ungoverned)."""
-    limits = NULL_LIMITS
+def measure_no_limits_cost(loops: int = _NULL_SPAN_LOOPS) -> float:
+    """Seconds per checkpoint of a query that set no limits (the ``if
+    limits is not None:`` branch every checkpoint site pays when the
+    context carries ``limits=None``)."""
+    limits = None
     sink = 0
     start = time.perf_counter()
     for _ in range(loops):
-        if limits.enabled:
-            sink += 1  # pragma: no cover - NULL_LIMITS is disabled
+        if limits is not None:
+            sink += 1  # pragma: no cover - no limits set
     elapsed = time.perf_counter() - start
     assert sink == 0
     return elapsed / loops
@@ -175,10 +175,10 @@ def count_verify_sites_per_compile(session, sql: str) -> int:
 
 
 def count_checkpoints_per_run(session, sql: str) -> int:
-    """Cancellation checkpoints one warm, governed Q6 run passes
-    through — measured by granting a deadline far in the future and
+    """Cancellation checkpoints one warm Q6 run with limits passes
+    through — measured by setting a deadline far in the future and
     reading ``limits.checks`` back."""
-    limits = session.governor.grant(timeout=3600.0)
+    limits = QueryLimits(timeout=3600.0)
     session.run_sql(sql, ctx=replace(session.context(), limits=limits))
     return limits.checks
 
@@ -214,7 +214,7 @@ def main() -> int:
     prof_site_cost = measure_null_profile_cost()
     charge_sites = count_charge_sites_per_run(session, sql)
 
-    gov_site_cost = measure_null_limits_cost()
+    limits_site_cost = measure_no_limits_cost()
     checkpoints = count_checkpoints_per_run(session, sql)
 
     log_site_cost = measure_disabled_query_log_cost(session)
@@ -226,7 +226,7 @@ def main() -> int:
 
     overhead = sites * site_cost / disabled.seconds
     prof_overhead = charge_sites * prof_site_cost / disabled.seconds
-    gov_overhead = checkpoints * gov_site_cost / disabled.seconds
+    limits_overhead = checkpoints * limits_site_cost / disabled.seconds
     log_overhead = (QUERY_LOG_SITES_PER_QUERY * log_site_cost
                     / disabled.seconds)
     stats_overhead = (STATS_SITES_PER_QUERY * stats_site_cost
@@ -248,11 +248,12 @@ def main() -> int:
     print(f"disabled overhead             : {prof_overhead:9.4%} "
           f"(bar: <{OVERHEAD_BAR:.0%})")
     print()
-    print("# Disabled-governor overhead on TPC-H Q6 (warm, cached plan)")
-    print(f"checkpoints per governed run  : {checkpoints:9d}")
-    print(f"cost per disabled check       : {gov_site_cost * 1e9:9.1f}"
+    print("# No-limits checkpoint overhead on TPC-H Q6 (warm, cached "
+          "plan)")
+    print(f"checkpoints per limited run   : {checkpoints:9d}")
+    print(f"cost per disabled check       : {limits_site_cost * 1e9:9.1f}"
           f" ns")
-    print(f"disabled overhead             : {gov_overhead:9.4%} "
+    print(f"disabled overhead             : {limits_overhead:9.4%} "
           f"(bar: <{OVERHEAD_BAR:.0%})")
     print()
     print("# Disabled-query-log overhead on TPC-H Q6 (warm, cached plan)")
@@ -285,8 +286,8 @@ def main() -> int:
     if prof_overhead >= OVERHEAD_BAR:
         print("FAIL: disabled profiling is not near-free")
         failed = True
-    if gov_overhead >= OVERHEAD_BAR:
-        print("FAIL: disabled governor checkpoints are not near-free")
+    if limits_overhead >= OVERHEAD_BAR:
+        print("FAIL: checkpoints without limits are not near-free")
         failed = True
     if log_overhead >= OVERHEAD_BAR:
         print("FAIL: disabled query log is not near-free")

@@ -30,8 +30,8 @@ import json
 import sys
 
 from repro.core import types as ht
-from repro.errors import (GovernorError, OptimizerError,
-                          PassVerificationError)
+from repro.errors import (OptimizerError, PassVerificationError,
+                          QueryLimitError)
 
 _TYPE_NAMES = {
     "bool": ht.BOOL, "i64": ht.I64, "i32": ht.I32, "f64": ht.F64,
@@ -143,8 +143,6 @@ def _cmd_run_sql(args) -> int:
                             query_log=args.query_log)
     if args.analyze:
         session.analyze()
-    if args.max_concurrent is not None:
-        session.governor.configure(max_concurrent=args.max_concurrent)
     use_cache = not args.no_cache
     try:
         for _ in range(repeat):
@@ -159,7 +157,7 @@ def _cmd_run_sql(args) -> int:
     except PassVerificationError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except GovernorError as exc:
+    except QueryLimitError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         if args.query_log is not None:
             print(f"-- query-log record appended to "
@@ -566,9 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "than this many bytes (accepts 64k / "
                               "16MiB suffixes; exits 2 with "
                               "MemoryBudgetExceeded)")
-    run_sql.add_argument("--max-concurrent", type=int, metavar="N",
-                         help="admission-control limit on concurrent "
-                              "queries in this process")
     run_sql.add_argument("--metrics-json", metavar="PATH",
                          help="write runtime metrics (plan cache, pool, "
                               "kernels, rows) as flat JSON")
@@ -577,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="append one structured JSONL record per "
                               "query (query id, SQL fingerprint, "
                               "backend, cache hit, per-phase times, "
-                              "rows, governor outcome); default "
+                              "rows, outcome); default "
                               "query_log.jsonl")
     run_sql.set_defaults(fn=_cmd_run_sql)
 

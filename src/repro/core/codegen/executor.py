@@ -118,7 +118,7 @@ def _run_kernel(kernel: CompiledKernel, inputs: list[Vector],
         # it (kernel.chunks == chunks actually executed, fast path or
         # not) and give it the same cancellation checkpoint.
         ctx.metrics.counter("kernel.chunks").inc()
-        if limits.enabled:
+        if limits is not None:
             limits.check("chunk")
         result = kernel.fn(*arrays, *(dst for _, dst, _ in targets))
         for slot, (name, role) in enumerate(kernel.outputs):
@@ -141,7 +141,7 @@ def _run_kernel(kernel: CompiledKernel, inputs: list[Vector],
     def run_chunk(lo: int, hi: int, starts: list[int]):
         """Run rows ``[lo, hi)``; a compacted output's rows go to its
         destination at ``starts[i]``, a base output's at ``lo``."""
-        if limits.enabled:
+        if limits is not None:
             limits.check("chunk")
         sliced = [arr[lo:hi] if stream and len(arr) == n else arr
                   for arr, stream in zip(arrays, kernel.streamed)]

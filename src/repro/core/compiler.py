@@ -213,8 +213,8 @@ class _RunState:
         #: Allocation accounting for this run (NULL_PROFILE when the
         #: query is not profiled; sites check ``.enabled`` first).
         self.profile = ctx.profile
-        #: Cooperative cancellation surface (NULL_LIMITS when
-        #: ungoverned), checked once per plan item; chunked kernels add
+        #: Cooperative cancellation surface (None when the query set
+        #: no limits), checked once per plan item; chunked kernels add
         #: a finer per-chunk checkpoint in the kernel executor.
         self.limits = ctx.limits
 
@@ -246,7 +246,7 @@ class _RunState:
         profile = self.profile
         limits = self.limits
         for item in plan:
-            if limits.enabled:
+            if limits is not None:
                 limits.check("plan-item")
             if isinstance(item, _KernelItem):
                 self._exec_kernel_item(item, env)

@@ -8,20 +8,21 @@ for process-global state; an isolated :class:`~repro.engine.EngineSession`
 builds contexts bound to its own tracer/metrics/pool, so N sessions can
 run concurrently in one process without sharing a single mutable object.
 
-The defaults are the stateless null objects plus a private registry: a
-bare ``QueryContext()`` — which is what ``ctx=None`` means at the public
-entry points that accept it (``compile_module``, ``optimize``,
-``CompiledProgram.run``, the interpreter, ``PlanExecutor``,
-``MatlabProgram``) — is untraced, unprofiled, ungoverned, and counts
-into a registry nobody else holds.  There is no process-global
-fallback; instrumentation is reached through the context or not at all.
+The defaults are the stateless null objects, no limits and a private
+registry: a bare ``QueryContext()`` — which is what ``ctx=None`` means
+at the public entry points that accept it (``compile_module``,
+``optimize``, ``CompiledProgram.run``, the interpreter,
+``PlanExecutor``, ``MatlabProgram``) — is untraced, unprofiled,
+unlimited, and counts into a registry nobody else holds.  There is no
+process-global fallback; instrumentation is reached through the
+context or not at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.limits import NULL_LIMITS, NullQueryLimits, QueryLimits
+from repro.core.limits import QueryLimits
 from repro.obs import NULL_PROFILE, NULL_TRACER, MetricsRegistry
 from repro.obs.prof import AllocationProfile, NullAllocationProfile
 from repro.obs.tracer import NullTracer, Tracer
@@ -48,9 +49,8 @@ class QueryContext:
       unless profiling was requested);
     * ``limits`` — the :class:`~repro.core.limits.QueryLimits` the
       execution layers checkpoint against (deadline, memory budget,
-      cooperative cancellation); the no-op ``NULL_LIMITS`` unless the
-      session's :class:`~repro.engine.governor.QueryGovernor` granted
-      limits for this query.
+      cooperative cancellation), or ``None`` for a query that set no
+      limits.
     """
 
     tracer: "Tracer | NullTracer" = NULL_TRACER
@@ -58,7 +58,7 @@ class QueryContext:
     pool: object | None = None
     session: object | None = None
     profile: "AllocationProfile | NullAllocationProfile" = NULL_PROFILE
-    limits: "QueryLimits | NullQueryLimits" = NULL_LIMITS
+    limits: "QueryLimits | None" = None
 
     def executor(self, n_threads: int):
         """An instrumented executor with ``n_threads`` workers, or
@@ -71,4 +71,3 @@ class QueryContext:
             from repro.core.execpool import shared_pool
             pool = shared_pool()
         return pool.get(n_threads)
-

@@ -46,9 +46,9 @@ class Interpreter:
         #: ``.enabled`` first so disabled profiling costs one attribute
         #: read per statement).
         self.profile = self.qctx.profile
-        #: The query's cooperative-cancellation surface (NULL_LIMITS
-        #: when ungoverned); checked once per executed statement so a
-        #: deadline cancels interpreted runs at statement granularity.
+        #: The query's cooperative-cancellation surface (None when the
+        #: query set no limits); checked once per executed statement so
+        #: a deadline cancels interpreted runs at statement granularity.
         self.limits = self.qctx.limits
         #: Number of vector intermediates materialized (for the evaluation
         #: narrative: naive mode materializes one per statement).
@@ -113,7 +113,7 @@ class Interpreter:
         profile = self.profile
         limits = self.limits
         for stmt in body:
-            if limits.enabled:
+            if limits is not None:
                 limits.check("statement")
             if isinstance(stmt, ir.Assign):
                 value = env[stmt.target] = self._coerce(

@@ -1,9 +1,10 @@
 """Per-query resource limits and cooperative cancellation checkpoints.
 
-The execution layers never poll a clock on their own and never kill a
-thread: a :class:`QueryLimits` object rides on the
-:class:`~repro.core.context.QueryContext` and every hot loop calls
-``limits.check(...)`` at a natural boundary —
+Limits belong to the query that asked for them: ``run_sql(timeout=,
+memory_budget=)`` builds one :class:`QueryLimits` and puts it on that
+query's :class:`~repro.core.context.QueryContext`.  The execution
+layers never poll a clock on their own and never kill a thread; every
+hot loop calls ``limits.check(...)`` at a natural boundary —
 
 * the chunked kernel executor, once per chunk
   (:func:`repro.core.codegen.executor.run_kernel`);
@@ -11,8 +12,8 @@ thread: a :class:`QueryLimits` object rides on the
   (:class:`repro.core.interp.Interpreter`);
 * the compiled plan executor, once per plan item
   (:class:`repro.core.compiler._RunState`);
-* the optimizer pipeline, once per pass
-  (:func:`repro.core.optimizer.optimize`);
+* the pass manager, once per checkpointing pass
+  (:class:`repro.core.passes.PassManager`);
 * the baseline plan executor, once per plan operator
   (:class:`repro.engine.executor.PlanExecutor`).
 
@@ -22,40 +23,30 @@ and :class:`~repro.errors.QueryCancelled` after an explicit
 checkpoint interval of the limit, with no non-cooperative thread
 machinery.
 
-The disabled form mirrors the tracer and the allocation profiler: the
-stateless :data:`NULL_LIMITS` singleton is the context default, and
-every checkpoint site guards with ``if limits.enabled:`` — one attribute
-read per site when no limits are configured
-(``benchmarks/bench_obs_overhead.py`` bounds the disabled cost at <2%
-on warm TPC-H Q6, the same bar as the tracer and the profiler).
-
-This module lives in :mod:`repro.core` (not the engine layer) because
-the checkpoint surface is consumed by the core executors; the policy
-side — who gets a :class:`QueryLimits`, with what deadline and budget —
-lives in :mod:`repro.engine.governor`.
+A query without limits carries ``limits=None``, and every checkpoint
+site guards with ``if limits is not None:``.  A memory budget is
+enforced at the allocation profiler's existing charge points through
+:class:`BudgetedAllocationProfile`.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.errors import QueryCancelled, QueryTimeout
+from repro.errors import MemoryBudgetExceeded, QueryCancelled, QueryTimeout
+from repro.obs.prof import AllocationProfile, format_bytes
 
-__all__ = ["QueryLimits", "NullQueryLimits", "NULL_LIMITS"]
+__all__ = ["QueryLimits", "BudgetedAllocationProfile"]
 
 
 class QueryLimits:
-    """The active limits of one admitted query.
+    """The active limits of one query.
 
-    ``checks`` counts every checkpoint the query passed through — the
-    number the overhead benchmark multiplies by the disabled-site cost,
-    and a direct measure of cancellation granularity.  The counter is
-    a plain attribute (not locked): chunk workers may race on it, so it
-    is exact for serial runs and approximate under ``n_threads > 1`` —
-    fine for both of its uses.
+    ``checks`` counts every checkpoint the query passed through — a
+    direct measure of cancellation granularity.  The counter is a plain
+    attribute (not locked): chunk workers may race on it, so it is
+    exact for serial runs and approximate under ``n_threads > 1``.
     """
-
-    enabled = True
 
     __slots__ = ("timeout", "deadline", "memory_budget", "checks",
                  "cancelled", "cancel_reason")
@@ -113,29 +104,45 @@ class QueryLimits:
         return f"QueryLimits({', '.join(parts)})"
 
 
-class NullQueryLimits:
-    """The disabled limits: allocation-free, state-free, shared.
+class BudgetedAllocationProfile(AllocationProfile):
+    """An :class:`AllocationProfile` that *enforces* instead of just
+    metering: crossing ``budget`` bytes raises
+    :class:`~repro.errors.MemoryBudgetExceeded` from the charge point
+    itself, so the query stops at the allocation that broke the budget
+    rather than after the fact.
 
-    Every checkpoint site reads ``enabled`` and skips the ``check``
-    call entirely, so an ungoverned query pays one attribute read per
-    site — the no-globals guard audits that this singleton carries no
-    mutable state.
+    When the query is *also* being profiled (``base``), every charge is
+    forwarded so the caller's profile sees exactly what it would have
+    seen without the budget — up to the failing charge.
     """
 
-    __slots__ = ()
-    enabled = False
-    timeout = None
-    deadline = None
-    memory_budget = None
-    checks = 0
-    cancelled = False
-    cancel_reason = ""
+    def __init__(self, budget: int,
+                 base: AllocationProfile | None = None):
+        super().__init__()
+        self.budget = budget
+        self.base = base if (base is not None
+                             and base.enabled) else None
 
-    def check(self, where: str = "checkpoint") -> None:
-        pass
+    def record(self, nbytes: int, site: str | None = None,
+               count: int = 1) -> None:
+        super().record(nbytes, site=site, count=count)
+        if self.base is not None:
+            self.base.record(nbytes, site=site, count=count)
+        allocated = self.bytes_allocated
+        if allocated > self.budget:
+            raise MemoryBudgetExceeded(
+                f"query exceeded its memory budget: "
+                f"{format_bytes(allocated)} allocated > "
+                f"{format_bytes(self.budget)} budget "
+                f"(last charge {format_bytes(nbytes)}"
+                f"{'' if site is None else ' at ' + site})")
 
-    def remaining_seconds(self) -> None:
-        return None
+    def record_builtin(self, name: str, nbytes: int) -> None:
+        super().record_builtin(name, nbytes)
+        if self.base is not None:
+            self.base.record_builtin(name, nbytes)
 
-
-NULL_LIMITS = NullQueryLimits()
+    def update_peak(self, live_bytes: int) -> None:
+        super().update_peak(live_bytes)
+        if self.base is not None:
+            self.base.update_peak(live_bytes)

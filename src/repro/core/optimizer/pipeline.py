@@ -34,7 +34,7 @@ def optimize(module: ir.Module, *, entry: str | None = None,
     checkpoint surface checked once per pass so a deadline can cancel a
     pathological optimization (``ctx.limits``), and the registry that
     receives the ``optimizer.fixed_point_exhausted`` counter
-    (``ctx.metrics``); without one the run is untraced and ungoverned.
+    (``ctx.metrics``); without one the run is untraced and unlimited.
 
     ``pipeline`` overrides the ``O2`` preset (a name, a comma list of
     pass names, or a :class:`~repro.core.passes.Pipeline`).

@@ -508,7 +508,7 @@ class PassManager:
 
     def _run_module_pass(self, module, ps, stats, pctx, ctx):
         methods_before = len(module.methods)
-        if ps.checkpoint and ctx.limits.enabled:
+        if ps.checkpoint and ctx.limits is not None:
             ctx.limits.check(f"pass:{ps.name}")
         start = time.perf_counter()
         if ps.traced:
@@ -561,7 +561,7 @@ class PassManager:
 
     def _apply_to_method(self, ps, method, module, stats, ctx,
                          round_index) -> bool:
-        if ps.checkpoint and ctx.limits.enabled:
+        if ps.checkpoint and ctx.limits is not None:
             ctx.limits.check(f"pass:{ps.name}")
         start = time.perf_counter()
         tracer = ctx.tracer

@@ -24,12 +24,8 @@ from repro.engine.executor import PlanExecutor  # noqa: F401
 from repro.engine.backends import (  # noqa: F401
     Backend, BackendRegistry, CompilationUnit, default_registry,
 )
-from repro.engine.governor import (  # noqa: F401
-    BudgetedAllocationProfile, QueryGovernor,
-)
 from repro.engine.session import CompiledQuery, EngineSession  # noqa: F401
 
 __all__ = ["Database", "ColumnTable", "PlanExecutor", "QueryContext",
            "Backend", "BackendRegistry", "CompilationUnit",
-           "default_registry", "EngineSession", "CompiledQuery",
-           "QueryGovernor", "BudgetedAllocationProfile"]
+           "default_registry", "EngineSession", "CompiledQuery"]

@@ -85,7 +85,7 @@ class PlanExecutor:
         ``stats.misestimates`` — with or without tracing, so metrics
         see misestimates even on untraced production runs.
 
-        Every finished operator is one governor checkpoint and one
+        Every finished operator is one limits checkpoint and one
         profiler charge site, the baseline's counterpart of the
         interpreter's per-statement pair."""
         tracer = self._qctx.tracer
@@ -123,7 +123,7 @@ class PlanExecutor:
                            count=len(columns))
             profile.update_peak(nbytes)
         limits = qctx.limits
-        if limits.enabled:
+        if limits is not None:
             # After the operator, not before it: plan recursion enters
             # every node on the way down before any work is done, so an
             # entry check would see the clock only once.

@@ -19,8 +19,8 @@ The session is the system's one front door: the paper's comparison
 (one SQL frontend, one plan, two execution engines) is a ``backend=``
 choice on :meth:`EngineSession.run_sql` — ``"pygen"`` / ``"cgen"`` /
 ``"interp"`` for HorsePower, ``"baseline"`` for the MonetDB-like
-engine — so every engine is admitted, governed, logged and counted by
-the same code.
+engine — so every engine honours the same per-query limits and is
+logged and counted by the same code.
 
 A session is a context manager; closing it shuts down the pool it owns
 (idempotently — closing twice, or after ``close_shared_pool`` at
@@ -35,14 +35,14 @@ from dataclasses import dataclass, replace
 
 from repro.core import types as ht
 from repro.core.context import QueryContext
+from repro.core.limits import BudgetedAllocationProfile, QueryLimits
 from repro.core.passes import resolve_pipeline
 from repro.core.execpool import ExecutorPool
 from repro.core.values import TableValue
 from repro.engine.backends import (
     DEFAULT_BACKEND, BackendRegistry, CompilationUnit, default_registry,
 )
-from repro.engine.governor import QueryGovernor
-from repro.errors import GovernorError, HorseRuntimeError
+from repro.errors import HorseRuntimeError, QueryLimitError
 from repro.engine.executor import PlanExecutor
 from repro.engine.storage import Database
 from repro.matlang.frontend import MatlabProgram, matlab_to_module
@@ -65,7 +65,7 @@ __all__ = ["EngineSession", "CompiledQuery"]
 
 #: Runtime failures the graceful-degradation retry may re-run on the
 #: backend's declared fallback (cgen → pygen → interp).  Deliberately
-#: narrow: governor errors (timeout/budget/admission) are policy, not
+#: narrow: a :class:`QueryLimitError` is the query's own limit, not an
 #: engine failure, and frontend/builtin errors reproduce identically on
 #: every backend, so retrying them would only waste the fallback chain.
 _RETRYABLE_ERRORS = (HorseRuntimeError,)
@@ -145,7 +145,6 @@ class EngineSession:
                  default_backend: str = DEFAULT_BACKEND,
                  max_workers: int | None = None,
                  profile: AllocationProfile | None = None,
-                 governor: QueryGovernor | None = None,
                  query_log=None):
         self.db = db if db is not None else Database()
         self.udfs = udfs if udfs is not None else UDFRegistry()
@@ -159,11 +158,6 @@ class EngineSession:
         self.backends = (backends if backends is not None
                          else default_registry())
         self.default_backend = default_backend
-        #: The session's resource policy.  Unconfigured by default —
-        #: every query runs ungoverned unless limits are passed to
-        #: ``run_sql`` or set on the governor.
-        self.governor = (governor if governor is not None
-                         else QueryGovernor(metrics=self.metrics))
         #: The query log (:mod:`repro.obs.telemetry`): ``query_log=``
         #: takes a path or writable stream (the session owns the log it
         #: builds) or a shared :class:`~repro.obs.QueryLog`.  ``None``,
@@ -369,19 +363,17 @@ class EngineSession:
                 pipeline=None, verify_ir: bool = False,
                 dump_ir: str | None = None,
                 **kwargs) -> TableValue:
-        """Prepare (cache permitting) and execute ``sql``, governed.
+        """Prepare (cache permitting) and execute ``sql``.
 
         ``timeout`` (seconds) sets a deadline enforced cooperatively at
         chunk/statement/pass checkpoints (:class:`QueryTimeout` past
         it); ``memory_budget`` (bytes) bounds materialized allocation
         at the profiler charge points (:class:`MemoryBudgetExceeded`
-        beyond it).  Both default to the session governor's defaults;
-        with neither set anywhere, the query runs exactly as before the
-        governor existed.  When the governor has a concurrency limit,
-        the query first holds an admission slot
-        (:class:`AdmissionRejected` when none frees up in time), and a
-        runtime failure degrades down the backend fallback chain when
-        :attr:`QueryGovernor.retry_fallback` allows it.
+        beyond it).  Either one gives this call its own
+        :class:`~repro.core.limits.QueryLimits`; with neither, the
+        context's ``limits`` stand (``None`` unless the caller set
+        them).  A runtime failure degrades down the backend fallback
+        chain (:meth:`_run_with_fallback`).
 
         With a :attr:`query_log`, every call — successful, refused, or
         failed — additionally appends one record built from its root
@@ -397,13 +389,12 @@ class EngineSession:
             if not ctx.tracer.enabled:
                 ctx = replace(ctx, tracer=Tracer())
             query_id = next(self._query_ids)
-        governor = self.governor
-        limits = governor.grant(timeout=timeout,
-                                memory_budget=memory_budget)
-        if limits is not None:
+        if timeout is not None or memory_budget is not None:
+            limits = QueryLimits(timeout=timeout,
+                                 memory_budget=memory_budget)
             profile = ctx.profile
-            if limits.memory_budget is not None:
-                profile = governor.budgeted_profile(limits,
+            if memory_budget is not None:
+                profile = BudgetedAllocationProfile(memory_budget,
                                                     base=profile)
             ctx = replace(ctx, limits=limits, profile=profile)
         profile = ctx.profile
@@ -413,43 +404,38 @@ class EngineSession:
         root_span = None
         failure: BaseException | None = None
         try:
-            with governor.admit():
-                with ctx.tracer.span(
-                        "query", system="horsepower", sql=sql,
-                        opt_level=opt_level, backend=backend_label,
-                        n_threads=n_threads) as span:
-                    root_span = span
-                    if limits is not None:
-                        if limits.timeout is not None:
-                            span.set(timeout=limits.timeout)
-                        if limits.memory_budget is not None:
-                            span.set(
-                                memory_budget=limits.memory_budget)
-                        limits.check("admission")
-                    result = self._run_governed(
-                        sql, opt_level, backend, use_cache, ctx,
-                        n_threads, span, kwargs, pipeline=pipeline,
-                        verify_ir=verify_ir, dump_ir=dump_ir)
-                    if query_log is not None:
-                        span.set(rows_returned=result.num_rows)
-                    if profile.enabled:
-                        bytes_after, inter_after = profile.counters()
-                        alloc = bytes_after - bytes_before
-                        span.set(alloc_bytes=alloc,
-                                 peak_bytes=profile.peak_bytes)
-                        metrics = ctx.metrics
-                        metrics.counter("prof.bytes_allocated").inc(
-                            alloc)
-                        metrics.counter(
-                            "prof.intermediates_materialized").inc(
-                            inter_after - inter_before)
-                        metrics.gauge("prof.peak_bytes").set_max(
-                            profile.peak_bytes)
-                        metrics.histogram(
-                            "prof.query_bytes",
-                            bounds=BYTE_BUCKETS).observe(alloc)
-        except GovernorError as exc:
-            governor.note_failure(exc)
+            with ctx.tracer.span(
+                    "query", system="horsepower", sql=sql,
+                    opt_level=opt_level, backend=backend_label,
+                    n_threads=n_threads) as span:
+                root_span = span
+                if timeout is not None:
+                    span.set(timeout=timeout)
+                if memory_budget is not None:
+                    span.set(memory_budget=memory_budget)
+                result = self._run_with_fallback(
+                    sql, opt_level, backend, use_cache, ctx,
+                    n_threads, span, kwargs, pipeline=pipeline,
+                    verify_ir=verify_ir, dump_ir=dump_ir)
+                if query_log is not None:
+                    span.set(rows_returned=result.num_rows)
+                if profile.enabled:
+                    bytes_after, inter_after = profile.counters()
+                    alloc = bytes_after - bytes_before
+                    span.set(alloc_bytes=alloc,
+                             peak_bytes=profile.peak_bytes)
+                    metrics = ctx.metrics
+                    metrics.counter("prof.bytes_allocated").inc(alloc)
+                    metrics.counter(
+                        "prof.intermediates_materialized").inc(
+                        inter_after - inter_before)
+                    metrics.gauge("prof.peak_bytes").set_max(
+                        profile.peak_bytes)
+                    metrics.histogram(
+                        "prof.query_bytes",
+                        bounds=BYTE_BUCKETS).observe(alloc)
+        except QueryLimitError as exc:
+            self.metrics.counter("query.refused." + exc.refusal).inc()
             failure = exc
             raise
         except BaseException as exc:
@@ -468,12 +454,12 @@ class EngineSession:
         self._metric_query_seconds.observe(time.perf_counter() - start)
         return result
 
-    def _run_governed(self, sql: str, opt_level: str,
-                      backend: str | None, use_cache: bool,
-                      ctx: QueryContext, n_threads: int, span,
-                      kwargs: dict, *, pipeline=None,
-                      verify_ir: bool = False,
-                      dump_ir: str | None = None) -> TableValue:
+    def _run_with_fallback(self, sql: str, opt_level: str,
+                           backend: str | None, use_cache: bool,
+                           ctx: QueryContext, n_threads: int, span,
+                           kwargs: dict, *, pipeline=None,
+                           verify_ir: bool = False,
+                           dump_ir: str | None = None) -> TableValue:
         """Prepare + execute with graceful backend degradation.
 
         A :class:`HorseRuntimeError` out of a backend whose registry
@@ -481,7 +467,7 @@ class EngineSession:
         step down the chain (cgen → pygen → interp), counting
         ``query.retries`` and annotating the query span; errors that
         would reproduce identically everywhere (syntax, planning,
-        builtins, governor policy) propagate immediately.
+        builtins) and the query's own limits propagate immediately.
         """
         engine = self.backends.resolve(backend or self.default_backend,
                                        require=("sql",))
@@ -508,7 +494,7 @@ class EngineSession:
                 return result
             except _RETRYABLE_ERRORS as exc:
                 fallback = self.backends.get(name).fallback
-                if fallback is None or not self.governor.retry_fallback:
+                if fallback is None:
                     raise
                 retries += 1
                 ctx.metrics.counter("query.retries").inc()

@@ -134,25 +134,26 @@ class MatlangRuntimeError(MatlangError):
     """The MATLAB-subset interpreter failed while executing."""
 
 
-class GovernorError(ReproError):
-    """Base class for query-governor enforcement errors.
+class QueryLimitError(ReproError):
+    """Base class for a query stopped by its own limits.
 
-    Raised when the :class:`~repro.engine.governor.QueryGovernor`
-    refuses or cancels a query.  Deliberately *not* under
-    :class:`HorseIRError`: governor errors describe resource policy,
-    not program failure, and the session's graceful-degradation retry
-    must never retry them on a fallback backend.
+    Raised at a checkpoint or charge point when the query's
+    :class:`~repro.core.limits.QueryLimits` say it must stop.
+    Deliberately *not* under :class:`HorseIRError`: a limit describes
+    what the caller allowed, not a program failure, and the session's
+    graceful-degradation retry must never retry it on a fallback
+    backend.
 
     ``refusal`` is the machine-readable refusal class each subclass
     declares — the ``outcome`` field of a query-log record
-    (``"timeout"``, ``"memory_budget"``, ...), stable across message
-    wording changes.
+    (``"timeout"``, ``"memory_budget"``, ``"cancelled"``), stable
+    across message wording changes.
     """
 
     refusal = "refused"
 
 
-class QueryTimeout(GovernorError):
+class QueryTimeout(QueryLimitError):
     """A query ran past its deadline and was cancelled cooperatively
     at the next checkpoint (chunk boundary, interpreter statement, or
     optimizer pass)."""
@@ -160,25 +161,18 @@ class QueryTimeout(GovernorError):
     refusal = "timeout"
 
 
-class QueryCancelled(GovernorError):
+class QueryCancelled(QueryLimitError):
     """A query was cancelled explicitly via
     :meth:`~repro.core.limits.QueryLimits.cancel`."""
 
     refusal = "cancelled"
 
 
-class MemoryBudgetExceeded(GovernorError):
+class MemoryBudgetExceeded(QueryLimitError):
     """A query materialized more bytes than its memory budget allows
     (enforced at the allocation-profiler charge points)."""
 
     refusal = "memory_budget"
-
-
-class AdmissionRejected(GovernorError):
-    """The governor's concurrent-query limit is saturated and the
-    admission queue wait (if any) expired before a slot freed up."""
-
-    refusal = "admission_rejected"
 
 
 class EngineError(ReproError):

@@ -11,7 +11,7 @@ happened.
 Wired by ``EngineSession(query_log=...)`` or ``run-sql --query-log``;
 off by default, when ``run_sql`` pays one ``is None`` check per query
 (``benchmarks/bench_obs_overhead.py`` bounds it at <2% on warm TPC-H
-Q6, the same bar as the tracer/profiler/governor).
+Q6, the same bar as the tracer and the profiler).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import os
 import threading
 import time
 
-from repro.errors import GovernorError
+from repro.errors import QueryLimitError
 from repro.obs.tracer import Span
 
 __all__ = ["QueryLog", "QUERY_LOG_FIELDS", "query_record",
@@ -77,7 +77,7 @@ def query_record(root: Span | None, *, query_id: int, sql: str,
     """One query-log record from the query's root span (``None`` when
     the query was refused before its span opened).
 
-    ``outcome`` is ``"ok"``, the :class:`~repro.errors.GovernorError`'s
+    ``outcome`` is ``"ok"``, the :class:`~repro.errors.QueryLimitError`'s
     ``refusal`` class, or ``"error"``.  Never raises: a record that
     cannot be completed from the span keeps the fields filled so far,
     because logging must not mask (or fail) the query itself."""
@@ -107,7 +107,7 @@ def query_record(root: Span | None, *, query_id: int, sql: str,
     try:
         if error is not None:
             record["outcome"] = getattr(error, "refusal", "error") \
-                if isinstance(error, GovernorError) else "error"
+                if isinstance(error, QueryLimitError) else "error"
             record["error"] = f"{type(error).__name__}: {error}"
         if root is not None:
             attrs = root.attrs

@@ -1,7 +1,6 @@
-"""QueryGovernor: deadlines, memory budgets, admission control, and
-graceful backend degradation (PR 6)."""
+"""Per-query limits — deadlines, memory budgets and cancellation that
+ride on the query's own context — and graceful backend degradation."""
 
-import threading
 import time
 
 import numpy as np
@@ -11,14 +10,12 @@ from repro.core import types as ht
 from repro.core.codegen.executor import run_kernel
 from repro.core.codegen.pygen import CompiledKernel
 from repro.core.execpool import ExecutorPool
-from repro.core.limits import NULL_LIMITS, QueryLimits
+from repro.core.limits import BudgetedAllocationProfile, QueryLimits
 from repro.core.values import Vector
 from repro.data.blackscholes import load_blackscholes_table
-from repro.engine import EngineSession, QueryGovernor, default_registry
-from repro.engine.governor import BudgetedAllocationProfile
+from repro.engine import EngineSession, default_registry
 from repro.engine.storage import Database
-from repro.errors import (AdmissionRejected, GovernorError,
-                          HorseRuntimeError, MemoryBudgetExceeded,
+from repro.errors import (HorseRuntimeError, MemoryBudgetExceeded,
                           QueryCancelled, QueryTimeout)
 from repro.obs import AllocationProfile, MetricsRegistry
 from repro.workloads.bs_queries import SCALAR_QUERIES, register_bs_udfs
@@ -66,45 +63,14 @@ class TestQueryLimits:
         with pytest.raises(QueryCancelled, match="test asked"):
             limits.check("statement")
 
-    def test_null_limits_is_disabled_and_inert(self):
-        assert NULL_LIMITS.enabled is False
-        NULL_LIMITS.check("anywhere")  # no-op, raises nothing
-        assert NULL_LIMITS.checks == 0
-        assert NULL_LIMITS.remaining_seconds() is None
-
-
-class TestGovernorGrant:
-    def test_unconfigured_governor_grants_nothing(self):
-        governor = QueryGovernor(metrics=MetricsRegistry())
-        assert governor.grant() is None
-
-    def test_defaults_apply_when_call_passes_none(self):
-        governor = QueryGovernor(metrics=MetricsRegistry(),
-                                 default_timeout=5.0,
-                                 default_memory_budget=1 << 20)
-        limits = governor.grant()
-        assert limits.timeout == 5.0
-        assert limits.memory_budget == 1 << 20
-        # explicit per-query values win over defaults
-        limits = governor.grant(timeout=1.0, memory_budget=64)
-        assert limits.timeout == 1.0
-        assert limits.memory_budget == 64
-
-    def test_configure_rejects_bad_values(self):
-        governor = QueryGovernor(metrics=MetricsRegistry())
-        with pytest.raises(ValueError):
-            governor.configure(max_concurrent=0)
-        with pytest.raises(ValueError):
-            governor.configure(admission_timeout=-1.0)
-
 
 class TestDeadline:
     def test_deadline_cancels_within_one_chunk_boundary(self):
         """The acceptance scenario: a 50 ms deadline on a multi-chunk
         kernel stops at the next chunk checkpoint — overshoot bounded
-        by one chunk's work, nowhere near the ungoverned runtime."""
+        by one chunk's work, nowhere near the unlimited runtime."""
         chunk_sleep = 0.02
-        n_chunks = 40  # ungoverned runtime ~0.8 s
+        n_chunks = 40  # unlimited runtime ~0.8 s
         chunk = 64
         executed = []
 
@@ -129,7 +95,7 @@ class TestDeadline:
                 run_kernel(kernel, [data], chunk_size=chunk, ctx=ctx)
             elapsed = time.perf_counter() - start
 
-        # Cancelled long before the ~0.8 s ungoverned runtime, with
+        # Cancelled long before the ~0.8 s unlimited runtime, with
         # overshoot past the deadline bounded by roughly one chunk
         # (generous CI slack, still an order of magnitude under 0.8 s).
         assert elapsed < 0.05 + chunk_sleep + 0.15
@@ -142,7 +108,7 @@ class TestDeadline:
                 session.run_sql(SQL, timeout=1e-6, backend="interp",
                                 opt_level="naive", use_cache=False)
             assert session.metrics.counter(
-                "governor.timed_out").value == 1
+                "query.refused.timeout").value == 1
 
     def test_optimizer_pass_checkpoint(self):
         """A deadline expiring during compilation cancels at an
@@ -160,7 +126,7 @@ class TestDeadline:
             with pytest.raises(MemoryBudgetExceeded):
                 session.run_sql(SQL, memory_budget=64, use_cache=False)
             assert session.metrics.counter(
-                "governor.cancelled").value == 1
+                "query.refused.memory_budget").value == 1
 
 
 class TestMemoryBudget:
@@ -213,78 +179,6 @@ class TestMemoryBudget:
         assert base.bytes_allocated == 1024 + (1 << 21)
 
 
-class TestAdmission:
-    def test_rejects_query_past_the_limit(self):
-        with EngineSession(make_db()) as session:
-            session.governor.configure(max_concurrent=1)
-            with session.governor.admit():
-                with pytest.raises(AdmissionRejected):
-                    session.run_sql(SQL)
-            # slot released: same query admitted now
-            session.run_sql(SQL)
-            metrics = session.metrics
-            assert metrics.counter("governor.rejected").value == 1
-            assert metrics.counter("governor.admitted").value >= 1
-            snapshot = metrics.snapshot()
-            assert "governor.queue_wait_seconds" in snapshot
-
-    def test_concurrent_queries_beyond_limit_reject(self):
-        """N+1 genuinely concurrent queries: N admitted, one
-        rejected."""
-        with EngineSession(make_db(rows=50_000)) as session:
-            session.governor.configure(max_concurrent=2)
-            barrier = threading.Barrier(3)
-            outcomes = []
-
-            def worker():
-                try:
-                    with session.governor.admit():
-                        barrier.wait(timeout=5)
-                        time.sleep(0.05)
-                    outcomes.append("ok")
-                except AdmissionRejected:
-                    barrier.wait(timeout=5)
-                    outcomes.append("rejected")
-
-            threads = [threading.Thread(target=worker)
-                       for _ in range(3)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=10)
-            assert sorted(outcomes) == ["ok", "ok", "rejected"]
-
-    def test_admission_queue_wait_admits_when_slot_frees(self):
-        governor = QueryGovernor(metrics=MetricsRegistry(),
-                                 max_concurrent=1,
-                                 admission_timeout=5.0)
-        release = threading.Event()
-
-        def holder():
-            with governor.admit():
-                release.set()
-                time.sleep(0.05)
-
-        thread = threading.Thread(target=holder)
-        thread.start()
-        release.wait(timeout=5)
-        with governor.admit() as admitted:  # queues ~50 ms, then enters
-            assert admitted
-        thread.join(timeout=5)
-        waits = governor.metrics.histogram(
-            "governor.queue_wait_seconds")
-        assert waits.count == 2  # holder (zero wait) + queued entry
-
-    def test_governor_errors_are_never_retried(self):
-        """Admission rejection must not walk the fallback chain."""
-        with EngineSession(make_db()) as session:
-            session.governor.configure(max_concurrent=1)
-            with session.governor.admit():
-                with pytest.raises(GovernorError):
-                    session.run_sql(SQL, backend="cgen")
-            assert session.metrics.counter("query.retries").value == 0
-
-
 class _FailingOnce:
     """Mutable flag shared with the flaky backend below."""
 
@@ -325,15 +219,21 @@ class TestGracefulDegradation:
                 expected.column("s").data[0]
             assert session.metrics.counter("query.retries").value == 1
 
-    def test_retry_disabled_propagates(self):
+    def test_limit_errors_are_never_retried(self):
+        """A query its own limits stopped must not walk the fallback
+        chain: the flaky backend's fallback would hit the same limit."""
         fail_state = _FailingOnce()
         with EngineSession(make_db(),
                            backends=_flaky_registry(fail_state)) \
                 as session:
-            session.governor.configure(retry_fallback=False)
-            with pytest.raises(HorseRuntimeError, match="blew up"):
-                session.run_sql(SQL, backend="flaky")
+            ctx = session.context()
+            ctx.limits = QueryLimits()
+            ctx.limits.cancel("test asked")
+            with pytest.raises(QueryCancelled, match="test asked"):
+                session.run_sql(SQL, backend="flaky", ctx=ctx)
             assert session.metrics.counter("query.retries").value == 0
+            assert session.metrics.counter(
+                "query.refused.cancelled").value == 1
 
     def test_no_fallback_propagates(self):
         """A backend with no declared fallback surfaces its runtime
@@ -363,7 +263,7 @@ class TestBaselineGoverned:
                 session.run_sql(SQL, backend="baseline", timeout=0.0005)
             assert session.run_sql(SQL, backend="baseline").num_rows == 1
             counts = session.metrics.snapshot()
-            assert counts["governor.timed_out"] == 1
+            assert counts["query.refused.timeout"] == 1
             assert counts["query.count"] == 1
 
     def test_memory_budget_raises_at_the_operator(self):
@@ -382,14 +282,17 @@ class TestBaselineGoverned:
 
 class TestUngovernedPathUnchanged:
     def test_no_limits_means_null_limits_and_no_governor_metrics(self):
+        """A query that sets no limits carries ``limits=None``, and a
+        session none of whose queries was refused has no refusal
+        counters."""
         with EngineSession(make_db()) as session:
+            assert session.context().limits is None
             result = session.run_sql(SQL)
             assert result.num_rows == 1
             snapshot = session.metrics.snapshot()
-            assert not any(key.startswith("governor.")
+            assert not any(key.startswith("query.refused.")
                            for key in snapshot)
             assert "query.retries" not in snapshot
-            assert session.context().limits is NULL_LIMITS
 
     def test_governed_and_ungoverned_results_identical(self):
         db = make_db(rows=10_000, seed=3)

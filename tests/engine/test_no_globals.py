@@ -18,7 +18,6 @@ import pkgutil
 import re
 import types
 
-from repro.core.limits import NullQueryLimits
 from repro.obs.prof import NullAllocationProfile
 from repro.obs.tracer import NullTracer
 
@@ -30,7 +29,7 @@ AUDITED_ROOTS = ["repro.horsepower", "repro.obs", "repro.stats",
                  "repro.core.analysis"]
 AUDITED_MODULES = ["repro.core.execpool", "repro.core.context",
                    "repro.core.limits", "repro.engine.session",
-                   "repro.engine.backends", "repro.engine.governor"]
+                   "repro.engine.backends"]
 
 #: Deliberate module-level state, documented at each definition site.
 #: New entries need the same justification: never state a query
@@ -45,17 +44,16 @@ ALLOWLIST = {
     ("repro.core.execpool", "_shared_lock"),
 }
 
-#: Types that cannot hold cross-query mutable state.  ``NullTracer``,
-#: ``NullAllocationProfile``, and ``NullQueryLimits`` are stateless
-#: no-op singletons (``__slots__ = ()``, class-level constants only);
+#: Types that cannot hold cross-query mutable state.  ``NullTracer``
+#: and ``NullAllocationProfile`` are stateless no-op singletons
+#: (``__slots__ = ()``, class-level constants only);
 #: ``__future__._Feature`` is the ``from __future__ import
 #: annotations`` artifact.
 IMMUTABLE_TYPES = (str, bytes, int, float, bool, complex, tuple,
                    frozenset, type(None), types.ModuleType,
                    types.FunctionType, types.BuiltinFunctionType,
                    type, re.Pattern, logging.Logger, NullTracer,
-                   NullAllocationProfile, NullQueryLimits,
-                   __future__._Feature)
+                   NullAllocationProfile, __future__._Feature)
 
 
 def audited_modules():
@@ -143,17 +141,16 @@ def test_allowlist_matches_reality():
 
 
 def test_default_context_is_null_and_private():
-    """``QueryContext()`` carries the stateless null objects and a
-    registry no other object holds."""
+    """``QueryContext()`` carries the stateless null objects, no
+    limits and a registry no other object holds."""
     from repro.core.context import QueryContext
-    from repro.core.limits import NULL_LIMITS
     from repro.obs import NULL_PROFILE, NULL_TRACER
 
     one, two = QueryContext(), QueryContext()
     for ctx in (one, two):
         assert ctx.tracer is NULL_TRACER
         assert ctx.profile is NULL_PROFILE
-        assert ctx.limits is NULL_LIMITS
+        assert ctx.limits is None
         assert ctx.pool is None and ctx.session is None
     assert one.metrics is not two.metrics
     one.metrics.counter("x").inc()

@@ -37,7 +37,7 @@ class _FailState:
 
 def _flaky_registry(fail_state):
     """A backend that fails at runtime and declares pygen as fallback
-    (same shape as the governor test's degradation scenario)."""
+    (same shape as test_governor's degradation scenario)."""
     registry = default_registry()
     pygen = registry.get("pygen")
 

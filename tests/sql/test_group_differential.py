@@ -12,7 +12,7 @@ average sees the oracle's order.  Cases: ``AVG`` beside ``SUM`` and
 column, a string key plus an integer key, one group, an empty table,
 ``HAVING`` on an ``AVG`` and ``ORDER BY`` an ``AVG``.
 
-No query may reach its answer by the governor's fallback chain
+No query may reach its answer by the session's fallback chain
 (``query.retries`` stays 0).
 """
 

@@ -14,7 +14,7 @@ whose body the optimizer inlines above the join).  Checks:
   on the HorseIR engines — rows, order and values;
 * UDF form against plain form on every engine and level.
 
-No query may reach its answer by the governor's fallback chain
+No query may reach its answer by the session's fallback chain
 (``query.retries`` stays 0), so a kernel that fails on one engine cannot
 hide behind the next.
 """

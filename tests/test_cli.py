@@ -127,6 +127,16 @@ def test_run_sql_has_no_serve_metrics_flag(csv_table, capsys):
             in capsys.readouterr().err)
 
 
+def test_run_sql_has_no_max_concurrent_flag(csv_table, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run-sql", "--max-concurrent", "2",
+              "--table", f"t={csv_table}@x:f64,label:str",
+              "SELECT SUM(x) AS s FROM t"])
+    assert exc.value.code == 2
+    assert ("unrecognized arguments: --max-concurrent"
+            in capsys.readouterr().err)
+
+
 def test_run_sql_baseline_honours_timeout(capsys):
     code = main(["run-sql", "--tpch", "0.1", "--backend", "baseline",
                  "--timeout", "0.001",

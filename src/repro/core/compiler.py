@@ -366,8 +366,13 @@ def compilation(module: ir.Module, opt_level: str, backend: str,
                 pipeline=None, verify_ir: bool = False,
                 dump_ir: str | None = None):
     """The part of compiling that every HorseIR backend shares: the
-    ``compile`` span, verify → optimize → verify, the COMP timing split
-    and the ``compile.*`` counters.
+    ``compile`` span, verify → optimize, the COMP timing split and the
+    ``compile.*`` counters.
+
+    The input is verified once, at the default depth, so a malformed
+    module fails with a located diagnostic before any pass runs; the
+    optimizer's own output is checked under ``verify_ir`` (every state,
+    at full depth), not twice per compile.
 
     Yields ``(module, report, compile_span)`` with the optimized module
     and a :class:`CompileReport` the caller's code generation (the
@@ -393,8 +398,6 @@ def compilation(module: ir.Module, opt_level: str, backend: str,
                                          pipeline=pipeline,
                                          verify_ir=verify_ir,
                                          dump_ir=dump_ir)
-                if not verify_ir:
-                    verify_module(module)
             optimize_seconds = time.perf_counter() - opt_start
 
         report = CompileReport(opt_level, 0.0, stats, backend=backend)

@@ -202,6 +202,10 @@ class Method:
     params: list[Param]
     ret_type: ht.HorseType
     body: list[Stmt]
+    #: Declaration facts (see :mod:`repro.core.optimizer.analysis`) the
+    #: pass manager lets passes share while no statement is added,
+    #: removed or retargeted; ``None`` outside a managed pass group.
+    facts: dict | None = field(default=None, compare=False, repr=False)
 
     def param_names(self) -> list[str]:
         return [p.name for p in self.params]
@@ -261,32 +265,98 @@ def expr_vars(expr: Expr) -> list[str]:
 def _collect_vars(expr: Expr, out: list[str]) -> None:
     if isinstance(expr, Var):
         out.append(expr.name)
-        return
-    for child in expr.children():
-        _collect_vars(child, out)
+    elif isinstance(expr, (BuiltinCall, MethodCall)):
+        for arg in expr.args:
+            _collect_vars(arg, out)
+    elif isinstance(expr, Cast):
+        _collect_vars(expr.expr, out)
 
 
 def map_expr(expr: Expr, fn) -> Expr:
     """Rebuild ``expr`` bottom-up, applying ``fn`` to every node.
 
     ``fn`` receives a node whose children have already been rewritten and
-    returns the (possibly new) node.
+    returns the (possibly new) node.  A node none of whose children
+    changed is passed on as is, so ``map_expr(e, fn) is e`` exactly when
+    ``fn`` rewrote nothing: callers detect a change by identity.
+    Expressions are therefore shared, never mutated in place.
     """
     if isinstance(expr, (BuiltinCall, MethodCall)):
-        new_args = [map_expr(a, fn) for a in expr.args]
-        expr = type(expr)(expr.name, new_args)
+        expr = _rebuilt(expr, [map_expr(a, fn) for a in expr.args])
     elif isinstance(expr, Cast):
-        expr = Cast(map_expr(expr.expr, fn), expr.type)
+        inner = map_expr(expr.expr, fn)
+        if inner is not expr.expr:
+            expr = Cast(inner, expr.type)
     return fn(expr)
 
 
+def _rebuilt(call: Expr, args: list[Expr]) -> Expr:
+    """``call`` over ``args``: ``call`` itself when no argument changed."""
+    for new, old in zip(args, call.args):
+        if new is not old:
+            return type(call)(call.name, args)
+    return call
+
+
+def rewrite_exprs(body: list[Stmt], fn) -> bool:
+    """Replace every statement's expression (an ``if``/``while``'s
+    condition) in ``body``, nested bodies included, by ``fn`` of it;
+    True when ``fn`` returned a new node anywhere."""
+    changed = False
+    for stmt in body:
+        if isinstance(stmt, (Assign, Return)):
+            new = fn(stmt.expr)
+            if new is not stmt.expr:
+                stmt.expr = new
+                changed = True
+            continue
+        new = fn(stmt.cond)
+        if new is not stmt.cond:
+            stmt.cond = new
+            changed = True
+        if isinstance(stmt, If):
+            changed |= rewrite_exprs(stmt.then_body, fn)
+            changed |= rewrite_exprs(stmt.else_body, fn)
+        else:
+            changed |= rewrite_exprs(stmt.body, fn)
+    return changed
+
+
+def copy_body(body: list[Stmt], fn=None) -> list[Stmt]:
+    """A statement-level copy of ``body``, nested bodies included, with
+    ``fn`` applied to every expression (when given).  Expressions are
+    shared: rewrites replace them, never mutate them."""
+    out: list[Stmt] = []
+    for stmt in body:
+        if isinstance(stmt, Assign):
+            out.append(Assign(stmt.target, stmt.type,
+                              fn(stmt.expr) if fn else stmt.expr))
+        elif isinstance(stmt, Return):
+            out.append(Return(fn(stmt.expr) if fn else stmt.expr))
+        elif isinstance(stmt, If):
+            out.append(If(fn(stmt.cond) if fn else stmt.cond,
+                          copy_body(stmt.then_body, fn),
+                          copy_body(stmt.else_body, fn)))
+        else:
+            out.append(While(fn(stmt.cond) if fn else stmt.cond,
+                             copy_body(stmt.body, fn)))
+    return out
+
+
 def rename_expr(expr: Expr, mapping: dict[str, str]) -> Expr:
-    """Rewrite variable references through ``mapping`` (missing = keep)."""
-    def rename(node: Expr) -> Expr:
-        if isinstance(node, Var) and node.name in mapping:
-            return Var(mapping[node.name])
-        return node
-    return map_expr(expr, rename)
+    """Rewrite variable references through ``mapping`` (missing = keep);
+    as :func:`map_expr`, ``expr`` itself when nothing was renamed."""
+    if isinstance(expr, Var):
+        name = mapping.get(expr.name)
+        if name is None or name == expr.name:
+            return expr
+        return Var(name)
+    if isinstance(expr, (BuiltinCall, MethodCall)):
+        return _rebuilt(expr, [rename_expr(a, mapping) for a in expr.args])
+    if isinstance(expr, Cast):
+        inner = rename_expr(expr.expr, mapping)
+        return expr if inner is expr.expr else Cast(inner, expr.type)
+    return expr
 
 
 def substitute_expr(expr: Expr, mapping: dict[str, Expr]) -> Expr:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from repro.core import builtins as hb
 from repro.core import ir
 from repro.core import types as ht
-from repro.core.analysis.typeshape import consistent_types
 from repro.core.optimizer import analysis
 from repro.core.values import Vector, scalar
 from repro.errors import BuiltinError
@@ -35,7 +34,8 @@ def propagate_constants(method: ir.Method) -> bool:
         if isinstance(stmt, ir.Assign) and stmt.target in single \
                 and isinstance(stmt.expr, (ir.Literal, ir.SymbolLit)):
             constants[stmt.target] = stmt.expr
-    changed = _rewrite_body(method.body, constants)
+    changed = ir.rewrite_exprs(method.body,
+                               lambda expr: _rewrite_expr(expr, constants))
     changed |= _fold_scaled_mask_tests(method, single)
     return changed
 
@@ -46,7 +46,7 @@ def _fold_scaled_mask_tests(method: ir.Method, single: set[str]) -> bool:
              if isinstance(stmt, ir.Assign) and _is_zero_test(stmt.expr)]
     if not tests:
         return False
-    types = consistent_types(method)
+    types = analysis.declared_types(method)
     masks: dict[str, str] = {}
     for stmt in method.walk_stmts():
         if isinstance(stmt, ir.Assign) and stmt.target in single:
@@ -95,60 +95,26 @@ def _numeric_literal(expr: ir.Expr) -> float | None:
     return None
 
 
-def _rewrite_body(body: list[ir.Stmt], constants: dict[str, ir.Expr]) -> bool:
-    changed = False
-    for stmt in body:
-        if isinstance(stmt, ir.Assign):
-            new = _rewrite_expr(stmt.expr, constants)
-            if new is not stmt.expr:
-                stmt.expr = new
-                changed = True
-        elif isinstance(stmt, ir.Return):
-            new = _rewrite_expr(stmt.expr, constants)
-            if new is not stmt.expr:
-                stmt.expr = new
-                changed = True
-        elif isinstance(stmt, ir.If):
-            new = _rewrite_expr(stmt.cond, constants)
-            if new is not stmt.cond:
-                stmt.cond = new
-                changed = True
-            changed |= _rewrite_body(stmt.then_body, constants)
-            changed |= _rewrite_body(stmt.else_body, constants)
-        elif isinstance(stmt, ir.While):
-            new = _rewrite_expr(stmt.cond, constants)
-            if new is not stmt.cond:
-                stmt.cond = new
-                changed = True
-            changed |= _rewrite_body(stmt.body, constants)
-    return changed
-
-
 def _rewrite_expr(expr: ir.Expr, constants: dict[str, ir.Expr]) -> ir.Expr:
     def visit(node: ir.Expr) -> ir.Expr:
-        if isinstance(node, ir.Var) and node.name in constants:
-            return constants[node.name]
+        if isinstance(node, ir.Var):
+            return constants.get(node.name, node)
         if isinstance(node, ir.BuiltinCall):
             folded = _try_fold(node)
             if folded is not None:
                 return folded
         return node
 
-    rewritten = ir.map_expr(expr, visit)
-    if str(rewritten) == str(expr):
-        return expr
-    return rewritten
+    return ir.map_expr(expr, visit)
 
 
 def _try_fold(call: ir.BuiltinCall) -> ir.Literal | None:
+    if not all(isinstance(arg, ir.Literal) for arg in call.args):
+        return None
     builtin = hb.BUILTINS.get(call.name)
     if builtin is None or builtin.kind not in _FOLDABLE_KINDS:
         return None
-    values = []
-    for arg in call.args:
-        if not isinstance(arg, ir.Literal):
-            return None
-        values.append(scalar(arg.value, arg.type))
+    values = [scalar(arg.value, arg.type) for arg in call.args]
     try:
         result = builtin.run(values, hb.EvalContext())
     except BuiltinError:

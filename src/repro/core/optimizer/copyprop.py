@@ -25,7 +25,8 @@ def propagate_copies(method: ir.Method) -> bool:
         return False
     # Resolve chains a -> b -> c so one pass suffices.
     resolved = {name: _resolve(name, aliases) for name in aliases}
-    return _rewrite_body(method.body, resolved)
+    return ir.rewrite_exprs(method.body,
+                            lambda expr: ir.rename_expr(expr, resolved))
 
 
 def _resolve(name: str, aliases: dict[str, str]) -> str:
@@ -36,27 +37,3 @@ def _resolve(name: str, aliases: dict[str, str]) -> str:
             break
         seen.add(name)
     return name
-
-
-def _rewrite_body(body: list[ir.Stmt], aliases: dict[str, str]) -> bool:
-    changed = False
-    for stmt in body:
-        if isinstance(stmt, (ir.Assign, ir.Return)):
-            new = ir.rename_expr(stmt.expr, aliases)
-            if str(new) != str(stmt.expr):
-                stmt.expr = new
-                changed = True
-        elif isinstance(stmt, ir.If):
-            new = ir.rename_expr(stmt.cond, aliases)
-            if str(new) != str(stmt.cond):
-                stmt.cond = new
-                changed = True
-            changed |= _rewrite_body(stmt.then_body, aliases)
-            changed |= _rewrite_body(stmt.else_body, aliases)
-        elif isinstance(stmt, ir.While):
-            new = ir.rename_expr(stmt.cond, aliases)
-            if str(new) != str(stmt.cond):
-                stmt.cond = new
-                changed = True
-            changed |= _rewrite_body(stmt.body, aliases)
-    return changed

@@ -1,9 +1,10 @@
 """Common-subexpression elimination.
 
-Within each straight-line block, pure builtin calls with identical printed
-form are computed once; later occurrences become aliases of the first
-result.  Only expressions over single-assignment variables participate, so
-availability cannot be invalidated by a redefinition.
+Within each straight-line block, pure builtin calls with identical
+structure (the same printed form) are computed once; later occurrences
+become aliases of the first result.  Only expressions over
+single-assignment variables participate, so availability cannot be
+invalidated by a redefinition.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ def eliminate_common_subexpressions(method: ir.Method) -> bool:
 
 def _rewrite_body(body: list[ir.Stmt], single: set[str]) -> bool:
     changed = False
-    available: dict[str, str] = {}
+    available: dict[tuple, str] = {}
     for stmt in body:
         if isinstance(stmt, ir.If):
             changed |= _rewrite_body(stmt.then_body, single)
@@ -32,13 +33,13 @@ def _rewrite_body(body: list[ir.Stmt], single: set[str]) -> bool:
         if isinstance(stmt, ir.While):
             changed |= _rewrite_body(stmt.body, single)
             continue
-        if not isinstance(stmt, ir.Assign):
+        if not isinstance(stmt, ir.Assign) or stmt.target not in single \
+                or not isinstance(stmt.expr, (ir.BuiltinCall, ir.Cast)):
             continue
-        if stmt.target not in single:
+        key = _key(stmt.expr, single)
+        if key is None:
             continue
-        if not _is_cse_candidate(stmt.expr, single):
-            continue
-        key = f"{stmt.expr}::{stmt.type}"
+        key = (key, stmt.type)
         existing = available.get(key)
         if existing is not None:
             stmt.expr = ir.Var(existing)
@@ -48,27 +49,25 @@ def _rewrite_body(body: list[ir.Stmt], single: set[str]) -> bool:
     return changed
 
 
-def _is_cse_candidate(expr: ir.Expr, single: set[str]) -> bool:
-    if isinstance(expr, ir.BuiltinCall):
-        builtin = hb.BUILTINS.get(expr.name)
-        if builtin is None or not builtin.is_pure:
-            return False
-        return all(_operand_stable(arg, single) for arg in expr.args)
-    if isinstance(expr, ir.Cast):
-        return _operand_stable(expr.expr, single)
-    return False
-
-
-def _operand_stable(expr: ir.Expr, single: set[str]) -> bool:
+def _key(expr: ir.Expr, single: set[str]):
+    """A hashable key, equal exactly when the printed forms are; None
+    unless ``expr`` is pure over single-assignment variables."""
     if isinstance(expr, ir.Var):
-        return expr.name in single
+        return expr.name if expr.name in single else None
     if isinstance(expr, (ir.Literal, ir.SymbolLit)):
-        return True
+        return (str(expr),)
     if isinstance(expr, ir.Cast):
-        return _operand_stable(expr.expr, single)
+        inner = _key(expr.expr, single)
+        return None if inner is None else ("check_cast", inner, expr.type)
     if isinstance(expr, ir.BuiltinCall):
         builtin = hb.BUILTINS.get(expr.name)
         if builtin is None or not builtin.is_pure:
-            return False
-        return all(_operand_stable(arg, single) for arg in expr.args)
-    return False
+            return None
+        key = [expr.name]
+        for arg in expr.args:
+            part = _key(arg, single)
+            if part is None:
+                return None
+            key.append(part)
+        return tuple(key)
+    return None

@@ -14,52 +14,60 @@ from repro.core import ir
 
 __all__ = ["eliminate_dead_code", "backward_slice"]
 
-_MAX_ROUNDS = 64
-
 
 def eliminate_dead_code(method: ir.Method) -> bool:
-    """Rewrite ``method`` in place; returns True when anything changed."""
-    changed = False
-    for _ in range(_MAX_ROUNDS):
-        live = backward_slice(method)
-        removed = _sweep(method.body, live)
-        if not removed:
-            break
-        changed = True
-    return changed
+    """Rewrite ``method`` in place; returns True when anything changed.
+
+    One sweep over the slice removes everything dead: the slice marks
+    only what statements with a live result read, and the sweep keeps
+    every such statement, so slicing the swept body finds nothing more.
+    """
+    return _sweep(method.body, backward_slice(method))
 
 
 def backward_slice(method: ir.Method) -> set[str]:
     """The set of variable names that can influence the method's result.
 
     A fixpoint over the whole body: loops make liveness circular (a loop
-    body both uses and defines its carried variables), so iterate until
-    stable.
+    body both uses and defines its carried variables), so walk until a
+    walk marks no name live after passing a definition of it — one walk
+    for straight-line code that defines each name before its uses.
     """
     live: set[str] = set()
-    while True:
-        before = len(live)
-        _mark_live(method.body, live)
-        if len(live) == before:
-            return live
+    while _mark_live(method.body, live, set()):
+        pass
+    return live
 
 
-def _mark_live(body: list[ir.Stmt], live: set[str]) -> None:
-    # Walk backwards so a single sweep handles straight-line chains.
+def _mark_live(body: list[ir.Stmt], live: set[str],
+               passed: set[str]) -> bool:
+    """One backward walk; True when it marked live a name whose
+    definition it had already passed (``passed``) and judged dead."""
+    stale = False
+
+    def mark(names) -> None:
+        nonlocal stale
+        for name in names:
+            if name not in live:
+                live.add(name)
+                stale = stale or name in passed
+
     for stmt in reversed(body):
         if isinstance(stmt, ir.Return):
-            live.update(ir.expr_vars(stmt.expr))
+            mark(ir.expr_vars(stmt.expr))
         elif isinstance(stmt, ir.Assign):
             if stmt.target in live or _has_effects(stmt.expr):
-                live.update(ir.expr_vars(stmt.expr))
-                live.add(stmt.target)
+                mark(ir.expr_vars(stmt.expr))
+                mark((stmt.target,))
+            passed.add(stmt.target)
         elif isinstance(stmt, ir.If):
-            live.update(ir.expr_vars(stmt.cond))
-            _mark_live(stmt.then_body, live)
-            _mark_live(stmt.else_body, live)
+            mark(ir.expr_vars(stmt.cond))
+            stale |= _mark_live(stmt.then_body, live, passed)
+            stale |= _mark_live(stmt.else_body, live, passed)
         elif isinstance(stmt, ir.While):
-            live.update(ir.expr_vars(stmt.cond))
-            _mark_live(stmt.body, live)
+            mark(ir.expr_vars(stmt.cond))
+            stale |= _mark_live(stmt.body, live, passed)
+    return stale
 
 
 def _has_effects(expr: ir.Expr) -> bool:

@@ -51,11 +51,17 @@ def inline_pass(module: ir.Module, entry: str | None = None) \
     whether a call site was expanded or a method dropped."""
     entry_name = entry if entry is not None else module.entry.name
     methods = {name: _copy_method(m) for name, m in module.methods.items()}
+    # Only a method with a call site can change.  Each caller keeps one
+    # name generator across rounds: inlining only adds names to it.
+    callers = {m.name: analysis.fresh_namer(m) for m in methods.values()
+               if any(isinstance(stmt, ir.Assign)
+                      and isinstance(stmt.expr, ir.MethodCall)
+                      for stmt in m.walk_stmts())}
 
     for rounds in range(_MAX_ROUNDS):
         changed = False
-        for method in methods.values():
-            if _inline_in_method(method, methods):
+        for name, fresh in callers.items():
+            if _inline_in_body(methods[name].body, name, methods, fresh):
                 changed = True
         if not changed:
             break
@@ -78,32 +84,7 @@ def inline_pass(module: ir.Module, entry: str | None = None) \
 
 def _copy_method(method: ir.Method) -> ir.Method:
     return ir.Method(method.name, list(method.params), method.ret_type,
-                     _copy_body(method.body))
-
-
-def _copy_body(body: list[ir.Stmt]) -> list[ir.Stmt]:
-    out: list[ir.Stmt] = []
-    for stmt in body:
-        if isinstance(stmt, ir.Assign):
-            out.append(ir.Assign(stmt.target, stmt.type, stmt.expr))
-        elif isinstance(stmt, ir.Return):
-            out.append(ir.Return(stmt.expr))
-        elif isinstance(stmt, ir.If):
-            out.append(ir.If(stmt.cond, _copy_body(stmt.then_body),
-                             _copy_body(stmt.else_body)))
-        elif isinstance(stmt, ir.While):
-            out.append(ir.While(stmt.cond, _copy_body(stmt.body)))
-        else:
-            raise OptimizerError(f"unknown statement {type(stmt).__name__}")
-    return out
-
-
-def _inline_in_method(method: ir.Method,
-                      methods: dict[str, ir.Method]) -> bool:
-    taken = analysis.method_names(method)
-    fresh = analysis.fresh_namer(taken)
-    changed = _inline_in_body(method.body, method.name, methods, fresh)
-    return changed
+                     ir.copy_body(method.body))
 
 
 def _inline_in_body(body: list[ir.Stmt], caller: str,
@@ -184,27 +165,20 @@ def _reachable_methods(methods: dict[str, ir.Method],
         current = methods.get(frontier.pop())
         if current is None:
             continue
+        called: set[str] = set()
         for stmt in current.walk_stmts():
-            exprs: list[ir.Expr] = []
-            if isinstance(stmt, (ir.Assign, ir.Return)):
-                exprs.append(stmt.expr)
-            elif isinstance(stmt, (ir.If, ir.While)):
-                exprs.append(stmt.cond)
-            for expr in exprs:
-                for name in _called_methods(expr):
-                    if name not in reachable:
-                        reachable.add(name)
-                        frontier.append(name)
+            _called_methods(stmt.cond if isinstance(stmt, (ir.If, ir.While))
+                            else stmt.expr, called)
+        frontier.extend(called - reachable)
+        reachable |= called
     return reachable
 
 
-def _called_methods(expr: ir.Expr) -> set[str]:
-    names: set[str] = set()
-
-    def visit(node: ir.Expr) -> ir.Expr:
-        if isinstance(node, ir.MethodCall):
-            names.add(node.name)
-        return node
-
-    ir.map_expr(expr, visit)
-    return names
+def _called_methods(expr: ir.Expr, names: set[str]) -> None:
+    if isinstance(expr, (ir.BuiltinCall, ir.MethodCall)):
+        if isinstance(expr, ir.MethodCall):
+            names.add(expr.name)
+        for arg in expr.args:
+            _called_methods(arg, names)
+    elif isinstance(expr, ir.Cast):
+        _called_methods(expr.expr, names)

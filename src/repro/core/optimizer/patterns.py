@@ -28,9 +28,7 @@ __all__ = ["apply_patterns"]
 
 def apply_patterns(method: ir.Method) -> bool:
     """Rewrite ``method`` in place; returns True when anything changed."""
-    taken = analysis.method_names(method)
-    fresh = analysis.fresh_namer(taken)
-    changed = _rewrite_body(method.body, fresh)
+    changed = _rewrite_body(method.body, analysis.fresh_namer(method))
     changed |= _drop_redundant_casts(method)
     return changed
 

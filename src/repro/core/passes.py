@@ -42,6 +42,7 @@ execution plan, not IR, so it stays in the compiler.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from dataclasses import dataclass, field
@@ -135,6 +136,10 @@ class Pass:
     records: bool = True
     #: Cooperative-cancellation checkpoint before each application.
     checkpoint: bool = True
+    #: For the fixed-point group, what a change by the pass may touch:
+    #: ``"exprs"`` (expressions of existing statements only), ``"dead"``
+    #: (it deletes statements nothing reads) or ``None`` (anything).
+    touches: str | None = None
 
     def __init__(self, name: str):
         self.name = name
@@ -153,13 +158,14 @@ class MethodPass(Pass):
 
     def __init__(self, name: str, fn, *, fixed_point: bool = False,
                  traced: bool = True, records: bool = True,
-                 checkpoint: bool = True):
+                 checkpoint: bool = True, touches: str | None = None):
         super().__init__(name)
         self.fn = fn
         self.fixed_point = fixed_point
         self.traced = traced
         self.records = records
         self.checkpoint = checkpoint
+        self.touches = touches
 
     def run(self, method: ir.Method, ctx=None) -> bool:
         return self.fn(method)
@@ -258,7 +264,8 @@ def _make_ir_pass(name: str, *, fixed_point: bool) -> Pass:
         "join-predicate-motion": move_join_predicates,
         "patterns": apply_patterns,
     }
-    return MethodPass(name, fns[name], fixed_point=fixed_point)
+    return MethodPass(name, fns[name], fixed_point=fixed_point,
+                      touches=_TOUCHES.get(name))
 
 
 def _make_plan_pass(name: str) -> Pass:
@@ -286,6 +293,10 @@ _PLAN_PASS_NAMES = ("predicate-pushdown", "column-pruning",
 #: The fixed-point scalar group, in the paper's order.
 _ROUND_PASS_NAMES = ("list-forwarding", "constprop", "copyprop", "cse",
                      "dce")
+
+#: What a change by each group pass may touch (``Pass.touches``).
+_TOUCHES = {"list-forwarding": "exprs", "constprop": "exprs",
+            "copyprop": "exprs", "cse": "exprs", "dce": "dead"}
 
 _IR_PASS_NAMES = ("inline",) + _ROUND_PASS_NAMES + (
     "join-predicate-motion", "patterns", "typecheck")
@@ -321,16 +332,16 @@ def _cleanup_dce_pass() -> Pass:
 # ---------------------------------------------------------------------------
 
 class Pipeline:
-    """An ordered pass list with a stable cache-key fingerprint.
+    """An ordered, immutable pass list with a stable cache-key
+    fingerprint.
 
     Presets fingerprint as their name (``"O2"``); ad-hoc lists as
     ``custom(<names>)`` — so ``--passes`` variants can never collide
     with preset plan-cache entries."""
 
-    def __init__(self, name: str, passes: list[Pass], *,
-                 is_preset: bool = False):
+    def __init__(self, name: str, passes, *, is_preset: bool = False):
         self.name = name
-        self.passes = list(passes)
+        self.passes = tuple(passes)
         self.is_preset = is_preset
 
     @property
@@ -352,11 +363,17 @@ class Pipeline:
 
 
 def preset(name: str) -> Pipeline:
-    """A fresh instance of one of the named presets."""
+    """One of the named presets.  Presets are immutable, so every call
+    for a name returns the same instance."""
     if name not in PRESET_NAMES:
         raise OptimizerError(
             f"unknown pipeline preset {name!r}; "
             f"known: {', '.join(PRESET_NAMES)}")
+    return _build_preset(name)
+
+
+@functools.lru_cache(maxsize=None)
+def _build_preset(name: str) -> Pipeline:
     passes = [_make_plan_pass(n) for n in _PLAN_PASS_NAMES
               if name in ("O1", "O2") or n != "selectivity-reorder"]
     if name in ("O1", "O2"):
@@ -386,7 +403,8 @@ def resolve_pipeline(spec, opt_level: str = "opt") -> Pipeline:
     ``None`` maps the historical opt levels onto presets (``"opt"`` →
     ``O2``, ``"naive"`` → ``O0``); a preset name returns that preset; a
     comma-separated string or a list of names builds a custom
-    pipeline; a :class:`Pipeline` passes through."""
+    pipeline; a :class:`Pipeline` passes through.  Resolve once per
+    compilation and hand the result on: every stage accepts it."""
     if spec is None:
         return preset("O2" if opt_level == "opt" else "O0")
     if isinstance(spec, Pipeline):
@@ -533,23 +551,34 @@ class PassManager:
         return module
 
     def _run_fixed_point(self, module, group, stats, ctx):
-        exhausted = False
-        for round_index in range(self.max_rounds):
-            changed = False
+        # A pass is settled on a method once it ran on the method's
+        # current IR without a change (passes are functions of the one
+        # method).  Skipping settled passes leaves the IR as the plain
+        # round-robin would; the group stops once all are settled.  A
+        # change unsettles every pass, unless it only deleted dead
+        # statements and no name became single-assignment: the passes
+        # rewrite surviving statements from facts about surviving names.
+        settled = {name: set() for name in module.methods}
+        exhausted = True
+        for method in module.methods.values():
+            method.facts = {}
+        try:
+            for round_index in range(self.max_rounds):
+                for method in module.methods.values():
+                    self._settle(method, settled[method.name], group,
+                                 module, stats, ctx, round_index)
+                stats.rounds = round_index + 1
+                self._dump_module(module, f"round{round_index}")
+                if all(len(done) == len(group)
+                       for done in settled.values()):
+                    exhausted = False
+                    break
+        finally:
             for method in module.methods.values():
-                for ps in group:
-                    if self._apply_to_method(ps, method, module, stats,
-                                             ctx, round_index):
-                        changed = True
-            stats.rounds = round_index + 1
-            self._dump_module(module, f"round{round_index}")
-            if not changed:
-                break
-        else:
-            # The budget ran out with the last round still rewriting:
-            # the historical pipeline returned silently here.
-            exhausted = True
+                method.facts = None
         if exhausted:
+            # The budget ran out with a method still rewriting: the
+            # historical pipeline returned silently here.
             stats.fixed_point_exhausted = True
             ctx.metrics.counter(
                 "optimizer.fixed_point_exhausted").inc()
@@ -558,6 +587,28 @@ class PassManager:
                 span.set(fixed_point_exhausted=True,
                          rounds=stats.rounds)
         return module
+
+    def _settle(self, method, done, group, module, stats, ctx,
+                round_index) -> None:
+        """One round of ``group`` on ``method``, whose settled passes
+        ``done`` holds."""
+        from repro.core.optimizer.analysis import single_assignment_vars
+
+        for ps in group:
+            if ps in done:
+                continue
+            single = method.facts.get("single")
+            if not self._apply_to_method(ps, method, module, stats, ctx,
+                                         round_index):
+                done.add(ps)
+                continue
+            if ps.touches != "exprs":
+                method.facts.clear()
+            if ps.touches == "dead" and single is not None \
+                    and single_assignment_vars(method) <= single:
+                done.add(ps)
+            else:
+                done.clear()
 
     def _apply_to_method(self, ps, method, module, stats, ctx,
                          round_index) -> bool:

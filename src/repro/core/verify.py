@@ -1,7 +1,7 @@
 """Verification of HorseIR modules — the one verifier, at two depths.
 
-The default depth is the structural walk every compile runs, before and
-after optimization; it enforces the invariants the optimizer and the
+The default depth is the structural walk every compile runs on its
+input, before optimization; it enforces the invariants the optimizer and the
 backends rely on:
 
 * every variable is assigned before use on every path (parameters

@@ -322,7 +322,11 @@ class EngineSession:
         the catalog and UDF-registry fingerprints, and the pass-pipeline
         fingerprint, so a schema change, a UDF registration, or a
         different ``--passes`` pipeline can never serve a stale plan.
-        Backends that do not advertise the ``prepared`` capability (the
+        None of it is recomputed per call: the schema fingerprint (and
+        the catalog the planner reads) once per schema version, the
+        registry's once per registration, the normalized text once per
+        distinct text the cache has room for.  Backends that do not
+        advertise the ``prepared`` capability (the
         baseline) bypass the cache, as do ``use_cache=False`` and the
         debug modes (``verify_ir``/``dump_ir`` must actually compile to
         verify or dump anything)."""
@@ -331,14 +335,18 @@ class EngineSession:
                                        require=("sql",))
         use_cache = (use_cache and "prepared" in engine.capabilities
                      and not verify_ir and dump_ir is None)
-        fingerprint = resolve_pipeline(
-            pipeline, opt_level=opt_level).fingerprint()
+        # Resolved once, for the key and the compile below.  With none
+        # given, planning keeps its own default (O2's plan passes at
+        # either opt level), which compile_sql resolves from None.
+        resolved = resolve_pipeline(pipeline, opt_level=opt_level)
+        if pipeline is not None:
+            pipeline = resolved
         with ctx.tracer.span("prepare") as span:
-            key = self.plan_cache.key(sql, opt_level, engine.name,
-                                      self.db.schema_fingerprint(),
-                                      self.udfs.fingerprint(),
-                                      fingerprint,
-                                      self.stats.fingerprint())
+            key = self.plan_cache.key_of(sql, opt_level, engine.name,
+                                         self.db.schema_fingerprint(),
+                                         self.udfs.fingerprint(),
+                                         resolved.fingerprint(),
+                                         self.stats.fingerprint())
             if use_cache:
                 cached = self.plan_cache.lookup(key)
                 if cached is not None:

@@ -22,11 +22,17 @@ class Database:
 
     def __init__(self):
         self._tables: dict[str, ColumnTable] = {}
+        #: Bumped by every table added or dropped.
+        self._version = 0
+        #: ``(schema version, catalog, fingerprint)`` of the last
+        #: derivation.
+        self._schema: tuple | None = None
 
     def add_table(self, table: ColumnTable) -> None:
         if table.name in self._tables:
             raise StorageError(f"table {table.name!r} already exists")
         self._tables[table.name] = table
+        self._version += 1
 
     def create_table(self, name: str, columns: dict[str, np.ndarray],
                      types: dict[str, ht.HorseType] | None = None) \
@@ -39,6 +45,7 @@ class Database:
         if name not in self._tables:
             raise StorageError(f"unknown table {name!r}")
         del self._tables[name]
+        self._version += 1
 
     def table(self, name: str) -> ColumnTable:
         try:
@@ -50,21 +57,34 @@ class Database:
         return list(self._tables)
 
     def catalog(self) -> Catalog:
-        """Derive the SQL catalog from the stored tables."""
-        catalog = Catalog()
-        for table in self._tables.values():
-            catalog.add(TableSchema(table.name, table.schema()))
-        return catalog
+        """The SQL catalog derived from the stored tables.  It is derived
+        once per schema version and shared: treat it as read-only."""
+        return self._derived_schema()[1]
 
     def schema_fingerprint(self) -> tuple:
         """A hashable digest of the catalog shape — table names, column
         names, column types — used in plan-cache keys so any schema
         change (new/dropped table, different columns) makes previously
         prepared plans unreachable."""
-        return tuple(sorted(
-            (name, tuple((column, str(type_))
-                         for column, type_ in table.schema()))
-            for name, table in self._tables.items()))
+        return self._derived_schema()[2]
+
+    def _derived_schema(self) -> tuple:
+        # A table's own version moves when a column is added to it, so
+        # the tuple changes with every schema change this object can
+        # see, and costs one read per table.
+        version = (self._version,) + tuple(
+            table.version for table in self._tables.values())
+        derived = self._schema
+        if derived is None or derived[0] != version:
+            catalog = Catalog()
+            for table in self._tables.values():
+                catalog.add(TableSchema(table.name, table.schema()))
+            fingerprint = tuple(sorted(
+                (name, tuple((column, str(type_))
+                             for column, type_ in table.schema()))
+                for name, table in self._tables.items()))
+            derived = self._schema = (version, catalog, fingerprint)
+        return derived
 
     def to_table_values(self) -> dict[str, TableValue]:
         """Zero-copy views for the HorseIR execution context."""

@@ -33,6 +33,8 @@ class ColumnTable:
         #: The vector each query sees per column: one object, so a
         #: string column's encoding is computed once (Vector.encoding).
         self._vectors: dict[str, Vector] = {}
+        #: Bumped by every :meth:`add_column`: the schema's version.
+        self.version = 0
         for column, array in (columns or {}).items():
             declared = (types or {}).get(column)
             self.add_column(column, array, declared)
@@ -58,6 +60,7 @@ class ColumnTable:
         self._columns[name] = array
         self._types[name] = type_
         self._vectors[name] = Vector(type_, array)
+        self.version += 1
 
     @property
     def num_rows(self) -> int:

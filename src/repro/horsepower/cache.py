@@ -41,19 +41,25 @@ DEFAULT_PLAN_CACHE_SIZE = 64
 def normalize_sql(sql: str) -> str:
     """Whitespace-insensitive form of a query used as the cache key.
 
-    Deliberately conservative: runs of whitespace *outside string
-    literals* collapse to one space and trailing semicolons drop, but
-    case and literal contents are preserved — two texts only share a key
-    when the parser provably sees the same token stream.  Whitespace
-    inside ``'...'`` literals is significant and kept verbatim
-    (collapsing it would alias genuinely different queries onto one
-    cache entry).
+    Deliberately conservative: ``--`` comments *outside string
+    literals* drop up to their newline, runs of whitespace collapse to
+    one space and trailing semicolons drop, but case and literal
+    contents are preserved — two texts only share a key when the parser
+    provably sees the same token stream.  Whitespace inside ``'...'``
+    literals is significant and kept verbatim (collapsing it would
+    alias genuinely different queries onto one cache entry).  A comment
+    goes before whitespace collapses: the newline ending it is what
+    separates it from the next clause, so collapsing first would fold
+    that clause into the comment.
     """
     out: list[str] = []
     i, n = 0, len(sql)
     while i < n:
         ch = sql[i]
-        if ch == "'":
+        if ch == "-" and sql.startswith("--", i):
+            end = sql.find("\n", i)
+            i = n if end < 0 else end
+        elif ch == "'":
             j = i + 1
             while j < n:
                 if sql[j] == "'":
@@ -67,7 +73,8 @@ def normalize_sql(sql: str) -> str:
         elif ch.isspace():
             while i < n and sql[i].isspace():
                 i += 1
-            out.append(" ")
+            if not out or out[-1] != " ":   # one run across a comment
+                out.append(" ")
         else:
             out.append(ch)
             i += 1
@@ -162,6 +169,9 @@ class PlanCache:
             metrics = MetricsRegistry()
         self.capacity = capacity
         self._entries: OrderedDict[tuple, "CompiledQuery"] = OrderedDict()
+        #: Raw query text -> :func:`normalize_sql` of it, most recent
+        #: last and as many as the cache holds entries.
+        self._normalized: OrderedDict[str, str] = OrderedDict()
         self._lock = threading.Lock()
         self.stats = CacheStats()
         self._metric_hits = metrics.counter("plan_cache.hits")
@@ -192,11 +202,37 @@ class PlanCache:
         statistics exist — the legacy key — and a fresh integer after
         every ``ANALYZE``, so plans estimated (or reordered) under old
         statistics never serve a post-ANALYZE session."""
+        return (normalize_sql(sql),) + PlanCache._settings(
+            opt_level, backend, catalog_fingerprint, udf_fingerprint,
+            pipeline_fingerprint, stats_fingerprint)
+
+    def key_of(self, sql: str, *args) -> tuple:
+        """:meth:`key`, with :func:`normalize_sql` remembered for the
+        last ``capacity`` texts: a repeated query is normalized once."""
+        return (self._normalize(sql),) + self._settings(*args)
+
+    @staticmethod
+    def _settings(opt_level: str, backend: str, catalog_fingerprint: tuple,
+                  udf_fingerprint: tuple,
+                  pipeline_fingerprint: str | None = None,
+                  stats_fingerprint: int | None = None) -> tuple:
         if pipeline_fingerprint is None:
             pipeline_fingerprint = "O2" if opt_level == "opt" else "O0"
-        return (normalize_sql(sql), opt_level, backend,
-                catalog_fingerprint, udf_fingerprint,
+        return (opt_level, backend, catalog_fingerprint, udf_fingerprint,
                 pipeline_fingerprint, stats_fingerprint)
+
+    def _normalize(self, sql: str) -> str:
+        with self._lock:
+            text = self._normalized.get(sql)
+            if text is not None:
+                self._normalized.move_to_end(sql)
+                return text
+        text = normalize_sql(sql)
+        with self._lock:
+            self._normalized[sql] = text
+            while len(self._normalized) > self.capacity:
+                self._normalized.popitem(last=False)
+        return text
 
     def lookup(self, key: tuple) -> "CompiledQuery | None":
         with self._lock:

@@ -5,6 +5,12 @@ method whose UDF invocations are placeholder method calls, and the MATLAB
 frontend produces one HorseIR method per (specialized) MATLAB function.
 ``build_query_module`` integrates both into a single module — which the
 optimizer then inlines and fuses holistically (Section 3.4.2).
+
+A UDF's body does not depend on the query calling it, so it is lowered
+once per registry entry, on the first query that references it, and
+memoised there (``udf.lowered``).  Every query module receives its own
+statement-level copy of the memo, so passes that rewrite statements in
+place cannot reach it.
 """
 
 from __future__ import annotations
@@ -25,16 +31,22 @@ def build_query_module(plan_json: dict, udfs: UDFRegistry,
     module = ir.Module(module_name)
     module.add(json_plan_to_method(plan_json, udfs))
     for udf_name in referenced_udfs(plan_json, udfs):
-        udf = udfs.get(udf_name)
+        _merge_udf_methods(module, _lowered(udfs.get(udf_name)),
+                           udf_name)
+    return module
+
+
+def _lowered(udf) -> ir.Module:
+    """The UDF's MATLAB body as HorseIR, lowered on first use."""
+    if udf.lowered is None:
         if udf.matlab_source is None:
             raise UDFError(
                 f"UDF {udf.name!r} has no MATLAB source; HorsePower "
                 f"cannot translate it")
         specs = [_param_spec(t) for t in udf.param_types]
-        udf_module = matlab_to_module(udf.matlab_source, specs,
-                                      module_name=f"udf_{udf.name}")
-        _merge_udf_methods(module, udf_module, udf.name)
-    return module
+        udf.lowered = matlab_to_module(udf.matlab_source, specs,
+                                       module_name=f"udf_{udf.name}")
+    return udf.lowered
 
 
 def referenced_udfs(plan_json: dict, udfs: UDFRegistry) -> list[str]:
@@ -85,7 +97,9 @@ def _param_spec(type_: ht.HorseType) -> tuple[str, str]:
 
 def _merge_udf_methods(target: ir.Module, source: ir.Module,
                        entry_name: str) -> None:
-    """Copy the UDF module's methods into the query module.
+    """Copy the UDF module's methods into the query module, statement
+    by statement (expressions are never mutated in place, so they are
+    shared).
 
     The MATLAB entry function may not share the UDF's registered name;
     it is renamed (the Tamer already names specializations uniquely, so
@@ -98,29 +112,10 @@ def _merge_udf_methods(target: ir.Module, source: ir.Module,
             raise UDFError(
                 f"method name collision while merging UDF "
                 f"{entry_name!r}: {new_name!r}")
-        target.add(ir.Method(new_name, method.params, method.ret_type,
-                             _rename_calls(method.body, rename)))
-
-
-def _rename_calls(body: list[ir.Stmt], rename: dict[str, str]) \
-        -> list[ir.Stmt]:
-    out: list[ir.Stmt] = []
-    for stmt in body:
-        if isinstance(stmt, ir.Assign):
-            out.append(ir.Assign(stmt.target, stmt.type,
-                                 _rename_expr_calls(stmt.expr, rename)))
-        elif isinstance(stmt, ir.Return):
-            out.append(ir.Return(_rename_expr_calls(stmt.expr, rename)))
-        elif isinstance(stmt, ir.If):
-            out.append(ir.If(_rename_expr_calls(stmt.cond, rename),
-                             _rename_calls(stmt.then_body, rename),
-                             _rename_calls(stmt.else_body, rename)))
-        elif isinstance(stmt, ir.While):
-            out.append(ir.While(_rename_expr_calls(stmt.cond, rename),
-                                _rename_calls(stmt.body, rename)))
-        else:
-            out.append(stmt)
-    return out
+        target.add(ir.Method(new_name, list(method.params),
+                             method.ret_type,
+                             ir.copy_body(method.body, lambda expr:
+                                          _rename_expr_calls(expr, rename))))
 
 
 def _rename_expr_calls(expr: ir.Expr, rename: dict[str, str]) -> ir.Expr:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.core import ir
 from repro.core import types as ht
 from repro.errors import UDFError
 
@@ -30,6 +31,10 @@ class ScalarUDF:
     matlab_source: str | None = None
     #: Python/NumPy implementation (baseline path).
     python_impl: Callable | None = None
+    #: The MATLAB body lowered to HorseIR, memoised on first reference
+    #: (:func:`repro.horsepower.translate.build_query_module`).
+    lowered: ir.Module | None = field(default=None, repr=False,
+                                      compare=False)
 
     @property
     def kind(self) -> str:
@@ -49,6 +54,9 @@ class TableUDFDef:
     #: Python impl returning a tuple/list of arrays matching
     #: ``output_columns``.
     python_impl: Callable | None = None
+    #: As :attr:`ScalarUDF.lowered`.
+    lowered: ir.Module | None = field(default=None, repr=False,
+                                      compare=False)
 
     @property
     def kind(self) -> str:
@@ -62,6 +70,9 @@ class UDFRegistry:
     #: prepared query compiled before a UDF existed can never be reused
     #: after registration changes what the planner would produce.
     _version: int = 0
+    #: The last :meth:`fingerprint`, whose first item is its version.
+    _fingerprint: tuple | None = field(default=None, repr=False,
+                                       compare=False)
 
     def register(self, udf) -> None:
         key = udf.name.lower()
@@ -76,11 +87,15 @@ class UDFRegistry:
 
     def fingerprint(self) -> tuple:
         """A hashable digest of the registry's contents, for plan-cache
-        keys: registration version plus the declared signatures."""
-        signatures = tuple(sorted(
-            (name, udf.kind, tuple(str(t) for t in udf.param_types))
-            for name, udf in self._udfs.items()))
-        return (self._version, signatures)
+        keys: registration version plus the declared signatures
+        (computed once per version)."""
+        if self._fingerprint is None \
+                or self._fingerprint[0] != self._version:
+            signatures = tuple(sorted(
+                (name, udf.kind, tuple(str(t) for t in udf.param_types))
+                for name, udf in self._udfs.items()))
+            self._fingerprint = (self._version, signatures)
+        return self._fingerprint
 
     def get(self, name: str):
         udf = self._udfs.get(name.lower())

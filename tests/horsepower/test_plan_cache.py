@@ -223,6 +223,30 @@ class TestNormalizeSql:
         # Conservative by design: case differences do NOT share a key.
         assert normalize_sql("select 1") != normalize_sql("SELECT 1")
 
+    def test_comments_drop_up_to_their_newline(self):
+        assert normalize_sql("SELECT 1 -- one\nFROM t -- end") \
+            == "SELECT 1 FROM t"
+        assert normalize_sql("SELECT '--x' AS s") == "SELECT '--x' AS s"
+
+    def test_a_comment_never_swallows_the_next_line(self):
+        """The newline ending a comment is what keeps the clause after
+        it out of the comment; the same text with that newline turned
+        into a space is a different query (no WHERE), and must not be
+        served the first one's plan."""
+        from repro.data.tpch import generate_tpch
+        tpch = generate_tpch(0.002)
+        with_where = ("SELECT COUNT(*) AS n FROM lineitem -- all rows\n"
+                      "WHERE l_quantity < 10")
+        commented = with_where.replace("\n", " ")
+        assert normalize_sql(with_where) != normalize_sql(commented)
+        session = EngineSession(tpch)
+        filtered = session.run_sql(with_where).column("n").data[0]
+        served = session.run_sql(commented).column("n").data[0]
+        fresh = EngineSession(tpch).run_sql(commented).column("n").data[0]
+        assert served == fresh == tpch.table("lineitem").num_rows
+        assert filtered < served
+        assert session.cache_stats.hits == 0
+
 
 class TestPipelineFingerprint:
     """The cache key carries the pass-pipeline fingerprint: custom

@@ -3,10 +3,10 @@
 Registers the paper's scalar UDF ``calcRevenueChangeScalar`` (written in
 MATLAB), embeds it in the example query, and shows:
 
-1. the merged HorseIR module with the UDF as a separate method (Fig. 6);
-2. the dependence graph of ``main`` with the call as an opaque node, and
-   the graph after inlining where fusion can span everything (Fig. 7),
-   both printed as Graphviz;
+1. the merged HorseIR module with the UDF as a separate method and
+   ``main`` calling it (Fig. 6, the left side of Fig. 7);
+2. the optimized module after inlining, where the UDF body sits in
+   ``main`` and fusion can span everything (the right side of Fig. 7);
 3. the final single fused kernel;
 4. timings: baseline (black-box Python UDF) vs HorsePower.
 
@@ -19,7 +19,6 @@ import numpy as np
 
 from repro import Database, EngineSession
 from repro.core import types as ht
-from repro.core.depgraph import build_depgraph
 from repro.core.printer import print_module
 
 MATLAB_UDF = """
@@ -56,20 +55,13 @@ def main() -> None:
 
     compiled = session.compile_sql(SQL)
 
-    print("Merged HorseIR before optimization (compare Figure 6):")
+    print("Merged HorseIR before inlining, the UDF call opaque "
+          "(Figure 6, left side of Figure 7):")
     print(print_module(compiled.module_before_opt))
 
-    main_before = compiled.module_before_opt.methods["main"]
-    print("Dependence graph with the UDF call opaque "
-          "(left side of Figure 7):")
-    print(build_depgraph(main_before.body).to_dot())
-    print()
-
-    main_after = compiled.program.module.methods["main"]
-    print("Dependence graph after inlining "
+    print("HorseIR after inlining and optimization "
           "(right side of Figure 7):")
-    print(build_depgraph(main_after.body).to_dot())
-    print()
+    print(print_module(compiled.program.module))
 
     print("Fused kernel(s) — the whole query is one loop (Figure 3):")
     for source in compiled.kernel_sources:

@@ -27,6 +27,10 @@ relation" (never an error).  The checker therefore only reports
 *provable* conflicts and stays silent on everything it cannot decide —
 all existing TPC-H and Black-Scholes modules infer clean.  Loop fusion
 reads the same tokens (:mod:`repro.core.optimizer.fusion`).
+
+Types are decided once: :func:`resolve_types`, run when compilation
+starts, writes the type of every ``?`` declaration into the IR, so the
+optimizer, fusion and code generation read declarations.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from repro.errors import HorseTypeError
 __all__ = ["Shape", "TypeShape", "SCALAR", "TABLE_SHAPE", "LIST_SHAPE",
            "UNKNOWN", "vector_shape", "broadcast_shapes",
            "infer_method", "MethodTypeShapes", "consistent_types",
-           "redundant_casts"]
+           "redundant_casts", "resolve_types"]
 
 
 class Shape(NamedTuple):
@@ -155,6 +159,85 @@ def infer_method(method: ir.Method, module: ir.Module | None = None, *,
 
 
 _UNKNOWN_FACT = TypeShape(ht.WILDCARD, UNKNOWN)
+
+
+def resolve_types(module: ir.Module) -> ir.Module:
+    """A new ``module`` in which every ``?`` declaration carries the
+    type ``Builtin.infer`` or the callee's return type gives it.
+
+    One linear walk per method; a variable two paths type differently
+    (an ``if``'s branches, a loop's entry and end) is unknown after
+    them, so a ``?`` survives only over unknown operands (a ``?``
+    parameter).  ``list<?>`` stays.  Methods without a ``?`` are
+    shared, the others rebuilt: the caller's module is not touched."""
+    returns = {name: callee.ret_type
+               for name, callee in module.methods.items()}
+    resolved = ir.Module(module.name)
+    for method in module.methods.values():
+        if any(isinstance(stmt, ir.Assign) and stmt.type.is_wildcard
+               for stmt in method.walk_stmts()):
+            types = {param.name: param.type for param in method.params}
+            method = ir.Method(method.name, method.params, method.ret_type,
+                               _resolve_body(method.body, types, returns))
+        resolved.add(method)
+    return resolved
+
+
+def _resolve_body(body: list[ir.Stmt], types: dict,
+                  returns: dict) -> list[ir.Stmt]:
+    """A copy of ``body`` with its ``?`` declarations resolved;
+    ``types`` (variable -> type) is read and updated as the walk goes."""
+    out: list[ir.Stmt] = []
+    for stmt in body:
+        if isinstance(stmt, ir.Assign):
+            type_ = stmt.type
+            if type_.is_wildcard:
+                type_ = _infer(stmt.expr, types, returns)
+            types[stmt.target] = type_
+            out.append(ir.Assign(stmt.target, type_, stmt.expr))
+        elif isinstance(stmt, ir.If):
+            other = dict(types)
+            then_body = _resolve_body(stmt.then_body, types, returns)
+            else_body = _resolve_body(stmt.else_body, other, returns)
+            _merge_types(types, other)
+            out.append(ir.If(stmt.cond, then_body, else_body))
+        elif isinstance(stmt, ir.While):
+            while True:  # until the entry types hold at the end too
+                entry = dict(types)
+                loop_body = _resolve_body(stmt.body, types, returns)
+                _merge_types(types, entry)
+                if types == entry:
+                    break
+            out.append(ir.While(stmt.cond, loop_body))
+        else:
+            out.append(stmt)
+    return out
+
+
+def _merge_types(types: dict, other: dict) -> None:
+    """Keep in ``types`` what ``other`` agrees with; a variable the two
+    type differently is unknown."""
+    for name, type_ in other.items():
+        if types.setdefault(name, type_) != type_:
+            types[name] = ht.WILDCARD
+
+
+def _infer(expr: ir.Expr, types: dict, returns: dict) -> ht.HorseType:
+    if isinstance(expr, (ir.Literal, ir.Cast)):
+        return expr.type
+    if isinstance(expr, ir.SymbolLit):
+        return ht.SYM
+    if isinstance(expr, ir.Var):
+        return types.get(expr.name, ht.WILDCARD)
+    if isinstance(expr, ir.MethodCall):
+        return returns.get(expr.name, ht.WILDCARD)
+    if isinstance(expr, ir.BuiltinCall) and hb.exists(expr.name):
+        arg_types = [_infer(arg, types, returns) for arg in expr.args]
+        try:
+            return hb.get(expr.name).infer(arg_types)
+        except Exception:  # noqa: BLE001 - an uninferable call is unknown
+            return ht.WILDCARD
+    return ht.WILDCARD
 
 
 class _Inference:

@@ -853,11 +853,18 @@ def _segmented(name: str, impl):
 
 def _group_sum_impl(values: Vector, codes: np.ndarray,
                     ngroups: int) -> Vector:
-    # bincount sums float64 weights: an f64 column is read in place.
-    result = np.bincount(codes,
-                         weights=values.data.astype(np.float64, copy=False),
-                         minlength=ngroups)
-    return Vector(_infer_sum([values.type]), result)
+    out_type = _infer_sum([values.type])
+    if ht.is_float(out_type):
+        # bincount sums float64 weights: an f64 column is read in place.
+        result = np.bincount(codes, weights=values.data, minlength=ngroups)
+        return Vector(out_type, result)
+    # An integer sum is exact: it accumulates in int64, where float64
+    # weights would round past 2**53.
+    if codes.size and (codes.min() < 0 or codes.max() >= ngroups):
+        raise ValueError("group id out of range")
+    result = np.zeros(ngroups, dtype=np.int64)
+    np.add.at(result, codes, values.data.astype(np.int64, copy=False))
+    return Vector(out_type, result)
 
 
 def _group_count_impl(values: Vector, codes: np.ndarray,

@@ -24,9 +24,8 @@ backend, and the kernel span says why in ``c_declined``):
   vector outputs may live in the base domain or any compressed domain,
   nested masks and guarded reductions included (a broadcast output
   only where every input is a scalar, so the loop runs once);
-* a statement declared ``?`` (the SQL frontend's flattened temporaries)
-  takes the type :mod:`repro.core.analysis.typeshape` infers for it —
-  the IR itself keeps its ``?``;
+* every statement has its declared type: compilation resolved each
+  ``?`` declaration before the optimizer ran;
 * runtime dtypes are numeric/bool/datetime (strings reach kernels as
   int32 dictionary codes — see :mod:`repro.core.codegen.lower`).
 
@@ -158,7 +157,7 @@ def decline_reason(segment: Segment,
     """Why ``segment`` cannot run as emitted C, or ``None`` when it can.
 
     The static half: dtypes are checked per call.  ``types`` gives each
-    statement target its type, ``?`` declarations already resolved."""
+    statement target its declared type."""
     # A broadcast output is one value: fine when the loop runs once
     # (every input is a scalar), not beside a row loop.
     looped = any(segment.domains.get(name) != ANY for name in segment.inputs)
@@ -190,8 +189,6 @@ def decline_reason(segment: Segment,
                 return f"no C reduction for @{expr.name}"
         if stmt.target in typed:
             type_ = types[stmt.target]
-            if type_.is_wildcard:
-                return "wildcard type"
             if type_.kind not in _C_TYPES:
                 return f"no C type for {type_}"
     return None
@@ -607,8 +604,7 @@ class CKernel:
 
     def __init__(self, segment: Segment):
         self.segment = segment
-        self.types = {stmt.target: type_ for stmt, type_
-                      in zip(segment.stmts, segment.types)}
+        self.types = {stmt.target: stmt.type for stmt in segment.stmts}
         self.declined = decline_reason(segment, self.types) \
             if c_backend_available() else "gcc not available"
         self.guards, dynamic = compress_guards(segment)

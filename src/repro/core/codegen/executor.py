@@ -240,11 +240,9 @@ def _empty_outputs(kernel: CompiledKernel,
     """
     outputs: list[Vector] = []
     for (name, role), type_ in zip(kernel.outputs, kernel.output_types):
-        dtype = ht.numpy_dtype(type_ if not type_.is_wildcard else ht.F64)
+        dtype = ht.numpy_dtype(type_)
         if role == "vector":
-            outputs.append(Vector(
-                type_ if not type_.is_wildcard else ht.F64,
-                np.empty(0, dtype=dtype)))
+            outputs.append(Vector(type_, np.empty(0, dtype=dtype)))
             continue
         combine = role.split(":", 1)[1]
         if combine == "sum":
@@ -261,8 +259,7 @@ def _empty_outputs(kernel: CompiledKernel,
             raise BuiltinError(f"@{combine} of an empty vector")
         out = np.empty(1, dtype=dtype)
         out[0] = identity
-        outputs.append(Vector(type_ if not type_.is_wildcard else ht.F64,
-                              out))
+        outputs.append(Vector(type_, out))
     return outputs
 
 
@@ -285,9 +282,7 @@ def _combine(combine: str, parts: list, type_: ht.HorseType):
     parts = [p for p in parts if p is not None]
     if not parts:
         raise BuiltinError(f"@{combine} of an empty vector")
-    arr = np.asarray(parts)
-    if not type_.is_wildcard:
-        arr = arr.astype(ht.numpy_dtype(type_), copy=False)
+    arr = np.asarray(parts).astype(ht.numpy_dtype(type_), copy=False)
     if combine == "sum":
         return np.sum(arr, dtype=arr.dtype)
     if combine == "prod":
@@ -309,9 +304,5 @@ def _wrap_outputs(kernel: CompiledKernel, results: list) -> list[Vector]:
         array = np.asarray(value)
         if array.ndim == 0:
             array = array.reshape(1)
-        if type_.is_wildcard:
-            type_ = ht.type_of_dtype(array.dtype)
-        else:
-            array = array.astype(ht.numpy_dtype(type_), copy=False)
         outputs.append(Vector(type_, array))
     return outputs

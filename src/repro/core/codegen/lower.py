@@ -46,52 +46,22 @@ _PREDICATES = frozenset({"eq", "neq", "lt", "leq", "gt", "geq",
 _BY_CODE = frozenset({"eq", "neq"})
 
 
-def lower_strings(method: ir.Method, module: ir.Module
-                  ) -> tuple[ir.Method, frozenset]:
+def lower_strings(method: ir.Method) -> tuple[ir.Method, frozenset]:
     """``(lowered method, targets that must not fuse)``.  A method with
-    no string values comes back as it is."""
-    returns = {name: callee.ret_type
-               for name, callee in module.methods.items()}
-    types, counts = _declared(method, returns)
+    no string values comes back as it is.  Types are read from the
+    declarations, which compilation has already resolved."""
+    types = {param.name: param.type for param in method.params}
+    counts: dict[str, int] = {}
+    for stmt in method.walk_stmts():
+        if isinstance(stmt, ir.Assign):
+            counts[stmt.target] = counts.get(stmt.target, 0) + 1
+            types[stmt.target] = stmt.type
     if ht.STR not in types.values():
         return method, frozenset()
     lowering = _Lowering(method, types, counts)
     body = lowering.run(method.body)
     lowered = ir.Method(method.name, method.params, method.ret_type, body)
     return lowered, frozenset(lowering.opaque)
-
-
-def _declared(method: ir.Method, returns: dict) -> tuple[dict, dict]:
-    """Variable types (declared, or inferred from the builtin or the
-    callee where the declaration is the wildcard) and assignment
-    counts."""
-    types = {param.name: param.type for param in method.params}
-    counts: dict[str, int] = {}
-    for stmt in method.walk_stmts():
-        if not isinstance(stmt, ir.Assign):
-            continue
-        counts[stmt.target] = counts.get(stmt.target, 0) + 1
-        type_ = stmt.type
-        if type_.is_wildcard:
-            type_ = _infer(stmt.expr, types, returns)
-        types[stmt.target] = type_
-    return types, counts
-
-
-def _infer(expr: ir.Expr, types: dict, returns: dict) -> ht.HorseType:
-    if isinstance(expr, (ir.Literal, ir.Cast)):
-        return expr.type
-    if isinstance(expr, ir.Var):
-        return types.get(expr.name, ht.WILDCARD)
-    if isinstance(expr, ir.MethodCall):
-        return returns.get(expr.name, ht.WILDCARD)
-    if isinstance(expr, ir.BuiltinCall) and hb.exists(expr.name):
-        arg_types = [_infer(arg, types, returns) for arg in expr.args]
-        try:
-            return hb.get(expr.name).infer(arg_types)
-        except Exception:  # noqa: BLE001 - an uninferable call is unknown
-            return ht.WILDCARD
-    return ht.WILDCARD
 
 
 class _Lowering:

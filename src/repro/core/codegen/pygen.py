@@ -66,15 +66,15 @@ class CompiledKernel:
     #: kernel takes as a parameter (one row per row of the chunk, or the
     #: chunk's selected rows, whose count the kernel returns); an ``int``
     #: — the kernel input at that position, unchanged; ``"value"`` —
-    #: returned whole (a broadcast value, or one whose dtype is only
-    #: known at run time); ``"reduce"`` — a per-chunk partial.
+    #: returned whole (a broadcast value, or one of a type with no
+    #: NumPy destination); ``"reduce"`` — a per-chunk partial.
     placements: list = field(default_factory=list)
     #: see :func:`compress_guards`.
     compress_guards: tuple = ()
     #: run as one chunk: a compress of a broadcast value in a compressed
     #: domain is checked inside the kernel, which is exact only when the
-    #: kernel sees every row at once, and an output whose dtype is only
-    #: known at run time has no destination to stream into.
+    #: kernel sees every row at once, and an output of a type with no
+    #: NumPy destination has nothing to stream into.
     whole: bool = False
 
 
@@ -153,10 +153,11 @@ _DESTINATION_KINDS = frozenset(_ASTYPE) | {"date"}
 _LOGICAL_UFUNCS = ("np.logical_and", "np.logical_or", "np.logical_not")
 
 
-def _ufunc_spec(segment: Segment, stmt: ir.Assign,
+def _ufunc_spec(types: dict, stmt: ir.Assign,
                 type_: ht.HorseType) -> tuple[str, str] | None:
     """(ufunc, dtype spelling) when ``stmt`` can write its ``type_``
-    result into a given array with ``out=``."""
+    result into a given array with ``out=``; ``types`` maps each of the
+    segment's targets to its declared type."""
     expr = stmt.expr
     if not isinstance(expr, ir.BuiltinCall):
         return None
@@ -169,18 +170,17 @@ def _ufunc_spec(segment: Segment, stmt: ir.Assign,
     if not all(isinstance(a, (ir.Var, ir.Literal)) for a in expr.args):
         return None
     if builtin.ufunc in _LOGICAL_UFUNCS \
-            and not _operands_boolean(segment, expr):
+            and not _operands_boolean(types, expr):
         return None
     return (builtin.ufunc, dtype)
 
 
-def _operands_boolean(segment: Segment, expr: ir.BuiltinCall) -> bool:
-    declared = {s.target: s.type for s in segment.stmts}
+def _operands_boolean(types: dict, expr: ir.BuiltinCall) -> bool:
     for arg in expr.args:
         if isinstance(arg, ir.Literal):
             if arg.type != ht.BOOL:
                 return False
-        elif declared.get(arg.name) != ht.BOOL:
+        elif types.get(arg.name) != ht.BOOL:
             return False
     return True
 
@@ -196,8 +196,9 @@ class _BufferPlanner:
     take no buffer: they write into the output's destination.
     """
 
-    def __init__(self, segment: Segment, in_place: set[int]):
+    def __init__(self, segment: Segment, in_place: set[int], types: dict):
         self.segment = segment
+        self._types = types
         self._last_use = self._compute_last_use()
         self._outputs = {name for name, _ in segment.outputs}
         self._in_place = in_place
@@ -230,7 +231,7 @@ class _BufferPlanner:
             return None
         if self.segment.domains.get(stmt.target) != BASE:
             return None
-        return _ufunc_spec(self.segment, stmt, stmt.type)
+        return _ufunc_spec(self._types, stmt, stmt.type)
 
     def _plan(self) -> None:
         for index in range(len(self.segment.stmts)):
@@ -244,8 +245,11 @@ class _BufferPlanner:
             self.assignments[index] = (ufunc, slot)
 
     def _acquire(self, dtype: str, index: int, free_at: int) -> str:
+        # A buffer whose value is last read by this statement can take
+        # its result: a ufunc writing ``out=`` into an operand of the
+        # same dtype is elementwise-safe.
         for slot, (slot_dtype, busy_until) in enumerate(self._buffers):
-            if slot_dtype == dtype and busy_until < index:
+            if slot_dtype == dtype and busy_until <= index:
                 self._buffers[slot] = (dtype, free_at)
                 return f"_buf{slot}"
         self._buffers.append((dtype, free_at))
@@ -273,15 +277,15 @@ class _Placement:
     whole: bool = False
 
 
-def _place_outputs(segment: Segment) -> _Placement:
+def _place_outputs(segment: Segment, types: dict) -> _Placement:
     """Decide how each output leaves the kernel.
 
     A vector output's value comes from a statement or an input, through
     any chain of aliases.  An input leaves as it came in; a statement
     that can write its result into a given array (a compress, or a ufunc
     of a buffer dtype) writes into the output's destination, once; any
-    other value is copied into it.  An output whose type stays unknown
-    after inference is returned whole."""
+    other value is copied into it.  An output of a type with no NumPy
+    destination is returned whole."""
     stmts = segment.stmts
     position = {name: index for index, name in enumerate(segment.inputs)}
     roots: list = []
@@ -299,7 +303,7 @@ def _place_outputs(segment: Segment) -> _Placement:
     placed = _Placement()
     for slot, (name, role) in enumerate(segment.outputs):
         index = current[name]
-        type_ = segment.types[index]
+        type_ = stmts[index].type
         placed.types.append(type_)
         domain = segment.domains.get(name)
         if role != "vector":
@@ -318,9 +322,9 @@ def _place_outputs(segment: Segment) -> _Placement:
             continue
         placed.placements.append("base" if domain == BASE else "sel")
         writer = stmts[root]
-        if root not in placed.writers and segment.types[root] == type_ \
+        if root not in placed.writers and writer.type == type_ \
                 and (_is_compress(writer.expr)
-                     or _ufunc_spec(segment, writer, type_) is not None):
+                     or _ufunc_spec(types, writer, type_) is not None):
             placed.writers[root] = slot
         else:
             placed.stores.setdefault(index, []).append(slot)
@@ -438,8 +442,9 @@ def generate_kernel(segment: Segment,
     base_input = next((input_name for input_name, stream
                        in zip(segment.inputs, streamed) if stream), None)
 
-    placed = _place_outputs(segment)
-    planner = _BufferPlanner(segment, set(placed.writers)) \
+    types = {stmt.target: stmt.type for stmt in segment.stmts}
+    placed = _place_outputs(segment, types)
+    planner = _BufferPlanner(segment, set(placed.writers), types) \
         if base_input is not None else None
     guards, dynamic = compress_guards(segment)
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from repro.core import builtins as hb
 from repro.core import ir
 from repro.core import types as ht
+from repro.core.analysis.typeshape import resolve_types
 from repro.core.codegen.cgen import CKernel, c_backend_available
 from repro.core.codegen.executor import DEFAULT_CHUNK_SIZE, run_kernel
 from repro.core.codegen.lower import lower_strings
@@ -366,13 +367,15 @@ def compilation(module: ir.Module, opt_level: str, backend: str,
                 pipeline=None, verify_ir: bool = False,
                 dump_ir: str | None = None):
     """The part of compiling that every HorseIR backend shares: the
-    ``compile`` span, verify → optimize, the COMP timing split and the
-    ``compile.*`` counters.
+    ``compile`` span, verify → resolve types → optimize, the COMP
+    timing split and the ``compile.*`` counters.
 
     The input is verified once, at the default depth, so a malformed
     module fails with a located diagnostic before any pass runs; the
     optimizer's own output is checked under ``verify_ir`` (every state,
-    at full depth), not twice per compile.
+    at full depth), not twice per compile.  Every ``?`` declaration is
+    then resolved (:func:`~repro.core.analysis.typeshape.resolve_types`)
+    into a new module, so the caller's module is left as it was.
 
     Yields ``(module, report, compile_span)`` with the optimized module
     and a :class:`CompileReport` the caller's code generation (the
@@ -388,6 +391,9 @@ def compilation(module: ir.Module, opt_level: str, backend: str,
         # later module state at full depth, the final one included.
         if not verify_ir:
             verify_module(module)
+        # Types are decided here, once: no `?` declaration reaches the
+        # optimizer or code generation unless an operand is unknown.
+        module = resolve_types(module)
 
         stats: OptimizeStats | None = None
         optimize_seconds = 0.0
@@ -456,7 +462,7 @@ def compile_module(module: ir.Module, opt_level: str = "opt",
             for name, method in module.methods.items():
                 opaque = frozenset()
                 if fuse:
-                    method, opaque = lower_strings(method, module)
+                    method, opaque = lower_strings(method)
                 plan = segment_method(method, module, enabled=fuse,
                                       opaque=opaque)
                 plans[name] = _compile_plan(plan, report, make_kernel)

@@ -11,7 +11,7 @@ examples (Figures 2b and 6):
   a user-method call ``@calcRevenue(t4, t5)``, a ``check_cast``, a variable
   reference, or a literal.
 
-Keeping statements flat makes the dependence graph (``depgraph``) and the
+Keeping statements flat makes def/use facts (``depgraph``) and the
 fusion optimizer straightforward, exactly as in the HorseIR compiler.
 """
 

@@ -65,9 +65,6 @@ class Segment:
     #: domain of each input and defined variable: ``BASE``, ``ANY`` or
     #: a compressed domain ``BASE + ("m:<mask>", ...)``.
     domains: dict[str, tuple] = field(default_factory=dict)
-    #: parallel to ``stmts``: each statement's type, a ``?`` declaration
-    #: resolved by inference.
-    types: list[ht.HorseType] = field(default_factory=list)
 
     def describe(self) -> str:
         """Human-readable summary (used by examples and tests)."""
@@ -201,7 +198,11 @@ def _segment_body(body: list[ir.Stmt], used_later: dict[int, set[str]],
 
 
 def _classify(stmt: ir.Assign) -> str | None:
-    """Kind of a fusable statement, or None."""
+    """Kind of a fusable statement, or None.  A statement whose type
+    stays unknown after compilation resolved it (it reads a ``?``
+    parameter) has no dtype for a kernel to produce: it runs alone."""
+    if stmt.type.is_wildcard:
+        return None
     expr = stmt.expr
     if isinstance(expr, (ir.Literal, ir.SymbolLit)):
         return "const"
@@ -357,7 +358,6 @@ class _SegmentBuilder:
         facts = self._facts
         inputs: list[str] = []
         domains: dict[str, tuple] = {}
-        types: list[ht.HorseType] = []
         for stmt in self._stmts:
             reads = facts.operand_facts[id(stmt)]
             for name, whole in _operands(stmt):
@@ -365,10 +365,9 @@ class _SegmentBuilder:
                     inputs.append(name)
                     domains[name] = ANY if whole \
                         or reads[name].shape.kind == "scalar" else BASE
-            fact = facts.stmt_facts[id(stmt)]
-            domains[stmt.target] = self._domain(fact.shape)
-            types.append(fact.type if stmt.type.is_wildcard else stmt.type)
-        return Segment(list(self._stmts), inputs, outputs, domains, types)
+            domains[stmt.target] = self._domain(
+                facts.stmt_facts[id(stmt)].shape)
+        return Segment(list(self._stmts), inputs, outputs, domains)
 
     def _output_role(self, stmt: ir.Assign) -> str:
         if stmt.target in self._reduced:

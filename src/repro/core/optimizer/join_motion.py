@@ -207,19 +207,9 @@ def _project(rows: _Rows, side: int):
 
     [mask] = rows.masks
     tree = visit(mask)
-    if isinstance(tree, str) and not _is_bool(rows.defs[tree]):
+    if isinstance(tree, str) and rows.defs[tree].type != ht.BOOL:
         return None  # a lone atom must itself be a mask to compress by
     return tree
-
-
-def _is_bool(stmt: ir.Assign) -> bool:
-    if stmt.type == ht.BOOL:
-        return True
-    expr = stmt.expr
-    if isinstance(expr, ir.BuiltinCall) and expr.name in hb.BUILTINS:
-        wild = [ht.WILDCARD] * len(expr.args)
-        return hb.BUILTINS[expr.name].infer(wild) == ht.BOOL
-    return False
 
 
 # ---------------------------------------------------------------------------

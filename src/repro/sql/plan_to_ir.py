@@ -16,6 +16,7 @@ trees converted to JSON) and emits a HorseIR ``main`` method:
 
 from __future__ import annotations
 
+from repro.core import builtins as hb
 from repro.core import ir
 from repro.core import types as ht
 from repro.errors import PlanError
@@ -214,9 +215,12 @@ class _Translator:
 
         for name, fn, column in node["aggregates"]:
             if fn == "avg":
-                # SUM ÷ COUNT(*), each spelled as those aggregates are,
-                # so CSE shares them with the query's own SUM and COUNT.
-                total = aggregate(ht.F64, "group_sum", columns[column])
+                # SUM ÷ COUNT(*), each spelled and typed as those
+                # aggregates are, so CSE shares them with the query's own
+                # SUM and COUNT.
+                total = aggregate(
+                    hb.get("group_sum").infer([child_types[column]]),
+                    "group_sum", columns[column])
                 count = aggregate(ht.I64, "group_count", codes)
                 out[name] = self.emit(
                     "a", types.get(name, ht.WILDCARD),

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import builtins as hb
 from repro.core import types as ht
 from repro.core.passes import OptimizeStats, PassManager, resolve_pipeline
 from repro.errors import PlanError
@@ -144,6 +145,12 @@ def _fold_numeric(left, right, op: str):
     return ast.FloatLit(float(result))
 
 
+def _sum_type(arg_type: ht.HorseType) -> ht.HorseType:
+    """The SQL type of ``SUM`` over ``arg_type``: the ``@sum`` builtin's
+    (an integer sum is an exact ``i64``)."""
+    return hb.get("sum").infer([arg_type])
+
+
 def _contains_aggregate(expr: ast.Expr) -> bool:
     if isinstance(expr, ast.FuncCall):
         if expr.name.lower() in ast.AGGREGATE_NAMES:
@@ -218,7 +225,9 @@ class _Planner:
             return result
         if isinstance(expr, ast.FuncCall):
             name = expr.name.lower()
-            if name in ("sum", "avg"):
+            if name == "sum":
+                return _sum_type(self.infer_type(expr.args[0], node))
+            if name == "avg":
                 return ht.F64
             if name == "count":
                 return ht.I64
@@ -502,7 +511,10 @@ class _Planner:
         for agg_name, fn, col in aggregates:
             if fn == "count":
                 agg_output.append((agg_name, ht.I64))
-            elif fn in ("sum", "avg"):
+            elif fn == "sum":
+                agg_output.append((agg_name,
+                                   _sum_type(pre.output_type(col))))
+            elif fn == "avg":
                 agg_output.append((agg_name, ht.F64))
             else:
                 agg_output.append((agg_name, pre.output_type(col)))

@@ -270,9 +270,11 @@ class TestEligibility:
             assert kernel.eligible, kernel.declined
 
     def test_wildcard_typed_sql_predicate_is_typed_by_inference(self):
-        """``_flatten`` declares ``e = @lt(c, 2.5)`` as ``?``; the kernel
-        types it from inference while the IR keeps its ``?``."""
-        from repro.core.ir import Assign
+        """``_flatten`` declares ``e = @lt(c, 2.5)`` as ``?``; compilation
+        resolves it to ``bool`` before the optimizer runs, so the IR the
+        kernel is built from carries the type and the segment runs in C."""
+        from repro.core import types as ht
+        from repro.core.ir import Assign, BuiltinCall
         from repro.engine import EngineSession
         from repro.engine.storage import Database
 
@@ -283,9 +285,14 @@ class TestEligibility:
         session = EngineSession(db)
         sql = "SELECT a, b FROM t WHERE a < 2.5 OR a > 7.5"
         compiled = session.compile_sql(sql, backend="c")
-        wildcards = [stmt for stmt in compiled.program.module.entry.body
-                     if isinstance(stmt, Assign) and stmt.type.is_wildcard]
-        assert wildcards  # the IR is untouched
+        assigns = [stmt for stmt in compiled.program.module.entry.body
+                   if isinstance(stmt, Assign)]
+        assert not [stmt for stmt in assigns if stmt.type.is_wildcard]
+        compares = [stmt for stmt in assigns
+                    if isinstance(stmt.expr, BuiltinCall)
+                    and stmt.expr.name in ("lt", "gt")]
+        assert len(compares) == 2
+        assert all(stmt.type is ht.BOOL for stmt in compares)
         assert compiled.program.report.c_eligible_segments == \
             compiled.program.report.fused_segments >= 1
 

@@ -1,63 +1,14 @@
-"""Tests for the dependence graph and the kernel code generator
-(including the buffer-reuse planner)."""
+"""Tests for the kernel code generator (including the buffer-reuse
+planner)."""
 
 import numpy as np
 import pytest
 
 from repro.core import from_numpy
 from repro.core.compiler import compile_module
-from repro.core.depgraph import build_depgraph
 from repro.core.optimizer.fusion import FusedItem, segment_method
 from repro.core.codegen.pygen import generate_kernel
 from repro.core.parser import parse_method, parse_module
-
-
-def _figure2_method():
-    return parse_method("""
-    def main(t1:f64, t2:f64): f64 {
-        t3:bool = @geq(t2, 0.05:f64);
-        t4:f64 = @compress(t3, t1);
-        t5:f64 = @compress(t3, t2);
-        t6:f64 = @mul(t4, t5);
-        t7:f64 = @sum(t6);
-        return t7;
-    }
-    """)
-
-
-class TestDepGraph:
-    def test_edges_follow_def_use(self):
-        method = _figure2_method()
-        graph = build_depgraph(method.body)
-        # S0 (t3) feeds S1 and S2; S3 (t6) feeds S4.
-        assert graph.consumers(0) == {1, 2}
-        assert graph.consumers(3) == {4}
-        assert graph.producers(3) == {1, 2}
-
-    def test_external_inputs_recorded(self):
-        method = _figure2_method()
-        graph = build_depgraph(method.body)
-        assert graph.external_inputs[0] == {"t2"}
-        assert graph.external_inputs[1] == {"t1"}
-
-    def test_redefinition_rebinds_producer(self):
-        method = parse_method("""
-        def main(x:f64): f64 {
-            a:f64 = @mul(x, 2.0:f64);
-            a:f64 = @add(a, 1.0:f64);
-            b:f64 = @mul(a, a);
-            return b;
-        }
-        """)
-        graph = build_depgraph(method.body)
-        # b reads the *second* definition of a.
-        assert graph.producers(2) == {1}
-
-    def test_to_dot_renders(self):
-        method = _figure2_method()
-        dot = build_depgraph(method.body).to_dot()
-        assert dot.startswith("digraph")
-        assert "s0 -> s1" in dot
 
 
 def _first_segment(source: str):
@@ -107,6 +58,31 @@ class TestKernelCodegen:
         buffer_count = kernel.source.count("np.empty")
         assert 1 <= buffer_count <= 2
         assert "out=_buf" in kernel.source
+
+    def test_a_buffer_whose_value_dies_takes_the_result(self):
+        source = """
+        def main(x:f64): f64 {
+            a:f64 = @mul(x, 2.0:f64);
+            b:f64 = @add(a, 1.0:f64);
+            c:f64 = @mul(b, b);
+            d:f64 = @sub(c, a);
+            s:f64 = @sum(d);
+            return s;
+        }
+        """
+        kernel = generate_kernel(_first_segment(source))
+        # b dies at c and a at d: c writes over b, d over a.
+        assert kernel.source.count("np.empty") == 2
+        assert "c = np.multiply(b, b, out=_buf1" in kernel.source
+        assert "d = np.subtract(c, a, out=_buf0" in kernel.source
+        program = compile_module(parse_module(
+            "module M {" + source + "}"), "opt")
+        data = np.arange(1000, dtype=np.float64)
+        want = ((data * 2 + 1) ** 2 - data * 2).sum()
+        for chunk_size in (64, 1 << 15):
+            result = program.run(args=[from_numpy(data)],
+                                 chunk_size=chunk_size)
+            assert result.item() == want
 
     def test_output_buffer_never_reused(self):
         segment = _first_segment("""

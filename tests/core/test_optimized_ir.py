@@ -110,6 +110,21 @@ def test_optimized_ir_matches_golden(session, golden_stats, name):
         golden_stats[name]
 
 
+def test_no_statement_reaches_code_generation_declared_unknown(session):
+    """Compilation resolves every ``?`` declaration the SQL translator
+    and the MATLAB frontend emit; only a list's elements stay ``?``."""
+    for name, (kind, text, *specs) in PROGRAMS.items():
+        if kind == "sql":
+            module = session.prepare(text, use_cache=False).program.module
+        else:
+            module = session.compile_matlab(text, specs[0]).compiled.module
+        unknown = [str(stmt) for method in module.methods.values()
+                   for stmt in method.walk_stmts()
+                   if isinstance(stmt, ir.Assign)
+                   and stmt.type.is_wildcard]
+        assert not unknown, (name, unknown)
+
+
 def _regenerate() -> None:
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     stats = {}

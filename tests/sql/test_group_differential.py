@@ -10,7 +10,12 @@ column holds quarters, so every sum is exact and an ``ORDER BY`` an
 average sees the oracle's order.  Cases: ``AVG`` beside ``SUM`` and
 ``COUNT(*)`` of the same column, ``AVG`` alone, ``AVG`` of an integer
 column, a string key plus an integer key, one group, an empty table,
-``HAVING`` on an ``AVG`` and ``ORDER BY`` an ``AVG``.
+``HAVING`` on an ``AVG``, ``ORDER BY`` an ``AVG``, and ``SUM`` beside
+``AVG`` of one integer column, which share one ``@group_sum``.
+
+An integer ``SUM`` is an exact ``i64``, as SQLite's is: a group holding
+2**53 + 1 and 2 sums to 9007199254740995, compared exactly (a float64
+accumulator would round it to ...994).
 
 No query may reach its answer by the session's fallback chain
 (``query.retries`` stays 0).
@@ -25,6 +30,7 @@ import pytest
 
 from benchmarks.layered.check import columns_of, mismatch
 from repro import EngineSession
+from repro.core import ir
 from repro.core import types as ht
 from repro.core.codegen.cgen import c_backend_available
 from repro.engine.storage import Database
@@ -36,6 +42,7 @@ SCHEMA = {
     "t": [("s", ht.STR), ("k", ht.I64), ("x", ht.F64), ("n", ht.I64),
           ("same", ht.STR)],
     "e": [("es", ht.STR), ("ex", ht.F64)],
+    "w": [("wg", ht.I64), ("wv", ht.I64)],
 }
 
 
@@ -49,6 +56,7 @@ def _tables(seed: int = 5) -> dict:
               [int(v) for v in rng.integers(-50, 1000, rows)],
               ["one"] * rows],
         "e": [[], []],
+        "w": [[1, 1, 2], [2**53 + 1, 2, 5]],
     }
 
 
@@ -66,7 +74,11 @@ CASES = {
                    "HAVING AVG(x) > 440"),
     "order_by_avg": ("SELECT k, AVG(x) AS ax FROM t GROUP BY k "
                      "ORDER BY ax DESC"),
+    "sum_avg_integer": ("SELECT k, SUM(n) AS sn, AVG(n) AS an "
+                        "FROM t GROUP BY k"),
 }
+
+EXACT_SUM = "SELECT wg, SUM(wv) AS sv FROM w GROUP BY wg"
 
 ENGINES = ["interp", "pygen",
            pytest.param("cgen", marks=pytest.mark.skipif(
@@ -142,3 +154,27 @@ def test_engine_matches_sqlite(data, case, engine, opt_level):
     if "ORDER BY" in sql:
         # The comparator forgives row order; the sort key must not.
         assert list(columns_of(result)["k"]) == list(want["k"])
+
+
+@pytest.mark.parametrize("opt_level", ["naive", "opt"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_integer_sum_is_exact(data, engine, opt_level):
+    session, oracle = data
+    result = columns_of(session.run_sql(EXACT_SUM, backend=engine,
+                                        opt_level=opt_level))
+    want = _oracle(oracle, EXACT_SUM)
+    assert want["sv"].tolist() == [2**53 + 3, 5]
+    order = np.argsort(result["wg"])
+    assert result["sv"].dtype == np.int64
+    assert result["sv"][order].tolist() == want["sv"].tolist()
+
+
+def test_sum_and_avg_of_an_integer_share_one_group_sum(data):
+    session, _ = data
+    module = session.prepare(CASES["sum_avg_integer"],
+                             use_cache=False).program.module
+    sums = [stmt for stmt in ir.walk_body(module.entry.body)
+            if isinstance(stmt, ir.Assign)
+            and isinstance(stmt.expr, ir.BuiltinCall)
+            and stmt.expr.name == "group_sum"]
+    assert [stmt.type for stmt in sums] == [ht.I64]

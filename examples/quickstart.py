@@ -61,7 +61,7 @@ def main() -> None:
 
     mdb_result = session.run_sql(sql, backend="baseline")
     print("Baseline result:  ",
-          float(mdb_result.column("RevenueChange")[0]))
+          float(mdb_result.column("RevenueChange").data[0]))
     print(f"(compile time: {compiled.compile_seconds * 1000:.1f} ms)")
 
 

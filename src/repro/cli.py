@@ -98,14 +98,9 @@ def _parse_bytes(spec: str) -> int:
 
 
 def _print_table(result, limit: int) -> None:
-    if hasattr(result, "columns"):  # TableValue
-        names = result.column_names
-        arrays = [vec.data for _, vec in result.columns()]
-        total = result.num_rows
-    else:  # ColumnTable
-        names = result.column_names
-        arrays = [result.column(n) for n in names]
-        total = result.num_rows
+    names = result.column_names
+    arrays = [vec.data for _, vec in result.columns()]
+    total = result.num_rows
     print(" | ".join(f"{n:>18}" for n in names))
     print("-+-".join("-" * 18 for _ in names))
     for row in range(min(total, limit)):

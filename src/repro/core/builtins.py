@@ -43,7 +43,8 @@ from repro.errors import BuiltinError
 
 __all__ = ["Builtin", "EvalContext", "BUILTINS", "get", "exists",
            "run_profiled", "charges_output", "BuiltinSig",
-           "SIGNATURES", "signature", "selection", "compress_mismatch"]
+           "SIGNATURES", "signature", "select", "selection",
+           "compress_mismatch"]
 
 #: Builtins whose result is a reference to existing storage (the base
 #: table, one of its columns, a string vector's codes or dictionary)
@@ -171,7 +172,7 @@ def _as_vector(name: str, value: Value) -> Vector:
     return value
 
 
-def _select(vec: Vector, index) -> Vector:
+def select(vec: Vector, index) -> Vector:
     """``vec[index]`` — a mask, an index array or a slice.  A ``str``
     vector selects its codes and keeps its dictionary."""
     if vec.type is ht.STR:
@@ -563,7 +564,7 @@ def _run_compress(args: list[Value], _: EvalContext) -> Value:
         raise BuiltinError("@compress mask must be bool")
     if len(mask) != len(data):
         raise compress_mismatch(len(mask), len(data))
-    return _select(data, selection(mask.data))
+    return select(data, selection(mask.data))
 
 
 _register(Builtin("compress", "compress", 2, _infer_second, _run_compress))
@@ -575,7 +576,7 @@ def _run_index(args: list[Value], _: EvalContext) -> Value:
     idx = _as_vector("index", args[1])
     if not ht.is_integer(idx.type):
         raise BuiltinError("@index indices must be integers")
-    return _select(data, idx.data)
+    return select(data, idx.data)
 
 
 _register(Builtin("index", "opaque", 2, _infer_first, _run_index))
@@ -658,7 +659,7 @@ _register(Builtin("len", "opaque", 1, _infer_i64, _run_len))
 def _run_reverse(args: list[Value], _: EvalContext) -> Value:
     _expect_arity("reverse", args, 1)
     data = _as_vector("reverse", args[0])
-    return _select(data, slice(None, None, -1))
+    return select(data, slice(None, None, -1))
 
 
 _register(Builtin("reverse", "opaque", 1, _infer_first, _run_reverse))
@@ -669,7 +670,7 @@ def _run_unique(args: list[Value], _: EvalContext) -> Value:
     data = _as_vector("unique", args[0])
     values = data.encoding()[0] if data.type is ht.STR else data.data
     _, first = np.unique(values, return_index=True)
-    return _select(data, np.sort(first))
+    return select(data, np.sort(first))
 
 
 _register(Builtin("unique", "opaque", 1, _infer_first, _run_unique))
@@ -1026,7 +1027,7 @@ def _run_take(args: list[Value], _: EvalContext) -> Value:
     _expect_arity("take", args, 2)
     data = _as_vector("take", args[0])
     n = int(_as_vector("take", args[1]).item())
-    return _select(data, slice(None, n))
+    return select(data, slice(None, n))
 
 
 _register(Builtin("take", "opaque", 2, _infer_first, _run_take))
@@ -1113,7 +1114,7 @@ def _run_subseq(args: list[Value], _: EvalContext) -> Value:
         raise BuiltinError(
             f"@subseq bounds {start}:{stop} out of range for "
             f"length {len(data)}")
-    return _select(data, slice(start - 1, stop))
+    return select(data, slice(start - 1, stop))
 
 
 _register(Builtin("subseq", "opaque", 3, _infer_first, _run_subseq))

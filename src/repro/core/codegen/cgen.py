@@ -75,6 +75,14 @@ _C_TYPES = {
     "date": "long long",
 }
 
+
+def _acc_type(combine: str, type_: ht.HorseType) -> str:
+    """The C type a reduction accumulates in: ``long long`` for an
+    integer sum or count (exact past 2**53), else ``double``."""
+    return "long long" if combine == "sum" and ht.is_integer(type_) \
+        else "double"
+
+
 #: C storage types for output buffers: these must match NumPy's in-memory
 #: layout exactly (bool is ONE byte in NumPy; loop locals may stay int).
 _C_STORE_TYPES = dict(_C_TYPES, bool="unsigned char")
@@ -249,6 +257,9 @@ class _SourceBuilder:
         self._reductions = [(name, role.split(":", 1)[1])
                             for name, role in segment.outputs
                             if role != "vector"]
+        #: reduction output -> the C type it accumulates in
+        self._acc = {name: _acc_type(combine, types[name])
+                     for name, combine in self._reductions}
         self._compacted = _compacted_domains(segment)
         #: variable -> C expression of its value in the current row
         self._values: dict[str, str] = {}
@@ -267,7 +278,7 @@ class _SourceBuilder:
         for name in self._vectors:
             params.append(f"{self._store_type(name)}* restrict {name}_o")
         for name, _ in self._reductions:
-            params.append(f"double* restrict {name}_r")
+            params.append(f"{self._acc[name]}* restrict {name}_r")
         if self._compacted:
             params.append("long long* restrict lens")
 
@@ -452,7 +463,8 @@ class _SourceBuilder:
         self._enter(where)
         if builtin.kind == "reduction":
             self._line(self._reduction_update(
-                target, expr.name, self._value(expr.args[0].name)))
+                target, expr.name, self._value(expr.args[0].name),
+                self._acc[target]))
             return
         # A whole-value operand (the table of a @gather) is indexed by
         # the template, not read per row.
@@ -522,15 +534,17 @@ class _SourceBuilder:
                 omp.append(f"reduction(+:{name}_nsel)")
                 finals.append(f"    {name}_r[1] = {name}_nsel;")
             else:
-                decls.append(f"    double {name}_acc = {identity};")
+                decls.append(f"    {self._acc[name]} {name}_acc = "
+                             f"{identity};")
                 omp.append(f"reduction({op}:{name}_acc)")
             finals.append(f"    {name}_r[0] = {name}_acc;")
         return decls, omp, finals
 
     @staticmethod
-    def _reduction_update(target: str, reducer: str, value: str) -> str:
+    def _reduction_update(target: str, reducer: str, value: str,
+                          acc: str) -> str:
         if reducer == "sum":
-            return f"{target}_acc += (double)({value});"
+            return f"{target}_acc += ({acc})({value});"
         if reducer == "prod":
             return f"{target}_acc *= (double)({value});"
         if reducer == "count":
@@ -699,7 +713,9 @@ class CKernel:
                 # interpreter instead of returning +/-INFINITY.
                 combine = role.split(":", 1)[1]
                 slots = 2 if combine in ("min", "max") else 1
-                buffers[name] = np.empty(slots, dtype=np.float64)
+                exact = _acc_type(combine, self.types[name]) != "double"
+                buffers[name] = np.empty(
+                    slots, dtype=np.int64 if exact else np.float64)
         args.extend(buffer.ctypes.data_as(ctypes.c_void_p)
                     for buffer in buffers.values())
         compacted = _compacted_domains(self.segment)

@@ -14,24 +14,21 @@ __all__ = ["ColumnTable"]
 class ColumnTable:
     """An in-memory column-oriented table.
 
-    Columns are NumPy 1-D arrays of equal length; each carries a HorseIR
-    type so both executors agree on semantics (dates are
-    ``datetime64[D]``).  String columns are stored as object arrays of
-    Python strings — what the baseline engine, CSV I/O and ``ANALYZE``
-    read — and handed to HorseIR queries as one cached vector per
-    column, dictionary-encoded on the first query that needs its codes
-    (not at load: most string columns are never grouped or filtered)
-    and shared by every session over this table from then on.
+    Each column is one :class:`Vector` of equal length, the object
+    every engine reads (dates are ``datetime64[D]``).  A string column
+    is loaded as an object array of Python strings — what CSV I/O and
+    ``ANALYZE`` read through :meth:`column` — and dictionary-encoded on
+    the first query that needs its codes (not at load: most string
+    columns are never grouped or filtered); the encoding is kept on the
+    vector and shared by every session over this table from then on.
     """
 
     def __init__(self, name: str,
                  columns: dict[str, np.ndarray] | None = None,
                  types: dict[str, ht.HorseType] | None = None):
         self.name = name
-        self._columns: dict[str, np.ndarray] = {}
-        self._types: dict[str, ht.HorseType] = {}
-        #: The vector each query sees per column: one object, so a
-        #: string column's encoding is computed once (Vector.encoding).
+        #: One vector per column, so a string column's encoding is
+        #: computed once (Vector.encoding).
         self._vectors: dict[str, Vector] = {}
         #: Bumped by every :meth:`add_column`: the schema's version.
         self.version = 0
@@ -45,7 +42,7 @@ class ColumnTable:
         if array.ndim != 1:
             raise StorageError(
                 f"column {name!r} must be one-dimensional")
-        if self._columns and len(array) != self.num_rows:
+        if self._vectors and len(array) != self.num_rows:
             raise StorageError(
                 f"column {name!r} has {len(array)} rows, table "
                 f"{self.name!r} has {self.num_rows}")
@@ -55,39 +52,36 @@ class ColumnTable:
             array = array.astype(object)
         else:
             array = array.astype(ht.numpy_dtype(type_), copy=False)
-        if name in self._columns:
+        if name in self._vectors:
             raise StorageError(f"duplicate column {name!r}")
-        self._columns[name] = array
-        self._types[name] = type_
         self._vectors[name] = Vector(type_, array)
         self.version += 1
 
     @property
     def num_rows(self) -> int:
-        if not self._columns:
+        if not self._vectors:
             return 0
-        return len(next(iter(self._columns.values())))
+        return len(next(iter(self._vectors.values())))
 
     @property
     def column_names(self) -> list[str]:
-        return list(self._columns)
+        return list(self._vectors)
 
     def column(self, name: str) -> np.ndarray:
-        try:
-            return self._columns[name]
-        except KeyError:
-            raise StorageError(
-                f"table {self.name!r} has no column {name!r}") from None
+        return self._vector(name).data
 
     def column_type(self, name: str) -> ht.HorseType:
+        return self._vector(name).type
+
+    def schema(self) -> list[tuple[str, ht.HorseType]]:
+        return [(name, vec.type) for name, vec in self._vectors.items()]
+
+    def _vector(self, name: str) -> Vector:
         try:
-            return self._types[name]
+            return self._vectors[name]
         except KeyError:
             raise StorageError(
                 f"table {self.name!r} has no column {name!r}") from None
-
-    def schema(self) -> list[tuple[str, ht.HorseType]]:
-        return [(name, self._types[name]) for name in self._columns]
 
     def to_table_value(self) -> TableValue:
         """A zero-copy view as a HorseIR table value."""

@@ -35,6 +35,7 @@ from repro.sql import plan as p
 from repro.sql.udf import UDFRegistry
 
 __all__ = ["push_predicates", "prune_columns", "reorder_by_selectivity",
+           "references_udf",
            "find_filters_without_columns", "find_unfiltered_cross_joins",
            "find_unlimited_sorts"]
 
@@ -118,27 +119,27 @@ def _rename_columns(expr: ast.Expr, mapping: dict[str, str]) -> ast.Expr:
     return expr
 
 
-def _references_udf(expr: ast.Expr, udfs: UDFRegistry) -> bool:
+def references_udf(expr: ast.Expr, udfs: UDFRegistry) -> bool:
     if isinstance(expr, ast.FuncCall):
         if udfs.is_udf(expr.name):
             return True
-        return any(_references_udf(a, udfs) for a in expr.args)
+        return any(references_udf(a, udfs) for a in expr.args)
     if isinstance(expr, ast.BinOp):
-        return _references_udf(expr.left, udfs) \
-            or _references_udf(expr.right, udfs)
+        return references_udf(expr.left, udfs) \
+            or references_udf(expr.right, udfs)
     if isinstance(expr, ast.UnOp):
-        return _references_udf(expr.operand, udfs)
+        return references_udf(expr.operand, udfs)
     if isinstance(expr, ast.CaseWhen):
         for cond, value in expr.whens:
-            if _references_udf(cond, udfs) \
-                    or _references_udf(value, udfs):
+            if references_udf(cond, udfs) \
+                    or references_udf(value, udfs):
                 return True
         return expr.else_expr is not None \
-            and _references_udf(expr.else_expr, udfs)
+            and references_udf(expr.else_expr, udfs)
     if isinstance(expr, ast.InList):
-        return _references_udf(expr.expr, udfs)
+        return references_udf(expr.expr, udfs)
     if isinstance(expr, ast.Between):
-        return _references_udf(expr.expr, udfs)
+        return references_udf(expr.expr, udfs)
     return False
 
 
@@ -203,7 +204,7 @@ def _push_filters(node: p.PlanNode, conjuncts: list[ast.Expr],
         right_cols = set(node.right.output_names())
         for conjunct in conjuncts:
             used = _expr_columns(conjunct)
-            if _references_udf(conjunct, udfs):
+            if references_udf(conjunct, udfs):
                 remaining.append(conjunct)
             elif used <= left_cols:
                 left_push.append(conjunct)
@@ -227,7 +228,7 @@ def _push_filters(node: p.PlanNode, conjuncts: list[ast.Expr],
         for conjunct in conjuncts:
             used = _expr_columns(conjunct)
             if used <= set(passthrough) \
-                    and not _references_udf(conjunct, udfs):
+                    and not references_udf(conjunct, udfs):
                 pushed.append(_rename_columns(conjunct, passthrough))
             else:
                 remaining.append(conjunct)

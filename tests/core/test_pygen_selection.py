@@ -497,7 +497,7 @@ def test_baseline_filter_matches_boolean_indexing(strings_db, threshold):
     result = session.run_sql(f"SELECT s, v FROM t WHERE v > {threshold}",
                              backend="baseline")
     mask = values > threshold
-    s = result.column("s")
-    v = result.column("v")
+    s = result.column("s").data
+    v = result.column("v").data
     assert s.dtype == object and list(s) == list(names[mask])
     np.testing.assert_array_equal(v, values[mask])

@@ -227,7 +227,7 @@ class TestBackendBehavior:
             result = compiled.run()
         assert compiled.report is None
         assert compiled.compile_seconds == 0.0
-        assert result.column("s")[0] == pytest.approx(4950.0)
+        assert result.column("s").data[0] == pytest.approx(4950.0)
 
     @pytest.mark.skipif(not c_backend_available(),
                         reason="gcc not on PATH")

@@ -49,10 +49,9 @@ def systems(db):
 
 
 def assert_tables_match(hp_result, mdb_result, sort_by=None):
-    """Compare a HorseIR TableValue with an engine ColumnTable."""
-    hp_cols = {name: vec.data for name, vec in hp_result.columns()}
-    mdb_cols = {name: mdb_result.column(name)
-                for name in mdb_result.column_names}
+    """Compare a HorseIR result table with the baseline's."""
+    hp_cols, mdb_cols = ({name: vec.data for name, vec in result.columns()}
+                         for result in (hp_result, mdb_result))
     assert sorted(hp_cols) == sorted(mdb_cols)
     if sort_by is not None:
         hp_order = np.argsort(hp_cols[sort_by], kind="stable")
@@ -326,7 +325,7 @@ class TestThreadedExecution:
         """
         t1 = mdb.run_sql(sql, n_threads=1)
         t4 = mdb.run_sql(sql, n_threads=4)
-        assert t1.column("n")[0] == t4.column("n")[0]
+        assert t1.column("n").data[0] == t4.column("n").data[0]
 
 class TestMultiJoin:
     """Three-table comma joins resolve recursively (paper future-work
@@ -360,7 +359,7 @@ class TestMultiJoin:
         WHERE ak = bk AND ck_ref = ck AND cv > 0.2
         """
         got_hp = hp.run_sql(sql).column("s").data[0]
-        got_mdb = mdb.run_sql(sql).column("s")[0]
+        got_mdb = mdb.run_sql(sql).column("s").data[0]
         a_map = dict(zip(db.table("ta").column("ak"),
                          db.table("ta").column("av")))
         c_map = dict(zip(db.table("tc").column("ck"),

@@ -34,7 +34,7 @@ class TestEmptyInputs:
         hp = EngineSession(empty_db)
         sql = "SELECT SUM(x * x) AS s FROM t WHERE x > 0"
         assert hp.run_sql(sql).column("s").data[0] == 0
-        assert hp.run_sql(sql, backend="baseline").column("s")[0] == 0
+        assert hp.run_sql(sql, backend="baseline").column("s").data[0] == 0
 
     def test_projection_on_empty_table(self, empty_db):
         hp = EngineSession(empty_db)
@@ -51,7 +51,7 @@ class TestEmptyInputs:
         hp = EngineSession(small_db)
         sql = "SELECT SUM(x) AS s FROM t WHERE x > 1000"
         assert hp.run_sql(sql).column("s").data[0] == 0
-        assert hp.run_sql(sql, backend="baseline").column("s")[0] == 0
+        assert hp.run_sql(sql, backend="baseline").column("s").data[0] == 0
 
 
 class TestUDFFailures:
@@ -104,7 +104,7 @@ class TestNumericEdgeCases:
         sql = "SELECT SUM(logUDF(x)) AS s FROM t"
         with np.errstate(invalid="ignore"):
             hp_value = hp.run_sql(sql).column("s").data[0]
-            mdb_value = hp.run_sql(sql, backend="baseline").column("s")[0]
+            mdb_value = hp.run_sql(sql, backend="baseline").column("s").data[0]
         assert np.isnan(hp_value) and np.isnan(mdb_value)
 
     def test_division_by_zero_yields_inf(self, small_db):

@@ -15,7 +15,9 @@ column, a string key plus an integer key, one group, an empty table,
 
 An integer ``SUM`` is an exact ``i64``, as SQLite's is: a group holding
 2**53 + 1 and 2 sums to 9007199254740995, compared exactly (a float64
-accumulator would round it to ...994).
+accumulator would round it to ...994).  So does a filtered scalar
+``SUM``, which cgen runs as one fused C kernel: 2**53 + 1 and ninety-nine
+2s sum to 9007199254741191 (a ``double`` accumulator gives ...190).
 
 No query may reach its answer by the session's fallback chain
 (``query.retries`` stays 0).
@@ -43,6 +45,7 @@ SCHEMA = {
           ("same", ht.STR)],
     "e": [("es", ht.STR), ("ex", ht.F64)],
     "w": [("wg", ht.I64), ("wv", ht.I64)],
+    "u": [("uv", ht.I64), ("ug", ht.I64)],
 }
 
 
@@ -57,6 +60,7 @@ def _tables(seed: int = 5) -> dict:
               ["one"] * rows],
         "e": [[], []],
         "w": [[1, 1, 2], [2**53 + 1, 2, 5]],
+        "u": [[2**53 + 1] + [2] * 99, list(range(100))],
     }
 
 
@@ -79,6 +83,7 @@ CASES = {
 }
 
 EXACT_SUM = "SELECT wg, SUM(wv) AS sv FROM w GROUP BY wg"
+FILTERED_SUM = "SELECT SUM(uv) AS s FROM u WHERE ug >= 0"
 
 ENGINES = ["interp", "pygen",
            pytest.param("cgen", marks=pytest.mark.skipif(
@@ -167,6 +172,11 @@ def test_integer_sum_is_exact(data, engine, opt_level):
     order = np.argsort(result["wg"])
     assert result["sv"].dtype == np.int64
     assert result["sv"][order].tolist() == want["sv"].tolist()
+    scalar_sum = columns_of(session.run_sql(FILTERED_SUM, backend=engine,
+                                            opt_level=opt_level))["s"]
+    assert _oracle(oracle, FILTERED_SUM)["s"].tolist() == [2**53 + 199]
+    assert scalar_sum.dtype == np.int64
+    assert scalar_sum.tolist() == [2**53 + 199]
 
 
 def test_sum_and_avg_of_an_integer_share_one_group_sum(data):

@@ -334,7 +334,7 @@ class TestDistinctAndHaving:
         hp_result = hp.run_sql(sql)
         mdb_result = mdb.run_sql(sql)
         assert hp_result.column("grp").data.tolist() == ["a", "b", "c"]
-        assert mdb_result.column("grp").tolist() == ["a", "b", "c"]
+        assert mdb_result.column("grp").data.tolist() == ["a", "b", "c"]
 
     def test_select_distinct_expression(self, db_systems):
         hp, _ = db_systems
@@ -355,7 +355,7 @@ class TestDistinctAndHaving:
         mdb_result = mdb.run_sql(sql)
         assert hp_result.column("grp").data.tolist() == ["a", "b"]
         assert hp_result.column("total").data.tolist() == [10.0, 7.0]
-        assert mdb_result.column("grp").tolist() == ["a", "b"]
+        assert mdb_result.column("grp").data.tolist() == ["a", "b"]
 
     def test_having_with_aggregate_not_in_select(self, db_systems):
         hp, mdb = db_systems
@@ -367,7 +367,7 @@ class TestDistinctAndHaving:
         ORDER BY grp
         """
         assert hp.run_sql(sql).column("grp").data.tolist() == ["a", "b"]
-        assert mdb.run_sql(sql).column("grp").tolist() == ["a", "b"]
+        assert mdb.run_sql(sql).column("grp").data.tolist() == ["a", "b"]
 
     def test_having_without_group_rejected(self, db_systems):
         hp, _ = db_systems

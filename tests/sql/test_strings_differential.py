@@ -11,6 +11,10 @@ duplicates, ``LIKE`` patterns holding regex metacharacters, string
 ranges, ``ORDER BY`` a string ``DESC`` with ties, grouping on two string
 keys, a join on string keys whose dictionaries differ, and per-group
 ``MIN`` / ``MAX`` of a string.
+
+The baseline reads the tables' own encoded vectors, so a warm run of a
+query that filters, compares strings, groups and orders by a string
+encodes nothing.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import pytest
 
 from benchmarks.layered.check import columns_of, mismatch
 from repro import EngineSession
+from repro.core import strings
 from repro.core import types as ht
 from repro.core.codegen.cgen import c_backend_available
 from repro.engine.storage import Database
@@ -138,3 +143,27 @@ def test_engine_matches_sqlite(data, case, engine, opt_level):
     if "ORDER BY" in sql:
         # The comparator forgives row order; the sort key must not.
         assert list(columns_of(result)["a"]) == list(want["a"])
+
+
+#: A number filter, then a string ``=``, ``IN`` and ``LIKE``, a GROUP BY
+#: a string and an ORDER BY it: every string operator of the baseline.
+WARM_SQL = ("SELECT a, COUNT(*) AS n, SUM(x) AS sx FROM t "
+            "WHERE x < 45 AND b = 'ab' "
+            "AND a IN ('a', 'ab', 'abc', 'a.b', 'b_c', 'MAIL', 'bc') "
+            "AND a LIKE '%b%' GROUP BY a ORDER BY a DESC")
+
+
+def test_a_warm_baseline_run_encodes_no_string(data, monkeypatch):
+    session, _ = data
+    session.run_sql(WARM_SQL, backend="baseline")
+    encoded = []
+    encode = strings.encode
+    monkeypatch.setattr(strings, "encode",
+                        lambda values: encoded.append(len(values))
+                        or encode(values))
+    result = columns_of(session.run_sql(WARM_SQL, backend="baseline"))
+    assert encoded == []
+    want = columns_of(session.run_sql(WARM_SQL, backend="interp"))
+    assert len(want["a"]) >= 2
+    assert {name: column.tolist() for name, column in result.items()} \
+        == {name: column.tolist() for name, column in want.items()}

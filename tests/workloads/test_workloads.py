@@ -34,9 +34,7 @@ def tpch_systems(tpch_db):
 
 
 def _columns(result) -> dict[str, np.ndarray]:
-    if hasattr(result, "columns"):  # TableValue
-        return {name: vec.data for name, vec in result.columns()}
-    return {name: result.column(name) for name in result.column_names}
+    return {name: vec.data for name, vec in result.columns()}
 
 
 def assert_results_match(a, b):

@@ -490,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="optimization pipeline: a preset (O0, "
                               "O1, O2) or a comma-separated pass list "
                               "run once in order, e.g. "
-                              "inline,constprop,dce (see docs/"
+                              "inline,simplify (see docs/"
                               "compiler_pipeline.md for the inventory)")
         sub.add_argument("--verify-ir", action="store_true",
                          help="re-verify the IR after every optimizer "

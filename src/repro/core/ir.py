@@ -202,10 +202,6 @@ class Method:
     params: list[Param]
     ret_type: ht.HorseType
     body: list[Stmt]
-    #: Declaration facts (see :mod:`repro.core.optimizer.analysis`) the
-    #: pass manager lets passes share while no statement is added,
-    #: removed or retargeted; ``None`` outside a managed pass group.
-    facts: dict | None = field(default=None, compare=False, repr=False)
 
     def param_names(self) -> list[str]:
         return [p.name for p in self.params]

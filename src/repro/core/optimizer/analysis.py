@@ -1,22 +1,16 @@
 """Variable-name facts shared by the optimizer passes: assignment
-counts, the single-assignment set, declared types, every name a method
-mentions, and a collision-free name generator.
-
-The single-assignment set and the declared types depend only on a
-method's declarations, so the pass manager keeps them in
-``method.facts`` across rewrites of expressions (see
-``Pass.touches``); with ``method.facts`` unset every call computes."""
+counts, the single-assignment set, every name a method mentions, and a
+collision-free name generator."""
 
 from __future__ import annotations
 
 from collections import Counter
 
 from repro.core import ir
-from repro.core.analysis.typeshape import consistent_types
 from repro.core.depgraph import block_defs, block_uses
 
-__all__ = ["assign_counts", "single_assignment_vars", "declared_types",
-           "method_names", "fresh_namer"]
+__all__ = ["assign_counts", "single_assignment_vars", "method_names",
+           "fresh_namer"]
 
 
 def assign_counts(method: ir.Method) -> Counter:
@@ -47,25 +41,8 @@ def _count_assigns(body: list[ir.Stmt], counts: Counter,
 
 def single_assignment_vars(method: ir.Method) -> set[str]:
     """Variables assigned exactly once on every path (SSA-like)."""
-    return _fact(method, "single", lambda: {
-        name for name, count in assign_counts(method).items()
-        if count == 1})
-
-
-def declared_types(method: ir.Method) -> dict:
-    """:func:`~repro.core.analysis.typeshape.consistent_types` of the
-    method's declarations."""
-    return _fact(method, "types", lambda: consistent_types(method))
-
-
-def _fact(method: ir.Method, key: str, compute):
-    facts = method.facts
-    if facts is None:
-        return compute()
-    value = facts.get(key)
-    if value is None:
-        value = facts[key] = compute()
-    return value
+    return {name for name, count in assign_counts(method).items()
+            if count == 1}
 
 
 def fresh_namer(taken: set[str] | ir.Method, prefix: str = "v"):

@@ -12,7 +12,8 @@ Fusable statement forms:
 * reductions (``@sum``, ``@min``, ...) as segment *tails*: their result is
   a cross-chunk total, so no statement in the same segment may consume it;
 * ``check_cast`` between numeric vector types;
-* literal and symbol assignments (inlined as constants).
+* literal and symbol assignments (inlined as constants) and aliases, of
+  the declared type: any other is a coercion, and runs alone.
 
 Fusion never crosses control flow, and takes every length fact from one
 :func:`~repro.core.analysis.typeshape.infer_method` run over the method —
@@ -290,8 +291,10 @@ class _SegmentBuilder:
 
     def try_add(self, stmt: ir.Assign) -> bool:
         kind = _classify(stmt)
-        if kind is None:
-            return False
+        value = self._facts.stmt_facts[id(stmt)]
+        if kind is None or kind in ("const", "alias") \
+                and value.type != stmt.type:
+            return False  # a coercion, which a kernel would skip
         reads = self._facts.operand_facts[id(stmt)]
         base_class = self._base_class
         domains = set()
@@ -315,7 +318,7 @@ class _SegmentBuilder:
         if len(domains) > 1:
             return False  # operands in different domains
         domain = domains.pop() if domains else ANY
-        target = self._facts.stmt_facts[id(stmt)].shape
+        target = value.shape
         if kind == "compress":
             if domain == ANY or target.token is None:
                 return False

@@ -11,8 +11,8 @@ Figure 2/3 masked sum is such a segment), so the repertoire is small:
 * ``redundant-cast`` — ``x = check_cast(v, T)`` becomes the alias
   ``x = v`` when every definition of ``v`` declares exactly ``T``:
   assignment coerces to the declared type, so the cast is an identity.
-  List-forwarding creates these when it substitutes an already-cast
-  column into a table UDF's output cast.
+  ``simplify``'s list forwarding creates these when it substitutes an
+  already-cast column into a table UDF's output cast.
 """
 
 from __future__ import annotations
@@ -79,53 +79,4 @@ def _split_avg(body: list[ir.Stmt], fresh) -> bool:
             i += 3
         else:
             i += 1
-    return changed
-
-
-def forward_list_items(method: ir.Method) -> bool:
-    """Forward ``x = @list_item(l, k)`` to ``l``'s k-th element.
-
-    After a table UDF inlines, ``main`` holds ``l = @list(c0, c1, ...)``
-    followed by ``@list_item`` projections.  Forwarding each projection to
-    the underlying column turns unused UDF outputs into dead code, which
-    backward slicing then removes — the paper's bs2 behaviour.
-    """
-    single = analysis.single_assignment_vars(method)
-    producers: dict[str, ir.BuiltinCall] = {}
-    for stmt in method.walk_stmts():
-        if isinstance(stmt, ir.Assign) and stmt.target in single \
-                and isinstance(stmt.expr, ir.BuiltinCall) \
-                and stmt.expr.name == "list" \
-                and all(isinstance(a, ir.Var) and a.name in single
-                        for a in stmt.expr.args):
-            producers[stmt.target] = stmt.expr
-
-    if not producers:
-        return False
-    changed = False
-    for stmt in method.walk_stmts():
-        if not isinstance(stmt, ir.Assign):
-            continue
-        expr = stmt.expr
-        # Allow the projection to sit under a check_cast.
-        cast = None
-        if isinstance(expr, ir.Cast):
-            cast = expr.type
-            expr = expr.expr
-        if not (isinstance(expr, ir.BuiltinCall)
-                and expr.name == "list_item"
-                and isinstance(expr.args[0], ir.Var)
-                and isinstance(expr.args[1], ir.Literal)):
-            continue
-        source = producers.get(expr.args[0].name)
-        if source is None:
-            continue
-        index = int(expr.args[1].value)
-        if not (0 <= index < len(source.args)):
-            continue
-        replacement: ir.Expr = source.args[index]
-        if cast is not None:
-            replacement = ir.Cast(replacement, cast)
-        stmt.expr = replacement
-        changed = True
     return changed

@@ -1,17 +1,17 @@
 """The optimization pipeline (paper Section 3.4).
 
 ``optimize`` rewrites a module through the paper's pass order: method
-inlining first (the cross-optimization enabler), then scalar cleanups
-(constants, copies, CSE), backward slicing, and pattern-based fusion.
+inlining first (the cross-optimization enabler), then the scalar
+rewriting core (constants, copies, CSE and backward slicing in one
+``simplify`` pass), join predicate motion and pattern-based fusion.
 Automatic loop fusion itself runs in the compiler, because its result is an
 execution plan rather than IR.
 
-Since the pass-manager refactor this module is a thin preset invocation:
-the pass order, fixed-point rounds, spans and statistics live in
-:mod:`repro.core.passes`, and ``optimize(...)`` is exactly
-``PassManager(preset("O2")).run_module(...)``.  Callers wanting custom
-pipelines, inter-pass verification or IR dumps pass ``pipeline=`` /
-``verify_ir=`` / ``dump_ir=`` straight through.
+This module is a thin preset invocation: the pass order, spans and
+statistics live in :mod:`repro.core.passes`, and ``optimize(...)`` is
+exactly ``PassManager(preset("O2")).run_module(...)``.  Callers wanting
+custom pipelines, inter-pass verification or IR dumps pass
+``pipeline=`` / ``verify_ir=`` / ``dump_ir=`` straight through.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ def optimize(module: ir.Module, *, entry: str | None = None,
         -> tuple[ir.Module, OptimizeStats]:
     """Optimize ``module``; returns a new module and pass statistics.
 
-    ``ctx`` names where per-pass spans go (``ctx.tracer``), the
+    ``ctx`` names where per-pass spans go (``ctx.tracer``) and the
     checkpoint surface checked once per pass so a deadline can cancel a
-    pathological optimization (``ctx.limits``), and the registry that
-    receives the ``optimizer.fixed_point_exhausted`` counter
-    (``ctx.metrics``); without one the run is untraced and unlimited.
+    pathological optimization (``ctx.limits``); without one the run is
+    untraced and unlimited.
 
     ``pipeline`` overrides the ``O2`` preset (a name, a comma list of
     pass names, or a :class:`~repro.core.passes.Pipeline`).

@@ -4,15 +4,15 @@ HorsePower's claim is that *one* optimizer working across the SQL/UDF
 boundary beats two black-box stacks.  This module is that one
 optimizer's skeleton: a :class:`Pass` protocol, a :class:`Pipeline`
 (an ordered pass list with a cache-key fingerprint), and a
-:class:`PassManager` that owns ordering, fixed-point rounds, per-pass
-timing/rewrite statistics, per-pass tracer spans, optional inter-pass
+:class:`PassManager` that owns ordering, per-pass timing/rewrite
+statistics, per-pass tracer spans, optional inter-pass
 verification (``--verify-ir``), and optional IR dumps
 (``--dump-ir``).  Both of the historical pipelines run on it:
 
-* the HorseIR rewrites — ``inline``, then the fixed-point group
-  ``list-forwarding``/``constprop``/``copyprop``/``cse``/``dce``, then
-  ``join-predicate-motion`` and ``patterns`` (plus a silent
-  post-pattern DCE sweep) — via
+* the HorseIR rewrites — ``inline``, then ``simplify`` (constants,
+  copies, CSE, list forwarding and dead code in one forward sweep and
+  one backward slice), then ``join-predicate-motion`` and ``patterns``
+  (plus a silent post-pattern dead-code sweep) — via
   :meth:`PassManager.run_module`, which
   :func:`repro.core.optimizer.pipeline.optimize` delegates to;
 * the SQL plan rewrites — ``predicate-pushdown`` and
@@ -27,13 +27,14 @@ preset    passes
 ========  ==========================================================
 ``O0``    plan passes only (the ``"naive"`` profile: pushdown and
           pruning always ran, even for the baseline system)
-``O1``    ``O0`` + inline + the fixed-point scalar group
+``O1``    ``O0`` + inline + simplify
 ``O2``    ``O1`` + join predicate motion + pattern fusion rewrites +
           cleanup DCE (the full ``"opt"`` profile — the default)
 ========  ==========================================================
 
-A custom ``--passes a,b,c`` list runs each named pass **once, in the
-given order** (no fixed point); its fingerprint ``custom(a,b,c)`` keys
+Every pass runs once per pipeline: ``simplify`` reaches its fixed point
+in one application.  A custom ``--passes a,b,c`` list runs each named
+pass once, in the given order; its fingerprint ``custom(a,b,c)`` keys
 plan-cache entries distinctly from every preset.
 
 Automatic loop fusion is *not* a pass here: segmentation's output is an
@@ -57,11 +58,8 @@ __all__ = [
     "Pipeline",
     "PassManager", "PassStat", "OptimizeStats", "resolve_pipeline",
     "preset", "custom_pipeline", "registered_pass_names",
-    "PRESET_NAMES", "MAX_ROUNDS", "DEFAULT_DUMP_DIR",
+    "PRESET_NAMES", "DEFAULT_DUMP_DIR",
 ]
-
-#: Fixed-point round budget (unchanged from the historical pipeline).
-MAX_ROUNDS = 16
 
 PRESET_NAMES = ("O0", "O1", "O2")
 
@@ -77,8 +75,8 @@ DEFAULT_DUMP_DIR = "ir-dump"
 class PassStat:
     """One pass's aggregate activity inside a single pipeline run.
 
-    ``runs`` counts invocations (one per method per round for
-    method-level passes), ``rewrites`` the invocations that changed
+    ``runs`` counts invocations (one per method for method-level
+    passes), ``rewrites`` the invocations that changed
     anything, ``seconds`` the summed wall time."""
 
     name: str
@@ -97,17 +95,15 @@ class PassStat:
 class OptimizeStats:
     """What the pipeline did — surfaced by examples and benchmarks.
 
-    The first four fields predate the pass manager and keep their exact
-    historical semantics; ``pipeline`` (the fingerprint),
-    ``fixed_point_exhausted`` and the per-pass ``pass_stats`` rows are
-    the manager's additions."""
+    ``rounds`` is 1 when ``simplify`` ran and 0 otherwise: one
+    application reaches its fixed point.  ``pipeline`` is the
+    fingerprint, ``pass_stats`` one row per recorded pass."""
 
     rounds: int = 0
     inlined_methods_removed: int = 0
     passes_applied: list[str] = field(default_factory=list)
     elapsed_seconds: float = 0.0
     pipeline: str = ""
-    fixed_point_exhausted: bool = False
     pass_stats: list[PassStat] = field(default_factory=list)
 
 
@@ -126,9 +122,6 @@ class Pass:
     """
 
     level: str = "method"
-    #: Member of the manager's fixed-point group (contiguous
-    #: fixed-point passes iterate together until quiescent).
-    fixed_point: bool = False
     #: Emit a ``pass:<name>`` tracer span per application.
     traced: bool = True
     #: Record activity in ``OptimizeStats`` (False for internal
@@ -136,10 +129,6 @@ class Pass:
     records: bool = True
     #: Cooperative-cancellation checkpoint before each application.
     checkpoint: bool = True
-    #: For the fixed-point group, what a change by the pass may touch:
-    #: ``"exprs"`` (expressions of existing statements only), ``"dead"``
-    #: (it deletes statements nothing reads) or ``None`` (anything).
-    touches: str | None = None
 
     def __init__(self, name: str):
         self.name = name
@@ -156,16 +145,13 @@ class MethodPass(Pass):
 
     level = "method"
 
-    def __init__(self, name: str, fn, *, fixed_point: bool = False,
-                 traced: bool = True, records: bool = True,
-                 checkpoint: bool = True, touches: str | None = None):
+    def __init__(self, name: str, fn, *, traced: bool = True,
+                 records: bool = True, checkpoint: bool = True):
         super().__init__(name)
         self.fn = fn
-        self.fixed_point = fixed_point
         self.traced = traced
         self.records = records
         self.checkpoint = checkpoint
-        self.touches = touches
 
     def run(self, method: ir.Method, ctx=None) -> bool:
         return self.fn(method)
@@ -238,34 +224,23 @@ def _typecheck_pass_fn(method: ir.Method) -> bool:
     return False
 
 
-def _make_ir_pass(name: str, *, fixed_point: bool) -> Pass:
+def _make_ir_pass(name: str) -> Pass:
     # Imported lazily: repro.core.optimizer.* → optimizer/__init__ →
     # pipeline.py, which imports this module at its top.
-    from repro.core.optimizer.constprop import propagate_constants
-    from repro.core.optimizer.copyprop import propagate_copies
-    from repro.core.optimizer.cse import eliminate_common_subexpressions
-    from repro.core.optimizer.dce import eliminate_dead_code
     from repro.core.optimizer.inline import inline_pass
     from repro.core.optimizer.join_motion import move_join_predicates
-    from repro.core.optimizer.patterns import (apply_patterns,
-                                               forward_list_items)
+    from repro.core.optimizer.patterns import apply_patterns
+    from repro.core.optimizer.simplify import simplify
 
     if name == "inline":
         return ModulePass("inline", inline_pass)
-    if name == "typecheck":
-        return MethodPass("typecheck", _typecheck_pass_fn,
-                          fixed_point=fixed_point)
     fns = {
-        "list-forwarding": forward_list_items,
-        "constprop": propagate_constants,
-        "copyprop": propagate_copies,
-        "cse": eliminate_common_subexpressions,
-        "dce": eliminate_dead_code,
+        "simplify": simplify,
         "join-predicate-motion": move_join_predicates,
         "patterns": apply_patterns,
+        "typecheck": _typecheck_pass_fn,
     }
-    return MethodPass(name, fns[name], fixed_point=fixed_point,
-                      touches=_TOUCHES.get(name))
+    return MethodPass(name, fns[name])
 
 
 def _make_plan_pass(name: str) -> Pass:
@@ -290,16 +265,8 @@ def _make_plan_pass(name: str) -> Pass:
 _PLAN_PASS_NAMES = ("predicate-pushdown", "column-pruning",
                     "selectivity-reorder")
 
-#: The fixed-point scalar group, in the paper's order.
-_ROUND_PASS_NAMES = ("list-forwarding", "constprop", "copyprop", "cse",
-                     "dce")
-
-#: What a change by each group pass may touch (``Pass.touches``).
-_TOUCHES = {"list-forwarding": "exprs", "constprop": "exprs",
-            "copyprop": "exprs", "cse": "exprs", "dce": "dead"}
-
-_IR_PASS_NAMES = ("inline",) + _ROUND_PASS_NAMES + (
-    "join-predicate-motion", "patterns", "typecheck")
+_IR_PASS_NAMES = ("inline", "simplify", "join-predicate-motion",
+                  "patterns", "typecheck")
 
 
 def registered_pass_names() -> tuple[str, ...]:
@@ -307,11 +274,11 @@ def registered_pass_names() -> tuple[str, ...]:
     return _PLAN_PASS_NAMES + _IR_PASS_NAMES
 
 
-def _make_pass(name: str, *, fixed_point: bool = False) -> Pass:
+def _make_pass(name: str) -> Pass:
     if name in _PLAN_PASS_NAMES:
         return _make_plan_pass(name)
     if name in _IR_PASS_NAMES:
-        return _make_ir_pass(name, fixed_point=fixed_point)
+        return _make_ir_pass(name)
     known = ", ".join(registered_pass_names())
     raise OptimizerError(
         f"unknown pass {name!r}; registered passes: {known}")
@@ -321,7 +288,7 @@ def _cleanup_dce_pass() -> Pass:
     """The silent post-pattern sweep: pattern rewrites can orphan mask
     definitions.  Untraced, unrecorded, uncheckpointed — exactly as the
     historical pipeline ran it."""
-    from repro.core.optimizer.dce import eliminate_dead_code
+    from repro.core.optimizer.simplify import eliminate_dead_code
 
     return MethodPass("dce", eliminate_dead_code, traced=False,
                       records=False, checkpoint=False)
@@ -377,13 +344,11 @@ def _build_preset(name: str) -> Pipeline:
     passes = [_make_plan_pass(n) for n in _PLAN_PASS_NAMES
               if name in ("O1", "O2") or n != "selectivity-reorder"]
     if name in ("O1", "O2"):
-        passes.append(_make_ir_pass("inline", fixed_point=False))
-        passes.extend(_make_ir_pass(n, fixed_point=True)
-                      for n in _ROUND_PASS_NAMES)
+        passes.append(_make_ir_pass("inline"))
+        passes.append(_make_ir_pass("simplify"))
     if name == "O2":
-        passes.append(_make_ir_pass("join-predicate-motion",
-                                    fixed_point=False))
-        passes.append(_make_ir_pass("patterns", fixed_point=False))
+        passes.append(_make_ir_pass("join-predicate-motion"))
+        passes.append(_make_ir_pass("patterns"))
         passes.append(_cleanup_dce_pass())
     return Pipeline(name, passes, is_preset=True)
 
@@ -443,18 +408,14 @@ class PassManager:
     :exc:`~repro.errors.PassVerificationError` naming the offending
     pass and statement.  A method stays in :attr:`verified` until an
     application reports a change to it, so every state is verified
-    once; ``dump_dir`` writes
-    numbered IR snapshots before the first pass and after every pass
-    (per round inside the fixed-point group) via the existing
-    printer."""
+    once; ``dump_dir`` writes numbered IR snapshots before the first
+    pass and after every pass via the existing printer."""
 
     def __init__(self, pipeline: Pipeline, *, verify: bool = False,
-                 dump_dir: str | None = None,
-                 max_rounds: int = MAX_ROUNDS):
+                 dump_dir: str | None = None):
         self.pipeline = pipeline
         self.verify = verify
         self.dump_dir = dump_dir
-        self.max_rounds = max_rounds
         self._dump_seq = 0
         #: Names of the methods that passed full-depth verification in
         #: their current state.
@@ -487,10 +448,7 @@ class PassManager:
 
         ``ctx`` is the compilation's
         :class:`~repro.core.context.QueryContext`: per-pass spans go to
-        its tracer, every checkpointing pass checks its limits, and its
-        metrics receive the ``optimizer.fixed_point_exhausted`` counter
-        (the tracer's enclosing span — ``optimize`` in a compile — is
-        annotated too when the fixed point is exhausted)."""
+        its tracer and every checkpointing pass checks its limits."""
         stats = OptimizeStats(pipeline=self.pipeline.fingerprint())
         stats.pass_stats = []
         self._stats_index = {}
@@ -498,27 +456,16 @@ class PassManager:
         pctx = _PassContext(entry=entry)
         self._verify("input", module)
         self._dump_module(module, "input")
-        passes = self.pipeline.ir_passes
-        index = 0
-        while index < len(passes):
-            ps = passes[index]
-            if ps.fixed_point:
-                group = []
-                while index < len(passes) and passes[index].fixed_point:
-                    group.append(passes[index])
-                    index += 1
-                module = self._run_fixed_point(module, group, stats,
-                                               ctx)
-            elif ps.level == "module":
+        for ps in self.pipeline.ir_passes:
+            if ps.level == "module":
                 module = self._run_module_pass(module, ps, stats,
                                                pctx, ctx)
-                index += 1
-            else:
-                for method in module.methods.values():
-                    self._apply_to_method(ps, method, module, stats,
-                                          ctx, None)
-                self._dump_module(module, ps.name)
-                index += 1
+                continue
+            for method in module.methods.values():
+                self._apply_to_method(ps, method, module, stats, ctx)
+            if ps.name == "simplify":
+                stats.rounds = 1
+            self._dump_module(module, ps.name)
         stats.elapsed_seconds = time.perf_counter() - start
         return module, stats
 
@@ -550,68 +497,7 @@ class PassManager:
         self._dump_module(module, ps.name)
         return module
 
-    def _run_fixed_point(self, module, group, stats, ctx):
-        # A pass is settled on a method once it ran on the method's
-        # current IR without a change (passes are functions of the one
-        # method).  Skipping settled passes leaves the IR as the plain
-        # round-robin would; the group stops once all are settled.  A
-        # change unsettles every pass, unless it only deleted dead
-        # statements and no name became single-assignment: the passes
-        # rewrite surviving statements from facts about surviving names.
-        settled = {name: set() for name in module.methods}
-        exhausted = True
-        for method in module.methods.values():
-            method.facts = {}
-        try:
-            for round_index in range(self.max_rounds):
-                for method in module.methods.values():
-                    self._settle(method, settled[method.name], group,
-                                 module, stats, ctx, round_index)
-                stats.rounds = round_index + 1
-                self._dump_module(module, f"round{round_index}")
-                if all(len(done) == len(group)
-                       for done in settled.values()):
-                    exhausted = False
-                    break
-        finally:
-            for method in module.methods.values():
-                method.facts = None
-        if exhausted:
-            # The budget ran out with a method still rewriting: the
-            # historical pipeline returned silently here.
-            stats.fixed_point_exhausted = True
-            ctx.metrics.counter(
-                "optimizer.fixed_point_exhausted").inc()
-            span = ctx.tracer.current()
-            if span is not None:
-                span.set(fixed_point_exhausted=True,
-                         rounds=stats.rounds)
-        return module
-
-    def _settle(self, method, done, group, module, stats, ctx,
-                round_index) -> None:
-        """One round of ``group`` on ``method``, whose settled passes
-        ``done`` holds."""
-        from repro.core.optimizer.analysis import single_assignment_vars
-
-        for ps in group:
-            if ps in done:
-                continue
-            single = method.facts.get("single")
-            if not self._apply_to_method(ps, method, module, stats, ctx,
-                                         round_index):
-                done.add(ps)
-                continue
-            if ps.touches != "exprs":
-                method.facts.clear()
-            if ps.touches == "dead" and single is not None \
-                    and single_assignment_vars(method) <= single:
-                done.add(ps)
-            else:
-                done.clear()
-
-    def _apply_to_method(self, ps, method, module, stats, ctx,
-                         round_index) -> bool:
+    def _apply_to_method(self, ps, method, module, stats, ctx) -> bool:
         if ps.checkpoint and ctx.limits is not None:
             ctx.limits.check(f"pass:{ps.name}")
         start = time.perf_counter()
@@ -619,10 +505,8 @@ class PassManager:
         if not ps.traced or not tracer.enabled:
             changed = ps.run(method)
         else:
-            attrs = {"method": method.name}
-            if round_index is not None:
-                attrs["round"] = round_index
-            with tracer.span(f"pass:{ps.name}", **attrs) as span:
+            with tracer.span(f"pass:{ps.name}",
+                             method=method.name) as span:
                 before = _count_statements(method.body)
                 changed = ps.run(method)
                 span.set(stmts_before=before,

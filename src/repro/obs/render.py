@@ -189,9 +189,7 @@ def format_pass_stats(stats) -> str:
             for i, cell in enumerate(row))
     lines = [fmt(header), fmt(tuple("-" * w for w in widths))]
     lines.extend(fmt(row) for row in rows)
-    lines.append(f"pipeline={stats.pipeline} rounds={stats.rounds}"
-                 + (" (fixed point not reached)"
-                    if stats.fixed_point_exhausted else ""))
+    lines.append(f"pipeline={stats.pipeline} rounds={stats.rounds}")
     return "\n".join(lines)
 
 

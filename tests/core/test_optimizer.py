@@ -1,18 +1,16 @@
-"""Unit tests for the optimizer passes (inline, constprop, cse, dce,
-patterns)."""
+"""Unit tests for the optimizer passes (inline, simplify, patterns, join
+predicate motion)."""
 
 import pytest
 
 from repro.core import ir
 from repro.core import types as ht
 from repro.core.optimizer import optimize
-from repro.core.optimizer.constprop import propagate_constants
-from repro.core.optimizer.copyprop import propagate_copies
-from repro.core.optimizer.cse import eliminate_common_subexpressions
-from repro.core.optimizer.dce import backward_slice, eliminate_dead_code
 from repro.core.optimizer.fusion import FusedItem, segment_method
 from repro.core.optimizer.inline import can_inline, inline_methods
 from repro.core.optimizer.patterns import apply_patterns
+from repro.core.optimizer.simplify import (backward_slice,
+                                           eliminate_dead_code, simplify)
 from repro.core.parser import parse_method, parse_module
 from repro.core.printer import print_method, print_module
 from repro.core.verify import verify_module
@@ -165,10 +163,11 @@ class TestConstProp:
             return c;
         }
         """)
-        assert propagate_constants(method)
-        text = print_method(method)
-        # After substitution, @mul(2.0, 3.0) folds to 6.0.
-        assert "@mul(2.0:f64, 3.0:f64)" in text or "6.0:f64" in text
+        assert simplify(method)
+        # After substitution, @mul(2.0, 3.0) folds to 6.0, which is
+        # substituted into the return in the same sweep.
+        assert print_method(method).splitlines()[1:-1] == \
+            ["    return 6.0:f64;"]
 
     def test_loop_carried_variables_not_propagated(self):
         method = parse_method("""
@@ -182,7 +181,7 @@ class TestConstProp:
             return i;
         }
         """)
-        propagate_constants(method)
+        simplify(method)
         # The loop must still reference i, not the constant 0.
         loop = method.body[2]
         assert isinstance(loop, ir.While)
@@ -199,7 +198,7 @@ class TestCopyProp:
             return c;
         }
         """)
-        assert propagate_copies(method)
+        assert simplify(method)
         assert "@mul(a, a)" in print_method(method)
 
 
@@ -213,19 +212,20 @@ class TestCSE:
             return z;
         }
         """)
-        assert eliminate_common_subexpressions(method)
+        assert simplify(method)
         text = print_method(method)
         assert text.count("@mul(a, b)") == 1
 
     def test_source_builtins_never_merged(self):
         method = parse_method("""
-        def main(): table {
+        def main(): list<table> {
             a:table = @load_table(`t:sym);
             b:table = @load_table(`t:sym);
-            return b;
+            r:list<table> = @list(a, b);
+            return r;
         }
         """)
-        assert not eliminate_common_subexpressions(method)
+        assert not simplify(method)
 
 
 class TestDCE:
@@ -239,7 +239,7 @@ class TestDCE:
             return r;
         }
         """)
-        assert eliminate_dead_code(method)
+        assert simplify(method)
         text = print_method(method)
         assert "@exp" not in text
         assert "@mul" in text
@@ -267,8 +267,119 @@ class TestDCE:
             return r;
         }
         """)
-        assert eliminate_dead_code(method)
+        assert simplify(method)
         assert len(method.body) == 2
+
+    def test_cleanup_sweep_deletes_without_rewriting(self):
+        method = parse_method("""
+        def main(a:f64): f64 {
+            u:f64 = @exp(a);
+            b:f64 = a;
+            r:f64 = @mul(b, b);
+            return r;
+        }
+        """)
+        assert eliminate_dead_code(method)
+        assert "@mul(b, b)" in print_method(method)
+        assert "@exp" not in print_method(method)
+
+
+class TestSimplify:
+    """What the one forward sweep adds over its parts."""
+
+    def test_a_dead_statement_is_never_the_representative(self):
+        # The Morgan shape: ``a`` is dead, and ``b`` equals it only once
+        # ``k2`` is forwarded to ``k``.  ``b`` is what the result reads,
+        # so ``b`` survives.
+        method = parse_method("""
+        def main(k:f64, n:f64): f64 {
+            a:f64 = @sub(k, n);
+            k2:f64 = k;
+            b:f64 = @sub(k2, n);
+            return b;
+        }
+        """)
+        assert simplify(method)
+        assert print_method(method).splitlines()[1:-1] == [
+            "    b:f64 = @sub(k, n);", "    return b;"]
+
+    def test_a_live_statement_is_the_representative(self):
+        method = parse_method("""
+        def main(k:f64, n:f64): f64 {
+            a:f64 = @sub(k, n);
+            k2:f64 = k;
+            b:f64 = @sub(k2, n);
+            c:f64 = @add(a, b);
+            return c;
+        }
+        """)
+        assert simplify(method)
+        assert "c:f64 = @add(a, a);" in print_method(method)
+
+    @pytest.mark.parametrize("expr,value", [("@div(7:i64, 2:i64)", 3),
+                                            ("@lt(1:i64, 2:i64)", 1)])
+    def test_a_literal_of_another_type_stays_the_coercion(self, expr,
+                                                          value):
+        from repro.core.interp import run_module
+
+        source = f"""
+        module M {{
+            def main(): i64 {{
+                r:i64 = {expr};
+                return r;
+            }}
+        }}
+        """
+        module = parse_module(source)
+        assert simplify(module.methods["main"])
+        text = print_method(module.methods["main"])
+        assert "return r;" in text  # folded, but not substituted
+        result = run_module(module)
+        assert result.type == ht.I64 and result.data.tolist() == [value]
+
+    def test_an_alias_of_another_type_stays_the_coercion(self):
+        module = parse_module("""
+        module M {
+            def main(x:f64): i64 {
+                y:f64 = @mul(x, 1.5:f64);
+                t:i64 = y;
+                u:i64 = @mul(t, 2:i64);
+                return u;
+            }
+        }
+        """)
+        optimized, _ = optimize(module)
+        assert "t:i64 = y;" in print_module(optimized)
+
+    def test_an_unknown_declaration_is_no_coercion(self):
+        # ``optimize`` on a module whose ``?`` declarations were not
+        # resolved still forwards through them.
+        method = parse_method("""
+        def main(a:f64): f64 {
+            b:unknown = a;
+            k:unknown = 2.0:f64;
+            c:f64 = @mul(b, k);
+            return c;
+        }
+        """)
+        assert simplify(method)
+        assert "c:f64 = @mul(a, 2.0:f64);" in print_method(method)
+
+    def test_availability_is_scoped_per_block(self):
+        method = parse_method("""
+        def main(a:f64, c:bool): f64 {
+            x:f64 = @mul(a, a);
+            if (c) {
+                y:f64 = @mul(a, a);
+                r:f64 = @add(x, y);
+            } else {
+                r:f64 = x;
+            }
+            return r;
+        }
+        """)
+        simplify(method)
+        assert print_method(method).count("@mul(a, a)") == 2
 
 
 class TestPatterns:
@@ -341,10 +452,15 @@ class TestMaskPeephole:
     """
 
     def _fold(self, mtype="bool", scale="1.0:f64", test="gt"):
+        """What ``x`` is computed by: ``m`` when the test folded (``x``
+        is then forwarded into the return and deleted)."""
         method = parse_method(self.SHAPE.format(mtype=mtype, scale=scale,
                                                 test=test))
-        propagate_constants(method)
-        return method.body[2].expr
+        simplify(method)
+        for stmt in method.body:
+            if isinstance(stmt, ir.Assign) and stmt.target == "x":
+                return stmt.expr
+        return method.body[-1].expr
 
     def test_positive_scale_of_a_bool_mask_folds_to_the_mask(self):
         assert str(self._fold()) == "m"
@@ -360,8 +476,9 @@ class TestMaskPeephole:
             return x;
         }
         """)
-        assert propagate_constants(method)
-        assert str(method.body[3].expr) == "m"
+        assert simplify(method)
+        assert str(method.body[-1].expr) == "m"
+        assert len(method.body) == 2  # the scaling and the alias are dead
 
     @pytest.mark.parametrize("scale", ["0.0:f64", "-1.0:f64", "0:i64"])
     def test_non_positive_scale_does_not_fire(self, scale):

@@ -310,6 +310,37 @@ class TestCoerceParity:
         with pytest.raises(HorseRuntimeError):
             coerce(table, ht.F64)
 
+    #: An assignment coerces to its declared type: a folded literal of
+    #: another type and an alias of another type are coercions, which
+    #: neither the optimizer nor a fused kernel may skip.
+    COERCIONS = {
+        "folded_div": ("r:i64 = @div(7:i64, 2:i64);", "r", []),
+        "folded_lt": ("r:i64 = @lt(1:i64, 2:i64);", "r", []),
+        "alias": ("y:f64 = @mul(x, 1.5:f64);\n"
+                  "t:i64 = y;\n"
+                  "u:i64 = @mul(t, 2:i64);", "u",
+                  [np.array([1.0, 2.0])]),
+    }
+
+    @pytest.mark.parametrize("pipeline", ["O0", "O2"])
+    @pytest.mark.parametrize("backend", ["python", "c"])
+    @pytest.mark.parametrize("case", sorted(COERCIONS))
+    def test_assignment_coerces_on_every_backend(self, case, backend,
+                                                 pipeline):
+        from repro.core.codegen.cgen import c_backend_available
+        if backend == "c" and not c_backend_available():
+            pytest.skip("gcc not available")
+        body, result, arrays = self.COERCIONS[case]
+        params = "x:f64" if arrays else ""
+        source = (f"module P {{ def main({params}): i64 {{ {body} "
+                  f"return {result}; }} }}")
+        args = [from_numpy(a) for a in arrays]
+        want = run_module(parse_module(source), args=list(args))
+        got = compile_module(parse_module(source), "opt", backend=backend,
+                             pipeline=pipeline).run(args=list(args))
+        assert want.type == got.type == ht.I64
+        assert got.data.tolist() == want.data.tolist()
+
 
 class TestNaNMinMaxParity:
     """np.minimum/np.maximum/np.min/np.max propagate NaN; C's

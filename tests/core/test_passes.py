@@ -1,18 +1,19 @@
 """The unified pass pipeline: presets, resolution, the PassManager's
-fixed-point driver, per-pass stats, IR dumping, and pass idempotence."""
+run loop, per-pass stats, IR dumping, and pass idempotence."""
 
 import pytest
 
+from repro.core import builtins as hb
 from repro.core import ir
 from repro.core.context import QueryContext
+from repro.core.optimizer.analysis import single_assignment_vars
+from repro.core.optimizer.simplify import eliminate_dead_code
 from repro.core.parser import parse_module
-from repro.core.passes import (DEFAULT_DUMP_DIR, MAX_ROUNDS, PRESET_NAMES,
-                               MethodPass, OptimizeStats, PassManager,
-                               Pipeline, custom_pipeline, preset,
+from repro.core.passes import (DEFAULT_DUMP_DIR, PRESET_NAMES, PassManager,
+                               custom_pipeline, preset,
                                registered_pass_names, resolve_pipeline)
 from repro.core.printer import print_module
 from repro.errors import OptimizerError
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 
 Q6_LIKE = """
@@ -50,22 +51,16 @@ class TestPresets:
         assert len(pipe.plan_passes) == 2
 
     def test_o1_adds_inline_and_the_fixed_point_round(self):
+        # ``simplify`` is the one round: it reaches its fixed point in
+        # one application.
         pipe = preset("O1")
-        names = [p.name for p in pipe.ir_passes]
-        assert names == ["inline", "list-forwarding", "constprop",
-                         "copyprop", "cse", "dce"]
-        by_name = {p.name: p for p in pipe.ir_passes}
-        assert not by_name["inline"].fixed_point
-        for name in names[1:]:
-            assert by_name[name].fixed_point, name
+        assert [p.name for p in pipe.ir_passes] == ["inline", "simplify"]
 
     def test_o2_adds_patterns_and_a_cleanup_dce(self):
         pipe = preset("O2")
         names = [p.name for p in pipe.ir_passes]
-        assert names == ["inline", "list-forwarding", "constprop",
-                         "copyprop", "cse", "dce", "join-predicate-motion",
+        assert names == ["inline", "simplify", "join-predicate-motion",
                          "patterns", "dce"]
-        assert not pipe.ir_passes[6].fixed_point
         cleanup = pipe.ir_passes[-1]
         # The trailing dce is the silent cleanup variant: it neither
         # traces, records stats, nor snapshots into --dump-ir.
@@ -89,13 +84,13 @@ class TestResolution:
 
     def test_string_preset_and_comma_list(self):
         assert resolve_pipeline("O1").fingerprint() == "O1"
-        pipe = resolve_pipeline("inline, dce")
-        assert [p.name for p in pipe.passes] == ["inline", "dce"]
-        assert pipe.fingerprint() == "custom(inline,dce)"
+        pipe = resolve_pipeline("inline, simplify")
+        assert [p.name for p in pipe.passes] == ["inline", "simplify"]
+        assert pipe.fingerprint() == "custom(inline,simplify)"
 
     def test_sequence_of_names(self):
-        pipe = resolve_pipeline(["constprop", "dce"])
-        assert [p.name for p in pipe.passes] == ["constprop", "dce"]
+        pipe = resolve_pipeline(["simplify", "patterns"])
+        assert [p.name for p in pipe.passes] == ["simplify", "patterns"]
 
     def test_unknown_pass_names_the_registry(self):
         with pytest.raises(OptimizerError,
@@ -103,6 +98,12 @@ class TestResolution:
             resolve_pipeline("loopfusion")
         with pytest.raises(OptimizerError, match="registered passes"):
             resolve_pipeline("loopfusion")
+
+    @pytest.mark.parametrize("name", ["list-forwarding", "constprop",
+                                      "copyprop", "cse", "dce"])
+    def test_the_old_scalar_pass_names_are_gone(self, name):
+        with pytest.raises(OptimizerError, match=f"unknown pass '{name}'"):
+            resolve_pipeline(name)
 
     def test_empty_spec_is_rejected(self):
         with pytest.raises(OptimizerError, match="empty pass list"):
@@ -124,19 +125,22 @@ class TestPassManagerRun:
         assert list(optimized.methods) == ["main"]
         assert stats.pipeline == "O2"
         assert stats.inlined_methods_removed == 1
-        assert not stats.fixed_point_exhausted
+        assert stats.rounds == 1
         by_name = {ps.name: ps for ps in stats.pass_stats}
         assert by_name["inline"].rewrites == 1
-        assert by_name["dce"].runs >= 1
+        assert (by_name["simplify"].runs, by_name["simplify"].rewrites) \
+            == (1, 1)
         for ps in stats.pass_stats:
             assert ps.seconds >= 0.0
 
     def test_custom_pipeline_runs_only_named_passes(self):
         module = parse_module(Q6_LIKE)
-        manager = PassManager(custom_pipeline(["inline", "dce"]))
+        manager = PassManager(custom_pipeline(["inline", "patterns"]))
         optimized, stats = manager.run_module(module, QueryContext(),
                                               entry="main")
-        assert {ps.name for ps in stats.pass_stats} == {"inline", "dce"}
+        assert {ps.name for ps in stats.pass_stats} == {"inline",
+                                                        "patterns"}
+        assert stats.rounds == 0  # no simplify
         assert list(optimized.methods) == ["main"]
 
     def test_pass_spans_are_emitted_under_the_active_tracer(self):
@@ -149,41 +153,9 @@ class TestPassManagerRun:
         root = tracer.roots[0]
         names = {span.name for span in root.walk()}
         assert "pass:inline" in names
-        assert any(name.startswith("pass:dce") for name in names)
-
-    def test_fixed_point_exhaustion_is_observable(self):
-        # A pass that rewrites on every application never converges.
-        def oscillate(method):
-            return True
-
-        pipe = Pipeline("wiggle",
-                        [MethodPass("oscillate", oscillate,
-                                    fixed_point=True)])
-        module = parse_module(Q6_LIKE)
-        metrics = MetricsRegistry()
-        tracer = Tracer()
-        manager = PassManager(pipe, max_rounds=3)
-        with tracer.span("optimize"):
-            _, stats = manager.run_module(
-                module, QueryContext(tracer=tracer, metrics=metrics),
-                entry="main")
-        assert stats.fixed_point_exhausted
-        assert stats.rounds == 3
-        counter = metrics.counter("optimizer.fixed_point_exhausted")
-        assert counter.value == 1
-        root = tracer.roots[0]
-        assert root.attrs["fixed_point_exhausted"] is True
-        assert root.attrs["rounds"] == 3
-
-    def test_convergent_run_does_not_flag_exhaustion(self):
-        module = parse_module(Q6_LIKE)
-        metrics = MetricsRegistry()
-        manager = PassManager(preset("O2"), max_rounds=MAX_ROUNDS)
-        _, stats = manager.run_module(
-            module, QueryContext(metrics=metrics), entry="main")
-        assert not stats.fixed_point_exhausted
-        assert metrics.counter(
-            "optimizer.fixed_point_exhausted").value == 0
+        assert "pass:simplify" in names
+        # The silent cleanup sweep emits no span.
+        assert "pass:dce" not in names
 
     def test_pass_stat_dict_round_trip(self):
         module = parse_module(Q6_LIKE)
@@ -191,7 +163,7 @@ class TestPassManagerRun:
             module, QueryContext(), entry="main")
         rows = [ps.to_dict() for ps in stats.pass_stats]
         assert {row["name"] for row in rows} \
-            >= {"inline", "dce", "patterns"}
+            == {"inline", "simplify", "join-predicate-motion", "patterns"}
         for row in rows:
             assert set(row) == {"name", "level", "runs", "rewrites",
                                 "seconds"}
@@ -201,13 +173,12 @@ class TestDumpIR:
     def test_snapshots_are_numbered_and_labelled(self, tmp_path):
         module = parse_module(Q6_LIKE)
         dump = tmp_path / "snapshots"
-        manager = PassManager(custom_pipeline(["inline", "dce"]),
+        manager = PassManager(custom_pipeline(["inline", "simplify"]),
                               dump_dir=str(dump))
         manager.run_module(module, QueryContext(), entry="main")
         names = sorted(p.name for p in dump.iterdir())
-        assert names[0] == "000-input.hir"
-        assert names[1] == "001-inline.hir"
-        assert any(name.endswith("-dce.hir") for name in names[2:])
+        assert names == ["000-input.hir", "001-inline.hir",
+                         "002-simplify.hir"]
         # The input snapshot still contains the UDF; later ones do not.
         assert "def scale" in (dump / "000-input.hir").read_text()
         assert "def scale" not in (dump / names[-1]).read_text()
@@ -226,8 +197,126 @@ def _ir_pass_names():
             if not custom_pipeline([n]).plan_passes]
 
 
+def _uses(method):
+    """Every expression the statements of ``method`` evaluate."""
+    for stmt in method.walk_stmts():
+        yield stmt.expr if isinstance(stmt, (ir.Assign, ir.Return)) \
+            else stmt.cond
+
+
+def _subexprs(expr):
+    yield expr
+    for child in expr.children():
+        yield from _subexprs(child)
+
+
+def _bound(method):
+    """Single-assignment name -> its assignment."""
+    single = single_assignment_vars(method)
+    return {s.target: s for s in method.walk_stmts()
+            if isinstance(s, ir.Assign) and s.target in single}
+
+
+def _forwardable_uses(method, kinds):
+    """Uses of a name bound to an expression of one of ``kinds`` whose
+    type equals the name's declared type (a rewrite left undone)."""
+    bound = _bound(method)
+    types = {name: s.type for name, s in bound.items()}
+    found = []
+    for expr in _uses(method):
+        for node in _subexprs(expr):
+            stmt = isinstance(node, ir.Var) and bound.get(node.name)
+            if not stmt or not isinstance(stmt.expr, kinds):
+                continue
+            value = stmt.expr
+            value_type = (value.type if isinstance(value, ir.Literal)
+                          else types.get(value.name)
+                          if isinstance(value, ir.Var) else None)
+            if value_type == stmt.type:
+                found.append(str(node))
+    return found
+
+
+def _left_list_items(method):
+    bound = _bound(method)
+    found = []
+    for expr in _uses(method):
+        for node in _subexprs(expr):
+            if isinstance(node, ir.BuiltinCall) \
+                    and node.name == "list_item" \
+                    and isinstance(node.args[0], ir.Var):
+                stmt = bound.get(node.args[0].name)
+                if stmt and isinstance(stmt.expr, ir.BuiltinCall) \
+                        and stmt.expr.name == "list":
+                    found.append(str(node))
+    return found
+
+
+def _left_constants(method):
+    found = _forwardable_uses(method, (ir.Literal,))
+    for expr in _uses(method):
+        for node in _subexprs(expr):
+            if isinstance(node, ir.BuiltinCall) and node.args \
+                    and hb.BUILTINS[node.name].kind in ("elementwise",
+                                                        "reduction") \
+                    and all(isinstance(a, ir.Literal) for a in node.args):
+                found.append(str(node))
+    return found
+
+
+def _left_copies(method):
+    return _forwardable_uses(method, (ir.Var,))
+
+
+def _left_common_subexpressions(method):
+    single = single_assignment_vars(method)
+    found = []
+    bodies = [method.body] + [b for s in method.walk_stmts()
+                              for b in ((s.then_body, s.else_body)
+                                        if isinstance(s, ir.If) else
+                                        (s.body,) if isinstance(s, ir.While)
+                                        else ())]
+    for body in bodies:
+        seen = set()
+        for stmt in body:
+            if not (isinstance(stmt, ir.Assign) and stmt.target in single
+                    and isinstance(stmt.expr, (ir.BuiltinCall, ir.Cast))):
+                continue
+            call = stmt.expr.expr if isinstance(stmt.expr, ir.Cast) \
+                else stmt.expr
+            if isinstance(call, ir.BuiltinCall) \
+                    and not hb.BUILTINS[call.name].is_pure:
+                continue
+            if not set(ir.expr_vars(stmt.expr)) <= single:
+                continue
+            key = (str(stmt.expr), stmt.type)
+            if key in seen:
+                found.append(key[0])
+            seen.add(key)
+    return found
+
+
+def _left_dead_code(method):
+    return [method.name] if eliminate_dead_code(method) else []
+
+
+#: The old scalar passes ``simplify`` absorbed -> what each would still
+#: find to rewrite in a method.
+ABSORBED = {
+    "list-forwarding": _left_list_items,
+    "constprop": _left_constants,
+    "copyprop": _left_copies,
+    "cse": _left_common_subexpressions,
+    "dce": _left_dead_code,
+}
+
+
 class TestIdempotence:
     """Applying any registered pass twice must equal applying it once.
+
+    The scalar passes that ``simplify`` absorbed (``ABSORBED``) are
+    checked through it: ``simplify`` twice equals ``simplify`` once,
+    and after one application that pass's rewrite finds nothing left.
 
     Runs over the workload-shaped module above plus a Black-Scholes-
     style branching kernel — the two IR shapes the parity suites
@@ -281,15 +370,48 @@ class TestIdempotence:
 
     @pytest.mark.parametrize("source", [Q6_LIKE, BS_LIKE, JOIN_LIKE],
                              ids=["tpch-q6", "black-scholes", "join-udf"])
-    @pytest.mark.parametrize("name", _ir_pass_names())
+    @pytest.mark.parametrize("name", _ir_pass_names() + list(ABSORBED))
     def test_pass_twice_equals_once(self, source, name):
+        applied = "simplify" if name in ABSORBED else name
         once = parse_module(source)
         twice = parse_module(source)
-        once, _ = PassManager(custom_pipeline([name])) \
+        once, _ = PassManager(custom_pipeline([applied])) \
             .run_module(once, QueryContext(), entry="main")
-        twice, _ = PassManager(custom_pipeline([name, name])) \
+        twice, _ = PassManager(custom_pipeline([applied, applied])) \
             .run_module(twice, QueryContext(), entry="main")
         assert print_module(once) == print_module(twice)
+        if name in ABSORBED:
+            for method in once.methods.values():
+                assert ABSORBED[name](method) == []
+
+    # One chance for each absorbed pass.
+    ABSORBED_PROBE = """
+    module P {
+        def main(x:f64): f64 {
+            l:list<f64> = @list(x, x);
+            a:f64 = @list_item(l, 0:i64);
+            k:f64 = 2.0:f64;
+            c:f64 = @add(1.0:f64, 2.0:f64);
+            y:f64 = a;
+            p:f64 = @mul(y, k);
+            q:f64 = @mul(y, k);
+            dead:f64 = @sub(x, c);
+            r:f64 = @add(p, q);
+            s:f64 = @add(r, c);
+            return s;
+        }
+    }
+    """
+
+    @pytest.mark.parametrize("name", list(ABSORBED))
+    def test_absorbed_pass_check_sees_its_rewrite(self, name):
+        # The checks above are not vacuous: each finds its rewrite in
+        # the probe, and none is left after one ``simplify``.
+        module = parse_module(self.ABSORBED_PROBE)
+        assert ABSORBED[name](module.methods["main"]) != []
+        once, _ = PassManager(custom_pipeline(["simplify"])).run_module(
+            parse_module(self.ABSORBED_PROBE), QueryContext(), entry="main")
+        assert ABSORBED[name](once.methods["main"]) == []
 
     def test_whole_o2_pipeline_is_idempotent(self):
         module = parse_module(Q6_LIKE)

@@ -274,20 +274,20 @@ class TestPipelineFingerprint:
                            self.CAT, self.UDF, "O1")
         custom = PlanCache.key("SELECT 1", "opt", "python",
                                self.CAT, self.UDF,
-                               "custom(inline,dce)")
+                               "custom(inline,simplify)")
         assert len({base, o1, custom}) == 3
 
     def test_pipeline_variants_do_not_share_cache_entries(self, hp):
         sql = "SELECT SUM(x) AS s FROM t"
         hp.run_sql(sql)
         hp.run_sql(sql, pipeline="O1")
-        hp.run_sql(sql, pipeline="inline,dce")
+        hp.run_sql(sql, pipeline="inline,simplify")
         assert hp.cache_stats.misses == 3
         assert len(hp.plan_cache) == 3
         # Each variant hits its own entry on re-run.
         hp.run_sql(sql)
         hp.run_sql(sql, pipeline="O1")
-        hp.run_sql(sql, pipeline="inline,dce")
+        hp.run_sql(sql, pipeline="inline,simplify")
         assert hp.cache_stats.hits == 3
 
     def test_explicit_o2_hits_the_default_entry(self, hp):

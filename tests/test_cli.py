@@ -198,7 +198,7 @@ def test_run_sql_with_custom_passes(csv_table, capsys):
     code = main(["run-sql",
                  "--table", f"t={csv_table}@x:f64,label:str",
                  "SELECT SUM(x) AS s FROM t",
-                 "--passes", "inline,dce"])
+                 "--passes", "inline,simplify"])
     assert code == 0
     assert "6.0" in capsys.readouterr().out
 

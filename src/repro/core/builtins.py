@@ -44,7 +44,8 @@ from repro.errors import BuiltinError
 __all__ = ["Builtin", "EvalContext", "BUILTINS", "get", "exists",
            "run_profiled", "charges_output", "BuiltinSig",
            "SIGNATURES", "signature", "select", "selection",
-           "compress_mismatch"]
+           "compress_mismatch", "NAT_DAY", "day_number", "compares_dates",
+           "nat_guard"]
 
 #: Builtins whose result is a reference to existing storage (the base
 #: table, one of its columns, a string vector's codes or dictionary)
@@ -366,6 +367,47 @@ _make_elementwise("neq", 2, np.not_equal, _infer_bool,
                   "({0} != {1})", ufunc="np.not_equal",
                   c_template='({0} != {1})')
 
+#: NaT, NumPy's missing date, as an int64 day number.
+NAT_DAY = int(np.iinfo(np.int64).min)
+
+
+def day_number(value) -> int:
+    """The int64 day number of a date literal's value."""
+    return int(np.datetime64(value, "D").astype(np.int64))
+
+
+def compares_dates(expr: ir.Expr, types: dict) -> bool:
+    """Is ``expr`` a comparison of two dates?  A variable's type is
+    read from ``types`` (the method's declarations)."""
+    return isinstance(expr, ir.BuiltinCall) and expr.name in _COMPARISONS \
+        and all(arg.type == ht.DATE if isinstance(arg, ir.Literal)
+                else isinstance(arg, ir.Var)
+                and types.get(arg.name) == ht.DATE for arg in expr.args)
+
+
+def nat_guard(expr: ir.BuiltinCall) -> tuple[int, str] | None:
+    """What a comparison of two dates needs to keep NumPy's semantics
+    when it runs on int64 day numbers, or None.
+
+    NumPy compares NaT false, except under ``!=``, where it is true; as
+    a day number NaT is the int64 minimum, below every date.  So ``<``
+    and ``<=`` go wrong only for a NaT left operand, ``>`` and ``>=``
+    for a NaT right one, and ``==`` / ``!=`` only when both are NaT.
+    The guard is ``(position, connective)``: AND the result with
+    ``operand != NaT``, or (``"or"``) OR it with ``operand == NaT``.  A
+    literal that is not NaT needs no guard."""
+    nullable = [not isinstance(arg, ir.Literal)
+                or day_number(arg.value) == NAT_DAY for arg in expr.args]
+    if expr.name in ("lt", "leq"):
+        return (0, "and") if nullable[0] else None
+    if expr.name in ("gt", "geq"):
+        return (1, "and") if nullable[1] else None
+    if not all(nullable):
+        return None
+    # Given a == b, "both are NaT" is "a is NaT".
+    return (0, "and") if expr.name == "eq" else (0, "or")
+
+
 _make_elementwise("and", 2, np.logical_and, _infer_bool,
                   "np.logical_and({0}, {1})", ufunc="np.logical_and",
                   c_template='({0} && {1})')
@@ -411,11 +453,14 @@ _make_elementwise("date_day", 1, _date_part("day"), _infer_i64, None)
 
 
 def _date_to_i64(a):
-    return a.astype("datetime64[D]").astype(np.int64)
+    # A datetime64[D] value is its int64 day count (NaT the int64
+    # minimum): a view, not a copy.
+    return np.asarray(a).astype("datetime64[D]", copy=False).view(np.int64)
 
 
 _make_elementwise("date_to_i64", 1, _date_to_i64, _infer_i64,
-                  "({0}).astype('datetime64[D]').astype(np.int64)",
+                  "({0}).astype('datetime64[D]', copy=False)"
+                  ".view(np.int64)",
                   c_template="({0})")  # a C date is its day count
 
 
@@ -749,7 +794,7 @@ def _factorize(data: np.ndarray) -> tuple[np.ndarray, int]:
     """Dense codes for one numeric column, in value order."""
     _, inverse = np.unique(data, return_inverse=True)
     cardinality = int(inverse.max()) + 1 if len(inverse) else 0
-    return inverse.astype(np.int64), cardinality
+    return inverse.astype(np.int64, copy=False), cardinality
 
 
 def _key_codes(key: Vector) -> tuple[np.ndarray, int]:
@@ -766,7 +811,7 @@ def _composite(columns: list[tuple[np.ndarray, int]]
                ) -> tuple[np.ndarray, int]:
     """Fold per-column dense codes into one dense int64 key."""
     combined, cardinality = columns[0]
-    combined = combined.astype(np.int64)
+    combined = combined.astype(np.int64, copy=False)
     for codes, width in columns[1:]:
         combined = combined * max(width, 1) + codes
         cardinality *= max(width, 1)
@@ -967,8 +1012,97 @@ def _join_key_codes(left: list[Vector], right: list[Vector]
     return combined[:nleft], combined[nleft:]
 
 
+#: A side's integer keys are looked up directly when they are unique
+#: and span at most this many slots per row: a table of ``span`` row ids
+#: is then no larger than a few copies of the keys themselves.
+_DIRECT_SPAN_PER_ROW = 4
+
+
 def _join_single_numeric(left: np.ndarray, right: np.ndarray,
                          kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The join pairs of one numeric key per row: a direct-address
+    lookup when one side's keys are unique and dense (a key to foreign
+    key join), else :func:`_join_sorted`.  Both give the same pairs in
+    the same order."""
+    if left.dtype.kind == right.dtype.kind == "i":
+        table = _direct_table(right)
+        if table is not None:
+            return _probe_unique_right(left, right, table, kind)
+        table = _direct_table(left) if kind == "inner" else None
+        if table is not None:
+            return _probe_unique_left(left, right, table)
+    return _join_sorted(left, right, kind)
+
+
+def _direct_table(keys: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """``(table, base)`` with ``table[k - base]`` the row holding key
+    ``k`` (``-1`` for a key no row holds), when the integer ``keys`` are
+    unique over at most ``_DIRECT_SPAN_PER_ROW`` slots per row; else
+    None."""
+    n = len(keys)
+    if n == 0:
+        return None
+    lo, hi = int(keys.min()), int(keys.max())
+    # Fewer slots than rows means a repeated key; more than the bound, a
+    # sparse range.
+    if not n <= hi - lo + 1 <= _DIRECT_SPAN_PER_ROW * n:
+        return None
+    # Keys that start near 0 (TPC-H's start at 1) index the table as
+    # they are, which spares a subtraction on both sides.
+    base = 0 if 0 <= lo and hi < _DIRECT_SPAN_PER_ROW * n else lo
+    table = np.full(hi - base + 1, -1, dtype=np.int64)
+    table[keys - base if base else keys] = np.arange(n, dtype=np.int64)
+    # A repeated key keeps one of its rows: fewer slots than rows fill.
+    if np.count_nonzero(table >= 0) != n:
+        return None
+    return table, base
+
+
+def _lookup(probe: np.ndarray, keys: np.ndarray,
+            table: tuple[np.ndarray, int]) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, hit)``: for each probe key, the row of ``keys`` holding
+    it (meaningful where ``hit``).  ``mode="clip"`` sends a probe
+    outside the table to an end slot, where the key check rejects it,
+    as it does any wrap-around in ``probe - base``."""
+    slots, base = table
+    # Widened first: an int64 base need not fit a narrower probe's dtype.
+    positions = probe.astype(np.int64, copy=False) - base if base \
+        else probe
+    rows = slots.take(positions, mode="clip")
+    hit = (rows >= 0) & (keys.take(rows) == probe)
+    return rows, hit
+
+
+def _probe_unique_right(left: np.ndarray, right: np.ndarray,
+                        table: tuple[np.ndarray, int], kind: str
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """One gather per left row: pairs are in left-row order as they
+    come, and a left-outer miss gets ``-1``."""
+    rows, hit = _lookup(left, right, table)
+    if kind == "left":
+        return (np.arange(len(left), dtype=np.int64),
+                np.where(hit, rows, -1))
+    lidx = np.flatnonzero(hit)
+    return lidx, rows[lidx]
+
+
+def _probe_unique_left(left: np.ndarray, right: np.ndarray,
+                       table: tuple[np.ndarray, int]
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Probe the right keys, then order the matched pairs by left row,
+    a left row's matches staying in right-input order (inner joins:
+    a left-outer miss needs every left row, not just the matched)."""
+    rows, hit = _lookup(right, left, table)
+    ridx = np.flatnonzero(hit)
+    lidx = rows[ridx]
+    order = np.argsort(lidx, kind="stable")
+    return lidx[order], ridx[order]
+
+
+def _join_sorted(left: np.ndarray, right: np.ndarray,
+                 kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """The general join: a stable sort of the right keys, each left key
+    located by binary search."""
     order = np.argsort(right, kind="stable")
     sorted_right = right[order]
     lo = np.searchsorted(sorted_right, left, side="left")
@@ -978,14 +1112,15 @@ def _join_single_numeric(left: np.ndarray, right: np.ndarray,
     offsets = np.repeat(hi - np.cumsum(counts), counts)
     ridx = order[np.arange(len(lidx), dtype=np.int64) + offsets]
     if kind == "left":
-        misses = np.nonzero(counts == 0)[0].astype(np.int64)
+        misses = np.flatnonzero(counts == 0)
         if len(misses):
             lidx = np.concatenate([lidx, misses])
             ridx = np.concatenate(
                 [ridx, np.full(len(misses), -1, dtype=np.int64)])
             resort = np.argsort(lidx, kind="stable")
             lidx, ridx = lidx[resort], ridx[resort]
-    return lidx.astype(np.int64), ridx.astype(np.int64)
+    return (lidx.astype(np.int64, copy=False),
+            ridx.astype(np.int64, copy=False))
 
 
 _register(Builtin("join_index", "opaque", 3,

@@ -206,14 +206,18 @@ def decline_reason(segment: Segment,
 # source generation
 # ---------------------------------------------------------------------------
 
+#: NaT's day count: the int64 minimum, which has no C literal.
+_C_NAT = "(-9223372036854775807LL - 1)"
+
+
 def _c_literal(literal: ir.Literal) -> str:
     if literal.type == ht.BOOL:
         return "1" if literal.value else "0"
     if ht.is_integer(literal.type):
         return f"{int(literal.value)}LL"
     if literal.type == ht.DATE:
-        days = int(np.datetime64(literal.value, "D").astype(np.int64))
-        return f"{days}LL"
+        days = hb.day_number(literal.value)
+        return _C_NAT if days == hb.NAT_DAY else f"{days}LL"
     return repr(float(literal.value))
 
 
@@ -246,9 +250,11 @@ class _SourceBuilder:
     """Generates the C function for one (segment, signature) pair."""
 
     def __init__(self, segment: Segment, types: dict[str, ht.HorseType],
-                 scalar_flags: list[bool], input_ctypes: list[str]):
+                 scalar_flags: list[bool], input_ctypes: list[str],
+                 declared: dict[str, ht.HorseType]):
         self.segment = segment
         self.types = types
+        self.declared = declared
         self.scalar_flags = scalar_flags
         self.input_ctypes = input_ctypes
         self._defs = {stmt.target: stmt for stmt in segment.stmts}
@@ -472,7 +478,16 @@ class _SourceBuilder:
                 else self._operand(a)
                 for position, a in enumerate(expr.args)]
         ctype = _C_TYPES[self.types[target].kind]
-        value = f"({ctype})({builtin.c_template.format(*args)})"
+        value = builtin.c_template.format(*args)
+        # Day counts compare like NumPy's dates only with NaT guarded.
+        guard = hb.nat_guard(expr) \
+            if hb.compares_dates(expr, self.declared) else None
+        if guard is not None:
+            position, connective = guard
+            value = (f"({value} && ({args[position]} != {_C_NAT}))"
+                     if connective == "and" else
+                     f"({value} || ({args[position]} == {_C_NAT}))")
+        value = f"({ctype})({value})"
         if self._open:
             self._hoisted[f"{target}_v"] = ctype
             self._line(f"{target}_v = {value};")
@@ -616,9 +631,13 @@ def _gcc(source: str, path: str) -> str | None:
 class CKernel:
     """Per-segment native kernel with per-signature specialization."""
 
-    def __init__(self, segment: Segment):
+    def __init__(self, segment: Segment,
+                 declared: dict[str, ht.HorseType] | None = None):
+        """``declared`` gives the declared type of each variable of the
+        segment's method (default: the segment's own statements)."""
         self.segment = segment
         self.types = {stmt.target: stmt.type for stmt in segment.stmts}
+        self.declared = self.types if declared is None else declared
         self.declined = decline_reason(segment, self.types) \
             if c_backend_available() else "gcc not available"
         self.guards, dynamic = compress_guards(segment)
@@ -685,7 +704,7 @@ class CKernel:
         input_ctypes = [_DTYPE_C[dtype] for dtype, _ in signature]
         try:
             source = _SourceBuilder(self.segment, self.types, scalar_flags,
-                                    input_ctypes).build()
+                                    input_ctypes, self.declared).build()
         except (CodegenError, KeyError, ValueError) as exc:
             return f"codegen failed: {exc}"
         segment = self.segment

@@ -117,6 +117,7 @@ _KERNEL_GLOBALS = {
     "_compress_check": _compress_check,
     "_chunk_min": _chunk_min,
     "_chunk_max": _chunk_max,
+    "_NAT": hb.NAT_DAY,
 }
 
 _ASTYPE = {
@@ -430,9 +431,11 @@ def _operand_length(inputs: tuple, arrays: list) -> int:
 # the emitter
 # ---------------------------------------------------------------------------
 
-def generate_kernel(segment: Segment,
-                    name: str = "_kernel") -> CompiledKernel:
-    """Compile a fused segment into a Python function."""
+def generate_kernel(segment: Segment, name: str = "_kernel",
+                    declared: dict | None = None) -> CompiledKernel:
+    """Compile a fused segment into a Python function.  ``declared``
+    gives the declared type of each variable of the segment's method
+    (default: the segment's own statements)."""
     for var in segment.inputs + [s.target for s in segment.stmts]:
         if not _IDENT_RE.match(var):
             raise CodegenError(f"variable name {var!r} is not an identifier")
@@ -468,17 +471,15 @@ def generate_kernel(segment: Segment,
         for buffer_name, dtype in planner.buffer_decls:
             lines.append(f"    {buffer_name} = np.empty(_n, "
                          f"dtype={dtype})")
-    emitter = _Emitter(segment, lines)
+    emitter = _Emitter(segment, lines,
+                       types if declared is None else declared)
     for index, stmt in enumerate(segment.stmts):
         slot = placed.writers.get(index)
         assignment = planner.assignments.get(index) if planner else None
         if slot is not None:
             emitter.write(stmt, f"_out{slot}")
         elif assignment is not None:
-            ufunc, buffer_name = assignment
-            args = ", ".join(_emit_expr(a) for a in stmt.expr.args)
-            lines.append(f"    {stmt.target} = {ufunc}({args}, "
-                         f"out={buffer_name}, casting='unsafe')")
+            emitter.ufunc(stmt, buffer_name=assignment[1])
         else:
             lines.append(f"    {stmt.target} = {emitter.value(stmt)}")
         for slot in placed.stores.get(index, ()):
@@ -510,9 +511,11 @@ class _Emitter:
     """Emits a segment's statements, tracking one selection vector per
     mask."""
 
-    def __init__(self, segment: Segment, lines: list[str]):
+    def __init__(self, segment: Segment, lines: list[str],
+                 declared: dict):
         self.segment = segment
         self.lines = lines
+        self.declared = declared
         #: mask variable -> the local holding its selection vector
         self._selections: dict[str, str] = {}
         #: compressed domain -> the selection vector that made it
@@ -555,22 +558,54 @@ class _Emitter:
 
     def write(self, stmt: ir.Assign, destination: str) -> None:
         """``stmt``, writing its result into ``destination``."""
-        expr = stmt.expr
-        if _is_compress(expr):
+        if _is_compress(stmt.expr):
             data, rows = self._select(stmt)
-            value = f"_take({data}, {rows}, {destination})"
+            self.lines.append(f"    {stmt.target} = "
+                              f"_take({data}, {rows}, {destination})")
         else:
-            builtin = hb.get(expr.name)
-            args = ", ".join(_emit_expr(a) for a in expr.args)
-            value = (f"{builtin.ufunc}({args}, "
-                     f"out={self.head(stmt.target, destination)}, "
-                     f"casting='unsafe')")
-        self.lines.append(f"    {stmt.target} = {value}")
+            self.ufunc(stmt, self.head(stmt.target, destination))
+
+    def ufunc(self, stmt: ir.Assign, buffer_name: str) -> None:
+        """``stmt``'s ufunc, writing its result into ``buffer_name``."""
+        args, guard = self._operands(stmt.expr)
+        self.lines.append(
+            f"    {stmt.target} = {hb.get(stmt.expr.name).ufunc}("
+            f"{', '.join(args)}, out={buffer_name}, casting='unsafe')")
+        if guard is not None:
+            operator, test = guard
+            self.lines.append(f"    {stmt.target} {operator}= {test}")
 
     def value(self, stmt: ir.Assign) -> str:
-        if _is_compress(stmt.expr):
+        expr = stmt.expr
+        if _is_compress(expr):
             return "np.take({}, {})".format(*self._select(stmt))
-        return _emit_expr(stmt.expr)
+        if not hb.compares_dates(expr, self.declared):
+            return _emit_expr(expr)
+        args, guard = self._operands(expr)
+        value = hb.get(expr.name).template.format(*args)
+        if guard is None:
+            return value
+        operator, test = guard
+        return f"({value} {operator} {test})"
+
+    def _operands(self, expr: ir.BuiltinCall
+                  ) -> tuple[list[str], tuple[str, str] | None]:
+        """A call's operands, and ``(operator, operand test)`` when its
+        result needs a NaT guard.  Two dates compare as int64 day
+        numbers, NumPy's integer loop being several times faster than
+        its datetime one; :func:`repro.core.builtins.nat_guard` says
+        what keeps that exact."""
+        if not hb.compares_dates(expr, self.declared):
+            return [_emit_expr(a) for a in expr.args], None
+        args = [repr(hb.day_number(a.value)) if isinstance(a, ir.Literal)
+                else f"{a.name}.view(np.int64)" for a in expr.args]
+        guard = hb.nat_guard(expr)
+        if guard is None:
+            return args, None
+        position, connective = guard
+        if connective == "and":
+            return args, ("&", f"({args[position]} != _NAT)")
+        return args, ("|", f"({args[position]} == _NAT)")
 
     def _check(self, expr: ir.BuiltinCall) -> None:
         """The in-kernel length check of a dynamic compress (see

@@ -24,6 +24,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.core import builtins as hb
 from repro.core import ir
@@ -120,19 +121,20 @@ class _KernelItem:
                           ctx=state.ctx)
 
 
-def _python_kernel_item(segment, name: str,
-                        report: CompileReport) -> _KernelItem:
+def _python_kernel_item(segment, name: str, report: CompileReport,
+                        declared: dict) -> _KernelItem:
     """Generated NumPy kernels — always available, handles every dtype."""
-    kernel = generate_kernel(segment, name=name)
+    kernel = generate_kernel(segment, name=name, declared=declared)
     report.kernel_sources.append(kernel.source)
     return _KernelItem(kernel)
 
 
-def _c_kernel_item(segment, name: str, report: CompileReport) -> _KernelItem:
+def _c_kernel_item(segment, name: str, report: CompileReport,
+                   declared: dict) -> _KernelItem:
     """Emitted C + OpenMP per segment, with the Python kernel kept as
     the per-segment (and per-dtype-signature) fallback."""
-    item = _python_kernel_item(segment, name, report)
-    c_kernel = CKernel(segment)
+    item = _python_kernel_item(segment, name, report, declared)
+    c_kernel = CKernel(segment, declared)
     if c_kernel.eligible:
         report.c_eligible_segments += 1
     item.c_kernel = c_kernel
@@ -140,7 +142,8 @@ def _c_kernel_item(segment, name: str, report: CompileReport) -> _KernelItem:
 
 
 #: The fused-kernel engine ``backend`` selects: one fused segment in,
-#: one executable plan item out — ``(segment, name, report)``.
+#: one executable plan item out — ``(segment, name, report, declared)``,
+#: ``declared`` mapping each variable of the method to its type.
 _BUILTIN_FACTORIES = {
     "python": _python_kernel_item,
     "c": _c_kernel_item,
@@ -465,11 +468,26 @@ def compile_module(module: ir.Module, opt_level: str = "opt",
                     method, opaque = lower_strings(method)
                 plan = segment_method(method, module, enabled=fuse,
                                       opaque=opaque)
-                plans[name] = _compile_plan(plan, report, make_kernel)
+                plans[name] = _compile_plan(plan, report, partial(
+                    make_kernel, declared=_declared_types(method)))
             codegen_span.set(fused_segments=report.fused_segments,
                              fused_statements=report.fused_statements)
         compile_span.set(fused_segments=report.fused_segments)
     return CompiledProgram(module, plans, report)
+
+
+def _declared_types(method: ir.Method) -> dict[str, ht.HorseType]:
+    """Each variable's declared type (compilation has resolved every
+    ``?``); a name declared with two different types has none."""
+    types = {param.name: param.type for param in method.params}
+    clashes = set()
+    for stmt in method.walk_stmts():
+        if isinstance(stmt, ir.Assign):
+            if types.setdefault(stmt.target, stmt.type) != stmt.type:
+                clashes.add(stmt.target)
+    for name in clashes:
+        del types[name]
+    return types
 
 
 def _compile_plan(plan: list, report: CompileReport, make_kernel) -> list:

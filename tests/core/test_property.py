@@ -53,6 +53,43 @@ def masked_pairs(draw):
     return mask, values
 
 
+def join_pairs(left: list, right: list, kind: str) -> list:
+    """``@join_index``'s pairs by nested loops: by left row, then in
+    right-input order; a left-outer miss pairs with ``-1``."""
+    pairs = []
+    for i, key in enumerate(left):
+        matches = [(i, j) for j, other in enumerate(right) if key == other]
+        pairs.extend(matches or ([(i, -1)] if kind == "left" else []))
+    return pairs
+
+
+@st.composite
+def join_sides(draw):
+    """``(shape, keys)``: one join side's ``i64`` keys, drawn to reach
+    every path of ``@join_index`` — unique keys over a dense range (the
+    direct lookup), that range with one key repeated, unique keys
+    spread past the lookup's density bound, small keys with repeats,
+    and no rows.  Offsets put keys below zero and outside the other
+    side's range."""
+    shape = draw(st.sampled_from(
+        ["unique", "duplicate", "sparse", "repeats", "empty"]))
+    offset = draw(st.integers(-40, 40))
+    if shape == "empty":
+        keys = []
+    elif shape == "repeats":
+        keys = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=40))
+    else:
+        n = draw(st.integers(2 if shape != "unique" else 1, 40))
+        keys = draw(st.permutations(range(n)))
+        if shape == "duplicate":
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                 max_size=2, unique=True))
+            keys[i] = keys[j]
+        elif shape == "sparse":
+            keys = [key * (hb._DIRECT_SPAN_PER_ROW * n + 1) for key in keys]
+    return shape, np.asarray(keys, dtype=np.int64) + offset
+
+
 class TestBuiltinInvariants:
     @given(masked_pairs())
     def test_compress_keeps_exactly_masked_elements(self, pair):
@@ -96,19 +133,74 @@ class TestBuiltinInvariants:
         # First-appearance numbering: first indices strictly increase.
         assert np.all(np.diff(first) > 0)
 
-    @given(st.lists(st.integers(min_value=0, max_value=20), max_size=80),
-           st.lists(st.integers(min_value=0, max_value=20), max_size=80))
+    @given(join_sides(), join_sides())
     def test_join_index_matches_bruteforce(self, left, right):
-        lv = np.asarray(left, dtype=np.int64)
-        rv = np.asarray(right, dtype=np.int64)
-        pair = run("join_index", from_numpy(lv), from_numpy(rv),
-                   scalar("inner", ht.SYM))
-        got = sorted(zip(pair[0].data.tolist(), pair[1].data.tolist()))
-        expected = sorted((i, j)
-                          for i in range(len(lv))
-                          for j in range(len(rv))
-                          if lv[i] == rv[j])
-        assert got == expected
+        """Pairs come out by left row, a left row's matches in
+        right-input order, a left-outer miss as ``-1``, whichever
+        physical path the keys select; the sort path agrees exactly."""
+        lv, rv = left[1], right[1]
+        for kind in ("inner", "left"):
+            pair = run("join_index", from_numpy(lv), from_numpy(rv),
+                       scalar(kind, ht.SYM))
+            got = list(zip(pair[0].data.tolist(), pair[1].data.tolist()))
+            assert got == join_pairs(lv.tolist(), rv.tolist(), kind)
+            lidx, ridx = hb._join_sorted(lv, rv, kind)
+            assert np.array_equal(pair[0].data, lidx)
+            assert np.array_equal(pair[1].data, ridx)
+            assert pair[0].data.dtype == pair[1].data.dtype == np.int64
+
+    @given(join_sides())
+    def test_direct_lookup_applies_to_unique_dense_keys_only(self, side):
+        shape, keys = side
+        table = hb._direct_table(keys)
+        if shape == "unique":
+            assert table is not None
+            slots, base = table
+            assert np.array_equal(slots[keys - base], np.arange(len(keys)))
+        elif shape in ("duplicate", "sparse", "empty"):
+            assert table is None
+
+    def test_direct_lookup_takes_narrow_probes_of_far_keys(self):
+        """An ``i32`` probe against unique ``i64`` keys far past its
+        range: no overflow, every probe a miss, as on the sort path."""
+        left = np.array([5, 2**31 - 1, -2**31, 3], dtype=np.int32)
+        right = np.arange(2**40, 2**40 + 5, dtype=np.int64)
+        assert hb._direct_table(right) is not None
+        for kind in ("inner", "left"):
+            got = hb._join_single_numeric(left, right, kind)
+            want = hb._join_sorted(left, right, kind)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @given(st.lists(st.tuples(st.integers(-3, 3),
+                              st.sampled_from(["a", "b", "c"])),
+                    max_size=30),
+           st.lists(st.tuples(st.integers(-3, 3),
+                              st.sampled_from(["b", "c", "d"])),
+                    max_size=30))
+    def test_composite_and_string_keys_match_bruteforce(self, left, right):
+        def side(rows):
+            words = np.empty(len(rows), dtype=object)
+            words[:] = [word for _, word in rows]
+            return [Vector(ht.I64, np.asarray([n for n, _ in rows],
+                                              dtype=np.int64)),
+                    Vector(ht.STR, words)]
+
+        lkeys, rkeys = side(left), side(right)
+        codes = hb._join_key_codes(lkeys, rkeys)
+        for kind in ("inner", "left"):
+            for pick in (slice(None), slice(1, 2)):  # composite, string
+                pair = run("join_index", ListValue(lkeys[pick]),
+                           ListValue(rkeys[pick]), scalar(kind, ht.SYM))
+                got = list(zip(pair[0].data.tolist(),
+                               pair[1].data.tolist()))
+                want = join_pairs([row[pick] for row in left],
+                                  [row[pick] for row in right], kind)
+                assert got == want
+            lidx, ridx = hb._join_sorted(*codes, kind)
+            pair = run("join_index", ListValue(lkeys), ListValue(rkeys),
+                       scalar(kind, ht.SYM))
+            assert np.array_equal(pair[0].data, lidx)
+            assert np.array_equal(pair[1].data, ridx)
 
     @given(nonempty_float_arrays)
     def test_order_produces_sorted_permutation(self, values):

@@ -4,7 +4,7 @@ The package has two modules:
 
 * :mod:`~repro.core.analysis.typeshape` — type-and-shape inference
   assigning every statement a ``(HorseType, Shape)`` lattice value,
-  driven by the per-builtin signature table in
+  driven by each builtin's one record in
   :mod:`repro.core.builtins`, and the one rule for what a declared
   slot may hold; in strict mode (how :mod:`repro.core.verify` runs it
   at ``full=True``) the first ill-typed or shape-incompatible statement

@@ -1,10 +1,10 @@
 """Type-and-shape inference over HorseIR methods.
 
 Every statement gets a :class:`TypeShape` — a ``(HorseType, Shape)``
-lattice value.  Element types propagate through builtins via the
-signature table in :mod:`repro.core.builtins` (constraint kinds per
-argument) plus each builtin's existing ``infer`` callable; lengths
-propagate through broadcast rules:
+lattice value.  Element types propagate through builtins via each
+builtin's record in :mod:`repro.core.builtins` (constraint kinds per
+argument, a shape rule, and the ``infer`` callable); lengths propagate
+through broadcast rules:
 
 * ``scalar × n → n`` — length-one values broadcast into any length;
 * ``n × n → n`` — equal concrete lengths (or equal symbolic tokens)
@@ -444,24 +444,23 @@ class _Inference:
                  stmt: ir.Stmt) -> TypeShape:
         facts = [self._expr(a, stmt) for a in expr.args]
         arg_types = [f.type for f in facts]
-        sig = hb.signature(expr.name)
-        if sig is not None and self.strict:
-            self._check_constraints(expr, sig, arg_types, stmt)
         builtin = hb.BUILTINS.get(expr.name)
         if builtin is None:
             return TypeShape(ht.WILDCARD, UNKNOWN)
+        if self.strict:
+            self._check_constraints(expr, builtin, arg_types, stmt)
         try:
             out_type = builtin.infer(arg_types)
         except HorseTypeError as exc:
             self._problem(stmt, f"@{expr.name}: {exc}")
             out_type = ht.WILDCARD
-        shape = self._result_shape(expr, sig, facts, stmt)
+        shape = self._result_shape(expr, builtin, facts, stmt)
         return TypeShape(out_type, shape)
 
-    def _check_constraints(self, expr: ir.BuiltinCall, sig,
+    def _check_constraints(self, expr: ir.BuiltinCall, builtin,
                            arg_types, stmt: ir.Stmt) -> None:
         for position, arg_type in enumerate(arg_types):
-            constraint = _constraint_at(sig, position)
+            constraint = _constraint_at(builtin, position)
             if constraint is None:
                 continue
             if not _satisfies(arg_type, constraint):
@@ -470,7 +469,7 @@ class _Inference:
                     f"@{expr.name} argument {position + 1} has type "
                     f"{arg_type} where {_describe(constraint)} is "
                     f"required")
-        if expr.name in ("lt", "gt", "leq", "geq", "eq", "neq"):
+        if expr.name in hb.COMPARISONS:
             groups = {_comparison_group(t) for t in arg_types
                       if not t.is_wildcard}
             groups.discard(None)
@@ -480,14 +479,13 @@ class _Inference:
                     f"@{expr.name} compares incompatible types "
                     f"{arg_types[0]} and {arg_types[1]}")
 
-    def _result_shape(self, expr: ir.BuiltinCall, sig,
+    def _result_shape(self, expr: ir.BuiltinCall, builtin,
                       facts, stmt: ir.Stmt) -> Shape:
         shapes = [f.shape for f in facts]
-        rule = sig.shape if sig is not None else "unknown"
+        rule = builtin.shape
         name = expr.name
         if rule == "elementwise":
-            builtin = hb.BUILTINS.get(name)
-            skip = set(builtin.broadcast_args) if builtin else set()
+            skip = set(builtin.broadcast_args)
             operand_shapes = [s for i, s in enumerate(shapes)
                               if i not in skip]
             try:
@@ -759,11 +757,11 @@ def _describe(constraint: str) -> str:
     return _DESCRIBE.get(constraint, constraint)
 
 
-def _constraint_at(sig, position: int) -> str | None:
-    if position < len(sig.args):
-        return sig.args[position]
-    if sig.variadic and sig.args:
-        return sig.args[-1]
+def _constraint_at(builtin, position: int) -> str | None:
+    if position < len(builtin.constraints):
+        return builtin.constraints[position]
+    if builtin.variadic:
+        return builtin.constraints[-1]
     return None
 
 

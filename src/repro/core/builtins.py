@@ -17,20 +17,25 @@ maps to one of these built-ins.  Each built-in carries:
     vectorized call, never fused.
   - ``source``: reads state from the execution context (``@load_table``).
 
+* ``constraints`` — one constraint kind per argument (its arity), and
+  ``shape`` — the result-shape rule; both read by the type/shape checker
+  (:mod:`repro.core.analysis.typeshape`);
 * ``infer`` — result-type inference from argument types;
 * ``run`` — vectorized NumPy evaluation (used by the reference interpreter,
   i.e. HorsePower-Naive, and by opaque statements in compiled code);
 * ``template`` — for fusable built-ins, a Python/NumPy source template used
   by the code generator, e.g. ``"({0} >= {1})"`` for ``@geq``;
 * ``combine`` — for reductions, how chunk partials merge under the
-  multi-threaded executor (``sum``/``min``/``max``/``any``/``all``).
+  multi-threaded executor: a key of :data:`COMBINES`.
+
+Each built-in is one registration: nothing else restates its signature.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,10 +47,9 @@ from repro.core.values import (ListValue, TableValue, Value, Vector, scalar,
 from repro.errors import BuiltinError
 
 __all__ = ["Builtin", "EvalContext", "BUILTINS", "get", "exists",
-           "run_profiled", "charges_output", "BuiltinSig",
-           "SIGNATURES", "signature", "select", "selection",
-           "compress_mismatch", "NAT_DAY", "day_number", "compares_dates",
-           "nat_guard"]
+           "run_profiled", "charges_output", "COMBINES", "COMPARISONS",
+           "select", "selection", "compress_mismatch", "NAT_DAY",
+           "day_number", "compares_dates", "nat_guard"]
 
 #: Builtins whose result is a reference to existing storage (the base
 #: table, one of its columns, a string vector's codes or dictionary)
@@ -87,13 +91,29 @@ class EvalContext:
         self.tables = dict(tables or {})
 
 
+#: The shape rule each fusable kind implies; every other kind states one.
+_KIND_SHAPES = frozenset({"elementwise", "reduction", "compress"})
+
+
 @dataclass(frozen=True)
 class Builtin:
-    """Metadata + implementation for one HorseIR built-in function."""
+    """One HorseIR built-in function: its static contract and its
+    implementation.
+
+    ``constraints`` lists one *constraint kind* per argument position
+    (``any``, ``numeric``, ``numeric_or_date``, ``bool``, ``integer``,
+    ``comparable``, ``strlike``, ``date``, ``table``, ``list``, ``sym``,
+    ``vector``; wildcards always pass); with ``variadic=True`` the last
+    entry repeats for every extra argument.  ``arity`` follows from
+    them, and ``run`` refuses any other argument count.  ``shape`` names
+    the result-shape rule the inference engine applies (``"same:N"``
+    copies argument *N*'s shape, and so on — the rule inventory lives in
+    :mod:`repro.core.analysis.typeshape`); an elementwise, reduction or
+    compress builtin takes its kind's own rule."""
 
     name: str
     kind: str
-    arity: int | None
+    constraints: tuple
     infer: Callable[[list[ht.HorseType]], ht.HorseType]
     run: Callable[[list[Value], EvalContext], Value]
     template: str | None = None
@@ -111,6 +131,23 @@ class Builtin:
     #: element per row (e.g. @member's candidate pool, @like's pattern);
     #: fused kernels must not slice these per chunk.
     broadcast_args: tuple = ()
+    shape: str | None = None
+    variadic: bool = False
+    arity: int | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.constraints, tuple) or not self.constraints:
+            raise BuiltinError(
+                f"@{self.name} states no argument constraints")
+        if self.shape is None:
+            if self.kind not in _KIND_SHAPES:
+                raise BuiltinError(f"@{self.name} states no shape rule")
+            object.__setattr__(self, "shape", self.kind)
+        arity = None if self.variadic else len(self.constraints)
+        object.__setattr__(self, "arity", arity)
+        if arity is not None:
+            object.__setattr__(self, "run",
+                               _checked(self.name, arity, self.run))
 
     @property
     def is_pure(self) -> bool:
@@ -160,10 +197,14 @@ def _register(builtin: Builtin) -> None:
     BUILTINS[builtin.name] = builtin
 
 
-def _expect_arity(name: str, args: Sequence, arity: int) -> None:
-    if len(args) != arity:
-        raise BuiltinError(
-            f"@{name} expects {arity} argument(s), got {len(args)}")
+def _checked(name: str, arity: int, run):
+    """``run``, refusing a call with other than ``arity`` arguments."""
+    def checked(args: list[Value], ctx: EvalContext) -> Value:
+        if len(args) != arity:
+            raise BuiltinError(
+                f"@{name} expects {arity} argument(s), got {len(args)}")
+        return run(args, ctx)
+    return checked
 
 
 def _as_vector(name: str, value: Value) -> Vector:
@@ -242,12 +283,21 @@ def _infer_wild(_: list[ht.HorseType]) -> ht.HorseType:
 # Elementwise builtins
 # ---------------------------------------------------------------------------
 
-def _make_elementwise(name: str, arity: int, fn, infer, template: str,
+#: Argument constraints many builtins share.
+_NUMERIC = ("numeric",)
+_NUMERIC2 = ("numeric", "numeric")
+_NUMERIC_OR_DATE2 = ("numeric_or_date", "numeric_or_date")
+_COMPARABLE2 = ("comparable", "comparable")
+_DATE = ("date",)
+_STRLIKE2 = ("strlike", "strlike")
+
+
+def _make_elementwise(name: str, constraints: tuple, fn, infer,
+                      template: str | None,
                       broadcast_args: tuple = (),
                       ufunc: str | None = None,
                       c_template: str | None = None) -> None:
     def run(args: list[Value], _: EvalContext) -> Value:
-        _expect_arity(name, args, arity)
         vectors = [_as_vector(name, a) for a in args]
         try:
             if any(vec.type is ht.STR for vec in vectors):
@@ -266,7 +316,7 @@ def _make_elementwise(name: str, arity: int, fn, infer, template: str,
         return Vector(out_type, result.astype(ht.numpy_dtype(out_type),
                                               copy=False))
 
-    _register(Builtin(name, "elementwise", arity, infer, run,
+    _register(Builtin(name, "elementwise", constraints, infer, run,
                       template=template, broadcast_args=broadcast_args,
                       ufunc=ufunc, c_template=c_template))
 
@@ -281,7 +331,7 @@ def _operands(vectors: list[Vector], broadcast_args: tuple) -> list:
             for position, vec in enumerate(vectors)]
 
 
-_COMPARISONS = frozenset({"eq", "neq", "lt", "gt", "leq", "geq"})
+COMPARISONS = frozenset({"eq", "neq", "lt", "gt", "leq", "geq"})
 
 
 def _run_on_strings(name: str, fn, vectors: list[Vector],
@@ -312,58 +362,67 @@ def _run_on_strings(name: str, fn, vectors: list[Vector],
             return fn(*operands)
 
         return strings.per_entry(on_dictionary, codes, dictionary)
-    if len(rows) == 2 and name in _COMPARISONS:
+    if len(rows) == 2 and name in COMPARISONS:
         codes, _ = strings.reconcile(*(vectors[p].encoding() for p in rows))
         return fn(*codes)
     return fn(*_operands(vectors, broadcast_args))
 
 
-_make_elementwise("add", 2, np.add, _infer_promote, "({0} + {1})", ufunc="np.add",
-                  c_template='({0} + {1})')
-_make_elementwise("sub", 2, np.subtract, _infer_promote, "({0} - {1})", ufunc="np.subtract",
-                  c_template='({0} - {1})')
-_make_elementwise("mul", 2, np.multiply, _infer_promote, "({0} * {1})", ufunc="np.multiply",
-                  c_template='({0} * {1})')
-_make_elementwise("div", 2, np.true_divide, _infer_f64, "({0} / {1})", ufunc="np.true_divide",
+_make_elementwise("add", _NUMERIC_OR_DATE2, np.add, _infer_promote,
+                  "({0} + {1})", ufunc="np.add", c_template='({0} + {1})')
+_make_elementwise("sub", _NUMERIC_OR_DATE2, np.subtract, _infer_promote,
+                  "({0} - {1})", ufunc="np.subtract", c_template='({0} - {1})')
+_make_elementwise("mul", _NUMERIC2, np.multiply, _infer_promote,
+                  "({0} * {1})", ufunc="np.multiply", c_template='({0} * {1})')
+_make_elementwise("div", _NUMERIC2, np.true_divide, _infer_f64,
+                  "({0} / {1})", ufunc="np.true_divide",
                   c_template='((double){0} / (double){1})')
-_make_elementwise("mod", 2, np.mod, _infer_promote, "np.mod({0}, {1})", ufunc="np.mod",
+_make_elementwise("mod", _NUMERIC2, np.mod, _infer_promote,
+                  "np.mod({0}, {1})", ufunc="np.mod",
                   c_template='fmod((double){0}, (double){1})')
-_make_elementwise("power", 2, np.power, _infer_f64, "np.power({0}, {1})", ufunc="np.power",
+_make_elementwise("power", _NUMERIC2, np.power, _infer_f64,
+                  "np.power({0}, {1})", ufunc="np.power",
                   c_template='pow((double){0}, (double){1})')
-_make_elementwise("neg", 1, np.negative, _infer_first, "(-{0})", ufunc="np.negative",
-                  c_template='(-{0})')
-_make_elementwise("abs", 1, np.abs, _infer_first, "np.abs({0})", ufunc="np.abs",
+_make_elementwise("neg", _NUMERIC, np.negative, _infer_first,
+                  "(-{0})", ufunc="np.negative", c_template='(-{0})')
+_make_elementwise("abs", _NUMERIC, np.abs, _infer_first,
+                  "np.abs({0})", ufunc="np.abs",
                   c_template='fabs((double){0})')
-_make_elementwise("exp", 1, np.exp, _infer_f64, "np.exp({0})", ufunc="np.exp",
-                  c_template='exp((double){0})')
-_make_elementwise("log", 1, np.log, _infer_f64, "np.log({0})", ufunc="np.log",
-                  c_template='log((double){0})')
-_make_elementwise("sqrt", 1, np.sqrt, _infer_f64, "np.sqrt({0})", ufunc="np.sqrt",
+_make_elementwise("exp", _NUMERIC, np.exp, _infer_f64,
+                  "np.exp({0})", ufunc="np.exp", c_template='exp((double){0})')
+_make_elementwise("log", _NUMERIC, np.log, _infer_f64,
+                  "np.log({0})", ufunc="np.log", c_template='log((double){0})')
+_make_elementwise("sqrt", _NUMERIC, np.sqrt, _infer_f64,
+                  "np.sqrt({0})", ufunc="np.sqrt",
                   c_template='sqrt((double){0})')
-_make_elementwise("floor", 1, np.floor, _infer_first, "np.floor({0})", ufunc="np.floor",
+_make_elementwise("floor", _NUMERIC, np.floor, _infer_first,
+                  "np.floor({0})", ufunc="np.floor",
                   c_template='floor((double){0})')
-_make_elementwise("ceil", 1, np.ceil, _infer_first, "np.ceil({0})", ufunc="np.ceil",
+_make_elementwise("ceil", _NUMERIC, np.ceil, _infer_first,
+                  "np.ceil({0})", ufunc="np.ceil",
                   c_template='ceil((double){0})')
-_make_elementwise("round", 1, np.round, _infer_first, "np.round({0})")
-_make_elementwise("sign", 1, np.sign, _infer_first, "np.sign({0})", ufunc="np.sign",
+_make_elementwise("round", _NUMERIC, np.round, _infer_first,
+                  "np.round({0})")
+_make_elementwise("sign", _NUMERIC, np.sign, _infer_first,
+                  "np.sign({0})", ufunc="np.sign",
                   c_template='(({0} > 0) - ({0} < 0))')
 
-_make_elementwise("lt", 2, np.less, _infer_bool,
+_make_elementwise("lt", _COMPARABLE2, np.less, _infer_bool,
                   "({0} < {1})", ufunc="np.less",
                   c_template='({0} < {1})')
-_make_elementwise("gt", 2, np.greater, _infer_bool,
+_make_elementwise("gt", _COMPARABLE2, np.greater, _infer_bool,
                   "({0} > {1})", ufunc="np.greater",
                   c_template='({0} > {1})')
-_make_elementwise("leq", 2, np.less_equal, _infer_bool,
+_make_elementwise("leq", _COMPARABLE2, np.less_equal, _infer_bool,
                   "({0} <= {1})", ufunc="np.less_equal",
                   c_template='({0} <= {1})')
-_make_elementwise("geq", 2, np.greater_equal, _infer_bool,
+_make_elementwise("geq", _COMPARABLE2, np.greater_equal, _infer_bool,
                   "({0} >= {1})", ufunc="np.greater_equal",
                   c_template='({0} >= {1})')
-_make_elementwise("eq", 2, np.equal, _infer_bool,
+_make_elementwise("eq", ("any", "any"), np.equal, _infer_bool,
                   "({0} == {1})", ufunc="np.equal",
                   c_template='({0} == {1})')
-_make_elementwise("neq", 2, np.not_equal, _infer_bool,
+_make_elementwise("neq", ("any", "any"), np.not_equal, _infer_bool,
                   "({0} != {1})", ufunc="np.not_equal",
                   c_template='({0} != {1})')
 
@@ -379,7 +438,7 @@ def day_number(value) -> int:
 def compares_dates(expr: ir.Expr, types: dict) -> bool:
     """Is ``expr`` a comparison of two dates?  A variable's type is
     read from ``types`` (the method's declarations)."""
-    return isinstance(expr, ir.BuiltinCall) and expr.name in _COMPARISONS \
+    return isinstance(expr, ir.BuiltinCall) and expr.name in COMPARISONS \
         and all(arg.type == ht.DATE if isinstance(arg, ir.Literal)
                 else isinstance(arg, ir.Var)
                 and types.get(arg.name) == ht.DATE for arg in expr.args)
@@ -408,28 +467,28 @@ def nat_guard(expr: ir.BuiltinCall) -> tuple[int, str] | None:
     return (0, "and") if expr.name == "eq" else (0, "or")
 
 
-_make_elementwise("and", 2, np.logical_and, _infer_bool,
+_make_elementwise("and", _NUMERIC2, np.logical_and, _infer_bool,
                   "np.logical_and({0}, {1})", ufunc="np.logical_and",
                   c_template='({0} && {1})')
-_make_elementwise("or", 2, np.logical_or, _infer_bool,
+_make_elementwise("or", _NUMERIC2, np.logical_or, _infer_bool,
                   "np.logical_or({0}, {1})", ufunc="np.logical_or",
                   c_template='({0} || {1})')
-_make_elementwise("not", 1, np.logical_not, _infer_bool,
+_make_elementwise("not", _NUMERIC, np.logical_not, _infer_bool,
                   "np.logical_not({0})", ufunc="np.logical_not",
                   c_template='(!{0})')
-_make_elementwise("min2", 2, np.minimum, _infer_promote,
+_make_elementwise("min2", _NUMERIC_OR_DATE2, np.minimum, _infer_promote,
                   "np.minimum({0}, {1})", ufunc="np.minimum",
                   # NaN-propagating, like np.minimum (a plain ternary
                   # would return the non-NaN operand).
                   c_template='(({0} != {0}) ? {0} : (({1} != {1}) ? {1} '
                              ': (({0} < {1}) ? {0} : {1})))')
-_make_elementwise("max2", 2, np.maximum, _infer_promote,
+_make_elementwise("max2", _NUMERIC_OR_DATE2, np.maximum, _infer_promote,
                   "np.maximum({0}, {1})", ufunc="np.maximum",
                   c_template='(({0} != {0}) ? {0} : (({1} != {1}) ? {1} '
                              ': (({0} > {1}) ? {0} : {1})))')
-_make_elementwise("if_else", 3, lambda m, a, b: np.where(m, a, b),
-                  _infer_second, "np.where({0}, {1}, {2})",
-                  c_template='({0} ? {1} : {2})')
+_make_elementwise("if_else", ("numeric", "any", "any"),
+                  lambda m, a, b: np.where(m, a, b), _infer_second,
+                  "np.where({0}, {1}, {2})", c_template='({0} ? {1} : {2})')
 
 
 def _date_part(part: str):
@@ -446,10 +505,10 @@ def _date_part(part: str):
     return extract
 
 
-_make_elementwise("date_year", 1, _date_part("year"), _infer_i64,
+_make_elementwise("date_year", _DATE, _date_part("year"), _infer_i64,
                   "(({0}).astype('datetime64[Y]').astype(np.int64) + 1970)")
-_make_elementwise("date_month", 1, _date_part("month"), _infer_i64, None)
-_make_elementwise("date_day", 1, _date_part("day"), _infer_i64, None)
+_make_elementwise("date_month", _DATE, _date_part("month"), _infer_i64, None)
+_make_elementwise("date_day", _DATE, _date_part("day"), _infer_i64, None)
 
 
 def _date_to_i64(a):
@@ -458,7 +517,7 @@ def _date_to_i64(a):
     return np.asarray(a).astype("datetime64[D]", copy=False).view(np.int64)
 
 
-_make_elementwise("date_to_i64", 1, _date_to_i64, _infer_i64,
+_make_elementwise("date_to_i64", _DATE, _date_to_i64, _infer_i64,
                   "({0}).astype('datetime64[D]', copy=False)"
                   ".view(np.int64)",
                   c_template="({0})")  # a C date is its day count
@@ -498,7 +557,7 @@ def _like_regex(pattern: str) -> "re.Pattern[str]":
     return re.compile("".join(out) + r"\Z", re.DOTALL)
 
 
-_make_elementwise("like", 2, _np_like, _infer_bool, None,
+_make_elementwise("like", _STRLIKE2, _np_like, _infer_bool, None,
                   broadcast_args=(1,))
 
 
@@ -510,11 +569,11 @@ def _np_startswith(values: np.ndarray, prefixes) -> np.ndarray:
                     dtype=np.bool_)
 
 
-_make_elementwise("startswith", 2, _np_startswith, _infer_bool, None,
+_make_elementwise("startswith", _STRLIKE2, _np_startswith, _infer_bool, None,
                   broadcast_args=(1,))
 
 
-_make_elementwise("member", 2, np.isin, _infer_bool,
+_make_elementwise("member", ("vector", "vector"), np.isin, _infer_bool,
                   "np.isin({0}, {1})", broadcast_args=(1,))
 
 
@@ -525,22 +584,51 @@ def _gather(table: np.ndarray, codes) -> np.ndarray:
 #: ``@gather(table, codes)`` is ``table[codes]``: the row-level half of a
 #: string predicate lowered to codes, fusable like any elementwise op
 #: (the table is a whole value, looked up once per row).
-_make_elementwise("gather", 2, _gather, _infer_first, "({0})[{1}]",
-                  broadcast_args=(0,), c_template="{0}[{1}]")
+_make_elementwise("gather", ("any", "integer"), _gather, _infer_first,
+                  "({0})[{1}]", broadcast_args=(0,), c_template="{0}[{1}]")
 
 
 # ---------------------------------------------------------------------------
 # Reductions
 # ---------------------------------------------------------------------------
 
-def _make_reduction(name: str, fn, infer, template: str | None = None,
-                    combine: str | None = None) -> None:
+class Combine(NamedTuple):
+    """How a reduction folds: ``identity`` is the value of an empty
+    input (None: an empty input raises), and ``merge`` folds per-chunk
+    partials already cast to the result dtype, keeping that dtype."""
+
+    identity: object
+    merge: Callable[[np.ndarray], object]
+
+
+#: Every reduction combine: the builtins' empty case, and the compiled
+#: executor's empty inputs and chunk merges, read this one table.
+COMBINES: dict[str, Combine] = {
+    "sum": Combine(0, lambda parts: np.sum(parts, dtype=parts.dtype)),
+    "prod": Combine(1, lambda parts: np.prod(parts, dtype=parts.dtype)),
+    "min": Combine(None, np.min),
+    "max": Combine(None, np.max),
+    "any": Combine(False, np.any),
+    "all": Combine(True, np.all),
+}
+
+
+def _make_reduction(name: str, constraint: str, fn, infer,
+                    template: str | None = None,
+                    combine: str | None = None, *,
+                    identity=None) -> None:
+    """Register reduction ``@name``; an empty input yields its
+    combine's identity, else ``identity`` (None: it raises)."""
+    if combine is not None:
+        identity = COMBINES[combine].identity
+
     def run(args: list[Value], _: EvalContext) -> Value:
-        _expect_arity(name, args, 1)
         vec = _as_vector(name, args[0])
         out_type = infer([vec.type])
         if len(vec) == 0:
-            value = _reduction_identity(name, out_type)
+            if identity is None:
+                raise BuiltinError(f"@{name} of an empty vector")
+            value = identity
         elif vec.type is ht.STR and name in ("min", "max"):
             # Sorted dictionary: the extreme string has the extreme code.
             codes = vec.encoding()[0]
@@ -551,37 +639,30 @@ def _make_reduction(name: str, fn, infer, template: str | None = None,
         result[0] = value
         return Vector(out_type, result)
 
-    _register(Builtin(name, "reduction", 1, infer, run,
+    _register(Builtin(name, "reduction", (constraint,), infer, run,
                       template=template, combine=combine))
 
 
-def _reduction_identity(name: str, out_type: ht.HorseType):
-    if name in ("sum", "count"):
-        return 0
-    if name == "prod":
-        return 1
-    if name == "avg":
-        return float("nan")
-    if name == "any":
-        return False
-    if name == "all":
-        return True
-    raise BuiltinError(f"@{name} of an empty vector")
-
-
-_make_reduction("sum", np.sum, _infer_sum, "np.sum({0})", "sum")
-_make_reduction("prod", np.prod, _infer_sum, "np.prod({0})", "prod")
+_make_reduction("sum", "numeric", np.sum, _infer_sum, "np.sum({0})", "sum")
+_make_reduction("prod", "numeric", np.prod, _infer_sum, "np.prod({0})",
+                "prod")
 # No kernel form: a fused avg needs a two-part accumulator, so the
 # optimizer's avg-split rewrites it to sum/count instead.
-_make_reduction("avg", np.mean, _infer_f64)
+_make_reduction("avg", "numeric", np.mean, _infer_f64,
+                identity=float("nan"))
 # min/max chunk partials use a guarded helper: a chunk whose compressed
 # selection is empty yields a None partial (dropped by the combiner)
 # instead of np.min's raw ValueError on a zero-size array.
-_make_reduction("min", np.min, _infer_first, "_chunk_min({0})", "min")
-_make_reduction("max", np.max, _infer_first, "_chunk_max({0})", "max")
-_make_reduction("count", len, _infer_i64, "np.int64(len({0}))", "sum")
-_make_reduction("any", np.any, _infer_bool, "np.any({0})", "any")
-_make_reduction("all", np.all, _infer_bool, "np.all({0})", "all")
+_make_reduction("min", "comparable", np.min, _infer_first,
+                "_chunk_min({0})", "min")
+_make_reduction("max", "comparable", np.max, _infer_first,
+                "_chunk_max({0})", "max")
+_make_reduction("count", "any", len, _infer_i64, "np.int64(len({0}))",
+                "sum")
+_make_reduction("any", "numeric", np.any, _infer_bool, "np.any({0})",
+                "any")
+_make_reduction("all", "numeric", np.all, _infer_bool, "np.all({0})",
+                "all")
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +683,6 @@ def compress_mismatch(mask_len: int, data_len: int) -> BuiltinError:
 
 
 def _run_compress(args: list[Value], _: EvalContext) -> Value:
-    _expect_arity("compress", args, 2)
     mask = _as_vector("compress", args[0])
     data = _as_vector("compress", args[1])
     if mask.type != ht.BOOL:
@@ -612,11 +692,11 @@ def _run_compress(args: list[Value], _: EvalContext) -> Value:
     return select(data, selection(mask.data))
 
 
-_register(Builtin("compress", "compress", 2, _infer_second, _run_compress))
+_register(Builtin("compress", "compress", ("bool", "vector"), _infer_second,
+                  _run_compress))
 
 
 def _run_index(args: list[Value], _: EvalContext) -> Value:
-    _expect_arity("index", args, 2)
     data = _as_vector("index", args[0])
     idx = _as_vector("index", args[1])
     if not ht.is_integer(idx.type):
@@ -624,27 +704,28 @@ def _run_index(args: list[Value], _: EvalContext) -> Value:
     return select(data, idx.data)
 
 
-_register(Builtin("index", "opaque", 2, _infer_first, _run_index))
+_register(Builtin("index", "opaque", ("vector", "integer"), _infer_first,
+                  _run_index, shape="index"))
 
 
 def _run_where(args: list[Value], _: EvalContext) -> Value:
-    _expect_arity("where", args, 1)
     mask = _as_vector("where", args[0])
     return Vector(ht.I64, selection(mask.data))
 
 
-_register(Builtin("where", "opaque", 1, _infer_i64, _run_where))
+_register(Builtin("where", "opaque", _NUMERIC, _infer_i64, _run_where,
+                  shape="where"))
 
 
 def _run_cumsum(args: list[Value], _: EvalContext) -> Value:
-    _expect_arity("cumsum", args, 1)
     data = _as_vector("cumsum", args[0])
     out_type = _infer_sum([data.type])
     return Vector(out_type,
                   np.cumsum(data.data).astype(ht.numpy_dtype(out_type)))
 
 
-_register(Builtin("cumsum", "scan", 1, _infer_sum, _run_cumsum))
+_register(Builtin("cumsum", "scan", _NUMERIC, _infer_sum, _run_cumsum,
+                  shape="same:0"))
 
 
 # ---------------------------------------------------------------------------
@@ -652,23 +733,23 @@ _register(Builtin("cumsum", "scan", 1, _infer_sum, _run_cumsum))
 # ---------------------------------------------------------------------------
 
 def _run_range(args: list[Value], _: EvalContext) -> Value:
-    _expect_arity("range", args, 1)
     n = _as_vector("range", args[0]).item()
     return Vector(ht.I64, np.arange(int(n), dtype=np.int64))
 
 
-_register(Builtin("range", "opaque", 1, _infer_i64, _run_range))
+_register(Builtin("range", "opaque", _NUMERIC, _infer_i64, _run_range,
+                  shape="range"))
 
 
 def _run_fill(args: list[Value], _: EvalContext) -> Value:
-    _expect_arity("fill", args, 2)
     n = int(_as_vector("fill", args[0]).item())
     value = _as_vector("fill", args[1])
     return Vector(value.type,
                   np.full(n, value.data[0], dtype=value.data.dtype))
 
 
-_register(Builtin("fill", "opaque", 2, _infer_second, _run_fill))
+_register(Builtin("fill", "opaque", ("numeric", "any"), _infer_second,
+                  _run_fill, shape="fill"))
 
 
 def _run_concat(args: list[Value], _: EvalContext) -> Value:
@@ -683,11 +764,11 @@ def _run_concat(args: list[Value], _: EvalContext) -> Value:
         [v.data.astype(dtype, copy=False) for v in vectors]))
 
 
-_register(Builtin("concat", "opaque", None, _infer_first, _run_concat))
+_register(Builtin("concat", "opaque", ("vector",), _infer_first, _run_concat,
+                  shape="vector", variadic=True))
 
 
 def _run_len(args: list[Value], _: EvalContext) -> Value:
-    _expect_arity("len", args, 1)
     value = args[0]
     if isinstance(value, Vector):
         return scalar(len(value), ht.I64)
@@ -698,27 +779,28 @@ def _run_len(args: list[Value], _: EvalContext) -> Value:
     raise BuiltinError(f"@len of {type(value).__name__}")
 
 
-_register(Builtin("len", "opaque", 1, _infer_i64, _run_len))
+_register(Builtin("len", "opaque", ("any",), _infer_i64, _run_len,
+                  shape="scalar"))
 
 
 def _run_reverse(args: list[Value], _: EvalContext) -> Value:
-    _expect_arity("reverse", args, 1)
     data = _as_vector("reverse", args[0])
     return select(data, slice(None, None, -1))
 
 
-_register(Builtin("reverse", "opaque", 1, _infer_first, _run_reverse))
+_register(Builtin("reverse", "opaque", ("vector",), _infer_first,
+                  _run_reverse, shape="same:0"))
 
 
 def _run_unique(args: list[Value], _: EvalContext) -> Value:
-    _expect_arity("unique", args, 1)
     data = _as_vector("unique", args[0])
     values = data.encoding()[0] if data.type is ht.STR else data.data
     _, first = np.unique(values, return_index=True)
     return select(data, np.sort(first))
 
 
-_register(Builtin("unique", "opaque", 1, _infer_first, _run_unique))
+_register(Builtin("unique", "opaque", ("vector",), _infer_first,
+                  _run_unique, shape="vector"))
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +808,6 @@ _register(Builtin("unique", "opaque", 1, _infer_first, _run_unique))
 # ---------------------------------------------------------------------------
 
 def _run_load_table(args: list[Value], ctx: EvalContext) -> Value:
-    _expect_arity("load_table", args, 1)
     name = _as_vector("load_table", args[0]).item()
     try:
         return ctx.tables[name]
@@ -734,11 +815,11 @@ def _run_load_table(args: list[Value], ctx: EvalContext) -> Value:
         raise BuiltinError(f"@load_table: unknown table {name!r}") from None
 
 
-_register(Builtin("load_table", "source", 1, _infer_table, _run_load_table))
+_register(Builtin("load_table", "source", ("sym",), _infer_table,
+                  _run_load_table, shape="table"))
 
 
 def _run_column_value(args: list[Value], _: EvalContext) -> Value:
-    _expect_arity("column_value", args, 2)
     table = args[0]
     if not isinstance(table, TableValue):
         raise BuiltinError("@column_value expects a table")
@@ -746,12 +827,11 @@ def _run_column_value(args: list[Value], _: EvalContext) -> Value:
     return table.column(name)
 
 
-_register(Builtin("column_value", "opaque", 2, _infer_wild,
-                  _run_column_value))
+_register(Builtin("column_value", "opaque", ("table", "sym"), _infer_wild,
+                  _run_column_value, shape="column"))
 
 
 def _run_table(args: list[Value], _: EvalContext) -> Value:
-    _expect_arity("table", args, 2)
     names = _as_vector("table", args[0])
     columns = args[1]
     if not isinstance(columns, ListValue):
@@ -763,18 +843,19 @@ def _run_table(args: list[Value], _: EvalContext) -> Value:
                        for name, col in zip(names.data, columns)])
 
 
-_register(Builtin("table", "opaque", 2, _infer_table, _run_table))
+_register(Builtin("table", "opaque", ("vector", "list"), _infer_table,
+                  _run_table, shape="table"))
 
 
 def _run_list(args: list[Value], _: EvalContext) -> Value:
     return ListValue(list(args))
 
 
-_register(Builtin("list", "opaque", None, _infer_list, _run_list))
+_register(Builtin("list", "opaque", ("any",), _infer_list, _run_list,
+                  shape="list", variadic=True))
 
 
 def _run_list_item(args: list[Value], _: EvalContext) -> Value:
-    _expect_arity("list_item", args, 2)
     lst = args[0]
     if not isinstance(lst, ListValue):
         raise BuiltinError("@list_item expects a list")
@@ -787,7 +868,8 @@ def _run_list_item(args: list[Value], _: EvalContext) -> Value:
             f"for list of {len(lst)}") from None
 
 
-_register(Builtin("list_item", "opaque", 2, _infer_wild, _run_list_item))
+_register(Builtin("list_item", "opaque", ("list", "numeric"), _infer_wild,
+                  _run_list_item, shape="list_item"))
 
 
 def _factorize(data: np.ndarray) -> tuple[np.ndarray, int]:
@@ -866,8 +948,9 @@ def _run_group(args: list[Value], _: EvalContext) -> Value:
     return ListValue([Vector(ht.I64, first), Vector(ht.I64, codes)])
 
 
-_register(Builtin("group", "opaque", None,
-                  lambda _: ht.list_of(ht.I64), _run_group))
+_register(Builtin("group", "opaque", ("any",),
+                  lambda _: ht.list_of(ht.I64), _run_group,
+                  shape="list", variadic=True))
 
 
 def _segmented(name: str, impl):
@@ -879,7 +962,6 @@ def _segmented(name: str, impl):
     ``np.bincount`` does for a negative one), and an id ``>= ng`` shows
     as a result longer than ``ng`` rows (``np.bincount`` grows to fit)."""
     def run(args: list[Value], _: EvalContext) -> Value:
-        _expect_arity(name, args, 3)
         values = _as_vector(name, args[0])
         codes = _as_vector(name, args[1]).data
         ngroups = int(_as_vector(name, args[2]).item())
@@ -950,14 +1032,22 @@ def _dtype_extreme(dtype: np.dtype, *, high: bool):
     return info.max if high else info.min
 
 
-_register(Builtin("group_sum", "opaque", 3, _infer_sum,
-                  _segmented("group_sum", _group_sum_impl)))
-_register(Builtin("group_count", "opaque", 3, _infer_i64,
-                  _segmented("group_count", _group_count_impl)))
-_register(Builtin("group_min", "opaque", 3, _infer_first,
-                  _segmented("group_min", _group_extreme(np.minimum))))
-_register(Builtin("group_max", "opaque", 3, _infer_first,
-                  _segmented("group_max", _group_extreme(np.maximum))))
+#: A grouped aggregate's last two arguments: group ids, group count.
+_GROUP_IDS = ("integer", "integer")
+_register(Builtin("group_sum", "opaque", ("numeric", *_GROUP_IDS), _infer_sum,
+                  _segmented("group_sum", _group_sum_impl),
+                  shape="group_agg"))
+_register(Builtin("group_count", "opaque", ("vector", *_GROUP_IDS),
+                  _infer_i64, _segmented("group_count", _group_count_impl),
+                  shape="group_agg"))
+_register(Builtin("group_min", "opaque", ("vector", *_GROUP_IDS),
+                  _infer_first,
+                  _segmented("group_min", _group_extreme(np.minimum)),
+                  shape="group_agg"))
+_register(Builtin("group_max", "opaque", ("vector", *_GROUP_IDS),
+                  _infer_first,
+                  _segmented("group_max", _group_extreme(np.maximum)),
+                  shape="group_agg"))
 
 
 def _join_keys(value: Value) -> list[Vector]:
@@ -975,7 +1065,6 @@ def _run_join_index(args: list[Value], _: EvalContext) -> Value:
     matches in right-input order.  Left-outer probes that miss emit a
     right index of ``-1`` (callers pad with null surrogates).
     """
-    _expect_arity("join_index", args, 3)
     left = _join_keys(args[0])
     right = _join_keys(args[1])
     kind = _as_vector("join_index", args[2]).item()
@@ -1123,8 +1212,9 @@ def _join_sorted(left: np.ndarray, right: np.ndarray,
             ridx.astype(np.int64, copy=False))
 
 
-_register(Builtin("join_index", "opaque", 3,
-                  lambda _: ht.list_of(ht.I64), _run_join_index))
+_register(Builtin("join_index", "opaque", ("any", "any", "sym"),
+                  lambda _: ht.list_of(ht.I64), _run_join_index,
+                  shape="join"))
 
 
 def _run_order(args: list[Value], _: EvalContext) -> Value:
@@ -1133,7 +1223,6 @@ def _run_order(args: list[Value], _: EvalContext) -> Value:
     ``keys`` is a vector or a list of vectors (major key first);
     ``ascending`` is a bool vector with one flag per key.
     """
-    _expect_arity("order", args, 2)
     keys = _join_keys(args[0])
     ascending = _as_vector("order", args[1]).data
     if len(ascending) != len(keys):
@@ -1155,17 +1244,18 @@ def _run_order(args: list[Value], _: EvalContext) -> Value:
     return Vector(ht.I64, np.lexsort(columns).astype(np.int64))
 
 
-_register(Builtin("order", "opaque", 2, _infer_i64, _run_order))
+_register(Builtin("order", "opaque", ("any", "bool"), _infer_i64, _run_order,
+                  shape="vector"))
 
 
 def _run_take(args: list[Value], _: EvalContext) -> Value:
-    _expect_arity("take", args, 2)
     data = _as_vector("take", args[0])
     n = int(_as_vector("take", args[1]).item())
     return select(data, slice(None, n))
 
 
-_register(Builtin("take", "opaque", 2, _infer_first, _run_take))
+_register(Builtin("take", "opaque", ("vector", "numeric"), _infer_first,
+                  _run_take, shape="vector"))
 
 
 # ---------------------------------------------------------------------------
@@ -1182,14 +1272,12 @@ def _string_arg(name: str, value: Value) -> Vector:
 
 def _run_str_codes(args: list[Value], _: EvalContext) -> Value:
     """``@str_codes(x)`` — the int32 codes of string vector ``x``."""
-    _expect_arity("str_codes", args, 1)
     return Vector(ht.I32, _string_arg("str_codes", args[0]).encoding()[0])
 
 
 def _run_str_dict(args: list[Value], _: EvalContext) -> Value:
     """``@str_dict(x)`` — ``x``'s dictionary as a string vector, one row
     per entry: what a predicate runs over once per entry."""
-    _expect_arity("str_dict", args, 1)
     dictionary = _string_arg("str_dict", args[0]).encoding()[1]
     return Vector.from_codes(
         np.arange(len(dictionary), dtype=strings.CODE_DTYPE), dictionary)
@@ -1199,7 +1287,6 @@ def _run_str_find(args: list[Value], _: EvalContext) -> Value:
     """``@str_find(x, s)`` — the code of string ``s`` in ``x``'s
     dictionary, or -1 when no row of ``x`` holds it (so ``@eq`` on codes
     is false everywhere and ``@neq`` true)."""
-    _expect_arity("str_find", args, 2)
     dictionary = _string_arg("str_find", args[0]).encoding()[1]
     target = _as_vector("str_find", args[1]).item()
     try:
@@ -1215,19 +1302,18 @@ def _run_str_decode(args: list[Value], _: EvalContext) -> Value:
     """``@str_decode(codes, x)`` — the string vector ``codes`` spell in
     ``x``'s dictionary (codes computed from ``x``'s, e.g. compressed
     inside a fused kernel)."""
-    _expect_arity("str_decode", args, 2)
     codes = _as_vector("str_decode", args[0])
     return _string_arg("str_decode", args[1]).with_codes(codes.data)
 
 
-_register(Builtin("str_codes", "opaque", 1, lambda _: ht.I32,
-                  _run_str_codes))
-_register(Builtin("str_dict", "opaque", 1, lambda _: ht.STR,
-                  _run_str_dict))
-_register(Builtin("str_find", "opaque", 2, lambda _: ht.I32,
-                  _run_str_find))
-_register(Builtin("str_decode", "opaque", 2, lambda _: ht.STR,
-                  _run_str_decode))
+_register(Builtin("str_codes", "opaque", ("strlike",), lambda _: ht.I32,
+                  _run_str_codes, shape="same:0"))
+_register(Builtin("str_dict", "opaque", ("strlike",), lambda _: ht.STR,
+                  _run_str_dict, shape="vector"))
+_register(Builtin("str_find", "opaque", _STRLIKE2, lambda _: ht.I32,
+                  _run_str_find, shape="scalar"))
+_register(Builtin("str_decode", "opaque", ("integer", "strlike"),
+                  lambda _: ht.STR, _run_str_decode, shape="same:0"))
 
 
 # ---------------------------------------------------------------------------
@@ -1241,7 +1327,6 @@ def _run_subseq(args: list[Value], _: EvalContext) -> Value:
     zero-copy view, the way compiled code would fold ``A(a:b)`` into
     pointer arithmetic instead of a gather.
     """
-    _expect_arity("subseq", args, 3)
     data = _as_vector("subseq", args[0])
     start = int(round(float(_as_vector("subseq", args[1]).item())))
     stop = int(round(float(_as_vector("subseq", args[2]).item())))
@@ -1252,133 +1337,5 @@ def _run_subseq(args: list[Value], _: EvalContext) -> Value:
     return select(data, slice(start - 1, stop))
 
 
-_register(Builtin("subseq", "opaque", 3, _infer_first, _run_subseq))
-
-
-# ---------------------------------------------------------------------------
-# Static signatures (consumed by repro.core.analysis.typeshape)
-# ---------------------------------------------------------------------------
-
-class BuiltinSig(NamedTuple):
-    """Static contract of one builtin, for the type/shape checker.
-
-    ``args`` lists one *constraint kind* per argument position (see
-    :data:`CONSTRAINT_KINDS`); with ``variadic=True`` the last entry
-    repeats for every extra argument.  ``shape`` names the result-shape
-    rule the inference engine applies (``"elementwise"`` broadcasts the
-    argument lengths, ``"reduction"`` yields a scalar, ``"same:N"``
-    copies argument *N*'s shape, and so on — the full rule inventory
-    lives in :mod:`repro.core.analysis.typeshape`)."""
-
-    args: tuple
-    shape: str
-    variadic: bool = False
-
-
-#: Constraint vocabulary.  ``any`` admits every type; the rest restrict
-#: the *element* type of a vector argument (wildcards always pass —
-#: they re-check at runtime, exactly as before this table existed).
-CONSTRAINT_KINDS = ("any", "numeric", "numeric_or_date", "bool",
-                    "integer", "comparable", "strlike", "date",
-                    "table", "list", "sym", "vector")
-
-_EW2 = ("numeric", "numeric")
-_CMP2 = ("comparable", "comparable")
-
-SIGNATURES: dict[str, BuiltinSig] = {
-    # arithmetic
-    "add": BuiltinSig(("numeric_or_date", "numeric_or_date"),
-                      "elementwise"),
-    "sub": BuiltinSig(("numeric_or_date", "numeric_or_date"),
-                      "elementwise"),
-    "mul": BuiltinSig(_EW2, "elementwise"),
-    "div": BuiltinSig(_EW2, "elementwise"),
-    "mod": BuiltinSig(_EW2, "elementwise"),
-    "power": BuiltinSig(_EW2, "elementwise"),
-    "neg": BuiltinSig(("numeric",), "elementwise"),
-    "abs": BuiltinSig(("numeric",), "elementwise"),
-    "exp": BuiltinSig(("numeric",), "elementwise"),
-    "log": BuiltinSig(("numeric",), "elementwise"),
-    "sqrt": BuiltinSig(("numeric",), "elementwise"),
-    "floor": BuiltinSig(("numeric",), "elementwise"),
-    "ceil": BuiltinSig(("numeric",), "elementwise"),
-    "round": BuiltinSig(("numeric",), "elementwise"),
-    "sign": BuiltinSig(("numeric",), "elementwise"),
-    # comparisons (same comparability group on both sides)
-    "lt": BuiltinSig(_CMP2, "elementwise"),
-    "gt": BuiltinSig(_CMP2, "elementwise"),
-    "leq": BuiltinSig(_CMP2, "elementwise"),
-    "geq": BuiltinSig(_CMP2, "elementwise"),
-    "eq": BuiltinSig(("any", "any"), "elementwise"),
-    "neq": BuiltinSig(("any", "any"), "elementwise"),
-    # logical
-    "and": BuiltinSig(("numeric", "numeric"), "elementwise"),
-    "or": BuiltinSig(("numeric", "numeric"), "elementwise"),
-    "not": BuiltinSig(("numeric",), "elementwise"),
-    "min2": BuiltinSig(("numeric_or_date", "numeric_or_date"),
-                       "elementwise"),
-    "max2": BuiltinSig(("numeric_or_date", "numeric_or_date"),
-                       "elementwise"),
-    "if_else": BuiltinSig(("numeric", "any", "any"), "elementwise"),
-    # dates
-    "date_year": BuiltinSig(("date",), "elementwise"),
-    "date_month": BuiltinSig(("date",), "elementwise"),
-    "date_day": BuiltinSig(("date",), "elementwise"),
-    "date_to_i64": BuiltinSig(("date",), "elementwise"),
-    # strings
-    "like": BuiltinSig(("strlike", "strlike"), "elementwise"),
-    "startswith": BuiltinSig(("strlike", "strlike"), "elementwise"),
-    "member": BuiltinSig(("vector", "vector"), "elementwise"),
-    # reductions
-    "sum": BuiltinSig(("numeric",), "reduction"),
-    "prod": BuiltinSig(("numeric",), "reduction"),
-    "avg": BuiltinSig(("numeric",), "reduction"),
-    "min": BuiltinSig(("comparable",), "reduction"),
-    "max": BuiltinSig(("comparable",), "reduction"),
-    "count": BuiltinSig(("any",), "reduction"),
-    "any": BuiltinSig(("numeric",), "reduction"),
-    "all": BuiltinSig(("numeric",), "reduction"),
-    # selection / scan
-    "compress": BuiltinSig(("bool", "vector"), "compress"),
-    "index": BuiltinSig(("vector", "integer"), "index"),
-    "where": BuiltinSig(("numeric",), "where"),
-    "cumsum": BuiltinSig(("numeric",), "same:0"),
-    # constructors / reshaping
-    "range": BuiltinSig(("numeric",), "range"),
-    "fill": BuiltinSig(("numeric", "any"), "fill"),
-    "concat": BuiltinSig(("vector",), "vector", variadic=True),
-    "len": BuiltinSig(("any",), "scalar"),
-    "reverse": BuiltinSig(("vector",), "same:0"),
-    "unique": BuiltinSig(("vector",), "vector"),
-    "take": BuiltinSig(("vector", "numeric"), "vector"),
-    "subseq": BuiltinSig(("vector", "numeric", "numeric"), "vector"),
-    # database
-    "load_table": BuiltinSig(("sym",), "table"),
-    "column_value": BuiltinSig(("table", "sym"), "column"),
-    "table": BuiltinSig(("vector", "list"), "table"),
-    "list": BuiltinSig(("any",), "list", variadic=True),
-    "list_item": BuiltinSig(("list", "numeric"), "list_item"),
-    "group": BuiltinSig(("any",), "list", variadic=True),
-    "group_sum": BuiltinSig(("numeric", "integer", "integer"),
-                            "group_agg"),
-    "group_count": BuiltinSig(("vector", "integer", "integer"),
-                              "group_agg"),
-    "group_min": BuiltinSig(("vector", "integer", "integer"),
-                            "group_agg"),
-    "group_max": BuiltinSig(("vector", "integer", "integer"),
-                            "group_agg"),
-    "join_index": BuiltinSig(("any", "any", "sym"), "join"),
-    "order": BuiltinSig(("any", "bool"), "vector"),
-    # string lowering (repro.core.codegen.lower)
-    "str_codes": BuiltinSig(("strlike",), "same:0"),
-    "str_dict": BuiltinSig(("strlike",), "vector"),
-    "str_find": BuiltinSig(("strlike", "strlike"), "scalar"),
-    "str_decode": BuiltinSig(("integer", "strlike"), "same:0"),
-    "gather": BuiltinSig(("any", "integer"), "elementwise"),
-}
-
-
-def signature(name: str) -> BuiltinSig | None:
-    """Static signature for ``@name``; ``None`` for builtins the
-    checker treats as fully dynamic."""
-    return SIGNATURES.get(name)
+_register(Builtin("subseq", "opaque", ("vector", "numeric", "numeric"),
+                  _infer_first, _run_subseq, shape="vector"))

@@ -57,10 +57,10 @@ from repro.errors import BuiltinError, CodegenError, HorseRuntimeError
 __all__ = ["CKernel", "c_backend_available", "gcc_version",
            "decline_reason"]
 
+#: A reduction combine's OpenMP operator and accumulator start, in C.
 _REDUCTIONS = {
     "sum": ("+", "0"),
     "prod": ("*", "1"),
-    "count": ("+", "0"),
     "min": ("min", None),
     "max": ("max", None),
     "any": ("||", "0"),
@@ -193,7 +193,7 @@ def decline_reason(segment: Segment,
                     return "string operand"
                 typed.add(stmt.target)
             elif builtin.kind == "reduction" \
-                    and expr.name not in _REDUCTIONS:
+                    and builtin.combine not in _REDUCTIONS:
                 return f"no C reduction for @{expr.name}"
         if stmt.target in typed:
             type_ = types[stmt.target]
@@ -731,7 +731,7 @@ class CKernel:
                 # slot [1] so an empty selection can raise like the
                 # interpreter instead of returning +/-INFINITY.
                 combine = role.split(":", 1)[1]
-                slots = 2 if combine in ("min", "max") else 1
+                slots = 2 if hb.COMBINES[combine].identity is None else 1
                 exact = _acc_type(combine, self.types[name]) != "double"
                 buffers[name] = np.empty(
                     slots, dtype=np.int64 if exact else np.float64)
@@ -756,7 +756,7 @@ class CKernel:
                 outputs.append(Vector(type_, buffer))
                 continue
             combine = role.split(":", 1)[1]
-            if combine in ("min", "max") and buffer[1] == 0:
+            if hb.COMBINES[combine].identity is None and buffer[1] == 0:
                 raise BuiltinError(f"@{combine} of an empty vector")
             value = np.empty(1, dtype=ht.numpy_dtype(type_))
             value[0] = buffer[0]

@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro.core import builtins as hb
 from repro.core import types as ht
 from repro.core.codegen.pygen import CompiledKernel, compress_length_error
 from repro.core.context import QueryContext
@@ -233,9 +234,9 @@ def _empty_outputs(kernel: CompiledKernel,
 
     Running the kernel is unsafe for min/max on empty chunks, so outputs
     are synthesized from roles and declared types instead.  Identities
-    (and the min/max error) match ``_reduction_identity`` in
-    :mod:`repro.core.builtins` exactly, so the compiled path agrees with
-    the interpreter on empty inputs — same values, same dtypes, and the
+    (and the min/max error) come from :data:`repro.core.builtins.COMBINES`,
+    which the interpreter's reductions read too, so the compiled path
+    agrees with it on empty inputs — same values, same dtypes, and the
     same error type and message where the interpreter raises.
     """
     outputs: list[Vector] = []
@@ -245,17 +246,8 @@ def _empty_outputs(kernel: CompiledKernel,
             outputs.append(Vector(type_, np.empty(0, dtype=dtype)))
             continue
         combine = role.split(":", 1)[1]
-        if combine == "sum":
-            identity = 0
-        elif combine == "prod":
-            identity = 1
-        elif combine == "any":
-            identity = False
-        elif combine == "all":
-            identity = True
-        else:
-            # Mirrors BuiltinError("@min of an empty vector") from the
-            # interpreter's reduction builtins, message included.
+        identity = hb.COMBINES[combine].identity
+        if identity is None:
             raise BuiltinError(f"@{combine} of an empty vector")
         out = np.empty(1, dtype=dtype)
         out[0] = identity
@@ -283,19 +275,7 @@ def _combine(combine: str, parts: list, type_: ht.HorseType):
     if not parts:
         raise BuiltinError(f"@{combine} of an empty vector")
     arr = np.asarray(parts).astype(ht.numpy_dtype(type_), copy=False)
-    if combine == "sum":
-        return np.sum(arr, dtype=arr.dtype)
-    if combine == "prod":
-        return np.prod(arr, dtype=arr.dtype)
-    if combine == "min":
-        return np.min(arr)
-    if combine == "max":
-        return np.max(arr)
-    if combine == "any":
-        return np.any(arr)
-    if combine == "all":
-        return np.all(arr)
-    raise HorseRuntimeError(f"unknown reduction combine {combine!r}")
+    return hb.COMBINES[combine].merge(arr)
 
 
 def _wrap_outputs(kernel: CompiledKernel, results: list) -> list[Vector]:

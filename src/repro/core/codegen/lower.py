@@ -35,6 +35,7 @@ from __future__ import annotations
 from repro.core import builtins as hb
 from repro.core import ir
 from repro.core import types as ht
+from repro.core.analysis.typeshape import consistent_types
 
 __all__ = ["lower_strings"]
 
@@ -50,12 +51,11 @@ def lower_strings(method: ir.Method) -> tuple[ir.Method, frozenset]:
     """``(lowered method, targets that must not fuse)``.  A method with
     no string values comes back as it is.  Types are read from the
     declarations, which compilation has already resolved."""
-    types = {param.name: param.type for param in method.params}
+    types = consistent_types(method)
     counts: dict[str, int] = {}
     for stmt in method.walk_stmts():
         if isinstance(stmt, ir.Assign):
             counts[stmt.target] = counts.get(stmt.target, 0) + 1
-            types[stmt.target] = stmt.type
     if ht.STR not in types.values():
         return method, frozenset()
     lowering = _Lowering(method, types, counts)

@@ -29,7 +29,7 @@ from functools import partial
 from repro.core import builtins as hb
 from repro.core import ir
 from repro.core import types as ht
-from repro.core.analysis.typeshape import resolve_types
+from repro.core.analysis.typeshape import consistent_types, resolve_types
 from repro.core.codegen.cgen import CKernel, c_backend_available
 from repro.core.codegen.executor import DEFAULT_CHUNK_SIZE, run_kernel
 from repro.core.codegen.lower import lower_strings
@@ -469,25 +469,11 @@ def compile_module(module: ir.Module, opt_level: str = "opt",
                 plan = segment_method(method, module, enabled=fuse,
                                       opaque=opaque)
                 plans[name] = _compile_plan(plan, report, partial(
-                    make_kernel, declared=_declared_types(method)))
+                    make_kernel, declared=consistent_types(method)))
             codegen_span.set(fused_segments=report.fused_segments,
                              fused_statements=report.fused_statements)
         compile_span.set(fused_segments=report.fused_segments)
     return CompiledProgram(module, plans, report)
-
-
-def _declared_types(method: ir.Method) -> dict[str, ht.HorseType]:
-    """Each variable's declared type (compilation has resolved every
-    ``?``); a name declared with two different types has none."""
-    types = {param.name: param.type for param in method.params}
-    clashes = set()
-    for stmt in method.walk_stmts():
-        if isinstance(stmt, ir.Assign):
-            if types.setdefault(stmt.target, stmt.type) != stmt.type:
-                clashes.add(stmt.target)
-    for name in clashes:
-        del types[name]
-    return types
 
 
 def _compile_plan(plan: list, report: CompileReport, make_kernel) -> list:

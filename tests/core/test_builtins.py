@@ -64,6 +64,47 @@ class TestArithmetic:
     def test_wrong_arity_rejected(self):
         with pytest.raises(BuiltinError, match="expects 2"):
             run("add", vec([1.0]))
+        # Opaque builtins and reductions are checked from the record too.
+        with pytest.raises(BuiltinError) as info:
+            run("index", vec([1.0]))
+        assert str(info.value) == "@index expects 2 argument(s), got 1"
+        with pytest.raises(BuiltinError) as info:
+            run("sum", vec([1.0]), vec([2.0]))
+        assert str(info.value) == "@sum expects 1 argument(s), got 2"
+
+
+class TestRecord:
+    """A builtin's signature is part of its one registration."""
+
+    @staticmethod
+    def _run(args, _):
+        return args[0]
+
+    def test_builtin_without_constraints_is_refused(self):
+        with pytest.raises(BuiltinError,
+                           match="@probe states no argument constraints"):
+            hb.Builtin("probe", "opaque", (), lambda _: ht.I64, self._run)
+
+    def test_opaque_builtin_without_shape_rule_is_refused(self):
+        with pytest.raises(BuiltinError, match="@probe states no shape rule"):
+            hb.Builtin("probe", "opaque", ("any",), lambda _: ht.I64,
+                       self._run)
+
+    def test_shape_and_arity_follow_from_the_record(self):
+        builtin = hb.Builtin("probe", "elementwise", ("numeric", "any"),
+                             lambda _: ht.I64, self._run)
+        assert (builtin.shape, builtin.arity) == ("elementwise", 2)
+        variadic = hb.Builtin("probe", "opaque", ("any",),
+                              lambda _: ht.I64, self._run, shape="list",
+                              variadic=True)
+        assert variadic.arity is None
+        assert variadic.run([vector([1.0, 2.0], ht.F64)] * 3, CTX) \
+            .data.tolist() == [1.0, 2.0]
+
+    def test_concat_still_needs_one_argument(self):
+        with pytest.raises(BuiltinError,
+                           match="@concat expects at least one argument"):
+            run("concat")
 
 
 class TestComparisonsAndLogic:

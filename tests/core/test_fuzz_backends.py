@@ -2,9 +2,9 @@
 
 Hypothesis generates random straight-line HorseIR programs (elementwise
 DAGs over two input columns, boolean subexpressions, optional compress +
-reduction tails) through the ModuleBuilder, then checks that the
-reference interpreter, the naive backend and the fused/buffered backend
-produce identical results — including NaN/inf propagation.
+reduction tails) as HorseIR text, then checks that the reference
+interpreter, the naive backend and the fused/buffered backend produce
+identical results — including NaN/inf propagation.
 """
 
 import numpy as np
@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import from_numpy, types as ht
+from repro.core import from_numpy
 from repro.core.compiler import compile_module
 from repro.core.interp import run_module
-from repro.core.module_builder import ModuleBuilder
+from repro.core.parser import parse_module
 
 _UNARY_F64 = ("abs", "sqrt", "exp", "floor", "neg")
 _BINARY_F64 = ("add", "sub", "mul", "min2", "max2")
@@ -27,56 +27,60 @@ _BOOL_BIN = ("and", "or")
 def random_program(draw):
     """A random module plus a human-readable op trace."""
     n_ops = draw(st.integers(min_value=3, max_value=14))
-    builder = ModuleBuilder("Fuzz")
+    body = []
     trace = []
-    with builder.method("main", [("x", ht.F64), ("y", ht.F64)],
-                        ht.F64) as m:
-        floats = [m.param("x"), m.param("y")]
-        bools = []
-        for _ in range(n_ops):
-            kind = draw(st.sampled_from(
-                ["unary", "binary", "compare", "boolbin", "ifelse"]))
-            if kind == "unary":
-                op = draw(st.sampled_from(_UNARY_F64))
-                arg = draw(st.sampled_from(floats))
-                floats.append(m.call(op, arg, type=ht.F64))
-                trace.append(op)
-            elif kind == "binary":
-                op = draw(st.sampled_from(_BINARY_F64))
-                a = draw(st.sampled_from(floats))
-                b = draw(st.sampled_from(floats))
-                floats.append(m.call(op, a, b, type=ht.F64))
-                trace.append(op)
-            elif kind == "compare":
-                op = draw(st.sampled_from(_COMPARE))
-                a = draw(st.sampled_from(floats))
-                threshold = draw(st.floats(-2.0, 2.0, allow_nan=False))
-                bools.append(m.call(op, a, threshold, type=ht.BOOL))
-                trace.append(op)
-            elif kind == "boolbin" and bools:
-                op = draw(st.sampled_from(_BOOL_BIN))
-                a = draw(st.sampled_from(bools))
-                b = draw(st.sampled_from(bools))
-                bools.append(m.call(op, a, b, type=ht.BOOL))
-                trace.append(op)
-            elif kind == "ifelse" and bools:
-                mask = draw(st.sampled_from(bools))
-                a = draw(st.sampled_from(floats))
-                b = draw(st.sampled_from(floats))
-                floats.append(m.call("if_else", mask, a, b,
-                                     type=ht.F64))
-                trace.append("if_else")
 
-        value = draw(st.sampled_from(floats))
-        if bools and draw(st.booleans()):
+    def call(op, *operands, type="f64"):
+        """Append ``tN:type = @op(operands)``; return ``tN``."""
+        target = f"t{len(body) + 1}"
+        body.append(f"{target}:{type} = @{op}({', '.join(operands)});")
+        trace.append(op)
+        return target
+
+    floats = ["x", "y"]
+    bools = []
+    for _ in range(n_ops):
+        kind = draw(st.sampled_from(
+            ["unary", "binary", "compare", "boolbin", "ifelse"]))
+        if kind == "unary":
+            op = draw(st.sampled_from(_UNARY_F64))
+            arg = draw(st.sampled_from(floats))
+            floats.append(call(op, arg))
+        elif kind == "binary":
+            op = draw(st.sampled_from(_BINARY_F64))
+            a = draw(st.sampled_from(floats))
+            b = draw(st.sampled_from(floats))
+            floats.append(call(op, a, b))
+        elif kind == "compare":
+            op = draw(st.sampled_from(_COMPARE))
+            a = draw(st.sampled_from(floats))
+            threshold = draw(st.floats(-2.0, 2.0, allow_nan=False))
+            bools.append(call(op, a, f"{threshold!r}:f64", type="bool"))
+        elif kind == "boolbin" and bools:
+            op = draw(st.sampled_from(_BOOL_BIN))
+            a = draw(st.sampled_from(bools))
+            b = draw(st.sampled_from(bools))
+            bools.append(call(op, a, b, type="bool"))
+        elif kind == "ifelse" and bools:
             mask = draw(st.sampled_from(bools))
-            value = m.call("compress", mask, value, type=ht.F64)
-            trace.append("compress")
-        reducer = draw(st.sampled_from(["sum", "count"]))
-        m.ret(m.call(reducer, value, type=ht.F64
-                     if reducer == "sum" else ht.I64))
-        trace.append(reducer)
-    return builder.build(), trace
+            a = draw(st.sampled_from(floats))
+            b = draw(st.sampled_from(floats))
+            floats.append(call("if_else", mask, a, b))
+
+    value = draw(st.sampled_from(floats))
+    if bools and draw(st.booleans()):
+        mask = draw(st.sampled_from(bools))
+        value = call("compress", mask, value)
+    reducer = draw(st.sampled_from(["sum", "count"]))
+    result = call(reducer, value, type="f64" if reducer == "sum" else "i64")
+    statements = "\n".join(f"        {line}" for line in body)
+    source = (f"module Fuzz {{\n"
+              f"    def main(x:f64, y:f64): f64 {{\n"
+              f"{statements}\n"
+              f"        return {result};\n"
+              f"    }}\n"
+              f"}}\n")
+    return parse_module(source), trace
 
 
 @st.composite

@@ -467,8 +467,8 @@ class _Inference:
                 self._problem(
                     stmt,
                     f"@{expr.name} argument {position + 1} has type "
-                    f"{arg_type} where {_describe(constraint)} is "
-                    f"required")
+                    f"{arg_type} where "
+                    f"{hb.CONSTRAINT_KINDS[constraint]} is required")
         if expr.name in hb.COMPARISONS:
             groups = {_comparison_group(t) for t in arg_types
                       if not t.is_wildcard}
@@ -735,26 +735,7 @@ def _satisfies(t: ht.HorseType, constraint: str) -> bool:
         return t == ht.SYM
     if constraint == "vector":
         return t != ht.TABLE and t.kind != "list"
-    return True
-
-
-_DESCRIBE = {
-    "numeric": "a numeric type",
-    "numeric_or_date": "a numeric or date type",
-    "bool": "bool",
-    "integer": "an integer type",
-    "comparable": "a comparable type",
-    "strlike": "a string or symbol type",
-    "date": "date",
-    "table": "a table",
-    "list": "a list",
-    "sym": "a symbol",
-    "vector": "a vector type",
-}
-
-
-def _describe(constraint: str) -> str:
-    return _DESCRIBE.get(constraint, constraint)
+    raise ValueError(f"unknown constraint kind {constraint!r}")
 
 
 def _constraint_at(builtin, position: int) -> str | None:

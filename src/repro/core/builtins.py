@@ -94,6 +94,24 @@ class EvalContext:
 #: The shape rule each fusable kind implies; every other kind states one.
 _KIND_SHAPES = frozenset({"elementwise", "reduction", "compress"})
 
+#: The argument constraint vocabulary: kind -> what it accepts, as the
+#: type checker words a violation.  A registration naming any other kind
+#: is refused.
+CONSTRAINT_KINDS = {
+    "any": "any type",
+    "numeric": "a numeric type",
+    "numeric_or_date": "a numeric or date type",
+    "bool": "bool",
+    "integer": "an integer type",
+    "comparable": "a comparable type",
+    "strlike": "a string or symbol type",
+    "date": "date",
+    "table": "a table",
+    "list": "a list",
+    "sym": "a symbol",
+    "vector": "a vector type",
+}
+
 
 @dataclass(frozen=True)
 class Builtin:
@@ -101,15 +119,14 @@ class Builtin:
     implementation.
 
     ``constraints`` lists one *constraint kind* per argument position
-    (``any``, ``numeric``, ``numeric_or_date``, ``bool``, ``integer``,
-    ``comparable``, ``strlike``, ``date``, ``table``, ``list``, ``sym``,
-    ``vector``; wildcards always pass); with ``variadic=True`` the last
-    entry repeats for every extra argument.  ``arity`` follows from
-    them, and ``run`` refuses any other argument count.  ``shape`` names
-    the result-shape rule the inference engine applies (``"same:N"``
-    copies argument *N*'s shape, and so on — the rule inventory lives in
-    :mod:`repro.core.analysis.typeshape`); an elementwise, reduction or
-    compress builtin takes its kind's own rule."""
+    (a :data:`CONSTRAINT_KINDS` key; wildcards always pass); with
+    ``variadic=True`` the last entry repeats for every extra argument.
+    ``arity`` follows from them, and ``run`` refuses any other argument
+    count.  ``shape`` names the result-shape rule the inference engine
+    applies (``"same:N"`` copies argument *N*'s shape, and so on — the
+    rule inventory lives in :mod:`repro.core.analysis.typeshape`); an
+    elementwise, reduction or compress builtin takes its kind's own
+    rule."""
 
     name: str
     kind: str
@@ -139,6 +156,10 @@ class Builtin:
         if not isinstance(self.constraints, tuple) or not self.constraints:
             raise BuiltinError(
                 f"@{self.name} states no argument constraints")
+        for kind in self.constraints:
+            if kind not in CONSTRAINT_KINDS:
+                raise BuiltinError(
+                    f"@{self.name} names unknown constraint kind {kind!r}")
         if self.shape is None:
             if self.kind not in _KIND_SHAPES:
                 raise BuiltinError(f"@{self.name} states no shape rule")

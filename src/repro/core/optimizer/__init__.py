@@ -18,15 +18,13 @@ Passes, in pipeline order:
 :func:`optimize` runs 1-4 and returns the rewritten module; segmenting
 (pass 5) happens in the compiler because its output is a plan, not IR.
 
-Every pass above is a registered :class:`~repro.core.passes.Pass`
-object and :func:`optimize` is a preset invocation of the
-:class:`~repro.core.passes.PassManager` (``O2`` = the list above;
-``O1`` drops join motion and patterns; ``O0`` runs no IR passes at
-all).  See ``docs/compiler_pipeline.md``.
+Passes 1-4 are named functions in :mod:`repro.core.passes`, which
+defines :func:`optimize` beside the manager that runs them (``O2`` =
+the list above; ``O1`` drops join motion and patterns; ``O0`` runs no
+IR passes at all); this package re-exports it.  See
+``docs/compiler_pipeline.md``.
 """
 
-from repro.core.optimizer.pipeline import (  # noqa: F401
-    OptimizeStats, PassStat, optimize,
-)
+from repro.core.passes import OptimizeStats, PassStat, optimize  # noqa: F401
 
 __all__ = ["optimize", "OptimizeStats", "PassStat"]

@@ -1,35 +1,38 @@
-"""The unified compilation pass pipeline (paper Section 3.4).
+"""The compilation pass pipeline (paper Section 3.4).
 
 HorsePower's claim is that *one* optimizer working across the SQL/UDF
-boundary beats two black-box stacks.  This module is that one
-optimizer's skeleton: a :class:`Pass` protocol, a :class:`Pipeline`
-(an ordered pass list with a cache-key fingerprint), and a
-:class:`PassManager` that owns ordering, per-pass timing/rewrite
-statistics, per-pass tracer spans, optional inter-pass
-verification (``--verify-ir``), and optional IR dumps
-(``--dump-ir``).  Both of the historical pipelines run on it:
+boundary beats two black-box stacks.  This module is that optimizer: a
+table of named pass functions, a :class:`Pipeline` (an ordered list of
+``(name, fn)`` entries with a cache-key fingerprint), one loop per
+level, and :func:`optimize`.
 
-* the HorseIR rewrites — ``inline``, then ``simplify`` (constants,
-  copies, CSE, list forwarding and dead code in one forward sweep and
-  one backward slice), then ``join-predicate-motion`` and ``patterns``
-  (plus a silent post-pattern dead-code sweep) — via
-  :meth:`PassManager.run_module`, which
-  :func:`repro.core.optimizer.pipeline.optimize` delegates to;
-* the SQL plan rewrites — ``predicate-pushdown`` and
-  ``column-pruning``, extracted from :mod:`repro.sql.planner` — via
-  :meth:`PassManager.run_plan`, invoked by
-  :func:`repro.sql.planner.plan_query`.
+* **Plan passes** — ``predicate-pushdown``, ``column-pruning`` and
+  ``selectivity-reorder``, from :mod:`repro.sql.plan_passes` — are
+  ``fn(plan, udfs, table_stats) -> plan``.  :func:`run_plan` applies
+  them in order, untraced; :func:`repro.sql.planner.plan_query` calls
+  it.
+* **IR passes** are ``fn(method) -> bool`` (mutating the method and
+  reporting a change), except ``inline``, the one module-level entry:
+  ``fn(module, entry) -> (module, changed)``.  The order is the
+  paper's: ``inline``, then ``simplify`` (constants, copies, CSE, list
+  forwarding and dead code in one forward sweep and one backward
+  slice), then ``join-predicate-motion`` and ``patterns``.
+  :class:`PassManager` runs them and owns, for every application, the
+  limits checkpoint, the timing and per-pass statistics, the
+  ``pass:<name>`` tracer span, the optional re-verification
+  (``--verify-ir``) and, after every pass, the optional IR snapshot
+  (``--dump-ir``).
 
 Three named presets map onto the historical opt levels:
 
 ========  ==========================================================
 preset    passes
 ========  ==========================================================
-``O0``    plan passes only (the ``"naive"`` profile: pushdown and
-          pruning always ran, even for the baseline system)
-``O1``    ``O0`` + inline + simplify
-``O2``    ``O1`` + join predicate motion + pattern fusion rewrites +
-          cleanup DCE (the full ``"opt"`` profile — the default)
+``O0``    pushdown and pruning only (the ``"naive"`` profile:
+          pushdown and pruning always ran, even for the baseline)
+``O1``    ``O0`` + selectivity-reorder + inline + simplify
+``O2``    ``O1`` + join predicate motion + pattern fusion rewrites
+          (the full ``"opt"`` profile — the default)
 ========  ==========================================================
 
 Every pass runs once per pipeline: ``simplify`` reaches its fixed point
@@ -49,19 +52,16 @@ import time
 from dataclasses import dataclass, field
 
 from repro.core import ir
+from repro.core.context import QueryContext
 from repro.core.verify import verify_method, verify_module
 from repro.errors import (HorseTypeError, HorseVerifyError,
                           OptimizerError, PassVerificationError)
 
 __all__ = [
-    "Pass", "MethodPass", "ModulePass", "PlanPass", "StatsPlanPass",
-    "Pipeline",
-    "PassManager", "PassStat", "OptimizeStats", "resolve_pipeline",
-    "preset", "custom_pipeline", "registered_pass_names",
-    "PRESET_NAMES", "DEFAULT_DUMP_DIR",
+    "Pipeline", "PassManager", "PassStat", "OptimizeStats", "optimize",
+    "run_plan", "resolve_pipeline", "preset", "custom_pipeline",
+    "registered_pass_names", "PRESET_NAMES", "DEFAULT_DUMP_DIR",
 ]
-
-PRESET_NAMES = ("O0", "O1", "O2")
 
 #: Where ``--dump-ir`` writes when no directory is given.
 DEFAULT_DUMP_DIR = "ir-dump"
@@ -73,7 +73,7 @@ DEFAULT_DUMP_DIR = "ir-dump"
 
 @dataclass
 class PassStat:
-    """One pass's aggregate activity inside a single pipeline run.
+    """One IR pass's aggregate activity inside a single pipeline run.
 
     ``runs`` counts invocations (one per method for method-level
     passes), ``rewrites`` the invocations that changed
@@ -97,7 +97,7 @@ class OptimizeStats:
 
     ``rounds`` is 1 when ``simplify`` ran and 0 otherwise: one
     application reaches its fixed point.  ``pipeline`` is the
-    fingerprint, ``pass_stats`` one row per recorded pass."""
+    fingerprint, ``pass_stats`` one row per IR pass."""
 
     rounds: int = 0
     inlined_methods_removed: int = 0
@@ -108,114 +108,10 @@ class OptimizeStats:
 
 
 # ---------------------------------------------------------------------------
-# the Pass protocol
-# ---------------------------------------------------------------------------
-
-class Pass:
-    """One rewrite rule as a first-class object.
-
-    ``level`` names the unit ``run`` consumes: ``"plan"`` (a logical
-    plan tree — returns the rewritten tree), ``"module"`` (a whole
-    :class:`~repro.core.ir.Module` — returns the rewritten module) or
-    ``"method"`` (one method, mutated in place — returns whether
-    anything changed).
-    """
-
-    level: str = "method"
-    #: Emit a ``pass:<name>`` tracer span per application.
-    traced: bool = True
-    #: Record activity in ``OptimizeStats`` (False for internal
-    #: cleanup sweeps, which stay invisible, as they always were).
-    records: bool = True
-    #: Cooperative-cancellation checkpoint before each application.
-    checkpoint: bool = True
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def run(self, unit, ctx):
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.name}>"
-
-
-class MethodPass(Pass):
-    """A per-method rewrite: ``fn(method) -> bool`` (mutating)."""
-
-    level = "method"
-
-    def __init__(self, name: str, fn, *, traced: bool = True,
-                 records: bool = True, checkpoint: bool = True):
-        super().__init__(name)
-        self.fn = fn
-        self.traced = traced
-        self.records = records
-        self.checkpoint = checkpoint
-
-    def run(self, method: ir.Method, ctx=None) -> bool:
-        return self.fn(method)
-
-
-class ModulePass(Pass):
-    """A whole-module rewrite: ``fn(module, entry) -> (module,
-    changed)``."""
-
-    level = "module"
-
-    def __init__(self, name: str, fn):
-        super().__init__(name)
-        self.fn = fn
-
-    def run(self, module: ir.Module, ctx=None) \
-            -> tuple[ir.Module, bool]:
-        entry = getattr(ctx, "entry", None) if ctx is not None else None
-        return self.fn(module, entry)
-
-
-class PlanPass(Pass):
-    """A logical-plan rewrite: ``fn(plan, udfs) -> plan``.
-
-    Plan passes are untraced by default: the historical planner emitted
-    no per-rule spans, and the EXPLAIN ANALYZE goldens pin the ``plan``
-    span childless.  Their timing still lands in the manager's
-    :class:`PassStat` rows."""
-
-    level = "plan"
-    traced = False
-    checkpoint = False
-
-    def __init__(self, name: str, fn):
-        super().__init__(name)
-        self.fn = fn
-
-    def run(self, plan, ctx=None):
-        udfs = getattr(ctx, "udfs", None) if ctx is not None else None
-        return self.fn(plan, udfs)
-
-
-class StatsPlanPass(PlanPass):
-    """A statistics-driven plan rewrite: ``fn(plan, udfs, stats) ->
-    plan``.
-
-    The extra argument is the session's
-    :class:`~repro.stats.StatsStore` (or ``None``); the pass contract
-    requires returning the plan *unchanged* when no statistics exist,
-    so presets that include a stats pass behave identically to the
-    stats-free pipeline until the first ``ANALYZE``."""
-
-    def run(self, plan, ctx=None):
-        udfs = getattr(ctx, "udfs", None) if ctx is not None else None
-        table_stats = getattr(ctx, "table_stats", None) \
-            if ctx is not None else None
-        return self.fn(plan, udfs, table_stats)
-
-
-# ---------------------------------------------------------------------------
 # the registry
 # ---------------------------------------------------------------------------
 
-def _typecheck_pass_fn(method: ir.Method) -> bool:
+def _typecheck(method: ir.Method) -> bool:
     # ``--passes typecheck``: full-depth verification run as a pass.
     # Method-level passes see no module, so cross-method calls check as
     # wildcards; the manager's verify hook passes the module and checks
@@ -224,74 +120,67 @@ def _typecheck_pass_fn(method: ir.Method) -> bool:
     return False
 
 
-def _make_ir_pass(name: str) -> Pass:
-    # Imported lazily: repro.core.optimizer.* → optimizer/__init__ →
-    # pipeline.py, which imports this module at its top.
+@functools.cache
+def _registry() -> dict:
+    """Pass name -> function, plan passes first, in canonical order.
+
+    Imported lazily: :mod:`repro.core.optimizer` re-exports
+    :func:`optimize` from this module, and :mod:`repro.sql` depends on
+    :mod:`repro.core`, never the other way round at import time."""
     from repro.core.optimizer.inline import inline_pass
     from repro.core.optimizer.join_motion import move_join_predicates
     from repro.core.optimizer.patterns import apply_patterns
     from repro.core.optimizer.simplify import simplify
-
-    if name == "inline":
-        return ModulePass("inline", inline_pass)
-    fns = {
-        "simplify": simplify,
-        "join-predicate-motion": move_join_predicates,
-        "patterns": apply_patterns,
-        "typecheck": _typecheck_pass_fn,
-    }
-    return MethodPass(name, fns[name])
-
-
-def _make_plan_pass(name: str) -> Pass:
-    # Lazy for the same reason in the other direction: repro.sql
-    # depends on repro.core, never vice versa at import time.
     from repro.sql.plan_passes import (prune_columns, push_predicates,
                                        reorder_by_selectivity)
 
-    if name == "selectivity-reorder":
-        return StatsPlanPass(name, reorder_by_selectivity)
-    fns = {
+    return {
         "predicate-pushdown": push_predicates,
         "column-pruning": prune_columns,
+        "selectivity-reorder": reorder_by_selectivity,
+        "inline": inline_pass,
+        "simplify": simplify,
+        "join-predicate-motion": move_join_predicates,
+        "patterns": apply_patterns,
+        "typecheck": _typecheck,
     }
-    return PlanPass(name, fns[name])
 
 
-#: Plan-level pass names, in the order every pipeline applies them.
-#: ``selectivity-reorder`` is the odd one out: presets include it only
-#: at O1/O2 (it is pointless without the optimizer) and it no-ops
-#: until statistics exist.
-_PLAN_PASS_NAMES = ("predicate-pushdown", "column-pruning",
-                    "selectivity-reorder")
+#: The plan-level names; every other entry rewrites HorseIR.
+_PLAN_PASS_NAMES = frozenset({"predicate-pushdown", "column-pruning",
+                              "selectivity-reorder"})
 
-_IR_PASS_NAMES = ("inline", "simplify", "join-predicate-motion",
-                  "patterns", "typecheck")
+#: The one IR pass that rewrites the whole module (inlining rewrites the
+#: method table itself); every other IR pass rewrites one method.
+_MODULE_PASS_NAME = "inline"
+
+#: The presets' pass lists.  ``selectivity-reorder`` rides only at
+#: O1/O2 (it is pointless without the optimizer) and no-ops until
+#: statistics exist.
+_PRESETS = {
+    "O0": ("predicate-pushdown", "column-pruning"),
+    "O1": ("predicate-pushdown", "column-pruning", "selectivity-reorder",
+           "inline", "simplify"),
+    "O2": ("predicate-pushdown", "column-pruning", "selectivity-reorder",
+           "inline", "simplify", "join-predicate-motion", "patterns"),
+}
+
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def registered_pass_names() -> tuple[str, ...]:
     """Every name ``--passes`` accepts, in canonical order."""
-    return _PLAN_PASS_NAMES + _IR_PASS_NAMES
+    return tuple(_registry())
 
 
-def _make_pass(name: str) -> Pass:
-    if name in _PLAN_PASS_NAMES:
-        return _make_plan_pass(name)
-    if name in _IR_PASS_NAMES:
-        return _make_ir_pass(name)
-    known = ", ".join(registered_pass_names())
-    raise OptimizerError(
-        f"unknown pass {name!r}; registered passes: {known}")
-
-
-def _cleanup_dce_pass() -> Pass:
-    """The silent post-pattern sweep: pattern rewrites can orphan mask
-    definitions.  Untraced, unrecorded, uncheckpointed — exactly as the
-    historical pipeline ran it."""
-    from repro.core.optimizer.simplify import eliminate_dead_code
-
-    return MethodPass("dce", eliminate_dead_code, traced=False,
-                      records=False, checkpoint=False)
+def _entries(names) -> list[tuple]:
+    registry = _registry()
+    for name in names:
+        if name not in registry:
+            known = ", ".join(registry)
+            raise OptimizerError(
+                f"unknown pass {name!r}; registered passes: {known}")
+    return [(name, registry[name]) for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -299,58 +188,51 @@ def _cleanup_dce_pass() -> Pass:
 # ---------------------------------------------------------------------------
 
 class Pipeline:
-    """An ordered, immutable pass list with a stable cache-key
-    fingerprint.
+    """An ordered, immutable list of ``(name, fn)`` pass entries with a
+    stable cache-key fingerprint.
 
     Presets fingerprint as their name (``"O2"``); ad-hoc lists as
     ``custom(<names>)`` — so ``--passes`` variants can never collide
-    with preset plan-cache entries."""
+    with preset plan-cache entries.  An entry's level follows from its
+    name: the registered plan pass names run on the plan, everything
+    else on the IR (a test's fake pass is a method pass)."""
 
     def __init__(self, name: str, passes, *, is_preset: bool = False):
         self.name = name
         self.passes = tuple(passes)
         self.is_preset = is_preset
+        self.plan_passes = tuple(e for e in self.passes
+                                 if e[0] in _PLAN_PASS_NAMES)
+        self.ir_passes = tuple(e for e in self.passes
+                               if e[0] not in _PLAN_PASS_NAMES)
 
     @property
-    def plan_passes(self) -> list[Pass]:
-        return [p for p in self.passes if p.level == "plan"]
-
-    @property
-    def ir_passes(self) -> list[Pass]:
-        return [p for p in self.passes if p.level != "plan"]
+    def names(self) -> list[str]:
+        return [name for name, _ in self.passes]
 
     def fingerprint(self) -> str:
         if self.is_preset:
             return self.name
-        return "custom(" + ",".join(p.name for p in self.passes) + ")"
+        return "custom(" + ",".join(self.names) + ")"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Pipeline {self.fingerprint()} "
-                f"[{', '.join(p.name for p in self.passes)}]>")
+                f"[{', '.join(self.names)}]>")
 
 
 def preset(name: str) -> Pipeline:
     """One of the named presets.  Presets are immutable, so every call
     for a name returns the same instance."""
-    if name not in PRESET_NAMES:
+    if name not in _PRESETS:
         raise OptimizerError(
             f"unknown pipeline preset {name!r}; "
             f"known: {', '.join(PRESET_NAMES)}")
     return _build_preset(name)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _build_preset(name: str) -> Pipeline:
-    passes = [_make_plan_pass(n) for n in _PLAN_PASS_NAMES
-              if name in ("O1", "O2") or n != "selectivity-reorder"]
-    if name in ("O1", "O2"):
-        passes.append(_make_ir_pass("inline"))
-        passes.append(_make_ir_pass("simplify"))
-    if name == "O2":
-        passes.append(_make_ir_pass("join-predicate-motion"))
-        passes.append(_make_ir_pass("patterns"))
-        passes.append(_cleanup_dce_pass())
-    return Pipeline(name, passes, is_preset=True)
+    return Pipeline(name, _entries(_PRESETS[name]), is_preset=True)
 
 
 def custom_pipeline(names) -> Pipeline:
@@ -358,8 +240,7 @@ def custom_pipeline(names) -> Pipeline:
     names = [str(n).strip() for n in names if str(n).strip()]
     if not names:
         raise OptimizerError("empty pass list")
-    passes = [_make_pass(n) for n in names]
-    return Pipeline("custom", passes)
+    return Pipeline("custom", _entries(names))
 
 
 def resolve_pipeline(spec, opt_level: str = "opt") -> Pipeline:
@@ -377,32 +258,35 @@ def resolve_pipeline(spec, opt_level: str = "opt") -> Pipeline:
     if isinstance(spec, (list, tuple)):
         return custom_pipeline(spec)
     text = str(spec).strip()
-    if text in PRESET_NAMES:
+    if text in _PRESETS:
         return preset(text)
     return custom_pipeline(text.split(","))
 
 
 # ---------------------------------------------------------------------------
-# the manager
+# the plan level
 # ---------------------------------------------------------------------------
 
-class _PassContext:
-    """What a pass application sees (the manager's slice of the query
-    context, kept tiny so passes stay functions)."""
+def run_plan(pipeline: Pipeline, plan, udfs=None, table_stats=None):
+    """Apply ``pipeline``'s plan passes to ``plan``, in order.
 
-    __slots__ = ("entry", "udfs", "table_stats")
+    ``table_stats`` is the session's :class:`~repro.stats.StatsStore`
+    (or ``None``); only ``selectivity-reorder`` reads it, and it returns
+    the plan unchanged without statistics.  Plan passes are untraced:
+    the EXPLAIN ANALYZE goldens pin the ``plan`` span childless."""
+    for _, fn in pipeline.plan_passes:
+        plan = fn(plan, udfs, table_stats)
+    return plan
 
-    def __init__(self, entry=None, udfs=None, table_stats=None):
-        self.entry = entry
-        self.udfs = udfs
-        self.table_stats = table_stats
 
+# ---------------------------------------------------------------------------
+# the IR level
+# ---------------------------------------------------------------------------
 
 class PassManager:
-    """Runs one :class:`Pipeline` over a plan and/or a module.
+    """Runs one :class:`Pipeline`'s IR passes over a module.
 
-    One instance serves one compilation: ``run_plan`` during planning,
-    ``run_module`` during optimization.  ``verify=True`` verifies the
+    One instance serves one compilation.  ``verify=True`` verifies the
     input module and re-verifies after every pass application at
     :mod:`repro.core.verify`'s full depth, with
     :exc:`~repro.errors.PassVerificationError` naming the offending
@@ -420,122 +304,76 @@ class PassManager:
         #: Names of the methods that passed full-depth verification in
         #: their current state.
         self.verified: set[str] = set()
-        #: Per-pass stats rows, keyed by pass name (insertion-ordered).
-        self._stats_index: dict[str, PassStat] = {}
 
-    # -- plan side -----------------------------------------------------------
-
-    def run_plan(self, plan, *, udfs=None, table_stats=None,
-                 stats: OptimizeStats | None = None):
-        """Apply the pipeline's plan-level passes to ``plan``.
-
-        ``table_stats`` is the session's
-        :class:`~repro.stats.StatsStore` (or ``None``); only
-        statistics-driven passes read it."""
-        pctx = _PassContext(udfs=udfs, table_stats=table_stats)
-        for ps in self.pipeline.plan_passes:
-            start = time.perf_counter()
-            plan = ps.run(plan, pctx)
-            self._record(stats, ps, True, time.perf_counter() - start)
-        return plan
-
-    # -- IR side -------------------------------------------------------------
-
-    def run_module(self, module: ir.Module, ctx, *,
+    def run_module(self, module: ir.Module, ctx: QueryContext, *,
                    entry: str | None = None) \
             -> tuple[ir.Module, OptimizeStats]:
         """Apply the pipeline's IR passes; returns ``(module, stats)``.
 
         ``ctx`` is the compilation's
         :class:`~repro.core.context.QueryContext`: per-pass spans go to
-        its tracer and every checkpointing pass checks its limits."""
+        its tracer and every application checks its limits."""
         stats = OptimizeStats(pipeline=self.pipeline.fingerprint())
-        stats.pass_stats = []
-        self._stats_index = {}
+        rows: dict[str, PassStat] = {}
         start = time.perf_counter()
-        pctx = _PassContext(entry=entry)
         self._verify("input", module)
         self._dump_module(module, "input")
-        for ps in self.pipeline.ir_passes:
-            if ps.level == "module":
-                module = self._run_module_pass(module, ps, stats,
-                                               pctx, ctx)
-                continue
-            for method in module.methods.values():
-                self._apply_to_method(ps, method, module, stats, ctx)
-            if ps.name == "simplify":
+        for name, fn in self.pipeline.ir_passes:
+            if name == _MODULE_PASS_NAME:
+                module = self._apply(name, fn, module, None, entry,
+                                     stats, rows, ctx)
+            else:
+                for method in module.methods.values():
+                    self._apply(name, fn, module, method, entry, stats,
+                                rows, ctx)
+            if name == "simplify":
                 stats.rounds = 1
-            self._dump_module(module, ps.name)
+            self._dump_module(module, name)
         stats.elapsed_seconds = time.perf_counter() - start
         return module, stats
 
-    # -- internals -----------------------------------------------------------
-
-    def _run_module_pass(self, module, ps, stats, pctx, ctx):
-        methods_before = len(module.methods)
-        if ps.checkpoint and ctx.limits is not None:
-            ctx.limits.check(f"pass:{ps.name}")
-        start = time.perf_counter()
-        if ps.traced:
-            with ctx.tracer.span(f"pass:{ps.name}",
-                                 methods_before=methods_before):
-                module, changed = ps.run(module, pctx)
-        else:
-            module, changed = ps.run(module, pctx)
-        elapsed = time.perf_counter() - start
-        removed = methods_before - len(module.methods)
-        if ps.name == "inline":
-            stats.inlined_methods_removed = removed
-        if changed:
-            # Module rewrites splice across methods: forget every verdict.
-            self.verified.clear()
-        if changed and ps.records:
-            _note(stats, ps.name)
-        if ps.records:
-            self._record(stats, ps, changed, elapsed)
-        self._verify(ps.name, module)
-        self._dump_module(module, ps.name)
-        return module
-
-    def _apply_to_method(self, ps, method, module, stats, ctx) -> bool:
-        if ps.checkpoint and ctx.limits is not None:
-            ctx.limits.check(f"pass:{ps.name}")
-        start = time.perf_counter()
+    def _apply(self, name, fn, module, method, entry, stats, rows,
+               ctx) -> ir.Module:
+        """One application of pass ``name``: to ``method``, or to the
+        whole module when ``method`` is None.  Returns the module."""
+        if ctx.limits is not None:
+            ctx.limits.check(f"pass:{name}")
         tracer = ctx.tracer
-        if not ps.traced or not tracer.enabled:
-            changed = ps.run(method)
+        start = time.perf_counter()
+        if method is None:
+            before = len(module.methods)
+            with tracer.span(f"pass:{name}", methods_before=before):
+                module, changed = fn(module, entry)
+            stats.inlined_methods_removed = before - len(module.methods)
+        elif not tracer.enabled:
+            changed = fn(method)
         else:
-            with tracer.span(f"pass:{ps.name}",
-                             method=method.name) as span:
+            with tracer.span(f"pass:{name}", method=method.name) as span:
                 before = _count_statements(method.body)
-                changed = ps.run(method)
+                changed = fn(method)
                 span.set(stmts_before=before,
                          stmts_after=_count_statements(method.body),
                          changed=changed)
         elapsed = time.perf_counter() - start
+        row = rows.get(name)
+        if row is None:
+            row = rows[name] = PassStat(
+                name, "module" if method is None else "method")
+            stats.pass_stats.append(row)
+        row.runs += 1
+        row.seconds += elapsed
         if changed:
-            self.verified.discard(method.name)
-        if changed and ps.records:
-            _note(stats, ps.name)
-        if ps.records:
-            self._record(stats, ps, changed, elapsed)
-        self._verify(ps.name, module, method)
-        return changed
-
-    def _record(self, stats, ps, changed, elapsed) -> None:
-        if stats is None:
-            return
-        stat = self._stats_index.get(ps.name)
-        if stat is None:
-            stat = PassStat(ps.name, ps.level)
-            self._stats_index[ps.name] = stat
-            stats.pass_stats.append(stat)
-        stat.runs += 1
-        if changed:
-            stat.rewrites += 1
-        stat.seconds += elapsed
-
-    # -- verification --------------------------------------------------------
+            row.rewrites += 1
+            if name not in stats.passes_applied:
+                stats.passes_applied.append(name)
+            # A module rewrite splices across methods: forget every
+            # verdict.
+            if method is None:
+                self.verified.clear()
+            else:
+                self.verified.discard(method.name)
+        self._verify(name, module, method)
+        return module
 
     def _verify(self, pass_name, module, method=None) -> None:
         """``verify=True``: check ``method`` (every method of
@@ -557,8 +395,6 @@ class PassManager:
                 pass_name, str(exc),
                 method=method.name if method else None) from exc
 
-    # -- dumps ---------------------------------------------------------------
-
     def _dump_module(self, module, label: str) -> None:
         if not self.dump_dir:
             return
@@ -578,6 +414,24 @@ def _count_statements(body: list[ir.Stmt]) -> int:
     return sum(1 for _ in ir.walk_body(body))
 
 
-def _note(stats: OptimizeStats, name: str) -> None:
-    if name not in stats.passes_applied:
-        stats.passes_applied.append(name)
+def optimize(module: ir.Module, *, entry: str | None = None,
+             ctx: QueryContext | None = None, pipeline=None,
+             verify_ir: bool = False, dump_ir: str | None = None) \
+        -> tuple[ir.Module, OptimizeStats]:
+    """Optimize ``module``; returns a new module and pass statistics.
+
+    ``ctx`` names where per-pass spans go (``ctx.tracer``) and the
+    checkpoint surface checked once per pass application so a deadline
+    can cancel a pathological optimization (``ctx.limits``); without one
+    the run is untraced and unlimited.
+
+    ``pipeline`` overrides the ``O2`` preset (a name, a comma list of
+    pass names, or a :class:`Pipeline`).  ``verify_ir=True`` re-verifies
+    the IR after every pass
+    (:class:`~repro.errors.PassVerificationError` on failure);
+    ``dump_ir`` names a directory for per-pass IR snapshots."""
+    if ctx is None:
+        ctx = QueryContext()
+    manager = PassManager(resolve_pipeline(pipeline), verify=verify_ir,
+                          dump_dir=dump_ir)
+    return manager.run_module(module, ctx, entry=entry)

@@ -297,6 +297,9 @@ class EngineSession:
         ctx = self._ctx(ctx)
         engine = self.backends.resolve(backend or self.default_backend,
                                        require=("sql",))
+        # One pipeline for the whole compile: planning and the backend
+        # run the passes of the same resolved (pipeline, opt_level).
+        pipeline = resolve_pipeline(pipeline, opt_level=opt_level)
         plan, plan_json = self.plan_sql(sql, ctx=ctx, pipeline=pipeline)
         module = None
         if "horseir" in engine.capabilities:
@@ -335,17 +338,13 @@ class EngineSession:
                                        require=("sql",))
         use_cache = (use_cache and "prepared" in engine.capabilities
                      and not verify_ir and dump_ir is None)
-        # Resolved once, for the key and the compile below.  With none
-        # given, planning keeps its own default (O2's plan passes at
-        # either opt level), which compile_sql resolves from None.
-        resolved = resolve_pipeline(pipeline, opt_level=opt_level)
-        if pipeline is not None:
-            pipeline = resolved
+        # Resolved once, for the key and the compile below.
+        pipeline = resolve_pipeline(pipeline, opt_level=opt_level)
         with ctx.tracer.span("prepare") as span:
             key = self.plan_cache.key_of(sql, opt_level, engine.name,
                                          self.db.schema_fingerprint(),
                                          self.udfs.fingerprint(),
-                                         resolved.fingerprint(),
+                                         pipeline.fingerprint(),
                                          self.stats.fingerprint())
             if use_cache:
                 cached = self.plan_cache.lookup(key)

@@ -2,9 +2,11 @@
 
 Historically these two rules were private functions buried inside
 :mod:`repro.sql.planner`; the pass-manager refactor makes them
-first-class plan-level passes on the same
-:class:`~repro.core.passes.PassManager` that runs the HorseIR rewrites
-(the paper's "one optimizer across the SQL/UDF boundary").  The
+first-class plan-level passes, registered in
+:mod:`repro.core.passes` beside the HorseIR rewrites (the paper's "one
+optimizer across the SQL/UDF boundary").  Every plan pass is
+``fn(plan, udfs, table_stats) -> plan``; only
+:func:`reorder_by_selectivity` reads the statistics.  The
 planner now builds a *raw* plan — every WHERE conjunct in one
 ``Filter`` directly above the join tree — and
 :func:`repro.sql.planner.plan_query` applies these passes through the
@@ -22,9 +24,10 @@ pipeline:
   boxes (the bs2 experiment relies on exactly this asymmetry).
 
 Both are pure tree transforms over :mod:`repro.sql.plan` nodes with
-SQL AST predicates; they know nothing about the manager that schedules
-them.  The shared expression utilities (conjunct splitting, column
-collection, renaming) live here and are imported back by the planner.
+SQL AST predicates; they know nothing about the pipeline that
+schedules them.  The shared expression utilities (conjunct splitting,
+column collection, renaming) live here and are imported back by the
+planner.
 """
 
 from __future__ import annotations
@@ -147,8 +150,8 @@ def references_udf(expr: ast.Expr, udfs: UDFRegistry) -> bool:
 # predicate pushdown
 # ---------------------------------------------------------------------------
 
-def push_predicates(plan: p.PlanNode,
-                    udfs: UDFRegistry | None = None) -> p.PlanNode:
+def push_predicates(plan: p.PlanNode, udfs: UDFRegistry | None = None,
+                    table_stats=None) -> p.PlanNode:
     """Sink every ``Filter``'s conjuncts as deep as they can go.
 
     Post-order: inner subtrees (subquery plans) settle before an outer
@@ -244,8 +247,8 @@ def _push_filters(node: p.PlanNode, conjuncts: list[ast.Expr],
 # column pruning
 # ---------------------------------------------------------------------------
 
-def prune_columns(plan: p.PlanNode,
-                  udfs: UDFRegistry | None = None) -> p.PlanNode:
+def prune_columns(plan: p.PlanNode, udfs: UDFRegistry | None = None,
+                  table_stats=None) -> p.PlanNode:
     """Shrink every node's outputs to what the root produces."""
     return _prune_columns(plan, set(plan.output_names()))
 

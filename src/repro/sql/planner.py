@@ -11,10 +11,11 @@ Planning pipeline (the MonetDB stand-in's optimizer):
    (the *raw* plan);
 4. aggregation planning: aggregate arguments become computed columns in a
    pre-projection, then one GroupAggregate node;
-5. plan-level rewrite passes (:mod:`repro.sql.plan_passes`) run through
-   the :class:`~repro.core.passes.PassManager`: **predicate pushdown**
-   sinks filters below joins and through projections, then **column
-   pruning** shrinks every node's column set to what its parent needs.
+5. the pipeline's plan passes (:mod:`repro.sql.plan_passes`) run in
+   order through :func:`repro.core.passes.run_plan`: **predicate
+   pushdown** sinks filters below joins and through projections, then
+   **column pruning** shrinks every node's column set to what its parent
+   needs, then (O1/O2, once statistics exist) **selectivity reorder**.
 
 The planner treats scalar UDF calls as ordinary expressions (so they ride
 inside Project/Filter nodes), mirroring how MonetDB plans UDF hooks.
@@ -26,7 +27,7 @@ import numpy as np
 
 from repro.core import builtins as hb
 from repro.core import types as ht
-from repro.core.passes import OptimizeStats, PassManager, resolve_pipeline
+from repro.core.passes import resolve_pipeline, run_plan
 from repro.errors import PlanError
 from repro.sql import ast
 from repro.sql import plan as p
@@ -39,16 +40,15 @@ __all__ = ["plan_query"]
 
 def plan_query(select: ast.Select, catalog: Catalog,
                udfs: UDFRegistry | None = None, *,
-               pipeline=None, table_stats=None,
-               stats: OptimizeStats | None = None) -> p.PlanNode:
+               pipeline=None, table_stats=None) -> p.PlanNode:
     """Plan a SELECT statement against ``catalog`` (+ registered UDFs).
 
     ``pipeline`` selects which plan-level passes run after the raw plan
     is built (a preset name, a comma list, or a
     :class:`~repro.core.passes.Pipeline`); the default ``O2`` preset runs
-    predicate pushdown then column pruning, which every preset includes
-    — only a custom ``--passes`` list can drop them.  ``stats`` (when
-    given) accumulates per-pass timing in its ``pass_stats``.
+    predicate pushdown, column pruning and selectivity reorder.  Every
+    preset includes the first two — only a custom ``--passes`` list can
+    drop them.
 
     ``table_stats`` (a :class:`~repro.stats.StatsStore`, optional)
     feeds the statistics-driven passes and, afterwards, the cardinality
@@ -58,9 +58,8 @@ def plan_query(select: ast.Select, catalog: Catalog,
     """
     planner = _Planner(catalog, udfs or UDFRegistry())
     node = planner.plan_select(select)
-    manager = PassManager(resolve_pipeline(pipeline))
-    node = manager.run_plan(node, udfs=planner.udfs,
-                            table_stats=table_stats, stats=stats)
+    node = run_plan(resolve_pipeline(pipeline), node, planner.udfs,
+                    table_stats)
     if table_stats:
         from repro.stats.estimate import annotate_plan
         annotate_plan(node, table_stats)

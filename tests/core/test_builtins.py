@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import builtins as hb
+from repro.core.analysis import typeshape
 from repro.core import types as ht
 from repro.core.values import ListValue, TableValue, Vector, from_numpy, \
     scalar, vector
@@ -89,6 +90,21 @@ class TestRecord:
         with pytest.raises(BuiltinError, match="@probe states no shape rule"):
             hb.Builtin("probe", "opaque", ("any",), lambda _: ht.I64,
                        self._run)
+
+    def test_unknown_constraint_kind_is_refused(self):
+        with pytest.raises(BuiltinError,
+                           match="@probe names unknown constraint kind "
+                                 "'numric'"):
+            hb.Builtin("probe", "elementwise", ("numric", "numric"),
+                       lambda _: ht.I64, self._run)
+
+    def test_the_checker_knows_every_constraint_kind(self):
+        # Each kind in the vocabulary is decided by the type checker;
+        # a kind outside it raises instead of passing everything.
+        for kind in hb.CONSTRAINT_KINDS:
+            typeshape._satisfies(ht.TABLE, kind)
+        with pytest.raises(ValueError, match="unknown constraint kind"):
+            typeshape._satisfies(ht.TABLE, "numric")
 
     def test_shape_and_arity_follow_from_the_record(self):
         builtin = hb.Builtin("probe", "elementwise", ("numeric", "any"),

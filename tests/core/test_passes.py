@@ -1,17 +1,19 @@
-"""The unified pass pipeline: presets, resolution, the PassManager's
-run loop, per-pass stats, IR dumping, and pass idempotence."""
+"""The pass pipeline: presets, resolution, the plan and IR loops,
+per-pass stats, IR dumping, and pass idempotence."""
 
 import pytest
 
 from repro.core import builtins as hb
 from repro.core import ir
 from repro.core.context import QueryContext
+from repro.core.limits import QueryLimits
 from repro.core.optimizer.analysis import single_assignment_vars
 from repro.core.optimizer.simplify import eliminate_dead_code
 from repro.core.parser import parse_module
 from repro.core.passes import (DEFAULT_DUMP_DIR, PRESET_NAMES, PassManager,
-                               custom_pipeline, preset,
-                               registered_pass_names, resolve_pipeline)
+                               Pipeline, custom_pipeline, preset,
+                               registered_pass_names, resolve_pipeline,
+                               run_plan)
 from repro.core.printer import print_module
 from repro.errors import OptimizerError
 from repro.obs.tracer import Tracer
@@ -45,27 +47,23 @@ class TestPresets:
 
     def test_o0_is_plan_passes_only(self):
         pipe = preset("O0")
-        assert [p.name for p in pipe.passes] == [
-            "predicate-pushdown", "column-pruning"]
-        assert pipe.ir_passes == []
+        assert pipe.names == ["predicate-pushdown", "column-pruning"]
+        assert pipe.ir_passes == ()
         assert len(pipe.plan_passes) == 2
 
     def test_o1_adds_inline_and_the_fixed_point_round(self):
         # ``simplify`` is the one round: it reaches its fixed point in
         # one application.
         pipe = preset("O1")
-        assert [p.name for p in pipe.ir_passes] == ["inline", "simplify"]
+        assert [name for name, _ in pipe.ir_passes] \
+            == ["inline", "simplify"]
 
-    def test_o2_adds_patterns_and_a_cleanup_dce(self):
+    def test_o2_runs_four_ir_passes(self):
+        # simplify's backward slice is the only dead-code elimination:
+        # no cleanup sweep follows the patterns.
         pipe = preset("O2")
-        names = [p.name for p in pipe.ir_passes]
-        assert names == ["inline", "simplify", "join-predicate-motion",
-                         "patterns", "dce"]
-        cleanup = pipe.ir_passes[-1]
-        # The trailing dce is the silent cleanup variant: it neither
-        # traces, records stats, nor snapshots into --dump-ir.
-        assert not cleanup.traced and not cleanup.records \
-            and not cleanup.checkpoint
+        assert [name for name, _ in pipe.ir_passes] == [
+            "inline", "simplify", "join-predicate-motion", "patterns"]
 
     def test_unknown_preset_is_rejected(self):
         with pytest.raises(OptimizerError, match="unknown pipeline"):
@@ -85,12 +83,12 @@ class TestResolution:
     def test_string_preset_and_comma_list(self):
         assert resolve_pipeline("O1").fingerprint() == "O1"
         pipe = resolve_pipeline("inline, simplify")
-        assert [p.name for p in pipe.passes] == ["inline", "simplify"]
+        assert pipe.names == ["inline", "simplify"]
         assert pipe.fingerprint() == "custom(inline,simplify)"
 
     def test_sequence_of_names(self):
         pipe = resolve_pipeline(["simplify", "patterns"])
-        assert [p.name for p in pipe.passes] == ["simplify", "patterns"]
+        assert pipe.names == ["simplify", "patterns"]
 
     def test_unknown_pass_names_the_registry(self):
         with pytest.raises(OptimizerError,
@@ -154,16 +152,42 @@ class TestPassManagerRun:
         names = {span.name for span in root.walk()}
         assert "pass:inline" in names
         assert "pass:simplify" in names
-        # The silent cleanup sweep emits no span.
+        # Dead code goes in simplify's slice; no dce pass runs.
         assert "pass:dce" not in names
+
+    def test_a_fake_entry_is_a_method_pass(self):
+        # A (name, fn) entry the registry does not know runs once per
+        # method, through the same checkpoint, span and stats path as
+        # the registered passes.
+        seen = []
+
+        def probe(method):
+            seen.append(method.name)
+            return False
+
+        limits = QueryLimits(timeout=3600.0)
+        tracer = Tracer()
+        module = parse_module(Q6_LIKE)
+        _, stats = PassManager(Pipeline("custom", [("probe", probe)])) \
+            .run_module(module, QueryContext(tracer=tracer, limits=limits),
+                        entry="main")
+        assert seen == ["scale", "main"]
+        assert limits.checks == 2
+        assert [(s.name, s.level, s.runs, s.rewrites)
+                for s in stats.pass_stats] == [("probe", "method", 2, 0)]
+        assert stats.passes_applied == []
+        assert [span.attrs["method"] for span in tracer.all_spans()
+                if span.name == "pass:probe"] == ["scale", "main"]
 
     def test_pass_stat_dict_round_trip(self):
         module = parse_module(Q6_LIKE)
         _, stats = PassManager(preset("O2")).run_module(
             module, QueryContext(), entry="main")
         rows = [ps.to_dict() for ps in stats.pass_stats]
-        assert {row["name"] for row in rows} \
-            == {"inline", "simplify", "join-predicate-motion", "patterns"}
+        # inline is the one module-level entry.
+        assert [(row["name"], row["level"]) for row in rows] == [
+            ("inline", "module"), ("simplify", "method"),
+            ("join-predicate-motion", "method"), ("patterns", "method")]
         for row in rows:
             assert set(row) == {"name", "level", "runs", "rewrites",
                                 "seconds"}
@@ -183,8 +207,35 @@ class TestDumpIR:
         assert "def scale" in (dump / "000-input.hir").read_text()
         assert "def scale" not in (dump / names[-1]).read_text()
 
+    def test_o2_snapshots_end_after_patterns(self, tmp_path):
+        PassManager(preset("O2"), dump_dir=str(tmp_path)).run_module(
+            parse_module(Q6_LIKE), QueryContext(), entry="main")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "000-input.hir", "001-inline.hir", "002-simplify.hir",
+            "003-join-predicate-motion.hir", "004-patterns.hir"]
+
     def test_default_dump_dir_constant(self):
         assert DEFAULT_DUMP_DIR == "ir-dump"
+
+
+class TestPlanLevel:
+    def test_plan_passes_run_in_order_with_udfs_and_statistics(self):
+        calls = []
+
+        def fake(tag):
+            def run(plan, udfs, table_stats):
+                calls.append((tag, plan, udfs, table_stats))
+                return plan + [tag]
+            return run
+
+        pipe = Pipeline("custom", [("predicate-pushdown", fake("a")),
+                                   ("simplify", fake("ir")),
+                                   ("column-pruning", fake("b"))])
+        assert [name for name, _ in pipe.plan_passes] \
+            == ["predicate-pushdown", "column-pruning"]
+        assert run_plan(pipe, [], "udfs", "stats") == ["a", "b"]
+        assert calls == [("a", [], "udfs", "stats"),
+                         ("b", ["a"], "udfs", "stats")]
 
 
 def _ir_pass_names():

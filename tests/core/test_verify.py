@@ -11,9 +11,9 @@ from repro.core import ir, passes
 from repro.core import types as ht
 from repro.core.context import QueryContext
 from repro.core.parser import parse_method, parse_module
-from repro.core.passes import (MethodPass, PassManager, Pipeline,
-                               custom_pipeline, preset,
-                               registered_pass_names, resolve_pipeline)
+from repro.core.passes import (PassManager, Pipeline, custom_pipeline,
+                               preset, registered_pass_names,
+                               resolve_pipeline)
 from repro.core.printer import print_method, print_module
 from repro.core.verify import verify_method, verify_module
 from repro.data import generate_tpch
@@ -271,7 +271,7 @@ class TestManagerVerification:
                 return True
             return False
 
-        pipe = Pipeline("bad", [MethodPass("breaker", breaks_ir)])
+        pipe = Pipeline("bad", [("breaker", breaks_ir)])
         manager = PassManager(pipe, verify=True)
         with pytest.raises(PassVerificationError) as excinfo:
             manager.run_module(_module(), QueryContext(), entry="main")
@@ -328,7 +328,7 @@ class TestManagerVerification:
         # Whatever the buggy pass says it preserves: a reported change
         # drops the method's verdict, so the new state is checked at
         # full depth.
-        bad = MethodPass("buggy", lambda m: mutate(m) is None)
+        bad = ("buggy", lambda m: mutate(m) is None)
         manager = PassManager(Pipeline("custom", [bad]), verify=True)
         with pytest.raises(PassVerificationError) as exc:
             manager.run_module(self._one_method(), QueryContext(),
@@ -339,7 +339,7 @@ class TestManagerVerification:
 
     def test_unchanged_method_keeps_its_verdict(self, monkeypatch):
         calls = _record_verify_calls(monkeypatch)
-        noop = MethodPass("noop", lambda method: False)
+        noop = ("noop", lambda method: False)
         manager = PassManager(Pipeline("custom", [noop]), verify=True)
         manager.run_module(self._one_method(), QueryContext(),
                            entry="main")

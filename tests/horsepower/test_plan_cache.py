@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import types as ht
+from repro.data import generate_tpch
 from repro.engine.storage import Database
 from repro.engine import EngineSession
 from repro.horsepower.cache import PlanCache, normalize_sql
@@ -296,6 +297,24 @@ class TestPipelineFingerprint:
         hp.run_sql(sql, pipeline="O2")
         assert hp.cache_stats.hits == 1
         assert len(hp.plan_cache) == 1
+
+    def test_one_key_plans_with_one_pipeline(self):
+        # After ANALYZE, O2's selectivity-reorder moves the shipdate
+        # conjunct first and O0 leaves it last.  "naive" and an
+        # explicit O0 share one cache key, so both must plan with O0,
+        # whichever compiles first.
+        session = EngineSession(generate_tpch(0.002))
+        session.analyze()
+        sql = ("SELECT SUM(l_extendedprice) AS s FROM lineitem "
+               "WHERE l_quantity < 50 AND l_discount > 0.05 "
+               "AND l_shipdate < DATE '1992-06-01'")
+        implied = session.prepare(sql, "naive", use_cache=False)
+        explicit = session.prepare(sql, "naive", pipeline="O0",
+                                   use_cache=False)
+        assert implied.key == explicit.key
+        assert implied.query.plan_json == explicit.query.plan_json
+        reordered = session.prepare(sql, "opt", use_cache=False)
+        assert reordered.query.plan_json != explicit.query.plan_json
 
     def test_verify_ir_bypasses_the_cache(self, hp):
         sql = "SELECT SUM(x) AS s FROM t"

@@ -234,7 +234,7 @@ def test_plain_and_udf_forms_match_sqlite(data, case, engine, opt_level):
 
 WITHOUT_MOTION = Pipeline(
     "O2-without-join-predicate-motion",
-    [p for p in preset("O2").passes if p.name != "join-predicate-motion"])
+    [e for e in preset("O2").passes if e[0] != "join-predicate-motion"])
 
 
 @pytest.mark.parametrize("engine", ["interp", "pygen", pytest.param(

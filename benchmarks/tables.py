@@ -4,7 +4,9 @@ Each ``report_tableN(emit)`` runs the measurements and prints rows
 matching the paper's layout: execution times in milliseconds with
 speedup columns.  Both sides of Tables 2 and 4 are one session's
 ``compile_sql`` — ``backend="baseline"`` for the MonetDB-like engine —
-timed through ``CompiledQuery.run``.
+timed through ``CompiledQuery.run``.  Their HP column runs on the C
+backend, whose emitted loops are the only engine with threads; without
+gcc it runs on the NumPy kernels and the thread axis is T1 only.
 """
 
 from __future__ import annotations
@@ -104,6 +106,14 @@ def _morgan_args(size: int):
     return [1000.0, price, volume]
 
 
+def _hp_threads(threads: list[int]) -> tuple[str, list[int]]:
+    """The HP column's backend and thread axis: cgen over ``threads``
+    when gcc is present, else pygen at one thread."""
+    if c_backend_available():
+        return "cgen", threads
+    return "pygen", [1]
+
+
 # ---------------------------------------------------------------------------
 # Table 2
 # ---------------------------------------------------------------------------
@@ -112,19 +122,22 @@ def report_table2(emit) -> None:
     emit("## Table 2 — modified TPC-H with UDFs: MonetDB-like vs "
          "HorsePower (times in ms)")
     emit()
+    backend, threads_axis = _hp_threads(thread_counts())
+    emit(f"HP engine: {backend}")
     header = f"{'threads':>8}"
     for query in TPCH_UDF_QUERY_NAMES:
         header += f" | {query + ' MDB':>9} {query + ' HP':>9} {'SP':>7}"
     emit(header)
 
     session = make_tpch_session()
-    compiled = {query: session.compile_sql(UDF_QUERIES[query])
+    compiled = {query: session.compile_sql(UDF_QUERIES[query],
+                                           backend=backend)
                 for query in TPCH_UDF_QUERY_NAMES}
     baseline = {query: session.compile_sql(UDF_QUERIES[query],
                                            backend="baseline")
                 for query in TPCH_UDF_QUERY_NAMES}
 
-    for threads in thread_counts():
+    for threads in threads_axis:
         row = f"T{threads:<7}"
         for query in TPCH_UDF_QUERY_NAMES:
             t_mdb = time_callable(
@@ -192,7 +205,9 @@ def report_table4(emit) -> None:
     emit("## Table 4 — Black-Scholes SQL variants: MonetDB-like (MDB) vs "
          "HorsePower (HP), times in ms")
     emit()
-    threads = sorted({min(thread_counts()), max(thread_counts())})
+    backend, threads = _hp_threads(
+        sorted({min(thread_counts()), max(thread_counts())}))
+    emit(f"HP engine: {backend}")
     session = make_bs_session()
 
     for style, queries in (("Table UDF", TABLE_QUERIES),
@@ -205,7 +220,7 @@ def report_table4(emit) -> None:
         emit(header)
         for variant in BS_VARIANT_NAMES:
             sql = queries[variant]
-            compiled = session.compile_sql(sql)
+            compiled = session.compile_sql(sql, backend=backend)
             baseline = session.compile_sql(sql, backend="baseline")
             row = (f"{variant:>10} "
                    f"{PAPER_SELECTIVITY[variant] * 100:6.1f}%")

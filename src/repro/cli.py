@@ -97,6 +97,19 @@ def _parse_bytes(spec: str) -> int:
     return result
 
 
+def _thread_count(spec: str) -> int:
+    """``--threads`` values: an integer of at least 1."""
+    try:
+        value = int(spec)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid thread count {spec!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"thread count must be at least 1, got {spec!r}")
+    return value
+
+
 def _print_table(result, limit: int) -> None:
     names = result.column_names
     arrays = [vec.data for _, vec in result.columns()]
@@ -513,7 +526,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "`list-backends`, e.g. pygen, c, interp, "
                               "or baseline / monetdb for the "
                               "MonetDB-like engine); default pygen")
-    run_sql.add_argument("--threads", type=int, default=1)
+    run_sql.add_argument("--threads", type=_thread_count, default=1,
+                         metavar="N",
+                         help="OpenMP threads for the C backend's "
+                              "kernels (cgen); the other engines run "
+                              "on one thread (default 1)")
     run_sql.add_argument("--limit", type=int, default=20,
                          help="max rows to print")
     run_sql.add_argument("--repeat", type=int, default=1,
@@ -560,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "16MiB suffixes; exits 2 with "
                               "MemoryBudgetExceeded)")
     run_sql.add_argument("--metrics-json", metavar="PATH",
-                         help="write runtime metrics (plan cache, pool, "
+                         help="write runtime metrics (plan cache, "
                               "kernels, rows) as flat JSON")
     run_sql.add_argument("--query-log", nargs="?",
                          const="query_log.jsonl", metavar="PATH",

@@ -25,8 +25,8 @@ maps to one of these built-ins.  Each built-in carries:
   i.e. HorsePower-Naive, and by opaque statements in compiled code);
 * ``template`` — for fusable built-ins, a Python/NumPy source template used
   by the code generator, e.g. ``"({0} >= {1})"`` for ``@geq``;
-* ``combine`` — for reductions, how chunk partials merge under the
-  multi-threaded executor: a key of :data:`COMBINES`.
+* ``combine`` — for reductions, how chunk partials merge in the chunked
+  kernel executor: a key of :data:`COMBINES`.
 
 Each built-in is one registration: nothing else restates its signature.
 """

@@ -1,9 +1,9 @@
-"""Fused-kernel code generation and the chunked parallel executor.
+"""Fused-kernel code generation and the chunked executor.
 
-This is the reproduction's analog of the paper's HorseIR→C backend with
-OpenMP: each fused segment becomes one generated Python function evaluating
-the whole chain per chunk (no full-column intermediates), and the executor
-runs chunks across a thread pool (NumPy releases the GIL inside array ops).
+Each fused segment becomes one generated Python function evaluating the
+whole chain per chunk (no full-column intermediates), and the executor
+runs the chunks in order on the caller's thread.  The paper's HorseIR→C
+backend with OpenMP is :mod:`repro.core.codegen.cgen`; threads are its.
 """
 
 from repro.core.codegen.pygen import CompiledKernel, generate_kernel  # noqa: F401

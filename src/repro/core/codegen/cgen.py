@@ -712,7 +712,7 @@ class CKernel:
                      + bool(_compacted_domains(segment)))
 
     def _invoke(self, fn, arrays, n, n_threads) -> list[Vector]:
-        args = [ctypes.c_longlong(n), ctypes.c_int(max(1, n_threads))]
+        args = [ctypes.c_longlong(n), ctypes.c_int(n_threads)]
         keepalive = []
         for arr in arrays:
             contiguous = np.ascontiguousarray(arr)

@@ -1,23 +1,21 @@
-"""Chunked, multi-threaded execution of fused kernels.
+"""Chunked execution of generated NumPy kernels, on the caller's thread.
 
-The reproduction's stand-in for the paper's OpenMP parallel loops: the base
-iteration space is split into chunks, the fused kernel runs per chunk (its
-temporaries are chunk-sized, so the chain stays cache-resident), chunks are
-dispatched to a thread pool (NumPy array ops release the GIL), and
-reduction partials merge with the builtin's ``combine`` rule.
+The base iteration space is split into chunks and the fused kernel runs
+per chunk, so its temporaries are chunk-sized and the chain stays
+cache-resident; reduction partials merge with the builtin's ``combine``
+rule.  Threads are the C backend's: its emitted loops run under OpenMP
+(:mod:`repro.core.codegen.cgen`), and this executor is the
+single-threaded fallback.
 
 Vector outputs are never assembled from pieces: each is allocated once at
 the base length and every chunk writes its rows into its own slice.  A
-compressed output is written compacted — at the running offset on one
-thread; at the chunk's ``lo`` on several, after which each block moves
-down, in chunk order, to its prefix-sum offset (the shape of the C
-backend's native compaction) — and then shrinks to the rows selected.
+compressed output is written compacted, at the running offset, and then
+shrinks to the rows selected.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -37,17 +35,13 @@ DEFAULT_CHUNK_SIZE = 1 << 15
 
 
 def run_kernel(kernel: CompiledKernel, inputs: list[Vector],
-               n_threads: int = 1,
-               chunk_size: int = DEFAULT_CHUNK_SIZE,
-               pool: ThreadPoolExecutor | None = None, *,
+               chunk_size: int = DEFAULT_CHUNK_SIZE, *,
                ctx: QueryContext) -> list[Vector]:
     """Execute a fused kernel over its inputs; returns the output vectors
     in the order of ``kernel.outputs``.  Spans and kernel metrics report
-    into ``ctx``; parallel runs borrow ``pool``, falling back to the
-    context's pool."""
+    into ``ctx``."""
     start = time.perf_counter()
-    outputs = _run_kernel(kernel, inputs, n_threads, chunk_size, pool,
-                          ctx)
+    outputs = _run_kernel(kernel, inputs, chunk_size, ctx)
     metrics = ctx.metrics
     metrics.counter("kernel.invocations").inc()
     metrics.histogram("kernel.seconds").observe(
@@ -92,9 +86,7 @@ def charge_kernel_alloc(kernel: CompiledKernel, inputs: list[Vector],
 
 
 def _run_kernel(kernel: CompiledKernel, inputs: list[Vector],
-                n_threads: int, chunk_size: int,
-                pool: ThreadPoolExecutor | None,
-                ctx: QueryContext) -> list[Vector]:
+                chunk_size: int, ctx: QueryContext) -> list[Vector]:
     arrays = [value.data for value in inputs]
     n = _base_length(kernel, arrays)
     if kernel.compress_guards:
@@ -135,49 +127,25 @@ def _run_kernel(kernel: CompiledKernel, inputs: list[Vector],
     ctx.metrics.counter("kernel.chunks").inc(len(bounds))
 
     tracer = ctx.tracer
-    #: Worker threads start with an empty context, so chunk spans anchor
-    #: to the kernel span captured here rather than via the contextvar.
-    parent = tracer.current() if tracer.enabled else None
-
-    def run_chunk(lo: int, hi: int, starts: list[int]):
-        """Run rows ``[lo, hi)``; a compacted output's rows go to its
-        destination at ``starts[i]``, a base output's at ``lo``."""
+    #: Where each compacted output's next rows go; a base output's rows
+    #: go at the chunk's ``lo``.
+    ends = [0] * len(targets)
+    chunk_results = []
+    for lo, hi in bounds:
         if limits is not None:
             limits.check("chunk")
         sliced = [arr[lo:hi] if stream and len(arr) == n else arr
                   for arr, stream in zip(arrays, kernel.streamed)]
-        views = [dst[start:start + hi - lo] if compacted else dst[lo:hi]
-                 for (_, dst, compacted), start in zip(targets, starts)]
-        if not tracer.enabled:
-            return kernel.fn(*sliced, *views)
-        with tracer.span("chunk", parent=parent, lo=lo, hi=hi,
-                         rows=hi - lo):
-            return kernel.fn(*sliced, *views)
-
-    ends = [0] * len(targets)
-    parallel = n_threads > 1 and len(bounds) > 1
-    if parallel:
-        # Each chunk writes its selected rows at its own ``lo``.  As the
-        # results arrive, in chunk order, each block moves down to its
-        # prefix-sum offset — below the rows of every later chunk, so
-        # the moves overlap the chunks still running.
-        if pool is None:
-            pool = ctx.executor(n_threads)
-        results = pool.map(
-            lambda bound: run_chunk(*bound, [bound[0]] * len(targets)),
-            bounds)
-    else:
-        # One thread: each chunk writes at the running offset, so
-        # nothing moves.
-        results = (run_chunk(lo, hi, ends) for lo, hi in bounds)
-    chunk_results = []
-    for (lo, _), result in zip(bounds, results):
-        for i, (slot, dst, compacted) in enumerate(targets):
+        views = [dst[end:end + hi - lo] if compacted else dst[lo:hi]
+                 for (_, dst, compacted), end in zip(targets, ends)]
+        if tracer.enabled:
+            with tracer.span("chunk", lo=lo, hi=hi, rows=hi - lo):
+                result = kernel.fn(*sliced, *views)
+        else:
+            result = kernel.fn(*sliced, *views)
+        for i, (slot, _, compacted) in enumerate(targets):
             if compacted:
-                rows, end = result[slot], ends[i]
-                if parallel and end != lo:
-                    dst[end:end + rows] = dst[lo:lo + rows]
-                ends[i] = end + rows
+                ends[i] += result[slot]
         chunk_results.append(result)
 
     values = []
@@ -262,8 +230,8 @@ def _combine(combine: str, parts: list, type_: ht.HorseType):
     (bool partials become int64, int32 accumulates as the platform int),
     silently diverging from the single-chunk run where the kernel result
     is cast to the declared dtype once at the end.  Casting the partials
-    first and pinning the accumulator keeps chunked, multi-threaded
-    results bit-identical to unchunked ones — integer wraparound is
+    first and pinning the accumulator keeps chunked results
+    bit-identical to unchunked ones — integer wraparound is
     modular, so truncate-then-sum equals sum-then-truncate.
 
     ``None`` partials mark min/max chunks whose compressed selection was

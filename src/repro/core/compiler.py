@@ -9,10 +9,11 @@ Two optimization levels, matching the paper's configurations:
   propagation, CSE, backward slicing, pattern-based fusion — followed by
   automatic loop fusion and kernel code generation.
 
-The compiled program's ``run`` takes ``n_threads``, the reproduction's
-OpenMP analog, and an optional :class:`~repro.core.context.QueryContext`
-naming the tracer/metrics/pool the run reports into; without one the
-run is untraced and unprofiled (a default ``QueryContext()``).
+The compiled program's ``run`` takes ``n_threads``, the OpenMP thread
+count of the emitted C kernels (NumPy kernels run on the caller's
+thread), and an optional :class:`~repro.core.context.QueryContext`
+naming the tracer/metrics the run reports into; without one the run is
+untraced and unprofiled (a default ``QueryContext()``).
 
 Which kernel engine a fused segment compiles to is the ``backend``
 string: ``"python"`` → generated NumPy kernels, ``"c"`` → emitted C +
@@ -116,9 +117,8 @@ class _KernelItem:
                 return outputs
             if span is not None:
                 span.set(backend="python", c_declined=declined)
-        return run_kernel(self.kernel, inputs, n_threads=state.n_threads,
-                          chunk_size=state.chunk_size, pool=state.pool,
-                          ctx=state.ctx)
+        return run_kernel(self.kernel, inputs,
+                          chunk_size=state.chunk_size, ctx=state.ctx)
 
 
 def _python_kernel_item(segment, name: str, report: CompileReport,
@@ -172,18 +172,17 @@ class CompiledProgram:
             ctx: QueryContext | None = None) -> Value:
         """Execute the entry method (or ``method``) and return its result.
 
-        Parallel runs borrow the context's :class:`ExecutorPool` (the
-        process-shared pool when the context binds none) rather than
-        building a private pool per call — repeated executions of a
-        prepared query pay zero pool-construction cost.
+        ``n_threads`` (at least 1) is the OpenMP thread count of the
+        emitted C kernels; NumPy kernels run on the caller's thread.
         """
+        if n_threads < 1:
+            raise ValueError(f"n_threads must be at least 1, "
+                             f"got {n_threads}")
         if ctx is None:
             ctx = QueryContext()
         eval_ctx = hb.EvalContext(tables)
         entry = method if method is not None else self.module.entry.name
-        pool = ctx.executor(n_threads)
-        state = _RunState(self, eval_ctx, n_threads, chunk_size, pool,
-                          ctx)
+        state = _RunState(self, eval_ctx, n_threads, chunk_size, ctx)
         tracer = ctx.tracer
         if not tracer.enabled:
             return state.call(entry, list(args or []))
@@ -206,13 +205,11 @@ class _RunState:
     """Per-run execution state: context, threading, method dispatch."""
 
     def __init__(self, program: CompiledProgram, eval_ctx: hb.EvalContext,
-                 n_threads: int, chunk_size: int, pool,
-                 ctx: QueryContext):
+                 n_threads: int, chunk_size: int, ctx: QueryContext):
         self.program = program
         self.eval_ctx = eval_ctx
         self.n_threads = n_threads
         self.chunk_size = chunk_size
-        self.pool = pool
         self.ctx = ctx
         #: Allocation accounting for this run (NULL_PROFILE when the
         #: query is not profiled; sites check ``.enabled`` first).

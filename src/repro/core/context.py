@@ -2,11 +2,11 @@
 
 Every stage of the pipeline — parse → plan → translate → compile →
 execute — receives a :class:`QueryContext` naming the tracer to record
-spans into, the metrics registry to report into, and the executor pool
-to borrow worker threads from.  Nothing below the session layer reaches
-for process-global state; an isolated :class:`~repro.engine.EngineSession`
-builds contexts bound to its own tracer/metrics/pool, so N sessions can
-run concurrently in one process without sharing a single mutable object.
+spans into and the metrics registry to report into.  Nothing below the
+session layer reaches for process-global state; an isolated
+:class:`~repro.engine.EngineSession` builds contexts bound to its own
+tracer/metrics, so N sessions can run concurrently in one process
+without sharing a single mutable object.
 
 The defaults are the stateless null objects, no limits and a private
 registry: a bare ``QueryContext()`` — which is what ``ctx=None`` means
@@ -38,9 +38,6 @@ class QueryContext:
       the no-op ``NULL_TRACER``);
     * ``metrics`` — the :class:`~repro.obs.MetricsRegistry` instruments
       report into;
-    * ``pool`` — the :class:`~repro.core.execpool.ExecutorPool` chunked
-      parallel work borrows threads from (``None`` defers to the
-      process-shared pool on first parallel use);
     * ``session`` — the owning :class:`~repro.engine.EngineSession`,
       when there is one (backends use it to reach session-scoped state
       such as the baseline plan executor);
@@ -55,19 +52,7 @@ class QueryContext:
 
     tracer: "Tracer | NullTracer" = NULL_TRACER
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    pool: object | None = None
     session: object | None = None
     profile: "AllocationProfile | NullAllocationProfile" = NULL_PROFILE
     limits: "QueryLimits | None" = None
 
-    def executor(self, n_threads: int):
-        """An instrumented executor with ``n_threads`` workers, or
-        ``None`` when the run is serial.  Uses the context's pool when
-        one is bound, the process-shared pool otherwise."""
-        if n_threads <= 1:
-            return None
-        pool = self.pool
-        if pool is None:
-            from repro.core.execpool import shared_pool
-            pool = shared_pool()
-        return pool.get(n_threads)

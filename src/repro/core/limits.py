@@ -44,8 +44,7 @@ class QueryLimits:
 
     ``checks`` counts every checkpoint the query passed through — a
     direct measure of cancellation granularity.  The counter is a plain
-    attribute (not locked): chunk workers may race on it, so it is
-    exact for serial runs and approximate under ``n_threads > 1``.
+    attribute: every checkpoint runs on the query's own thread.
     """
 
     __slots__ = ("timeout", "deadline", "memory_budget", "checks",

@@ -10,8 +10,8 @@ and string/date columns convert element by element — the costs the
 paper measures in Tables 2 and 4.
 
 On top of it, :class:`~repro.engine.session.EngineSession` owns all
-per-session runtime state (database, plan cache, executor pool, tracer,
-metrics, UDFs) and a :class:`~repro.engine.backends.BackendRegistry` of
+per-session runtime state (database, plan cache, tracer, metrics,
+UDFs) and a :class:`~repro.engine.backends.BackendRegistry` of
 the four execution engines; the :class:`~repro.core.context.QueryContext`
 re-exported here is the object threaded explicitly through every
 pipeline stage.

@@ -35,7 +35,7 @@ sql        can execute SQL-derived work
 matlab     can execute standalone MATLAB programs
 horseir    consumes the HorseIR module (translate step required)
 fusion     fuses segments into loop kernels (HorsePower-Opt profile)
-threads    honors ``n_threads`` with chunked parallelism
+threads    honors ``n_threads``: OpenMP threads in emitted C loops
 native     emits machine code (C + OpenMP) for eligible segments
 strings    full string/date kernel support without fallback
 prepared   compilation is worth caching in the session plan cache
@@ -199,9 +199,9 @@ class PygenBackend(_HorseIRBackend):
 
     name = "pygen"
     description = ("generated NumPy loop kernels (chunked, "
-                   "multi-threaded; always available)")
+                   "single-threaded; always available)")
     capabilities = frozenset({"sql", "matlab", "horseir", "fusion",
-                              "threads", "strings", "prepared"})
+                              "strings", "prepared"})
     fallback = "interp"
 
     def compile(self, unit: CompilationUnit,
@@ -260,7 +260,7 @@ class BaselineBackend(Backend):
     name = "baseline"
     description = ("MonetDB-like interpreted plan execution with "
                    "black-box Python UDFs (the comparison system)")
-    capabilities = frozenset({"sql", "threads", "udf-python"})
+    capabilities = frozenset({"sql", "udf-python"})
 
     def compile(self, unit: CompilationUnit,
                 ctx: QueryContext) -> BaselinePlan:

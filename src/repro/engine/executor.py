@@ -12,8 +12,9 @@ tight loops); what differs — and what the benchmarks measure — is
 * UDFs run through the black-box :class:`~repro.engine.udf_bridge.UDFBridge`
   (conversion cost, single-threaded, no cross-boundary optimization);
 * no fusion: every expression node materializes a full column;
-* ``n_threads`` parallelizes only plain column work (filter/project
-  chunks); the UDF path stays serial, as in the paper.
+* every operator runs on the caller's thread: ``n_threads`` is accepted,
+  as every backend's ``execute`` takes it, and recorded on the
+  ``execute`` span.
 """
 
 from __future__ import annotations
@@ -32,12 +33,9 @@ from repro.obs.metrics import QERROR_BUCKETS
 from repro.stats import MISESTIMATE_THRESHOLD, q_error
 from repro.sql import ast
 from repro.sql import plan as p
-from repro.sql.plan_passes import references_udf
 from repro.sql.udf import UDFRegistry
 
 __all__ = ["PlanExecutor"]
-
-_PARALLEL_MIN_ROWS = 1 << 15
 
 
 class PlanExecutor:
@@ -46,7 +44,7 @@ class PlanExecutor:
     Not thread-safe across concurrent ``execute`` calls — each session
     (or thread) owns its own executor, which is how session isolation is
     achieved; the per-query :class:`QueryContext` passed to ``execute``
-    names the tracer/metrics/pool one run reports into."""
+    names the tracer/metrics one run reports into."""
 
     def __init__(self, db: Database, udfs: UDFRegistry | None = None,
                  ctx: QueryContext | None = None):
@@ -65,7 +63,7 @@ class PlanExecutor:
         self._qctx = ctx if ctx is not None else self._default_qctx
         with self._qctx.tracer.span("execute",
                                     n_threads=n_threads) as span:
-            columns = self._exec(node, n_threads)
+            columns = self._exec(node)
             span.set(rows_out=_num_rows(columns))
         self._qctx.metrics.counter("exec.rows_produced").inc(
             _num_rows(columns))
@@ -73,8 +71,7 @@ class PlanExecutor:
 
     # -- operators -------------------------------------------------------------
 
-    def _exec(self, node: p.PlanNode,
-              n_threads: int) -> dict[str, Vector]:
+    def _exec(self, node: p.PlanNode) -> dict[str, Vector]:
         """Dispatch one operator, wrapped in an ``op:<Type>`` span (rows
         out recorded) when tracing is on.
 
@@ -90,11 +87,11 @@ class PlanExecutor:
         interpreter's per-statement pair."""
         tracer = self._qctx.tracer
         if not tracer.enabled:
-            columns = self._exec_node(node, n_threads)
+            columns = self._exec_node(node)
             self._account(node, columns)
             return columns
         with tracer.span("op:" + type(node).__name__) as span:
-            columns = self._exec_node(node, n_threads)
+            columns = self._exec_node(node)
             span.set(rows_out=_num_rows(columns))
             if node.est_rows is not None:
                 span.set(est_rows=node.est_rows)
@@ -129,8 +126,7 @@ class PlanExecutor:
             # entry check would see the clock only once.
             limits.check("operator")
 
-    def _exec_node(self, node: p.PlanNode,
-                   n_threads: int) -> dict[str, Vector]:
+    def _exec_node(self, node: p.PlanNode) -> dict[str, Vector]:
         self._qctx.metrics.counter("exec.operators").inc()
         if isinstance(node, p.Scan):
             table = self.db.table(node.table).to_table_value()
@@ -139,26 +135,25 @@ class PlanExecutor:
                 _num_rows(columns))
             return columns
         if isinstance(node, p.Filter):
-            return self._exec_filter(node, n_threads)
+            return self._exec_filter(node)
         if isinstance(node, p.Project):
-            return self._exec_project(node, n_threads)
+            return self._exec_project(node)
         if isinstance(node, p.Join):
-            return self._exec_join(node, n_threads)
+            return self._exec_join(node)
         if isinstance(node, p.GroupAggregate):
-            return self._exec_group(node, n_threads)
+            return self._exec_group(node)
         if isinstance(node, p.Sort):
-            return self._exec_sort(node, n_threads)
+            return self._exec_sort(node)
         if isinstance(node, p.Limit):
-            columns = self._exec(node.child, n_threads)
+            columns = self._exec(node.child)
             return _fetch(columns, slice(None, node.count))
         if isinstance(node, p.TableUDF):
-            return self._exec_table_udf(node, n_threads)
+            return self._exec_table_udf(node)
         raise ExecutorError(f"unknown plan node {type(node).__name__}")
 
-    def _exec_filter(self, node: p.Filter,
-                     n_threads: int) -> dict[str, Vector]:
-        columns = self._exec(node.child, n_threads)
-        mask = self._eval(node.predicate, columns, n_threads)
+    def _exec_filter(self, node: p.Filter) -> dict[str, Vector]:
+        columns = self._exec(node.child)
+        mask = self._eval(node.predicate, columns)
         mask = np.asarray(_data(mask), dtype=np.bool_)
         if mask.ndim == 0:
             raise ExecutorError("filter predicate produced a scalar")
@@ -167,21 +162,19 @@ class PlanExecutor:
         return {name: hb.select(columns[name], rows)
                 for name, _ in node.output}
 
-    def _exec_project(self, node: p.Project,
-                      n_threads: int) -> dict[str, Vector]:
-        columns = self._exec(node.child, n_threads)
+    def _exec_project(self, node: p.Project) -> dict[str, Vector]:
+        columns = self._exec(node.child)
         n = _num_rows(columns)
         out: dict[str, Vector] = {}
         for (name, expr), (_, type_) in zip(node.items, node.output):
-            value = self._eval(expr, columns, n_threads)
+            value = self._eval(expr, columns)
             out[name] = value if isinstance(value, Vector) \
                 else Vector(type_, _full(value, n))
         return out
 
-    def _exec_join(self, node: p.Join,
-                   n_threads: int) -> dict[str, Vector]:
-        left = self._exec(node.left, n_threads)
-        right = self._exec(node.right, n_threads)
+    def _exec_join(self, node: p.Join) -> dict[str, Vector]:
+        left = self._exec(node.left)
+        right = self._exec(node.right)
         pair = hb.get("join_index").run(
             [_keys(left, node.left_keys), _keys(right, node.right_keys),
              scalar(node.kind, ht.SYM)], self._ctx)
@@ -191,9 +184,8 @@ class PlanExecutor:
                 else hb.select(right[name], pair[1].data)
                 for name, _ in node.output}
 
-    def _exec_group(self, node: p.GroupAggregate,
-                    n_threads: int) -> dict[str, Vector]:
-        columns = self._exec(node.child, n_threads)
+    def _exec_group(self, node: p.GroupAggregate) -> dict[str, Vector]:
+        columns = self._exec(node.child)
         types = dict(node.output)
         out: dict[str, Vector] = {}
         if not node.keys:
@@ -233,9 +225,8 @@ class PlanExecutor:
                 out[name] = aggregate(fn, columns[column])
         return out
 
-    def _exec_sort(self, node: p.Sort,
-                   n_threads: int) -> dict[str, Vector]:
-        columns = self._exec(node.child, n_threads)
+    def _exec_sort(self, node: p.Sort) -> dict[str, Vector]:
+        columns = self._exec(node.child)
         ascending = Vector(ht.BOOL, np.array([asc for _, asc in node.keys],
                                              dtype=np.bool_))
         order = hb.get("order").run(
@@ -243,9 +234,8 @@ class PlanExecutor:
             self._ctx).data
         return _fetch(columns, order)
 
-    def _exec_table_udf(self, node: p.TableUDF,
-                        n_threads: int) -> dict[str, Vector]:
-        columns = self._exec(node.child, n_threads)
+    def _exec_table_udf(self, node: p.TableUDF) -> dict[str, Vector]:
+        columns = self._exec(node.child)
         udf = self.udfs.get(node.udf_name)
         arrays = [columns[c].data for c in node.input_columns]
         results = self.bridge.call_table(udf, arrays)
@@ -254,40 +244,9 @@ class PlanExecutor:
 
     # -- expression evaluation -----------------------------------------------
 
-    def _eval(self, expr: ast.Expr, columns: dict[str, Vector],
-              n_threads: int):
+    def _eval(self, expr: ast.Expr, columns: dict[str, Vector]):
         """Vectorized, fully-materializing expression evaluation: a
-        column reference is its vector, anything else NumPy.
-
-        Chunks across threads when the expression computes something,
-        is UDF-free and the input is large; UDF-bearing expressions run
-        single-threaded (the bridge is serial)."""
-        if n_threads > 1 and not isinstance(expr, ast.Col) \
-                and not references_udf(expr, self.udfs):
-            n = _num_rows(columns)
-            if n >= _PARALLEL_MIN_ROWS:
-                return self._eval_parallel(expr, columns, n, n_threads)
-        return self._eval_serial(expr, columns)
-
-    def _eval_parallel(self, expr: ast.Expr,
-                       columns: dict[str, Vector], n: int,
-                       n_threads: int):
-        chunk = max(_PARALLEL_MIN_ROWS // 2, n // (n_threads * 4))
-        bounds = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-
-        def run(bound):
-            lo, hi = bound
-            view = {name: (hb.select(vec, slice(lo, hi))
-                           if len(vec) == n else vec)
-                    for name, vec in columns.items()}
-            return np.asarray(self._operand(expr, view))
-
-        pool = self._qctx.executor(n_threads)
-        parts = list(pool.map(run, bounds))
-        return np.concatenate([np.atleast_1d(part) for part in parts])
-
-    def _eval_serial(self, expr: ast.Expr,
-                     columns: dict[str, Vector]):
+        column reference is its vector, anything else NumPy."""
         if isinstance(expr, ast.Col):
             try:
                 return columns[expr.name]
@@ -323,7 +282,7 @@ class PlanExecutor:
                                   self._operand(value, columns), result)
             return result
         if isinstance(expr, ast.InList):
-            value = self._eval_serial(expr.expr, columns)
+            value = self._eval(expr.expr, columns)
             pool = [self._operand(i, columns) for i in expr.items]
             if _is_str(value):
                 # Strings: the @member builtin, once per dictionary entry.
@@ -344,13 +303,13 @@ class PlanExecutor:
 
     def _operand(self, expr: ast.Expr, columns: dict[str, Vector]):
         """``expr``'s value for NumPy: a column as its ``.data``."""
-        return _data(self._eval_serial(expr, columns))
+        return _data(self._eval(expr, columns))
 
     def _eval_binop(self, expr: ast.BinOp,
                     columns: dict[str, Vector]):
         if expr.op == "like":
-            values = self._eval_serial(expr.left, columns)
-            pattern = self._eval_serial(expr.right, columns)
+            values = self._eval(expr.left, columns)
+            pattern = self._eval(expr.right, columns)
             return hb.get("like").run(
                 [_strings(values), scalar(pattern, ht.STR)],
                 self._ctx).data

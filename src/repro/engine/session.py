@@ -1,8 +1,7 @@
 """Session-scoped engine state: one ``EngineSession`` per database.
 
 Everything a query touches at runtime — the database, the prepared-query
-:class:`~repro.horsepower.cache.PlanCache`, the
-:class:`~repro.core.execpool.ExecutorPool`, the tracer, the
+:class:`~repro.horsepower.cache.PlanCache`, the tracer, the
 :class:`~repro.obs.MetricsRegistry`, the UDF registry, and the
 :class:`~repro.engine.backends.BackendRegistry` — used to live in
 process globals reached through module-level lookups.  An
@@ -10,8 +9,8 @@ process globals reached through module-level lookups.  An
 pipeline stage (parse → plan → translate → compile → execute) receives
 the session's :class:`~repro.core.context.QueryContext` explicitly, so
 
-* two sessions in one process never share caches, pools, counters, or
-  trace buffers (the concurrent-session tests exercise exactly this);
+* two sessions in one process never share caches, counters, or trace
+  buffers (the concurrent-session tests exercise exactly this);
 * sharing is explicit: two sessions report into the same tracer or
   registry only when the caller hands both the same object.
 
@@ -22,9 +21,10 @@ choice on :meth:`EngineSession.run_sql` — ``"pygen"`` / ``"cgen"`` /
 engine — so every engine honours the same per-query limits and is
 logged and counted by the same code.
 
-A session is a context manager; closing it shuts down the pool it owns
-(idempotently — closing twice, or after ``close_shared_pool`` at
-interpreter exit, is safe by design).
+A session starts no thread: queries run on the caller's thread, and
+``n_threads`` is the OpenMP thread count of the C backend's kernels.  A
+session is a context manager; closing it closes the query log it owns
+(idempotently — closing twice is a no-op).
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.core import types as ht
 from repro.core.context import QueryContext
 from repro.core.limits import BudgetedAllocationProfile, QueryLimits
 from repro.core.passes import resolve_pipeline
-from repro.core.execpool import ExecutorPool
 from repro.core.values import TableValue
 from repro.engine.backends import (
     DEFAULT_BACKEND, BackendRegistry, CompilationUnit, default_registry,
@@ -89,6 +88,13 @@ class CompiledQuery:
 
     def run(self, n_threads: int = 1,
             ctx: QueryContext | None = None, **kwargs) -> TableValue:
+        """Execute on the backend that compiled the query.
+        ``n_threads`` (at least 1) is the OpenMP thread count of the C
+        backend's kernels; every other engine runs on the caller's
+        thread."""
+        if n_threads < 1:
+            raise ValueError(f"n_threads must be at least 1, "
+                             f"got {n_threads}")
         session = self.session
         engine = session.backends.get(self.backend)
         return engine.execute(self.program, session._ctx(ctx),
@@ -126,24 +132,21 @@ class CompiledQuery:
 
 
 class EngineSession:
-    """One isolated engine instance: database, plan cache, executor
-    pool, tracer, metrics, UDFs, and backends, with no process-global
-    state shared between sessions.
+    """One isolated engine instance: database, plan cache, tracer,
+    metrics, UDFs, and backends, with no process-global state shared
+    between sessions.
 
     A plain ``EngineSession()`` is fully isolated: its own
-    :class:`MetricsRegistry`, its own :class:`ExecutorPool` (closed with
-    the session), a null tracer and a null profile unless one is
-    passed, and a fresh backend registry."""
+    :class:`MetricsRegistry`, a null tracer and a null profile unless
+    one is passed, and a fresh backend registry."""
 
     def __init__(self, db: Database | None = None,
                  udfs: UDFRegistry | None = None, *,
                  plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
                  metrics: MetricsRegistry | None = None,
                  tracer: Tracer | None = None,
-                 pool: ExecutorPool | None = None,
                  backends: BackendRegistry | None = None,
                  default_backend: str = DEFAULT_BACKEND,
-                 max_workers: int | None = None,
                  profile: AllocationProfile | None = None,
                  query_log=None):
         self.db = db if db is not None else Database()
@@ -152,9 +155,6 @@ class EngineSession:
                         else MetricsRegistry())
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.profile = profile if profile is not None else NULL_PROFILE
-        self._owns_pool = pool is None
-        self.pool = (pool if pool is not None
-                     else ExecutorPool(max_workers, metrics=self.metrics))
         self.backends = (backends if backends is not None
                          else default_registry())
         self.default_backend = default_backend
@@ -181,12 +181,11 @@ class EngineSession:
     # -- context --------------------------------------------------------------
 
     def context(self) -> QueryContext:
-        """A fresh :class:`QueryContext` carrying this session's tracer,
-        metrics, and pool — the object threaded explicitly through
+        """A fresh :class:`QueryContext` carrying this session's tracer
+        and metrics — the object threaded explicitly through
         parse → plan → translate → compile → execute."""
         return QueryContext(tracer=self.tracer, metrics=self.metrics,
-                            pool=self.pool, session=self,
-                            profile=self.profile)
+                            session=self, profile=self.profile)
 
     def _ctx(self, ctx: QueryContext | None) -> QueryContext:
         return ctx if ctx is not None else self.context()
@@ -198,16 +197,13 @@ class EngineSession:
         return self._closed
 
     def close(self) -> None:
-        """Release the session's resources.  Idempotent: closing twice,
-        or after the pool was already shut down at interpreter exit, is
-        a no-op."""
+        """Close the query log the session owns.  Idempotent: closing
+        twice is a no-op."""
         if self._closed:
             return
         self._closed = True
         if self._owns_query_log:
             self.query_log.close()
-        if self._owns_pool:
-            self.pool.close()
 
     def __enter__(self) -> "EngineSession":
         return self

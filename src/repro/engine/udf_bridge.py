@@ -15,8 +15,8 @@ Table 2/4 discussions) with *real* work, not artificial sleeps:
 * date columns cross as per-element Python date objects, flattened to
   int64 day counts for the UDF;
 * the bridge is **single-threaded**: conversions and the UDF body run on
-  one thread no matter how many worker threads the query uses (the
-  paper's q6/q12/q19 flat-with-threads behaviour).
+  one thread whatever ``n_threads`` the query asks for (the paper's
+  q6/q12/q19 flat-with-threads behaviour).
 """
 
 from __future__ import annotations

@@ -8,8 +8,8 @@ metric names):
   optimizer spans per pass, executor spans per kernel and per chunk);
   off by default via a near-free no-op tracer;
 * :mod:`repro.obs.metrics` — the registry of counters, gauges and
-  histograms every subsystem reports into (plan cache, executor pool,
-  kernel executor, baseline operators); one per session, carried by
+  histograms every subsystem reports into (plan cache, kernel
+  executor, baseline operators); one per session, carried by
   the :class:`~repro.core.context.QueryContext`;
 * :mod:`repro.obs.render` — ``EXPLAIN ANALYZE`` text, Chrome-trace JSON
   (Perfetto-loadable) and the flat metrics dump;

@@ -1,12 +1,12 @@
 """Runtime metrics.
 
 A zero-dependency registry of named instruments, reported into by the
-plan cache (hits/misses/evictions), the executor pool (tasks, peak
-concurrency, wall time), the kernel executor (invocations, rows, wall
-time histogram) and the baseline operators (rows scanned/produced):
+plan cache (hits/misses/evictions), the kernel executor (invocations,
+rows, wall time histogram), the allocation profiler (peak bytes) and
+the baseline operators (rows scanned/produced):
 
 * :class:`Counter` — monotonically increasing total (int or float);
-* :class:`Gauge` — last-set value (pool size, peak concurrency);
+* :class:`Gauge` — last-set or running-maximum value (peak bytes);
 * :class:`Histogram` — count/sum/min/max plus log-scale bucket counts.
   Bounds are a per-instrument constructor argument: the default
   :data:`DEFAULT_BUCKETS` is sized for kernel wall times (1µs – 10s),

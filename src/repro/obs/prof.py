@@ -51,9 +51,8 @@ def format_bytes(n: float) -> str:
 class AllocationProfile:
     """Byte-level accounting for one query (or one batch of queries).
 
-    Thread-safe: chunk workers never charge (buffers are charged once on
-    the dispatching thread), but concurrent sessions handed the same
-    profile must not lose updates.
+    Thread-safe: concurrent sessions handed the same profile must not
+    lose updates.
 
     ``events`` counts every instrumentation call (record, builtin
     breakdown, peak update) — the number the overhead benchmark

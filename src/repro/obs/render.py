@@ -209,7 +209,8 @@ def chrome_trace(spans: list[Span]) -> dict:
 
     Each span becomes one complete event: ``ph`` (phase type) ``"X"``,
     ``ts``/``dur`` in microseconds, ``tid`` the OS thread that ran the
-    span — so pool workers show up as separate tracks in Perfetto.
+    span — so sessions on several threads show up as separate tracks in
+    Perfetto.
 
     Spans carrying profiler ``alloc_bytes`` additionally emit counter
     (``"ph": "C"``) samples on an ``allocated bytes`` track — a running

@@ -11,8 +11,8 @@ module provides the machinery to see that decomposition on every run:
 * :class:`Tracer` — collects spans into trees.  The *current* span is
   tracked per-thread via a :mod:`contextvars` variable, so nested
   instrumentation sites compose without threading a span through every
-  call signature.  Worker threads do not inherit the caller's context —
-  chunk-level instrumentation passes ``parent=`` explicitly;
+  call signature.  A new thread does not inherit the caller's context —
+  a span opened there passes ``parent=`` explicitly;
 * :data:`NULL_TRACER` — the default.  Disabled tracing must be near
   free: ``NullTracer.span`` returns one shared no-op context manager and
   every instrumentation site checks ``tracer.enabled`` before computing
@@ -32,8 +32,8 @@ from contextvars import ContextVar
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER"]
 
-#: The span enclosing the caller, per thread of execution (worker threads
-#: start empty: cross-thread children pass ``parent=`` explicitly).
+#: The span enclosing the caller, per thread of execution (a new thread
+#: starts empty: cross-thread children pass ``parent=`` explicitly).
 _current_span: ContextVar["Span | None"] = ContextVar(
     "repro_obs_current_span", default=None)
 
@@ -112,7 +112,7 @@ class Span:
 
 class Tracer:
     """Collects span trees.  Thread-safe: children attach under a lock,
-    so chunk spans recorded from pool workers never race."""
+    so sessions on several threads can share one tracer."""
 
     enabled = True
 

@@ -38,7 +38,6 @@ from repro.sql import plan as p
 from repro.sql.udf import UDFRegistry
 
 __all__ = ["push_predicates", "prune_columns", "reorder_by_selectivity",
-           "references_udf",
            "find_filters_without_columns", "find_unfiltered_cross_joins",
            "find_unlimited_sorts"]
 
@@ -122,27 +121,29 @@ def _rename_columns(expr: ast.Expr, mapping: dict[str, str]) -> ast.Expr:
     return expr
 
 
-def references_udf(expr: ast.Expr, udfs: UDFRegistry) -> bool:
+def _calls_udf(expr: ast.Expr, udfs: UDFRegistry) -> bool:
+    """Whether ``expr`` calls a registered UDF anywhere (such a conjunct
+    is never pushed below a join or a projection)."""
     if isinstance(expr, ast.FuncCall):
         if udfs.is_udf(expr.name):
             return True
-        return any(references_udf(a, udfs) for a in expr.args)
+        return any(_calls_udf(a, udfs) for a in expr.args)
     if isinstance(expr, ast.BinOp):
-        return references_udf(expr.left, udfs) \
-            or references_udf(expr.right, udfs)
+        return _calls_udf(expr.left, udfs) \
+            or _calls_udf(expr.right, udfs)
     if isinstance(expr, ast.UnOp):
-        return references_udf(expr.operand, udfs)
+        return _calls_udf(expr.operand, udfs)
     if isinstance(expr, ast.CaseWhen):
         for cond, value in expr.whens:
-            if references_udf(cond, udfs) \
-                    or references_udf(value, udfs):
+            if _calls_udf(cond, udfs) \
+                    or _calls_udf(value, udfs):
                 return True
         return expr.else_expr is not None \
-            and references_udf(expr.else_expr, udfs)
+            and _calls_udf(expr.else_expr, udfs)
     if isinstance(expr, ast.InList):
-        return references_udf(expr.expr, udfs)
+        return _calls_udf(expr.expr, udfs)
     if isinstance(expr, ast.Between):
-        return references_udf(expr.expr, udfs)
+        return _calls_udf(expr.expr, udfs)
     return False
 
 
@@ -207,7 +208,7 @@ def _push_filters(node: p.PlanNode, conjuncts: list[ast.Expr],
         right_cols = set(node.right.output_names())
         for conjunct in conjuncts:
             used = _expr_columns(conjunct)
-            if references_udf(conjunct, udfs):
+            if _calls_udf(conjunct, udfs):
                 remaining.append(conjunct)
             elif used <= left_cols:
                 left_push.append(conjunct)
@@ -231,7 +232,7 @@ def _push_filters(node: p.PlanNode, conjuncts: list[ast.Expr],
         for conjunct in conjuncts:
             used = _expr_columns(conjunct)
             if used <= set(passthrough) \
-                    and not references_udf(conjunct, udfs):
+                    and not _calls_udf(conjunct, udfs):
                 pushed.append(_rename_columns(conjunct, passthrough))
             else:
                 remaining.append(conjunct)

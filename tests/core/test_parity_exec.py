@@ -1,7 +1,7 @@
 """Property-style parity suite: interpreter vs. compiled vs. chunked.
 
 The three execution paths — reference interpreter (HorsePower-Naive
-semantics), compiled single-chunk, and chunked multi-threaded — must be
+semantics), compiled single-chunk, and compiled chunked — must be
 *bit-identical*: same values, same output dtypes, and the same errors
 (type and message) on the failure paths.  Covers every reduction combine,
 empty inputs, broadcast scalars in either argument order, int32 overflow
@@ -13,10 +13,6 @@ import pytest
 
 from repro.core import types as ht
 from repro.core.compiler import compile_module
-from repro.core.context import QueryContext
-from repro.core.execpool import (
-    ExecutorPool, close_shared_pool, shared_pool,
-)
 from repro.core.interp import run_module
 from repro.core.parser import parse_module
 from repro.core.values import TableValue, Vector, coerce, from_numpy
@@ -416,61 +412,3 @@ class TestNaNMinMaxParity:
         assert np.isnan(ref.data[0])
         np.testing.assert_array_equal(native.data, ref.data)
 
-
-class TestExecutorPool:
-    def test_shared_pool_is_reused_across_calls(self):
-        """A context that binds no pool borrows the shared one for
-        parallel runs, and asks for nothing on serial ones."""
-        close_shared_pool()
-        ctx = QueryContext()
-        first = ctx.executor(4)
-        second = shared_pool().get(2)
-        assert first is second
-        assert shared_pool().stats.acquisitions >= 2
-        assert ctx.executor(1) is None
-        close_shared_pool()
-
-    def test_pool_grows_and_closes_cleanly(self):
-        with ExecutorPool() as pool:
-            small = pool.get(2)
-            assert pool.workers >= 2
-            big = pool.get(pool.workers + 3)
-            assert pool.workers >= 3
-            assert list(big.map(lambda v: v * v, range(5))) == \
-                [0, 1, 4, 9, 16]
-            assert small is big or small._shutdown
-        assert pool.closed
-        with pytest.raises(RuntimeError):
-            pool.get(2)
-
-    def test_shared_pool_recreates_after_close(self):
-        """Pool-less callers must never receive a closed pool: a close
-        (test teardown, the interpreter-exit hook) makes the next
-        ``shared_pool()`` build a fresh one."""
-        pool = shared_pool()
-        close_shared_pool()
-        assert pool.closed
-        fresh = shared_pool()
-        try:
-            assert fresh is not pool
-            assert not fresh.closed
-        finally:
-            close_shared_pool()
-
-    def test_failing_kernel_leaks_no_pool_threads(self):
-        import threading
-
-        close_shared_pool()
-        source = _reduce_module("min", "f64", "f64")
-        module = parse_module(source)
-        program = compile_module(module, "opt")
-        empty = [from_numpy(np.empty(0)),
-                 from_numpy(np.asarray([0.0]))]
-        for _ in range(5):
-            with pytest.raises(BuiltinError):
-                program.run(args=list(empty), n_threads=4,
-                            chunk_size=TINY_CHUNK)
-        workers = [t for t in threading.enumerate()
-                   if t.name.startswith("repro-exec")]
-        assert len(workers) <= shared_pool().workers
-        close_shared_pool()

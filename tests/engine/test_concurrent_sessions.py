@@ -3,8 +3,8 @@ exactly as when run serially — bit-identical results, per-session
 metrics, per-session traces, no bleed through any shared state.
 
 This is the acceptance test for the session refactor: every piece of
-runtime state a query touches (plan cache, executor pool, metrics
-registry, tracer, UDF registry) is owned by its ``EngineSession``, so
+runtime state a query touches (plan cache, metrics registry, tracer,
+UDF registry) is owned by its ``EngineSession``, so
 K sessions over distinct catalogs can interleave freely on threads.
 """
 
@@ -53,7 +53,7 @@ def queries(seed: int) -> list[str]:
 
 def run_plan(session: EngineSession, seed: int) -> list[float]:
     """One session's workload: every query twice (second run is a cache
-    hit), multi-threaded kernels, results collected in order."""
+    hit), at ``n_threads=2``, results collected in order."""
     out = []
     for sql in queries(seed):
         for _ in range(2):

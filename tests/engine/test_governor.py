@@ -9,7 +9,6 @@ import pytest
 from repro.core import types as ht
 from repro.core.codegen.executor import run_kernel
 from repro.core.codegen.pygen import CompiledKernel
-from repro.core.execpool import ExecutorPool
 from repro.core.limits import BudgetedAllocationProfile, QueryLimits
 from repro.core.values import Vector
 from repro.data.blackscholes import load_blackscholes_table
@@ -17,7 +16,7 @@ from repro.engine import EngineSession, default_registry
 from repro.engine.storage import Database
 from repro.errors import (HorseRuntimeError, MemoryBudgetExceeded,
                           QueryCancelled, QueryTimeout)
-from repro.obs import AllocationProfile, MetricsRegistry
+from repro.obs import AllocationProfile
 from repro.workloads.bs_queries import SCALAR_QUERIES, register_bs_udfs
 
 
@@ -302,36 +301,6 @@ class TestUngovernedPathUnchanged:
                                        memory_budget=1 << 30)
             assert plain.column("s").data[0] == \
                 governed.column("s").data[0]
-
-
-class TestPoolCap:
-    def test_cap_clamps_oversized_requests(self):
-        """Regression: ``get(n_threads > max_workers)`` used to grow
-        the pool past its cap."""
-        metrics = MetricsRegistry()
-        with ExecutorPool(max_workers=2, metrics=metrics) as pool:
-            pool.get(8)
-            assert pool.workers == 2
-            assert metrics.counter("pool.oversubscribed").value == 1
-            # within-cap requests are not oversubscription
-            pool.get(2)
-            assert metrics.counter("pool.oversubscribed").value == 1
-            assert pool.stats.max_workers_seen == 2
-
-    def test_oversubscribed_requests_do_not_rebuild_the_pool(self):
-        metrics = MetricsRegistry()
-        with ExecutorPool(max_workers=2, metrics=metrics) as pool:
-            pool.get(8)
-            pool.get(8)
-            pool.get(16)
-            assert pool.stats.pools_created == 1
-            assert metrics.counter("pool.oversubscribed").value == 3
-
-    def test_uncapped_pool_still_grows(self):
-        with ExecutorPool(metrics=MetricsRegistry()) as pool:
-            executor = pool.get(4)
-            assert pool.workers >= 4
-            assert executor is not None
 
 
 #: A query whose compiled form contains a fused kernel (a single

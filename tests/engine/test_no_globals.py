@@ -23,13 +23,13 @@ from repro.obs.tracer import NullTracer
 
 #: Modules whose globals are audited: the plan-cache package, the
 #: observability package, the statistics and static-analysis packages,
-#: and the executor-pool module — the places process-global state
-#: used to live or where caches could quietly become process-wide.
+#: the context, limits, session and backend modules — the places
+#: process-global state used to live or where caches could quietly
+#: become process-wide.
 AUDITED_ROOTS = ["repro.horsepower", "repro.obs", "repro.stats",
                  "repro.core.analysis"]
-AUDITED_MODULES = ["repro.core.execpool", "repro.core.context",
-                   "repro.core.limits", "repro.engine.session",
-                   "repro.engine.backends"]
+AUDITED_MODULES = ["repro.core.context", "repro.core.limits",
+                   "repro.engine.session", "repro.engine.backends"]
 
 #: Deliberate module-level state, documented at each definition site.
 #: New entries need the same justification: never state a query
@@ -39,9 +39,6 @@ ALLOWLIST = {
     ("repro.obs.tracer", "_current_span"),
     ("repro.obs.tracer", "_NULL_SPAN"),
     ("repro.obs.tracer", "NULL_TRACER"),
-    # The process-shared executor pool for code outside any session.
-    ("repro.core.execpool", "_shared"),
-    ("repro.core.execpool", "_shared_lock"),
 }
 
 #: Types that cannot hold cross-query mutable state.  ``NullTracer``
@@ -151,7 +148,7 @@ def test_default_context_is_null_and_private():
         assert ctx.tracer is NULL_TRACER
         assert ctx.profile is NULL_PROFILE
         assert ctx.limits is None
-        assert ctx.pool is None and ctx.session is None
+        assert ctx.session is None
     assert one.metrics is not two.metrics
     one.metrics.counter("x").inc()
     assert "x" not in two.metrics.snapshot()

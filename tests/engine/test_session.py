@@ -79,7 +79,6 @@ class TestSessionBasics:
             ctx = session.context()
             assert isinstance(ctx, QueryContext)
             assert ctx.metrics is session.metrics
-            assert ctx.pool is session.pool
             assert ctx.session is session
 
     def test_close_is_idempotent_and_contextmanager_safe(self):
@@ -90,7 +89,6 @@ class TestSessionBasics:
         with session:
             pass
         assert session.closed
-        assert session.pool.closed
 
     def test_compile_matlab_through_session(self):
         with EngineSession(make_db()) as session:

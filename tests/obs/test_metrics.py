@@ -1,12 +1,9 @@
-"""Metrics registry behavior, thread safety, and pool instrumentation."""
+"""Metrics registry behavior and thread safety."""
 
-import logging
 import threading
-import time
 
 import pytest
 
-from repro.core.execpool import ExecutorPool
 from repro.obs import MetricsRegistry
 from repro.obs.metrics import Counter, Gauge, Histogram
 
@@ -98,21 +95,24 @@ class TestInstruments:
 
 
 class TestThreadSafety:
-    def test_counter_increments_under_pool_workers_are_exact(self):
-        """A registry is shared by every pool worker; concurrent
-        increments through the pool must not lose updates."""
+    def test_counter_increments_under_threads_are_exact(self):
+        """Sessions on several threads may share one registry;
+        concurrent increments must not lose updates."""
         registry = MetricsRegistry()
         counter = registry.counter("hammer")
         hist = registry.histogram("hammer.seconds")
-        with ExecutorPool(metrics=registry) as pool:
-            executor = pool.get(8)
 
-            def hammer(index):
-                for _ in range(500):
-                    counter.inc()
-                    hist.observe(index * 1e-6)
+        def hammer(index):
+            for _ in range(500):
+                counter.inc()
+                hist.observe(index * 1e-6)
 
-            list(executor.map(hammer, range(16)))
+        threads = [threading.Thread(target=hammer, args=(i,))
+                   for i in range(16)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
         assert counter.value == 16 * 500
         assert hist.count == 16 * 500
 
@@ -131,81 +131,3 @@ class TestThreadSafety:
         for thread in threads:
             thread.join()
         assert all(instrument is seen[0] for instrument in seen)
-
-
-class TestPoolInstrumentation:
-    """Pools carry their own telemetry: each test builds a private
-    ``ExecutorPool`` over a private registry, so nothing here touches —
-    or needs to reset — process state."""
-
-    def test_pool_metrics_recorded(self):
-        metrics = MetricsRegistry()
-        with ExecutorPool(max_workers=4, metrics=metrics) as pool:
-            executor = pool.get(4)
-            assert list(executor.map(lambda v: v + 1, range(10))) == \
-                list(range(1, 11))
-        assert metrics.counter("pool.tasks_submitted").value == 10
-        assert metrics.counter("pool.tasks_completed").value == 10
-        assert metrics.counter("pool.task_seconds_total").value > 0
-        assert metrics.gauge("pool.size").value == 4
-        assert metrics.gauge("pool.peak_concurrent_tasks").value >= 1
-
-    def test_submit_is_instrumented_too(self):
-        metrics = MetricsRegistry()
-        with ExecutorPool(metrics=metrics) as pool:
-            future = pool.get(2).submit(lambda: 41 + 1)
-            assert future.result() == 42
-        assert metrics.counter("pool.tasks_completed").value == 1
-
-    def test_slow_worker_wait_warns_once_per_pool(self, caplog):
-        """A task waiting >100ms for a worker logs one warning per
-        *pool* (and counts every occurrence in the pool's registry)."""
-        metrics = MetricsRegistry()
-        with ExecutorPool(max_workers=1, metrics=metrics) as pool:
-            executor = pool.get(1)
-            with caplog.at_level(logging.WARNING,
-                                 logger="repro.obs.execpool"):
-                # One worker, two 120ms tasks: the second waits >100ms.
-                list(executor.map(lambda _: time.sleep(0.12), range(2)))
-                list(executor.map(lambda _: time.sleep(0.12), range(2)))
-        records = [r for r in caplog.records
-                   if "waited" in r.getMessage()]
-        assert len(records) == 1
-        assert metrics.counter("pool.wait_warnings").value >= 2
-
-    def test_wait_warning_state_is_per_pool_not_per_process(self, caplog):
-        """A second saturated pool warns again — the once-only latch
-        lives in the pool's telemetry, not in module globals."""
-        def saturate(pool):
-            executor = pool.get(1)
-            with caplog.at_level(logging.WARNING,
-                                 logger="repro.obs.execpool"):
-                list(executor.map(lambda _: time.sleep(0.12), range(2)))
-
-        with ExecutorPool(max_workers=1,
-                          metrics=MetricsRegistry()) as pool:
-            saturate(pool)
-        with ExecutorPool(max_workers=1,
-                          metrics=MetricsRegistry()) as pool:
-            saturate(pool)
-        records = [r for r in caplog.records
-                   if "waited" in r.getMessage()]
-        assert len(records) == 2
-
-    def test_instrumented_executor_delegates_introspection(self):
-        with ExecutorPool() as pool:
-            executor = pool.get(2)
-            assert executor._shutdown is False  # ThreadPoolExecutor attr
-
-    def test_close_is_idempotent_across_owners(self):
-        """Several owners (session, fixture, atexit hook) may each close
-        the same pool; every close after the first is a no-op."""
-        pool = ExecutorPool(metrics=MetricsRegistry())
-        assert pool.get(2).submit(lambda: 1).result() == 1
-        pool.close()
-        pool.close()
-        with pool:      # context-manager exit closes a third time
-            pass
-        assert pool.closed
-        with pytest.raises(RuntimeError):
-            pool.get(2)

@@ -76,7 +76,7 @@ def report_table1(emit) -> None:
         opt = compile_matlab(source, param_specs=specs, opt_level="opt")
         opt_c = compile_matlab(source, param_specs=specs,
                                opt_level="opt",
-                               backend="c") if native else None
+                               backend="cgen") if native else None
         for size in sizes:
             args = make_args(size)
             t_matlab = time_callable(lambda: interp.run(*args)).seconds
@@ -187,7 +187,7 @@ def report_table3(emit) -> None:
            f"{_fmt_speedup(t_python / t_opt)}")
     if c_backend_available():
         opt_c = compile_matlab(BLACKSCHOLES_MATLAB, opt_level="opt",
-                               backend="c")
+                               backend="cgen")
         t_c = time_callable(lambda: opt_c(*args)).seconds
         header += f" {'Opt-C(T1)':>12} {'SP':>7}"
         row += (f" {_fmt_ms(t_c):>12} "

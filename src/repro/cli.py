@@ -9,8 +9,8 @@ Commands:
   JSON, generated HorseIR (before/after optimization) and fused kernels;
 * ``compile-matlab`` — translate a MATLAB file to HorseIR (and optionally
   run it on CSV columns);
-* ``list-backends``  — print the registered execution backends, their
-  capabilities and fallback chains;
+* ``list-backends``  — print the four execution engines, their
+  availability and fallbacks;
 * ``gen-tpch``       — write TPC-H tables as ``|``-separated files;
 * ``analyze``        — collect table/column statistics (row counts,
   min/max, distinct counts, equi-depth histograms) and print them;
@@ -126,15 +126,6 @@ def _cmd_run_sql(args) -> int:
     from repro.engine.session import EngineSession
     from repro.obs import AllocationProfile, Tracer
 
-    backend = args.backend
-    if backend is not None:
-        from repro.engine.backends import default_registry
-        if backend not in default_registry():
-            known = ", ".join(sorted(default_registry().names()))
-            raise SystemExit(
-                f"unknown backend {backend!r}; registered backends: "
-                f"{known} (see `python -m repro list-backends`)")
-
     _validate_passes(args)
 
     db = _load_tables(args)
@@ -156,7 +147,7 @@ def _cmd_run_sql(args) -> int:
         for _ in range(repeat):
             result = session.run_sql(sql, n_threads=args.threads,
                                      use_cache=use_cache,
-                                     backend=backend or "python",
+                                     backend=args.backend,
                                      timeout=args.timeout,
                                      memory_budget=args.memory_budget,
                                      pipeline=args.passes,
@@ -445,29 +436,17 @@ def _cmd_compile_matlab(args) -> int:
 
 
 def _cmd_list_backends(args) -> int:
-    """Print every registered execution backend with its availability,
-    capability set, fallback chain, and aliases."""
-    from repro.engine.backends import BackendError, default_registry
+    """Print every execution engine with its availability, description
+    and fallback."""
+    from repro.engine.backends import ENGINES
 
-    registry = default_registry()
-    for name in registry.names():
-        backend = registry.get(name)
-        try:
-            resolved = registry.resolve(name)
-        except BackendError:
-            resolved = backend
-        status = "available" if backend.available() else (
-            f"unavailable (falls back to {resolved.name})"
-            if resolved is not backend else "unavailable")
+    for name, engine in ENGINES.items():
+        backend = engine()
+        status = "available" if backend.available() else "unavailable"
         print(f"{name}  [{status}]")
         print(f"    {backend.description}")
-        print("    capabilities: "
-              + ", ".join(sorted(backend.capabilities)))
         if backend.fallback is not None:
             print(f"    fallback: {backend.fallback}")
-        aliases = registry.aliases(name)
-        if aliases:
-            print("    aliases: " + ", ".join(aliases))
     return 0
 
 
@@ -485,6 +464,8 @@ def _cmd_gen_tpch(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.engine.backends import ENGINES
+
     parser = argparse.ArgumentParser(
         prog="repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -521,11 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_pipeline_args(run_sql)
     run_sql.add_argument("query", nargs="?",
                          help="SQL text (reads stdin when omitted)")
-    run_sql.add_argument("--backend", metavar="NAME",
-                         help="execution engine (a name or alias from "
-                              "`list-backends`, e.g. pygen, c, interp, "
-                              "or baseline / monetdb for the "
-                              "MonetDB-like engine); default pygen")
+    run_sql.add_argument("--backend", choices=list(ENGINES),
+                         help="execution engine (see `list-backends`; "
+                              "baseline is the MonetDB-like engine); "
+                              "default pygen")
     run_sql.add_argument("--threads", type=_thread_count, default=1,
                          metavar="N",
                          help="OpenMP threads for the C backend's "
@@ -605,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     list_backends = commands.add_parser(
         "list-backends",
-        help="print registered execution backends and capabilities")
+        help="print the execution engines and their fallbacks")
     list_backends.set_defaults(fn=_cmd_list_backends)
 
     gen_tpch = commands.add_parser("gen-tpch",

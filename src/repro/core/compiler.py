@@ -81,8 +81,8 @@ class _KernelItem:
     present it is tried first and ``run`` falls back to the Python
     kernel for segments or runtime inputs the native engine declines
     (object-dtype inputs, empty inputs, builtins without a C template)
-    — the capability fallback the backend registry documents as cgen →
-    pygen.  The kernel span then names the reason in ``c_declined``.
+    — cgen's per-segment fallback to pygen.  The kernel span then names
+    the reason in ``c_declined``.
     """
 
     __slots__ = ("kernel", "c_kernel")

@@ -11,8 +11,9 @@ paper measures in Tables 2 and 4.
 
 On top of it, :class:`~repro.engine.session.EngineSession` owns all
 per-session runtime state (database, plan cache, tracer, metrics,
-UDFs) and a :class:`~repro.engine.backends.BackendRegistry` of
-the four execution engines; the :class:`~repro.core.context.QueryContext`
+UDFs) and one instance of each of the four execution engines in
+:data:`~repro.engine.backends.ENGINES`; the
+:class:`~repro.core.context.QueryContext`
 re-exported here is the object threaded explicitly through every
 pipeline stage.
 """
@@ -22,10 +23,10 @@ from repro.engine.storage import Database  # noqa: F401
 from repro.engine.table import ColumnTable  # noqa: F401
 from repro.engine.executor import PlanExecutor  # noqa: F401
 from repro.engine.backends import (  # noqa: F401
-    Backend, BackendRegistry, CompilationUnit, default_registry,
+    ENGINES, Backend, CompilationUnit,
 )
 from repro.engine.session import CompiledQuery, EngineSession  # noqa: F401
 
 __all__ = ["Database", "ColumnTable", "PlanExecutor", "QueryContext",
-           "Backend", "BackendRegistry", "CompilationUnit",
-           "default_registry", "EngineSession", "CompiledQuery"]
+           "Backend", "CompilationUnit", "ENGINES", "EngineSession",
+           "CompiledQuery"]

@@ -1,45 +1,22 @@
-"""Pluggable execution backends behind one ``Backend`` interface.
+"""The four execution engines behind one ``Backend`` interface.
 
-The paper's architecture compiles every input language into one IR and
-then hands it to *an* execution engine; historically this reproduction
-hard-coded four engines across three modules (the reference interpreter,
-generated NumPy kernels, emitted C kernels, and the MonetDB-like
-baseline), each reached through its own code path.  This module unifies
-them:
+The paper's architecture compiles every input language into one IR
+and then hands it to *an* execution engine.  This module holds the
+engines:
 
-* :class:`Backend` — the protocol every engine implements: a ``name``,
-  a set of ``capabilities``, ``compile(unit, ctx)`` producing an
-  executable, and ``execute(compiled, ctx, ...)`` running it;
-* :class:`BackendRegistry` — named backends plus aliases, with
-  **capability-based fallback**: resolving a backend that is unavailable
-  (no gcc) or lacks a required capability walks its declared fallback
-  chain (``cgen`` → ``pygen``) instead of failing, and the ``cgen``
-  engine additionally falls back *per segment* at runtime for string or
-  compressed data its native kernels cannot express;
-* :func:`default_registry` — a fresh registry with the four standard
-  engines (``interp``, ``pygen``, ``cgen``, ``baseline``) and the
-  historical aliases (``python`` → ``pygen``, ``c`` → ``cgen``,
-  ``monetdb`` → ``baseline``).
-
-Registries are plain instances — each
-:class:`~repro.engine.session.EngineSession` gets its own, so one
-session can register an experimental backend without affecting any
-other session in the process.
-
-Capability tokens used by the standard engines:
-
-========== ===========================================================
-token      meaning
-========== ===========================================================
-sql        can execute SQL-derived work
-matlab     can execute standalone MATLAB programs
-horseir    consumes the HorseIR module (translate step required)
-fusion     fuses segments into loop kernels (HorsePower-Opt profile)
-threads    honors ``n_threads``: OpenMP threads in emitted C loops
-native     emits machine code (C + OpenMP) for eligible segments
-strings    full string/date kernel support without fallback
-prepared   compilation is worth caching in the session plan cache
-========== ===========================================================
+* :class:`Backend` — what every engine implements: a ``name``,
+  ``compile(unit, ctx)`` producing an executable, ``execute(compiled,
+  ctx, ...)`` running it, ``available()``, the ``fallback`` it degrades
+  to when unavailable, and ``horseir`` (whether it runs the HorseIR
+  module or, like the baseline, the logical plan);
+* :data:`ENGINES` — the name → class table of the four engines
+  (``interp``, ``pygen``, ``cgen``, ``baseline``); each
+  :class:`~repro.engine.session.EngineSession` holds one instance of
+  each in its ``backends`` dict;
+* :func:`resolve` — the engine for a name, following ``fallback`` while
+  the engine is unavailable (``cgen`` without gcc → ``pygen``).  The
+  ``cgen`` engine additionally falls back *per segment* at runtime for
+  inputs its native kernels cannot express.
 """
 
 from __future__ import annotations
@@ -59,16 +36,15 @@ from repro.core.values import TableValue, Value
 from repro.engine.executor import PlanExecutor
 from repro.errors import HorseRuntimeError
 
-__all__ = ["Backend", "BackendRegistry", "BackendError",
-           "CompilationUnit", "InterpProgram", "default_registry",
-           "DEFAULT_BACKEND"]
+__all__ = ["Backend", "BackendError", "CompilationUnit", "ENGINES",
+           "InterpProgram", "resolve", "DEFAULT_BACKEND"]
 
 #: The backend used when a caller does not pick one.
 DEFAULT_BACKEND = "pygen"
 
 
 class BackendError(ValueError):
-    """Unknown, unavailable, or incapable backend."""
+    """Unknown or unavailable backend, or a request it cannot serve."""
 
 
 @dataclass
@@ -96,14 +72,17 @@ class CompilationUnit:
 class Backend:
     """One execution engine.  Subclasses override the class attributes
     and the ``compile``/``execute`` pair; ``available`` answers whether
-    the engine can run in this environment (the registry consults it
-    when resolving with fallback)."""
+    the engine can run in this environment (:func:`resolve` consults
+    it)."""
 
     name: str = "abstract"
     description: str = ""
-    capabilities: frozenset = frozenset()
-    #: Name of the backend resolution degrades to when this one is
-    #: unavailable or lacks a required capability (None = no fallback).
+    #: True for the engines that run the HorseIR module: the session
+    #: translates the plan for them, holds their result to the root
+    #: estimate's q-error, and compiles MATLAB only for them.
+    horseir: bool = False
+    #: Name of the backend this one degrades to when unavailable, or
+    #: when it fails at runtime (None = no fallback).
     fallback: str | None = None
 
     def available(self) -> bool:
@@ -158,6 +137,8 @@ class InterpProgram:
 class _HorseIRBackend(Backend):
     """Shared execute path for engines that run HorseIR programs."""
 
+    horseir = True
+
     def execute(self, compiled, ctx: QueryContext, *, db=None,
                 tables=None, args=None, method=None, n_threads=1,
                 chunk_size=DEFAULT_CHUNK_SIZE, **kwargs):
@@ -177,8 +158,6 @@ class InterpBackend(_HorseIRBackend):
     name = "interp"
     description = ("reference HorseIR interpreter (full "
                    "materialization, the parity oracle)")
-    capabilities = frozenset({"sql", "matlab", "horseir", "strings",
-                              "prepared"})
 
     def compile(self, unit: CompilationUnit,
                 ctx: QueryContext) -> InterpProgram:
@@ -200,8 +179,6 @@ class PygenBackend(_HorseIRBackend):
     name = "pygen"
     description = ("generated NumPy loop kernels (chunked, "
                    "single-threaded; always available)")
-    capabilities = frozenset({"sql", "matlab", "horseir", "fusion",
-                              "strings", "prepared"})
     fallback = "interp"
 
     def compile(self, unit: CompilationUnit,
@@ -218,14 +195,11 @@ class PygenBackend(_HorseIRBackend):
 class CgenBackend(_HorseIRBackend):
     """Emitted C + OpenMP kernels, compiled with gcc per segment.
     Segments the native engine cannot express (strings, compressed
-    selections) fall back to the pygen kernel at runtime — the
-    capability fallback made per-segment."""
+    selections) fall back to the pygen kernel at runtime."""
 
     name = "cgen"
     description = ("emitted C + OpenMP kernels via gcc (per-segment "
                    "pygen fallback for strings/compressed)")
-    capabilities = frozenset({"sql", "matlab", "horseir", "fusion",
-                              "threads", "native", "prepared"})
     fallback = "pygen"
 
     def available(self) -> bool:
@@ -260,7 +234,6 @@ class BaselineBackend(Backend):
     name = "baseline"
     description = ("MonetDB-like interpreted plan execution with "
                    "black-box Python UDFs (the comparison system)")
-    capabilities = frozenset({"sql", "udf-python"})
 
     def compile(self, unit: CompilationUnit,
                 ctx: QueryContext) -> BaselinePlan:
@@ -283,79 +256,23 @@ class BaselineBackend(Backend):
                                 ctx=ctx)
 
 
-class BackendRegistry:
-    """Named :class:`Backend` instances plus aliases.
-
-    ``get`` is strict (exact name or alias); ``resolve`` additionally
-    walks each backend's declared fallback chain when the backend is
-    unavailable in this environment or lacks a required capability —
-    e.g. ``resolve("cgen")`` on a box without gcc degrades to
-    ``pygen``."""
-
-    def __init__(self):
-        self._backends: dict[str, Backend] = {}
-        self._aliases: dict[str, str] = {}
-
-    def register(self, backend: Backend,
-                 aliases: tuple[str, ...] = ()) -> Backend:
-        if backend.name in self._backends:
-            raise BackendError(
-                f"backend {backend.name!r} is already registered")
-        self._backends[backend.name] = backend
-        for alias in aliases:
-            self._aliases[alias] = backend.name
-        return backend
-
-    def names(self) -> list[str]:
-        return list(self._backends)
-
-    def aliases(self, name: str) -> list[str]:
-        """The alternate names registered for ``name``'s backend."""
-        canonical = self._aliases.get(name, name)
-        return sorted(alias for alias, target in self._aliases.items()
-                      if target == canonical)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._backends or name in self._aliases
-
-    def get(self, name: str) -> Backend:
-        canonical = self._aliases.get(name, name)
-        try:
-            return self._backends[canonical]
-        except KeyError:
-            known = sorted(set(self._backends) | set(self._aliases))
-            raise BackendError(
-                f"unknown backend {name!r}; known: "
-                f"{', '.join(known)}") from None
-
-    def resolve(self, name: str,
-                require: frozenset | set | tuple = ()) -> Backend:
-        """The backend for ``name``, degrading along fallback chains
-        when it is unavailable or lacks a capability in ``require``."""
-        backend = self.get(name)
-        required = frozenset(require)
-        seen = []
-        while True:
-            if backend.available() and required <= backend.capabilities:
-                return backend
-            seen.append(backend.name)
-            if backend.fallback is None or backend.fallback in seen:
-                missing = sorted(required - backend.capabilities)
-                reason = (f"missing capabilities {missing}" if missing
-                          else "unavailable in this environment")
-                raise BackendError(
-                    f"backend {name!r} cannot serve this request "
-                    f"({reason}) and no fallback remains "
-                    f"(tried {' -> '.join(seen)})")
-            backend = self.get(backend.fallback)
+#: The four engines, by name.
+ENGINES = {"interp": InterpBackend, "pygen": PygenBackend,
+           "cgen": CgenBackend, "baseline": BaselineBackend}
 
 
-def default_registry() -> BackendRegistry:
-    """A fresh registry with the four standard engines and the
-    historical aliases."""
-    registry = BackendRegistry()
-    registry.register(InterpBackend())
-    registry.register(PygenBackend(), aliases=("python",))
-    registry.register(CgenBackend(), aliases=("c",))
-    registry.register(BaselineBackend(), aliases=("monetdb",))
-    return registry
+def resolve(engines: dict[str, Backend], name: str) -> Backend:
+    """The engine ``engines`` holds under ``name``, following its
+    ``fallback`` while the engine is unavailable in this environment
+    (``cgen`` without gcc → ``pygen``)."""
+    try:
+        backend = engines[name]
+    except KeyError:
+        raise BackendError(f"unknown backend {name!r}; known: "
+                           f"{', '.join(engines)}") from None
+    while not backend.available():
+        if backend.fallback is None:
+            raise BackendError(f"backend {name!r} is unavailable in "
+                               f"this environment")
+        backend = engines[backend.fallback]
+    return backend

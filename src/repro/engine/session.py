@@ -2,9 +2,9 @@
 
 Everything a query touches at runtime — the database, the prepared-query
 :class:`~repro.horsepower.cache.PlanCache`, the tracer, the
-:class:`~repro.obs.MetricsRegistry`, the UDF registry, and the
-:class:`~repro.engine.backends.BackendRegistry` — used to live in
-process globals reached through module-level lookups.  An
+:class:`~repro.obs.MetricsRegistry`, the UDF registry, and the four
+execution engines (:data:`~repro.engine.backends.ENGINES`) — used to
+live in process globals reached through module-level lookups.  An
 :class:`EngineSession` owns one instance of each instead, and every
 pipeline stage (parse → plan → translate → compile → execute) receives
 the session's :class:`~repro.core.context.QueryContext` explicitly, so
@@ -39,7 +39,8 @@ from repro.core.limits import BudgetedAllocationProfile, QueryLimits
 from repro.core.passes import resolve_pipeline
 from repro.core.values import TableValue
 from repro.engine.backends import (
-    DEFAULT_BACKEND, BackendRegistry, CompilationUnit, default_registry,
+    DEFAULT_BACKEND, ENGINES, Backend, BackendError, CompilationUnit,
+    resolve,
 )
 from repro.errors import HorseRuntimeError, QueryLimitError
 from repro.engine.executor import PlanExecutor
@@ -77,7 +78,7 @@ class CompiledQuery:
     ``program`` is whatever executable the backend produced (a
     :class:`~repro.core.compiler.CompiledProgram`, the interpreter's
     module wrapper, or the baseline's plan); ``backend`` names the
-    registry entry that compiled it and will execute it."""
+    session's engine that compiled it and will execute it."""
 
     sql: str
     plan_json: dict
@@ -96,7 +97,7 @@ class CompiledQuery:
             raise ValueError(f"n_threads must be at least 1, "
                              f"got {n_threads}")
         session = self.session
-        engine = session.backends.get(self.backend)
+        engine = session.backends[self.backend]
         return engine.execute(self.program, session._ctx(ctx),
                               db=session.db, n_threads=n_threads,
                               **kwargs)
@@ -138,14 +139,14 @@ class EngineSession:
 
     A plain ``EngineSession()`` is fully isolated: its own
     :class:`MetricsRegistry`, a null tracer and a null profile unless
-    one is passed, and a fresh backend registry."""
+    one is passed, and its own instance of each engine in
+    :attr:`backends`."""
 
     def __init__(self, db: Database | None = None,
                  udfs: UDFRegistry | None = None, *,
                  plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
                  metrics: MetricsRegistry | None = None,
                  tracer: Tracer | None = None,
-                 backends: BackendRegistry | None = None,
                  default_backend: str = DEFAULT_BACKEND,
                  profile: AllocationProfile | None = None,
                  query_log=None):
@@ -155,8 +156,10 @@ class EngineSession:
                         else MetricsRegistry())
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.profile = profile if profile is not None else NULL_PROFILE
-        self.backends = (backends if backends is not None
-                         else default_registry())
+        #: One instance of each engine, by name (a test may put a fake
+        #: under a name of its own).
+        self.backends: dict[str, Backend] = {
+            name: engine() for name, engine in ENGINES.items()}
         self.default_backend = default_backend
         #: The query log (:mod:`repro.obs.telemetry`): ``query_log=``
         #: takes a path or writable stream (the session owns the log it
@@ -167,8 +170,7 @@ class EngineSession:
         self.query_log = (QueryLog(query_log) if self._owns_query_log
                           else query_log)
         self._query_ids = itertools.count(1)
-        self.plan_cache = PlanCache(plan_cache_size,
-                                    metrics=self.metrics)
+        self.plan_cache = PlanCache(plan_cache_size)
         #: Table/column statistics (:mod:`repro.stats`).  Empty — and
         #: one attribute read per query — until :meth:`analyze` runs.
         self.stats = StatsStore()
@@ -281,9 +283,8 @@ class EngineSession:
                     ctx: QueryContext | None = None, *,
                     pipeline=None, verify_ir: bool = False,
                     dump_ir: str | None = None) -> CompiledQuery:
-        """Compile ``sql`` for one backend from the session registry
-        (capability fallback applies: an unavailable backend degrades
-        along its declared chain).
+        """Compile ``sql`` for one of the session's engines (an
+        unavailable one degrades along its declared fallback).
 
         ``pipeline`` overrides the pass preset ``opt_level`` implies for
         both the plan-level and IR-level passes; ``verify_ir=True``
@@ -291,14 +292,13 @@ class EngineSession:
         (:class:`~repro.errors.PassVerificationError` on failure);
         ``dump_ir`` names a directory for per-pass IR snapshots."""
         ctx = self._ctx(ctx)
-        engine = self.backends.resolve(backend or self.default_backend,
-                                       require=("sql",))
+        engine = resolve(self.backends, backend or self.default_backend)
         # One pipeline for the whole compile: planning and the backend
         # run the passes of the same resolved (pipeline, opt_level).
         pipeline = resolve_pipeline(pipeline, opt_level=opt_level)
         plan, plan_json = self.plan_sql(sql, ctx=ctx, pipeline=pipeline)
         module = None
-        if "horseir" in engine.capabilities:
+        if engine.horseir:
             with ctx.tracer.span("translate"):
                 module = build_query_module(plan_json, self.udfs)
         unit = CompilationUnit(opt_level=opt_level, module=module,
@@ -317,23 +317,20 @@ class EngineSession:
                 dump_ir: str | None = None) -> PreparedQuery:
         """Fetch (or compile and cache) the prepared form of ``sql``.
 
-        The cache key carries the resolved backend's canonical name,
-        the catalog and UDF-registry fingerprints, and the pass-pipeline
-        fingerprint, so a schema change, a UDF registration, or a
-        different ``--passes`` pipeline can never serve a stale plan.
-        None of it is recomputed per call: the schema fingerprint (and
-        the catalog the planner reads) once per schema version, the
+        The cache key carries the resolved engine's name, the catalog,
+        UDF-registry, pass-pipeline and statistics fingerprints, so a
+        schema change, a UDF registration, a different ``--passes``
+        pipeline or an ``ANALYZE`` can never serve a stale plan.  None
+        of it is recomputed per call: the schema fingerprint (and the
+        catalog the planner reads) once per schema version, the
         registry's once per registration, the normalized text once per
-        distinct text the cache has room for.  Backends that do not
-        advertise the ``prepared`` capability (the
-        baseline) bypass the cache, as do ``use_cache=False`` and the
-        debug modes (``verify_ir``/``dump_ir`` must actually compile to
-        verify or dump anything)."""
+        distinct text the cache has room for.  Every engine's compiled
+        query is cached, the baseline's plan included; ``use_cache=False``
+        and the debug modes bypass the cache (``verify_ir``/``dump_ir``
+        must actually compile to verify or dump anything)."""
         ctx = self._ctx(ctx)
-        engine = self.backends.resolve(backend or self.default_backend,
-                                       require=("sql",))
-        use_cache = (use_cache and "prepared" in engine.capabilities
-                     and not verify_ir and dump_ir is None)
+        engine = resolve(self.backends, backend or self.default_backend)
+        use_cache = use_cache and not verify_ir and dump_ir is None
         # Resolved once, for the key and the compile below.
         pipeline = resolve_pipeline(pipeline, opt_level=opt_level)
         with ctx.tracer.span("prepare") as span:
@@ -465,20 +462,19 @@ class EngineSession:
                            dump_ir: str | None = None) -> TableValue:
         """Prepare + execute with graceful backend degradation.
 
-        A :class:`HorseRuntimeError` out of a backend whose registry
-        entry declares a fallback re-prepares and re-runs the query one
+        A :class:`HorseRuntimeError` out of an engine that declares a
+        fallback re-prepares and re-runs the query one
         step down the chain (cgen → pygen → interp), counting
         ``query.retries`` and annotating the query span; errors that
         would reproduce identically everywhere (syntax, planning,
         builtins) and the query's own limits propagate immediately.
         """
-        engine = self.backends.resolve(backend or self.default_backend,
-                                       require=("sql",))
-        name = engine.name
+        engine = resolve(self.backends, backend or self.default_backend)
         retries = 0
         while True:
             try:
-                prepared = self.prepare(sql, opt_level, backend=name,
+                prepared = self.prepare(sql, opt_level,
+                                        backend=engine.name,
                                         use_cache=use_cache, ctx=ctx,
                                         pipeline=pipeline,
                                         verify_ir=verify_ir,
@@ -490,24 +486,20 @@ class EngineSession:
                     # estimate as it executes, the root included; a
                     # HorseIR engine has no operators left, so the
                     # root is the one estimate it can be held to.
-                    self._note_estimate(
-                        prepared.query.plan_json, result, span,
-                        observe="horseir" in self.backends.get(
-                            name).capabilities)
+                    self._note_estimate(prepared.query.plan_json, result,
+                                        span, observe=engine.horseir)
                 return result
             except _RETRYABLE_ERRORS as exc:
-                fallback = self.backends.get(name).fallback
-                if fallback is None:
+                if engine.fallback is None:
                     raise
                 retries += 1
                 ctx.metrics.counter("query.retries").inc()
-                span.set(retries=retries, retried_from=name,
+                span.set(retries=retries, retried_from=engine.name,
                          retry_error=f"{type(exc).__name__}: {exc}")
-                name = self.backends.resolve(
-                    fallback, require=("sql",)).name
+                engine = resolve(self.backends, engine.fallback)
                 # The span's backend now names the engine that actually
                 # ran the query — the query log records it as provenance.
-                span.set(backend=name)
+                span.set(backend=engine.name)
 
     def _note_estimate(self, plan_json: dict, result: TableValue,
                        span, *, observe: bool) -> None:
@@ -557,10 +549,13 @@ class EngineSession:
                        pipeline=None, verify_ir: bool = False,
                        dump_ir: str | None = None) -> MatlabProgram:
         """MATLAB source → HorseIR → an executable on one of the
-        session's backends."""
+        session's HorseIR engines (:class:`BackendError` for the
+        baseline, which runs logical plans only)."""
         ctx = self._ctx(ctx)
-        engine = self.backends.resolve(backend or self.default_backend,
-                                       require=("matlab",))
+        engine = resolve(self.backends, backend or self.default_backend)
+        if not engine.horseir:
+            raise BackendError(f"backend {engine.name!r} cannot run "
+                               f"MATLAB programs")
         module = matlab_to_module(source, param_specs,
                                   module_name=module_name)
         unit = CompilationUnit(opt_level=opt_level, module=module,

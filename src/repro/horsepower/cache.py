@@ -9,15 +9,17 @@ pipelines:
 
 * :class:`PlanCache` — a thread-safe LRU of compiled queries keyed on
   ``(normalized SQL, opt level, backend, catalog fingerprint,
-  UDF-registry fingerprint, pipeline fingerprint)``.  Because the
-  fingerprints are part of the key, registering a UDF, changing the
-  schema, or compiling with a different pass pipeline (``O0``/``O1``/
-  ``O2`` preset or a custom ``--passes`` list) makes stale entries
-  unreachable; registration additionally clears the cache eagerly.
+  UDF-registry fingerprint, pipeline fingerprint, statistics
+  fingerprint)``.  Because the fingerprints are part of the key,
+  registering a UDF, changing the schema, compiling with a different
+  pass pipeline (``O0``/``O1``/``O2`` preset or a custom ``--passes``
+  list) or re-running ``ANALYZE`` makes stale entries unreachable;
+  registration and ``ANALYZE`` additionally clear the cache eagerly.
 * :class:`PreparedQuery` — one prepare's outcome: the compiled query plus
   whether this prepare was served from cache (warm) or compiled (cold).
-* :class:`CacheStats` — hit/miss/eviction/invalidation counters, surfaced
-  by the CLI (``run-sql --cache-stats``) and the benchmark harness.
+* :class:`CacheStats` — the one record of the cache's events: hit, miss,
+  eviction and invalidation counts, surfaced by the CLI (``run-sql
+  --cache-stats`` and ``--metrics-json``) and the benchmark harness.
 """
 
 from __future__ import annotations
@@ -27,12 +29,10 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.obs import MetricsRegistry
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.session import CompiledQuery
 
-__all__ = ["CacheStats", "EntryStats", "PlanCache", "PreparedQuery",
+__all__ = ["CacheStats", "PlanCache", "PreparedQuery",
            "normalize_sql", "DEFAULT_PLAN_CACHE_SIZE"]
 
 #: Default number of prepared queries retained per session.
@@ -85,31 +85,14 @@ def normalize_sql(sql: str) -> str:
 
 
 @dataclass
-class EntryStats:
-    """Per-entry provenance: how often — and how recently — an entry
-    served a hit.  ``last_hit`` is a position in the cache-wide
-    monotonic hit sequence (``CacheStats.hit_sequence``), so entries can
-    be ordered by recency without wall clocks."""
-
-    hits: int = 0
-    last_hit: int = 0
-
-
-@dataclass
 class CacheStats:
-    """Observability counters (the cache analog of ``CompileReport``).
-
-    Beyond the aggregate totals, ``entries`` carries per-entry hit
-    counts and last-hit sequence numbers for every *live* entry
-    (evicted and invalidated entries drop out); ``hit_sequence`` is the
-    monotonic counter those ``last_hit`` values index into."""
+    """Hit, miss, eviction and invalidation counts (the cache analog of
+    ``CompileReport``)."""
 
     hits: int = 0
     misses: int = 0
     evictions: int = 0
     invalidations: int = 0
-    hit_sequence: int = 0
-    entries: dict[tuple, EntryStats] = field(default_factory=dict)
 
     @property
     def lookups(self) -> int:
@@ -119,13 +102,6 @@ class CacheStats:
     def hit_rate(self) -> float:
         return self.hits / self.lookups if self.lookups else 0.0
 
-    def record_hit(self, key: tuple) -> None:
-        self.hits += 1
-        self.hit_sequence += 1
-        entry = self.entries.setdefault(key, EntryStats())
-        entry.hits += 1
-        entry.last_hit = self.hit_sequence
-
     def summary(self) -> str:
         return (f"hits={self.hits} misses={self.misses} "
                 f"evictions={self.evictions} "
@@ -134,39 +110,24 @@ class CacheStats:
 
     def to_dict(self) -> dict:
         """JSON-ready form, included in the CLI's ``--metrics-json``
-        dump.  Entry keys render as ``sql | opt_level | backend``."""
+        dump."""
         return {
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
-            "hit_sequence": self.hit_sequence,
             "hit_rate": self.hit_rate,
-            "entries": [
-                {
-                    "key": " | ".join(str(part) for part in key[:3]),
-                    "hits": entry.hits,
-                    "last_hit": entry.last_hit,
-                }
-                for key, entry in self.entries.items()
-            ],
         }
 
 
 class PlanCache:
-    """Thread-safe LRU cache of compiled queries.
+    """Thread-safe LRU cache of compiled queries; :attr:`stats` counts
+    its events."""
 
-    ``metrics`` names the registry the cache's counters report into —
-    the owning session's registry, or a private one for caches created
-    outside a session."""
-
-    def __init__(self, capacity: int = DEFAULT_PLAN_CACHE_SIZE,
-                 metrics: MetricsRegistry | None = None):
+    def __init__(self, capacity: int = DEFAULT_PLAN_CACHE_SIZE):
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got "
                              f"{capacity}")
-        if metrics is None:
-            metrics = MetricsRegistry()
         self.capacity = capacity
         self._entries: OrderedDict[tuple, "CompiledQuery"] = OrderedDict()
         #: Raw query text -> :func:`normalize_sql` of it, most recent
@@ -174,51 +135,25 @@ class PlanCache:
         self._normalized: OrderedDict[str, str] = OrderedDict()
         self._lock = threading.Lock()
         self.stats = CacheStats()
-        self._metric_hits = metrics.counter("plan_cache.hits")
-        self._metric_misses = metrics.counter("plan_cache.misses")
-        self._metric_evictions = metrics.counter("plan_cache.evictions")
-        self._metric_invalidations = metrics.counter(
-            "plan_cache.invalidations")
-        self._metric_insertions = metrics.counter(
-            "plan_cache.insertions")
 
-    @staticmethod
-    def key(sql: str, opt_level: str, backend: str,
-            catalog_fingerprint: tuple,
-            udf_fingerprint: tuple,
-            pipeline_fingerprint: str | None = None,
-            stats_fingerprint: int | None = None) -> tuple:
+    def key_of(self, sql: str, opt_level: str, backend: str,
+               catalog_fingerprint: tuple, udf_fingerprint: tuple,
+               pipeline_fingerprint: str,
+               stats_fingerprint: int | None) -> tuple:
         """The cache key for one compilation request.
 
         ``pipeline_fingerprint`` identifies the pass pipeline the
         compilation runs (``"O0"``/``"O1"``/``"O2"`` for presets,
-        ``"custom(...)"`` for an explicit pass list); ``None`` derives
-        the preset ``opt_level`` implies, so legacy five-argument
-        callers keep producing the same key as an explicit default
-        compile.
-
+        ``"custom(...)"`` for an explicit pass list).
         ``stats_fingerprint`` is the session's statistics generation
         (:meth:`repro.stats.StatsStore.fingerprint`): ``None`` while no
-        statistics exist — the legacy key — and a fresh integer after
-        every ``ANALYZE``, so plans estimated (or reordered) under old
-        statistics never serve a post-ANALYZE session."""
-        return (normalize_sql(sql),) + PlanCache._settings(
-            opt_level, backend, catalog_fingerprint, udf_fingerprint,
-            pipeline_fingerprint, stats_fingerprint)
-
-    def key_of(self, sql: str, *args) -> tuple:
-        """:meth:`key`, with :func:`normalize_sql` remembered for the
-        last ``capacity`` texts: a repeated query is normalized once."""
-        return (self._normalize(sql),) + self._settings(*args)
-
-    @staticmethod
-    def _settings(opt_level: str, backend: str, catalog_fingerprint: tuple,
-                  udf_fingerprint: tuple,
-                  pipeline_fingerprint: str | None = None,
-                  stats_fingerprint: int | None = None) -> tuple:
-        if pipeline_fingerprint is None:
-            pipeline_fingerprint = "O2" if opt_level == "opt" else "O0"
-        return (opt_level, backend, catalog_fingerprint, udf_fingerprint,
+        statistics exist and a fresh integer after every ``ANALYZE``,
+        so plans estimated (or reordered) under old statistics never
+        serve a post-ANALYZE session.  :func:`normalize_sql` is
+        remembered for the last ``capacity`` texts: a repeated query is
+        normalized once."""
+        return (self._normalize(sql), opt_level, backend,
+                catalog_fingerprint, udf_fingerprint,
                 pipeline_fingerprint, stats_fingerprint)
 
     def _normalize(self, sql: str) -> str:
@@ -239,32 +174,26 @@ class PlanCache:
             entry = self._entries.get(key)
             if entry is None:
                 self.stats.misses += 1
-                self._metric_misses.inc()
                 return None
             self._entries.move_to_end(key)
-            self.stats.record_hit(key)
-            self._metric_hits.inc()
+            self.stats.hits += 1
             return entry
 
     def insert(self, key: tuple, compiled: "CompiledQuery") -> None:
         with self._lock:
             self._entries[key] = compiled
             self._entries.move_to_end(key)
-            self._metric_insertions.inc()
             while len(self._entries) > self.capacity:
-                evicted, _ = self._entries.popitem(last=False)
-                self.stats.entries.pop(evicted, None)
+                self._entries.popitem(last=False)
                 self.stats.evictions += 1
-                self._metric_evictions.inc()
 
     def invalidate(self) -> None:
-        """Drop every entry (UDF registration, explicit reset)."""
+        """Drop every entry (UDF registration, ``ANALYZE``, explicit
+        reset)."""
         with self._lock:
             if self._entries:
                 self._entries.clear()
-                self.stats.entries.clear()
                 self.stats.invalidations += 1
-                self._metric_invalidations.inc()
 
     def __len__(self) -> int:
         with self._lock:

@@ -284,7 +284,7 @@ class TestEligibility:
                               "b": rng.integers(0, 100, 5000)})
         session = EngineSession(db)
         sql = "SELECT a, b FROM t WHERE a < 2.5 OR a > 7.5"
-        compiled = session.compile_sql(sql, backend="c")
+        compiled = session.compile_sql(sql, backend="cgen")
         assigns = [stmt for stmt in compiled.program.module.entry.body
                    if isinstance(stmt, Assign)]
         assert not [stmt for stmt in assigns if stmt.type.is_wildcard]
@@ -297,9 +297,9 @@ class TestEligibility:
             compiled.program.report.fused_segments >= 1
 
         tracer = Tracer()
-        got = session.run_sql(sql, backend="c",
+        got = session.run_sql(sql, backend="cgen",
                               ctx=replace(session.context(), tracer=tracer))
-        want = session.run_sql(sql, backend="python")
+        want = session.run_sql(sql, backend="pygen")
         assert session.metrics.counter("query.retries").value == 0
         assert [s.attrs["backend"] for s in _kernel_spans(tracer)] == ["c"]
         for (name, column), (_, expected) in zip(got.columns(),
@@ -578,7 +578,7 @@ class TestMatlabAndSQLThroughC:
             [ht.F64, ht.F64], ht.F64)
         sql = ("SELECT SUM(revUDF(l_extendedprice, l_discount)) AS r "
                "FROM lineitem WHERE l_discount >= 0.05")
-        python_result = hp.run_sql(sql, backend="python")
-        c_result = hp.run_sql(sql, backend="c")
+        python_result = hp.run_sql(sql, backend="pygen")
+        c_result = hp.run_sql(sql, backend="cgen")
         assert c_result.column("r").data[0] == pytest.approx(
             python_result.column("r").data[0])

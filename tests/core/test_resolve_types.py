@@ -168,7 +168,7 @@ def test_plain_q6_masks_share_three_bool_buffers():
 
     sql = PLAIN_QUERIES["q6"]
     with EngineSession(generate_tpch(0.01)) as session:
-        compiled = session.compile_sql(sql, backend="python")
+        compiled = session.compile_sql(sql, backend="pygen")
         [source] = compiled.kernel_sources
         assert source.count("np.empty(") == 3
         assert source.count("dtype=np.bool_") == 3

@@ -102,10 +102,9 @@ class TestConcurrentSessions:
         for seed, session in sessions.items():
             counts = session.metrics.snapshot()
             assert counts["query.count"] == N_QUERIES * 2
-            assert counts["plan_cache.hits"] == N_QUERIES
-            assert counts["plan_cache.misses"] == N_QUERIES
             assert counts["compile.count"] == N_QUERIES
             assert session.cache_stats.hits == N_QUERIES
+            assert session.cache_stats.misses == N_QUERIES
             assert len(session.plan_cache) == N_QUERIES
 
         # Per-session traces did not bleed: each tracer holds exactly

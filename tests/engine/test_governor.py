@@ -12,7 +12,8 @@ from repro.core.codegen.pygen import CompiledKernel
 from repro.core.limits import BudgetedAllocationProfile, QueryLimits
 from repro.core.values import Vector
 from repro.data.blackscholes import load_blackscholes_table
-from repro.engine import EngineSession, default_registry
+from repro.engine import EngineSession
+from repro.engine.backends import PygenBackend
 from repro.engine.storage import Database
 from repro.errors import (HorseRuntimeError, MemoryBudgetExceeded,
                           QueryCancelled, QueryTimeout)
@@ -185,14 +186,12 @@ class _FailingOnce:
         self.failures = 0
 
 
-def _flaky_registry(fail_state):
-    """A registry whose ``flaky`` backend compiles like pygen but blows
-    up at runtime, declaring pygen as its fallback — the cgen-style
-    runtime-failure scenario without needing gcc."""
-    registry = default_registry()
-    pygen = registry.get("pygen")
+def _flaky_backend(fail_state):
+    """A backend that compiles like pygen but blows up at runtime,
+    declaring pygen as its fallback — the cgen-style runtime-failure
+    scenario without needing gcc."""
 
-    class FlakyBackend(type(pygen)):
+    class FlakyBackend(PygenBackend):
         name = "flaky"
         description = "fails at runtime; falls back to pygen"
         fallback = "pygen"
@@ -201,16 +200,15 @@ def _flaky_registry(fail_state):
             fail_state.failures += 1
             raise HorseRuntimeError("kernel blew up at runtime")
 
-    registry.register(FlakyBackend())
-    return registry
+    return FlakyBackend()
 
 
 class TestGracefulDegradation:
     def test_runtime_failure_degrades_bit_identical(self):
         fail_state = _FailingOnce()
         db = make_db(rows=10_000, seed=7)
-        with EngineSession(db, backends=_flaky_registry(fail_state)) \
-                as session:
+        with EngineSession(db) as session:
+            session.backends["flaky"] = _flaky_backend(fail_state)
             degraded = session.run_sql(SQL, backend="flaky")
             expected = session.run_sql(SQL, backend="pygen")
             assert fail_state.failures == 1
@@ -222,9 +220,8 @@ class TestGracefulDegradation:
         """A query its own limits stopped must not walk the fallback
         chain: the flaky backend's fallback would hit the same limit."""
         fail_state = _FailingOnce()
-        with EngineSession(make_db(),
-                           backends=_flaky_registry(fail_state)) \
-                as session:
+        with EngineSession(make_db()) as session:
+            session.backends["flaky"] = _flaky_backend(fail_state)
             ctx = session.context()
             ctx.limits = QueryLimits()
             ctx.limits.cancel("test asked")
@@ -237,10 +234,7 @@ class TestGracefulDegradation:
     def test_no_fallback_propagates(self):
         """A backend with no declared fallback surfaces its runtime
         errors as-is — nothing left to degrade to."""
-        registry = default_registry()
-        pygen = registry.get("pygen")
-
-        class DeadEndBackend(type(pygen)):
+        class DeadEndBackend(PygenBackend):
             name = "deadend"
             description = "fails at runtime with no fallback"
             fallback = None
@@ -248,8 +242,8 @@ class TestGracefulDegradation:
             def execute(self, program, ctx, **kwargs):
                 raise HorseRuntimeError("no safety net")
 
-        registry.register(DeadEndBackend())
-        with EngineSession(make_db(), backends=registry) as session:
+        with EngineSession(make_db()) as session:
+            session.backends["deadend"] = DeadEndBackend()
             with pytest.raises(HorseRuntimeError, match="no safety"):
                 session.run_sql(SQL, backend="deadend")
             assert session.metrics.counter("query.retries").value == 0

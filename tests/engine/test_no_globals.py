@@ -2,13 +2,14 @@
 from the engine; this test fails if any module re-grows it.
 
 The refactor moved every piece of per-query runtime state (metric
-instruments, pool telemetry, cache counters, tracer lookups) into
+instruments, cache counters, tracer lookups, engine instances) into
 instances owned by an ``EngineSession``.  A module-level counter or
 flag silently reintroduces cross-session bleed, so the allowlist below
 is the *complete* set of deliberate module-level state — anything else
 at module scope that is mutable fails the build.  What remains is the
-span contextvar, the stateless null objects, and the process-shared
-thread pool (a resource with a lifetime, not a reporting path).
+span contextvar and the stateless null objects; constant tables of
+immutable values (such as the name → class table of the engines) are
+benign.
 """
 
 import __future__

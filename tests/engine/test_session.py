@@ -1,12 +1,13 @@
-"""EngineSession: isolation, backends, capability fallback, lifecycle."""
+"""EngineSession: isolation, backends, fallback, lifecycle."""
 
 import numpy as np
 import pytest
 
+from repro.core import types as ht
 from repro.core.codegen.cgen import c_backend_available
-from repro.engine import EngineSession, QueryContext, default_registry
+from repro.engine import EngineSession, QueryContext
 from repro.engine.backends import (
-    Backend, BackendError, BackendRegistry, CompilationUnit,
+    ENGINES, Backend, BackendError, CgenBackend, CompilationUnit,
 )
 from repro.engine.storage import Database
 from repro.obs import Tracer
@@ -36,7 +37,7 @@ class TestSessionBasics:
                 name: session.run_sql(
                     "SELECT SUM(x * y) AS s FROM t WHERE x > 3",
                     backend=name).column("s").data[0]
-                for name in session.backends.names()
+                for name in session.backends
             }
         expected = results.pop("interp")
         for name, value in results.items():
@@ -116,60 +117,74 @@ class TestSessionBasics:
             == query.optimize_seconds + query.codegen_seconds
 
 
-class TestBackendRegistry:
-    def test_default_registry_contents_and_aliases(self):
-        registry = default_registry()
-        assert registry.names() == ["interp", "pygen", "cgen",
-                                    "baseline"]
-        assert registry.get("python") is registry.get("pygen")
-        assert registry.get("c") is registry.get("cgen")
-        assert registry.get("monetdb") is registry.get("baseline")
-        assert "python" in registry and "pygen" in registry
-        assert registry.aliases("pygen") == ["python"]
+class _UnavailableCgen(CgenBackend):
+    """cgen on a machine without gcc; compiling on it is a bug."""
+
+    def available(self):
+        return False
+
+    def compile(self, unit, ctx):  # pragma: no cover - must not run
+        raise AssertionError("an unavailable cgen compiled")
+
+
+class TestEngineTable:
+    def test_session_holds_one_instance_per_engine(self):
+        with EngineSession(make_db()) as one, \
+                EngineSession(make_db()) as two:
+            assert list(one.backends) == ["interp", "pygen", "cgen",
+                                          "baseline"] == list(ENGINES)
+            for name, engine in one.backends.items():
+                assert type(engine) is ENGINES[name]
+                assert engine.name == name
+                assert engine is not two.backends[name]
+            assert [name for name, engine in one.backends.items()
+                    if engine.horseir] == ["interp", "pygen", "cgen"]
 
     def test_unknown_backend_raises_with_known_names(self):
-        registry = default_registry()
-        with pytest.raises(BackendError, match="unknown backend"):
-            registry.get("turbo")
-        with pytest.raises(BackendError, match="pygen"):
-            registry.get("turbo")
+        with EngineSession(make_db()) as session:
+            with pytest.raises(BackendError, match="unknown backend"):
+                session.run_sql(SQL, backend="turbo")
+            with pytest.raises(BackendError, match="pygen"):
+                session.compile_sql(SQL, backend="turbo")
 
-    def test_duplicate_registration_rejected(self):
-        registry = default_registry()
-        with pytest.raises(BackendError, match="already registered"):
-            registry.register(registry.get("pygen"))
+    @pytest.mark.parametrize("alias", ["python", "c", "monetdb"])
+    def test_old_aliases_are_refused(self, alias):
+        known = "known: interp, pygen, cgen, baseline"
+        with EngineSession(make_db()) as session:
+            with pytest.raises(BackendError, match=known):
+                session.run_sql(SQL, backend=alias)
+            with pytest.raises(BackendError, match=known):
+                session.compile_sql(SQL, backend=alias)
+            with pytest.raises(BackendError, match=known):
+                session.prepare(SQL, backend=alias)
+            assert session.cache_stats.lookups == 0
 
-    def test_capability_fallback_on_unavailable_backend(self):
-        registry = default_registry()
+    def test_unavailable_cgen_resolves_to_pygen(self):
+        with EngineSession(make_db()) as session:
+            session.backends["cgen"] = _UnavailableCgen()
+            assert session.compile_sql(SQL,
+                                       backend="cgen").backend == "pygen"
+            result = session.run_sql(SQL, backend="cgen")
+            assert result.column("s").data[0] == pytest.approx(4950.0)
+            # run_sql cached the pygen compile under the pygen key.
+            prepared = session.prepare(SQL, backend="cgen")
+            assert prepared.cached and prepared.query.backend == "pygen"
+            assert session.metrics.counter("query.retries").value == 0
 
-        class BrokenCgen(type(registry.get("cgen"))):
-            def available(self):
-                return False
+    def test_unavailable_engine_without_fallback_raises(self):
+        class Gone(_UnavailableCgen):
+            fallback = None
 
-        broken = BackendRegistry()
-        broken.register(registry.get("interp"))
-        broken.register(registry.get("pygen"))
-        broken.register(BrokenCgen())
-        assert broken.resolve("cgen").name == "pygen"
-
-    def test_capability_requirement_walks_fallback(self):
-        registry = default_registry()
-        # cgen does not advertise full string support; the requirement
-        # degrades it to pygen, which does.
-        assert registry.resolve("cgen",
-                                require=("strings",)).name == "pygen"
-
-    def test_exhausted_fallback_chain_raises(self):
-        registry = default_registry()
-        with pytest.raises(BackendError, match="missing capabilities"):
-            registry.resolve("baseline", require=("horseir",))
+        with EngineSession(make_db()) as session:
+            session.backends["cgen"] = Gone()
+            with pytest.raises(BackendError, match="unavailable"):
+                session.run_sql(SQL, backend="cgen")
 
     def test_custom_backend_registers_per_session(self):
         calls = []
 
         class Recorder(Backend):
             name = "recorder"
-            capabilities = frozenset({"sql"})
             fallback = "pygen"
 
             def compile(self, unit, ctx):
@@ -177,23 +192,45 @@ class TestBackendRegistry:
                 raise BackendError("recorder cannot compile")
 
         with EngineSession(make_db()) as session:
-            session.backends.register(Recorder())
+            session.backends["recorder"] = Recorder()
             with pytest.raises(BackendError):
                 session.run_sql(SQL, backend="recorder")
         assert calls == [SQL]
-        # Other sessions (fresh registries) never see it.
+        # Other sessions (their own engines) never see it.
         with EngineSession(make_db()) as other:
             with pytest.raises(BackendError, match="unknown backend"):
                 other.run_sql(SQL, backend="recorder")
 
+    def test_compile_matlab_refuses_the_baseline(self):
+        source = "function y = f(x)\n  y = sum(x .* x);\nend"
+        with EngineSession(make_db()) as session:
+            with pytest.raises(BackendError, match="baseline"):
+                session.compile_matlab(source, backend="baseline")
+            program = session.compile_matlab(source, backend="interp")
+            assert program(np.array([1.0, 2.0])) == pytest.approx(5.0)
+
 
 class TestBackendBehavior:
-    def test_baseline_backend_skips_plan_cache(self):
+    def test_baseline_backend_uses_the_plan_cache(self):
         with EngineSession(make_db()) as session:
-            session.run_sql(SQL, backend="baseline")
-            session.run_sql(SQL, backend="baseline")
+            cold = session.run_sql(SQL, backend="baseline")
+            warm = session.run_sql(SQL, backend="baseline")
+            assert session.cache_stats.hits == 1
+            assert len(session.plan_cache) == 1
+            assert warm.column("s").data.tolist() \
+                == cold.column("s").data.tolist() == [4950.0]
+            # ANALYZE and a UDF registration each invalidate it.
+            session.analyze()
             assert len(session.plan_cache) == 0
-            assert session.cache_stats.lookups == 0
+            session.run_sql(SQL, backend="baseline")
+            session.register_scalar_udf(
+                "twice", "function y = twice(x)\n  y = x .* 2;\nend",
+                [ht.F64])
+            assert len(session.plan_cache) == 0
+            assert session.cache_stats.invalidations == 2
+            again = session.run_sql(SQL, backend="baseline")
+            assert again.column("s").data.tolist() == [4950.0]
+            assert session.cache_stats.misses == 3
 
     def test_prepared_backends_share_no_cache_entries(self):
         with EngineSession(make_db()) as session:
@@ -201,13 +238,6 @@ class TestBackendBehavior:
             session.run_sql(SQL, backend="interp")
             assert len(session.plan_cache) == 2
             session.run_sql(SQL, backend="pygen")
-            assert session.cache_stats.hits == 1
-
-    def test_alias_and_canonical_name_share_one_entry(self):
-        with EngineSession(make_db()) as session:
-            session.run_sql(SQL, backend="python")
-            session.run_sql(SQL, backend="pygen")
-            assert len(session.plan_cache) == 1
             assert session.cache_stats.hits == 1
 
     def test_interp_backend_reports_compile_provenance(self):
@@ -235,9 +265,8 @@ class TestBackendBehavior:
         assert result.column("s").data[0] == pytest.approx(4950.0)
 
     def test_compilation_unit_requirements(self):
-        registry = default_registry()
         ctx = QueryContext()
         with pytest.raises(BackendError, match="HorseIR module"):
-            registry.get("pygen").compile(CompilationUnit(), ctx)
+            ENGINES["pygen"]().compile(CompilationUnit(), ctx)
         with pytest.raises(BackendError, match="logical plan"):
-            registry.get("baseline").compile(CompilationUnit(), ctx)
+            ENGINES["baseline"]().compile(CompilationUnit(), ctx)

@@ -95,59 +95,16 @@ class TestHitMiss:
         assert hp.cache_stats.lookups == 0
         assert len(hp.plan_cache) == 0
 
-
-class TestEntryStats:
-    def test_per_entry_hits_and_last_hit_sequence(self, hp):
-        q1 = "SELECT SUM(x) AS s FROM t"
-        q2 = "SELECT SUM(y) AS s FROM t"
-        hp.run_sql(q1)
-        hp.run_sql(q2)
-        hp.run_sql(q1)
-        hp.run_sql(q1)
-        hp.run_sql(q2)
-        stats = hp.cache_stats
-        assert stats.hit_sequence == 3
-        entries = list(stats.entries.values())
-        assert len(entries) == 2
-        by_hits = sorted(entries, key=lambda e: e.hits)
-        assert [e.hits for e in by_hits] == [1, 2]
-        # The q2 hit came last, so it owns the newest sequence number.
-        assert by_hits[0].last_hit == 3
-        assert by_hits[1].last_hit == 2
-        # Sequence numbers are unique and monotonic across entries.
-        assert len({e.last_hit for e in entries}) == 2
-
-    def test_entry_stats_survive_in_metrics_dump(self, hp):
+    def test_cache_stats_are_the_one_record(self, hp):
         sql = "SELECT SUM(x) AS s FROM t"
         hp.run_sql(sql)
         hp.run_sql(sql)
-        dump = hp.cache_stats.to_dict()
-        assert dump["hits"] == 1 and dump["hit_sequence"] == 1
-        entry, = dump["entries"]
-        assert "SELECT SUM(x) AS s FROM t" in entry["key"]
-        assert entry["hits"] == 1 and entry["last_hit"] == 1
-
-    def test_eviction_drops_entry_stats(self, db):
-        hp = EngineSession(db, plan_cache_size=1)
-        q1 = "SELECT SUM(x) AS s FROM t"
-        q2 = "SELECT SUM(y) AS s FROM t"
-        hp.run_sql(q1)
-        hp.run_sql(q1)
-        assert len(hp.cache_stats.entries) == 1
-        hp.run_sql(q2)  # evicts q1
-        keys = list(hp.cache_stats.entries)
-        assert len(keys) <= 1
-        assert all(key[0] != normalize_sql(q1) for key in keys)
-
-    def test_invalidation_clears_entry_stats(self, hp):
-        sql = "SELECT SUM(x) AS s FROM t"
-        hp.run_sql(sql)
-        hp.run_sql(sql)
-        assert hp.cache_stats.entries
         hp.plan_cache.invalidate()
-        assert hp.cache_stats.entries == {}
-        # The cumulative hit sequence is not rewound by invalidation.
-        assert hp.cache_stats.hit_sequence == 1
+        assert hp.cache_stats.to_dict() == {
+            "hits": 1, "misses": 1, "evictions": 0, "invalidations": 1,
+            "hit_rate": 0.5}
+        assert not [name for name in hp.metrics.snapshot()
+                    if name.startswith("plan_cache")]
 
 
 class TestInvalidation:
@@ -168,15 +125,15 @@ class TestInvalidation:
         # Even without the eager clear, a registration changes the key:
         # the old entry would be unreachable.
         sql = "SELECT SUM(x) AS s FROM t"
-        key_before = hp.plan_cache.key(
-            sql, "opt", "python", hp.db.schema_fingerprint(),
-            hp.udfs.fingerprint())
+        key_before = hp.plan_cache.key_of(
+            sql, "opt", "pygen", hp.db.schema_fingerprint(),
+            hp.udfs.fingerprint(), "O2", None)
         hp.register_scalar_udf(
             "triple_it", "function y = triple_it(x)\n  y = x .* 3;\nend",
             [ht.F64])
-        key_after = hp.plan_cache.key(
-            sql, "opt", "python", hp.db.schema_fingerprint(),
-            hp.udfs.fingerprint())
+        key_after = hp.plan_cache.key_of(
+            sql, "opt", "pygen", hp.db.schema_fingerprint(),
+            hp.udfs.fingerprint(), "O2", None)
         assert key_before != key_after
 
     def test_schema_change_rotates_the_key(self, hp, db):
@@ -257,25 +214,12 @@ class TestPipelineFingerprint:
     CAT = (("t", ("x", "y")),)
     UDF = ()
 
-    def test_legacy_key_equals_explicit_default(self):
-        legacy = PlanCache.key("SELECT 1", "opt", "python",
-                               self.CAT, self.UDF)
-        explicit = PlanCache.key("SELECT 1", "opt", "python",
-                                 self.CAT, self.UDF, "O2")
-        assert legacy == explicit
-        assert PlanCache.key("SELECT 1", "naive", "python",
-                             self.CAT, self.UDF) \
-            == PlanCache.key("SELECT 1", "naive", "python",
-                             self.CAT, self.UDF, "O0")
-
     def test_distinct_pipelines_are_distinct_keys(self):
-        base = PlanCache.key("SELECT 1", "opt", "python",
-                             self.CAT, self.UDF)
-        o1 = PlanCache.key("SELECT 1", "opt", "python",
-                           self.CAT, self.UDF, "O1")
-        custom = PlanCache.key("SELECT 1", "opt", "python",
-                               self.CAT, self.UDF,
-                               "custom(inline,simplify)")
+        cache = PlanCache()
+        base, o1, custom = (
+            cache.key_of("SELECT 1", "opt", "pygen", self.CAT, self.UDF,
+                         pipeline, None)
+            for pipeline in ("O2", "O1", "custom(inline,simplify)"))
         assert len({base, o1, custom}) == 3
 
     def test_pipeline_variants_do_not_share_cache_entries(self, hp):

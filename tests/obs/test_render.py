@@ -35,7 +35,7 @@ def hp_system():
 
 def _trace_query(hp, sql, **kwargs):
     tracer = Tracer()
-    hp.run_sql(sql, backend="python",
+    hp.run_sql(sql, backend="pygen",
                ctx=replace(hp.context(), tracer=tracer), **kwargs)
     root = tracer.last_root()
     assert root is not None and root.name == "query"

@@ -8,7 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from repro.engine import EngineSession, default_registry
+from repro.engine import EngineSession
+from repro.engine.backends import PygenBackend
 from repro.engine.storage import Database
 from repro.errors import HorseRuntimeError, QueryTimeout
 from repro.obs import QueryLog, Tracer
@@ -35,13 +36,11 @@ class _FailState:
         self.failures = 0
 
 
-def _flaky_registry(fail_state):
+def _flaky_backend(fail_state):
     """A backend that fails at runtime and declares pygen as fallback
     (same shape as test_governor's degradation scenario)."""
-    registry = default_registry()
-    pygen = registry.get("pygen")
 
-    class FlakyBackend(type(pygen)):
+    class FlakyBackend(PygenBackend):
         name = "flaky"
         description = "fails at runtime; falls back to pygen"
         fallback = "pygen"
@@ -50,8 +49,7 @@ def _flaky_registry(fail_state):
             fail_state.failures += 1
             raise HorseRuntimeError("kernel blew up at runtime")
 
-    registry.register(FlakyBackend())
-    return registry
+    return FlakyBackend()
 
 
 # -- query log --------------------------------------------------------------
@@ -119,9 +117,8 @@ class TestQueryLog:
     def test_retried_query_records_provenance(self):
         sink = io.StringIO()
         fail_state = _FailState()
-        with EngineSession(make_db(), query_log=sink,
-                           backends=_flaky_registry(fail_state)) \
-                as session:
+        with EngineSession(make_db(), query_log=sink) as session:
+            session.backends["flaky"] = _flaky_backend(fail_state)
             result = session.run_sql(SQL, backend="flaky")
         assert result.num_rows == 1
         assert fail_state.failures == 1

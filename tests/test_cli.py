@@ -91,8 +91,8 @@ def test_bad_schema_type_message(csv_table):
               "SELECT x FROM t"])
 
 
-@pytest.mark.parametrize("backend", ["interp", "pygen", "python",
-                                     "baseline", "monetdb"])
+@pytest.mark.parametrize("backend", ["interp", "pygen", "cgen",
+                                     "baseline"])
 def test_run_sql_backend_selection(csv_table, capsys, backend):
     code = main(["run-sql", "--backend", backend,
                  "--table", f"t={csv_table}@x:f64,label:str",
@@ -101,11 +101,39 @@ def test_run_sql_backend_selection(csv_table, capsys, backend):
     assert "6.0" in capsys.readouterr().out
 
 
-def test_run_sql_unknown_backend_is_rejected(csv_table):
-    with pytest.raises(SystemExit, match="unknown backend 'turbo'"):
-        main(["run-sql", "--backend", "turbo",
+def test_run_sql_defaults_to_the_session_backend(csv_table, tmp_path):
+    import json
+
+    from repro.engine.backends import DEFAULT_BACKEND
+
+    log_path = tmp_path / "queries.jsonl"
+    code = main(["run-sql", "--query-log", str(log_path),
+                 "--table", f"t={csv_table}@x:f64,label:str",
+                 "SELECT SUM(x) AS s FROM t"])
+    assert code == 0
+    record = json.loads(log_path.read_text())
+    assert record["backend_requested"] == record["backend"] \
+        == DEFAULT_BACKEND
+
+
+def _assert_backend_refused(csv_table, capsys, backend):
+    with pytest.raises(SystemExit) as exc:
+        main(["run-sql", "--backend", backend,
               "--table", f"t={csv_table}@x:f64,label:str",
               "SELECT SUM(x) AS s FROM t"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"invalid choice: '{backend}'" in err
+    assert "'interp', 'pygen', 'cgen', 'baseline'" in err
+
+
+def test_run_sql_unknown_backend_is_rejected(csv_table, capsys):
+    _assert_backend_refused(csv_table, capsys, "turbo")
+
+
+@pytest.mark.parametrize("alias", ["python", "c", "monetdb"])
+def test_run_sql_old_aliases_are_refused(csv_table, capsys, alias):
+    _assert_backend_refused(csv_table, capsys, alias)
 
 
 def test_run_sql_has_no_system_flag(csv_table, capsys):
@@ -152,9 +180,8 @@ def test_list_backends(capsys):
     out = capsys.readouterr().out
     for name in ("interp", "pygen", "cgen", "baseline"):
         assert name in out
-    assert "capabilities:" in out
-    assert "aliases: python" in out
     assert "fallback: pygen" in out
+    assert "capabilities" not in out and "aliases" not in out
 
 
 def test_run_sql_query_log_writes_jsonl(csv_table, tmp_path, capsys):

@@ -50,7 +50,7 @@ from repro.core import builtins as hb
 from repro.core import ir
 from repro.core import types as ht
 from repro.core.codegen.pygen import compress_guards, compress_length_error
-from repro.core.optimizer.fusion import ANY, Segment
+from repro.core.optimizer.fusion import ANY, Segment, domain_masks
 from repro.core.values import Vector
 from repro.errors import BuiltinError, CodegenError, HorseRuntimeError
 
@@ -221,19 +221,13 @@ def _c_literal(literal: ir.Literal) -> str:
     return repr(float(literal.value))
 
 
-def _masks(domain: tuple) -> tuple[str, ...]:
-    """The mask variables of a domain, outermost first (none for the
-    base and broadcast domains)."""
-    return tuple(part[2:] for part in domain[1:])
-
-
 def _compacted_domains(segment: Segment) -> list[tuple]:
     """The compressed domains the segment's vector outputs live in, in
     order: each gets its own per-thread count ``k<j>`` and length
     ``lens[j]``."""
     return list(dict.fromkeys(
         segment.domains[name] for name, role in segment.outputs
-        if role == "vector" and _masks(segment.domains[name])))
+        if role == "vector" and domain_masks(segment.domains[name])))
 
 
 def _meet(a: tuple, b: tuple | None) -> tuple:
@@ -294,7 +288,7 @@ class _SourceBuilder:
             self._compacted_stores(j, domain)
         self._enter(())
         for name in self._vectors:
-            if not _masks(segment.domains[name]):
+            if not domain_masks(segment.domains[name]):
                 self._store(name, "i")
 
         lines = ["#include <math.h>", "#include <omp.h>",
@@ -386,7 +380,7 @@ class _SourceBuilder:
         for name in self._vectors:
             domain = domains[name]
             require(name, () if self._branch_free(domain)
-                    else _masks(domain))
+                    else domain_masks(domain))
         placed: dict[int, tuple] = {}
         stmts = self.segment.stmts
         for index in reversed(range(len(stmts))):
@@ -401,13 +395,13 @@ class _SourceBuilder:
             builtin = hb.get(expr.name)
             if builtin.kind == "compress":
                 mask, data = expr.args
-                require(mask.name, _masks(domains[target])[:-1])
+                require(mask.name, domain_masks(domains[target])[:-1])
                 if target in need:
                     require(data.name, need[target])
             elif builtin.kind == "reduction":
                 arg = expr.args[0].name
                 if target in dict(self._reductions):
-                    placed[index] = _masks(domains[arg])
+                    placed[index] = domain_masks(domains[arg])
                     require(arg, placed[index])
             elif target in need:
                 placed[index] = need[target]
@@ -506,7 +500,7 @@ class _SourceBuilder:
 
     def _compacted_stores(self, j: int, domain: tuple) -> None:
         """Write compressed ``domain``'s outputs at ``lo + k<j>``."""
-        masks = _masks(domain)
+        masks = domain_masks(domain)
         if self._branch_free(domain):
             self._enter(())
             step = " += " + " && ".join(

@@ -15,8 +15,6 @@ shrinks to the rows selected.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core import builtins as hb
@@ -38,20 +36,10 @@ def run_kernel(kernel: CompiledKernel, inputs: list[Vector],
                chunk_size: int = DEFAULT_CHUNK_SIZE, *,
                ctx: QueryContext) -> list[Vector]:
     """Execute a fused kernel over its inputs; returns the output vectors
-    in the order of ``kernel.outputs``.  Spans and kernel metrics report
-    into ``ctx``."""
-    start = time.perf_counter()
+    in the order of ``kernel.outputs``.  Spans, the chunk count and the
+    allocation profile report into ``ctx``."""
     outputs = _run_kernel(kernel, inputs, chunk_size, ctx)
-    metrics = ctx.metrics
-    metrics.counter("kernel.invocations").inc()
-    metrics.histogram("kernel.seconds").observe(
-        time.perf_counter() - start)
-    metrics.counter("kernel.rows_in").inc(
-        max((len(v) for v in inputs), default=0))
-    metrics.counter("kernel.rows_out").inc(
-        max((len(v) for v in outputs), default=0))
-    profile = ctx.profile
-    if profile.enabled:
+    if ctx.profile.enabled:
         charge_kernel_alloc(kernel, inputs, outputs, chunk_size, ctx)
     return outputs
 

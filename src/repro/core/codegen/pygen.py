@@ -35,7 +35,7 @@ import numpy as np
 from repro.core import builtins as hb
 from repro.core import ir
 from repro.core import types as ht
-from repro.core.optimizer.fusion import ANY, BASE, Segment
+from repro.core.optimizer.fusion import ANY, BASE, Segment, domain_masks
 from repro.errors import CodegenError, HorseRuntimeError
 
 __all__ = ["CompiledKernel", "generate_kernel", "compress_guards",
@@ -337,11 +337,6 @@ def _is_compress(expr: ir.Expr) -> bool:
         and hb.get(expr.name).kind == "compress"
 
 
-def _masks(domain: tuple) -> tuple[str, ...]:
-    """The mask variables of a domain, outermost first."""
-    return tuple(part[2:] for part in domain[1:])
-
-
 # ---------------------------------------------------------------------------
 # length guards
 # ---------------------------------------------------------------------------
@@ -370,7 +365,7 @@ def compress_guards(segment: Segment) -> tuple[tuple, bool]:
         expr = stmt.expr
         while isinstance(expr, ir.Cast):
             expr = expr.expr
-        if _masks(segment.domains[stmt.target]) \
+        if domain_masks(segment.domains[stmt.target]) \
                 and not _is_compress(expr):
             continue  # a compressed value: its length is the selection's
         found = frozenset()
@@ -381,7 +376,7 @@ def compress_guards(segment: Segment) -> tuple[tuple, bool]:
             if builtin.kind == "compress":
                 mask, data = (arg.name for arg in expr.args)
                 domains = [segment.domains[mask], segment.domains[data]]
-                if not any(_masks(domain) for domain in domains):
+                if not any(domain_masks(domain) for domain in domains):
                     guards[tuple(tuple(sorted(sources.get(name, ())))
                                  for name in (mask, data))] = None
                 elif domains[0] != domains[1]:
@@ -611,7 +606,7 @@ class _Emitter:
         """The in-kernel length check of a dynamic compress (see
         :func:`compress_guards`)."""
         mask, data = (self.segment.domains[arg.name] for arg in expr.args)
-        if mask != data and (_masks(mask) or _masks(data)):
+        if mask != data and (domain_masks(mask) or domain_masks(data)):
             args = ", ".join(_emit_expr(a) for a in expr.args)
             self.lines.append(f"    _compress_check({args})")
 

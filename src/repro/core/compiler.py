@@ -9,6 +9,12 @@ Two optimization levels, matching the paper's configurations:
   propagation, CSE, backward slicing, pattern-based fusion — followed by
   automatic loop fusion and kernel code generation.
 
+Either way the program runs on the reference interpreter's statement
+loop (:class:`~repro.core.interp.Interpreter`): at ``"naive"`` over the
+method bodies as they are, at ``"opt"`` over each method's compiled
+plan, whose fused segments are kernel items in place of the statements
+they replace.
+
 The compiled program's ``run`` takes ``n_threads``, the OpenMP thread
 count of the emitted C kernels (NumPy kernels run on the caller's
 thread), and an optional :class:`~repro.core.context.QueryContext`
@@ -29,7 +35,6 @@ from functools import partial
 
 from repro.core import builtins as hb
 from repro.core import ir
-from repro.core import types as ht
 from repro.core.analysis.typeshape import consistent_types, resolve_types
 from repro.core.codegen.cgen import CKernel, c_backend_available
 from repro.core.codegen.executor import DEFAULT_CHUNK_SIZE, run_kernel
@@ -39,17 +44,15 @@ from repro.core.context import QueryContext
 from repro.core.optimizer import OptimizeStats, optimize
 from repro.core.passes import resolve_pipeline
 from repro.core.optimizer.fusion import (
-    FusedItem, IfItem, OpaqueItem, ReturnItem, WhileItem, segment_method,
+    FusedItem, IfItem, OpaqueItem, ReturnItem, segment_method,
 )
-from repro.core.values import (TableValue, Value, Vector, coerce, scalar,
-                               value_nbytes)
+from repro.core.interp import Interpreter
+from repro.core.values import TableValue, Value, Vector, value_nbytes
 from repro.core.verify import verify_module
 from repro.errors import HorseRuntimeError
 
 __all__ = ["compile_module", "compilation", "CompiledProgram",
            "CompileReport"]
-
-_MAX_LOOP_ITERATIONS = 100_000_000
 
 
 @dataclass
@@ -118,7 +121,7 @@ class _KernelItem:
             if span is not None:
                 span.set(backend="python", c_declined=declined)
         return run_kernel(self.kernel, inputs,
-                          chunk_size=state.chunk_size, ctx=state.ctx)
+                          chunk_size=state.chunk_size, ctx=state.qctx)
 
 
 def _python_kernel_item(segment, name: str, report: CompileReport,
@@ -150,11 +153,6 @@ _BUILTIN_FACTORIES = {
 }
 
 
-class _ReturnSignal(Exception):
-    def __init__(self, value: Value):
-        self.value = value
-
-
 class CompiledProgram:
     """An executable HorseIR program."""
 
@@ -180,16 +178,21 @@ class CompiledProgram:
                              f"got {n_threads}")
         if ctx is None:
             ctx = QueryContext()
-        eval_ctx = hb.EvalContext(tables)
         entry = method if method is not None else self.module.entry.name
-        state = _RunState(self, eval_ctx, n_threads, chunk_size, ctx)
+        try:
+            target = self.module.methods[entry]
+        except KeyError:
+            raise HorseRuntimeError(
+                f"no method {entry!r} in compiled module") from None
+        state = _RunState(self, hb.EvalContext(tables), n_threads,
+                          chunk_size, ctx)
         tracer = ctx.tracer
         if not tracer.enabled:
-            return state.call(entry, list(args or []))
+            return state._call(target, list(args or []))
         with tracer.span("execute", method=entry,
                          n_threads=n_threads,
                          opt_level=self.report.opt_level) as span:
-            result = state.call(entry, list(args or []))
+            result = state._call(target, list(args or []))
             rows = getattr(result, "num_rows", None)
             if rows is not None:
                 span.set(rows_out=rows)
@@ -201,113 +204,26 @@ class CompiledProgram:
         return list(self.report.kernel_sources)
 
 
-class _RunState:
-    """Per-run execution state: context, threading, method dispatch."""
+class _RunState(Interpreter):
+    """One run of a compiled program: the reference interpreter's
+    statement loop over each method's compiled plan — IR statements
+    plus kernel items — with the run's threading and chunking."""
+
+    site_prefix = "stmt:"
+    checkpoint = "plan-item"
 
     def __init__(self, program: CompiledProgram, eval_ctx: hb.EvalContext,
                  n_threads: int, chunk_size: int, ctx: QueryContext):
-        self.program = program
-        self.eval_ctx = eval_ctx
+        super().__init__(program.module, eval_ctx, ctx)
+        self.plans = program._plans
         self.n_threads = n_threads
         self.chunk_size = chunk_size
-        self.ctx = ctx
-        #: Allocation accounting for this run (NULL_PROFILE when the
-        #: query is not profiled; sites check ``.enabled`` first).
-        self.profile = ctx.profile
-        #: Cooperative cancellation surface (None when the query set
-        #: no limits), checked once per plan item; chunked kernels add
-        #: a finer per-chunk checkpoint in the kernel executor.
-        self.limits = ctx.limits
 
-    def call(self, method_name: str, args: list[Value]) -> Value:
-        try:
-            method = self.program.module.methods[method_name]
-        except KeyError:
-            raise HorseRuntimeError(
-                f"no method {method_name!r} in compiled module") from None
-        if len(args) != len(method.params):
-            raise HorseRuntimeError(
-                f"method {method_name!r} expects {len(method.params)} "
-                f"argument(s), got {len(args)}")
-        env: dict[str, Value] = {
-            param.name: value
-            for param, value in zip(method.params, args)
-        }
-        plan = self.program._plans[method_name]
-        try:
-            self._exec_plan(plan, env)
-        except _ReturnSignal as signal:
-            return signal.value
-        raise HorseRuntimeError(
-            f"method {method_name!r} finished without returning")
+    def body_of(self, method: ir.Method) -> list:
+        return self.plans[method.name]
 
-    # -- plan execution ------------------------------------------------------
-
-    def _exec_plan(self, plan: list, env: dict[str, Value]) -> None:
-        profile = self.profile
-        limits = self.limits
-        for item in plan:
-            if limits is not None:
-                limits.check("plan-item")
-            if isinstance(item, _KernelItem):
-                self._exec_kernel_item(item, env)
-                if profile.enabled:
-                    profile.update_peak(
-                        sum(value_nbytes(v) for v in env.values()))
-            elif isinstance(item, OpaqueItem):
-                stmt = item.stmt
-                value = env[stmt.target] = _coerce(
-                    self._eval(stmt.expr, env), stmt.type)
-                if profile.enabled:
-                    # Opaque statements materialize like the reference
-                    # interpreter; reference hand-outs (a table, a
-                    # column) charge nothing, by the same rule as the
-                    # naive path.
-                    if hb.charges_output(
-                            stmt.expr, value,
-                            lambda call: self._eval(call, env)):
-                        profile.record(value_nbytes(value),
-                                       site=f"stmt:{stmt.target}")
-                    profile.update_peak(
-                        sum(value_nbytes(v) for v in env.values()))
-            elif isinstance(item, ReturnItem):
-                raise _ReturnSignal(self._eval(item.expr, env))
-            elif isinstance(item, IfItem):
-                if self._truth(item.cond, env):
-                    self._exec_plan(item.then_plan, env)
-                else:
-                    self._exec_plan(item.else_plan, env)
-            elif isinstance(item, WhileItem):
-                iterations = 0
-                while self._truth(item.cond, env):
-                    self._exec_plan(item.body_plan, env)
-                    iterations += 1
-                    if iterations > _MAX_LOOP_ITERATIONS:
-                        raise HorseRuntimeError(
-                            "while loop exceeded the iteration limit")
-            else:
-                raise HorseRuntimeError(
-                    f"unknown plan item {type(item).__name__}")
-
-    def _exec_kernel_item(self, item: _KernelItem,
-                          env: dict[str, Value]) -> None:
+    def exec_other(self, item: _KernelItem, env: dict[str, Value]) -> None:
         kernel = item.kernel
-        inputs = self._gather_inputs(kernel, env)
-        tracer = self.ctx.tracer
-        if not tracer.enabled:
-            outputs = item.run(inputs, self)
-        else:
-            with tracer.span("kernel:" + kernel.fn.__name__,
-                             statements=len(kernel.segment.stmts)) as sp:
-                outputs = item.run(inputs, self, span=sp)
-                sp.set(rows_in=max((len(v) for v in inputs), default=0),
-                       rows_out=max((len(v) for v in outputs),
-                                    default=0))
-        for (name, _), value in zip(kernel.outputs, outputs):
-            env[name] = value
-
-    def _gather_inputs(self, kernel: CompiledKernel,
-                       env: dict[str, Value]) -> list:
         inputs = []
         for name in kernel.inputs:
             value = env.get(name)
@@ -319,46 +235,21 @@ class _RunState:
                     f"fused segment input {name!r} must be a vector, "
                     f"got {type(value).__name__}")
             inputs.append(value)
-        return inputs
-
-    def _truth(self, cond: ir.Expr, env: dict[str, Value]) -> bool:
-        value = self._eval(cond, env)
-        if not isinstance(value, Vector) or len(value) != 1:
-            raise HorseRuntimeError(
-                "control-flow conditions must be scalar booleans")
-        return bool(value.item())
-
-    def _eval(self, expr: ir.Expr, env: dict[str, Value]) -> Value:
-        if isinstance(expr, ir.Var):
-            try:
-                return env[expr.name]
-            except KeyError:
-                raise HorseRuntimeError(
-                    f"undefined variable {expr.name!r}") from None
-        if isinstance(expr, ir.Literal):
-            return scalar(expr.value, expr.type)
-        if isinstance(expr, ir.SymbolLit):
-            return scalar(expr.name, ht.SYM)
-        if isinstance(expr, ir.Cast):
-            return _coerce(self._eval(expr.expr, env), expr.type)
-        if isinstance(expr, ir.BuiltinCall):
-            builtin = hb.get(expr.name)
-            args = [self._eval(a, env) for a in expr.args]
-            if self.profile.enabled:
-                return hb.run_profiled(builtin, args, self.eval_ctx,
-                                       self.profile)
-            return builtin.run(args, self.eval_ctx)
-        if isinstance(expr, ir.MethodCall):
-            args = [self._eval(a, env) for a in expr.args]
-            return self.call(expr.name, args)
-        raise HorseRuntimeError(
-            f"unknown expression {type(expr).__name__}")
-
-
-#: The cast rule is shared with the reference interpreter (the compiled
-#: path used to silently pass Table/List values through mismatched casts
-#: that naive mode rejects; both now fail identically).
-_coerce = coerce
+        tracer = self.qctx.tracer
+        if not tracer.enabled:
+            outputs = item.run(inputs, self)
+        else:
+            with tracer.span("kernel:" + kernel.fn.__name__,
+                             statements=len(kernel.segment.stmts)) as sp:
+                outputs = item.run(inputs, self, span=sp)
+                sp.set(rows_in=max((len(v) for v in inputs), default=0),
+                       rows_out=max((len(v) for v in outputs),
+                                    default=0))
+        for (name, _), value in zip(kernel.outputs, outputs):
+            env[name] = value
+        if self.profile.enabled:
+            self.profile.update_peak(
+                sum(value_nbytes(v) for v in env.values()))
 
 
 @contextmanager
@@ -458,13 +349,12 @@ def compile_module(module: ir.Module, opt_level: str = "opt",
                      dump_ir=dump_ir) as (module, report, compile_span):
         plans: dict[str, list] = {}
         with ctx.tracer.span("codegen") as codegen_span:
-            fuse = opt_level == "opt"
             for name, method in module.methods.items():
-                opaque = frozenset()
-                if fuse:
-                    method, opaque = lower_strings(method)
-                plan = segment_method(method, module, enabled=fuse,
-                                      opaque=opaque)
+                if opt_level == "naive":
+                    plans[name] = method.body
+                    continue
+                method, opaque = lower_strings(method)
+                plan = segment_method(method, module, opaque=opaque)
                 plans[name] = _compile_plan(plan, report, partial(
                     make_kernel, declared=consistent_types(method)))
             codegen_span.set(fused_segments=report.fused_segments,
@@ -474,6 +364,8 @@ def compile_module(module: ir.Module, opt_level: str = "opt",
 
 
 def _compile_plan(plan: list, report: CompileReport, make_kernel) -> list:
+    """The segmenter's plan as the statements :class:`_RunState` runs:
+    IR statements, with a kernel item per fused segment."""
     compiled: list = []
     for item in plan:
         if isinstance(item, FusedItem):
@@ -481,14 +373,16 @@ def _compile_plan(plan: list, report: CompileReport, make_kernel) -> list:
             report.fused_segments += 1
             report.fused_statements += len(item.segment.stmts)
             compiled.append(make_kernel(item.segment, name, report))
+        elif isinstance(item, OpaqueItem):
+            compiled.append(item.stmt)
+        elif isinstance(item, ReturnItem):
+            compiled.append(ir.Return(item.expr))
         elif isinstance(item, IfItem):
-            compiled.append(IfItem(
+            compiled.append(ir.If(
                 item.cond,
                 _compile_plan(item.then_plan, report, make_kernel),
                 _compile_plan(item.else_plan, report, make_kernel)))
-        elif isinstance(item, WhileItem):
-            compiled.append(WhileItem(
-                item.cond, _compile_plan(item.body_plan, report, make_kernel)))
         else:
-            compiled.append(item)
+            compiled.append(ir.While(
+                item.cond, _compile_plan(item.body_plan, report, make_kernel)))
     return compiled

@@ -3,9 +3,10 @@
 Executes a module statement-at-a-time, fully materializing every
 intermediate vector — precisely the execution style of MonetDB's MAL
 interpreter and of the paper's **HorsePower-Naive** configuration (HorseIR
-compiled to C without fusion).  The optimized backend lives in
-:mod:`repro.core.codegen`; both produce identical results, which the test
-suite checks property-style.
+compiled to C without fusion).  A compiled program
+(:mod:`repro.core.compiler`) runs on this same loop, with fused kernels
+standing in for the statements they replace; both produce identical
+results, which the test suite checks property-style.
 """
 
 from __future__ import annotations
@@ -31,7 +32,17 @@ class _ReturnSignal(Exception):
 
 
 class Interpreter:
-    """Statement-at-a-time evaluator for a HorseIR module."""
+    """Statement-at-a-time evaluator for a HorseIR module.
+
+    The one statement loop of the system: a compiled program runs on it
+    too (:class:`repro.core.compiler._RunState`), with its compiled plan
+    as the body (:meth:`body_of`) and its kernel items run by
+    :meth:`exec_other`."""
+
+    #: Profile site prefix of an assignment's materialized bytes.
+    site_prefix = "interp:"
+    #: Label of the limits checkpoint taken before each statement.
+    checkpoint = "statement"
 
     def __init__(self, module: ir.Module,
                  context: hb.EvalContext | None = None,
@@ -82,9 +93,8 @@ class Interpreter:
             return self._call(method, list(args or []))
         finally:
             materialized = self.materialized - before
-            metrics = self.qctx.metrics
-            metrics.counter("interp.runs").inc()
-            metrics.counter("interp.materialized").inc(materialized)
+            self.qctx.metrics.counter("interp.materialized").inc(
+                materialized)
             if span is not None:
                 span.set(materialized=materialized)
                 if self.profile.enabled:
@@ -103,32 +113,31 @@ class Interpreter:
             for param, value in zip(method.params, args)
         }
         try:
-            self._exec_body(method.body, env)
+            self._exec_body(self.body_of(method), env)
         except _ReturnSignal as signal:
             return signal.value
         raise HorseRuntimeError(
             f"method {method.name!r} finished without returning")
 
-    def _exec_body(self, body: list[ir.Stmt], env: dict[str, Value]) -> None:
+    def _exec_body(self, body: list, env: dict[str, Value]) -> None:
         profile = self.profile
         limits = self.limits
         for stmt in body:
             if limits is not None:
-                limits.check("statement")
+                limits.check(self.checkpoint)
             if isinstance(stmt, ir.Assign):
-                value = env[stmt.target] = self._coerce(
+                value = env[stmt.target] = coerce(
                     self._eval(stmt.expr, env), stmt.type)
                 self.materialized += 1
                 if profile.enabled:
                     # Naive-mode accounting: every assignment fully
                     # materializes its result vector — except reference
-                    # hand-outs (a table, a column), which are skipped
-                    # by the same rule in the compiled path.
+                    # hand-outs (a table, a column).
                     if hb.charges_output(
                             stmt.expr, value,
                             lambda call: self._eval(call, env)):
                         profile.record(value_nbytes(value),
-                                       site=f"interp:{stmt.target}")
+                                       site=self.site_prefix + stmt.target)
                     profile.update_peak(
                         sum(value_nbytes(v) for v in env.values()))
             elif isinstance(stmt, ir.Return):
@@ -147,8 +156,15 @@ class Interpreter:
                         raise HorseRuntimeError(
                             "while loop exceeded the iteration limit")
             else:
-                raise HorseRuntimeError(
-                    f"unknown statement {type(stmt).__name__}")
+                self.exec_other(stmt, env)
+
+    def body_of(self, method: ir.Method) -> list:
+        """The statements a call of ``method`` runs."""
+        return method.body
+
+    def exec_other(self, stmt, env: dict[str, Value]) -> None:
+        """Run a statement that is not an IR statement (none here)."""
+        raise HorseRuntimeError(f"unknown statement {type(stmt).__name__}")
 
     def _truth(self, cond: ir.Expr, env: dict[str, Value]) -> bool:
         value = self._eval(cond, env)
@@ -171,7 +187,7 @@ class Interpreter:
         if isinstance(expr, ir.SymbolLit):
             return scalar(expr.name, ht.SYM)
         if isinstance(expr, ir.Cast):
-            return self._coerce(self._eval(expr.expr, env), expr.type)
+            return coerce(self._eval(expr.expr, env), expr.type)
         if isinstance(expr, ir.BuiltinCall):
             builtin = hb.get(expr.name)
             args = [self._eval(a, env) for a in expr.args]
@@ -188,10 +204,6 @@ class Interpreter:
             return self._call(callee, args)
         raise HorseRuntimeError(
             f"unknown expression {type(expr).__name__}")
-
-    #: The cast rule is shared with the compiled runtime (see
-    #: :func:`repro.core.values.coerce`) so both modes fail identically.
-    _coerce = staticmethod(coerce)
 
 
 def run_module(module: ir.Module, tables: dict[str, TableValue] | None = None,

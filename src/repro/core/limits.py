@@ -8,10 +8,10 @@ hot loop calls ``limits.check(...)`` at a natural boundary —
 
 * the chunked kernel executor, once per chunk
   (:func:`repro.core.codegen.executor.run_kernel`);
-* the reference interpreter, once per statement
-  (:class:`repro.core.interp.Interpreter`);
-* the compiled plan executor, once per plan item
-  (:class:`repro.core.compiler._RunState`);
+* the statement loop, once per statement
+  (:class:`repro.core.interp.Interpreter`); a compiled program runs on
+  the same loop (:class:`repro.core.compiler._RunState`), whose
+  statements are its plan items — labelled ``plan-item`` there;
 * the pass manager, once per checkpointing pass
   (:class:`repro.core.passes.PassManager`);
 * the baseline plan executor, once per plan operator

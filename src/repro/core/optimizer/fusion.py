@@ -43,7 +43,7 @@ from repro.core.analysis.typeshape import MethodTypeShapes, infer_method
 from repro.core.depgraph import block_uses
 
 __all__ = ["Segment", "FusedItem", "OpaqueItem", "ReturnItem", "IfItem",
-           "WhileItem", "segment_method", "walk_plan"]
+           "WhileItem", "domain_masks", "segment_method", "walk_plan"]
 
 #: Domain marker for values in the block's base iteration space.
 BASE = ("base",)
@@ -51,6 +51,12 @@ BASE = ("base",)
 ANY = ("any",)
 
 _CASTABLE = (ht.BOOL, ht.I8, ht.I16, ht.I32, ht.I64, ht.F32, ht.F64)
+
+
+def domain_masks(domain: tuple) -> tuple[str, ...]:
+    """The mask variables of a domain, outermost first (none for the
+    base and broadcast domains)."""
+    return tuple(part[2:] for part in domain[1:])
 
 
 @dataclass
@@ -104,16 +110,15 @@ class WhileItem:
 
 
 def segment_method(method: ir.Method, module: ir.Module | None = None, *,
-                   enabled: bool = True,
                    opaque: frozenset = frozenset()) -> list:
-    """Build the execution plan for a method.
+    """Build the fused execution plan for a method (HorsePower-Opt;
+    HorsePower-Naive runs the method body itself, unsegmented).
 
-    With ``enabled=False`` every assignment becomes an opaque item — the
-    HorsePower-Naive configuration — and no inference runs.  Assignments
-    to a name in ``opaque`` never fuse (the string lowering's uncovered
-    statements).  ``module`` types the method's calls.
+    Assignments to a name in ``opaque`` never fuse (the string
+    lowering's uncovered statements).  ``module`` types the method's
+    calls.
     """
-    facts = infer_method(method, module) if enabled else None
+    facts = infer_method(method, module)
     return _segment_body(method.body, _use_sets(method.body, set()), facts,
                          opaque)
 
@@ -166,12 +171,11 @@ def _use_sets(body: list[ir.Stmt],
 # ---------------------------------------------------------------------------
 
 def _segment_body(body: list[ir.Stmt], used_later: dict[int, set[str]],
-                  facts: MethodTypeShapes | None, opaque: frozenset) -> list:
+                  facts: MethodTypeShapes, opaque: frozenset) -> list:
     plan: list = []
     builder = _SegmentBuilder(facts, used_later)
     for stmt in body:
-        if isinstance(stmt, ir.Assign) and facts is not None \
-                and stmt.target not in opaque:
+        if isinstance(stmt, ir.Assign) and stmt.target not in opaque:
             if builder.try_add(stmt):
                 continue
             if _classify(stmt) is not None:
@@ -266,7 +270,7 @@ class _SegmentBuilder:
     """Grows one segment statement by statement, reading every length
     fact from the method's inference result."""
 
-    def __init__(self, facts: MethodTypeShapes | None,
+    def __init__(self, facts: MethodTypeShapes,
                  used_later: dict[int, set[str]]):
         self._facts = facts
         self._used_later = used_later

@@ -65,8 +65,6 @@ class PlanExecutor:
                                     n_threads=n_threads) as span:
             columns = self._exec(node)
             span.set(rows_out=_num_rows(columns))
-        self._qctx.metrics.counter("exec.rows_produced").inc(
-            _num_rows(columns))
         return TableValue([(name, columns[name]) for name, _ in node.output])
 
     # -- operators -------------------------------------------------------------
@@ -130,10 +128,7 @@ class PlanExecutor:
         self._qctx.metrics.counter("exec.operators").inc()
         if isinstance(node, p.Scan):
             table = self.db.table(node.table).to_table_value()
-            columns = {c: table.column(c) for c in node.columns}
-            self._qctx.metrics.counter("exec.rows_scanned").inc(
-                _num_rows(columns))
-            return columns
+            return {c: table.column(c) for c in node.columns}
         if isinstance(node, p.Filter):
             return self._exec_filter(node)
         if isinstance(node, p.Project):

@@ -160,6 +160,9 @@ class EngineSession:
         #: under a name of its own).
         self.backends: dict[str, Backend] = {
             name: engine() for name, engine in ENGINES.items()}
+        if default_backend not in self.backends:
+            raise BackendError(f"unknown backend {default_backend!r}; "
+                               f"known: {', '.join(self.backends)}")
         self.default_backend = default_backend
         #: The query log (:mod:`repro.obs.telemetry`): ``query_log=``
         #: takes a path or writable stream (the session owns the log it

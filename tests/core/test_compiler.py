@@ -61,15 +61,21 @@ class TestSegmentation:
         assert fused[0].segment.outputs == [("t7", "reduce:sum")]
 
     def test_naive_mode_produces_no_segments(self):
-        method = parse_method("""
-        def main(t1:f64, t2:f64): f64 {
-            t3:f64 = @mul(t1, t2);
-            t4:f64 = @sum(t3);
-            return t4;
+        module = parse_module("""
+        module M {
+            def main(t1:f64, t2:f64): f64 {
+                t3:f64 = @mul(t1, t2);
+                t4:f64 = @sum(t3);
+                return t4;
+            }
         }
         """)
-        plan = segment_method(method, enabled=False)
-        assert all(not isinstance(item, FusedItem) for item in plan)
+        program = compile_module(module, "naive")
+        assert program.kernel_sources == []
+        assert program.report.fused_segments == 0
+        args = [vector([1.0, 2.0, 3.0], F64), vector([4.0, 5.0, 6.0], F64)]
+        assert program.run(args=list(args)).data.tolist() \
+            == run_module(module, args=list(args)).data.tolist()
 
     def test_opaque_statement_breaks_segment(self):
         method = parse_method("""

@@ -293,10 +293,10 @@ class TestCoerceParity:
         assert str(outcomes["interp"]) == str(outcomes["naive"])
         assert "cannot cast TableValue" in str(outcomes["interp"])
 
-    def test_shared_helper_is_used_by_both_runtimes(self):
-        from repro.core import compiler, interp
-        assert compiler._coerce is coerce
-        assert interp.Interpreter._coerce is coerce
+    def test_compiled_programs_run_on_the_interpreter_loop(self):
+        from repro.core.compiler import _RunState
+        from repro.core.interp import Interpreter
+        assert issubclass(_RunState, Interpreter)
 
     def test_coerce_passes_matching_containers(self):
         table = TableValue([
@@ -336,6 +336,39 @@ class TestCoerceParity:
                              pipeline=pipeline).run(args=list(args))
         assert want.type == got.type == ht.I64
         assert got.data.tolist() == want.data.tolist()
+
+
+class TestControlFlowParity:
+    NONSCALAR_IF = """
+    module P {
+        def main(x:f64): f64 {
+            c:bool = @gt(x, 0.0:f64);
+            if (c) {
+                r:f64 = @sum(x);
+            } else {
+                r:f64 = 0.0:f64;
+            }
+            return r;
+        }
+    }
+    """
+
+    @pytest.mark.parametrize("opt_level", ["naive", "opt"])
+    @pytest.mark.parametrize("backend", ["python", "c"])
+    def test_nonscalar_if_condition_fails_identically(self, backend,
+                                                      opt_level):
+        from repro.core.codegen.cgen import c_backend_available
+        if backend == "c" and not c_backend_available():
+            pytest.skip("gcc not available")
+        module = parse_module(self.NONSCALAR_IF)
+        args = [from_numpy(np.asarray([1.0, -2.0, 3.0]))]
+        with pytest.raises(HorseRuntimeError) as want:
+            run_module(module, args=list(args))
+        program = compile_module(module, opt_level, backend=backend)
+        with pytest.raises(HorseRuntimeError) as got:
+            program.run(args=list(args))
+        assert "MATLAB's non-empty-set truthiness" in str(want.value)
+        assert str(got.value) == str(want.value)
 
 
 class TestNaNMinMaxParity:

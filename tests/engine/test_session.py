@@ -147,6 +147,12 @@ class TestEngineTable:
             with pytest.raises(BackendError, match="pygen"):
                 session.compile_sql(SQL, backend="turbo")
 
+    @pytest.mark.parametrize("name", ["python", "turbo"])
+    def test_unknown_default_backend_is_refused_at_construction(self, name):
+        with pytest.raises(BackendError,
+                           match="known: interp, pygen, cgen, baseline"):
+            EngineSession(make_db(), default_backend=name)
+
     @pytest.mark.parametrize("alias", ["python", "c", "monetdb"])
     def test_old_aliases_are_refused(self, alias):
         known = "known: interp, pygen, cgen, baseline"

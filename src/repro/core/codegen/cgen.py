@@ -3,8 +3,9 @@
 This is the paper's actual backend (Figure 3): each fused segment becomes
 one C function containing a single loop — predicates, compresses,
 arithmetic and reductions all inside it — compiled with
-``gcc -O3 -march=native -fopenmp`` and invoked through ctypes (which
-releases the GIL, so OpenMP threads scale on multi-core hosts).
+``gcc -O3 -march=native -fopenmp -fno-math-errno`` and invoked through
+ctypes (which releases the GIL, so OpenMP threads scale on multi-core
+hosts).
 
 Every segment has the same loop shape.  Each OpenMP thread takes a
 contiguous range ``[lo, hi)`` of the base iteration space; a
@@ -15,6 +16,25 @@ and after the loop each thread's block moves down, in thread order, to
 its prefix-sum offset — so the rows and their order are exactly those
 of ``x[mask]`` over the whole input.  Reductions keep per-thread
 accumulators merged by OpenMP.
+
+The row loop vectorizes where that changes no result:
+
+* a kernel with no compacted output and no reduction writes only row
+  ``i`` per iteration, and its loop is ``#pragma omp simd``;
+* a kernel whose selections store plain reads (no computed value, no
+  statement under an ``if``, no reduction) walks its rows in blocks of
+  512: an ``omp simd`` loop computes the block and a 0/1 selection
+  byte per row, then a scalar loop does the compacted stores and
+  advances the counts;
+* where gcc can link glibc's libmvec, the prelude declares ``exp``,
+  ``log`` and ``pow`` ``omp declare simd`` and the kernel links
+  ``-lmvec``, so those calls vectorize too; ``-fno-math-errno`` lets
+  ``sqrt`` compile to an instruction, which vectorizes.  Without
+  libmvec the calls stay scalar.
+
+A loop whose values are computed under an ``if`` (``bs1``'s price) and
+a loop with a reduction (OpenMP's vector reduction reorders float
+additions) stay scalar.
 
 Eligibility (segments that don't qualify run on the Python-kernel
 backend, and the kernel span says why in ``c_declined``):
@@ -31,8 +51,9 @@ backend, and the kernel span says why in ``c_declined``):
 
 Kernels are specialized per (dtype, broadcast) signature at first call.
 The shared objects are cached on disk in one directory per user, keyed
-by a hash of the C source, the gcc version and the flags, so gcc runs
-once per kernel per machine rather than once per process.
+by a hash of the C source, the gcc version, the flags and the link
+libraries, so gcc runs once per kernel per machine rather than once per
+process.
 """
 
 from __future__ import annotations
@@ -55,7 +76,7 @@ from repro.core.values import Vector
 from repro.errors import BuiltinError, CodegenError, HorseRuntimeError
 
 __all__ = ["CKernel", "c_backend_available", "gcc_version",
-           "decline_reason"]
+           "libmvec_available", "decline_reason"]
 
 #: A reduction combine's OpenMP operator and accumulator start, in C.
 _REDUCTIONS = {
@@ -88,19 +109,36 @@ def _acc_type(combine: str, type_: ht.HorseType) -> str:
 _C_STORE_TYPES = dict(_C_TYPES, bool="unsigned char")
 
 # Runtime dtype → C pointer element type
-_DTYPE_C = {
-    "float64": "double",
-    "float32": "float",
-    "int64": "long long",
-    "int32": "int",
-    "int16": "short",
-    "int8": "signed char",
-    "bool": "unsigned char",
+_DTYPE_C = {np.dtype(name): ctype for name, ctype in (
+    ("float64", "double"),
+    ("float32", "float"),
+    ("int64", "long long"),
+    ("int32", "int"),
+    ("int16", "short"),
+    ("int8", "signed char"),
+    ("bool", "unsigned char"),
     # datetime64[D] is an int64 day count under the hood.
-    "datetime64[D]": "long long",
-}
+    ("datetime64[D]", "long long"),
+)}
 
-_CFLAGS = ("-O3", "-march=native", "-fopenmp", "-shared", "-fPIC")
+#: No kernel reads ``errno``; with it, ``sqrt`` stays a libm call (it
+#: may set ``EDOM``) and its loop cannot vectorize.
+_CFLAGS = ("-O3", "-march=native", "-fopenmp", "-fno-math-errno",
+           "-shared", "-fPIC")
+
+#: Rows per block of the two-phase selection loop.
+_BLOCK = 512
+
+#: SIMD variants of the libm calls a template emits, from glibc's
+#: libmvec (x86-64 only); declared only when gcc can link it.
+_VECTOR_MATH = """#if defined(__x86_64__)
+#pragma omp declare simd notinbranch
+double exp(double);
+#pragma omp declare simd notinbranch
+double log(double);
+#pragma omp declare simd notinbranch
+double pow(double, double);
+#endif"""
 
 #: Every emitted kernel defines one function of this name; each shared
 #: object is loaded on its own handle, so the names never meet.
@@ -124,6 +162,25 @@ def gcc_version() -> str | None:
 
 def c_backend_available() -> bool:
     return gcc_version() is not None
+
+
+def libmvec_available() -> bool:
+    """Can gcc link glibc's vector math library?  ``-print-file-name``
+    answers an absolute path only for a library it finds."""
+    if "libmvec" not in _gcc_state:
+        try:
+            out = subprocess.run(["gcc", "-print-file-name=libmvec.so"],
+                                 capture_output=True, text=True,
+                                 timeout=30)
+            _gcc_state["libmvec"] = out.returncode == 0 \
+                and os.path.isabs(out.stdout.strip())
+        except (OSError, subprocess.SubprocessError):
+            _gcc_state["libmvec"] = False
+    return _gcc_state["libmvec"]
+
+
+def _libs() -> tuple[str, ...]:
+    return ("-lmvec", "-lm") if libmvec_available() else ("-lm",)
 
 
 def _build_dir() -> str:
@@ -282,17 +339,33 @@ class _SourceBuilder:
         if self._compacted:
             params.append("long long* restrict lens")
 
-        for stmt, where in self._schedule():
+        schedule = self._schedule()
+        for stmt, where in schedule:
             self._statement(stmt, where)
+        # Two phases when every selection stores plain reads and nothing
+        # runs under an ``if`` (see _row_loop).
+        blocked = bool(self._compacted) and not self._reductions \
+            and all(self._branch_free(domain) for domain in self._compacted) \
+            and not any(where for _, where in schedule)
+        compactions: list[str] = []
         for j, domain in enumerate(self._compacted):
-            self._compacted_stores(j, domain)
+            if blocked:
+                self._line(f"sel{j}[i - b] = {self._selected(domain)};")
+                compactions.extend(self._store(name, f"lo + k{j}")
+                                   for name in self._stored_in(domain))
+                compactions.append(f"k{j} += sel{j}[i - b];")
+            else:
+                self._compacted_stores(j, domain)
         self._enter(())
         for name in self._vectors:
             if not domain_masks(segment.domains[name]):
-                self._store(name, "i")
+                self._line(self._store(name, "i"))
 
         lines = ["#include <math.h>", "#include <omp.h>",
-                 "#include <string.h>", ""]
+                 "#include <string.h>"]
+        if libmvec_available():
+            lines.append(_VECTOR_MATH)
+        lines.append("")
         # NaN-propagating min/max combiners: np.min/np.max return NaN
         # when any element is NaN, but OpenMP's built-in min/max (and
         # fmin/fmax) silently drop it.
@@ -323,11 +396,7 @@ class _SourceBuilder:
             lines.append("        if (t == 0) used = T;")
             lines.append("        long long "
                          + ", ".join(f"k{j} = 0" for j in counts) + ";")
-        lines.append("        for (long long i = lo; i < hi; i++) {")
-        lines.extend(f"            {ctype} {local};"
-                     for local, ctype in self._hoisted.items())
-        lines.extend(self._body)
-        lines.append("        }")
+        lines.extend(self._row_loop(blocked, compactions))
         lines.extend(f"        cnt[t][{j}] = k{j};" for j in counts)
         lines.append("    }")
         for j, domain in enumerate(self._compacted):
@@ -335,6 +404,39 @@ class _SourceBuilder:
         lines.extend(finals)
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+    def _row_loop(self, blocked: bool, compactions: list[str]
+                  ) -> list[str]:
+        """The loop over the thread's rows ``[lo, hi)``.
+
+        A kernel whose iterations write only index ``i`` (no compacted
+        output, no reduction) runs one ``omp simd`` loop.  A ``blocked``
+        kernel walks its rows in blocks of ``_BLOCK``: an ``omp simd``
+        loop computes the block, its base-domain outputs and each
+        domain's selection ``sel<j>``, then a scalar loop does the
+        ``compactions`` — stores at ``lo + k<j>`` and the counts."""
+        if not blocked:
+            simd = [] if self._compacted or self._reductions \
+                else ["        #pragma omp simd"]
+            return [*simd,
+                    "        for (long long i = lo; i < hi; i++) {",
+                    *(f"            {ctype} {local};"
+                      for local, ctype in self._hoisted.items()),
+                    *self._body,
+                    "        }"]
+        return [*(f"        unsigned char sel{j}[{_BLOCK}];"
+                  for j in range(len(self._compacted))),
+                f"        for (long long b = lo; b < hi; b += {_BLOCK}) {{",
+                f"            long long e = hi - b < {_BLOCK} ? hi "
+                f": b + {_BLOCK};",
+                "            #pragma omp simd",
+                "            for (long long i = b; i < e; i++) {",
+                *("    " + line for line in self._body),
+                "            }",
+                "            for (long long i = b; i < e; i++) {",
+                *("                " + line for line in compactions),
+                "            }",
+                "        }"]
 
     # -- where each statement goes -------------------------------------------
 
@@ -494,23 +596,29 @@ class _SourceBuilder:
     def _store_type(self, name: str) -> str:
         return _C_STORE_TYPES[self.types[name].kind]
 
-    def _store(self, name: str, at: str) -> None:
-        self._line(f"{name}_o[{at}] = ({self._store_type(name)})"
-                   f"({self._value(name)});")
+    def _store(self, name: str, at: str) -> str:
+        return (f"{name}_o[{at}] = ({self._store_type(name)})"
+                f"({self._value(name)});")
+
+    def _stored_in(self, domain: tuple) -> list[str]:
+        return [name for name in self._vectors
+                if self.segment.domains[name] == domain]
+
+    def _selected(self, domain: tuple) -> str:
+        """Is the row in compressed ``domain``: 1 or 0."""
+        return " && ".join(f"({self._value(mask)} != 0)"
+                           for mask in domain_masks(domain))
 
     def _compacted_stores(self, j: int, domain: tuple) -> None:
         """Write compressed ``domain``'s outputs at ``lo + k<j>``."""
-        masks = domain_masks(domain)
         if self._branch_free(domain):
             self._enter(())
-            step = " += " + " && ".join(
-                f"({self._value(mask)} != 0)" for mask in masks)
+            step = f" += {self._selected(domain)}"
         else:
-            self._enter(masks)
+            self._enter(domain_masks(domain))
             step = "++"
-        for name in self._vectors:
-            if self.segment.domains[name] == domain:
-                self._store(name, f"lo + k{j}")
+        for name in self._stored_in(domain):
+            self._line(self._store(name, f"lo + k{j}"))
         self._line(f"k{j}{step};")
 
     def _compaction(self, j: int, domain: tuple) -> list[str]:
@@ -519,10 +627,9 @@ class _SourceBuilder:
         lines = [f"    long long off{j} = cnt[0][{j}];",
                  "    for (int t = 1; t < used; t++) {",
                  f"        long long lo = n * t / used, k = cnt[t][{j}];"]
-        for name in self._vectors:
-            if self.segment.domains[name] == domain:
-                lines.append(f"        memmove({name}_o + off{j}, "
-                             f"{name}_o + lo, k * sizeof *{name}_o);")
+        for name in self._stored_in(domain):
+            lines.append(f"        memmove({name}_o + off{j}, "
+                         f"{name}_o + lo, k * sizeof *{name}_o);")
         lines.append(f"        off{j} += k;")
         lines.append("    }")
         lines.append(f"    lens[{j}] = off{j};")
@@ -582,7 +689,8 @@ def _load(source: str, pointers: int):
     the on-disk cache or freshly compiled into it; a string says why
     there is none."""
     key = hashlib.sha256("\0".join(
-        (source, gcc_version() or "", *_CFLAGS)).encode()).hexdigest()
+        (source, gcc_version() or "", *_CFLAGS, *_libs())
+    ).encode()).hexdigest()
     path = os.path.join(_build_dir(), key[:32] + ".so")
     try:
         if not os.path.exists(path):
@@ -609,7 +717,7 @@ def _gcc(source: str, path: str) -> str | None:
     os.close(fd)
     try:
         result = subprocess.run(
-            ["gcc", *_CFLAGS, "-o", partial, "-x", "c", "-", "-lm"],
+            ["gcc", *_CFLAGS, "-o", partial, "-x", "c", "-", *_libs()],
             input=source, capture_output=True, text=True)
         if result.returncode != 0:
             lines = result.stderr.strip().splitlines()
@@ -637,6 +745,7 @@ class CKernel:
         self.guards, dynamic = compress_guards(segment)
         if dynamic and self.declined is None:
             self.declined = "compress of a broadcast in a compressed domain"
+        self._compacted = _compacted_domains(segment)
         #: signature -> kernel function, or why it could not be built
         self._variants: dict[tuple, object] = {}
 
@@ -676,10 +785,10 @@ class CKernel:
     def _signature(self, arrays) -> tuple | str:
         parts = []
         for name, arr in zip(self.segment.inputs, arrays):
-            key = str(arr.dtype)
-            if key not in _DTYPE_C:
-                return f"input {name} has dtype {key}"
-            parts.append((key, len(arr) == 1))
+            dtype = arr.dtype
+            if dtype not in _DTYPE_C:
+                return f"input {name} has dtype {dtype}"
+            parts.append((dtype, len(arr) == 1))
         return tuple(parts)
 
     def _base_length(self, arrays, signature) -> int:
@@ -703,7 +812,7 @@ class CKernel:
             return f"codegen failed: {exc}"
         segment = self.segment
         return _load(source, len(segment.inputs) + len(segment.outputs)
-                     + bool(_compacted_domains(segment)))
+                     + bool(self._compacted))
 
     def _invoke(self, fn, arrays, n, n_threads) -> list[Vector]:
         args = [ctypes.c_longlong(n), ctypes.c_int(n_threads)]
@@ -731,7 +840,7 @@ class CKernel:
                     slots, dtype=np.int64 if exact else np.float64)
         args.extend(buffer.ctypes.data_as(ctypes.c_void_p)
                     for buffer in buffers.values())
-        compacted = _compacted_domains(self.segment)
+        compacted = self._compacted
         lens = np.zeros(len(compacted), dtype=np.int64)
         if compacted:
             args.append(lens.ctypes.data_as(ctypes.c_void_p))

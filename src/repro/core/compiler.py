@@ -46,7 +46,7 @@ from repro.core.passes import resolve_pipeline
 from repro.core.optimizer.fusion import (
     FusedItem, IfItem, OpaqueItem, ReturnItem, segment_method,
 )
-from repro.core.interp import Interpreter
+from repro.core.interp import Interpreter, find_method
 from repro.core.values import TableValue, Value, Vector, value_nbytes
 from repro.core.verify import verify_module
 from repro.errors import HorseRuntimeError
@@ -179,11 +179,7 @@ class CompiledProgram:
         if ctx is None:
             ctx = QueryContext()
         entry = method if method is not None else self.module.entry.name
-        try:
-            target = self.module.methods[entry]
-        except KeyError:
-            raise HorseRuntimeError(
-                f"no method {entry!r} in compiled module") from None
+        target = find_method(self.module, entry)
         state = _RunState(self, hb.EvalContext(tables), n_threads,
                           chunk_size, ctx)
         tracer = ctx.tracer

@@ -19,7 +19,7 @@ from repro.core.values import (TableValue, Value, Vector, coerce, scalar,
                                value_nbytes)
 from repro.errors import HorseRuntimeError
 
-__all__ = ["Interpreter", "run_module"]
+__all__ = ["Interpreter", "find_method", "run_module"]
 
 _MAX_LOOP_ITERATIONS = 100_000_000
 
@@ -69,15 +69,8 @@ class Interpreter:
             args: list[Value] | None = None) -> Value:
         """Execute a method (the entry method by default) and return its
         result."""
-        if method_name is None:
-            method = self.module.entry
-        else:
-            try:
-                method = self.module.methods[method_name]
-            except KeyError:
-                raise HorseRuntimeError(
-                    f"module {self.module.name!r} has no method "
-                    f"{method_name!r}") from None
+        method = self.module.entry if method_name is None \
+            else find_method(self.module, method_name)
         tracer = self.qctx.tracer
         if not tracer.enabled:
             return self._traced_call(method, args, None)
@@ -204,6 +197,16 @@ class Interpreter:
             return self._call(callee, args)
         raise HorseRuntimeError(
             f"unknown expression {type(expr).__name__}")
+
+
+def find_method(module: ir.Module, name: str) -> ir.Method:
+    """``module``'s method ``name``; every engine raises this one error
+    for a method the module lacks."""
+    try:
+        return module.methods[name]
+    except KeyError:
+        raise HorseRuntimeError(
+            f"module {module.name!r} has no method {name!r}") from None
 
 
 def run_module(module: ir.Module, tables: dict[str, TableValue] | None = None,

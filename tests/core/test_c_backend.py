@@ -1,6 +1,7 @@
 """Tests for the native (emitted C + OpenMP) backend."""
 
 import os
+import platform
 import stat
 import subprocess
 import sys
@@ -582,3 +583,163 @@ class TestMatlabAndSQLThroughC:
         c_result = hp.run_sql(sql, backend="cgen")
         assert c_result.column("r").data[0] == pytest.approx(
             python_result.column("r").data[0])
+
+
+# ---------------------------------------------------------------------------
+# vectorized row loops: omp simd, the two-phase block loop, vector math
+# ---------------------------------------------------------------------------
+
+#: The ``bs2`` shape: a selection of plain reads on an input predicate.
+FILTER_ONLY = """
+module M {
+    def main(x:f64, y:f64): list<unknown> {
+        m1:bool = @lt(x, 0.3:f64);
+        m2:bool = @gt(x, 1.2:f64);
+        m:bool = @or(m1, m2);
+        a:f64 = @compress(m, x);
+        b:f64 = @compress(m, y);
+        out:list<unknown> = @list(a, b);
+        return out;
+    }
+}
+"""
+
+#: The ``bs3med`` shape: a selection on a mask computed with vector math.
+COMPUTED_MASK = """
+module M {
+    def main(x:f64, y:f64): list<unknown> {
+        l:f64 = @log(x);
+        e:f64 = @exp(y);
+        p:f64 = @power(x, y);
+        s:f64 = @sqrt(y);
+        v1:f64 = @mul(l, e);
+        v2:f64 = @add(p, s);
+        v:f64 = @sub(v1, v2);
+        m:bool = @gt(v, -1.5:f64);
+        a:f64 = @compress(m, x);
+        b:f64 = @compress(m, y);
+        out:list<unknown> = @list(a, b);
+        return out;
+    }
+}
+"""
+
+#: Vector math in the base domain: each iteration writes only its row.
+VECTOR_MATH = """
+module M {
+    def main(x:f64, y:f64): list<unknown> {
+        l:f64 = @log(x);
+        e:f64 = @exp(y);
+        p:f64 = @power(x, y);
+        s:f64 = @sqrt(x);
+        out:list<unknown> = @list(l, e, p, s);
+        return out;
+    }
+}
+"""
+
+#: Shape -> (source, is it a selection of plain reads: the two-phase
+#: block loop, outputs bit-identical to the interpreter's?)
+VECTOR_SHAPES = {"filter_only": (FILTER_ONLY, True),
+                 "computed_mask": (COMPUTED_MASK, True),
+                 "vector_math": (VECTOR_MATH, False)}
+
+_SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, -2.5])
+
+
+def _special_args(n: int) -> list:
+    """Uniform rows with NaN, +-inf, zeros and negative ``log`` /
+    ``sqrt`` operands spread over every block."""
+    rng = np.random.default_rng(n + 3)  # the one row of n = 1 is selected
+    x, y = rng.uniform(-0.5, 2.0, n), rng.uniform(-1.0, 1.5, n)
+    for column, start in ((x, 1), (y, 3)):
+        at = np.arange(start, n, 5)
+        column[at] = np.resize(_SPECIALS, len(at))
+    return [from_numpy(x), from_numpy(y)]
+
+
+def _with_sources(monkeypatch) -> list[str]:
+    """The C source of every kernel loaded from here on."""
+    sources, load = [], cgen._load
+
+    def recording(source, pointers):
+        sources.append(source)
+        return load(source, pointers)
+
+    monkeypatch.setattr(cgen, "_load", recording)
+    return sources
+
+
+def _assert_matches_interp(source: str, args, got, plain: bool) -> None:
+    """Selections and plain reads bit-identical to the interpreter's,
+    computed values within 1e-12 with NaN and inf in the same rows."""
+    want = _vectors(run_module(parse_module(source), args=args))
+    got = _vectors(got)
+    assert [a.shape for a in got] == [b.shape for b in want]
+    for a, b in zip(got, want):
+        if plain:
+            np.testing.assert_array_equal(a, b)
+        else:
+            np.testing.assert_allclose(a, b, rtol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n_threads", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1025])
+@pytest.mark.parametrize("shape", sorted(VECTOR_SHAPES))
+def test_vectorized_loops_match_interp(shape, n, n_threads, monkeypatch):
+    source, blocked = VECTOR_SHAPES[shape]
+    sources = _with_sources(monkeypatch)
+    args = _special_args(n)
+    got, kernels = _traced(source, args, "c", n_threads)
+    assert kernels and all(span.attrs["backend"] == "c"
+                           for span in kernels), [s.attrs for s in kernels]
+    _assert_matches_interp(source, args, got, blocked)
+    assert len(sources) == 1
+    assert "#pragma omp simd" in sources[0]
+    assert ("sel0[i - b]" in sources[0]) == blocked
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("shape", ["computed_mask", "vector_math"])
+def test_without_libmvec_no_vector_math_is_declared(shape, monkeypatch):
+    monkeypatch.setattr(cgen, "libmvec_available", lambda: False)
+    assert cgen._libs() == ("-lm",)
+    source, plain = VECTOR_SHAPES[shape]
+    sources = _with_sources(monkeypatch)
+    args = _special_args(1025)
+    got, kernels = _traced(source, args, "c", 2)
+    assert [span.attrs["backend"] for span in kernels] == ["c"]
+    assert "declare simd" not in sources[0]
+    _assert_matches_interp(source, args, got, plain)
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64"
+                    or not cgen.libmvec_available(),
+                    reason="libmvec's vector math is declared on x86-64")
+def test_black_scholes_kernels_vectorize(tmp_path, monkeypatch):
+    """bs0_s and bs3med_s emit ``omp simd`` loops with vector math, and
+    gcc reports each loop vectorized."""
+    from repro.data.blackscholes import load_blackscholes_table
+    from repro.engine import EngineSession
+    from repro.engine.storage import Database
+    from repro.workloads.bs_queries import SCALAR_QUERIES, register_bs_udfs
+
+    db = Database()
+    load_blackscholes_table(db, 2000, seed=1)
+    session = EngineSession(db)
+    register_bs_udfs(session)
+    for query in ("bs0_base", "bs3_med"):
+        sources = _with_sources(monkeypatch)
+        session.run_sql(SCALAR_QUERIES[query], backend="cgen")
+        assert session.metrics.counter("query.retries").value == 0
+        assert len(sources) == 1, query
+        assert "#pragma omp simd" in sources[0]
+        assert "#pragma omp declare simd" in sources[0]
+        path = tmp_path / f"{query}.c"
+        path.write_text(sources[0])
+        report = subprocess.run(
+            ["gcc", *cgen._CFLAGS, "-fopt-info-vec-optimized",
+             "-o", str(tmp_path / f"{query}.so"), str(path), *cgen._libs()],
+            capture_output=True, text=True, check=True)
+        assert "loop vectorized" in report.stderr, (query, report.stderr)

@@ -370,6 +370,18 @@ class TestControlFlowParity:
         assert "MATLAB's non-empty-set truthiness" in str(want.value)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("opt_level", ["naive", "opt"])
+    @pytest.mark.parametrize("backend", ["python", "c"])
+    def test_missing_method_fails_identically(self, backend, opt_level):
+        module = parse_module(self.NONSCALAR_IF)
+        with pytest.raises(HorseRuntimeError) as want:
+            run_module(module, method="nope")
+        program = compile_module(module, opt_level, backend=backend)
+        with pytest.raises(HorseRuntimeError) as got:
+            program.run(method="nope")
+        assert str(want.value) == "module 'P' has no method 'nope'"
+        assert str(got.value) == str(want.value)
+
 
 class TestNaNMinMaxParity:
     """np.minimum/np.maximum/np.min/np.max propagate NaN; C's

@@ -19,12 +19,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from benchmarks.harness import bench_scale
+from benchmarks.harness import bench_scale, compile_matlab
 from repro.core import from_numpy
 from repro.core.compiler import compile_module
 from repro.core.optimizer import optimize
 from repro.data.blackscholes import generate_blackscholes
-from repro.matlang import compile_matlab, matlab_to_module
+from repro.matlang import matlab_to_module
 from repro.workloads.matlab_sources import BLACKSCHOLES_MATLAB
 
 _N = int(400_000 * bench_scale())
@@ -73,7 +73,7 @@ from repro.core.codegen.cgen import c_backend_available  # noqa: E402
 
 if c_backend_available():
     _CONFIGS["opt-c-native"] = lambda: compile_matlab(
-        BLACKSCHOLES_MATLAB, opt_level="opt", backend="c")
+        BLACKSCHOLES_MATLAB, opt_level="opt", backend="cgen")
 
 
 @pytest.mark.parametrize("config", list(_CONFIGS))

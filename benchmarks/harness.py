@@ -58,7 +58,7 @@ def bench_session() -> EngineSession:
 
 def compile_matlab(source: str, param_specs=None, opt_level: str = "opt",
                    backend: str = "pygen"):
-    """:func:`repro.matlang.compile_matlab` on :func:`bench_session`,
+    """:meth:`EngineSession.compile_matlab` on :func:`bench_session`,
     so the standalone-MATLAB tables (1 and 3) show up in
     ``--trace-dir`` / ``--metrics-json`` like the SQL ones."""
     return bench_session().compile_matlab(

@@ -22,7 +22,8 @@ import numpy as np
 from repro.core.printer import print_module
 from repro.data.blackscholes import calc_option_price, generate_blackscholes
 from repro.data.morgan import generate_morgan, morgan_reference
-from repro.matlang import compile_matlab, matlab_to_module
+from repro import EngineSession
+from repro.matlang import matlab_to_module
 from repro.matlang.interp import MatlabInterpreter
 from repro.matlang.parser import parse_program
 from repro.matlang.tamer import tame_source
@@ -64,8 +65,9 @@ def run_blackscholes(size: int) -> None:
     args = [data[c] for c in ("spotPrice", "strike", "rate",
                               "volatility", "otime", "optionType")]
     interp = MatlabInterpreter(parse_program(BLACKSCHOLES_MATLAB))
-    naive = compile_matlab(BLACKSCHOLES_MATLAB, opt_level="naive")
-    opt = compile_matlab(BLACKSCHOLES_MATLAB, opt_level="opt")
+    session = EngineSession()
+    naive = session.compile_matlab(BLACKSCHOLES_MATLAB, opt_level="naive")
+    opt = session.compile_matlab(BLACKSCHOLES_MATLAB, opt_level="opt")
 
     reference = calc_option_price(*args)
     assert np.allclose(np.asarray(opt(*args)), reference)
@@ -88,10 +90,11 @@ def run_morgan(size: int) -> None:
     price, volume = generate_morgan(size)
     specs = [("f64", "scalar"), ("f64", "vector"), ("f64", "vector")]
     interp = MatlabInterpreter(parse_program(MORGAN_MATLAB))
-    naive = compile_matlab(MORGAN_MATLAB, param_specs=specs,
-                           opt_level="naive")
-    opt = compile_matlab(MORGAN_MATLAB, param_specs=specs,
-                         opt_level="opt")
+    session = EngineSession()
+    naive = session.compile_matlab(MORGAN_MATLAB, param_specs=specs,
+                                   opt_level="naive")
+    opt = session.compile_matlab(MORGAN_MATLAB, param_specs=specs,
+                                 opt_level="opt")
 
     reference = morgan_reference(1000, price, volume)
     assert np.isclose(float(opt(1000.0, price, volume)), reference)

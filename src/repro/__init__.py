@@ -31,13 +31,13 @@ baseline), :mod:`repro.horsepower` (plan cache + SQL/UDF merger),
 from repro.engine.session import CompiledQuery, EngineSession  # noqa: F401
 from repro.engine.storage import Database  # noqa: F401
 from repro.engine.table import ColumnTable  # noqa: F401
-from repro.matlang import compile_matlab, matlab_to_module  # noqa: F401
+from repro.matlang import matlab_to_module  # noqa: F401
 from repro.sql.udf import ScalarUDF, TableUDFDef, UDFRegistry  # noqa: F401
 
 __version__ = "1.0.0"
 
 __all__ = [
     "Database", "ColumnTable", "EngineSession", "CompiledQuery",
-    "compile_matlab", "matlab_to_module",
+    "matlab_to_module",
     "ScalarUDF", "TableUDFDef", "UDFRegistry", "__version__",
 ]

@@ -13,7 +13,7 @@ Either way the program runs on the reference interpreter's statement
 loop (:class:`~repro.core.interp.Interpreter`): at ``"naive"`` over the
 method bodies as they are, at ``"opt"`` over each method's compiled
 plan, whose fused segments are kernel items in place of the statements
-they replace.
+they replace.  Every HorseIR engine of the session compiles here.
 
 The compiled program's ``run`` takes ``n_threads``, the OpenMP thread
 count of the emitted C kernels (NumPy kernels run on the caller's
@@ -23,13 +23,13 @@ untraced and unprofiled (a default ``QueryContext()``).
 
 Which kernel engine a fused segment compiles to is the ``backend``
 string: ``"python"`` → generated NumPy kernels, ``"c"`` → emitted C +
-OpenMP with per-segment Python fallback.
+OpenMP with per-segment Python fallback, ``"interp"`` → none (the
+optimized bodies run statement by statement).
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -51,7 +51,7 @@ from repro.core.values import TableValue, Value, Vector, value_nbytes
 from repro.core.verify import verify_module
 from repro.errors import HorseRuntimeError
 
-__all__ = ["compile_module", "compilation", "CompiledProgram",
+__all__ = ["compile_module", "check_run_options", "CompiledProgram",
            "CompileReport"]
 
 
@@ -147,9 +147,11 @@ def _c_kernel_item(segment, name: str, report: CompileReport,
 #: The fused-kernel engine ``backend`` selects: one fused segment in,
 #: one executable plan item out — ``(segment, name, report, declared)``,
 #: ``declared`` mapping each variable of the method to its type.
-_BUILTIN_FACTORIES = {
+#: ``"interp"`` makes no kernels: its bodies are not segmented.
+_KERNEL_FACTORIES = {
     "python": _python_kernel_item,
     "c": _c_kernel_item,
+    "interp": None,
 }
 
 
@@ -172,10 +174,9 @@ class CompiledProgram:
 
         ``n_threads`` (at least 1) is the OpenMP thread count of the
         emitted C kernels; NumPy kernels run on the caller's thread.
+        ``chunk_size`` (at least 1) is the rows per NumPy kernel chunk.
         """
-        if n_threads < 1:
-            raise ValueError(f"n_threads must be at least 1, "
-                             f"got {n_threads}")
+        check_run_options(n_threads, chunk_size)
         if ctx is None:
             ctx = QueryContext()
         entry = method if method is not None else self.module.entry.name
@@ -200,13 +201,20 @@ class CompiledProgram:
         return list(self.report.kernel_sources)
 
 
+def check_run_options(n_threads: int, chunk_size: int) -> None:
+    """Refuse a thread count or chunk size below 1: every engine's run
+    options pass this one check."""
+    if n_threads < 1:
+        raise ValueError(f"n_threads must be at least 1, got {n_threads}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be at least 1, "
+                         f"got {chunk_size}")
+
+
 class _RunState(Interpreter):
     """One run of a compiled program: the reference interpreter's
     statement loop over each method's compiled plan — IR statements
     plus kernel items — with the run's threading and chunking."""
-
-    site_prefix = "stmt:"
-    checkpoint = "plan-item"
 
     def __init__(self, program: CompiledProgram, eval_ctx: hb.EvalContext,
                  n_threads: int, chunk_size: int, ctx: QueryContext):
@@ -248,14 +256,22 @@ class _RunState(Interpreter):
                 sum(value_nbytes(v) for v in env.values()))
 
 
-@contextmanager
-def compilation(module: ir.Module, opt_level: str, backend: str,
-                ctx: QueryContext, *, entry: str | None = None,
-                pipeline=None, verify_ir: bool = False,
-                dump_ir: str | None = None):
-    """The part of compiling that every HorseIR backend shares: the
-    ``compile`` span, verify → resolve types → optimize, the COMP
-    timing split and the ``compile.*`` counters.
+def compile_module(module: ir.Module, opt_level: str = "opt",
+                   entry: str | None = None,
+                   backend: str = "python",
+                   ctx: QueryContext | None = None, *,
+                   pipeline=None, verify_ir: bool = False,
+                   dump_ir: str | None = None) -> CompiledProgram:
+    """Compile a HorseIR module at ``opt_level`` (``"naive"`` or
+    ``"opt"``).
+
+    ``backend`` selects the fused-kernel engine: ``"python"`` (generated
+    NumPy kernels, always available), ``"c"`` (emitted C + OpenMP via
+    gcc, per-segment with Python fallback) or ``"interp"`` (no
+    segmentation and no kernels: the optimized method bodies run on the
+    statement loop as they are).  Spans and compile metrics go to
+    ``ctx`` (nowhere visible when not given: a default
+    ``QueryContext()`` is untraced and counts privately).
 
     The input is verified once, at the default depth, so a malformed
     module fails with a located diagnostic before any pass runs; the
@@ -264,11 +280,19 @@ def compilation(module: ir.Module, opt_level: str, backend: str,
     then resolved (:func:`~repro.core.analysis.typeshape.resolve_types`)
     into a new module, so the caller's module is left as it was.
 
-    Yields ``(module, report, compile_span)`` with the optimized module
-    and a :class:`CompileReport` the caller's code generation (the
-    ``with`` body; empty for the interpreter) may fill in.  On exit the
-    report's timings are final — the body's time lands in
-    ``codegen_seconds`` — and the counters are bumped."""
+    ``pipeline`` overrides the optimization preset the level implies
+    (``"opt"`` → ``O2``, ``"naive"`` → ``O0``, which has no IR passes);
+    ``verify_ir=True`` re-verifies the IR after every pass and
+    ``dump_ir`` names a directory for per-pass IR snapshots."""
+    if ctx is None:
+        ctx = QueryContext()
+    if opt_level not in ("naive", "opt"):
+        raise ValueError(f"unknown opt level {opt_level!r}")
+    if backend not in _KERNEL_FACTORIES:
+        raise ValueError(f"unknown backend {backend!r}")
+    if backend == "c" and not c_backend_available():
+        raise ValueError("the C backend needs gcc on PATH")
+    make_kernel = _KERNEL_FACTORIES[backend]
     pipeline = resolve_pipeline(pipeline, opt_level=opt_level)
     tracer = ctx.tracer
     with tracer.span("compile", opt_level=opt_level,
@@ -294,59 +318,10 @@ def compilation(module: ir.Module, opt_level: str, backend: str,
             optimize_seconds = time.perf_counter() - opt_start
 
         report = CompileReport(opt_level, 0.0, stats, backend=backend)
-        yield module, report, compile_span
-
-        total = time.perf_counter() - start
-        report.optimize_seconds = optimize_seconds
-        report.codegen_seconds = total - optimize_seconds
-        # Sum the parts so optimize + codegen == compile holds exactly
-        # (a float re-add, not the raw total, which could differ by an
-        # ulp).
-        report.compile_seconds = (report.optimize_seconds
-                                  + report.codegen_seconds)
-    metrics = ctx.metrics
-    metrics.counter("compile.count").inc()
-    metrics.counter("compile.optimize_seconds_total").inc(
-        report.optimize_seconds)
-    metrics.counter("compile.codegen_seconds_total").inc(
-        report.codegen_seconds)
-
-
-def compile_module(module: ir.Module, opt_level: str = "opt",
-                   entry: str | None = None,
-                   backend: str = "python",
-                   ctx: QueryContext | None = None, *,
-                   pipeline=None, verify_ir: bool = False,
-                   dump_ir: str | None = None) -> CompiledProgram:
-    """Compile a HorseIR module at ``opt_level`` (``"naive"`` or
-    ``"opt"``).
-
-    ``backend`` selects the fused-kernel engine: ``"python"`` (generated
-    NumPy kernels, always available) or ``"c"`` (emitted C + OpenMP via
-    gcc, per-segment with Python fallback).  Spans and compile metrics
-    go to ``ctx`` (nowhere visible when not given: a default
-    ``QueryContext()`` is untraced and counts privately).
-
-    ``pipeline`` overrides the optimization preset the level implies
-    (``"opt"`` → ``O2``, ``"naive"`` → ``O0``, which has no IR passes);
-    ``verify_ir=True`` re-verifies the IR after every pass and
-    ``dump_ir`` names a directory for per-pass IR snapshots."""
-    if ctx is None:
-        ctx = QueryContext()
-    if opt_level not in ("naive", "opt"):
-        raise ValueError(f"unknown opt level {opt_level!r}")
-    if backend not in _BUILTIN_FACTORIES:
-        raise ValueError(f"unknown backend {backend!r}")
-    if backend == "c" and not c_backend_available():
-        raise ValueError("the C backend needs gcc on PATH")
-    make_kernel = _BUILTIN_FACTORIES[backend]
-    with compilation(module, opt_level, backend, ctx, entry=entry,
-                     pipeline=pipeline, verify_ir=verify_ir,
-                     dump_ir=dump_ir) as (module, report, compile_span):
         plans: dict[str, list] = {}
-        with ctx.tracer.span("codegen") as codegen_span:
+        with tracer.span("codegen") as codegen_span:
             for name, method in module.methods.items():
-                if opt_level == "naive":
+                if opt_level == "naive" or make_kernel is None:
                     plans[name] = method.body
                     continue
                 method, opaque = lower_strings(method)
@@ -356,6 +331,21 @@ def compile_module(module: ir.Module, opt_level: str = "opt",
             codegen_span.set(fused_segments=report.fused_segments,
                              fused_statements=report.fused_statements)
         compile_span.set(fused_segments=report.fused_segments)
+        # Code generation's share includes verification and
+        # segmentation; the parts are summed so optimize + codegen ==
+        # compile holds exactly (a float re-add, not the raw total,
+        # which could differ by an ulp).
+        report.optimize_seconds = optimize_seconds
+        report.codegen_seconds = (time.perf_counter() - start
+                                  - optimize_seconds)
+        report.compile_seconds = (report.optimize_seconds
+                                  + report.codegen_seconds)
+    metrics = ctx.metrics
+    metrics.counter("compile.count").inc()
+    metrics.counter("compile.optimize_seconds_total").inc(
+        report.optimize_seconds)
+    metrics.counter("compile.codegen_seconds_total").inc(
+        report.codegen_seconds)
     return CompiledProgram(module, plans, report)
 
 

@@ -38,9 +38,6 @@ class QueryContext:
       the no-op ``NULL_TRACER``);
     * ``metrics`` — the :class:`~repro.obs.MetricsRegistry` instruments
       report into;
-    * ``session`` — the owning :class:`~repro.engine.EngineSession`,
-      when there is one (backends use it to reach session-scoped state
-      such as the baseline plan executor);
     * ``profile`` — the :class:`~repro.obs.prof.AllocationProfile`
       materialized bytes are charged to (the no-op ``NULL_PROFILE``
       unless profiling was requested);
@@ -52,7 +49,6 @@ class QueryContext:
 
     tracer: "Tracer | NullTracer" = NULL_TRACER
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    session: object | None = None
     profile: "AllocationProfile | NullAllocationProfile" = NULL_PROFILE
     limits: "QueryLimits | None" = None
 

@@ -3,10 +3,11 @@
 Executes a module statement-at-a-time, fully materializing every
 intermediate vector — precisely the execution style of MonetDB's MAL
 interpreter and of the paper's **HorsePower-Naive** configuration (HorseIR
-compiled to C without fusion).  A compiled program
+compiled to C without fusion).  Every compiled program
 (:mod:`repro.core.compiler`) runs on this same loop, with fused kernels
-standing in for the statements they replace; both produce identical
-results, which the test suite checks property-style.
+standing in for the statements they replace; :func:`run_module` runs it
+over the module as written, the oracle the test suite checks every
+engine against property-style.
 """
 
 from __future__ import annotations
@@ -34,15 +35,11 @@ class _ReturnSignal(Exception):
 class Interpreter:
     """Statement-at-a-time evaluator for a HorseIR module.
 
-    The one statement loop of the system: a compiled program runs on it
-    too (:class:`repro.core.compiler._RunState`), with its compiled plan
-    as the body (:meth:`body_of`) and its kernel items run by
-    :meth:`exec_other`."""
-
-    #: Profile site prefix of an assignment's materialized bytes.
-    site_prefix = "interp:"
-    #: Label of the limits checkpoint taken before each statement.
-    checkpoint = "statement"
+    The one statement loop of the system: every compiled program runs
+    on it (:class:`repro.core.compiler._RunState`), with its compiled
+    plan as the body (:meth:`body_of`) and its kernel items run by
+    :meth:`exec_other`.  Run directly (:func:`run_module`) it is the
+    test suite's oracle."""
 
     def __init__(self, module: ir.Module,
                  context: hb.EvalContext | None = None,
@@ -61,9 +58,6 @@ class Interpreter:
         #: query set no limits); checked once per executed statement so
         #: a deadline cancels interpreted runs at statement granularity.
         self.limits = self.qctx.limits
-        #: Number of vector intermediates materialized (for the evaluation
-        #: narrative: naive mode materializes one per statement).
-        self.materialized = 0
 
     def run(self, method_name: str | None = None,
             args: list[Value] | None = None) -> Value:
@@ -71,28 +65,7 @@ class Interpreter:
         result."""
         method = self.module.entry if method_name is None \
             else find_method(self.module, method_name)
-        tracer = self.qctx.tracer
-        if not tracer.enabled:
-            return self._traced_call(method, args, None)
-        with tracer.span("interpret", method=method.name,
-                         module=self.module.name) as span:
-            return self._traced_call(method, args, span)
-
-    def _traced_call(self, method: ir.Method, args, span) -> Value:
-        before = self.materialized
-        bytes_before = (self.profile.counters()[0]
-                        if self.profile.enabled else 0)
-        try:
-            return self._call(method, list(args or []))
-        finally:
-            materialized = self.materialized - before
-            self.qctx.metrics.counter("interp.materialized").inc(
-                materialized)
-            if span is not None:
-                span.set(materialized=materialized)
-                if self.profile.enabled:
-                    span.set(alloc_bytes=self.profile.counters()[0]
-                             - bytes_before)
+        return self._call(method, list(args or []))
 
     # -- internals ----------------------------------------------------------
 
@@ -117,11 +90,10 @@ class Interpreter:
         limits = self.limits
         for stmt in body:
             if limits is not None:
-                limits.check(self.checkpoint)
+                limits.check("statement")
             if isinstance(stmt, ir.Assign):
                 value = env[stmt.target] = coerce(
                     self._eval(stmt.expr, env), stmt.type)
-                self.materialized += 1
                 if profile.enabled:
                     # Naive-mode accounting: every assignment fully
                     # materializes its result vector — except reference
@@ -130,7 +102,7 @@ class Interpreter:
                             stmt.expr, value,
                             lambda call: self._eval(call, env)):
                         profile.record(value_nbytes(value),
-                                       site=self.site_prefix + stmt.target)
+                                       site="stmt:" + stmt.target)
                     profile.update_peak(
                         sum(value_nbytes(v) for v in env.values()))
             elif isinstance(stmt, ir.Return):

@@ -8,10 +8,8 @@ hot loop calls ``limits.check(...)`` at a natural boundary —
 
 * the chunked kernel executor, once per chunk
   (:func:`repro.core.codegen.executor.run_kernel`);
-* the statement loop, once per statement
-  (:class:`repro.core.interp.Interpreter`); a compiled program runs on
-  the same loop (:class:`repro.core.compiler._RunState`), whose
-  statements are its plan items — labelled ``plan-item`` there;
+* the statement loop every compiled program runs on, once per
+  statement or kernel item (:class:`repro.core.interp.Interpreter`);
 * the pass manager, once per checkpointing pass
   (:class:`repro.core.passes.PassManager`);
 * the baseline plan executor, once per plan operator

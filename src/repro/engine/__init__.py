@@ -22,11 +22,9 @@ from repro.core.context import QueryContext  # noqa: F401
 from repro.engine.storage import Database  # noqa: F401
 from repro.engine.table import ColumnTable  # noqa: F401
 from repro.engine.executor import PlanExecutor  # noqa: F401
-from repro.engine.backends import (  # noqa: F401
-    ENGINES, Backend, CompilationUnit,
-)
+from repro.engine.backends import ENGINES, Backend  # noqa: F401
 from repro.engine.session import CompiledQuery, EngineSession  # noqa: F401
 
 __all__ = ["Database", "ColumnTable", "PlanExecutor", "QueryContext",
-           "Backend", "CompilationUnit", "ENGINES", "EngineSession",
+           "Backend", "ENGINES", "EngineSession",
            "CompiledQuery"]

@@ -5,10 +5,12 @@ and then hands it to *an* execution engine.  This module holds the
 engines:
 
 * :class:`Backend` — what every engine implements: a ``name``,
-  ``compile(unit, ctx)`` producing an executable, ``execute(compiled,
-  ctx, ...)`` running it, ``available()``, the ``fallback`` it degrades
-  to when unavailable, and ``horseir`` (whether it runs the HorseIR
-  module or, like the baseline, the logical plan);
+  ``compile(source, ctx, ...)`` producing an executable from the
+  HorseIR module (or, for the baseline, the logical plan),
+  ``execute(program, ctx, session=...)`` running it, ``available()``,
+  the ``fallback`` it degrades to when unavailable, and ``horseir``
+  (whether it runs the HorseIR module or, like the baseline, the
+  logical plan);
 * :data:`ENGINES` — the name → class table of the four engines
   (``interp``, ``pygen``, ``cgen``, ``baseline``); each
   :class:`~repro.engine.session.EngineSession` holds one instance of
@@ -17,27 +19,22 @@ engines:
   the engine is unavailable (``cgen`` without gcc → ``pygen``).  The
   ``cgen`` engine additionally falls back *per segment* at runtime for
   inputs its native kernels cannot express.
+
+The three HorseIR engines are one class apart only in their class
+attributes: each compiles through
+:func:`~repro.core.compiler.compile_module` with its own kernel kind
+and runs the :class:`~repro.core.compiler.CompiledProgram` it gets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.core import builtins as hb
-from repro.core import ir
 from repro.core.codegen.cgen import c_backend_available
 from repro.core.codegen.executor import DEFAULT_CHUNK_SIZE
-from repro.core.compiler import (
-    CompiledProgram, CompileReport, compilation, compile_module,
-)
+from repro.core.compiler import check_run_options, compile_module
 from repro.core.context import QueryContext
-from repro.core.interp import Interpreter
-from repro.core.values import TableValue, Value
-from repro.engine.executor import PlanExecutor
-from repro.errors import HorseRuntimeError
 
-__all__ = ["Backend", "BackendError", "CompilationUnit", "ENGINES",
-           "InterpProgram", "resolve", "DEFAULT_BACKEND"]
+__all__ = ["Backend", "BackendError", "ENGINES", "resolve",
+           "DEFAULT_BACKEND"]
 
 #: The backend used when a caller does not pick one.
 DEFAULT_BACKEND = "pygen"
@@ -45,28 +42,6 @@ DEFAULT_BACKEND = "pygen"
 
 class BackendError(ValueError):
     """Unknown or unavailable backend, or a request it cannot serve."""
-
-
-@dataclass
-class CompilationUnit:
-    """What the pipeline hands a backend to compile.
-
-    HorseIR engines consume ``module``; the baseline consumes ``plan``.
-    ``plan_json`` and ``sql`` ride along as provenance.  ``pipeline``
-    (a preset name, comma list, or
-    :class:`~repro.core.passes.Pipeline`) overrides the optimization
-    preset ``opt_level`` implies; ``verify_ir``/``dump_ir`` switch on
-    inter-pass verification and per-pass IR snapshots."""
-
-    opt_level: str = "opt"
-    module: ir.Module | None = None
-    plan: object | None = None
-    plan_json: dict | None = None
-    udfs: object | None = None
-    sql: str | None = None
-    pipeline: object | None = None
-    verify_ir: bool = False
-    dump_ir: str | None = None
 
 
 class Backend:
@@ -88,89 +63,57 @@ class Backend:
     def available(self) -> bool:
         return True
 
-    def compile(self, unit: CompilationUnit, ctx: QueryContext):
+    def compile(self, source, ctx: QueryContext, *,
+                opt_level: str = "opt", pipeline=None,
+                verify_ir: bool = False, dump_ir: str | None = None):
+        """The executable of ``source``: the HorseIR module for a
+        HorseIR engine, the logical plan for the baseline."""
         raise NotImplementedError
 
-    def execute(self, compiled, ctx: QueryContext, *, db=None,
-                tables: dict[str, TableValue] | None = None,
-                args: list[Value] | None = None,
-                method: str | None = None, n_threads: int = 1,
-                chunk_size: int = DEFAULT_CHUNK_SIZE, **kwargs):
+    def execute(self, program, ctx: QueryContext, *, session,
+                tables=None, args=None, method=None, n_threads: int = 1,
+                chunk_size: int = DEFAULT_CHUNK_SIZE):
+        """Run ``program`` over ``tables`` (by default ``session``'s
+        database)."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Backend {self.name}>"
 
 
-class InterpProgram:
-    """The interpreter's "executable": the (optionally optimized) module
-    plus a :class:`CompileReport` so it quacks like a
-    :class:`~repro.core.compiler.CompiledProgram` (``run``, ``report``,
-    ``kernel_sources``, ``module``)."""
-
-    def __init__(self, module: ir.Module, report: CompileReport):
-        self.module = module
-        self.report = report
-
-    @property
-    def kernel_sources(self) -> list[str]:
-        return []
-
-    def run(self, tables: dict[str, TableValue] | None = None,
-            args: list[Value] | None = None,
-            method: str | None = None, n_threads: int = 1,
-            chunk_size: int = DEFAULT_CHUNK_SIZE,
-            ctx: QueryContext | None = None) -> Value:
-        if ctx is None:
-            ctx = QueryContext()
-        interp = Interpreter(self.module, hb.EvalContext(tables),
-                             qctx=ctx)
-        tracer = ctx.tracer
-        if not tracer.enabled:
-            return interp.run(method, args)
-        with tracer.span("execute", method=method or
-                         self.module.entry.name, n_threads=n_threads,
-                         opt_level=self.report.opt_level):
-            return interp.run(method, args)
-
-
 class _HorseIRBackend(Backend):
-    """Shared execute path for engines that run HorseIR programs."""
+    """The engines that compile HorseIR with :func:`compile_module` and
+    run the program it returns."""
 
     horseir = True
+    #: The kernel kind ``compile_module`` makes for this engine.
+    kernels: str
 
-    def execute(self, compiled, ctx: QueryContext, *, db=None,
-                tables=None, args=None, method=None, n_threads=1,
-                chunk_size=DEFAULT_CHUNK_SIZE, **kwargs):
-        if tables is None and db is not None:
+    def compile(self, module, ctx, *, opt_level="opt", pipeline=None,
+                verify_ir=False, dump_ir=None):
+        return compile_module(module, opt_level, ctx=ctx,
+                              backend=self.kernels, pipeline=pipeline,
+                              verify_ir=verify_ir, dump_ir=dump_ir)
+
+    def execute(self, program, ctx, *, session, tables=None, args=None,
+                method=None, n_threads=1, chunk_size=DEFAULT_CHUNK_SIZE):
+        if tables is None:
             with ctx.tracer.span("bind-tables"):
-                tables = db.to_table_values()
-        return compiled.run(tables, args=args, method=method,
-                            n_threads=n_threads, chunk_size=chunk_size,
-                            ctx=ctx, **kwargs)
+                tables = session.db.to_table_values()
+        return program.run(tables, args=args, method=method,
+                           n_threads=n_threads, chunk_size=chunk_size,
+                           ctx=ctx)
 
 
 class InterpBackend(_HorseIRBackend):
-    """The reference interpreter: statement-at-a-time, everything
-    materialized — the paper's MAL-style execution profile.  Slowest,
-    but dependency-free and the parity oracle for the others."""
+    """The reference interpreter's loop over the optimized, unfused
+    bodies: statement-at-a-time, everything materialized — the paper's
+    MAL-style execution profile.  Slowest, but dependency-free."""
 
     name = "interp"
-    description = ("reference HorseIR interpreter (full "
-                   "materialization, the parity oracle)")
-
-    def compile(self, unit: CompilationUnit,
-                ctx: QueryContext) -> InterpProgram:
-        if unit.module is None:
-            raise BackendError("interp backend needs a HorseIR module")
-        # The shared prologue is the whole compile: the interpreter
-        # has no code generation to put in the ``with`` body.
-        with compilation(unit.module, unit.opt_level, self.name, ctx,
-                         pipeline=unit.pipeline,
-                         verify_ir=unit.verify_ir,
-                         dump_ir=unit.dump_ir) as (module, report, _):
-            pass
-        return InterpProgram(module, report)
+    description = ("the reference interpreter's statement loop over "
+                   "unfused HorseIR (full materialization)")
+    kernels = "interp"
 
 
 class PygenBackend(_HorseIRBackend):
@@ -180,16 +123,7 @@ class PygenBackend(_HorseIRBackend):
     description = ("generated NumPy loop kernels (chunked, "
                    "single-threaded; always available)")
     fallback = "interp"
-
-    def compile(self, unit: CompilationUnit,
-                ctx: QueryContext) -> CompiledProgram:
-        if unit.module is None:
-            raise BackendError("pygen backend needs a HorseIR module")
-        return compile_module(unit.module, unit.opt_level, ctx=ctx,
-                              backend="python",
-                              pipeline=unit.pipeline,
-                              verify_ir=unit.verify_ir,
-                              dump_ir=unit.dump_ir)
+    kernels = "python"
 
 
 class CgenBackend(_HorseIRBackend):
@@ -201,59 +135,35 @@ class CgenBackend(_HorseIRBackend):
     description = ("emitted C + OpenMP kernels via gcc (per-segment "
                    "pygen fallback for strings/compressed)")
     fallback = "pygen"
+    kernels = "c"
 
     def available(self) -> bool:
         return c_backend_available()
 
-    def compile(self, unit: CompilationUnit,
-                ctx: QueryContext) -> CompiledProgram:
-        if unit.module is None:
-            raise BackendError("cgen backend needs a HorseIR module")
-        if not self.available():
-            raise BackendError("the C backend needs gcc on PATH")
-        return compile_module(unit.module, unit.opt_level, ctx=ctx,
-                              backend="c",
-                              pipeline=unit.pipeline,
-                              verify_ir=unit.verify_ir,
-                              dump_ir=unit.dump_ir)
-
-
-class BaselinePlan:
-    """The baseline's "executable": the logical plan itself (the
-    MonetDB-like engine interprets plans, it does not lower them)."""
-
-    def __init__(self, plan, udfs):
-        self.plan = plan
-        self.udfs = udfs
-
 
 class BaselineBackend(Backend):
     """The MonetDB-like comparison engine: interpreted plan operators
-    over whole columns with black-box Python UDFs."""
+    over whole columns with black-box Python UDFs.  It interprets the
+    logical plan rather than lowering it, so the plan is its program,
+    and it runs over the session's database with the session's UDFs."""
 
     name = "baseline"
     description = ("MonetDB-like interpreted plan execution with "
                    "black-box Python UDFs (the comparison system)")
 
-    def compile(self, unit: CompilationUnit,
-                ctx: QueryContext) -> BaselinePlan:
-        if unit.plan is None:
-            raise BackendError("baseline backend needs a logical plan")
-        return BaselinePlan(unit.plan, unit.udfs)
+    def compile(self, plan, ctx, *, opt_level="opt", pipeline=None,
+                verify_ir=False, dump_ir=None):
+        return plan
 
-    def execute(self, compiled: BaselinePlan, ctx: QueryContext, *,
-                db=None, tables=None, args=None, method=None,
-                n_threads=1, chunk_size=DEFAULT_CHUNK_SIZE, **kwargs):
-        session = ctx.session
-        if session is not None and db in (None, session.db):
-            executor = session.baseline_executor()
-        elif db is not None:
-            executor = PlanExecutor(db, compiled.udfs, ctx=ctx)
-        else:
-            raise HorseRuntimeError(
-                "baseline execution needs a Database (none bound)")
-        return executor.execute(compiled.plan, n_threads=n_threads,
-                                ctx=ctx)
+    def execute(self, plan, ctx, *, session, tables=None, args=None,
+                method=None, n_threads=1, chunk_size=DEFAULT_CHUNK_SIZE):
+        if tables is not None or args is not None or method is not None:
+            raise BackendError("the baseline runs its plan over the "
+                               "session's database: it takes no tables, "
+                               "args or method")
+        check_run_options(n_threads, chunk_size)
+        return session.baseline_executor().execute(
+            plan, n_threads=n_threads, ctx=ctx)
 
 
 #: The four engines, by name.

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from repro.core import types as ht
 from repro.core.context import QueryContext
@@ -39,8 +39,7 @@ from repro.core.limits import BudgetedAllocationProfile, QueryLimits
 from repro.core.passes import resolve_pipeline
 from repro.core.values import TableValue
 from repro.engine.backends import (
-    DEFAULT_BACKEND, ENGINES, Backend, BackendError, CompilationUnit,
-    resolve,
+    DEFAULT_BACKEND, ENGINES, Backend, BackendError, resolve,
 )
 from repro.errors import HorseRuntimeError, QueryLimitError
 from repro.engine.executor import PlanExecutor
@@ -57,7 +56,7 @@ from repro.sql.plan import plan_to_json
 from repro.sql.planner import plan_query
 from repro.sql.udf import ScalarUDF, TableUDFDef, UDFRegistry
 from repro.horsepower.cache import (
-    DEFAULT_PLAN_CACHE_SIZE, CacheStats, PlanCache, PreparedQuery,
+    DEFAULT_PLAN_CACHE_SIZE, CacheStats, PlanCache,
 )
 from repro.horsepower.translate import build_query_module
 
@@ -75,10 +74,13 @@ _RETRYABLE_ERRORS = (HorseRuntimeError,)
 class CompiledQuery:
     """A compiled SQL query with its full provenance chain.
 
-    ``program`` is whatever executable the backend produced (a
-    :class:`~repro.core.compiler.CompiledProgram`, the interpreter's
-    module wrapper, or the baseline's plan); ``backend`` names the
-    session's engine that compiled it and will execute it."""
+    ``program`` is what the backend produced: a HorseIR engine's
+    :class:`~repro.core.compiler.CompiledProgram`, or the baseline's
+    logical plan; ``backend`` names the session's engine that compiled
+    it and will execute it.  ``cached`` is True when
+    :meth:`EngineSession.prepare` served this query from the plan
+    cache (a warm hit skipped parse → plan → optimize → codegen), and
+    ``key`` is its plan-cache key."""
 
     sql: str
     plan_json: dict
@@ -86,6 +88,8 @@ class CompiledQuery:
     program: object
     session: "EngineSession"
     backend: str = DEFAULT_BACKEND
+    cached: bool = False
+    key: tuple = field(default=(), repr=False)
 
     def run(self, n_threads: int = 1,
             ctx: QueryContext | None = None, **kwargs) -> TableValue:
@@ -93,19 +97,15 @@ class CompiledQuery:
         ``n_threads`` (at least 1) is the OpenMP thread count of the C
         backend's kernels; every other engine runs on the caller's
         thread."""
-        if n_threads < 1:
-            raise ValueError(f"n_threads must be at least 1, "
-                             f"got {n_threads}")
         session = self.session
-        engine = session.backends[self.backend]
-        return engine.execute(self.program, session._ctx(ctx),
-                              db=session.db, n_threads=n_threads,
-                              **kwargs)
+        return session.backends[self.backend].execute(
+            self.program, session._ctx(ctx), session=session,
+            n_threads=n_threads, **kwargs)
 
     @property
     def report(self):
-        """The backend's :class:`CompileReport` (None for executables
-        that carry no report, e.g. the baseline's plan)."""
+        """The backend's :class:`CompileReport` (None for the
+        baseline's plan, which carries none)."""
         return getattr(self.program, "report", None)
 
     @property
@@ -190,7 +190,7 @@ class EngineSession:
         and metrics — the object threaded explicitly through
         parse → plan → translate → compile → execute."""
         return QueryContext(tracer=self.tracer, metrics=self.metrics,
-                            session=self, profile=self.profile)
+                            profile=self.profile)
 
     def _ctx(self, ctx: QueryContext | None) -> QueryContext:
         return ctx if ctx is not None else self.context()
@@ -304,12 +304,9 @@ class EngineSession:
         if engine.horseir:
             with ctx.tracer.span("translate"):
                 module = build_query_module(plan_json, self.udfs)
-        unit = CompilationUnit(opt_level=opt_level, module=module,
-                               plan=plan, plan_json=plan_json,
-                               udfs=self.udfs, sql=sql,
-                               pipeline=pipeline, verify_ir=verify_ir,
-                               dump_ir=dump_ir)
-        program = engine.compile(unit, ctx)
+        program = engine.compile(module if engine.horseir else plan, ctx,
+                                 opt_level=opt_level, pipeline=pipeline,
+                                 verify_ir=verify_ir, dump_ir=dump_ir)
         return CompiledQuery(sql, plan_json, module, program, self,
                              backend=engine.name)
 
@@ -317,8 +314,8 @@ class EngineSession:
                 backend: str | None = None, use_cache: bool = True,
                 ctx: QueryContext | None = None, *,
                 pipeline=None, verify_ir: bool = False,
-                dump_ir: str | None = None) -> PreparedQuery:
-        """Fetch (or compile and cache) the prepared form of ``sql``.
+                dump_ir: str | None = None) -> CompiledQuery:
+        """Fetch (or compile and cache) the compiled form of ``sql``.
 
         The cache key carries the resolved engine's name, the catalog,
         UDF-registry, pass-pipeline and statistics fingerprints, so a
@@ -330,7 +327,9 @@ class EngineSession:
         distinct text the cache has room for.  Every engine's compiled
         query is cached, the baseline's plan included; ``use_cache=False``
         and the debug modes bypass the cache (``verify_ir``/``dump_ir``
-        must actually compile to verify or dump anything)."""
+        must actually compile to verify or dump anything).  A hit
+        returns a copy of the cached query with ``cached`` set, so the
+        entry the cache shares is never changed."""
         ctx = self._ctx(ctx)
         engine = resolve(self.backends, backend or self.default_backend)
         use_cache = use_cache and not verify_ir and dump_ir is None
@@ -346,16 +345,17 @@ class EngineSession:
                 cached = self.plan_cache.lookup(key)
                 if cached is not None:
                     span.set(cached=True)
-                    return PreparedQuery(cached, cached=True, key=key)
+                    return replace(cached, cached=True)
             compiled = self.compile_sql(sql, opt_level,
                                         backend=engine.name, ctx=ctx,
                                         pipeline=pipeline,
                                         verify_ir=verify_ir,
                                         dump_ir=dump_ir)
+            compiled.key = key
             if use_cache:
                 self.plan_cache.insert(key, compiled)
             span.set(cached=False)
-            return PreparedQuery(compiled, cached=False, key=key)
+            return compiled
 
     def run_sql(self, sql: str, n_threads: int = 1,
                 opt_level: str = "opt", backend: str | None = None,
@@ -482,14 +482,14 @@ class EngineSession:
                                         pipeline=pipeline,
                                         verify_ir=verify_ir,
                                         dump_ir=dump_ir)
-                result = prepared.query.run(n_threads=n_threads,
-                                            ctx=ctx, **kwargs)
+                result = prepared.run(n_threads=n_threads, ctx=ctx,
+                                      **kwargs)
                 if self.stats.enabled:
                     # The baseline observes every plan operator's
                     # estimate as it executes, the root included; a
                     # HorseIR engine has no operators left, so the
                     # root is the one estimate it can be held to.
-                    self._note_estimate(prepared.query.plan_json, result,
+                    self._note_estimate(prepared.plan_json, result,
                                         span, observe=engine.horseir)
                 return result
             except _RETRYABLE_ERRORS as exc:
@@ -561,8 +561,7 @@ class EngineSession:
                                f"MATLAB programs")
         module = matlab_to_module(source, param_specs,
                                   module_name=module_name)
-        unit = CompilationUnit(opt_level=opt_level, module=module,
-                               udfs=self.udfs, pipeline=pipeline,
-                               verify_ir=verify_ir, dump_ir=dump_ir)
-        compiled = engine.compile(unit, ctx)
+        compiled = engine.compile(module, ctx, opt_level=opt_level,
+                                  pipeline=pipeline, verify_ir=verify_ir,
+                                  dump_ir=dump_ir)
         return MatlabProgram(module, compiled, ctx=ctx)

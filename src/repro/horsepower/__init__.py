@@ -8,8 +8,6 @@ including the MonetDB-like baseline — is
 :class:`repro.engine.session.EngineSession`.
 """
 
-from repro.horsepower.cache import (  # noqa: F401
-    CacheStats, PlanCache, PreparedQuery,
-)
+from repro.horsepower.cache import CacheStats, PlanCache  # noqa: F401
 
-__all__ = ["PlanCache", "PreparedQuery", "CacheStats"]
+__all__ = ["PlanCache", "CacheStats"]

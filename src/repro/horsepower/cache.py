@@ -15,8 +15,6 @@ pipelines:
   pass pipeline (``O0``/``O1``/``O2`` preset or a custom ``--passes``
   list) or re-running ``ANALYZE`` makes stale entries unreachable;
   registration and ``ANALYZE`` additionally clear the cache eagerly.
-* :class:`PreparedQuery` — one prepare's outcome: the compiled query plus
-  whether this prepare was served from cache (warm) or compiled (cold).
 * :class:`CacheStats` — the one record of the cache's events: hit, miss,
   eviction and invalidation counts, surfaced by the CLI (``run-sql
   --cache-stats`` and ``--metrics-json``) and the benchmark harness.
@@ -26,14 +24,14 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.session import CompiledQuery
 
-__all__ = ["CacheStats", "PlanCache", "PreparedQuery",
-           "normalize_sql", "DEFAULT_PLAN_CACHE_SIZE"]
+__all__ = ["CacheStats", "PlanCache", "normalize_sql",
+           "DEFAULT_PLAN_CACHE_SIZE"]
 
 #: Default number of prepared queries retained per session.
 DEFAULT_PLAN_CACHE_SIZE = 64
@@ -203,30 +201,3 @@ class PlanCache:
         with self._lock:
             return key in self._entries
 
-
-@dataclass
-class PreparedQuery:
-    """The result of ``EngineSession.prepare``: a compiled query plus
-    cache provenance.  ``cached`` is True when this prepare skipped
-    parse→plan→optimize→codegen entirely (a warm hit)."""
-
-    query: "CompiledQuery"
-    cached: bool
-    key: tuple = field(repr=False, default=())
-
-    def run(self, n_threads: int = 1, **kwargs):
-        return self.query.run(n_threads=n_threads, **kwargs)
-
-    @property
-    def sql(self) -> str:
-        return self.query.sql
-
-    @property
-    def compile_seconds(self) -> float:
-        """Cold compile cost (paid once; zero marginal cost when
-        ``cached``)."""
-        return self.query.compile_seconds
-
-    @property
-    def program(self):
-        return self.query.program

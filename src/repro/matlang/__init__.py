@@ -14,9 +14,11 @@ The reproduction of the McLab pipeline in Figure 5:
 * :mod:`.to_horseir` — the TameIR→HorseIR generator HorsePower adds to
   the McLab framework.
 
-The high-level entry point is :func:`compile_matlab`.
+:func:`matlab_to_module` translates MATLAB source to HorseIR; the
+session compiles and runs it
+(:meth:`repro.engine.session.EngineSession.compile_matlab`).
 """
 
-from repro.matlang.frontend import compile_matlab, matlab_to_module  # noqa: F401
+from repro.matlang.frontend import matlab_to_module  # noqa: F401
 
-__all__ = ["compile_matlab", "matlab_to_module"]
+__all__ = ["matlab_to_module"]

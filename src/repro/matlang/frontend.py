@@ -1,8 +1,9 @@
-"""High-level entry points: MATLAB source → HorseIR → executable.
+"""MATLAB source → HorseIR, and the program a session compiles from it.
 
-``compile_matlab`` is the full Figure-5 pipeline: parse → Tamer → TameIR →
-HorseIR → HorsePower compiler, returning a :class:`MatlabProgram` that can
-run at either optimization level.
+:func:`matlab_to_module` is the Figure-5 frontend: parse → Tamer →
+TameIR → HorseIR.  :meth:`repro.engine.session.EngineSession.compile_matlab`
+hands its module to one of the session's HorseIR engines and wraps the
+result in a :class:`MatlabProgram`, callable on NumPy arrays.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 
 from repro.core import types as ht
 from repro.core import ir
-from repro.core.compiler import CompiledProgram, compile_module
+from repro.core.compiler import CompiledProgram
 from repro.core.context import QueryContext
 from repro.core.values import Value, Vector, from_numpy
 from repro.errors import MatlangTypeError
@@ -19,7 +20,7 @@ from repro.matlang.parser import parse_program
 from repro.matlang.tamer import tame_program
 from repro.matlang.to_horseir import tameir_to_module
 
-__all__ = ["compile_matlab", "matlab_to_module", "MatlabProgram"]
+__all__ = ["matlab_to_module", "MatlabProgram"]
 
 _ELEMENT_NAMES = {"bool", "i64", "f64", "str", "date"}
 
@@ -98,14 +99,3 @@ def _to_value(arg) -> Value:
         array = array.reshape(1)
     return from_numpy(array)
 
-
-def compile_matlab(source: str, param_specs=None,
-                   opt_level: str = "opt",
-                   module_name: str = "MatlabModule",
-                   backend: str = "python") -> MatlabProgram:
-    """Compile MATLAB source end-to-end (parse → Tamer → HorseIR →
-    kernels).  ``backend="c"`` selects the emitted-C (gcc + OpenMP)
-    engine for eligible fused segments."""
-    module = matlab_to_module(source, param_specs, module_name=module_name)
-    compiled = compile_module(module, opt_level, backend=backend)
-    return MatlabProgram(module, compiled)

@@ -67,9 +67,9 @@ class AllocationProfile:
         self.intermediates_materialized = 0
         self.peak_bytes = 0
         self.events = 0
-        #: site label → [count, bytes]; sites are ``interp:<target>``,
-        #: ``stmt:<target>`` (opaque statements under the compiled
-        #: plan), and ``kernel:<fn>`` (fused segments).
+        #: site label → [count, bytes]; sites are ``stmt:<target>``
+        #: (statements the statement loop runs) and ``kernel:<fn>``
+        #: (fused segments).
         self.sites: dict[str, list] = {}
         #: builtin name → [count, bytes] — the per-builtin aggregate
         #: (a breakdown of the statement-level total, not added twice).

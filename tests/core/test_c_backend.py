@@ -551,13 +551,14 @@ class TestMatlabAndSQLThroughC:
     def test_blackscholes_matlab(self):
         from repro.data.blackscholes import (calc_option_price,
                                              generate_blackscholes)
-        from repro.matlang import compile_matlab
+        from repro.engine import EngineSession
         from repro.workloads.matlab_sources import BLACKSCHOLES_MATLAB
 
         data = generate_blackscholes(20_000)
         args = [data[c] for c in ("spotPrice", "strike", "rate",
                                   "volatility", "otime", "optionType")]
-        program = compile_matlab(BLACKSCHOLES_MATLAB, backend="c")
+        program = EngineSession().compile_matlab(BLACKSCHOLES_MATLAB,
+                                                 backend="cgen")
         assert program.report.c_eligible_segments >= 1
         result = np.asarray(program(*args))
         np.testing.assert_allclose(result, calc_option_price(*args),

@@ -5,7 +5,9 @@ import pytest
 
 from repro.core import F64, I64, TableValue, Vector, from_numpy, vector
 from repro.core.builtins import EvalContext
+from repro.core.context import QueryContext
 from repro.core.interp import Interpreter, run_module
+from repro.core.limits import QueryLimits
 from repro.core.parser import parse_module
 from repro.core.printer import print_module
 from repro.core.verify import verify_module
@@ -178,12 +180,12 @@ def test_syntax_error_reports_location():
         parse_module("module M { def main(): i64 { return }")
 
 
-def test_materialization_counter_counts_assignments(lineitem):
+def test_statement_loop_checkpoints_every_statement(lineitem):
     module = parse_module(FIGURE_2B)
-    interp = Interpreter(module, EvalContext({"lineitem": lineitem}))
-    interp.run()
-    # 11 assignment statements in Figure 2b's main.
-    assert interp.materialized == 11
+    ctx = QueryContext(limits=QueryLimits())
+    Interpreter(module, EvalContext({"lineitem": lineitem}), ctx).run()
+    # 11 assignments and the return in Figure 2b's main.
+    assert ctx.limits.checks == 12
 
 
 def test_date_literals_compare():

@@ -291,7 +291,7 @@ class TestMatlangEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(nonempty_float_arrays)
     def test_filter_sum_kernel(self, values):
-        from repro.matlang import compile_matlab
+        from repro.engine import EngineSession
         from repro.matlang.interp import run_matlab
         source = """
         function y = f(x)
@@ -300,7 +300,7 @@ class TestMatlangEquivalence:
         end
         """
         expected = run_matlab(source, values)
-        program = compile_matlab(source)
+        program = EngineSession().compile_matlab(source)
         assert np.isclose(float(program(values)),
                           float(np.asarray(expected).reshape(-1)[0]))
 
@@ -308,7 +308,7 @@ class TestMatlangEquivalence:
     @given(st.integers(min_value=1, max_value=10),
            st.lists(finite_floats, min_size=10, max_size=60))
     def test_msum_window(self, window, values):
-        from repro.matlang import compile_matlab
+        from repro.engine import EngineSession
         data = np.asarray(values, dtype=np.float64)
         source = """
         function s = msum(x, n)
@@ -316,7 +316,7 @@ class TestMatlangEquivalence:
             s = c(n:end) - [0, c(1:end-n)];
         end
         """
-        program = compile_matlab(
+        program = EngineSession().compile_matlab(
             source, param_specs=[("f64", "vector"), ("f64", "scalar")])
         result = np.atleast_1d(np.asarray(
             program(data, float(window)), dtype=np.float64))

@@ -149,7 +149,6 @@ def test_default_context_is_null_and_private():
         assert ctx.tracer is NULL_TRACER
         assert ctx.profile is NULL_PROFILE
         assert ctx.limits is None
-        assert ctx.session is None
     assert one.metrics is not two.metrics
     one.metrics.counter("x").inc()
     assert "x" not in two.metrics.snapshot()

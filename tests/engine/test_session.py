@@ -5,10 +5,10 @@ import pytest
 
 from repro.core import types as ht
 from repro.core.codegen.cgen import c_backend_available
+from repro.core.compiler import CompiledProgram
+from repro.core.interp import run_module
 from repro.engine import EngineSession, QueryContext
-from repro.engine.backends import (
-    ENGINES, Backend, BackendError, CgenBackend, CompilationUnit,
-)
+from repro.engine.backends import ENGINES, Backend, BackendError, CgenBackend
 from repro.engine.storage import Database
 from repro.obs import Tracer
 
@@ -80,7 +80,8 @@ class TestSessionBasics:
             ctx = session.context()
             assert isinstance(ctx, QueryContext)
             assert ctx.metrics is session.metrics
-            assert ctx.session is session
+            assert ctx.tracer is session.tracer
+            assert ctx.profile is session.profile
 
     def test_close_is_idempotent_and_contextmanager_safe(self):
         session = EngineSession(make_db())
@@ -102,8 +103,8 @@ class TestSessionBasics:
     @pytest.mark.parametrize("backend", ["interp", "pygen"])
     def test_compile_metrics_are_the_same_on_every_backend(self,
                                                            backend):
-        """The interpreter shares the compiler's prologue, so its
-        compiles report the COMP split like the kernel backends'."""
+        """The interpreter compiles through ``compile_module`` too, so
+        its compiles report the COMP split like the kernel backends'."""
         with EngineSession(make_db(),
                            default_backend=backend) as session:
             query = session.compile_sql(SQL)
@@ -123,7 +124,7 @@ class _UnavailableCgen(CgenBackend):
     def available(self):
         return False
 
-    def compile(self, unit, ctx):  # pragma: no cover - must not run
+    def compile(self, source, ctx, **options):  # pragma: no cover
         raise AssertionError("an unavailable cgen compiled")
 
 
@@ -174,7 +175,7 @@ class TestEngineTable:
             assert result.column("s").data[0] == pytest.approx(4950.0)
             # run_sql cached the pygen compile under the pygen key.
             prepared = session.prepare(SQL, backend="cgen")
-            assert prepared.cached and prepared.query.backend == "pygen"
+            assert prepared.cached and prepared.backend == "pygen"
             assert session.metrics.counter("query.retries").value == 0
 
     def test_unavailable_engine_without_fallback_raises(self):
@@ -193,15 +194,15 @@ class TestEngineTable:
             name = "recorder"
             fallback = "pygen"
 
-            def compile(self, unit, ctx):
-                calls.append(unit.sql)
+            def compile(self, source, ctx, **options):
+                calls.append(options["opt_level"])
                 raise BackendError("recorder cannot compile")
 
         with EngineSession(make_db()) as session:
             session.backends["recorder"] = Recorder()
             with pytest.raises(BackendError):
                 session.run_sql(SQL, backend="recorder")
-        assert calls == [SQL]
+        assert calls == ["opt"]
         # Other sessions (their own engines) never see it.
         with EngineSession(make_db()) as other:
             with pytest.raises(BackendError, match="unknown backend"):
@@ -270,9 +271,63 @@ class TestBackendBehavior:
             result = session.run_sql(SQL, backend="cgen", n_threads=2)
         assert result.column("s").data[0] == pytest.approx(4950.0)
 
-    def test_compilation_unit_requirements(self):
-        ctx = QueryContext()
-        with pytest.raises(BackendError, match="HorseIR module"):
-            ENGINES["pygen"]().compile(CompilationUnit(), ctx)
-        with pytest.raises(BackendError, match="logical plan"):
-            ENGINES["baseline"]().compile(CompilationUnit(), ctx)
+    @pytest.mark.parametrize("opt_level", ["naive", "opt"])
+    def test_interp_program_is_a_compiled_program(self, opt_level):
+        with EngineSession(make_db()) as session:
+            compiled = session.compile_sql(SQL, opt_level,
+                                           backend="interp")
+            result = compiled.run()
+            tables = session.db.to_table_values()
+        program = compiled.program
+        assert isinstance(program, CompiledProgram)
+        assert program.kernel_sources == []
+        assert program.report.fused_segments == 0
+        expected = run_module(compiled.module_before_opt, tables)
+        assert result.column("s").data.tolist() \
+            == expected.column("s").data.tolist() == [4950.0]
+
+
+ENGINE_NAMES = list(ENGINES)
+
+
+class TestRunOptions:
+    """What ``CompiledQuery.run`` accepts is the same on every engine."""
+
+    @pytest.mark.parametrize("backend", ENGINE_NAMES)
+    def test_given_tables_are_used_or_refused(self, backend):
+        sql = "SELECT COUNT(*) AS n FROM t"
+        other = make_db(rows=100)
+        with EngineSession(make_db(rows=4)) as session:
+            compiled = session.compile_sql(sql, backend=backend)
+            assert compiled.run().column("n").data.tolist() == [4]
+            if backend == "baseline":
+                with pytest.raises(BackendError, match="takes no tables"):
+                    compiled.run(tables=other.to_table_values())
+            else:
+                result = compiled.run(tables=other.to_table_values())
+                assert result.column("n").data.tolist() == [100]
+
+    @pytest.mark.parametrize("backend", ENGINE_NAMES)
+    def test_unknown_keyword_raises_type_error(self, backend):
+        with EngineSession(make_db()) as session:
+            with pytest.raises(TypeError, match="bogus"):
+                session.run_sql(SQL, backend=backend, bogus=1)
+            with pytest.raises(TypeError, match="bogus"):
+                session.compile_sql(SQL, backend=backend).run(bogus=1)
+
+    @pytest.mark.parametrize("backend", ENGINE_NAMES)
+    @pytest.mark.parametrize("option,value", [
+        ("n_threads", 0), ("n_threads", -1),
+        ("chunk_size", 0), ("chunk_size", -5)])
+    def test_thread_count_and_chunk_size_below_one_are_refused(
+            self, backend, option, value):
+        with EngineSession(make_db()) as session:
+            compiled = session.compile_sql(SQL, backend=backend)
+            with pytest.raises(ValueError,
+                               match=f"{option} must be at least 1"):
+                compiled.run(**{option: value})
+            with pytest.raises(ValueError,
+                               match=f"{option} must be at least 1"):
+                session.run_sql(SQL, backend=backend, **{option: value})
+            assert compiled.run(n_threads=1, chunk_size=1) \
+                .column("s").data.tolist() == [4950.0]

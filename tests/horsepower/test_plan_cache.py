@@ -58,7 +58,11 @@ class TestHitMiss:
         cold = hp.prepare(sql)
         warm = hp.prepare(sql)
         assert not cold.cached and warm.cached
-        assert warm.query is cold.query  # the same compiled plan object
+        assert warm.key == cold.key
+        # A hit is a copy around the same compiled program: ``cold`` is
+        # the entry the cache holds, and the hit left it as it was.
+        assert warm is not cold and warm.program is cold.program
+        assert not cold.cached
         assert warm.compile_seconds == cold.compile_seconds
 
     def test_warm_call_does_zero_compile_work(self, hp, monkeypatch):
@@ -256,9 +260,9 @@ class TestPipelineFingerprint:
         explicit = session.prepare(sql, "naive", pipeline="O0",
                                    use_cache=False)
         assert implied.key == explicit.key
-        assert implied.query.plan_json == explicit.query.plan_json
+        assert implied.plan_json == explicit.plan_json
         reordered = session.prepare(sql, "opt", use_cache=False)
-        assert reordered.query.plan_json != explicit.query.plan_json
+        assert reordered.plan_json != explicit.plan_json
 
     def test_verify_ir_bypasses_the_cache(self, hp):
         sql = "SELECT SUM(x) AS s FROM t"

@@ -6,11 +6,15 @@ import pytest
 
 from repro.errors import (MatlangRuntimeError, MatlangSyntaxError,
                           MatlangTypeError)
-from repro.matlang import compile_matlab, matlab_to_module
+from repro.engine import EngineSession
+from repro.matlang import matlab_to_module
 from repro.matlang import ast
 from repro.matlang.interp import run_matlab
 from repro.matlang.parser import parse_program
 from repro.matlang.tamer import tame_source
+
+#: Compiles the MATLAB programs under test (on its default engine, pygen).
+SESSION = EngineSession()
 
 SCALE_FN = """
 function y = scale(x, k)
@@ -342,7 +346,7 @@ class TestPipeline:
 
     def check(self, source, *args, specs=None, **kwargs):
         expected = run_matlab(source, *args)
-        program = compile_matlab(source, param_specs=specs)
+        program = SESSION.compile_matlab(source, param_specs=specs)
         actual = program(*args, **kwargs)
         if isinstance(expected, np.ndarray) and expected.size > 1:
             assert np.allclose(np.asarray(actual, dtype=np.float64),
@@ -450,7 +454,7 @@ class TestPipeline:
         strings = np.array(["keep", "drop", "keep"], dtype=object)
         values = np.array([1.0, 10.0, 100.0])
         expected = run_matlab(source, strings, values)
-        program = compile_matlab(
+        program = SESSION.compile_matlab(
             source, param_specs=[("str", "vector"), ("f64", "vector")])
         assert program(strings, values) == pytest.approx(float(expected))
 
@@ -463,8 +467,8 @@ class TestPipeline:
         end
         """
         x = np.linspace(0, 2, 500)
-        naive = compile_matlab(source, opt_level="naive")(x)
-        opt = compile_matlab(source, opt_level="opt")(x)
+        naive = SESSION.compile_matlab(source, opt_level="naive")(x)
+        opt = SESSION.compile_matlab(source, opt_level="opt")(x)
         assert float(naive) == pytest.approx(float(opt))
 
 
@@ -475,7 +479,7 @@ class TestExtendedBuiltins:
     def check(self, source, *args, specs=None):
         expected = np.atleast_1d(np.asarray(
             run_matlab(source, *args), dtype=np.float64))
-        program = compile_matlab(source, param_specs=specs)
+        program = SESSION.compile_matlab(source, param_specs=specs)
         actual = np.atleast_1d(np.asarray(program(*args),
                                           dtype=np.float64))
         assert np.allclose(actual, expected)
@@ -512,7 +516,7 @@ class TestExtendedBuiltins:
         end
         """
         expected = np.var(x, ddof=1) + np.std(x, ddof=1)
-        program = compile_matlab(source)
+        program = SESSION.compile_matlab(source)
         assert float(program(x)) == pytest.approx(expected)
 
     def test_dot(self):
@@ -541,6 +545,6 @@ class TestExtendedBuiltins:
         end
         """
         assert run_matlab(source, np.array([1.0, 2.0])) == -1
-        program = compile_matlab(source)
+        program = SESSION.compile_matlab(source)
         assert float(program(np.array([1.0, 2.0]))) == -1.0
         assert float(program(np.array([150.0, 2.0]))) == 150.0

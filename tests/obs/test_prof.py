@@ -197,12 +197,10 @@ class TestReferenceCharges:
         ctx = QueryContext(profile=profile)
         if backend == "interp":
             run_module(module, db.to_table_values(), ctx=ctx)
-            site = "interp:c"
         else:
             compile_module(module, "opt").run(db.to_table_values(),
                                               ctx=ctx)
-            site = "stmt:c"
-        assert profile.sites.get(site, [0, 0])[1] == charged
+        assert profile.sites.get("stmt:c", [0, 0])[1] == charged
 
 
 class TestFusionSavings:

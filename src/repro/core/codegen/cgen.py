@@ -1,40 +1,48 @@
 """Native backend: fused segments → emitted C → gcc → ctypes.
 
 This is the paper's actual backend (Figure 3): each fused segment becomes
-one C function containing a single loop — predicates, compresses,
-arithmetic and reductions all inside it — compiled with
+one C function whose row loop holds the segment's predicates,
+compresses, arithmetic and reductions — compiled with
 ``gcc -O3 -march=native -fopenmp -fno-math-errno`` and invoked through
 ctypes (which releases the GIL, so OpenMP threads scale on multi-core
 hosts).
 
-Every segment has the same loop shape.  Each OpenMP thread takes a
-contiguous range ``[lo, hi)`` of the base iteration space; a
-``@compress`` becomes an ``if`` around the statements of its compressed
-domain.  Base-domain vector outputs are written at ``i``; a compressed
-one is written compacted at ``lo + k`` with a per-thread count ``k``,
-and after the loop each thread's block moves down, in thread order, to
-its prefix-sum offset — so the rows and their order are exactly those
-of ``x[mask]`` over the whole input.  Reductions keep per-thread
-accumulators merged by OpenMP.
+Each OpenMP thread takes a contiguous range ``[lo, hi)`` of the base
+iteration space.  Every range but the last starts and ends on a
+multiple of ``_BLOCK`` rows, so every thread count cuts the rows into
+the same blocks and each row takes the same vector lane or scalar
+remainder: the vector outputs are byte-identical at any thread count.
+Base-domain vector outputs are written at ``i``; a ``@compress``
+selects the rows of its compressed domain, whose outputs are written
+compacted at ``lo + k`` with a per-thread count ``k``.  After the loop
+each thread's block moves down, in thread order, to its prefix-sum
+offset — so the rows and their order are exactly those of ``x[mask]``
+over the whole input.
 
-The row loop vectorizes where that changes no result:
+The row loop takes one of three shapes:
 
 * a kernel with no compacted output and no reduction writes only row
-  ``i`` per iteration, and its loop is ``#pragma omp simd``;
-* a kernel whose selections store plain reads (no computed value, no
-  statement under an ``if``, no reduction) walks its rows in blocks of
-  512: an ``omp simd`` loop computes the block and a 0/1 selection
-  byte per row, then a scalar loop does the compacted stores and
-  advances the counts;
-* where gcc can link glibc's libmvec, the prelude declares ``exp``,
-  ``log`` and ``pow`` ``omp declare simd`` and the kernel links
-  ``-lmvec``, so those calls vectorize too; ``-fno-math-errno`` lets
-  ``sqrt`` compile to an instruction, which vectorizes.  Without
-  libmvec the calls stay scalar.
+  ``i`` per iteration: one ``#pragma omp simd`` loop;
+* a selection with no reduction, whose statements each sit at depth 0
+  or under one compacted domain's masks, runs on its selected rows
+  (the selection vector of MonetDB/X100).  Per block of ``_BLOCK``
+  rows, an ``omp simd`` loop computes the depth-0 statements, the
+  base-domain stores and a 0/1 selection byte per domain; a scalar loop
+  with no branch lists the selected rows; then an ``omp simd`` loop
+  over that list runs the statements under the domain's masks (``bs1``'s
+  price) with gathered reads and stores the rows densely.  Nothing runs
+  on an unselected row that an ``if`` would have skipped;
+* any other kernel — one with a reduction, or with a statement between
+  the masks of a nested selection — runs one scalar loop with an ``if``
+  around each domain's statements.  Reductions keep per-thread
+  accumulators merged by OpenMP (a vector reduction would reorder float
+  additions).
 
-A loop whose values are computed under an ``if`` (``bs1``'s price) and
-a loop with a reduction (OpenMP's vector reduction reorders float
-additions) stay scalar.
+Where gcc can link glibc's libmvec, the prelude declares ``exp``, ``log``
+and ``pow`` ``omp declare simd`` and the kernel links ``-lmvec``, so
+those calls vectorize too; ``-fno-math-errno`` lets ``sqrt`` compile to
+an instruction, which vectorizes.  Without libmvec the calls stay
+scalar.
 
 Eligibility (segments that don't qualify run on the Python-kernel
 backend, and the kernel span says why in ``c_declined``):
@@ -126,7 +134,8 @@ _DTYPE_C = {np.dtype(name): ctype for name, ctype in (
 _CFLAGS = ("-O3", "-march=native", "-fopenmp", "-fno-math-errno",
            "-shared", "-fPIC")
 
-#: Rows per block of the two-phase selection loop.
+#: Rows per block of the selected-row loop, and the multiple every
+#: thread's first row is.
 _BLOCK = 512
 
 #: SIMD variants of the libm calls a template emits, from glibc's
@@ -297,6 +306,22 @@ def _meet(a: tuple, b: tuple | None) -> tuple:
     return a[:common]
 
 
+def _row_args(expr: ir.BuiltinCall) -> list[str]:
+    """The variables ``expr`` reads per row: not a whole-value operand
+    (the table of a @gather)."""
+    broadcast = hb.get(expr.name).broadcast_args
+    return [arg.name for position, arg in enumerate(expr.args)
+            if isinstance(arg, ir.Var) and position not in broadcast]
+
+
+def _row_start(t: str, threads: str) -> str:
+    """The first row of thread ``t`` of ``threads``, in C: the threads
+    share out whole blocks of ``_BLOCK`` rows, so every thread count cuts
+    the rows into the same blocks and each row takes the same vector lane
+    or scalar remainder."""
+    return f"(n + {_BLOCK - 1}) / {_BLOCK} * {t} / {threads} * {_BLOCK}"
+
+
 class _SourceBuilder:
     """Generates the C function for one (segment, signature) pair."""
 
@@ -340,26 +365,8 @@ class _SourceBuilder:
             params.append("long long* restrict lens")
 
         schedule = self._schedule()
-        for stmt, where in schedule:
-            self._statement(stmt, where)
-        # Two phases when every selection stores plain reads and nothing
-        # runs under an ``if`` (see _row_loop).
-        blocked = bool(self._compacted) and not self._reductions \
-            and all(self._branch_free(domain) for domain in self._compacted) \
-            and not any(where for _, where in schedule)
-        compactions: list[str] = []
-        for j, domain in enumerate(self._compacted):
-            if blocked:
-                self._line(f"sel{j}[i - b] = {self._selected(domain)};")
-                compactions.extend(self._store(name, f"lo + k{j}")
-                                   for name in self._stored_in(domain))
-                compactions.append(f"k{j} += sel{j}[i - b];")
-            else:
-                self._compacted_stores(j, domain)
-        self._enter(())
-        for name in self._vectors:
-            if not domain_masks(segment.domains[name]):
-                self._line(self._store(name, "i"))
+        loop = self._selected_row_loop(schedule) \
+            if self._selected_rows(schedule) else self._row_loop(schedule)
 
         lines = ["#include <math.h>", "#include <omp.h>",
                  "#include <string.h>"]
@@ -390,13 +397,13 @@ class _SourceBuilder:
         lines.append("    {")
         lines.append("        int t = omp_get_thread_num(), "
                      "T = omp_get_num_threads();")
-        lines.append("        long long lo = n * t / T, "
-                     "hi = n * (t + 1) / T;")
+        lines.append(f"        long long lo = {_row_start('t', 'T')}, "
+                     f"hi = t == T - 1 ? n : {_row_start('(t + 1)', 'T')};")
         if self._compacted:
             lines.append("        if (t == 0) used = T;")
             lines.append("        long long "
                          + ", ".join(f"k{j} = 0" for j in counts) + ";")
-        lines.extend(self._row_loop(blocked, compactions))
+        lines.extend(loop)
         lines.extend(f"        cnt[t][{j}] = k{j};" for j in counts)
         lines.append("    }")
         for j, domain in enumerate(self._compacted):
@@ -405,44 +412,124 @@ class _SourceBuilder:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def _row_loop(self, blocked: bool, compactions: list[str]
+    def _row_loop(self, schedule: list[tuple[ir.Assign, tuple]]
                   ) -> list[str]:
-        """The loop over the thread's rows ``[lo, hi)``.
+        """One loop over the thread's rows ``[lo, hi)``, each
+        ``@compress`` an ``if`` around its domain's statements and its
+        stores at ``lo + k<j>``.
 
         A kernel whose iterations write only index ``i`` (no compacted
-        output, no reduction) runs one ``omp simd`` loop.  A ``blocked``
-        kernel walks its rows in blocks of ``_BLOCK``: an ``omp simd``
-        loop computes the block, its base-domain outputs and each
-        domain's selection ``sel<j>``, then a scalar loop does the
-        ``compactions`` — stores at ``lo + k<j>`` and the counts."""
-        if not blocked:
-            simd = [] if self._compacted or self._reductions \
-                else ["        #pragma omp simd"]
-            return [*simd,
-                    "        for (long long i = lo; i < hi; i++) {",
-                    *(f"            {ctype} {local};"
-                      for local, ctype in self._hoisted.items()),
-                    *self._body,
-                    "        }"]
-        return [*(f"        unsigned char sel{j}[{_BLOCK}];"
-                  for j in range(len(self._compacted))),
+        output, no reduction) runs it as an ``omp simd`` loop; a kernel
+        with a reduction, or with a statement between the masks of a
+        nested selection, runs it scalar."""
+        for stmt, where in schedule:
+            self._enter(where)
+            expr, target = stmt.expr, stmt.target
+            if hb.get(expr.name).kind == "reduction":
+                self._line(self._reduction_update(
+                    target, expr.name, self._value(expr.args[0].name),
+                    self._acc[target]))
+            else:
+                ctype, value = self._assignment(stmt)
+                if self._open:
+                    self._hoisted[f"{target}_v"] = ctype
+                    self._line(f"{target}_v = {value};")
+                else:
+                    self._line(f"{ctype} {target}_v = {value};")
+        for j, domain in enumerate(self._compacted):
+            self._enter(domain_masks(domain))
+            for name in self._stored_in(domain):
+                self._line(self._store(name, f"lo + k{j}"))
+            self._line(f"k{j}++;")
+        self._enter(())
+        for name in self._base_outputs():
+            self._line(self._store(name, "i"))
+        simd = [] if self._compacted or self._reductions \
+            else ["        #pragma omp simd"]
+        return [*simd,
+                "        for (long long i = lo; i < hi; i++) {",
+                *(f"            {ctype} {local};"
+                  for local, ctype in self._hoisted.items()),
+                *self._body,
+                "        }"]
+
+    def _selected_row_loop(self, schedule: list[tuple[ir.Assign, tuple]]
+                           ) -> list[str]:
+        """The thread's rows in blocks of ``_BLOCK``, three loops each.
+
+        1. An ``omp simd`` loop computes the depth-0 statements, the
+           base-domain stores and each domain's selection byte
+           ``sel<j>``; a depth-0 value a domain reads is kept for the
+           block in ``<name>_b``.
+        2. A scalar loop with no branch lists each domain's selected
+           rows in ``idx<j>`` and counts them in ``m<j>``.
+        3. Per domain, an ``omp simd`` loop over the listed rows runs the
+           statements under the domain's masks and stores at
+           ``lo + k<j> + r``.
+
+        Only selected rows reach a masked statement, as under an
+        ``if``, and every loop vectorizes."""
+        depth0: dict[str, str] = {}  # target computed at depth 0 -> C type
+        phases = {(): [], **{domain_masks(d): [] for d in self._compacted}}
+        reads = {domain_masks(d): [] for d in self._compacted}
+        for stmt, where in schedule:
+            ctype, value = self._assignment(stmt)
+            phases[where].append(f"{ctype} {stmt.target}_v = {value};")
+            if where:
+                reads[where] += _row_args(stmt.expr)
+            else:
+                depth0[stmt.target] = ctype
+        first = phases[()]
+        first.extend(self._store(name, "i") for name in self._base_outputs())
+        first.extend(f"sel{j}[i - b] = {self._selected(domain)};"
+                     for j, domain in enumerate(self._compacted))
+        kept: dict[str, str] = {}  # the depth-0 values a domain reads
+        masked = []
+        for j, domain in enumerate(self._compacted):
+            chain = domain_masks(domain)
+            body = phases[chain]
+            body.extend(self._store(name, f"lo + k{j} + r")
+                        for name in self._stored_in(domain))
+            sources = {self._source(name) for name in
+                       reads[chain] + self._stored_in(domain)}
+            loads = [target for target in depth0 if target in sources]
+            kept.update((target, depth0[target]) for target in loads)
+            masked += ["            #pragma omp simd",
+                       f"            for (long long r = 0; r < m{j}; r++) {{",
+                       f"                long long i = idx{j}[r];",
+                       *(f"                {depth0[target]} {target}_v = "
+                         f"{target}_b[i - b];" for target in loads),
+                       *("                " + line for line in body),
+                       "            }",
+                       f"            k{j} += m{j};"]
+        first.extend(f"{target}_b[i - b] = {target}_v;" for target in kept)
+        counts = range(len(self._compacted))
+        return [*(f"        unsigned char sel{j}[{_BLOCK}];" for j in counts),
+                *(f"        long long idx{j}[{_BLOCK}];" for j in counts),
+                *(f"        {ctype} {target}_b[{_BLOCK}];"
+                  for target, ctype in kept.items()),
                 f"        for (long long b = lo; b < hi; b += {_BLOCK}) {{",
                 f"            long long e = hi - b < {_BLOCK} ? hi "
                 f": b + {_BLOCK};",
                 "            #pragma omp simd",
                 "            for (long long i = b; i < e; i++) {",
-                *("    " + line for line in self._body),
+                *("                " + line for line in first),
                 "            }",
+                "            long long "
+                + ", ".join(f"m{j} = 0" for j in counts) + ";",
                 "            for (long long i = b; i < e; i++) {",
-                *("                " + line for line in compactions),
+                *(line for j in counts for line in (
+                    f"                idx{j}[m{j}] = i;",
+                    f"                m{j} += sel{j}[i - b];")),
                 "            }",
+                *masked,
                 "        }"]
 
     # -- where each statement goes -------------------------------------------
 
-    def _computed(self, name: str) -> bool:
-        """Is ``name``'s row value a C local (rather than an input read
-        or a literal)?"""
+    def _source(self, name: str) -> str | None:
+        """The statement that sets ``name``'s row value, through aliases
+        and compresses: ``None`` for an input read."""
         stmt = self._defs.get(name)
         while stmt is not None:
             expr = stmt.expr
@@ -452,17 +539,37 @@ class _SourceBuilder:
                     and hb.get(expr.name).kind == "compress":
                 stmt = self._defs.get(expr.args[1].name)
             else:
-                return not isinstance(expr, ir.Literal)
-        return False
+                return stmt.target
+        return None
 
-    def _branch_free(self, domain: tuple) -> bool:
-        """Compacted stores of plain row reads are written for every row
-        and the count advances by the mask: a later row overwrites a
-        slot that was not selected, and no branch is mispredicted.
-        Computed values are stored inside the domain's ``if``, so the
-        computation itself can run there."""
-        return not any(self._computed(name) for name in self._vectors
-                       if self.segment.domains[name] == domain)
+    def _home(self, name: str, placed: dict[str, tuple]) -> tuple:
+        """The masks of the block that computes ``name``'s row value:
+        ``()`` for an input read or a literal."""
+        return placed.get(self._source(name), ())
+
+    def _selected_rows(self, schedule: list[tuple[ir.Assign, tuple]]
+                       ) -> bool:
+        """Can the selections run on their selected rows (see
+        _selected_row_loop)?  There must be no reduction, and every
+        statement must sit at depth 0 or under one compacted domain's
+        masks, reading only depth-0 values and its own domain's; every
+        mask, and every value a domain stores, must be computed at depth
+        0 or in that domain."""
+        if not self._compacted or self._reductions:
+            return False
+        placed = {stmt.target: where for stmt, where in schedule}
+        chains = [domain_masks(domain) for domain in self._compacted]
+        for stmt, where in schedule:
+            if where and where not in chains:
+                return False
+            if any(self._home(name, placed) not in ((), where)
+                   for name in _row_args(stmt.expr)):
+                return False
+        return all(
+            not any(self._home(mask, placed) for mask in chain)
+            and all(self._home(name, placed) in ((), chain)
+                    for name in self._stored_in(domain))
+            for domain, chain in zip(self._compacted, chains))
 
     def _schedule(self) -> list[tuple[ir.Assign, tuple]]:
         """The statements that emit C, each with the masks of the ``if``
@@ -471,8 +578,8 @@ class _SourceBuilder:
 
         A statement goes in the deepest block holding every read of its
         value: its own domain, or deeper when it is read only under a
-        mask — the option price of ``bs1`` over a table UDF is computed
-        for the selected rows alone."""
+        mask — the option price of ``bs1`` is computed for the selected
+        rows alone."""
         domains = self.segment.domains
         need: dict[str, tuple] = {}
 
@@ -480,9 +587,7 @@ class _SourceBuilder:
             need[name] = _meet(where, need.get(name))
 
         for name in self._vectors:
-            domain = domains[name]
-            require(name, () if self._branch_free(domain)
-                    else domain_masks(domain))
+            require(name, domain_masks(domains[name]))
         placed: dict[int, tuple] = {}
         stmts = self.segment.stmts
         for index in reversed(range(len(stmts))):
@@ -507,10 +612,8 @@ class _SourceBuilder:
                     require(arg, placed[index])
             elif target in need:
                 placed[index] = need[target]
-                for position, arg in enumerate(expr.args):
-                    if isinstance(arg, ir.Var) \
-                            and position not in builtin.broadcast_args:
-                        require(arg.name, placed[index])
+                for name in _row_args(expr):
+                    require(name, placed[index])
         # Shallower blocks first: a value's block, and every mask's, is
         # a prefix of the blocks that read it.
         first: dict[tuple, int] = {}
@@ -559,15 +662,11 @@ class _SourceBuilder:
             return _c_literal(expr)
         return self._value(expr.name)
 
-    def _statement(self, stmt: ir.Assign, where: tuple) -> None:
+    def _assignment(self, stmt: ir.Assign) -> tuple[str, str]:
+        """The C type and row value of an elementwise statement; its
+        value is the local ``<target>_v`` from here on."""
         expr, target = stmt.expr, stmt.target
         builtin = hb.get(expr.name)
-        self._enter(where)
-        if builtin.kind == "reduction":
-            self._line(self._reduction_update(
-                target, expr.name, self._value(expr.args[0].name),
-                self._acc[target]))
-            return
         # A whole-value operand (the table of a @gather) is indexed by
         # the template, not read per row.
         args = [f"{a.name}_p" if position in builtin.broadcast_args
@@ -583,13 +682,8 @@ class _SourceBuilder:
             value = (f"({value} && ({args[position]} != {_C_NAT}))"
                      if connective == "and" else
                      f"({value} || ({args[position]} == {_C_NAT}))")
-        value = f"({ctype})({value})"
-        if self._open:
-            self._hoisted[f"{target}_v"] = ctype
-            self._line(f"{target}_v = {value};")
-        else:
-            self._line(f"{ctype} {target}_v = {value};")
         self._values[target] = f"{target}_v"
+        return ctype, f"({ctype})({value})"
 
     # -- outputs -------------------------------------------------------------
 
@@ -604,29 +698,22 @@ class _SourceBuilder:
         return [name for name in self._vectors
                 if self.segment.domains[name] == domain]
 
+    def _base_outputs(self) -> list[str]:
+        return [name for name in self._vectors
+                if not domain_masks(self.segment.domains[name])]
+
     def _selected(self, domain: tuple) -> str:
         """Is the row in compressed ``domain``: 1 or 0."""
         return " && ".join(f"({self._value(mask)} != 0)"
                            for mask in domain_masks(domain))
-
-    def _compacted_stores(self, j: int, domain: tuple) -> None:
-        """Write compressed ``domain``'s outputs at ``lo + k<j>``."""
-        if self._branch_free(domain):
-            self._enter(())
-            step = f" += {self._selected(domain)}"
-        else:
-            self._enter(domain_masks(domain))
-            step = "++"
-        for name in self._stored_in(domain):
-            self._line(self._store(name, f"lo + k{j}"))
-        self._line(f"k{j}{step};")
 
     def _compaction(self, j: int, domain: tuple) -> list[str]:
         """Move each thread's compacted block down to its prefix-sum
         offset, in thread order (thread 0's block is in place)."""
         lines = [f"    long long off{j} = cnt[0][{j}];",
                  "    for (int t = 1; t < used; t++) {",
-                 f"        long long lo = n * t / used, k = cnt[t][{j}];"]
+                 f"        long long lo = {_row_start('t', 'used')}, "
+                 f"k = cnt[t][{j}];"]
         for name in self._stored_in(domain):
             lines.append(f"        memmove({name}_o + off{j}, "
                          f"{name}_o + lo, k * sizeof *{name}_o);")

@@ -2,6 +2,7 @@
 
 import os
 import platform
+import re
 import stat
 import subprocess
 import sys
@@ -587,7 +588,7 @@ class TestMatlabAndSQLThroughC:
 
 
 # ---------------------------------------------------------------------------
-# vectorized row loops: omp simd, the two-phase block loop, vector math
+# vectorized row loops: omp simd, the selected-row block loop, vector math
 # ---------------------------------------------------------------------------
 
 #: The ``bs2`` shape: a selection of plain reads on an input predicate.
@@ -605,7 +606,8 @@ module M {
 }
 """
 
-#: The ``bs3med`` shape: a selection on a mask computed with vector math.
+#: The ``bs3med`` shape: a selection on a mask computed with vector math,
+#: storing the computed value (kept for the block in ``v_b``) too.
 COMPUTED_MASK = """
 module M {
     def main(x:f64, y:f64): list<unknown> {
@@ -619,7 +621,31 @@ module M {
         m:bool = @gt(v, -1.5:f64);
         a:f64 = @compress(m, x);
         b:f64 = @compress(m, y);
-        out:list<unknown> = @list(a, b);
+        w:f64 = @compress(m, v);
+        out:list<unknown> = @list(a, b, w);
+        return out;
+    }
+}
+"""
+
+#: The ``bs1`` shape: an input predicate, vector math computed only under
+#: the mask, and the selected rows' plain reads stored beside it.
+MASKED_COMPUTE = """
+module M {
+    def main(x:f64, y:f64): list<unknown> {
+        m1:bool = @lt(x, 0.3:f64);
+        m2:bool = @gt(x, 1.2:f64);
+        m:bool = @or(m1, m2);
+        a:f64 = @compress(m, x);
+        b:f64 = @compress(m, y);
+        l:f64 = @log(a);
+        e:f64 = @exp(b);
+        p:f64 = @power(a, b);
+        s:f64 = @sqrt(b);
+        v1:f64 = @mul(l, e);
+        v2:f64 = @add(p, s);
+        v:f64 = @sub(v1, v2);
+        out:list<unknown> = @list(a, b, v);
         return out;
     }
 }
@@ -639,11 +665,53 @@ module M {
 }
 """
 
-#: Shape -> (source, is it a selection of plain reads: the two-phase
-#: block loop, outputs bit-identical to the interpreter's?)
-VECTOR_SHAPES = {"filter_only": (FILTER_ONLY, True),
-                 "computed_mask": (COMPUTED_MASK, True),
-                 "vector_math": (VECTOR_MATH, False)}
+#: Shape -> (source, how many leading outputs are plain reads,
+#: bit-identical to the interpreter's).  Every shape with a selection
+#: runs the selected-row block loop.
+VECTOR_SHAPES = {"filter_only": (FILTER_ONLY, 2),
+                 "computed_mask": (COMPUTED_MASK, 2),
+                 "masked_compute": (MASKED_COMPUTE, 2),
+                 "vector_math": (VECTOR_MATH, 0)}
+
+#: A statement between the masks of a nested selection (``m2`` is
+#: computed under ``m1``): the scalar ``if`` loop.
+NESTED_MASKS = """
+module M {
+    def main(x:f64, y:f64): list<unknown> {
+        m1:bool = @gt(x, 0.3:f64);
+        a:f64 = @compress(m1, x);
+        b:f64 = @compress(m1, y);
+        l:f64 = @log(b);
+        m2:bool = @lt(l, 0.2:f64);
+        c:f64 = @compress(m2, a);
+        d:f64 = @exp(c);
+        out:list<unknown> = @list(c, d);
+        return out;
+    }
+}
+"""
+
+#: A masked reduction: the scalar ``if`` loop (a vector reduction would
+#: reorder the float additions).
+MASKED_SUM = """
+module M {
+    def main(x:f64, y:f64): list<unknown> {
+        m:bool = @lt(x, 0.7:f64);
+        a:f64 = @compress(m, x);
+        b:f64 = @compress(m, y);
+        e:f64 = @exp(b);
+        s:f64 = @sum(e);
+        out:list<unknown> = @list(a, s);
+        return out;
+    }
+}
+"""
+
+#: Shape -> source, for the kernels that keep the scalar ``if`` loop.
+IF_LOOP_SHAPES = {"nested_masks": NESTED_MASKS, "masked_sum": MASKED_SUM}
+
+_IF_BLOCK = re.compile(r"\bif \(.*\) \{$", re.MULTILINE)
+_SELECTED_ROW_LOOP = "long long i = idx0[r];"
 
 _SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, -2.5])
 
@@ -671,14 +739,15 @@ def _with_sources(monkeypatch) -> list[str]:
     return sources
 
 
-def _assert_matches_interp(source: str, args, got, plain: bool) -> None:
-    """Selections and plain reads bit-identical to the interpreter's,
-    computed values within 1e-12 with NaN and inf in the same rows."""
+def _assert_matches_interp(source: str, args, got, plain: int) -> None:
+    """Selections and the first ``plain`` outputs (plain reads)
+    bit-identical to the interpreter's, computed values within 1e-12
+    with NaN and inf in the same rows."""
     want = _vectors(run_module(parse_module(source), args=args))
     got = _vectors(got)
     assert [a.shape for a in got] == [b.shape for b in want]
-    for a, b in zip(got, want):
-        if plain:
+    for position, (a, b) in enumerate(zip(got, want)):
+        if position < plain:
             np.testing.assert_array_equal(a, b)
         else:
             np.testing.assert_allclose(a, b, rtol=1e-12)
@@ -689,20 +758,55 @@ def _assert_matches_interp(source: str, args, got, plain: bool) -> None:
 @pytest.mark.parametrize("n", [1, 511, 512, 513, 1025])
 @pytest.mark.parametrize("shape", sorted(VECTOR_SHAPES))
 def test_vectorized_loops_match_interp(shape, n, n_threads, monkeypatch):
-    source, blocked = VECTOR_SHAPES[shape]
+    source, plain = VECTOR_SHAPES[shape]
     sources = _with_sources(monkeypatch)
     args = _special_args(n)
     got, kernels = _traced(source, args, "c", n_threads)
     assert kernels and all(span.attrs["backend"] == "c"
                            for span in kernels), [s.attrs for s in kernels]
-    _assert_matches_interp(source, args, got, blocked)
+    _assert_matches_interp(source, args, got, plain)
     assert len(sources) == 1
     assert "#pragma omp simd" in sources[0]
-    assert ("sel0[i - b]" in sources[0]) == blocked
+    assert not _IF_BLOCK.search(sources[0]), sources[0]
+    assert (_SELECTED_ROW_LOOP in sources[0]) == ("compress" in source)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("shape", ["computed_mask", "vector_math"])
+@pytest.mark.parametrize("n_threads", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1025])
+@pytest.mark.parametrize("shape", sorted(IF_LOOP_SHAPES))
+def test_if_loop_kernels_match_interp(shape, n, n_threads, monkeypatch):
+    source = IF_LOOP_SHAPES[shape]
+    sources = _with_sources(monkeypatch)
+    args = _special_args(n)
+    got, kernels = _traced(source, args, "c", n_threads)
+    assert kernels and all(span.attrs["backend"] == "c"
+                           for span in kernels), [s.attrs for s in kernels]
+    _assert_matches_interp(source, args, got, 1)
+    assert len(sources) == 1
+    assert _IF_BLOCK.search(sources[0]), sources[0]
+    assert _SELECTED_ROW_LOOP not in sources[0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("n", [3 * cgen._BLOCK + 17, 100_003])
+@pytest.mark.parametrize("shape", sorted(VECTOR_SHAPES))
+def test_vector_outputs_do_not_depend_on_the_thread_count(shape, n):
+    """Every thread count cuts the rows into the same blocks, so each
+    row takes the same vector lane or scalar remainder: the bytes are
+    the same at one, two and three threads."""
+    source, _ = VECTOR_SHAPES[shape]
+    args = _special_args(n)
+    program = _compile(source)
+    t1, t2, t3 = (_vectors(program.run(args=args, n_threads=n_threads))
+                  for n_threads in (1, 2, 3))
+    for one, two, three in zip(t1, t2, t3):
+        assert one.tobytes() == two.tobytes() == three.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("shape", ["computed_mask", "masked_compute",
+                                   "vector_math"])
 def test_without_libmvec_no_vector_math_is_declared(shape, monkeypatch):
     monkeypatch.setattr(cgen, "libmvec_available", lambda: False)
     assert cgen._libs() == ("-lm",)

@@ -19,24 +19,22 @@ each thread's block moves down, in thread order, to its prefix-sum
 offset — so the rows and their order are exactly those of ``x[mask]``
 over the whole input.
 
-The row loop takes one of three shapes:
+Each thread walks its range in blocks of ``_BLOCK`` rows and runs one
+step at every *level* of the segment — a mask chain that a statement
+is placed at or that a compacted domain's outputs live in, ``()``
+being the block's rows (the selection vector of MonetDB/X100): the
+loop over the parent level's rows writes a 0/1 selection byte per row,
+a scalar loop with no branch lists the selected rows, and an ``omp
+simd`` loop over that list runs the level's statements with gathered
+reads and stores its rows densely.  A value read in a loop other than
+the one that computes it is kept for the block.  A kernel that lists no
+rows takes its whole range as one block.
 
-* a kernel with no compacted output and no reduction writes only row
-  ``i`` per iteration: one ``#pragma omp simd`` loop;
-* a selection with no reduction, whose statements each sit at depth 0
-  or under one compacted domain's masks, runs on its selected rows
-  (the selection vector of MonetDB/X100).  Per block of ``_BLOCK``
-  rows, an ``omp simd`` loop computes the depth-0 statements, the
-  base-domain stores and a 0/1 selection byte per domain; a scalar loop
-  with no branch lists the selected rows; then an ``omp simd`` loop
-  over that list runs the statements under the domain's masks (``bs1``'s
-  price) with gathered reads and stores the rows densely.  Nothing runs
-  on an unselected row that an ``if`` would have skipped;
-* any other kernel — one with a reduction, or with a statement between
-  the masks of a nested selection — runs one scalar loop with an ``if``
-  around each domain's statements.  Reductions keep per-thread
-  accumulators merged by OpenMP (a vector reduction would reorder float
-  additions).
+The one placement rule: a level that updates a reduction runs inline,
+under an ``if`` in its parent's loop, and that loop carries no ``omp
+simd``.  Reductions keep per-thread accumulators merged by OpenMP, and
+a vector reduction would reorder the float additions; gcc vectorizes a
+masked in-order sum such as q6's on its own.
 
 Where gcc can link glibc's libmvec, the prelude declares ``exp``, ``log``
 and ``pow`` ``omp declare simd`` and the kernel links ``-lmvec``, so
@@ -86,14 +84,21 @@ from repro.errors import BuiltinError, CodegenError, HorseRuntimeError
 __all__ = ["CKernel", "c_backend_available", "gcc_version",
            "libmvec_available", "decline_reason"]
 
-#: A reduction combine's OpenMP operator and accumulator start, in C.
+#: Per reducing builtin, in C: the OpenMP operator that merges the
+#: threads' accumulators, the accumulator's start, its type over
+#: integers, bools and dates (over floats it is ``double``), and its
+#: update by row value ``{x}`` (``{v}``: cast to that type).  A product
+#: is unsigned so it wraps like NumPy's.
 _REDUCTIONS = {
-    "sum": ("+", "0"),
-    "prod": ("*", "1"),
-    "min": ("min", None),
-    "max": ("max", None),
-    "any": ("||", "0"),
-    "all": ("&&", "1"),
+    "sum": ("+", "0", "long long", "{r}_acc += {v};"),
+    "count": ("+", "0", "long long", "{r}_acc += 1;"),
+    "prod": ("*", "1", "unsigned long long", "{r}_acc *= {v};"),
+    "min": ("min", "{top}", "long long",
+            "{r}_acc = {v} < {r}_acc ? {v} : {r}_acc; {r}_n += 1;"),
+    "max": ("max", "{bottom}", "long long",
+            "{r}_acc = {v} > {r}_acc ? {v} : {r}_acc; {r}_n += 1;"),
+    "any": ("||", "0", "long long", "{r}_acc = {r}_acc || ({x} != 0);"),
+    "all": ("&&", "1", "long long", "{r}_acc = {r}_acc && ({x} != 0);"),
 }
 
 _C_TYPES = {
@@ -103,13 +108,6 @@ _C_TYPES = {
     # A date is an int64 day count (datetime64[D]).
     "date": "long long",
 }
-
-
-def _acc_type(combine: str, type_: ht.HorseType) -> str:
-    """The C type a reduction accumulates in: ``long long`` for an
-    integer sum or count (exact past 2**53), else ``double``."""
-    return "long long" if combine == "sum" and ht.is_integer(type_) \
-        else "double"
 
 
 #: C storage types for output buffers: these must match NumPy's in-memory
@@ -259,7 +257,7 @@ def decline_reason(segment: Segment,
                     return "string operand"
                 typed.add(stmt.target)
             elif builtin.kind == "reduction" \
-                    and builtin.combine not in _REDUCTIONS:
+                    and expr.name not in _REDUCTIONS:
                 return f"no C reduction for @{expr.name}"
         if stmt.target in typed:
             type_ = types[stmt.target]
@@ -322,6 +320,10 @@ def _row_start(t: str, threads: str) -> str:
     return f"(n + {_BLOCK - 1}) / {_BLOCK} * {t} / {threads} * {_BLOCK}"
 
 
+def _indent(lines: list[str]) -> list[str]:
+    return ["    " + line for line in lines]
+
+
 class _SourceBuilder:
     """Generates the C function for one (segment, signature) pair."""
 
@@ -336,21 +338,20 @@ class _SourceBuilder:
         self._defs = {stmt.target: stmt for stmt in segment.stmts}
         self._vectors = [name for name, role in segment.outputs
                          if role == "vector"]
-        self._reductions = [(name, role.split(":", 1)[1])
+        #: reduction output -> its reducing builtin
+        self._reductions = {name: self._defs[name].expr.name
                             for name, role in segment.outputs
-                            if role != "vector"]
+                            if role != "vector"}
         #: reduction output -> the C type it accumulates in
-        self._acc = {name: _acc_type(combine, types[name])
-                     for name, combine in self._reductions}
+        self._acc = {name: "double" if ht.is_float(types[name])
+                     else _REDUCTIONS[reducer][2]
+                     for name, reducer in self._reductions.items()}
         self._compacted = _compacted_domains(segment)
+        #: compacted domain's mask chain -> its index ``j``
+        self._slot = {domain_masks(domain): j
+                      for j, domain in enumerate(self._compacted)}
         #: variable -> C expression of its value in the current row
         self._values: dict[str, str] = {}
-        #: locals assigned inside an ``if`` block -> their C types (they
-        #: are declared at the top of the loop body)
-        self._hoisted: dict[str, str] = {}
-        self._body: list[str] = []
-        #: masks of the open ``if`` blocks, outermost first
-        self._open: tuple[str, ...] = ()
 
     def build(self) -> str:
         segment = self.segment
@@ -359,32 +360,18 @@ class _SourceBuilder:
             params.append(f"const {ctype}* restrict {input_name}_p")
         for name in self._vectors:
             params.append(f"{self._store_type(name)}* restrict {name}_o")
-        for name, _ in self._reductions:
+        for name in self._reductions:
             params.append(f"{self._acc[name]}* restrict {name}_r")
         if self._compacted:
             params.append("long long* restrict lens")
 
-        schedule = self._schedule()
-        loop = self._selected_row_loop(schedule) \
-            if self._selected_rows(schedule) else self._row_loop(schedule)
+        loop = self._block_loop(self._schedule())
 
-        lines = ["#include <math.h>", "#include <omp.h>",
-                 "#include <string.h>"]
+        lines = ["#include <limits.h>", "#include <math.h>",
+                 "#include <omp.h>", "#include <string.h>"]
         if libmvec_available():
             lines.append(_VECTOR_MATH)
         lines.append("")
-        # NaN-propagating min/max combiners: np.min/np.max return NaN
-        # when any element is NaN, but OpenMP's built-in min/max (and
-        # fmin/fmax) silently drop it.
-        if any(combine in ("min", "max") for _, combine in self._reductions):
-            for red, fn, init in (("nanmin", "fmin", "INFINITY"),
-                                  ("nanmax", "fmax", "-INFINITY")):
-                lines.append(
-                    f"#pragma omp declare reduction({red} : double : "
-                    f"omp_out = ((omp_out != omp_out) || "
-                    f"(omp_in != omp_in)) ? NAN : {fn}(omp_out, omp_in)) "
-                    f"initializer(omp_priv = {init})")
-            lines.append("")
         lines.append(f"void {_ENTRY}({', '.join(params)}) {{")
         acc_decls, omp_reductions, finals = self._accumulators()
         lines.extend(acc_decls)
@@ -403,7 +390,7 @@ class _SourceBuilder:
             lines.append("        if (t == 0) used = T;")
             lines.append("        long long "
                          + ", ".join(f"k{j} = 0" for j in counts) + ";")
-        lines.extend(loop)
+        lines.extend("        " + line for line in loop)
         lines.extend(f"        cnt[t][{j}] = k{j};" for j in counts)
         lines.append("    }")
         for j, domain in enumerate(self._compacted):
@@ -412,118 +399,164 @@ class _SourceBuilder:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def _row_loop(self, schedule: list[tuple[ir.Assign, tuple]]
-                  ) -> list[str]:
-        """One loop over the thread's rows ``[lo, hi)``, each
-        ``@compress`` an ``if`` around its domain's statements and its
-        stores at ``lo + k<j>``.
+    # -- the loops -----------------------------------------------------------
 
-        A kernel whose iterations write only index ``i`` (no compacted
-        output, no reduction) runs it as an ``omp simd`` loop; a kernel
-        with a reduction, or with a statement between the masks of a
-        nested selection, runs it scalar."""
+    def _block_loop(self, schedule: list[tuple[ir.Assign, tuple]]
+                    ) -> list[str]:
+        """The thread's rows in blocks, each running the loop over its
+        rows and the levels under them.
+
+        A *level* is a mask chain a statement is placed at or a
+        compacted domain's outputs live in; ``()`` is the block's rows.
+        Its parent is its longest proper prefix that is a level.  A
+        level that updates a reduction is *inline*: it runs in its
+        parent's loop (see _body); every other level is *listed* and
+        runs its own loop (see _after)."""
+        #: level -> the statements placed at it
+        self._work: dict[tuple, list[ir.Assign]] = {(): []}
         for stmt, where in schedule:
-            self._enter(where)
-            expr, target = stmt.expr, stmt.target
-            if hb.get(expr.name).kind == "reduction":
-                self._line(self._reduction_update(
-                    target, expr.name, self._value(expr.args[0].name),
-                    self._acc[target]))
-            else:
-                ctype, value = self._assignment(stmt)
-                if self._open:
-                    self._hoisted[f"{target}_v"] = ctype
-                    self._line(f"{target}_v = {value};")
-                else:
-                    self._line(f"{ctype} {target}_v = {value};")
-        for j, domain in enumerate(self._compacted):
-            self._enter(domain_masks(domain))
-            for name in self._stored_in(domain):
-                self._line(self._store(name, f"lo + k{j}"))
-            self._line(f"k{j}++;")
-        self._enter(())
-        for name in self._base_outputs():
-            self._line(self._store(name, "i"))
-        simd = [] if self._compacted or self._reductions \
-            else ["        #pragma omp simd"]
-        return [*simd,
-                "        for (long long i = lo; i < hi; i++) {",
-                *(f"            {ctype} {local};"
-                  for local, ctype in self._hoisted.items()),
-                *self._body,
-                "        }"]
+            self._work.setdefault(where, []).append(stmt)
+        for chain in self._slot:
+            self._work.setdefault(chain, [])
+        levels = sorted(self._work, key=len)  # a parent before its children
+        self._number = {level: n for n, level in enumerate(levels[1:])}
+        self._children: dict[tuple, list[tuple]] = {level: []
+                                                    for level in levels}
+        #: level -> the level whose loop runs its rows
+        self._host = {(): ()}
+        self._reducing = {where for stmt, where in schedule
+                          if stmt.target in self._reductions}
+        for level in levels[1:]:
+            parent = max((p for p in self._children if len(p) < len(level)
+                          and level[:len(p)] == p), key=len)
+            self._children[parent].append(level)
+            self._host[level] = self._host[parent] \
+                if level in self._reducing else level
+        # A value read in a loop other than the one that computes it is
+        # kept for the block in ``<name>_b``.
+        placed = {stmt.target: where for stmt, where in schedule}
+        #: host level -> the kept values its loop reads -> their C types
+        self._loads: dict[tuple, dict[str, str]] = {level: {}
+                                                    for level in levels}
+        for level in levels:
+            loop = self._host[level]
+            for name in self._reads(level):
+                source = self._source(name)
+                if source in placed and self._host[placed[source]] != loop:
+                    self._loads[loop][source] = \
+                        _C_TYPES[self.types[source].kind]
+        self._kept = {name: ctype for loads in self._loads.values()
+                      for name, ctype in loads.items()}
+        # Each listed level's rows are listed; so are an inline level's
+        # when it has listed children.
+        listed = [self._number[level] for level in levels[1:]
+                  if level not in self._reducing]
+        indexed = [self._number[level] for level in levels[1:]
+                   if level not in self._reducing or self._listed(level)]
+        # A block bounds the lists; a kernel that lists no rows takes the
+        # thread's range as one block (512-row blocks cost a masked sum
+        # that stores its rows 2-3 %).
+        block = [f"for (long long b = lo; b < hi; b += {_BLOCK}) {{",
+                 f"    long long e = hi - b < {_BLOCK} ? hi : b + {_BLOCK};",
+                 "    long long "
+                 + ", ".join(f"m{n} = 0" for n in indexed) + ";"] \
+            if indexed else ["{", "    long long b = lo, e = hi;"]
+        return [*(f"unsigned char sel{n}[{_BLOCK}];" for n in listed),
+                *(f"long long idx{n}[{_BLOCK}];" for n in indexed),
+                *(f"{ctype} {name}_b[{_BLOCK}];"
+                  for name, ctype in self._kept.items()),
+                *block,
+                *_indent(self._loop(())),
+                *_indent(self._after(())),
+                "}"]
 
-    def _selected_row_loop(self, schedule: list[tuple[ir.Assign, tuple]]
-                           ) -> list[str]:
-        """The thread's rows in blocks of ``_BLOCK``, three loops each.
+    def _listed(self, level: tuple) -> list[tuple]:
+        return [child for child in self._children[level]
+                if child not in self._reducing]
 
-        1. An ``omp simd`` loop computes the depth-0 statements, the
-           base-domain stores and each domain's selection byte
-           ``sel<j>``; a depth-0 value a domain reads is kept for the
-           block in ``<name>_b``.
-        2. A scalar loop with no branch lists each domain's selected
-           rows in ``idx<j>`` and counts them in ``m<j>``.
-        3. Per domain, an ``omp simd`` loop over the listed rows runs the
-           statements under the domain's masks and stores at
-           ``lo + k<j> + r``.
+    def _reads(self, level: tuple) -> list[str]:
+        """The variables read per row of ``level``: its statements'
+        operands, its stores and the masks its children add."""
+        return [*(name for stmt in self._work[level]
+                  for name in _row_args(stmt.expr)),
+                *self._stored_at(level),
+                *(mask for child in self._children[level]
+                  for mask in child[len(level):])]
 
-        Only selected rows reach a masked statement, as under an
-        ``if``, and every loop vectorizes."""
-        depth0: dict[str, str] = {}  # target computed at depth 0 -> C type
-        phases = {(): [], **{domain_masks(d): [] for d in self._compacted}}
-        reads = {domain_masks(d): [] for d in self._compacted}
-        for stmt, where in schedule:
+    def _rows(self, level: tuple, body: list[str]) -> list[str]:
+        """``body`` run for each row ``i`` of ``level``: the block's
+        rows, or the rows listed in ``idx<n>``."""
+        if not level:
+            return ["for (long long i = b; i < e; i++) {",
+                    *_indent(body), "}"]
+        n = self._number[level]
+        return [f"for (long long r = 0; r < m{n}; r++) {{",
+                f"    long long i = idx{n}[r];", *_indent(body), "}"]
+
+    def _loop(self, level: tuple) -> list[str]:
+        """The loop over ``level``'s rows: ``omp simd`` unless it runs a
+        reduction (a vector reduction would reorder the float
+        additions)."""
+        simd = not {level, *self._children[level]} & self._reducing
+        loads = [f"{ctype} {name}_v = {name}_b[i - b];"
+                 for name, ctype in self._loads[level].items()]
+        return [*(["#pragma omp simd"] if simd else []),
+                *self._rows(level, loads + self._body(level))]
+
+    def _body(self, level: tuple) -> list[str]:
+        """What runs per row of ``level``: its statements, its stores,
+        each listed child's selection byte ``sel<n>``, and each inline
+        child under an ``if``.  An inline level stores at ``lo + k<j>``
+        and, when it has listed children, lists its own rows."""
+        lines = []
+        for stmt in self._work[level]:
+            target = stmt.target
+            if target in self._reductions:
+                lines.append(self._reduction_update(
+                    target, self._value(stmt.expr.args[0].name)))
+                continue
             ctype, value = self._assignment(stmt)
-            phases[where].append(f"{ctype} {stmt.target}_v = {value};")
-            if where:
-                reads[where] += _row_args(stmt.expr)
+            lines.append(f"{ctype} {target}_v = {value};")
+            if target in self._kept:
+                lines.append(f"{target}_b[i - b] = {target}_v;")
+        inline = level != () and level in self._reducing
+        j = self._slot.get(level)
+        at = "i" if j is None else f"lo + k{j}" if inline \
+            else f"lo + k{j} + r"
+        lines.extend(self._store(name, at) for name in self._stored_at(level))
+        if inline and j is not None:
+            lines.append(f"k{j}++;")
+        for child in self._children[level]:
+            selected = " && ".join(f"({self._value(mask)} != 0)"
+                                   for mask in child[len(level):])
+            if child in self._reducing:
+                lines += [f"if ({selected}) {{", *_indent(self._body(child)),
+                          "}"]
             else:
-                depth0[stmt.target] = ctype
-        first = phases[()]
-        first.extend(self._store(name, "i") for name in self._base_outputs())
-        first.extend(f"sel{j}[i - b] = {self._selected(domain)};"
-                     for j, domain in enumerate(self._compacted))
-        kept: dict[str, str] = {}  # the depth-0 values a domain reads
-        masked = []
-        for j, domain in enumerate(self._compacted):
-            chain = domain_masks(domain)
-            body = phases[chain]
-            body.extend(self._store(name, f"lo + k{j} + r")
-                        for name in self._stored_in(domain))
-            sources = {self._source(name) for name in
-                       reads[chain] + self._stored_in(domain)}
-            loads = [target for target in depth0 if target in sources]
-            kept.update((target, depth0[target]) for target in loads)
-            masked += ["            #pragma omp simd",
-                       f"            for (long long r = 0; r < m{j}; r++) {{",
-                       f"                long long i = idx{j}[r];",
-                       *(f"                {depth0[target]} {target}_v = "
-                         f"{target}_b[i - b];" for target in loads),
-                       *("                " + line for line in body),
-                       "            }",
-                       f"            k{j} += m{j};"]
-        first.extend(f"{target}_b[i - b] = {target}_v;" for target in kept)
-        counts = range(len(self._compacted))
-        return [*(f"        unsigned char sel{j}[{_BLOCK}];" for j in counts),
-                *(f"        long long idx{j}[{_BLOCK}];" for j in counts),
-                *(f"        {ctype} {target}_b[{_BLOCK}];"
-                  for target, ctype in kept.items()),
-                f"        for (long long b = lo; b < hi; b += {_BLOCK}) {{",
-                f"            long long e = hi - b < {_BLOCK} ? hi "
-                f": b + {_BLOCK};",
-                "            #pragma omp simd",
-                "            for (long long i = b; i < e; i++) {",
-                *("                " + line for line in first),
-                "            }",
-                "            long long "
-                + ", ".join(f"m{j} = 0" for j in counts) + ";",
-                "            for (long long i = b; i < e; i++) {",
-                *(line for j in counts for line in (
-                    f"                idx{j}[m{j}] = i;",
-                    f"                m{j} += sel{j}[i - b];")),
-                "            }",
-                *masked,
-                "        }"]
+                lines.append(f"sel{self._number[child]}[i - b] = {selected};")
+        if inline and self._listed(level):
+            n = self._number[level]
+            lines.append(f"idx{n}[m{n}++] = i;")
+        return lines
+
+    def _after(self, level: tuple) -> list[str]:
+        """What runs after the loop that runs ``level``: a scalar loop
+        with no branch lists each listed child's selected rows in
+        ``idx<n>`` and counts them in ``m<n>``; then each child's loop
+        runs over that list, storing at ``lo + k<j> + r``."""
+        listed = self._listed(level)
+        lines = self._rows(level, [
+            line for n in (self._number[child] for child in listed)
+            for line in (f"idx{n}[m{n}] = i;", f"m{n} += sel{n}[i - b];")
+        ]) if listed else []
+        for child in self._children[level]:
+            if child in listed:
+                lines += self._loop(child)
+                if child in self._slot:
+                    lines.append(f"k{self._slot[child]} += "
+                                 f"m{self._number[child]};")
+            lines += self._after(child)
+        return lines
 
     # -- where each statement goes -------------------------------------------
 
@@ -542,41 +575,12 @@ class _SourceBuilder:
                 return stmt.target
         return None
 
-    def _home(self, name: str, placed: dict[str, tuple]) -> tuple:
-        """The masks of the block that computes ``name``'s row value:
-        ``()`` for an input read or a literal."""
-        return placed.get(self._source(name), ())
-
-    def _selected_rows(self, schedule: list[tuple[ir.Assign, tuple]]
-                       ) -> bool:
-        """Can the selections run on their selected rows (see
-        _selected_row_loop)?  There must be no reduction, and every
-        statement must sit at depth 0 or under one compacted domain's
-        masks, reading only depth-0 values and its own domain's; every
-        mask, and every value a domain stores, must be computed at depth
-        0 or in that domain."""
-        if not self._compacted or self._reductions:
-            return False
-        placed = {stmt.target: where for stmt, where in schedule}
-        chains = [domain_masks(domain) for domain in self._compacted]
-        for stmt, where in schedule:
-            if where and where not in chains:
-                return False
-            if any(self._home(name, placed) not in ((), where)
-                   for name in _row_args(stmt.expr)):
-                return False
-        return all(
-            not any(self._home(mask, placed) for mask in chain)
-            and all(self._home(name, placed) in ((), chain)
-                    for name in self._stored_in(domain))
-            for domain, chain in zip(self._compacted, chains))
-
     def _schedule(self) -> list[tuple[ir.Assign, tuple]]:
-        """The statements that emit C, each with the masks of the ``if``
-        blocks around it, in an order that defines every value and mask
-        before its use.
+        """The statements that emit C, each with the level (mask chain)
+        it runs at, in an order that defines every value and mask before
+        its use.
 
-        A statement goes in the deepest block holding every read of its
+        A statement goes at the deepest level holding every read of its
         value: its own domain, or deeper when it is read only under a
         mask — the option price of ``bs1`` is computed for the selected
         rows alone."""
@@ -607,15 +611,15 @@ class _SourceBuilder:
                     require(data.name, need[target])
             elif builtin.kind == "reduction":
                 arg = expr.args[0].name
-                if target in dict(self._reductions):
+                if target in self._reductions:
                     placed[index] = domain_masks(domains[arg])
                     require(arg, placed[index])
             elif target in need:
                 placed[index] = need[target]
                 for name in _row_args(expr):
                     require(name, placed[index])
-        # Shallower blocks first: a value's block, and every mask's, is
-        # a prefix of the blocks that read it.
+        # Shallower levels first: a value's level, and every mask's, is
+        # a prefix of the levels that read it.
         first: dict[tuple, int] = {}
         for index, where in sorted(placed.items()):
             first.setdefault(where, index)
@@ -623,21 +627,7 @@ class _SourceBuilder:
             len(placed[index]), first[placed[index]], index))
         return [(stmts[index], placed[index]) for index in order]
 
-    # -- the loop body -------------------------------------------------------
-
-    def _line(self, text: str) -> None:
-        self._body.append("    " * (3 + len(self._open)) + text)
-
-    def _enter(self, masks: tuple) -> None:
-        """Make ``masks`` the open ``if`` blocks: close the blocks they
-        do not share, open the ones they add."""
-        keep = len(_meet(masks, self._open))
-        while len(self._open) > keep:
-            self._open = self._open[:-1]
-            self._line("}")
-        for mask in masks[keep:]:
-            self._line(f"if ({self._value(mask)}) {{")
-            self._open += (mask,)
+    # -- row values ----------------------------------------------------------
 
     def _value(self, name: str) -> str:
         stmt = self._defs.get(name)
@@ -646,8 +636,8 @@ class _SourceBuilder:
             return f"{name}_p[0]" if self.scalar_flags[index] \
                 else f"{name}_p[i]"
         if name not in self._values:
-            # An alias, a compress (selection is the block a statement
-            # runs in, not a value) or a literal: no code of its own.
+            # An alias, a compress (selection is the level a statement
+            # runs at, not a value) or a literal: no code of its own.
             expr = stmt.expr
             if isinstance(expr, ir.BuiltinCall):
                 if expr.name != "compress":
@@ -694,18 +684,10 @@ class _SourceBuilder:
         return (f"{name}_o[{at}] = ({self._store_type(name)})"
                 f"({self._value(name)});")
 
-    def _stored_in(self, domain: tuple) -> list[str]:
+    def _stored_at(self, level: tuple) -> list[str]:
+        """The vector outputs whose domain's masks are ``level``."""
         return [name for name in self._vectors
-                if self.segment.domains[name] == domain]
-
-    def _base_outputs(self) -> list[str]:
-        return [name for name in self._vectors
-                if not domain_masks(self.segment.domains[name])]
-
-    def _selected(self, domain: tuple) -> str:
-        """Is the row in compressed ``domain``: 1 or 0."""
-        return " && ".join(f"({self._value(mask)} != 0)"
-                           for mask in domain_masks(domain))
+                if domain_masks(self.segment.domains[name]) == level]
 
     def _compaction(self, j: int, domain: tuple) -> list[str]:
         """Move each thread's compacted block down to its prefix-sum
@@ -714,7 +696,7 @@ class _SourceBuilder:
                  "    for (int t = 1; t < used; t++) {",
                  f"        long long lo = {_row_start('t', 'used')}, "
                  f"k = cnt[t][{j}];"]
-        for name in self._stored_in(domain):
+        for name in self._stored_at(domain_masks(domain)):
             lines.append(f"        memmove({name}_o + off{j}, "
                          f"{name}_o + lo, k * sizeof *{name}_o);")
         lines.append(f"        off{j} += k;")
@@ -722,49 +704,49 @@ class _SourceBuilder:
         lines.append(f"    lens[{j}] = off{j};")
         return lines
 
+    def _missing(self, name: str) -> tuple[str, str] | None:
+        """How a min/max finds a missing row value, and the result one
+        forces: NaN, or NaT for a date (the int64 minimum, which a max
+        skips and which is its start, so a flag carries it)."""
+        if ht.is_float(self.types[name]):
+            return "({x} != {x})", "NAN"
+        return ("({x} == %s)" % _C_NAT, _C_NAT) \
+            if self.types[name] == ht.DATE else None
+
     def _accumulators(self):
         decls, omp, finals = [], [], []
-        for name, combine in self._reductions:
-            op, identity = _REDUCTIONS[combine]
-            if combine in ("min", "max"):
-                init = "INFINITY" if combine == "min" else "-INFINITY"
-                decls.append(f"    double {name}_acc = {init};")
-                omp.append(f"reduction(nan{combine}:{name}_acc)")
-                # Selected-element count: min/max over an empty
-                # selection must raise, not return +/-INFINITY; the
-                # invoker checks slot [1].
-                decls.append(f"    double {name}_nsel = 0;")
-                omp.append(f"reduction(+:{name}_nsel)")
-                finals.append(f"    {name}_r[1] = {name}_nsel;")
-            else:
-                decls.append(f"    {self._acc[name]} {name}_acc = "
-                             f"{identity};")
-                omp.append(f"reduction({op}:{name}_acc)")
-            finals.append(f"    {name}_r[0] = {name}_acc;")
+        for name, reducer in self._reductions.items():
+            op, start, _, _ = _REDUCTIONS[reducer]
+            float_ = self._acc[name] == "double"
+            start = start.format(top="INFINITY" if float_ else "LLONG_MAX",
+                                 bottom="-INFINITY" if float_
+                                 else "LLONG_MIN")
+            decls.append(f"    {self._acc[name]} {name}_acc = {start};")
+            omp.append(f"reduction({op}:{name}_acc)")
+            result = f"{name}_acc"
+            if reducer in ("min", "max"):
+                # min/max over no row raises: the invoker reads the row
+                # count in slot [1].
+                decls.append(f"    long long {name}_n = 0;")
+                omp.append(f"reduction(+:{name}_n)")
+                finals.append(f"    {name}_r[1] = {name}_n;")
+                missing = self._missing(name)
+                if missing is not None:
+                    decls.append(f"    int {name}_miss = 0;")
+                    omp.append(f"reduction(||:{name}_miss)")
+                    result = f"{name}_miss ? {missing[1]} : {result}"
+            finals.append(f"    {name}_r[0] = {result};")
         return decls, omp, finals
 
-    @staticmethod
-    def _reduction_update(target: str, reducer: str, value: str,
-                          acc: str) -> str:
-        if reducer == "sum":
-            return f"{target}_acc += ({acc})({value});"
-        if reducer == "prod":
-            return f"{target}_acc *= (double)({value});"
-        if reducer == "count":
-            return f"{target}_acc += 1;"
-        if reducer in ("min", "max"):
-            # NaN-propagating, like np.min/np.max (fmin/fmax return the
-            # non-NaN operand).
-            fn = "fmin" if reducer == "min" else "fmax"
-            return (f"{target}_acc = (({target}_acc != {target}_acc) || "
-                    f"((double)({value}) != (double)({value}))) ? NAN "
-                    f": {fn}({target}_acc, (double)({value})); "
-                    f"{target}_nsel += 1;")
-        if reducer == "any":
-            return f"{target}_acc = {target}_acc || ({value} != 0);"
-        if reducer == "all":
-            return f"{target}_acc = {target}_acc && ({value} != 0);"
-        raise CodegenError(f"no C reduction for @{reducer}")
+    def _reduction_update(self, target: str, value: str) -> str:
+        reducer = self._reductions[target]
+        update = _REDUCTIONS[reducer][3].format(
+            r=target, v=f"({self._acc[target]})({value})", x=value)
+        missing = self._missing(target) \
+            if reducer in ("min", "max") else None
+        if missing is not None:
+            update += f" {target}_miss |= {missing[0].format(x=value)};"
+        return update
 
 
 # ---------------------------------------------------------------------------
@@ -922,9 +904,9 @@ class CKernel:
                 # interpreter instead of returning +/-INFINITY.
                 combine = role.split(":", 1)[1]
                 slots = 2 if hb.COMBINES[combine].identity is None else 1
-                exact = _acc_type(combine, self.types[name]) != "double"
+                float_ = ht.is_float(self.types[name])
                 buffers[name] = np.empty(
-                    slots, dtype=np.int64 if exact else np.float64)
+                    slots, dtype=np.float64 if float_ else np.int64)
         args.extend(buffer.ctypes.data_as(ctypes.c_void_p)
                     for buffer in buffers.values())
         compacted = self._compacted

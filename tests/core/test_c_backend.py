@@ -188,6 +188,77 @@ class TestCorrectness:
         np.testing.assert_allclose(t1.data, t4.data)
 
 
+def _exact_input(case: str) -> np.ndarray:
+    """1537 rows (every thread of three gets some) that a ``double``
+    accumulator gets wrong: one row of 2**60 + 6 among 2**60 (max) or
+    2**60 + 7 (min), or that many threes among ones (prod); -1, which
+    the mask drops, every seventh row."""
+    start = {"max": 2 ** 60, "min": 2 ** 60 + 7}.get(case, 1)
+    x = np.full(1537, start, dtype=np.int64)
+    x[5::7] = -1
+    if case in ("min", "max"):
+        x[1300] = 2 ** 60 + 6
+    else:
+        x[np.arange(int(case[len("prod_"):])) * 37] = 3
+    return x
+
+
+#: Case of _exact_input -> the exact answer.  Past 2**63 the product
+#: wraps, like NumPy's.
+EXACT_CASES = {"max": 2 ** 60 + 6, "min": 2 ** 60 + 6, "prod_34": 3 ** 34,
+               "prod_40": 3 ** 40 - 2 ** 64}
+
+
+@pytest.mark.parametrize("n_threads", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_integer_reductions_are_exact(case, n_threads):
+    source = f"""
+    module M {{
+        def main(x:i64): i64 {{
+            m:bool = @geq(x, 0:i64);
+            y:i64 = @compress(m, x);
+            r:i64 = @{case.split("_")[0]}(y);
+            return r;
+        }}
+    }}
+    """
+    args = [from_numpy(_exact_input(case))]
+    got, kernels = _traced(source, args, "c", n_threads)
+    assert [span.attrs["backend"] for span in kernels] == ["c"]
+    interp = run_module(parse_module(source), args=args)
+    assert got.data.dtype == interp.data.dtype == np.int64
+    assert got.item() == interp.item() == EXACT_CASES[case]
+
+
+@pytest.mark.parametrize("n_threads", [1, 2, 3])
+@pytest.mark.parametrize("rows", ["all", "one"])
+@pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("reducer", ["min", "max"])
+def test_float_min_max_match_interp(reducer, special, rows, n_threads):
+    """A NaN row makes min/max NaN, and rows of +-inf (every selected
+    row, or one) give interp's answer: the accumulators start at +-inf
+    and a flag, not the comparison, carries the NaN."""
+    source = f"""
+    module M {{
+        def main(x:f64): f64 {{
+            m:bool = @neq(x, 7.0:f64);
+            y:f64 = @compress(m, x);
+            r:f64 = @{reducer}(y);
+            return r;
+        }}
+    }}
+    """
+    x = np.full(1537, special) if rows == "all" \
+        else np.random.default_rng(8).uniform(1.0, 2.0, 1537)
+    x[1300] = special
+    x[5::7] = 7.0
+    args = [from_numpy(x)]
+    got, kernels = _traced(source, args, "c", n_threads)
+    assert [span.attrs["backend"] for span in kernels] == ["c"]
+    want = run_module(parse_module(source), args=args)
+    np.testing.assert_array_equal(got.data, want.data)
+
+
 class TestFallbacks:
     def test_string_segments_fall_back_to_python(self):
         source = """
@@ -548,6 +619,28 @@ class TestKernelCache:
         assert stat.S_IMODE(os.stat(private).st_mode) == 0o700
 
 
+def test_no_benchmark_kernel_falls_back():
+    """Every kernel of the benchmark's 22 programs runs as emitted C at
+    two threads.  An emitter error becomes a "codegen failed" decline
+    that pygen then answers correctly, so only this shows it; the one
+    allowed decline is a kernel that gets no rows."""
+    from benchmarks.layered.measure import make_runner
+    from benchmarks.layered.workloads import WORKLOADS, set_up
+
+    env = set_up(replace(WORKLOADS["compile_cold"], backend="cgen",
+                         n_threads=2), seed=1)
+    assert len(env.programs) == 22
+    for program in env.programs:
+        tracer = Tracer()
+        make_runner(env, program)(
+            ctx=replace(env.session.context(), tracer=tracer))
+        kernels = [span.attrs for span in _kernel_spans(tracer)]
+        assert kernels, program.name
+        assert all(k["backend"] == "c" or k["c_declined"] == "empty input"
+                   for k in kernels), (program.name, kernels)
+    assert env.session.metrics.counter("query.retries").value == 0
+
+
 class TestMatlabAndSQLThroughC:
     def test_blackscholes_matlab(self):
         from repro.data.blackscholes import (calc_option_price,
@@ -588,7 +681,8 @@ class TestMatlabAndSQLThroughC:
 
 
 # ---------------------------------------------------------------------------
-# vectorized row loops: omp simd, the selected-row block loop, vector math
+# the block loop's levels: listed omp simd loops, inline reductions,
+# vector math
 # ---------------------------------------------------------------------------
 
 #: The ``bs2`` shape: a selection of plain reads on an input predicate.
@@ -665,16 +759,8 @@ module M {
 }
 """
 
-#: Shape -> (source, how many leading outputs are plain reads,
-#: bit-identical to the interpreter's).  Every shape with a selection
-#: runs the selected-row block loop.
-VECTOR_SHAPES = {"filter_only": (FILTER_ONLY, 2),
-                 "computed_mask": (COMPUTED_MASK, 2),
-                 "masked_compute": (MASKED_COMPUTE, 2),
-                 "vector_math": (VECTOR_MATH, 0)}
-
-#: A statement between the masks of a nested selection (``m2`` is
-#: computed under ``m1``): the scalar ``if`` loop.
+#: A statement between the masks of a nested selection: ``m2`` is
+#: computed on the rows ``m1`` lists, and ``d`` on the rows ``m2`` lists.
 NESTED_MASKS = """
 module M {
     def main(x:f64, y:f64): list<unknown> {
@@ -691,8 +777,36 @@ module M {
 }
 """
 
-#: A masked reduction: the scalar ``if`` loop (a vector reduction would
-#: reorder the float additions).
+#: Two sibling selections under the block's rows: one listing loop lists
+#: both, then each runs its own loop.
+SIBLINGS = """
+module M {
+    def main(x:f64, y:f64): list<unknown> {
+        m1:bool = @lt(x, 0.3:f64);
+        m2:bool = @gt(y, 0.5:f64);
+        a:f64 = @compress(m1, x);
+        b:f64 = @compress(m2, y);
+        l:f64 = @log(a);
+        e:f64 = @exp(b);
+        out:list<unknown> = @list(a, b, l, e);
+        return out;
+    }
+}
+"""
+
+#: Shape -> (source, how many leading outputs are plain reads,
+#: bit-identical to the interpreter's).  Every level runs its own
+#: ``omp simd`` loop over its listed rows.
+VECTOR_SHAPES = {"filter_only": (FILTER_ONLY, 2),
+                 "computed_mask": (COMPUTED_MASK, 2),
+                 "masked_compute": (MASKED_COMPUTE, 2),
+                 "vector_math": (VECTOR_MATH, 0),
+                 "nested_masks": (NESTED_MASKS, 1),
+                 "siblings": (SIBLINGS, 2)}
+
+#: A masked reduction that stores its selected rows too: the sum runs
+#: inline, under an ``if`` in the block's loop, which carries no ``omp
+#: simd`` (a vector reduction would reorder the float additions).
 MASKED_SUM = """
 module M {
     def main(x:f64, y:f64): list<unknown> {
@@ -707,8 +821,65 @@ module M {
 }
 """
 
-#: Shape -> source, for the kernels that keep the scalar ``if`` loop.
-IF_LOOP_SHAPES = {"nested_masks": NESTED_MASKS, "masked_sum": MASKED_SUM}
+#: q6's shape: a masked sum and nothing stored, so no row is listed.
+MASKED_REDUCE = """
+module M {
+    def main(x:f64, y:f64): f64 {
+        m1:bool = @gt(x, -0.4:f64);
+        m2:bool = @lt(x, 0.7:f64);
+        m:bool = @and(m1, m2);
+        a:f64 = @compress(m, x);
+        p:f64 = @mul(a, a);
+        s:f64 = @sum(p);
+        return s;
+    }
+}
+"""
+
+#: A reduction under a nested mask: inline in the loop over the rows
+#: ``m1`` lists, which stores ``a`` and computes ``m2``.
+NESTED_REDUCE = """
+module M {
+    def main(x:f64, y:f64): list<unknown> {
+        m1:bool = @gt(x, -0.4:f64);
+        a:f64 = @compress(m1, x);
+        e:f64 = @exp(a);
+        m2:bool = @lt(e, 1.8:f64);
+        c:f64 = @compress(m2, e);
+        s:f64 = @sum(c);
+        out:list<unknown> = @list(a, s);
+        return out;
+    }
+}
+"""
+
+#: An inline reducing level with a child selection: the sum's ``if``
+#: lists its rows, and the rows ``m2`` selects among them run a listed
+#: loop.
+REDUCE_THEN_SELECT = """
+module M {
+    def main(x:f64, y:f64): list<unknown> {
+        m0:bool = @gt(x, -0.4:f64);
+        m01:bool = @lt(x, 0.7:f64);
+        m1:bool = @and(m0, m01);
+        a:f64 = @compress(m1, x);
+        b:f64 = @compress(m1, y);
+        s:f64 = @sum(a);
+        m2:bool = @gt(b, 0.2:f64);
+        c:f64 = @compress(m2, a);
+        d:f64 = @exp(c);
+        out:list<unknown> = @list(c, d, s);
+        return out;
+    }
+}
+"""
+
+#: Shape -> (source, plain outputs as above, whether any level runs a
+#: listed loop) for the kernels with a reduction running inline.
+IF_LOOP_SHAPES = {"masked_sum": (MASKED_SUM, 1, False),
+                  "masked_reduce": (MASKED_REDUCE, 0, False),
+                  "nested_reduce": (NESTED_REDUCE, 1, True),
+                  "reduce_then_select": (REDUCE_THEN_SELECT, 1, True)}
 
 _IF_BLOCK = re.compile(r"\bif \(.*\) \{$", re.MULTILINE)
 _SELECTED_ROW_LOOP = "long long i = idx0[r];"
@@ -776,16 +947,17 @@ def test_vectorized_loops_match_interp(shape, n, n_threads, monkeypatch):
 @pytest.mark.parametrize("n", [1, 511, 512, 513, 1025])
 @pytest.mark.parametrize("shape", sorted(IF_LOOP_SHAPES))
 def test_if_loop_kernels_match_interp(shape, n, n_threads, monkeypatch):
-    source = IF_LOOP_SHAPES[shape]
+    source, plain, listed = IF_LOOP_SHAPES[shape]
     sources = _with_sources(monkeypatch)
     args = _special_args(n)
     got, kernels = _traced(source, args, "c", n_threads)
     assert kernels and all(span.attrs["backend"] == "c"
                            for span in kernels), [s.attrs for s in kernels]
-    _assert_matches_interp(source, args, got, 1)
+    _assert_matches_interp(source, args, got, plain)
     assert len(sources) == 1
     assert _IF_BLOCK.search(sources[0]), sources[0]
-    assert _SELECTED_ROW_LOOP not in sources[0]
+    assert ("idx" in sources[0]) == listed, sources[0]
+    assert ("#pragma omp simd" in sources[0]) == listed, sources[0]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -100,6 +100,36 @@ def test_null_dates_compare_like_numpy(session, op, shape, engine):
             [span.attrs for span in kernels]
 
 
+#: Row sets for MIN / MAX: SQL predicate on ``id``, and NumPy's.
+EXTREMES = {
+    "one_nat": ("id <= 2", lambda ids: ids <= 2),
+    "three_nats": ("id >= 0", lambda ids: ids >= 0),
+    "no_nat": ("id <> 1 AND id <> 3 AND id <> 7",
+               lambda ids: ~np.isin(ids, [1, 3, 7])),
+}
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("rows", sorted(EXTREMES))
+def test_min_max_of_null_dates_are_null(session, rows, engine):
+    """A NULL date makes MIN and MAX NULL, as in NumPy.  NaT is the
+    int64 minimum, so a C max over day numbers would skip it."""
+    predicate, select = EXTREMES[rows]
+    columns = _columns()
+    dates = columns["d"][select(columns["id"])]
+    sql = f"SELECT MAX(d) AS hi, MIN(d) AS lo FROM t WHERE {predicate}"
+    tracer = Tracer()
+    got = session.run_sql(sql, backend=engine,
+                          ctx=replace(session.context(), tracer=tracer))
+    assert got.column("hi").data.tolist() == [np.max(dates).item()]
+    assert got.column("lo").data.tolist() == [np.min(dates).item()]
+    if engine == "cgen":
+        kernels = [span.attrs for span in tracer.all_spans()
+                   if span.name.startswith("kernel:")]
+        assert kernels and all(k["backend"] == "c" for k in kernels), \
+            kernels
+
+
 def test_pygen_compares_day_numbers():
     """No kernel parses or compares ``datetime64`` values per chunk."""
     with EngineSession(_database()) as session:
